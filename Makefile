@@ -16,39 +16,31 @@
 #                      run with the inspector on an ephemeral port, its
 #                      summary table diffed against the committed golden
 #                      and the inspector snapshots validated
-#   make cluster-par-smoke — parallel-determinism check: the same cluster
-#                      run at -pj 1, 4 and 8 worker goroutines must emit
-#                      byte-identical reports, plus the race detector over
-#                      the multi-domain engine and cluster tests
 #   make cache-smoke — front-end result-cache check: the pinned cluster
-#                      run with -cache 32 at -pj 1, 4 and 8 must emit
-#                      byte-identical reports (cache rows included), the
+#                      run with -cache 32 must emit the cache rows, the
 #                      cache-off run must still match the committed
 #                      golden, and the race detector sweeps the cluster
 #                      package with its cache tests
 #   make cluster-obs-smoke — cluster observability check: the pinned run
-#                      with -metrics, -spans, -trace and -slo on at -pj 1
-#                      and -pj 8 must emit byte-identical reports and
-#                      artifacts, the trace JSON must parse, the straggler
-#                      and SLO tables must appear, and the obs-off report
-#                      must still match the committed golden
+#                      with -metrics, -spans, -trace and -slo on must emit
+#                      a parseable trace and the straggler and SLO tables,
+#                      and the obs-off report must still match the
+#                      committed golden
 #   make flight-smoke — flight-recorder check: the flash-crowd run with
 #                      -flight -detect must cut exactly one diagnostic
 #                      bundle (slo-burn verdict, queue-dominated window),
-#                      the whole bundle directory must be byte-identical
-#                      at -pj 1 and -pj 8, and the flight-off report must
-#                      still match the committed golden
+#                      and the flight-off report must still match the
+#                      committed golden
 
 GO ?= go
 SMOKE_DIR := metrics-smoke-out
 QSMOKE_DIR := qtrace-smoke-out
 CSMOKE_DIR := cluster-smoke-out
-PSMOKE_DIR := cluster-par-smoke-out
 CACHESMOKE_DIR := cache-smoke-out
 OBSSMOKE_DIR := cluster-obs-smoke-out
 FLIGHTSMOKE_DIR := flight-smoke-out
 
-.PHONY: check fmt-check build vet test race bench bench-smoke metrics-smoke qtrace-smoke cluster-smoke cluster-par-smoke cache-smoke cluster-obs-smoke flight-smoke
+.PHONY: check fmt-check build vet test race bench bench-smoke metrics-smoke qtrace-smoke cluster-smoke cache-smoke cluster-obs-smoke flight-smoke
 
 check: fmt-check build vet race
 
@@ -137,35 +129,16 @@ cluster-smoke:
 	diff cmd/reachsim/testdata/cluster_smoke.golden $(CSMOKE_DIR)/report.txt
 	CLUSTER_SMOKE_DIR=$$PWD/$(CSMOKE_DIR) $(GO) test -run TestClusterSmokeArtifacts -v ./cmd/reachsim/
 
-# Parallel-determinism smoke: domain parallelism must never change the
-# model. One binary, the same pinned cluster run at 1, 4 and 8 worker
-# goroutines; any byte of divergence fails the diff. The race detector
-# then sweeps the packages that own the barrier protocol.
-cluster-par-smoke:
-	rm -rf $(PSMOKE_DIR) && mkdir -p $(PSMOKE_DIR)
-	$(GO) build -o $(PSMOKE_DIR)/reachsim ./cmd/reachsim
-	$(PSMOKE_DIR)/reachsim -cluster -pj 1 > $(PSMOKE_DIR)/pj1.txt
-	$(PSMOKE_DIR)/reachsim -cluster -pj 4 > $(PSMOKE_DIR)/pj4.txt
-	$(PSMOKE_DIR)/reachsim -cluster -pj 8 > $(PSMOKE_DIR)/pj8.txt
-	diff $(PSMOKE_DIR)/pj1.txt $(PSMOKE_DIR)/pj4.txt
-	diff $(PSMOKE_DIR)/pj1.txt $(PSMOKE_DIR)/pj8.txt
-	diff cmd/reachsim/testdata/cluster_smoke.golden $(PSMOKE_DIR)/pj1.txt
-	$(GO) test -race ./internal/sim/ ./internal/cluster/
-
-# Front-end cache smoke: cache-on determinism (the -cache 32 run is
-# byte-identical at any -pj, cache accounting rows included), the
-# cache-off golden untouched by the cache's existence, and the race
-# detector over the cluster package — the live inspector reads the cache
-# counters from another goroutine, so the atomics earn their keep here.
+# Front-end cache smoke: the -cache 32 run carries the cache accounting
+# rows, the cache-off golden is untouched by the cache's existence, and
+# the race detector sweeps the cluster package — the live inspector reads
+# the cache counters from another goroutine, so the atomics earn their
+# keep here.
 cache-smoke:
 	rm -rf $(CACHESMOKE_DIR) && mkdir -p $(CACHESMOKE_DIR)
 	$(GO) build -o $(CACHESMOKE_DIR)/reachsim ./cmd/reachsim
-	$(CACHESMOKE_DIR)/reachsim -cluster -cache 32 -pj 1 > $(CACHESMOKE_DIR)/cache-pj1.txt
-	$(CACHESMOKE_DIR)/reachsim -cluster -cache 32 -pj 4 > $(CACHESMOKE_DIR)/cache-pj4.txt
-	$(CACHESMOKE_DIR)/reachsim -cluster -cache 32 -pj 8 > $(CACHESMOKE_DIR)/cache-pj8.txt
-	diff $(CACHESMOKE_DIR)/cache-pj1.txt $(CACHESMOKE_DIR)/cache-pj4.txt
-	diff $(CACHESMOKE_DIR)/cache-pj1.txt $(CACHESMOKE_DIR)/cache-pj8.txt
-	grep -q 'cache hit rate %' $(CACHESMOKE_DIR)/cache-pj1.txt
+	$(CACHESMOKE_DIR)/reachsim -cluster -cache 32 > $(CACHESMOKE_DIR)/cache.txt
+	grep -q 'cache hit rate %' $(CACHESMOKE_DIR)/cache.txt
 	$(CACHESMOKE_DIR)/reachsim -cluster > $(CACHESMOKE_DIR)/cache-off.txt
 	diff cmd/reachsim/testdata/cluster_smoke.golden $(CACHESMOKE_DIR)/cache-off.txt
 	$(CACHESMOKE_DIR)/reachsim -exp cachesweep > $(CACHESMOKE_DIR)/cachesweep.txt
@@ -173,47 +146,35 @@ cache-smoke:
 	$(GO) test -race -run 'Cache' ./internal/cluster/ ./internal/experiments/ ./internal/inspect/
 
 # Cluster observability smoke: the pinned -cluster run with every sink on.
-# Domain parallelism must not move a byte of any artifact — the report
-# (summary + straggler attribution + SLO windows), the sampled time
-# series, or the Chrome trace. The trace must parse as JSON, the report
-# must carry the straggler and SLO headlines, and turning observability
-# off must reproduce the committed golden exactly.
+# The trace must parse as JSON, the report must carry the straggler and
+# SLO headlines, and turning observability off must reproduce the
+# committed golden exactly.
 cluster-obs-smoke:
 	rm -rf $(OBSSMOKE_DIR) && mkdir -p $(OBSSMOKE_DIR)
 	$(GO) build -o $(OBSSMOKE_DIR)/reachsim ./cmd/reachsim
-	$(OBSSMOKE_DIR)/reachsim -cluster -pj 1 -metrics $(OBSSMOKE_DIR)/metrics-pj1.csv \
-		-spans -trace $(OBSSMOKE_DIR)/trace-pj1.json -slo 250 > $(OBSSMOKE_DIR)/report-pj1.txt
-	$(OBSSMOKE_DIR)/reachsim -cluster -pj 8 -metrics $(OBSSMOKE_DIR)/metrics-pj8.csv \
-		-spans -trace $(OBSSMOKE_DIR)/trace-pj8.json -slo 250 > $(OBSSMOKE_DIR)/report-pj8.txt
-	diff $(OBSSMOKE_DIR)/report-pj1.txt $(OBSSMOKE_DIR)/report-pj8.txt
-	diff $(OBSSMOKE_DIR)/metrics-pj1.csv $(OBSSMOKE_DIR)/metrics-pj8.csv
-	diff $(OBSSMOKE_DIR)/trace-pj1.json $(OBSSMOKE_DIR)/trace-pj8.json
-	grep -q 'Straggler attribution' $(OBSSMOKE_DIR)/report-pj1.txt
-	grep -q 'SLO windows' $(OBSSMOKE_DIR)/report-pj1.txt
+	$(OBSSMOKE_DIR)/reachsim -cluster -metrics $(OBSSMOKE_DIR)/metrics.csv \
+		-spans -trace $(OBSSMOKE_DIR)/trace.json -slo 250 > $(OBSSMOKE_DIR)/report.txt
+	grep -q 'Straggler attribution' $(OBSSMOKE_DIR)/report.txt
+	grep -q 'SLO windows' $(OBSSMOKE_DIR)/report.txt
 	$(OBSSMOKE_DIR)/reachsim -cluster > $(OBSSMOKE_DIR)/report-off.txt
 	diff cmd/reachsim/testdata/cluster_smoke.golden $(OBSSMOKE_DIR)/report-off.txt
 	CLUSTER_OBS_SMOKE_DIR=$$PWD/$(OBSSMOKE_DIR) $(GO) test \
-		-run 'TestClusterObsSmokeArtifacts|TestClusterObsArtifactsParallelInvariant|TestValidateFlagMatrix' -v ./cmd/reachsim/
+		-run 'TestClusterObsSmokeArtifacts|TestClusterObsArtifacts|TestValidateFlagMatrix' -v ./cmd/reachsim/
 
 # Flight-recorder smoke: the flash-crowd scenario must trigger the SLO
-# burn-rate detector exactly once and cut one self-contained bundle whose
-# five files are byte-identical at -pj 1 and -pj 8; the verdict must be
-# queue-dominated; a flight-off run must still match the committed
-# golden. The in-process acceptance tests then re-validate the bundle
-# schema at -pj 1/4/8.
+# burn-rate detector exactly once and cut one self-contained bundle; the
+# verdict must be queue-dominated; a flight-off run must still match the
+# committed golden. The in-process acceptance tests then re-validate the
+# bundle schema.
 flight-smoke:
 	rm -rf $(FLIGHTSMOKE_DIR) && mkdir -p $(FLIGHTSMOKE_DIR)
 	$(GO) build -o $(FLIGHTSMOKE_DIR)/reachsim ./cmd/reachsim
-	$(FLIGHTSMOKE_DIR)/reachsim -cluster -pj 1 -slo 400 -arrival flash \
-		-flight $(FLIGHTSMOKE_DIR)/pj1 -detect > $(FLIGHTSMOKE_DIR)/report-pj1.txt
-	$(FLIGHTSMOKE_DIR)/reachsim -cluster -pj 8 -slo 400 -arrival flash \
-		-flight $(FLIGHTSMOKE_DIR)/pj8 -detect > $(FLIGHTSMOKE_DIR)/report-pj8.txt
-	diff $(FLIGHTSMOKE_DIR)/report-pj1.txt $(FLIGHTSMOKE_DIR)/report-pj8.txt
-	test "$$(ls $(FLIGHTSMOKE_DIR)/pj1 | wc -l)" -eq 1
-	diff -r $(FLIGHTSMOKE_DIR)/pj1 $(FLIGHTSMOKE_DIR)/pj8
-	grep -q '"detector": "slo-burn"' $(FLIGHTSMOKE_DIR)/pj1/bundle-*/verdict.json
-	grep -q '"dominant_cause": "queue"' $(FLIGHTSMOKE_DIR)/pj1/bundle-*/verdict.json
-	grep -q 'overall dominant cause queue' $(FLIGHTSMOKE_DIR)/pj1/bundle-*/stragglers.txt
+	$(FLIGHTSMOKE_DIR)/reachsim -cluster -slo 400 -arrival flash \
+		-flight $(FLIGHTSMOKE_DIR)/bundles -detect > $(FLIGHTSMOKE_DIR)/report.txt
+	test "$$(ls $(FLIGHTSMOKE_DIR)/bundles | wc -l)" -eq 1
+	grep -q '"detector": "slo-burn"' $(FLIGHTSMOKE_DIR)/bundles/bundle-*/verdict.json
+	grep -q '"dominant_cause": "queue"' $(FLIGHTSMOKE_DIR)/bundles/bundle-*/verdict.json
+	grep -q 'overall dominant cause queue' $(FLIGHTSMOKE_DIR)/bundles/bundle-*/stragglers.txt
 	$(FLIGHTSMOKE_DIR)/reachsim -cluster > $(FLIGHTSMOKE_DIR)/report-off.txt
 	diff cmd/reachsim/testdata/cluster_smoke.golden $(FLIGHTSMOKE_DIR)/report-off.txt
 	$(GO) test -run TestClusterFlight -v ./cmd/reachsim/

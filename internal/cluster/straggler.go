@@ -13,8 +13,8 @@ import (
 // leg is the query's critical shard, and its internal breakdown (queue
 // wait at the replica's GAM, device execution, wire time) says *why* the
 // query's tail looked the way it did. Records are written in the
-// front-end domain at merge time in merge order, so the report is
-// byte-identical at any -pj.
+// front-end domain at merge time in merge order, so the report is a
+// pure function of the simulation.
 
 // Straggler cause tags — where the critical leg's time dominated.
 const (

@@ -29,7 +29,9 @@ type ClusterConfig struct {
 	// NetGBps is the inter-node network bandwidth per node and direction
 	// (one ingress and one egress link per node, built from sim.Link).
 	NetGBps float64 `json:"net_gbps"`
-	// NetLatencyUS is the fixed one-way network latency in microseconds.
+	// NetLatencyUS is the fixed one-way network latency in microseconds. It
+	// is also the conservative lookahead of the cluster's event domains:
+	// each barrier round spans one network latency of simulated time.
 	NetLatencyUS float64 `json:"net_latency_us"`
 
 	// RoutePolicy selects how the front end picks a replica for each
@@ -76,10 +78,10 @@ type ClusterConfig struct {
 	// flight completes this long after that scatter's merge.
 	CoalesceUS float64 `json:"coalesce_us,omitempty"`
 
-	// ParallelDomains is how many worker goroutines execute the cluster's
-	// event domains (one per node plus the front end) each synchronization
-	// round; 0 or 1 runs the partition serially. Purely a wall-clock knob:
-	// simulation output is byte-identical at any value.
+	// ParallelDomains is deprecated and selects nothing: the cluster's
+	// event domains always run serially on the coordinator. It is still
+	// parsed and validated (negative values are rejected) so existing
+	// configs keep loading; it will be removed once no config sets it.
 	ParallelDomains int `json:"parallel_domains,omitempty"`
 
 	// Node is the per-server hardware configuration.
@@ -181,7 +183,7 @@ func (c *ClusterConfig) Validate() error {
 	}
 	if c.NetLatencyUS <= 0 {
 		// Strictly positive: the wire latency is the conservative lookahead
-		// that lets the per-node event domains run in parallel.
+		// that bounds each barrier round; zero would admit no event.
 		return fmt.Errorf("cluster: net_latency_us must be positive, got %v", c.NetLatencyUS)
 	}
 	if c.ParallelDomains < 0 {

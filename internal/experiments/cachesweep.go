@@ -124,9 +124,6 @@ func CacheSweep(m workload.Model, cfg config.ClusterConfig, entries []int, ttlsM
 		ccfg.CacheEntries = cell.entries
 		ccfg.CacheTTLMS = cell.ttlMS
 		ccfg.SkewExponent = cell.skew
-		if o.clusterPJ >= 0 {
-			ccfg.ParallelDomains = o.clusterPJ
-		}
 		cl, err := cluster.New(ccfg, m, qtrace.Options{DropTimelines: true})
 		if err != nil {
 			return nil, err

@@ -110,24 +110,6 @@ func TestCacheSweepWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestCacheSweepParallelDomainsInvariant: byte-identical whether each
-// cached cluster simulates its domains serially or on 4 workers — the
-// cache-on extension of the clustersweep invariant.
-func TestCacheSweepParallelDomainsInvariant(t *testing.T) {
-	render := func(opts ...Option) string {
-		var b strings.Builder
-		if err := CacheSweepTable(smallCacheSweep(t, opts...)).Render(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	serial := render(WithClusterParallel(1))
-	parallel := render(WithClusterParallel(4))
-	if serial != parallel {
-		t.Fatalf("cache sweep differs by ParallelDomains:\n-- pj1 --\n%s\n-- pj4 --\n%s", serial, parallel)
-	}
-}
-
 func TestCacheSweepTableRenders(t *testing.T) {
 	var b strings.Builder
 	if err := CacheSweepTable(smallCacheSweep(t)).Render(&b); err != nil {

@@ -152,9 +152,6 @@ func ClusterSweep(m workload.Model, cfg config.ClusterConfig, nodeCounts []int, 
 		if ccfg.ShardMap == nil && ccfg.Replication > cell.nodes {
 			ccfg.Replication = cell.nodes
 		}
-		if o.clusterPJ >= 0 {
-			ccfg.ParallelDomains = o.clusterPJ
-		}
 		cl, err := cluster.New(ccfg, m, qtrace.Options{DropTimelines: true})
 		if err != nil {
 			return nil, err
@@ -209,8 +206,8 @@ func ClusterSweep(m workload.Model, cfg config.ClusterConfig, nodeCounts []int, 
 // path and the CI cluster smoke. observe, when non-nil, receives the
 // assembled cluster before the simulation starts, so live tooling (the
 // inspector's per-domain progress view) can attach to the MultiEngine.
-// Deterministic for fixed inputs: the table is byte-identical run to run
-// — and at any ParallelDomains — which is what the smoke golden diffs.
+// Deterministic for fixed inputs: the table is byte-identical run to run,
+// which is what the smoke golden diffs.
 func ClusterRun(m workload.Model, cfg config.ClusterConfig, queries int, rate float64, arr ArrivalSpec, qopt qtrace.Options, observe func(*cluster.Cluster)) (*cluster.Cluster, *report.Table, error) {
 	cl, err := cluster.New(cfg, m, qopt)
 	if err != nil {

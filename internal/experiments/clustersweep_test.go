@@ -83,26 +83,6 @@ func TestClusterSweepWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestClusterSweepParallelDomainsInvariant: the rendered table is
-// byte-identical whether each cluster simulates its domains serially or
-// on 4 worker goroutines. Together with the worker-count invariant above
-// this pins that neither parallelism axis (-j across cells, -pj inside a
-// cell) is a modelling knob.
-func TestClusterSweepParallelDomainsInvariant(t *testing.T) {
-	render := func(opts ...Option) string {
-		var b strings.Builder
-		if err := ClusterSweepTable(smallClusterSweep(t, opts...)).Render(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	serial := render(WithClusterParallel(1))
-	parallel := render(WithClusterParallel(4))
-	if serial != parallel {
-		t.Fatalf("cluster sweep differs by ParallelDomains:\n-- pj1 --\n%s\n-- pj4 --\n%s", serial, parallel)
-	}
-}
-
 func TestClusterSweepTableRenders(t *testing.T) {
 	var b strings.Builder
 	if err := ClusterSweepTable(smallClusterSweep(t)).Render(&b); err != nil {

@@ -231,9 +231,6 @@ type runOptions struct {
 	observe  func(run string, res *RunResult)
 	qtrace   *qtrace.Options
 	qobserve func(run string, res *RunResult)
-	// clusterPJ >= 0 overrides ClusterConfig.ParallelDomains for cluster
-	// experiments (-1 leaves the config's own value in force).
-	clusterPJ int
 	// clusterObs/clObserve attach barrier-driven observability to cluster
 	// experiments (see WithClusterObs in clustersweep.go).
 	clusterObs *metrics.Options
@@ -290,19 +287,8 @@ func WithQTrace(qo qtrace.Options, observe func(run string, res *RunResult)) Opt
 	}
 }
 
-// WithClusterParallel sets how many worker goroutines each cluster
-// simulation uses for its event domains (sim.MultiEngine workers),
-// overriding ClusterConfig.ParallelDomains; n = 0 or 1 is serial. This is
-// orthogonal to WithWorkers/WithPool, which bound how many independent
-// simulations run at once: -j spends cores across sweep cells, -pj spends
-// them inside one cluster. Results are byte-identical at any value.
-// Experiments without a cluster ignore it.
-func WithClusterParallel(n int) Option {
-	return func(o *runOptions) { o.clusterPJ = n }
-}
-
 func buildOptions(opts []Option) runOptions {
-	o := runOptions{ctx: context.Background(), clusterPJ: -1}
+	o := runOptions{ctx: context.Background()}
 	for _, fn := range opts {
 		fn(&o)
 	}

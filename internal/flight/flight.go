@@ -16,12 +16,12 @@
 // Determinism. Both recorder inputs are already serialised by the
 // engine's determinism machinery: query completions fire in the front-end
 // event domain in nondecreasing simulated-time order (DESIGN.md §4g), and
-// barrier callbacks run on the coordinator with a worker-independent
-// round structure (§4i). Every ring therefore holds a pure function of
-// the simulation — byte-identical at any -j/-pj worker count — and so
-// does the frozen window: the trigger is evaluated per completion from
-// ring state alone, so the freeze lands on the same completion at any
-// parallelism. Sliding-window maintenance is O(1) amortised per event.
+// barrier callbacks run on the coordinator with a deterministic round
+// structure (§4i). Every ring therefore holds a pure function of the
+// simulation — byte-identical at any -j — and so does the frozen window:
+// the trigger is evaluated per completion from ring state alone, so the
+// freeze lands on the same completion on every run. Sliding-window
+// maintenance is O(1) amortised per event.
 //
 // When the recorder is not attached, nothing in the hot path changes:
 // the observer hooks stay nil and every 0-allocs/op gate holds.
@@ -380,7 +380,7 @@ func (r *Recorder) observe(at, latency sim.Time, cur obsEntry) ObsPoint {
 	// Burn fractions: completions within the trailing windows, current
 	// included. The ring spans Window ≥ LongWindow, so a backward scan
 	// suffices; ring population is bounded by the window, keeping the scan
-	// cheap and worker-count independent.
+	// cheap.
 	shortCut, longCut := at-r.cfg.ShortWindow, at-r.cfg.LongWindow
 	shortN, shortB, longN, longB := 1, 0, 1, 0
 	if cur.breached {

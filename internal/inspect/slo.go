@@ -19,10 +19,10 @@ const maxSLOWindows = 1024
 // clock) folds into its window's latency sketch and, when it exceeds the
 // objective, the window's and the run's burn counters. Windowing by sim
 // time makes the output deterministic: the same run produces the same
-// window table at any -pj or worker count.
+// window table at any -j.
 //
-// The monitor is mutex-protected — completions arrive from simulation
-// worker goroutines while HTTP scrapes read snapshots.
+// The monitor is mutex-protected — completions arrive on the simulation's
+// goroutine while HTTP scrapes read snapshots from the server's.
 type SLOMonitor struct {
 	mu        sync.Mutex
 	width     sim.Time

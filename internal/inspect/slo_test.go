@@ -122,9 +122,8 @@ func TestSLOBurnCounters(t *testing.T) {
 }
 
 // TestSLOScrapeDuringClusterRun is the concurrency gate (run under
-// -race): a parallel-domain cluster run feeds the monitor from its
-// front-end worker goroutine while HTTP scrapes hammer /progress and
-// expvar. Snapshots mid-run must be well-formed; the final burn counters
+// -race): a cluster run feeds the monitor from the test goroutine while
+// HTTP scrapes hammer /progress and expvar from four others. Snapshots mid-run must be well-formed; the final burn counters
 // must match the run.
 func TestSLOScrapeDuringClusterRun(t *testing.T) {
 	s := New()
@@ -134,7 +133,6 @@ func TestSLOScrapeDuringClusterRun(t *testing.T) {
 	defer s.Close()
 
 	cfg := config.DefaultCluster()
-	cfg.ParallelDomains = 8
 	m := workload.DefaultModel()
 	m.DatasetSize /= 100
 	mon := NewSLOMonitor(sim.FromSeconds(1e-3), 50*sim.Millisecond)

@@ -29,10 +29,10 @@ import (
 //     calendar population, Stalls the inbound mailbox depth at the
 //     barrier, Ops the cumulative events executed.
 //
-// Because barriers are worker-independent, the recorded samples are
-// byte-identical at any SetWorkers width; and because appends reuse the
-// chunked columns and the registry walk is cached, the steady state is
-// allocation-free (TestMultiSamplerZeroAllocSteadyState).
+// Because the barrier structure is a pure function of the simulation, the
+// recorded samples are byte-identical on every run; and because appends
+// reuse the chunked columns and the registry walk is cached, the steady
+// state is allocation-free (TestMultiSamplerZeroAllocSteadyState).
 type MultiSampler struct {
 	me       *sim.MultiEngine
 	interval sim.Time

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/sim"
@@ -26,9 +25,8 @@ func (p *pingPong) Fire(eng *sim.Engine, arg uint64) {
 
 // buildPingPong wires a fresh 2-domain MultiEngine carrying hops
 // cross-domain transfers, ready to Run.
-func buildPingPong(hops uint64, workers int) *sim.MultiEngine {
+func buildPingPong(hops uint64) *sim.MultiEngine {
 	m := sim.NewMultiEngine(2)
-	m.SetWorkers(workers)
 	p := &pingPong{hops: hops}
 	p.doms = [2]*sim.Engine{m.Domain(0), m.Domain(1)}
 	p.links[0] = sim.NewCrossLink(m.Domain(0), "x.01", 1e9, 2*sim.Microsecond)
@@ -38,7 +36,7 @@ func buildPingPong(hops uint64, workers int) *sim.MultiEngine {
 }
 
 func TestMultiSamplerRecordsDomainsAndResources(t *testing.T) {
-	m := buildPingPong(200, 1)
+	m := buildPingPong(200)
 	rec := AttachMulti(m, Options{Interval: 10 * sim.Microsecond})
 	m.Run()
 
@@ -88,36 +86,6 @@ func TestMultiSamplerRecordsDomainsAndResources(t *testing.T) {
 	}
 }
 
-// renderMulti runs the ping-pong with a sampler at the given worker count
-// and renders the full CSV — the byte-level artifact the worker-count
-// invariance contract covers.
-func renderMulti(t *testing.T, workers int) string {
-	t.Helper()
-	m := buildPingPong(100, workers)
-	rec := AttachMulti(m, Options{Interval: 5 * sim.Microsecond})
-	m.Run()
-	var b bytes.Buffer
-	if err := NewCSVWriter(&b).WriteRun("pp", rec.Sampler); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
-// TestMultiSamplerWorkerInvariance: samples ride barriers and barriers
-// are worker-independent, so the exported CSV must be byte-identical at
-// any SetWorkers width.
-func TestMultiSamplerWorkerInvariance(t *testing.T) {
-	base := renderMulti(t, 1)
-	if base == "" || len(base) < 100 {
-		t.Fatalf("suspiciously small CSV: %q", base)
-	}
-	for _, w := range []int{2, 8} {
-		if got := renderMulti(t, w); got != base {
-			t.Fatalf("workers=%d CSV diverged from serial", w)
-		}
-	}
-}
-
 // TestMultiSamplerZeroAllocSteadyState: the barrier sampler's cost per
 // sample must amortize to (near) zero — chunked columns allocate only at
 // 4096-sample boundaries and the registry walk is cached. Measured as
@@ -128,7 +96,7 @@ func TestMultiSamplerZeroAllocSteadyState(t *testing.T) {
 	run := func(sample bool) (allocs float64, samples int) {
 		var rec *MultiRecorder
 		allocs = testing.AllocsPerRun(1, func() {
-			m := buildPingPong(hops, 1)
+			m := buildPingPong(hops)
 			if sample {
 				// Interval 1: sample at every advancing barrier.
 				rec = AttachMulti(m, Options{Interval: 1})

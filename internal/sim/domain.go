@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// This file partitions the event engine for parallel execution of one
-// large simulation. A Domain is an independent event engine — its own
+// This file partitions the event engine of one large simulation into
+// event domains. A Domain is an independent event engine — its own
 // 4-ary calendar heap, slot pool and virtual clock — and a MultiEngine
 // coordinates N domains with conservative (YAWNS-style, null-message-free)
 // barrier synchronization: each round, every domain safely executes all
@@ -20,11 +19,9 @@ import (
 //
 // Determinism is the design's spine, not a hope:
 //
-//   - The domain decomposition is fixed by the model topology, never by
-//     the worker count. Changing the number of workers changes only which
-//     OS thread executes a domain's round — the rounds themselves, each
-//     domain's intra-round event order, and every cross-domain delivery
-//     are identical. Output is byte-identical at any parallelism.
+//   - The domain decomposition is fixed by the model topology. The
+//     coordinator executes each round's active domains one after another
+//     in index order on the caller's goroutine; no goroutine is started.
 //   - Within a round, domains are mutually independent by construction
 //     (cross-domain effects ride mailboxes that are only drained at the
 //     barrier), so execution order across domains cannot matter.
@@ -48,7 +45,8 @@ import (
 type Domain = Engine
 
 // xevent is one cross-domain event waiting in a destination mailbox.
-// src/xseq make the barrier merge order total and worker-independent.
+// src/xseq make the barrier merge order total and independent of the
+// order in which domains ran.
 type xevent struct {
 	at        Time
 	src       int32
@@ -74,9 +72,8 @@ type inbox struct {
 // cancellation from the exporting domain. An exported event can only be
 // cancelled until the next barrier: once the coordinator drains the
 // mailbox the event is committed to the destination calendar and Cancel
-// becomes a no-op (the destination domain may already be executing it in
-// a parallel round — a cross-domain cancel race the conservative protocol
-// deliberately refuses to arbitrate). The zero value is inert.
+// becomes a no-op (the destination domain may already have executed it).
+// The zero value is inert.
 type XHandle struct {
 	dst   *Engine
 	epoch uint64
@@ -132,31 +129,20 @@ type MultiProgress struct {
 	Domains   []DomainProgress
 }
 
-// MultiEngine coordinates N event domains executing one simulation in
-// parallel. Wire the model as usual against each Domain's Engine API,
-// connect domains with CrossLinks (whose minimum latency becomes the
-// synchronization lookahead), then call Run. Workers sets how many
-// goroutines execute domains each round; results are byte-identical for
-// any worker count, including 1 (fully serial, no goroutines).
+// MultiEngine coordinates N event domains executing one simulation. Wire
+// the model as usual against each Domain's Engine API, connect domains
+// with CrossLinks (whose minimum latency becomes the synchronization
+// lookahead), then call Run. The coordinator runs every domain on the
+// caller's goroutine.
 type MultiEngine struct {
 	domains   []*Engine
 	stats     *StatsRegistry
 	lookahead Time // min CrossLink latency; MaxTime until a link is wired
-	workers   int
 	rounds    uint64
 	running   bool
 
-	// round scratch, reused across rounds
-	merge  []mergeEntry
-	active []int32
-
-	// parallel execution state
-	bound    Time
-	next     atomic.Int64
-	startCh  chan struct{}
-	roundWG  sync.WaitGroup
-	panicMu  sync.Mutex
-	panicked any
+	// merge is the barrier's scratch, reused across rounds.
+	merge []mergeEntry
 
 	// progress is rewritten in place at each barrier under progressMu.
 	progressMu sync.Mutex
@@ -186,9 +172,7 @@ type BarrierObserver interface {
 }
 
 // SetBarrierObserver installs the coordinator's barrier callback (nil
-// removes it). Barrier structure is worker-independent, so anything an
-// observer records is byte-identical at any SetWorkers width. Call
-// before Run.
+// removes it). Call before Run.
 func (m *MultiEngine) SetBarrierObserver(o BarrierObserver) {
 	if m.running {
 		panic("sim: SetBarrierObserver during Run")
@@ -213,7 +197,6 @@ func NewMultiEngine(n int) *MultiEngine {
 	m := &MultiEngine{
 		stats:     NewStatsRegistry(),
 		lookahead: MaxTime,
-		workers:   1,
 	}
 	for i := 0; i < n; i++ {
 		d := NewEngine()
@@ -240,25 +223,6 @@ func (m *MultiEngine) Stats() *StatsRegistry { return m.stats }
 // CrossLink latency wired so far (MaxTime when domains are unconnected —
 // each then runs to completion in a single round).
 func (m *MultiEngine) Lookahead() Time { return m.lookahead }
-
-// SetWorkers bounds how many goroutines execute domains per round; n <= 1
-// selects the fully serial coordinator. More workers than domains is
-// clamped. Call before Run.
-func (m *MultiEngine) SetWorkers(n int) {
-	if m.running {
-		panic("sim: SetWorkers during Run")
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > len(m.domains) {
-		n = len(m.domains)
-	}
-	m.workers = n
-}
-
-// Workers reports the configured per-round execution width.
-func (m *MultiEngine) Workers() int { return m.workers }
 
 // Rounds reports how many barrier rounds have executed.
 func (m *MultiEngine) Rounds() uint64 { return m.rounds }
@@ -371,8 +335,8 @@ func (m *MultiEngine) drain(depths []int) {
 
 // Run executes the partitioned simulation to completion: barrier rounds of
 // drain → safe-window execution until every calendar and mailbox is empty.
-// Panics on re-entrant invocation. A model panic inside any domain is
-// re-raised on the caller's goroutine.
+// Panics on re-entrant invocation. Domains run on the caller's goroutine,
+// so a model panic inside any domain propagates to the caller unchanged.
 func (m *MultiEngine) Run() {
 	if m.running {
 		panic("sim: re-entrant MultiEngine.Run")
@@ -380,9 +344,6 @@ func (m *MultiEngine) Run() {
 	m.running = true
 	defer func() { m.running = false }()
 
-	if m.workers > 1 && m.startCh == nil {
-		m.startWorkers()
-	}
 	depths := make([]int, len(m.domains))
 	for {
 		m.drain(depths)
@@ -412,83 +373,13 @@ func (m *MultiEngine) Run() {
 	}
 }
 
-// runRound executes every domain's safe window. Domains without an event
-// inside the window are skipped; a round with at most one active domain
-// runs inline even under a parallel configuration, so sparse phases do not
-// pay the hand-off latency.
+// runRound executes every domain's safe window in index order. Domains
+// without an event inside the window are skipped.
 func (m *MultiEngine) runRound(bound Time) {
-	m.active = m.active[:0]
-	for i, d := range m.domains {
+	for _, d := range m.domains {
 		if len(d.heap) > 0 && d.heap[0].at < bound {
-			m.active = append(m.active, int32(i))
+			d.runBound(bound)
 		}
-	}
-	if m.workers <= 1 || len(m.active) <= 1 {
-		for _, i := range m.active {
-			m.domains[i].runBound(bound)
-		}
-		return
-	}
-	w := m.workers
-	if w > len(m.active) {
-		w = len(m.active)
-	}
-	m.bound = bound
-	m.next.Store(0)
-	m.roundWG.Add(w)
-	for i := 0; i < w; i++ {
-		m.startCh <- struct{}{}
-	}
-	m.roundWG.Wait()
-	m.panicMu.Lock()
-	p := m.panicked
-	m.panicked = nil
-	m.panicMu.Unlock()
-	if p != nil {
-		panic(p)
-	}
-}
-
-// startWorkers launches the persistent round executors. They live for the
-// MultiEngine's lifetime; each round the coordinator hands out tokens and
-// workers claim active domains off a shared counter.
-func (m *MultiEngine) startWorkers() {
-	m.startCh = make(chan struct{})
-	for i := 0; i < m.workers; i++ {
-		go func() {
-			for range m.startCh {
-				m.workRound()
-				m.roundWG.Done()
-			}
-		}()
-	}
-}
-
-// workRound claims and executes active domains until the round's counter
-// is exhausted, capturing (not swallowing) the first model panic.
-func (m *MultiEngine) workRound() {
-	defer func() {
-		if r := recover(); r != nil {
-			m.panicMu.Lock()
-			if m.panicked == nil {
-				m.panicked = r
-			}
-			m.panicMu.Unlock()
-			// Drain the remaining claims so the round still terminates.
-			for {
-				i := m.next.Add(1) - 1
-				if int(i) >= len(m.active) {
-					return
-				}
-			}
-		}
-	}()
-	for {
-		i := m.next.Add(1) - 1
-		if int(i) >= len(m.active) {
-			return
-		}
-		m.domains[m.active[i]].runBound(m.bound)
 	}
 }
 

@@ -14,12 +14,11 @@ import (
 	"repro/internal/workload"
 )
 
-// runClusterTrace runs a small observed cluster at the given domain
-// parallelism and returns the rendered trace JSON.
-func runClusterTrace(t *testing.T, pj int) []byte {
+// runClusterTrace runs a small observed cluster and returns the rendered
+// trace JSON.
+func runClusterTrace(t *testing.T) []byte {
 	t.Helper()
 	cfg := config.DefaultCluster()
-	cfg.ParallelDomains = pj
 	m := workload.DefaultModel()
 	m.DatasetSize /= 100
 	c, err := cluster.New(cfg, m, qtrace.Options{})
@@ -44,7 +43,7 @@ func runClusterTrace(t *testing.T, pj int) []byte {
 }
 
 func TestAddClusterProcessGroups(t *testing.T) {
-	raw := runClusterTrace(t, 1)
+	raw := runClusterTrace(t)
 	var parsed []map[string]any
 	if err := json.Unmarshal(raw, &parsed); err != nil {
 		t.Fatalf("invalid trace JSON: %v", err)
@@ -158,13 +157,10 @@ func TestAddClusterCounterRouting(t *testing.T) {
 	}
 }
 
-// TestAddClusterParallelInvariant: the rendered trace is byte-identical
-// at any domain parallelism — observation never perturbs the simulation.
-func TestAddClusterParallelInvariant(t *testing.T) {
-	base := runClusterTrace(t, 1)
-	for _, pj := range []int{4, 8} {
-		if got := runClusterTrace(t, pj); !bytes.Equal(got, base) {
-			t.Fatalf("trace JSON diverges at pj=%d", pj)
-		}
+// TestAddClusterDeterministic: the rendered trace is byte-identical
+// between identical runs — it is a pure function of the simulation.
+func TestAddClusterDeterministic(t *testing.T) {
+	if !bytes.Equal(runClusterTrace(t), runClusterTrace(t)) {
+		t.Fatal("trace JSON diverges between identical runs")
 	}
 }
