@@ -67,6 +67,37 @@ func BenchmarkKMeans(b *testing.B) {
 	}
 }
 
+// BenchmarkKMeansOverclustered measures clustering far more cells than
+// the data has natural clusters, the regime of the IVF build, where the
+// Yinyang filter skips most centroid groups.
+func BenchmarkKMeansOverclustered(b *testing.B) {
+	ds := workload.Synthetic(workload.SyntheticParams{
+		N: 8192, D: 64, Clusters: 16, Spread: 0.08, Seed: 7,
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := KMeans(ds.Vectors, 256, 15, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainPQSubDim4 measures PQ training with 4-dimensional
+// subspaces: eight k-means runs, k = 256, where a distance costs little
+// more than the bound bookkeeping around it.
+func BenchmarkTrainPQSubDim4(b *testing.B) {
+	ds := workload.Synthetic(workload.SyntheticParams{
+		N: 4096, D: 32, Clusters: 16, Spread: 0.08, Seed: 9,
+	})
+	p := PQParams{Subspaces: 8, CentroidsPerSub: 256, KMeansIters: 15, Seed: 3}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainPQ(ds.Vectors, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPQEncode measures code generation throughput.
 func BenchmarkPQEncode(b *testing.B) {
 	ds := workload.Synthetic(workload.SyntheticParams{

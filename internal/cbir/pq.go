@@ -50,6 +50,9 @@ func TrainPQ(train *kernels.Matrix, p PQParams) (*PQ, error) {
 	if p.CentroidsPerSub <= 0 || p.CentroidsPerSub > train.Rows {
 		return nil, fmt.Errorf("cbir: need 1 <= k* (%d) <= n (%d)", p.CentroidsPerSub, train.Rows)
 	}
+	if err := checkFinite(train); err != nil {
+		return nil, err
+	}
 	subDim := train.Cols / p.Subspaces
 	pq := &PQ{m: p.Subspaces, subDim: subDim, k: p.CentroidsPerSub}
 	for s := 0; s < p.Subspaces; s++ {
