@@ -1,6 +1,7 @@
 # Development workflow for the ReACH reproduction.
 #
-#   make check       — everything CI runs: formatting, build, vet, race tests
+#   make check       — everything CI runs: formatting, build, vet (the
+#                      root module and the bench/ module), race tests
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
 #   make bench       — root + sim benchmarks with allocation stats
 #   make bench-smoke — 1x pass over every benchmark, so benchmark code
@@ -17,20 +18,15 @@
 #                      summary table diffed against the committed golden
 #                      and the inspector snapshots validated
 #   make cache-smoke — front-end result-cache check: the pinned cluster
-#                      run with -cache 32 must emit the cache rows, the
-#                      cache-off run must still match the committed
-#                      golden, and the race detector sweeps the cluster
-#                      package with its cache tests
-#   make cluster-obs-smoke — cluster observability check: the pinned run
-#                      with -metrics, -spans, -trace and -slo on must emit
-#                      a parseable trace and the straggler and SLO tables,
-#                      and the obs-off report must still match the
-#                      committed golden
-#   make flight-smoke — flight-recorder check: the flash-crowd run with
-#                      -flight -detect must cut exactly one diagnostic
-#                      bundle (slo-burn verdict, queue-dominated window),
-#                      and the flight-off report must still match the
-#                      committed golden
+#                      run with -cache 32 must emit the cache rows and
+#                      the cache sweep its p99 headline
+#   make cluster-obs-smoke — cluster observability check: one flash-crowd
+#                      run with every sink on (-metrics, -spans, -trace,
+#                      -slo, -flight -detect) must cut exactly one
+#                      diagnostic bundle (slo-burn verdict,
+#                      queue-dominated window) and emit a parseable trace,
+#                      a schema-true metrics CSV and the straggler and SLO
+#                      tables
 
 GO ?= go
 SMOKE_DIR := metrics-smoke-out
@@ -38,9 +34,8 @@ QSMOKE_DIR := qtrace-smoke-out
 CSMOKE_DIR := cluster-smoke-out
 CACHESMOKE_DIR := cache-smoke-out
 OBSSMOKE_DIR := cluster-obs-smoke-out
-FLIGHTSMOKE_DIR := flight-smoke-out
 
-.PHONY: check fmt-check build vet test race bench bench-smoke metrics-smoke qtrace-smoke cluster-smoke cache-smoke cluster-obs-smoke flight-smoke
+.PHONY: check fmt-check build vet test race bench bench-smoke metrics-smoke qtrace-smoke cluster-smoke cache-smoke cluster-obs-smoke
 
 check: fmt-check build vet race
 
@@ -54,8 +49,11 @@ fmt-check:
 build:
 	$(GO) build ./...
 
+# bench/ is a module of its own, so the root ./... never compiles it;
+# vetting it here catches API changes that break the benchmark harness.
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 test:
 	$(GO) test ./...
@@ -130,51 +128,33 @@ cluster-smoke:
 	CLUSTER_SMOKE_DIR=$$PWD/$(CSMOKE_DIR) $(GO) test -run TestClusterSmokeArtifacts -v ./cmd/reachsim/
 
 # Front-end cache smoke: the -cache 32 run carries the cache accounting
-# rows, the cache-off golden is untouched by the cache's existence, and
-# the race detector sweeps the cluster package — the live inspector reads
-# the cache counters from another goroutine, so the atomics earn their
-# keep here.
+# rows and the cache sweep its headline. The cache-off golden and the
+# race run over the cache tests are part of make check.
 cache-smoke:
 	rm -rf $(CACHESMOKE_DIR) && mkdir -p $(CACHESMOKE_DIR)
 	$(GO) build -o $(CACHESMOKE_DIR)/reachsim ./cmd/reachsim
 	$(CACHESMOKE_DIR)/reachsim -cluster -cache 32 > $(CACHESMOKE_DIR)/cache.txt
 	grep -q 'cache hit rate %' $(CACHESMOKE_DIR)/cache.txt
-	$(CACHESMOKE_DIR)/reachsim -cluster > $(CACHESMOKE_DIR)/cache-off.txt
-	diff cmd/reachsim/testdata/cluster_smoke.golden $(CACHESMOKE_DIR)/cache-off.txt
 	$(CACHESMOKE_DIR)/reachsim -exp cachesweep > $(CACHESMOKE_DIR)/cachesweep.txt
 	grep -q 'cache-off p99' $(CACHESMOKE_DIR)/cachesweep.txt
-	$(GO) test -race -run 'Cache' ./internal/cluster/ ./internal/experiments/ ./internal/inspect/
 
-# Cluster observability smoke: the pinned -cluster run with every sink on.
-# The trace must parse as JSON, the report must carry the straggler and
-# SLO headlines, and turning observability off must reproduce the
-# committed golden exactly.
+# Cluster observability smoke: one flash-crowd -cluster run with every
+# sink on, the flags of the benchmark's cluster-observed workload. The
+# flight recorder's burn-rate detector must fire exactly once and cut one
+# bundle whose verdict and straggler table are queue-dominated; the
+# report must carry the straggler and SLO headlines; the env-gated test
+# then validates the report, the metrics CSV and the trace. The obs-off
+# golden and the in-process flight acceptance tests run under make check.
 cluster-obs-smoke:
 	rm -rf $(OBSSMOKE_DIR) && mkdir -p $(OBSSMOKE_DIR)
 	$(GO) build -o $(OBSSMOKE_DIR)/reachsim ./cmd/reachsim
-	$(OBSSMOKE_DIR)/reachsim -cluster -metrics $(OBSSMOKE_DIR)/metrics.csv \
-		-spans -trace $(OBSSMOKE_DIR)/trace.json -slo 250 > $(OBSSMOKE_DIR)/report.txt
+	$(OBSSMOKE_DIR)/reachsim -cluster -slo 400 -arrival flash \
+		-flight $(OBSSMOKE_DIR)/bundles -detect -metrics $(OBSSMOKE_DIR)/metrics.csv \
+		-spans -trace $(OBSSMOKE_DIR)/trace.json > $(OBSSMOKE_DIR)/report.txt
+	test "$$(ls $(OBSSMOKE_DIR)/bundles | wc -l)" -eq 1
+	grep -q '"detector": "slo-burn"' $(OBSSMOKE_DIR)/bundles/bundle-*/verdict.json
+	grep -q '"dominant_cause": "queue"' $(OBSSMOKE_DIR)/bundles/bundle-*/verdict.json
+	grep -q 'overall dominant cause queue' $(OBSSMOKE_DIR)/bundles/bundle-*/stragglers.txt
 	grep -q 'Straggler attribution' $(OBSSMOKE_DIR)/report.txt
 	grep -q 'SLO windows' $(OBSSMOKE_DIR)/report.txt
-	$(OBSSMOKE_DIR)/reachsim -cluster > $(OBSSMOKE_DIR)/report-off.txt
-	diff cmd/reachsim/testdata/cluster_smoke.golden $(OBSSMOKE_DIR)/report-off.txt
-	CLUSTER_OBS_SMOKE_DIR=$$PWD/$(OBSSMOKE_DIR) $(GO) test \
-		-run 'TestClusterObsSmokeArtifacts|TestClusterObsArtifacts|TestValidateFlagMatrix' -v ./cmd/reachsim/
-
-# Flight-recorder smoke: the flash-crowd scenario must trigger the SLO
-# burn-rate detector exactly once and cut one self-contained bundle; the
-# verdict must be queue-dominated; a flight-off run must still match the
-# committed golden. The in-process acceptance tests then re-validate the
-# bundle schema.
-flight-smoke:
-	rm -rf $(FLIGHTSMOKE_DIR) && mkdir -p $(FLIGHTSMOKE_DIR)
-	$(GO) build -o $(FLIGHTSMOKE_DIR)/reachsim ./cmd/reachsim
-	$(FLIGHTSMOKE_DIR)/reachsim -cluster -slo 400 -arrival flash \
-		-flight $(FLIGHTSMOKE_DIR)/bundles -detect > $(FLIGHTSMOKE_DIR)/report.txt
-	test "$$(ls $(FLIGHTSMOKE_DIR)/bundles | wc -l)" -eq 1
-	grep -q '"detector": "slo-burn"' $(FLIGHTSMOKE_DIR)/bundles/bundle-*/verdict.json
-	grep -q '"dominant_cause": "queue"' $(FLIGHTSMOKE_DIR)/bundles/bundle-*/verdict.json
-	grep -q 'overall dominant cause queue' $(FLIGHTSMOKE_DIR)/bundles/bundle-*/stragglers.txt
-	$(FLIGHTSMOKE_DIR)/reachsim -cluster > $(FLIGHTSMOKE_DIR)/report-off.txt
-	diff cmd/reachsim/testdata/cluster_smoke.golden $(FLIGHTSMOKE_DIR)/report-off.txt
-	$(GO) test -run TestClusterFlight -v ./cmd/reachsim/
+	CLUSTER_OBS_SMOKE_DIR=$$PWD/$(OBSSMOKE_DIR) $(GO) test -run TestClusterObsSmokeArtifacts -v ./cmd/reachsim/

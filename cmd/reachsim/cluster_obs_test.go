@@ -71,6 +71,9 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{[]string{"cluster", "slo", "slo-window=-100"}, "-slo-window must be positive, got -100"},
 		{[]string{"cluster", "flight", "flight-window=0"}, "-flight-window must be positive, got 0"},
 		{[]string{"cluster", "flight", "flight-window=-1000"}, "-flight-window must be positive, got -1000"},
+		{[]string{"cluster", "slo=1e-10"}, "-slo 1e-10 ms rounds to 0 ps"},
+		{[]string{"cluster", "slo=400", "slo-window=1e-10"}, "-slo-window 1e-10 ms rounds to 0 ps"},
+		{[]string{"cluster", "flight", "flight-window=1e-10"}, "-flight-window 1e-10 ms rounds to 0 ps"},
 	}
 	for _, c := range rejected {
 		err := validateFlags(given(c.flags...))
@@ -91,6 +94,7 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{"stats", "csv"},
 		{"cluster", "nodes=0", "pj=0", "cache=0", "slo=0", "metrics-interval=0s"},
 		{"cluster", "slo=250", "slo-window=0.5", "flight", "flight-window=1e-3"},
+		{"cluster", "slo=1e-9", "slo-window=1e-9", "flight", "flight-window=1e-9"}, // 1 ps
 	}
 	for _, flags := range accepted {
 		if err := validateFlags(given(flags...)); err != nil {

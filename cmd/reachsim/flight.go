@@ -19,8 +19,7 @@ import (
 // table or the trace renderer (no import cycles, no coupling), so the cmd
 // layer pulls the windowed views out of the recorder and feeds them to
 // the same exporters a full run uses. Every byte is a function of
-// deterministic simulation state, so a bundle is identical at any
-// -j/-pj — the flight smoke diffs the whole directory across -pj.
+// deterministic simulation state, so a bundle is identical on every run.
 
 // bundleVerdict decorates the recorder's verdict with cluster-level
 // attribution only this layer can compute: the dominant straggler cause

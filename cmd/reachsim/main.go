@@ -140,6 +140,16 @@ func validateFlags(given map[string]string) error {
 			}
 		}
 	}
+	// These flags are milliseconds of simulated time: a positive value
+	// below the 1 ps resolution would round to zero and then panic the
+	// SLO monitor or fall back to the default window unannounced.
+	for _, f := range []string{"slo", "slo-window", "flight-window"} {
+		if v, ok := given[f]; ok {
+			if x, _ := flagNumber(v); x > 0 && sim.FromSeconds(x/1e3) == 0 {
+				return fmt.Errorf("-%s %s ms rounds to 0 ps of simulated time", f, v)
+			}
+		}
+	}
 	return nil
 }
 
@@ -321,7 +331,7 @@ func main() {
 		ra.qtracePath = *qtraceF
 		qo := &qtrace.Options{}
 		if ra.inspector != nil {
-			qo.Observer = ra.inspector
+			qo.Observers = []qtrace.Observer{ra.inspector}
 		}
 		ra.qtrace = qo
 	}
@@ -424,7 +434,7 @@ func runCluster(w io.Writer, o clusterOptions) error {
 		}
 		defer insp.Close()
 		fmt.Fprintf(os.Stderr, "inspector listening on http://%s\n", insp.Addr())
-		qo.Observer = insp
+		qo.Observers = append(qo.Observers, insp)
 	}
 	var slo *inspect.SLOMonitor
 	if o.sloMs > 0 {
@@ -433,7 +443,7 @@ func runCluster(w io.Writer, o clusterOptions) error {
 			width = defaultSLOWindowMS
 		}
 		slo = inspect.NewSLOMonitor(sim.FromSeconds(width/1e3), sim.FromSeconds(o.sloMs/1e3))
-		qo.Observer = qtrace.Tee(qo.Observer, slo)
+		qo.Observers = append(qo.Observers, slo)
 		if insp != nil {
 			insp.ObserveSLO(slo)
 		}
@@ -450,7 +460,7 @@ func runCluster(w io.Writer, o clusterOptions) error {
 			fc.Objective = sim.FromSeconds(o.sloMs / 1e3)
 		}
 		fr = flight.New(fc)
-		qo.Observer = qtrace.Tee(qo.Observer, fr)
+		qo.Observers = append(qo.Observers, fr)
 	}
 	arr := experiments.ArrivalSpec{Process: experiments.ArrivalPoisson, Seed: clusterRunSeed}
 	queries, rate := clusterRunQueries, float64(clusterRunQPS)
@@ -464,8 +474,10 @@ func runCluster(w io.Writer, o clusterOptions) error {
 	}
 	var rec *metrics.MultiRecorder
 	observe := func(cl *cluster.Cluster) {
+		var barriers []sim.BarrierObserver
 		if o.metrics != nil {
 			rec = metrics.AttachMulti(cl.Multi(), *o.metrics)
+			barriers = append(barriers, rec.Sampler)
 			if o.metrics.Spans {
 				rec.Spans = cl.AttachSpans()
 			}
@@ -480,20 +492,15 @@ func runCluster(w io.Writer, o clusterOptions) error {
 					return cs.Lookups, cs.Hits
 				})
 			}
-			// The MultiEngine exposes one barrier-observer slot; when both
-			// the metrics sampler and the flight recorder ride the run, tee
-			// the slot — sampler first, so its series stay identical to a
-			// flight-off run.
-			var sampler sim.BarrierObserver
-			if rec != nil {
-				sampler = rec.Sampler
-			}
-			cl.Multi().SetBarrierObserver(flight.BarrierTee(sampler, fr))
+			barriers = append(barriers, fr)
 			cl.EnableStragglers()
 			if insp != nil {
 				insp.ObserveAnomalies(func() inspect.AnomalyStatus { return anomalyStatus(fr) })
 			}
 		}
+		// The metrics sampler notifies first, so its series match a
+		// flight-off run.
+		cl.Multi().SetBarrierObserver(barriers...)
 		if insp == nil {
 			return
 		}
@@ -623,7 +630,7 @@ type runAllOptions struct {
 	// qtrace, when set, traces every query of every RunSpec-based run;
 	// qtracePath (optional) receives the per-query timelines as an
 	// interval CSV plus a *_summary.csv, or one JSONL file. The inspector,
-	// when set, rides qtrace.Options.Observer for live query counters and
+	// when set, rides qtrace.Options.Observers for live query counters and
 	// gets each finished run's resource utilization.
 	qtrace     *qtrace.Options
 	qtracePath string

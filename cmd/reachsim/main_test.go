@@ -125,7 +125,7 @@ func TestRunAllQTraceInspector(t *testing.T) {
 	defer insp.Close()
 	o := runAllOptions{
 		jobs:       4,
-		qtrace:     &qtrace.Options{Observer: insp},
+		qtrace:     &qtrace.Options{Observers: []qtrace.Observer{insp}},
 		qtracePath: path,
 		inspector:  insp,
 	}

@@ -320,13 +320,13 @@ func RunSpecs(specs []RunSpec, opts ...Option) ([]*RunResult, error) {
 				switch {
 				case instrumented[i].QTrace == nil:
 					instrumented[i].QTrace = o.qtrace
-				case instrumented[i].QTrace.Observer == nil && o.qtrace.Observer != nil:
-					// The observer is an execution knob, not part of the
+				case len(instrumented[i].QTrace.Observers) == 0 && len(o.qtrace.Observers) > 0:
+					// Observers are an execution knob, not part of the
 					// spec: specs carrying their own trace options (the
 					// tail-latency sweep) still feed the caller's live
-					// observer. Copy so the spec's Options stay untouched.
+					// observers. Copy so the spec's Options stay untouched.
 					qo := *instrumented[i].QTrace
-					qo.Observer = o.qtrace.Observer
+					qo.Observers = o.qtrace.Observers
 					instrumented[i].QTrace = &qo
 				}
 			}

@@ -19,7 +19,7 @@ func BenchmarkRecorderQueryDone(b *testing.B) {
 	r.SetLoadProvider(func(dst []int) []int {
 		return append(dst, 3, 2, 4, 3)
 	})
-	l := qtrace.NewLog(qtrace.Options{Observer: r})
+	l := qtrace.NewLog(qtrace.Options{Observers: []qtrace.Observer{r}})
 	r.AttachLog(l)
 	interval := 10 * sim.Millisecond
 	b.ReportAllocs()

@@ -1,9 +1,9 @@
-// Package flight is the cluster's always-on black-box recorder: a set of
-// bounded sliding rings that continuously retain the last W sim-
-// milliseconds of observability data — per-query timelines (through a
-// qtrace.Retainer on the front end's completion stream), per-domain
-// barrier snapshots, router queue depths and cache counters — plus an
-// online detector layer that watches the same stream for anomalies: SLO
+// Package flight is the cluster's always-on black-box recorder: bounded
+// trailing-window rings that continuously retain the last W sim-
+// milliseconds of observability data — deep copies of the query timelines
+// completed on the front end's qtrace stream, per-domain barrier
+// snapshots, router queue depths and cache counters — plus an online
+// detector layer that watches the same stream for anomalies: SLO
 // burn-rate breach over short and long trailing windows (multi-window,
 // error-budget style), hot-shard queue divergence (max/median outstanding
 // ratio), and cache hit-rate collapse. The first detector to fire freezes
@@ -24,7 +24,7 @@
 // maintenance is O(1) amortised per event.
 //
 // When the recorder is not attached, nothing in the hot path changes:
-// the observer hooks stay nil and every 0-allocs/op gate holds.
+// the observer lists stay empty and every 0-allocs/op gate holds.
 package flight
 
 import (
@@ -191,7 +191,6 @@ type ObsPoint struct {
 // obsEntry is the ring-internal observation: the point plus the raw
 // cumulative values trailing-window deltas are computed from.
 type obsEntry struct {
-	at       sim.Time
 	breached bool
 	lookups  uint64
 	hits     uint64
@@ -209,7 +208,6 @@ type DomainStat struct {
 // BarrierSample is one retained barrier snapshot: the cluster frontier,
 // the round counter, and every domain's clock/calendar/mailbox state.
 type BarrierSample struct {
-	at         sim.Time
 	FrontierUS float64      `json:"frontier_us"`
 	Round      uint64       `json:"round"`
 	Final      bool         `json:"final"`
@@ -254,26 +252,25 @@ type Status struct {
 	TriggerReason   string
 }
 
-// Recorder is the flight recorder: a qtrace observer (attach it to the
-// cluster's completion stream with qtrace.Tee) and a sim.BarrierObserver
-// (compose it with the metrics sampler via BarrierTee). Ring state is
-// only ever touched from the simulation's own serialisation points — the
-// front-end event domain and the coordinator barrier — which never
-// overlap; the scalar status fields scraped over HTTP are behind a mutex.
+// Recorder is the flight recorder: a qtrace.Observer (append it to the
+// cluster's qtrace.Options.Observers) and a sim.BarrierObserver (pass it
+// to MultiEngine.SetBarrierObserver after the metrics sampler). Ring
+// state is only ever touched from the simulation's own serialisation
+// points — the front-end event domain and the coordinator barrier — which
+// never overlap; the scalar status fields scraped over HTTP are behind a
+// mutex.
 type Recorder struct {
 	cfg Config
-	ret *qtrace.Retainer
+	log *qtrace.Log
 
 	loads   func(dst []int) []int
 	cacheFn func() (lookups, hits uint64)
 	scratch []int
 	median  []int
 
-	obs     []obsEntry
-	obsHead int
-
-	bars    []BarrierSample
-	barHead int
+	queries ring[qtrace.Query]
+	obs     ring[obsEntry]
+	bars    ring[BarrierSample]
 
 	mu          sync.Mutex
 	completions uint64
@@ -291,7 +288,9 @@ func New(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
 	return &Recorder{
 		cfg:        cfg,
-		ret:        qtrace.NewRetainer(cfg.Window),
+		queries:    ring[qtrace.Query]{span: cfg.Window},
+		obs:        ring[obsEntry]{span: cfg.Window},
+		bars:       ring[BarrierSample]{span: cfg.Window},
 		detections: make(map[string]uint64),
 	}
 }
@@ -299,9 +298,10 @@ func New(cfg Config) *Recorder {
 // Config reports the resolved configuration.
 func (r *Recorder) Config() Config { return r.cfg }
 
-// AttachLog binds the recorder's retainer to the query log whose
-// completion stream it observes.
-func (r *Recorder) AttachLog(l *qtrace.Log) { r.ret.Attach(l) }
+// AttachLog binds the recorder to the query log whose completion stream
+// it observes — the source it copies retained timelines out of. Without
+// a log, completions still feed the detectors but retain no queries.
+func (r *Recorder) AttachLog(l *qtrace.Log) { r.log = l }
 
 // SetLoadProvider attaches the per-node outstanding-queue source (the
 // cluster router's LoadsInto). Called once per completion; the recorder
@@ -313,14 +313,10 @@ func (r *Recorder) SetLoadProvider(fn func(dst []int) []int) { r.loads = fn }
 // cache-collapse detector is inert and verdicts omit cache state.
 func (r *Recorder) SetCacheProvider(fn func() (lookups, hits uint64)) { r.cacheFn = fn }
 
-// QueryDone implements qtrace.Observer as a no-op; the recorder needs
-// completion instants, which arrive through QueryDoneAt.
-func (r *Recorder) QueryDone(int, sim.Time) {}
-
-// QueryDoneAt implements qtrace.ObserverAt: retain the completed query,
-// fold one detector observation into the ring, and — when armed — run
-// the detectors. The first trigger freezes every ring.
-func (r *Recorder) QueryDoneAt(id int, at, latency sim.Time) {
+// QueryDone implements qtrace.Observer: retain the completed query, fold
+// one detector observation into the ring, and — when armed — run the
+// detectors. The first trigger freezes every ring.
+func (r *Recorder) QueryDone(id int, at, latency sim.Time) {
 	r.mu.Lock()
 	if r.frozen {
 		r.mu.Unlock()
@@ -328,34 +324,21 @@ func (r *Recorder) QueryDoneAt(id int, at, latency sim.Time) {
 	}
 	r.mu.Unlock()
 
-	r.ret.QueryDoneAt(id, at, latency)
+	r.retain(id, at)
 
-	e := obsEntry{at: at, breached: latency > r.cfg.Objective}
+	e := obsEntry{breached: latency > r.cfg.Objective}
 	if r.cacheFn != nil {
 		e.lookups, e.hits = r.cacheFn()
 	}
 	e.pt = r.observe(at, latency, e)
-	r.obs = append(r.obs, e)
-	cut := at - r.cfg.Window
-	for r.obsHead < len(r.obs) && r.obs[r.obsHead].at < cut {
-		r.obs[r.obsHead] = obsEntry{}
-		r.obsHead++
-	}
-	if r.obsHead > 64 && r.obsHead > len(r.obs)/2 {
-		n := copy(r.obs, r.obs[r.obsHead:])
-		for i := n; i < len(r.obs); i++ {
-			r.obs[i] = obsEntry{}
-		}
-		r.obs = r.obs[:n]
-		r.obsHead = 0
-	}
+	r.obs.push(at, e)
 
 	r.mu.Lock()
 	r.completions++
 	if e.breached {
 		r.breaches++
 	}
-	r.retained = r.ret.Len()
+	r.retained = len(r.queries.live())
 	r.mu.Unlock()
 
 	if !r.cfg.Detect {
@@ -366,8 +349,25 @@ func (r *Recorder) QueryDoneAt(id int, at, latency sim.Time) {
 	}
 }
 
+// retain deep-copies query id out of the attached log into the query
+// ring, so neither DropTimelines nor later mutation of the log can reach
+// into an already-cut bundle. Queries the log does not know are skipped.
+func (r *Recorder) retain(id int, at sim.Time) {
+	if r.log == nil {
+		return
+	}
+	q := r.log.Query(id)
+	if q == nil {
+		return
+	}
+	cp := *q
+	cp.Intervals = append([]qtrace.Interval(nil), q.Intervals...)
+	cp.Attribution = append([]qtrace.Attribution(nil), q.Attribution...)
+	r.queries.push(at, cp)
+}
+
 // observe computes one detector observation from the ring state, with
-// cur as the newest (not yet appended) entry.
+// cur as the newest (not yet pushed) entry.
 func (r *Recorder) observe(at, latency sim.Time, cur obsEntry) ObsPoint {
 	pt := ObsPoint{
 		TMS:       at.Milliseconds(),
@@ -386,18 +386,19 @@ func (r *Recorder) observe(at, latency sim.Time, cur obsEntry) ObsPoint {
 	if cur.breached {
 		shortB, longB = 1, 1
 	}
-	for i := len(r.obs) - 1; i >= r.obsHead; i-- {
-		e := &r.obs[i]
+	live := r.obs.live()
+	for i := len(live) - 1; i >= 0; i-- {
+		e := &live[i]
 		if e.at < longCut {
 			break
 		}
 		longN++
-		if e.breached {
+		if e.v.breached {
 			longB++
 		}
 		if e.at >= shortCut {
 			shortN++
-			if e.breached {
+			if e.v.breached {
 				shortB++
 			}
 		}
@@ -439,9 +440,10 @@ func (r *Recorder) observe(at, latency sim.Time, cur obsEntry) ObsPoint {
 // baseline finds the newest ring entry strictly before cut (zero counters
 // when the whole ring is inside the window).
 func (r *Recorder) baseline(cut sim.Time) obsEntry {
-	for i := len(r.obs) - 1; i >= r.obsHead; i-- {
-		if r.obs[i].at < cut {
-			return r.obs[i]
+	live := r.obs.live()
+	for i := len(live) - 1; i >= 0; i-- {
+		if live[i].at < cut {
+			return live[i].v
 		}
 	}
 	return obsEntry{}
@@ -473,10 +475,11 @@ func (r *Recorder) evaluate(pt ObsPoint) (name, reason string) {
 	}
 	if pt.HitLong >= 0 && pt.HitShort >= 0 && pt.HitLong-pt.HitShort >= c.CacheDrop {
 		// Gate on short-window traffic so a lull does not read as collapse.
-		// The caller appended the current entry last, so obs is non-empty.
-		cur := r.obs[len(r.obs)-1]
+		// The caller pushed the current entry last, so obs is non-empty.
+		live := r.obs.live()
+		cur := live[len(live)-1]
 		base := r.baseline(cur.at - c.ShortWindow)
-		if cur.lookups-base.lookups >= c.CacheMinLookups {
+		if cur.v.lookups-base.lookups >= c.CacheMinLookups {
 			return DetectorCacheDrop, fmt.Sprintf(
 				"cache hit rate fell from %.0f%% (%.1f ms window) to %.0f%% (%.1f ms window), drop >= %.0f points",
 				100*pt.HitLong, c.LongWindow.Milliseconds(),
@@ -507,13 +510,13 @@ func (r *Recorder) buildVerdict(name, reason string, at sim.Time, pt *ObsPoint) 
 		Completions: r.completions,
 		Breaches:    r.breaches,
 		Observed:    pt,
-		Series:      make([]ObsPoint, 0, len(r.obs)-r.obsHead),
+		Series:      make([]ObsPoint, 0, len(r.obs.live())),
 	}
 	if name != "" {
 		v.TriggerMS = at.Milliseconds()
 	}
-	for i := r.obsHead; i < len(r.obs); i++ {
-		v.Series = append(v.Series, r.obs[i].pt)
+	for _, e := range r.obs.live() {
+		v.Series = append(v.Series, e.v.pt)
 	}
 	if r.loads != nil {
 		v.RouterLoads = append([]int(nil), r.loads(make([]int, 0, 8))...)
@@ -535,8 +538,8 @@ func (r *Recorder) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool) {
 		return
 	}
 	now := m.Now()
-	if n := len(r.bars); n > r.barHead {
-		last := r.bars[n-1].at
+	if live := r.bars.live(); len(live) > 0 {
+		last := live[len(live)-1].at
 		if final {
 			if now == last {
 				return
@@ -545,7 +548,7 @@ func (r *Recorder) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool) {
 			return
 		}
 	}
-	s := BarrierSample{at: now, FrontierUS: now.Microseconds(), Round: m.Rounds(), Final: final}
+	s := BarrierSample{FrontierUS: now.Microseconds(), Round: m.Rounds(), Final: final}
 	for i := 0; i < m.Domains(); i++ {
 		d := m.Domain(i)
 		mb := 0
@@ -559,20 +562,7 @@ func (r *Recorder) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool) {
 			Executed: d.Executed(),
 		})
 	}
-	r.bars = append(r.bars, s)
-	cut := now - r.cfg.Window
-	for r.barHead < len(r.bars) && r.bars[r.barHead].at < cut {
-		r.bars[r.barHead] = BarrierSample{}
-		r.barHead++
-	}
-	if r.barHead > 64 && r.barHead > len(r.bars)/2 {
-		n := copy(r.bars, r.bars[r.barHead:])
-		for i := n; i < len(r.bars); i++ {
-			r.bars[i] = BarrierSample{}
-		}
-		r.bars = r.bars[:n]
-		r.barHead = 0
-	}
+	r.bars.push(now, s)
 }
 
 // Frozen reports whether a detector fired.
@@ -586,30 +576,41 @@ func (r *Recorder) Frozen() bool {
 // newest retained event (completion or barrier) and spans the configured
 // window, clamped at time zero.
 func (r *Recorder) Window() (from, to sim.Time) {
-	_, to = r.ret.Bounds()
-	if n := len(r.bars); n > r.barHead {
-		if bt := r.bars[n-1].at; bt > to {
-			to = bt
-		}
+	if qs := r.queries.live(); len(qs) > 0 {
+		to = qs[len(qs)-1].at
 	}
-	from = to - r.cfg.Window
-	if from < 0 {
-		from = 0
+	if bs := r.bars.live(); len(bs) > 0 {
+		to = max(to, bs[len(bs)-1].at)
 	}
-	return from, to
+	return max(to-r.cfg.Window, 0), to
 }
 
-// WindowLog rebuilds a self-contained qtrace.Log of the retained queries
-// (see qtrace.Retainer.WindowLog).
-func (r *Recorder) WindowLog() *qtrace.Log { return r.ret.WindowLog() }
+// WindowLog rebuilds a self-contained qtrace.Log holding exactly the
+// retained queries — timelines, attributions and latency sketch — by
+// replaying them in QueryID order. The result is what a full-run Log
+// would look like had the run consisted of only the in-window queries, so
+// every exporter that consumes a Log (the Chrome trace exporter, the
+// straggler reducers) works on the windowed copy unchanged.
+func (r *Recorder) WindowLog() *qtrace.Log {
+	retained := r.WindowQueries()
+	sort.Slice(retained, func(i, j int) bool { return retained[i].ID < retained[j].ID })
+	l := qtrace.NewLog(qtrace.Options{})
+	for i := range retained {
+		q := &retained[i]
+		l.Submitted(q.ID, q.Job, q.Arrival)
+		for _, iv := range q.Intervals {
+			l.Add(q.ID, iv)
+		}
+		l.Completed(q.ID, q.Done)
+	}
+	return l
+}
 
 // WindowQueries returns copies of the retained queries, completion order.
-func (r *Recorder) WindowQueries() []qtrace.Query { return r.ret.Queries() }
+func (r *Recorder) WindowQueries() []qtrace.Query { return r.queries.values() }
 
 // BarrierWindow returns the retained barrier samples, oldest first.
-func (r *Recorder) BarrierWindow() []BarrierSample {
-	return append([]BarrierSample(nil), r.bars[r.barHead:]...)
-}
+func (r *Recorder) BarrierWindow() []BarrierSample { return r.bars.values() }
 
 // Verdict returns the frozen verdict when a detector fired, or assembles
 // an end-of-run verdict (Detector "") over the live ring. Call after the
@@ -620,8 +621,8 @@ func (r *Recorder) Verdict() Verdict {
 	r.mu.Unlock()
 	if v == nil {
 		var last *ObsPoint
-		if len(r.obs) > r.obsHead {
-			p := r.obs[len(r.obs)-1].pt
+		if live := r.obs.live(); len(live) > 0 {
+			p := live[len(live)-1].v.pt
 			last = &p
 		}
 		nv := r.buildVerdict("", "", 0, nil)
@@ -665,25 +666,4 @@ func (r *Recorder) Status() Status {
 		st.TriggerReason = r.verdict.Reason
 	}
 	return st
-}
-
-// barrierTee fans the single barrier-observer slot out to two observers.
-type barrierTee struct{ a, b sim.BarrierObserver }
-
-func (t barrierTee) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool) {
-	t.a.OnBarrier(m, mailboxes, final)
-	t.b.OnBarrier(m, mailboxes, final)
-}
-
-// BarrierTee composes two barrier observers (nil collapses to the other
-// side) so the flight recorder shares the MultiEngine's single observer
-// slot with the metrics sampler: a notifies before b at every barrier.
-func BarrierTee(a, b sim.BarrierObserver) sim.BarrierObserver {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return barrierTee{a: a, b: b}
 }

@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func ms(n int) sim.Time { return sim.Time(n) * sim.Millisecond }
 // feed plays n completions through a log observed by the recorder, one
 // arrival per millisecond, using lat(i) as each query's service time.
 func feed(r *Recorder, n int, lat func(i int) sim.Time) *qtrace.Log {
-	l := qtrace.NewLog(qtrace.Options{Observer: r})
+	l := qtrace.NewLog(qtrace.Options{Observers: []qtrace.Observer{r}})
 	r.AttachLog(l)
 	for i := 0; i < n; i++ {
 		at := ms(i)
@@ -148,7 +149,7 @@ func TestCacheCollapseDetector(t *testing.T) {
 	r := New(Config{Window: 100 * sim.Millisecond, Detect: true, Objective: ms(50)})
 	var lookups, hits uint64
 	r.SetCacheProvider(func() (uint64, uint64) { return lookups, hits })
-	l := qtrace.NewLog(qtrace.Options{Observer: r})
+	l := qtrace.NewLog(qtrace.Options{Observers: []qtrace.Observer{r}})
 	r.AttachLog(l)
 	for i := 0; i < 80; i++ {
 		lookups += 10
@@ -215,29 +216,30 @@ func TestDisarmedRecorderOnlyRetains(t *testing.T) {
 	}
 }
 
+// runEngine drives a real two-domain run observed by obs: a CrossLink
+// bounds the lookahead to 100 µs so barrier rounds advance in small steps,
+// and self-rescheduling ticks keep both domains busy for 30 ms.
+func runEngine(obs ...sim.BarrierObserver) {
+	m := sim.NewMultiEngine(2)
+	sim.NewCrossLink(m.Domain(0), "link", 1e9, 100*sim.Microsecond)
+	for i := 0; i < 2; i++ {
+		d := m.Domain(i)
+		var tick func()
+		tick = func() {
+			if d.Now() < ms(30) {
+				d.Schedule(100*sim.Microsecond, tick)
+			}
+		}
+		d.At(0, tick)
+	}
+	m.SetBarrierObserver(obs...)
+	m.Run()
+}
+
 // TestBarrierRing: barrier samples honour the BarrierEvery throttle, the
 // final barrier is always captured, samples slide out of the window, and
 // a freeze stops sampling.
 func TestBarrierRing(t *testing.T) {
-	// A real two-domain run: a CrossLink bounds the lookahead to 100 µs so
-	// barrier rounds advance in small steps, and self-rescheduling ticks
-	// keep both domains busy for 30 ms.
-	runEngine := func(r *Recorder) {
-		m := sim.NewMultiEngine(2)
-		sim.NewCrossLink(m.Domain(0), "link", 1e9, 100*sim.Microsecond)
-		for i := 0; i < 2; i++ {
-			d := m.Domain(i)
-			var tick func()
-			tick = func() {
-				if d.Now() < ms(30) {
-					d.Schedule(100*sim.Microsecond, tick)
-				}
-			}
-			d.At(0, tick)
-		}
-		m.SetBarrierObserver(r)
-		m.Run()
-	}
 	r := New(Config{Window: 10 * sim.Millisecond, BarrierEvery: ms(1)})
 	runEngine(r)
 	bars := r.BarrierWindow()
@@ -253,20 +255,20 @@ func TestBarrierRing(t *testing.T) {
 	// sit there — either the terminating barrier or the same-instant round
 	// sample it deduplicated against.
 	last := bars[len(bars)-1]
-	if last.at != ms(30) {
-		t.Fatalf("newest sample at %v, run ended at 30 ms: %+v", last.at, last)
+	if last.FrontierUS != ms(30).Microseconds() {
+		t.Fatalf("newest sample at %v µs, run ended at 30 ms: %+v", last.FrontierUS, last)
 	}
 	for i := 1; i < len(bars)-1; i++ {
-		if gap := bars[i].at - bars[i-1].at; gap < ms(1) {
-			t.Fatalf("samples %d,%d only %v apart", i-1, i, gap)
+		if gap := bars[i].FrontierUS - bars[i-1].FrontierUS; gap < ms(1).Microseconds() {
+			t.Fatalf("samples %d,%d only %v µs apart", i-1, i, gap)
 		}
 	}
 	if len(last.Domains) != 2 || last.Domains[0].ClockUS == 0 || last.Domains[0].Executed == 0 {
 		t.Fatalf("sample missing domain stats: %+v", last)
 	}
 	// Ring slid: nothing older than the window before the last sample.
-	if first := bars[0]; last.at-first.at > 10*sim.Millisecond {
-		t.Fatalf("ring kept %v of history, window is 10 ms", last.at-first.at)
+	if span := last.FrontierUS - bars[0].FrontierUS; span > ms(10).Microseconds() {
+		t.Fatalf("ring kept %v µs of history, window is 10 ms", span)
 	}
 
 	// A frozen recorder never samples.
@@ -280,22 +282,34 @@ func TestBarrierRing(t *testing.T) {
 	}
 }
 
-// TestBarrierTee: nil sides collapse to the other operand; a real tee
-// notifies a before b.
+// TestBarrierTee: the recorder shares the barrier hook with other
+// observers, as it does with the metrics sampler in a cluster run. Its
+// ring is identical to a run where it observes alone, and the observers
+// around it are notified in argument order at every barrier.
 func TestBarrierTee(t *testing.T) {
-	if BarrierTee(nil, nil) != nil {
-		t.Fatal("BarrierTee(nil, nil) must be nil")
-	}
-	r := New(Config{})
-	if BarrierTee(r, nil) != sim.BarrierObserver(r) || BarrierTee(nil, r) != sim.BarrierObserver(r) {
-		t.Fatal("nil side must collapse to the operand itself")
-	}
+	cfg := Config{Window: 10 * sim.Millisecond, BarrierEvery: ms(1)}
+	alone := New(cfg)
+	runEngine(alone)
+
 	var order []string
 	a := obsFunc(func() { order = append(order, "a") })
 	b := obsFunc(func() { order = append(order, "b") })
-	BarrierTee(a, b).OnBarrier(sim.NewMultiEngine(1), nil, false)
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("tee order = %v", order)
+	shared := New(cfg)
+	runEngine(a, shared, b)
+	want := alone.BarrierWindow()
+	if len(want) == 0 {
+		t.Fatal("no barrier samples retained")
+	}
+	if got := shared.BarrierWindow(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("shared hook changed the barrier ring:\n shared: %+v\n alone:  %+v", got, want)
+	}
+	if len(order) == 0 || len(order)%2 != 0 {
+		t.Fatalf("observers saw %d callbacks, want a positive even count", len(order))
+	}
+	for i := 0; i < len(order); i += 2 {
+		if order[i] != "a" || order[i+1] != "b" {
+			t.Fatalf("barrier %d notified %v, want a then b", i/2, order[i:i+2])
+		}
 	}
 }
 
@@ -303,3 +317,110 @@ func TestBarrierTee(t *testing.T) {
 type obsFunc func()
 
 func (f obsFunc) OnBarrier(*sim.MultiEngine, []int, bool) { f() }
+
+// feedTimelines plays n queries through a log observed by a recorder with
+// the given window, one completion per millisecond, each with a 2 ms exec
+// interval.
+func feedTimelines(window sim.Time, n int) (*Recorder, *qtrace.Log) {
+	r := New(Config{Window: window})
+	l := qtrace.NewLog(qtrace.Options{Observers: []qtrace.Observer{r}})
+	r.AttachLog(l)
+	for i := 0; i < n; i++ {
+		at := ms(i)
+		l.Submitted(i, i, at)
+		l.Add(i, qtrace.Interval{Phase: qtrace.PhaseExec, Stage: "FE", Level: "OnChip", Detail: "onchip0", Start: at, End: at + ms(2)})
+		l.Completed(i, at+ms(2))
+	}
+	return r, l
+}
+
+// TestRecorderWindowSlides: only completions within the trailing window
+// of the newest one are retained (a completion exactly window behind it
+// stays); older copies are evicted as time moves.
+func TestRecorderWindowSlides(t *testing.T) {
+	r, _ := feedTimelines(ms(10), 100)
+	// Newest completion at 101 ms; retained: Done >= 91 ms → qids 89..99.
+	qs := r.WindowQueries()
+	if len(qs) != 11 || r.Status().Retained != 11 {
+		t.Fatalf("retained %d queries (status %d), want 11", len(qs), r.Status().Retained)
+	}
+	from, to := r.Window()
+	if to != ms(101) || from != ms(91) {
+		t.Fatalf("window = [%v, %v], want [91ms, 101ms]", from, to)
+	}
+	if qs[0].ID != 89 || qs[len(qs)-1].ID != 99 {
+		t.Fatalf("retained qids %d..%d, want 89..99", qs[0].ID, qs[len(qs)-1].ID)
+	}
+	for _, q := range qs {
+		if len(q.Intervals) != 1 || !q.Completed() {
+			t.Fatalf("query %d retained without its timeline: %+v", q.ID, q)
+		}
+	}
+
+	// The compaction path must not lose or reorder entries (head crossed
+	// the >64 threshold many times above); an explicitly long run checks
+	// a second regime.
+	r2, _ := feedTimelines(ms(1), 500)
+	if got := r2.WindowQueries(); len(got) != 2 || got[0].ID != 498 || got[1].ID != 499 {
+		t.Fatalf("1ms window retained %d queries, want qids 498,499", len(got))
+	}
+}
+
+// TestRecorderCopiesAreIndependent: the retained copy must not alias the
+// live log's interval storage — DropTimelines or later mutation of the
+// log cannot reach into an already-cut bundle.
+func TestRecorderCopiesAreIndependent(t *testing.T) {
+	r := New(Config{})
+	l := qtrace.NewLog(qtrace.Options{Observers: []qtrace.Observer{r}})
+	r.AttachLog(l)
+	l.Submitted(0, 0, 0)
+	l.Add(0, qtrace.Interval{Phase: qtrace.PhaseExec, Start: 0, End: ms(1)})
+	l.Completed(0, ms(1))
+	l.Query(0).Intervals[0].Phase = "mutated"
+	l.Query(0).Attribution[0].Phase = "mutated"
+	q := r.WindowQueries()[0]
+	if q.Intervals[0].Phase != qtrace.PhaseExec || q.Attribution[0].Phase != qtrace.PhaseExec {
+		t.Fatalf("retained copy aliases the live log: %+v", q)
+	}
+
+	// Completions without a log, or of queries the log never saw, feed
+	// the detectors but retain nothing — and do not panic.
+	detached := New(Config{})
+	detached.QueryDone(0, 0, 0)
+	if n := len(detached.WindowQueries()); n != 0 {
+		t.Fatalf("detached recorder retained %d queries", n)
+	}
+	r.QueryDone(999, ms(1), 0)
+	if n := len(r.WindowQueries()); n != 1 {
+		t.Fatalf("unknown qid retained: %d queries", n)
+	}
+}
+
+// TestRecorderWindowLog: the rebuilt window log is a self-contained Log —
+// query table, timelines, recomputed attributions and latency sketch all
+// restricted to the retained set.
+func TestRecorderWindowLog(t *testing.T) {
+	r, full := feedTimelines(ms(10), 100)
+	wl := r.WindowLog()
+	if got := wl.CompletedCount(); got != 11 {
+		t.Fatalf("window log completed %d, want 11", got)
+	}
+	if got := wl.Sketch().Count(); got != 11 {
+		t.Fatalf("window sketch count %d, want 11", got)
+	}
+	for _, q := range wl.Queries() {
+		orig := full.Query(q.ID)
+		if q.Arrival != orig.Arrival || q.Done != orig.Done || q.Job != orig.Job {
+			t.Fatalf("window query %d bounds diverged: %+v vs %+v", q.ID, q, orig)
+		}
+		if len(q.Intervals) != len(orig.Intervals) {
+			t.Fatalf("window query %d lost intervals", q.ID)
+		}
+		if q.Dominant() != orig.Dominant() {
+			t.Fatalf("window query %d attribution diverged", q.ID)
+		}
+	}
+	if empty := New(Config{}).WindowLog(); empty.CompletedCount() != 0 {
+		t.Fatal("an empty recorder should rebuild an empty log")
+	}
+}

@@ -95,8 +95,8 @@ type CacheCounters struct {
 	HitRate   float64 `json:"hit_rate"`
 }
 
-// Server is the inspector. It implements qtrace.Observer, so wiring it as
-// the Observer of every run's qtrace.Options feeds the live counters.
+// Server is the inspector. It implements qtrace.Observer, so listing it
+// in every run's qtrace.Options.Observers feeds the live counters.
 type Server struct {
 	mu        sync.Mutex
 	ln        net.Listener
@@ -120,7 +120,7 @@ func New() *Server {
 
 // QueryDone implements qtrace.Observer: one completed query's end-to-end
 // latency folds into the global sketch.
-func (s *Server) QueryDone(_ int, latency sim.Time) {
+func (s *Server) QueryDone(_ int, _, latency sim.Time) {
 	s.mu.Lock()
 	s.queries++
 	s.sketch.Add(latency)

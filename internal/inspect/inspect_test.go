@@ -14,7 +14,7 @@ import (
 	"repro/internal/workload"
 )
 
-// The server must plug straight into qtrace.Options.Observer.
+// The server must plug straight into qtrace.Options.Observers.
 var _ qtrace.Observer = (*Server)(nil)
 
 func get(t *testing.T, url string) string {
@@ -47,7 +47,7 @@ func TestServerEndpoints(t *testing.T) {
 	base := "http://" + s.Addr()
 
 	for i := 0; i < 100; i++ {
-		s.QueryDone(i, sim.Time(i+1)*sim.Millisecond)
+		s.QueryDone(i, 0, sim.Time(i+1)*sim.Millisecond)
 	}
 	run, err := experiments.RunPipeline(workload.DefaultModel(), experiments.ReACHMapping(), 2, 2)
 	if err != nil {
@@ -111,14 +111,14 @@ func TestSecondServerTakesOverExpvar(t *testing.T) {
 	if err := a.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	a.QueryDone(0, sim.Millisecond)
+	a.QueryDone(0, 0, sim.Millisecond)
 	b := New()
 	if err := b.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	b.QueryDone(0, sim.Millisecond)
-	b.QueryDone(1, sim.Millisecond)
+	b.QueryDone(0, 0, sim.Millisecond)
+	b.QueryDone(1, 0, sim.Millisecond)
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}

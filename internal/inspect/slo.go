@@ -14,7 +14,7 @@ import (
 const maxSLOWindows = 1024
 
 // SLOMonitor tracks query latency against an objective over rolling
-// sim-time windows: each completion (delivered through qtrace's ObserverAt
+// sim-time windows: each completion (delivered through the qtrace.Observer
 // hook, so windows are keyed by *simulated* completion time, not wall
 // clock) folds into its window's latency sketch and, when it exceeds the
 // objective, the window's and the run's burn counters. Windowing by sim
@@ -50,14 +50,9 @@ func NewSLOMonitor(width, objective sim.Time) *SLOMonitor {
 	return &SLOMonitor{width: width, objective: objective}
 }
 
-// QueryDone implements qtrace.Observer. The monitor needs completion
-// instants, which arrive through QueryDoneAt; the plain hook is a no-op so
-// the monitor composes with other observers under qtrace.Tee.
-func (m *SLOMonitor) QueryDone(int, sim.Time) {}
-
-// QueryDoneAt implements qtrace.ObserverAt: fold one completion into the
+// QueryDone implements qtrace.Observer: fold one completion into the
 // window covering its simulated completion instant.
-func (m *SLOMonitor) QueryDoneAt(_ int, at, latency sim.Time) {
+func (m *SLOMonitor) QueryDone(_ int, at, latency sim.Time) {
 	idx := int(at / m.width)
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -16,11 +16,8 @@ import (
 	"repro/internal/workload"
 )
 
-// The monitor must plug into both qtrace observer hooks.
-var (
-	_ qtrace.Observer   = (*SLOMonitor)(nil)
-	_ qtrace.ObserverAt = (*SLOMonitor)(nil)
-)
+// The monitor must plug into the qtrace completion hook.
+var _ qtrace.Observer = (*SLOMonitor)(nil)
 
 // TestSLOWindowQuantileAccuracy: each window's sketched quantiles must
 // match the exact (nearest-rank, sorted) quantiles of the latencies that
@@ -43,7 +40,7 @@ func TestSLOWindowQuantileAccuracy(t *testing.T) {
 	sort.Slice(events, func(i, j int) bool { return events[i].at < events[j].at })
 	byWindow := map[int][]sim.Time{}
 	for i, e := range events {
-		m.QueryDoneAt(i, e.at, e.lat)
+		m.QueryDone(i, e.at, e.lat)
 		byWindow[int(e.at/width)] = append(byWindow[int(e.at/width)], e.lat)
 	}
 	st := m.Stats()
@@ -88,11 +85,11 @@ func TestSLOBurnCounters(t *testing.T) {
 	width := sim.Millisecond
 	m := NewSLOMonitor(width, 10*sim.Millisecond)
 	// Window 0: 3 queries, 1 breach. Window 2: 2 queries, 2 breaches.
-	m.QueryDoneAt(0, 0, 5*sim.Millisecond)
-	m.QueryDoneAt(1, 1, 10*sim.Millisecond) // at objective: not a breach
-	m.QueryDoneAt(2, 2, 11*sim.Millisecond)
-	m.QueryDoneAt(3, 2*width, 20*sim.Millisecond)
-	m.QueryDoneAt(4, 2*width+1, 30*sim.Millisecond)
+	m.QueryDone(0, 0, 5*sim.Millisecond)
+	m.QueryDone(1, 1, 10*sim.Millisecond) // at objective: not a breach
+	m.QueryDone(2, 2, 11*sim.Millisecond)
+	m.QueryDone(3, 2*width, 20*sim.Millisecond)
+	m.QueryDone(4, 2*width+1, 30*sim.Millisecond)
 	st := m.Stats()
 	if st.Queries != 5 || st.Breaches != 3 {
 		t.Fatalf("queries=%d breaches=%d, want 5/3", st.Queries, st.Breaches)
@@ -136,7 +133,7 @@ func TestSLOScrapeDuringClusterRun(t *testing.T) {
 	m := workload.DefaultModel()
 	m.DatasetSize /= 100
 	mon := NewSLOMonitor(sim.FromSeconds(1e-3), 50*sim.Millisecond)
-	c, err := cluster.New(cfg, m, qtrace.Options{Observer: qtrace.Tee(s, mon)})
+	c, err := cluster.New(cfg, m, qtrace.Options{Observers: []qtrace.Observer{s, mon}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +203,7 @@ func TestSLOWindowEvictionAtCap(t *testing.T) {
 	m := NewSLOMonitor(width, 10*sim.Millisecond)
 	const populated = maxSLOWindows + 576
 	for i := 0; i < populated; i++ {
-		m.QueryDoneAt(i, sim.Time(i)*width, 20*sim.Millisecond) // every one a breach
+		m.QueryDone(i, sim.Time(i)*width, 20*sim.Millisecond) // every one a breach
 	}
 	st := m.Stats()
 	if st.Queries != populated || st.Breaches != populated {
@@ -232,15 +229,15 @@ func TestSLOWindowEvictionAtCap(t *testing.T) {
 
 	// Sparse gap: only populated windows count as evictions.
 	m2 := NewSLOMonitor(width, 10*sim.Millisecond)
-	m2.QueryDoneAt(0, 0, 5*sim.Millisecond)
-	m2.QueryDoneAt(1, sim.Time(2*maxSLOWindows)*width, 5*sim.Millisecond)
+	m2.QueryDone(0, 0, 5*sim.Millisecond)
+	m2.QueryDone(1, sim.Time(2*maxSLOWindows)*width, 5*sim.Millisecond)
 	if got := m2.Stats().WindowsEvicted; got != 1 {
 		t.Errorf("sparse eviction counted %d windows, want 1 (nil gaps are free)", got)
 	}
 
 	// Below the cap nothing is evicted and the table carries no warning.
 	m3 := NewSLOMonitor(width, 10*sim.Millisecond)
-	m3.QueryDoneAt(0, 0, 20*sim.Millisecond)
+	m3.QueryDone(0, 0, 20*sim.Millisecond)
 	if st := m3.Stats(); st.WindowsEvicted != 0 {
 		t.Errorf("uncapped monitor reports %d evictions", st.WindowsEvicted)
 	}

@@ -13,10 +13,13 @@
 // TestSamplerZeroAllocSteadyState).
 //
 // Partitioned (cluster) simulations use MultiSampler instead: the same
-// columnar series, but driven off the MultiEngine's barriers rather than
-// calendar events, so sampling can never perturb the deterministic round
-// structure. AttachMulti installs it; per-node span logs merge back into
-// one stable order with MergeSpans.
+// series store (interval, time axis, columnar series and their accessors),
+// but driven off the MultiEngine's barriers rather than calendar events,
+// so sampling can never perturb the deterministic round structure.
+// AttachMulti installs it; per-node span logs merge back into one stable
+// order with MergeSpans. A standalone engine keeps the timer-driven
+// Sampler: run as a one-domain MultiEngine its lookahead is MaxTime, so
+// the whole run is a single round and would yield a single sample.
 //
 // Exporters live next to the consumers: trace.AddCounters/AddSpans merge
 // the series into the Chrome trace timeline as "C" counter lanes,

@@ -34,30 +34,17 @@ import (
 // reuse the chunked columns and the registry walk is cached, the steady
 // state is allocation-free (TestMultiSamplerZeroAllocSteadyState).
 type MultiSampler struct {
-	me       *sim.MultiEngine
-	interval sim.Time
-
-	times  column // frontier instants, shared time axis for every series
 	rounds column // barrier round counter at each sample
 	doms   []*Series
 	seriesSet
-
-	walkFn func(name string, res sim.Resource)
 }
 
 // NewMultiSampler creates a barrier sampler over me; interval <= 0 means
 // DefaultInterval. Install it with me.SetBarrierObserver (AttachMulti
 // does both).
 func NewMultiSampler(me *sim.MultiEngine, interval sim.Time) *MultiSampler {
-	if interval <= 0 {
-		interval = DefaultInterval
-	}
-	s := &MultiSampler{
-		me:        me,
-		interval:  interval,
-		seriesSet: newSeriesSet(),
-	}
-	s.walkFn = s.record
+	s := &MultiSampler{}
+	s.init(interval)
 	for i := 0; i < me.Domains(); i++ {
 		se := &Series{Name: fmt.Sprintf("sim.domain%d", i), Kind: sim.KindDomain}
 		s.doms = append(s.doms, se)
@@ -66,16 +53,6 @@ func NewMultiSampler(me *sim.MultiEngine, interval sim.Time) *MultiSampler {
 	}
 	return s
 }
-
-// Interval reports the sampling period (a lower bound on sample spacing:
-// samples land on barrier instants).
-func (s *MultiSampler) Interval() sim.Time { return s.interval }
-
-// Samples reports how many sample instants were recorded.
-func (s *MultiSampler) Samples() int { return s.times.len() }
-
-// Time reports the frontier time of the i-th sample instant.
-func (s *MultiSampler) Time(i int) sim.Time { return sim.Time(s.times.at(i)) }
 
 // Round reports the barrier round counter at the i-th sample instant.
 func (s *MultiSampler) Round(i int) uint64 { return uint64(s.rounds.at(i)) }
@@ -86,8 +63,8 @@ func (s *MultiSampler) Round(i int) uint64 { return uint64(s.rounds.at(i)) }
 // sample, so repeated Run invocations do not duplicate instants).
 func (s *MultiSampler) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool) {
 	now := m.Now()
-	if n := s.times.len(); n > 0 {
-		last := sim.Time(s.times.at(n - 1))
+	if n := s.Samples(); n > 0 {
+		last := s.Time(n - 1)
 		if final {
 			if now == last {
 				return
@@ -96,7 +73,6 @@ func (s *MultiSampler) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool
 			return
 		}
 	}
-	s.times.append(int64(now))
 	s.rounds.append(int64(m.Rounds()))
 	for i, se := range s.doms {
 		d := m.Domain(i)
@@ -111,19 +87,7 @@ func (s *MultiSampler) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool
 		}
 		se.stalls.append(int64(mb))
 	}
-	m.Stats().Walk(s.walkFn)
-	s.samples++
-}
-
-// Series returns every recorded series — registry resources plus the
-// synthetic "sim.domainN" streams — sorted by name, the deterministic
-// export order.
-func (s *MultiSampler) Series() []*Series { return s.sorted() }
-
-// Lookup finds one series by resource (or synthetic domain) name.
-func (s *MultiSampler) Lookup(name string) (*Series, bool) {
-	se, ok := s.series[name]
-	return se, ok
+	s.sample(now, m.Stats())
 }
 
 // MultiRecorder bundles one cluster run's observability state: the

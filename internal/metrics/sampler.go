@@ -78,26 +78,42 @@ func (s *Series) At(i int) Point {
 	}
 }
 
-// seriesSet is the shared per-resource series store of the two samplers
-// (single-engine Sampler, barrier-driven MultiSampler): a map for lookup,
-// first-seen order for iteration, and the global sample counter that
-// anchors Series.Start for resources registering mid-run.
+// seriesSet is the series store the timer-driven Sampler and the
+// barrier-driven MultiSampler share: the sampling period, the time axis
+// every series is aligned to, a map for lookup and first-seen order for
+// iteration. The time axis length anchors Series.Start for resources
+// registering mid-run.
 type seriesSet struct {
-	series  map[string]*Series
-	ordered []*Series // first-seen order; sorted on demand at export
-	samples int
+	interval sim.Time
+	times    column // sample instants, shared time axis for every series
+	series   map[string]*Series
+	ordered  []*Series                           // first-seen order; sorted on demand at export
+	walkFn   func(name string, res sim.Resource) // bound once: no per-sample closure
 }
 
-func newSeriesSet() seriesSet {
-	return seriesSet{series: make(map[string]*Series)}
+// init prepares an embedded set in place (walkFn binds its address);
+// interval <= 0 means DefaultInterval.
+func (ss *seriesSet) init(interval sim.Time) {
+	if interval <= 0 {
+		interval = DefaultInterval
+	}
+	ss.interval = interval
+	ss.series = make(map[string]*Series)
+	ss.walkFn = ss.record
+}
+
+// sample records one sample instant at: one point per resource in reg.
+func (ss *seriesSet) sample(at sim.Time, reg *sim.StatsRegistry) {
+	reg.Walk(ss.walkFn)
+	ss.times.append(int64(at))
 }
 
 // record appends the resource's current counters to its series, creating
-// the series at the current global sample index on first sight.
+// the series at the current sample index on first sight.
 func (ss *seriesSet) record(name string, res sim.Resource) {
 	se := ss.series[name]
 	if se == nil {
-		se = &Series{Name: name, start: ss.samples}
+		se = &Series{Name: name, start: ss.times.len()}
 		ss.series[name] = se
 		ss.ordered = append(ss.ordered, se)
 	}
@@ -111,13 +127,30 @@ func (ss *seriesSet) record(name string, res sim.Resource) {
 	se.stalls.append(int64(st.Stalls))
 }
 
-// sorted returns every series sorted by resource name — the deterministic
-// export order (allocates; call at export time, not from the hot path).
-func (ss *seriesSet) sorted() []*Series {
+// Interval reports the sampling period (for the MultiSampler a lower
+// bound on sample spacing: samples land on barrier instants).
+func (ss *seriesSet) Interval() sim.Time { return ss.interval }
+
+// Samples reports how many sample instants were recorded.
+func (ss *seriesSet) Samples() int { return ss.times.len() }
+
+// Time reports the simulated time of the i-th sample instant.
+func (ss *seriesSet) Time(i int) sim.Time { return sim.Time(ss.times.at(i)) }
+
+// Series returns every recorded series sorted by name — the
+// deterministic export order (allocates; call at export time, not from
+// the hot path).
+func (ss *seriesSet) Series() []*Series {
 	out := make([]*Series, len(ss.ordered))
 	copy(out, ss.ordered)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// Lookup finds one series by name.
+func (ss *seriesSet) Lookup(name string) (*Series, bool) {
+	se, ok := ss.series[name]
+	return se, ok
 }
 
 // Sampler walks the engine's StatsRegistry on a fixed simulated-time
@@ -126,39 +159,19 @@ func (ss *seriesSet) sorted() []*Series {
 // pending event, so an attached sampler never keeps a drained simulation
 // alive.
 type Sampler struct {
-	eng      *sim.Engine
-	interval sim.Time
-
-	times column // sample instants, shared time axis for every series
+	eng *sim.Engine
 	seriesSet
 
-	walkFn  func(name string, res sim.Resource) // bound once: no per-sample closure
 	pending sim.EventHandle
 }
 
 // NewSampler creates a sampler on eng; interval <= 0 means
 // DefaultInterval. Call Start to schedule the first tick.
 func NewSampler(eng *sim.Engine, interval sim.Time) *Sampler {
-	if interval <= 0 {
-		interval = DefaultInterval
-	}
-	s := &Sampler{
-		eng:       eng,
-		interval:  interval,
-		seriesSet: newSeriesSet(),
-	}
-	s.walkFn = s.record
+	s := &Sampler{eng: eng}
+	s.init(interval)
 	return s
 }
-
-// Interval reports the sampling period.
-func (s *Sampler) Interval() sim.Time { return s.interval }
-
-// Samples reports how many sample instants were recorded.
-func (s *Sampler) Samples() int { return s.times.len() }
-
-// Time reports the simulated time of the i-th sample instant.
-func (s *Sampler) Time(i int) sim.Time { return sim.Time(s.times.at(i)) }
 
 // Start schedules the first tick, one interval from now.
 func (s *Sampler) Start() {
@@ -183,25 +196,10 @@ func (s *Sampler) Fire(eng *sim.Engine, _ uint64) {
 func (s *Sampler) Finish() {
 	s.pending.Cancel()
 	s.pending = sim.EventHandle{}
-	if n := s.times.len(); n == 0 || sim.Time(s.times.at(n-1)) != s.eng.Now() {
+	if n := s.Samples(); n == 0 || s.Time(n-1) != s.eng.Now() {
 		s.sampleNow()
 	}
 }
 
-// sampleNow records one sample instant across every registered resource.
-func (s *Sampler) sampleNow() {
-	s.times.append(int64(s.eng.Now()))
-	s.eng.Stats().Walk(s.walkFn)
-	s.samples++
-}
-
-// Series returns every recorded series sorted by resource name — the
-// deterministic export order (allocates; call at export time, not from
-// the hot path).
-func (s *Sampler) Series() []*Series { return s.sorted() }
-
-// Lookup finds one series by resource name.
-func (s *Sampler) Lookup(name string) (*Series, bool) {
-	se, ok := s.series[name]
-	return se, ok
-}
+// sampleNow records one sample instant at the engine's current time.
+func (s *Sampler) sampleNow() { s.sample(s.eng.Now(), s.eng.Stats()) }

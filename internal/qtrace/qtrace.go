@@ -124,56 +124,12 @@ func (q *Query) Dominant() Attribution {
 }
 
 // Observer sees every query completion as it happens, on the simulation
-// goroutine — the hook the live run inspector aggregates from. Keep
-// implementations cheap; they run inside the event loop.
+// goroutine: the query's ID, its simulated completion instant and its
+// end-to-end latency. The live inspector, the windowed SLO monitor and the
+// flight recorder all hang off this one hook. Keep implementations cheap;
+// they run inside the event loop.
 type Observer interface {
-	QueryDone(id int, latency sim.Time)
-}
-
-// ObserverAt is an optional Observer extension for consumers that need
-// the simulated completion instant as well as the latency — the windowed
-// SLO monitor buckets completions into rolling sim-time windows. When an
-// attached Observer also implements ObserverAt, the log calls
-// QueryDoneAt in addition to QueryDone at every completion.
-type ObserverAt interface {
-	QueryDoneAt(id int, at, latency sim.Time)
-}
-
-// tee fans one completion stream out to two observers, a first, then b,
-// forwarding the ObserverAt extension to whichever side implements it.
-type tee struct {
-	a, b     Observer
-	aAt, bAt ObserverAt
-}
-
-func (t *tee) QueryDone(id int, latency sim.Time) {
-	t.a.QueryDone(id, latency)
-	t.b.QueryDone(id, latency)
-}
-
-func (t *tee) QueryDoneAt(id int, at, latency sim.Time) {
-	if t.aAt != nil {
-		t.aAt.QueryDoneAt(id, at, latency)
-	}
-	if t.bAt != nil {
-		t.bAt.QueryDoneAt(id, at, latency)
-	}
-}
-
-// Tee combines two observers into one (nil arguments collapse to the
-// other side). The returned observer implements ObserverAt when either
-// argument does.
-func Tee(a, b Observer) Observer {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	t := &tee{a: a, b: b}
-	t.aAt, _ = a.(ObserverAt)
-	t.bAt, _ = b.(ObserverAt)
-	return t
+	QueryDone(id int, at, latency sim.Time)
 }
 
 // Options configures a Log.
@@ -185,8 +141,8 @@ type Options struct {
 	// attribution is computed, bounding memory on long sweeps. Attribution
 	// and the latency sketch are unaffected.
 	DropTimelines bool
-	// Observer, when non-nil, is notified of every completion.
-	Observer Observer
+	// Observers are notified of every completion, in slice order.
+	Observers []Observer
 }
 
 // Log records per-query timelines for one run (one GAM). It is not safe
@@ -194,7 +150,6 @@ type Options struct {
 // simulation goroutine.
 type Log struct {
 	opt     Options
-	obsAt   ObserverAt // opt.Observer's ObserverAt side, asserted once
 	sketch  *Sketch
 	queries []*Query
 	done    uint64
@@ -202,9 +157,7 @@ type Log struct {
 
 // NewLog returns an empty log.
 func NewLog(o Options) *Log {
-	l := &Log{opt: o, sketch: NewSketch(o.Alpha)}
-	l.obsAt, _ = o.Observer.(ObserverAt)
-	return l
+	return &Log{opt: o, sketch: NewSketch(o.Alpha)}
 }
 
 // Submitted opens query qid (the GAM's monotonically assigned QueryID)
@@ -229,7 +182,7 @@ func (l *Log) Add(qid int, iv Interval) {
 
 // Completed closes query qid at simulated time at: records its latency in
 // the sketch, reduces its timeline to attributions, and notifies the
-// observer.
+// observers.
 func (l *Log) Completed(qid int, at sim.Time) {
 	if qid < 0 || qid >= len(l.queries) || l.queries[qid] == nil {
 		return
@@ -243,11 +196,8 @@ func (l *Log) Completed(qid int, at sim.Time) {
 	if l.opt.DropTimelines {
 		q.Intervals = nil
 	}
-	if l.opt.Observer != nil {
-		l.opt.Observer.QueryDone(qid, q.Latency())
-	}
-	if l.obsAt != nil {
-		l.obsAt.QueryDoneAt(qid, at, q.Latency())
+	for _, o := range l.opt.Observers {
+		o.QueryDone(qid, at, q.Latency())
 	}
 }
 

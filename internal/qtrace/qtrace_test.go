@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,28 +103,108 @@ func TestLogIgnoresUnknownQueries(t *testing.T) {
 	}
 }
 
+// captureObserver records its completion callbacks, tagging each with its
+// name in a journal shared across observers so notification order is
+// observable.
 type captureObserver struct {
-	ids  []int
-	lats []sim.Time
+	name    string
+	journal *[]string
+	ids     []int
+	ats     []sim.Time
+	lats    []sim.Time
 }
 
-func (c *captureObserver) QueryDone(id int, lat sim.Time) {
+func (c *captureObserver) QueryDone(id int, at, lat sim.Time) {
+	*c.journal = append(*c.journal, c.name)
 	c.ids = append(c.ids, id)
+	c.ats = append(c.ats, at)
 	c.lats = append(c.lats, lat)
 }
 
+// TestObserverSeesCompletions: every observer sees every completion with
+// its simulated instant and latency, notified in slice order.
 func TestObserverSeesCompletions(t *testing.T) {
-	obs := &captureObserver{}
-	l := NewLog(Options{Observer: obs})
+	var journal []string
+	a := &captureObserver{name: "a", journal: &journal}
+	b := &captureObserver{name: "b", journal: &journal}
+	l := NewLog(Options{Observers: []Observer{a, b}})
 	l.Submitted(0, 0, ms(0))
 	l.Submitted(1, 1, ms(1))
 	l.Completed(1, ms(5))
 	l.Completed(0, ms(9))
-	if len(obs.ids) != 2 || obs.ids[0] != 1 || obs.ids[1] != 0 {
-		t.Fatalf("observer ids = %v", obs.ids)
+	if want := []string{"a", "b", "a", "b"}; !reflect.DeepEqual(journal, want) {
+		t.Fatalf("notification order = %v, want %v", journal, want)
 	}
-	if obs.lats[0] != ms(4) || obs.lats[1] != ms(9) {
-		t.Fatalf("observer latencies = %v", obs.lats)
+	for _, obs := range []*captureObserver{a, b} {
+		if !reflect.DeepEqual(obs.ids, []int{1, 0}) {
+			t.Fatalf("observer %s ids = %v", obs.name, obs.ids)
+		}
+		if !reflect.DeepEqual(obs.ats, []sim.Time{ms(5), ms(9)}) {
+			t.Fatalf("observer %s instants = %v", obs.name, obs.ats)
+		}
+		if !reflect.DeepEqual(obs.lats, []sim.Time{ms(4), ms(9)}) {
+			t.Fatalf("observer %s latencies = %v", obs.name, obs.lats)
+		}
+	}
+}
+
+// TestObserverAtSeesCompletionInstant: the hook carries the simulated
+// completion instant, distinct from the latency, for a query that arrived
+// after time zero.
+func TestObserverAtSeesCompletionInstant(t *testing.T) {
+	var journal []string
+	obs := &captureObserver{name: "x", journal: &journal}
+	l := NewLog(Options{Observers: []Observer{obs}})
+	l.Submitted(0, 7, 100)
+	l.Completed(0, 350)
+	if len(obs.ids) != 1 || obs.ids[0] != 0 {
+		t.Fatalf("QueryDone ids = %v", obs.ids)
+	}
+	if len(obs.ats) != 1 || obs.ats[0] != 350 {
+		t.Fatalf("completion instants = %v, want [350]", obs.ats)
+	}
+	if obs.lats[0] != 250 {
+		t.Fatalf("latency = %v, want 250", obs.lats[0])
+	}
+}
+
+// TestTeeFansOut: the log fans one completion out to every listed
+// observer, and a log with an empty list completes queries with no hook.
+func TestTeeFansOut(t *testing.T) {
+	var journal []string
+	a := &captureObserver{name: "a", journal: &journal}
+	b := &captureObserver{name: "b", journal: &journal}
+	l := NewLog(Options{Observers: []Observer{a, b}})
+	l.Submitted(3, 1, 10)
+	l.Completed(3, 60)
+	for _, obs := range []*captureObserver{a, b} {
+		if len(obs.ids) != 1 || obs.ids[0] != 3 || obs.ats[0] != 60 {
+			t.Fatalf("fan-out missed observer %s: ids %v at %v", obs.name, obs.ids, obs.ats)
+		}
+	}
+	bare := NewLog(Options{Observers: []Observer{}})
+	bare.Submitted(3, 1, 10)
+	bare.Completed(3, 60)
+	if bare.CompletedCount() != 1 {
+		t.Fatalf("log without observers completed %d queries, want 1", bare.CompletedCount())
+	}
+}
+
+// TestTeeOrdering: with three observers — cmd's chain of inspector, SLO
+// monitor and flight recorder on one completion stream — each completion
+// notifies all of them in slice order before the next completion starts.
+func TestTeeOrdering(t *testing.T) {
+	var journal []string
+	a := &captureObserver{name: "a", journal: &journal}
+	b := &captureObserver{name: "b", journal: &journal}
+	c := &captureObserver{name: "c", journal: &journal}
+	l := NewLog(Options{Observers: []Observer{a, b, c}})
+	l.Submitted(0, 0, 0)
+	l.Submitted(1, 1, 0)
+	l.Completed(0, 10)
+	l.Completed(1, 20)
+	if want := []string{"a", "b", "c", "a", "b", "c"}; !reflect.DeepEqual(journal, want) {
+		t.Fatalf("callback order = %v, want %v", journal, want)
 	}
 }
 
@@ -185,55 +266,5 @@ func TestCSVAndJSONLExport(t *testing.T) {
 	}
 	if intervals != 2 || queries != 1 {
 		t.Fatalf("JSONL records: %d intervals, %d queries", intervals, queries)
-	}
-}
-
-// captureAtObserver records QueryDoneAt callbacks (the ObserverAt
-// extension) alongside the base QueryDone stream.
-type captureAtObserver struct {
-	captureObserver
-	ats []sim.Time
-}
-
-func (c *captureAtObserver) QueryDoneAt(id int, at, lat sim.Time) {
-	c.ats = append(c.ats, at)
-}
-
-// TestObserverAtSeesCompletionInstant: an observer implementing the
-// ObserverAt extension gets the simulated completion time in addition to
-// the plain QueryDone callback.
-func TestObserverAtSeesCompletionInstant(t *testing.T) {
-	obs := &captureAtObserver{}
-	l := NewLog(Options{Observer: obs})
-	l.Submitted(0, 7, 100)
-	l.Completed(0, 350)
-	if len(obs.ids) != 1 || obs.ids[0] != 0 {
-		t.Fatalf("QueryDone ids = %v", obs.ids)
-	}
-	if len(obs.ats) != 1 || obs.ats[0] != 350 {
-		t.Fatalf("QueryDoneAt instants = %v, want [350]", obs.ats)
-	}
-}
-
-// TestTeeFansOut: Tee forwards completions to both observers, collapses
-// nil sides, and forwards the ObserverAt extension only to the side that
-// implements it.
-func TestTeeFansOut(t *testing.T) {
-	if Tee(nil, nil) != nil {
-		t.Fatal("Tee(nil, nil) should be nil")
-	}
-	plain := &captureObserver{}
-	if got := Tee(plain, nil); got != Observer(plain) {
-		t.Fatal("Tee(x, nil) should collapse to x")
-	}
-	at := &captureAtObserver{}
-	l := NewLog(Options{Observer: Tee(plain, at)})
-	l.Submitted(3, 1, 10)
-	l.Completed(3, 60)
-	if len(plain.ids) != 1 || len(at.ids) != 1 {
-		t.Fatalf("fan-out missed a side: plain %v at %v", plain.ids, at.ids)
-	}
-	if len(at.ats) != 1 || at.ats[0] != 60 {
-		t.Fatalf("ObserverAt side got %v, want [60]", at.ats)
 	}
 }

@@ -148,9 +148,9 @@ type MultiEngine struct {
 	progressMu sync.Mutex
 	progress   MultiProgress
 
-	// barrier, when set, is invoked by the coordinator after every round's
-	// progress publication and once more when the run drains.
-	barrier BarrierObserver
+	// barriers are invoked by the coordinator, in order, after every
+	// round's progress publication and once more when the run drains.
+	barriers []BarrierObserver
 }
 
 // BarrierObserver receives a coordinator callback at every barrier of a
@@ -171,13 +171,14 @@ type BarrierObserver interface {
 	OnBarrier(m *MultiEngine, mailboxes []int, final bool)
 }
 
-// SetBarrierObserver installs the coordinator's barrier callback (nil
-// removes it). Call before Run.
-func (m *MultiEngine) SetBarrierObserver(o BarrierObserver) {
+// SetBarrierObserver installs the coordinator's barrier callbacks,
+// replacing any installed before; every barrier notifies them in argument
+// order, and a call with no arguments removes them. Call before Run.
+func (m *MultiEngine) SetBarrierObserver(obs ...BarrierObserver) {
 	if m.running {
 		panic("sim: SetBarrierObserver during Run")
 	}
-	m.barrier = o
+	m.barriers = append([]BarrierObserver(nil), obs...)
 }
 
 // mergeEntry pairs a drained cross event with its destination.
@@ -355,8 +356,8 @@ func (m *MultiEngine) Run() {
 		}
 		if tmin == MaxTime {
 			m.publishProgress(depths)
-			if m.barrier != nil {
-				m.barrier.OnBarrier(m, depths, true)
+			for _, o := range m.barriers {
+				o.OnBarrier(m, depths, true)
 			}
 			return
 		}
@@ -367,8 +368,8 @@ func (m *MultiEngine) Run() {
 		m.runRound(bound)
 		m.rounds++
 		m.publishProgress(depths)
-		if m.barrier != nil {
-			m.barrier.OnBarrier(m, depths, false)
+		for _, o := range m.barriers {
+			o.OnBarrier(m, depths, false)
 		}
 	}
 }

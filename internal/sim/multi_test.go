@@ -332,13 +332,19 @@ func TestMultiEngineModelPanicPropagates(t *testing.T) {
 
 // barrierLog records every coordinator callback: the round counter, the
 // frontier, each domain's clock and the final flag — enough to pin the
-// callback protocol.
+// callback protocol. Observers sharing a journal append their name to it
+// on every callback, making notification order observable.
 type barrierLog struct {
+	name    string
+	journal *[]string
 	entries []string
 	finals  int
 }
 
 func (b *barrierLog) OnBarrier(m *MultiEngine, mailboxes []int, final bool) {
+	if b.journal != nil {
+		*b.journal = append(*b.journal, b.name)
+	}
 	e := fmt.Sprintf("r%d f%v now%v", m.Rounds(), final, m.Now())
 	for i := 0; i < m.Domains(); i++ {
 		e += fmt.Sprintf(" d%d@%v/mb%d", i, m.Domain(i).Now(), mailboxes[i])
@@ -349,15 +355,14 @@ func (b *barrierLog) OnBarrier(m *MultiEngine, mailboxes []int, final bool) {
 	}
 }
 
-// TestBarrierObserver: the observer fires after every round plus exactly
-// once at termination, sees quiescent barrier state, never perturbs the
-// round structure, and records an identical sequence on every run.
+// TestBarrierObserver: every observer fires after every round plus
+// exactly once at termination, in argument order, sees quiescent barrier
+// state, never perturbs the round structure, and records an identical
+// sequence on every run.
 func TestBarrierObserver(t *testing.T) {
-	run := func(obs *barrierLog) uint64 {
+	run := func(obs ...BarrierObserver) uint64 {
 		m := NewMultiEngine(2)
-		if obs != nil {
-			m.SetBarrierObserver(obs)
-		}
+		m.SetBarrierObserver(obs...)
 		cr := &chainRelay{rec: &recorder{}, hops: 12}
 		cr.doms = [2]*Engine{m.Domain(0), m.Domain(1)}
 		cr.links[0] = NewCrossLink(m.Domain(0), "bx.01", 1e9, 100)
@@ -384,10 +389,30 @@ func TestBarrierObserver(t *testing.T) {
 	}
 	// Observation must be free: the round count with no observer attached
 	// matches the observed runs bit for bit.
-	if plain := run(nil); plain != r1 {
+	if plain := run(); plain != r1 {
 		t.Fatalf("observer changed round structure: %d vs %d", plain, r1)
 	}
-	// Re-running after new work submits fires a second final callback.
+	// Two observers both see every round and the single final barrier,
+	// notified in argument order.
+	var journal []string
+	a := &barrierLog{name: "a", journal: &journal}
+	b := &barrierLog{name: "b", journal: &journal}
+	if r := run(a, b); r != r1 {
+		t.Fatalf("two observers changed round structure: %d vs %d", r, r1)
+	}
+	if !reflect.DeepEqual(a.entries, obs1.entries) || !reflect.DeepEqual(b.entries, obs1.entries) {
+		t.Fatalf("an observer missed barriers:\n a: %v\n b: %v", a.entries, b.entries)
+	}
+	if a.finals != 1 || b.finals != 1 {
+		t.Fatalf("final callbacks = %d/%d, want 1/1", a.finals, b.finals)
+	}
+	for i := 0; i < len(journal); i += 2 {
+		if journal[i] != "a" || journal[i+1] != "b" {
+			t.Fatalf("barrier %d notified %v, want a then b", i/2, journal[i:i+2])
+		}
+	}
+	// Re-running after new work submits fires a second final callback;
+	// SetBarrierObserver with no arguments detaches every observer.
 	m := NewMultiEngine(1)
 	lg := &barrierLog{}
 	m.SetBarrierObserver(lg)
@@ -397,5 +422,12 @@ func TestBarrierObserver(t *testing.T) {
 	m.Run()
 	if lg.finals != 2 {
 		t.Fatalf("finals after two Runs = %d, want 2", lg.finals)
+	}
+	m.SetBarrierObserver()
+	seen := len(lg.entries)
+	m.Domain(0).At(m.Now()+5, func() {})
+	m.Run()
+	if len(lg.entries) != seen {
+		t.Fatalf("detached observer saw %d more barriers", len(lg.entries)-seen)
 	}
 }
