@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -73,32 +74,18 @@ func writeFlightBundle(dir string, fr *flight.Recorder, cl *cluster.Cluster, nod
 		spans = metrics.WindowSpans(rec.Spans, from, to)
 	}
 	tl.AddCluster(nodes, fr.WindowLog(), counters, spans)
-	tf, err := os.Create(filepath.Join(path, "trace.json"))
-	if err != nil {
-		return "", err
-	}
-	if err := tl.WriteJSON(tf); err != nil {
-		tf.Close()
-		return "", err
-	}
-	if err := tf.Close(); err != nil {
+	if err := writeFile(filepath.Join(path, "trace.json"), tl.WriteJSON); err != nil {
 		return "", err
 	}
 
-	sf, err := os.Create(filepath.Join(path, "stragglers.txt"))
+	err := writeFile(filepath.Join(path, "stragglers.txt"), func(w io.Writer) error {
+		if st := cluster.StragglerTable(recs); st != nil {
+			return st.Render(w)
+		}
+		_, err := fmt.Fprintln(w, "no scattered merges completed in the retained window")
+		return err
+	})
 	if err != nil {
-		return "", err
-	}
-	if st := cluster.StragglerTable(recs); st != nil {
-		err = st.Render(sf)
-	} else {
-		_, err = fmt.Fprintln(sf, "no scattered merges completed in the retained window")
-	}
-	if err != nil {
-		sf.Close()
-		return "", err
-	}
-	if err := sf.Close(); err != nil {
 		return "", err
 	}
 

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -578,19 +579,12 @@ func runCluster(w io.Writer, o clusterOptions) error {
 // resources, cluster links and the synthetic per-domain streams — to path
 // (CSV, or JSONL with merged spans when the path ends in .jsonl).
 func writeClusterMetrics(path string, rec *metrics.MultiRecorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".jsonl") {
-		return metrics.NewJSONLWriter(f).WriteMulti("cluster", rec)
-	}
-	cw := metrics.NewCSVWriter(f)
-	if err := cw.WriteRun("cluster", rec.Sampler); err != nil {
-		return err
-	}
-	return cw.Flush()
+	return writeFile(path, func(w io.Writer) error {
+		if strings.HasSuffix(path, ".jsonl") {
+			return metrics.NewJSONLWriter(w).WriteMulti("cluster", rec)
+		}
+		return metrics.NewCSVWriter(w).WriteRun("cluster", rec.Sampler)
+	})
 }
 
 // writeClusterTrace renders the cluster run as a Chrome trace: one
@@ -607,12 +601,26 @@ func writeClusterTrace(path string, nodes int, cl *cluster.Cluster, rec *metrics
 		spans = rec.Spans
 	}
 	tl.AddCluster(nodes, cl.QLog(), counters, spans)
+	return writeFile(path, tl.WriteJSON)
+}
+
+// writeFile creates path and hands write a buffered writer on it. A
+// failure to write, flush or close the file is returned, so an artifact
+// that did not fully reach the disk is never reported as written.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return tl.WriteJSON(f)
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // runAllOptions are the execution/output knobs of runAll, beyond what to
@@ -739,53 +747,50 @@ func runAll(w io.Writer, ids []string, cfg config.SystemConfig, m workload.Model
 // windows to attribute. Entries are ordered (experiment id order, spec
 // order), so output is identical for any -j.
 func writeMetrics(w io.Writer, path string, obs [][]obsEntry, cobs [][]clusterObsEntry, csv bool) error {
-	f, err := os.Create(path)
+	jsonl := strings.HasSuffix(path, ".jsonl")
+	sampled := 0
+	err := writeFile(path, func(f io.Writer) error {
+		cw := metrics.NewCSVWriter(f)
+		jw := metrics.NewJSONLWriter(f)
+		var err error
+		for i, entries := range obs {
+			for _, e := range entries {
+				label := e.exp + "/" + e.run
+				if jsonl {
+					err = jw.WriteRun(label, e.res.Obs)
+				} else {
+					err = cw.WriteRun(label, e.res.Obs.Sampler)
+				}
+				if err != nil {
+					return err
+				}
+				sampled++
+				atts := metrics.Attribute(e.res.Obs.Sampler, e.res.PhaseWindows())
+				t := report.Bottleneck("Bottleneck attribution — "+label, atts)
+				if err := emit(t, w, csv); err != nil {
+					return err
+				}
+			}
+			if cobs == nil {
+				continue
+			}
+			for _, e := range cobs[i] {
+				label := e.exp + "/" + e.run
+				if jsonl {
+					err = jw.WriteMulti(label, e.rec)
+				} else {
+					err = cw.WriteRun(label, e.rec.Sampler)
+				}
+				if err != nil {
+					return err
+				}
+				sampled++
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
-	}
-	defer f.Close()
-	jsonl := strings.HasSuffix(path, ".jsonl")
-	cw := metrics.NewCSVWriter(f)
-	jw := metrics.NewJSONLWriter(f)
-	sampled := 0
-	for i, entries := range obs {
-		for _, e := range entries {
-			label := e.exp + "/" + e.run
-			if jsonl {
-				err = jw.WriteRun(label, e.res.Obs)
-			} else {
-				err = cw.WriteRun(label, e.res.Obs.Sampler)
-			}
-			if err != nil {
-				return err
-			}
-			sampled++
-			atts := metrics.Attribute(e.res.Obs.Sampler, e.res.PhaseWindows())
-			t := report.Bottleneck("Bottleneck attribution — "+label, atts)
-			if err := emit(t, w, csv); err != nil {
-				return err
-			}
-		}
-		if cobs == nil {
-			continue
-		}
-		for _, e := range cobs[i] {
-			label := e.exp + "/" + e.run
-			if jsonl {
-				err = jw.WriteMulti(label, e.rec)
-			} else {
-				err = cw.WriteRun(label, e.rec.Sampler)
-			}
-			if err != nil {
-				return err
-			}
-			sampled++
-		}
-	}
-	if !jsonl {
-		if err := cw.Flush(); err != nil {
-			return err
-		}
 	}
 	fmt.Fprintf(os.Stderr, "metrics for %d runs written to %s\n", sampled, path)
 	return nil
@@ -808,35 +813,35 @@ func qtraceSummaryPath(path string) string {
 // file when the path ends in .jsonl. Entries are ordered (experiment id
 // order, spec order), so output is identical for any -j.
 func writeQTrace(path string, qobs [][]obsEntry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	traced := 0
+	writeRuns := func(write func(label string, l *qtrace.Log) error) error {
+		for _, entries := range qobs {
+			for _, e := range entries {
+				if err := write(e.exp+"/"+e.run, e.res.QLog); err != nil {
+					return err
+				}
+				traced++
+			}
+		}
+		return nil
 	}
-	defer f.Close()
-	var write func(label string, l *qtrace.Log) error
 	where := path
+	var err error
 	if strings.HasSuffix(path, ".jsonl") {
-		jw := qtrace.NewJSONLWriter(f)
-		write = jw.WriteRun
+		err = writeFile(path, func(w io.Writer) error {
+			return writeRuns(qtrace.NewJSONLWriter(w).WriteRun)
+		})
 	} else {
 		sumPath := qtraceSummaryPath(path)
-		sf, err := os.Create(sumPath)
-		if err != nil {
-			return err
-		}
-		defer sf.Close()
-		cw := qtrace.NewCSVWriter(f, sf)
-		write = cw.WriteRun
 		where += " and " + sumPath
+		err = writeFile(path, func(w io.Writer) error {
+			return writeFile(sumPath, func(sw io.Writer) error {
+				return writeRuns(qtrace.NewCSVWriter(w, sw).WriteRun)
+			})
+		})
 	}
-	traced := 0
-	for _, entries := range qobs {
-		for _, e := range entries {
-			if err := write(e.exp+"/"+e.run, e.res.QLog); err != nil {
-				return err
-			}
-			traced++
-		}
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "per-query traces for %d runs written to %s\n", traced, where)
 	return nil
@@ -857,14 +862,11 @@ func writeBenchOut(path string, ids []string, secs []float64, total float64, job
 	for i, id := range ids {
 		out.Experiments = append(out.Experiments, expTiming{ID: id, Seconds: secs[i]})
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return writeFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(out)
+	})
 }
 
 func run(id string, cfg config.SystemConfig, m workload.Model, opts ...experiments.Option) ([]*report.Table, error) {
@@ -1034,12 +1036,7 @@ func writeTrace(path string, mo *metrics.Options, metricsPath string) error {
 			}
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := tl.WriteJSON(f); err != nil {
+	if err := writeFile(path, tl.WriteJSON); err != nil {
 		return err
 	}
 	if addErr != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/csv"
 	"encoding/json"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -217,6 +218,22 @@ func TestWriteQTraceJSONL(t *testing.T) {
 func TestRunUnknownID(t *testing.T) {
 	if _, err := run("nonsense", config.Default(), workload.DefaultModel()); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestWriteFileReportsFlushError: bytes that fail only when the buffer
+// reaches the device still fail writeFile, instead of the artifact being
+// reported as written.
+func TestWriteFileReportsFlushError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	err := writeFile("/dev/full", func(w io.Writer) error {
+		_, err := io.WriteString(w, "artifact")
+		return err
+	})
+	if err == nil {
+		t.Fatal("writing to a full device reported success")
 	}
 }
 

@@ -1,0 +1,173 @@
+package metrics
+
+import (
+	"bytes"
+	"encoding/csv"
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// sprintfCSV is the reference rendering CSVWriter must reproduce: the
+// row builder it used before formatting with strconv, one fmt.Sprintf
+// per numeric field, header once, runs in order.
+func sprintfCSV(t *testing.T, runs []string, srcs []Source) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	if err := cw.Write(csvHeader); err != nil {
+		t.Fatal(err)
+	}
+	for r, s := range srcs {
+		series := s.Series()
+		for i := 0; i < s.Samples(); i++ {
+			tm := s.Time(i)
+			for _, se := range series {
+				j := i - se.Start()
+				if j < 0 || j >= se.Len() {
+					continue
+				}
+				p := se.At(j)
+				err := cw.Write([]string{
+					runs[r],
+					fmt.Sprintf("%d", i),
+					fmt.Sprintf("%.3f", tm.Microseconds()),
+					se.Name,
+					string(se.Kind),
+					fmt.Sprintf("%d", p.Occupancy),
+					fmt.Sprintf("%d", p.Ops),
+					fmt.Sprintf("%d", p.Bytes),
+					fmt.Sprintf("%.3f", p.Busy.Microseconds()),
+					fmt.Sprintf("%.3f", p.Wait.Microseconds()),
+					fmt.Sprintf("%d", p.Stalls),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// lateSampler records a timer-driven run in which "z.late" registers
+// after sample 0.
+func lateSampler(t *testing.T) *Sampler {
+	t.Helper()
+	eng := sim.NewEngine()
+	link := sim.NewLink(eng, "a.early", 1e9, 0)
+	eng.ScheduleCall(0, &tickLoad{link: link, period: 20 * sim.Microsecond, left: 10}, 0)
+	eng.At(95*sim.Microsecond, func() {
+		sim.NewLink(eng, "z.late", 1e9, 0).Transfer(4096)
+	})
+	rec := Attach(eng, Options{Interval: 10 * sim.Microsecond})
+	eng.Run()
+	rec.Finish()
+	return rec.Sampler
+}
+
+// lateMultiSampler records a barrier-driven ping-pong run in which
+// "z.late" registers in domain 0 after sample 0.
+func lateMultiSampler(t *testing.T) *MultiSampler {
+	t.Helper()
+	m := buildPingPong(200)
+	d := m.Domain(0)
+	d.At(95*sim.Microsecond, func() {
+		sim.NewLink(d, "z.late", 1e9, 0).Transfer(4096)
+	})
+	rec := AttachMulti(m, Options{Interval: 10 * sim.Microsecond})
+	m.Run()
+	return rec.Sampler
+}
+
+// extremeSource is a two-sample source whose points sit at the limits of
+// every column type, including a series that starts at sample 1.
+type extremeSource struct{ series []*Series }
+
+func (e extremeSource) Samples() int { return 2 }
+
+func (e extremeSource) Time(i int) sim.Time {
+	return []sim.Time{0, math.MaxInt64}[i]
+}
+
+func (e extremeSource) Series() []*Series { return e.series }
+
+func newExtremeSource() extremeSource {
+	a := &Series{Name: "a,quoted \"name\"", Kind: sim.KindPort}
+	b := &Series{Name: "b", Kind: sim.KindDomain, start: 1}
+	for _, v := range []int64{0, -1} {
+		a.occupancy.append(v)
+		a.ops.append(v)
+		a.bytes.append(v)
+		a.busy.append(v)
+		a.wait.append(math.MinInt64 - v)
+		a.stalls.append(v)
+	}
+	for _, c := range []*column{&b.occupancy, &b.ops, &b.bytes, &b.busy, &b.wait, &b.stalls} {
+		c.append(math.MaxInt64)
+	}
+	return extremeSource{series: []*Series{a, b}}
+}
+
+// TestCSVWriterMatchesSprintf: WriteRun is byte-identical to the
+// fmt.Sprintf rendering on a timer-driven Sampler, a barrier-driven
+// MultiSampler and hand-built extreme values, with series registering
+// after sample 0 so the skip branch runs, across several runs sharing one
+// header.
+func TestCSVWriterMatchesSprintf(t *testing.T) {
+	s, ms := lateSampler(t), lateMultiSampler(t)
+	for _, src := range []Source{s, ms} {
+		late := src.Series()[len(src.Series())-1]
+		if late.Name != "z.late" || late.Start() == 0 {
+			t.Fatalf("late series %q starts at %d, want z.late after sample 0", late.Name, late.Start())
+		}
+	}
+	runs := []string{"sampler", "multi", "extreme"}
+	srcs := []Source{s, ms, newExtremeSource()}
+	var got bytes.Buffer
+	cw := NewCSVWriter(&got)
+	for i, src := range srcs {
+		if err := cw.WriteRun(runs[i], src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := sprintfCSV(t, runs, srcs); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("CSV diverges from the fmt.Sprintf rendering:\n got %d bytes\nwant %d bytes\n%s",
+			got.Len(), len(want), firstDiff(got.Bytes(), want))
+	}
+}
+
+// firstDiff describes where two byte slices first differ.
+func firstDiff(got, want []byte) string {
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	lo := max(i-40, 0)
+	return fmt.Sprintf("at byte %d:\n got …%q\nwant …%q", i,
+		got[lo:min(i+40, len(got))], want[lo:min(i+40, len(want))])
+}
+
+// BenchmarkCSVWriteRun measures CSVWriter.WriteRun over a recorded
+// barrier-sampled run.
+func BenchmarkCSVWriteRun(b *testing.B) {
+	m := buildPingPong(4000)
+	rec := AttachMulti(m, Options{Interval: sim.Microsecond})
+	m.Run()
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := NewCSVWriter(&buf).WriteRun("bench", rec.Sampler); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+}

@@ -14,16 +14,15 @@ import (
 	"repro/internal/workload"
 )
 
-// runClusterTrace runs a small observed cluster and returns the rendered
-// trace JSON.
-func runClusterTrace(t *testing.T) []byte {
-	t.Helper()
-	cfg := config.DefaultCluster()
+// recordCluster runs a small observed cluster: query timelines, barrier
+// samples every 100 µs and per-node GAM spans.
+func recordCluster(tb testing.TB) (*cluster.Cluster, *metrics.MultiRecorder) {
+	tb.Helper()
 	m := workload.DefaultModel()
 	m.DatasetSize /= 100
-	c, err := cluster.New(cfg, m, qtrace.Options{})
+	c, err := cluster.New(config.DefaultCluster(), m, qtrace.Options{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	rec := metrics.AttachMulti(c.Multi(), metrics.Options{Interval: sim.FromSeconds(1e-4)})
 	rec.Spans = c.AttachSpans()
@@ -31,10 +30,18 @@ func runClusterTrace(t *testing.T) []byte {
 		c.SubmitAt(sim.Time(i) * sim.FromSeconds(5e-4))
 	}
 	if err := c.Run(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return c, rec
+}
+
+// runClusterTrace runs a small observed cluster and returns the rendered
+// trace JSON.
+func runClusterTrace(t *testing.T) []byte {
+	t.Helper()
+	c, rec := recordCluster(t)
 	tl := NewTimeline()
-	tl.AddCluster(cfg.Nodes, c.QLog(), rec.Sampler, rec.Spans)
+	tl.AddCluster(config.DefaultCluster().Nodes, c.QLog(), rec.Sampler, rec.Spans)
 	var buf bytes.Buffer
 	if err := tl.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -163,4 +170,32 @@ func TestAddClusterDeterministic(t *testing.T) {
 	if !bytes.Equal(runClusterTrace(t), runClusterTrace(t)) {
 		t.Fatal("trace JSON diverges between identical runs")
 	}
+}
+
+// BenchmarkTimelineWriteJSON measures the exporter alone: AddCluster plus
+// WriteJSON of one recorded cluster run.
+func BenchmarkTimelineWriteJSON(b *testing.B) {
+	c, rec := recordCluster(b)
+	nodes := config.DefaultCluster().Nodes
+	var n int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tl := NewTimeline()
+		tl.AddCluster(nodes, c.QLog(), rec.Sampler, rec.Spans)
+		cw := &countWriter{}
+		if err := tl.WriteJSON(cw); err != nil {
+			b.Fatal(err)
+		}
+		n = cw.n
+	}
+	b.SetBytes(n)
+}
+
+// countWriter discards what it is given and counts the bytes.
+type countWriter struct{ n int64 }
+
+func (w *countWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
 }

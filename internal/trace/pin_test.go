@@ -1,0 +1,69 @@
+package trace
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/metrics"
+	"repro/internal/qtrace"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// The pins below were recorded with the encoding/json renderer the
+// streaming encoder replaced. Both runs are pure functions of the
+// simulation, so any drift in field order, escaping, number formatting or
+// event order changes the digest.
+
+func checkPin(t *testing.T, raw []byte, wantLen int, wantSHA string) {
+	t.Helper()
+	sum := sha256.Sum256(raw)
+	if got := hex.EncodeToString(sum[:]); len(raw) != wantLen || got != wantSHA {
+		t.Fatalf("trace = %d bytes, sha256 %s; want %d bytes, sha256 %s",
+			len(raw), got, wantLen, wantSHA)
+	}
+}
+
+// TestClusterTracePinned pins the observed cluster run's trace: process
+// groups, async query pairs, routed intervals, per-node counters and
+// spans.
+func TestClusterTracePinned(t *testing.T) {
+	checkPin(t, runClusterTrace(t), 2410926,
+		"3631b0f493774e4e869141430aee1223e1d7d378ba777e65a673724e797b03a9")
+}
+
+// pipelineTrace renders a sampled, query-traced single-system pipeline
+// run through every single-system Add* method.
+func pipelineTrace(t *testing.T) []byte {
+	t.Helper()
+	spec := experiments.PipelineSpec("p", workload.DefaultModel(), experiments.ReACHMapping(), 4, 2)
+	spec.Metrics = &metrics.Options{Interval: sim.Millisecond, Spans: true}
+	spec.QTrace = &qtrace.Options{}
+	run, err := spec.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := NewTimeline()
+	if err := tl.AddJobs(run.Jobs); err != nil {
+		t.Fatal(err)
+	}
+	tl.AddResources(run.Sys.Engine().Stats(), run.Sys.Engine().Now())
+	tl.AddQueries(run.QLog)
+	tl.AddCounters(run.Obs.Sampler)
+	tl.AddSpans(run.Obs.Spans)
+	var buf bytes.Buffer
+	if err := tl.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPipelineTracePinned pins the single-system trace: job and detection
+// slices, resource counters, query lanes, counter lanes and GAM spans.
+func TestPipelineTracePinned(t *testing.T) {
+	checkPin(t, pipelineTrace(t), 1858281,
+		"8df7e577d0ca65558e7e18eacaa0c3219d5e1093ed8d67745c72205ad1af7887")
+}
