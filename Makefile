@@ -65,7 +65,8 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/
 
 bench-smoke:
-	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./internal/sim/ ./internal/cbir/ ./internal/trace/ ./internal/metrics/
+	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./internal/sim/ ./internal/cbir/ ./internal/trace/ ./internal/metrics/ \
+		./internal/cluster/
 	$(GO) test -bench BenchmarkFullEvaluation -benchtime 1x -run '^$$' .
 
 # End-to-end observability smoke: a sampled experiment sweep (CSV dump +

@@ -9,7 +9,6 @@ package accel
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/energy"
 	"repro/internal/mem"
@@ -57,10 +56,10 @@ type Platform struct {
 	Meter *energy.Meter
 
 	// NoC is the on-chip crossbar (CPU, LLC, GAM, on-chip accelerators).
+	// The LLC itself is modelled in bulk: its capacity (Cfg.CPU.SharedL2)
+	// bounds GAM's forced writebacks and its traffic is charged as cache
+	// energy, with no per-line state.
 	NoC *noc.Crossbar
-	// LLC is the shared cache model (hit/miss bookkeeping for the on-chip
-	// paths and GAM's forced writebacks).
-	LLC *cache.Cache
 	// HostMem is the aggregate host-DRAM bandwidth (the channels backing
 	// the CPU/on-chip DIMMs, cacheline-interleaved).
 	HostMem *mem.Port
@@ -96,12 +95,6 @@ func NewPlatform(eng *sim.Engine, cfg config.SystemConfig, meter *energy.Meter) 
 	p.NoC.MustAddPort("cpu", cfg.OnChip.NoCGBps*config.GBps)
 	p.NoC.MustAddPort("llc", cfg.OnChip.NoCGBps*config.GBps)
 	p.NoC.MustAddPort("gam", cfg.OnChip.NoCGBps*config.GBps)
-
-	llc, err := cache.New("llc", cfg.CPU.SharedL2, cfg.CPU.L2Assoc, int64(cfg.CPU.L2LineBytes))
-	if err != nil {
-		return nil, err
-	}
-	p.LLC = llc
 
 	// Host DRAM: the host-side DIMMs sit behind the memory controllers'
 	// channels; pairs of DIMMs share a channel, so aggregate bandwidth is

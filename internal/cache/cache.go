@@ -3,6 +3,10 @@
 // per-access accounting for the energy model, and the forced-writeback
 // operation GAM issues before launching near-memory kernels whose inputs
 // may be cached (paper §III-B step 2b).
+//
+// No simulated node instantiates it: accel.Platform models the LLC in bulk
+// from its configured capacity, and this request-level model is kept as
+// the reference that bulk model can be checked against.
 package cache
 
 import (

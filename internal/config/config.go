@@ -255,6 +255,16 @@ func (c *SystemConfig) Validate() error {
 			return fmt.Errorf("config: %s", chk.msg)
 		}
 	}
+	// The LLC must have a set-associative geometry (internal/cache's
+	// conditions), even though the node models it in bulk.
+	lines := c.CPU.SharedL2 / int64(c.CPU.L2LineBytes)
+	if lines == 0 || lines%int64(c.CPU.L2Assoc) != 0 {
+		return fmt.Errorf("config: cpu.shared_l2_bytes %d does not divide into whole %d-way sets of %d-byte lines",
+			c.CPU.SharedL2, c.CPU.L2Assoc, c.CPU.L2LineBytes)
+	}
+	if sets := lines / int64(c.CPU.L2Assoc); sets&(sets-1) != 0 {
+		return fmt.Errorf("config: cpu.shared_l2_bytes %d gives %d sets, not a power of two", c.CPU.SharedL2, sets)
+	}
 	return nil
 }
 

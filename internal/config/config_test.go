@@ -53,6 +53,9 @@ func TestValidateCatchesBadValues(t *testing.T) {
 	}{
 		{"zero freq", func(c *SystemConfig) { c.CPU.FreqMHz = 0 }, "freq_mhz"},
 		{"bad line", func(c *SystemConfig) { c.CPU.L2LineBytes = 48 }, "power of two"},
+		{"l2 not whole sets", func(c *SystemConfig) { c.CPU.L2Assoc = 24 }, "whole 24-way sets"},
+		{"l2 under one line", func(c *SystemConfig) { c.CPU.SharedL2 = 32 }, "whole 16-way sets"},
+		{"l2 sets not pow2", func(c *SystemConfig) { c.CPU.SharedL2 = 3 * MiB }, "3072 sets, not a power of two"},
 		{"no MCs", func(c *SystemConfig) { c.Memory.Controllers = 0 }, "controllers"},
 		{"bad efficiency", func(c *SystemConfig) { c.Memory.StreamEfficieny = 1.5 }, "stream_efficiency"},
 		{"pcie exceeds raw", func(c *SystemConfig) { c.Storage.HostPCIeGBps = 99 }, "raw link"},

@@ -201,6 +201,66 @@ func TestCrossJobPipeliningImprovesThroughput(t *testing.T) {
 	}
 }
 
+// TestGAMReleasesFinishedJobs: the GAM keeps no finished job graph
+// reachable. With cross-job pipelining on it keeps no job list at all;
+// with it off, the gate still runs jobs strictly in submission order while
+// its list holds only the jobs that have not finished.
+func TestGAMReleasesFinishedJobs(t *testing.T) {
+	const jobs = 4
+	for _, pipelined := range []bool{true, false} {
+		cfg := config.Default()
+		cfg.GAM.CrossJobPipelining = pipelined
+		s := newSystem(t, cfg)
+		g := s.GAM()
+		var submitted, finished []*Job
+		for i := 0; i < jobs; i++ {
+			j := pipelineJob(t, s, i)
+			j.OnDone(func(j *Job) {
+				finished = append(finished, j)
+				if pipelined {
+					return
+				}
+				// The finishing job is the gate's head until the next
+				// dispatch pass drops it; everything behind it is open.
+				if len(g.jobs) == 0 || g.jobs[0] != j {
+					t.Errorf("job %d finished but is not the head of the gate list", j.ID)
+				}
+				for _, open := range g.jobs[1:] {
+					if open.Done() {
+						t.Errorf("gate list keeps finished job %d", open.ID)
+					}
+				}
+			})
+			if err := g.Submit(j); err != nil {
+				t.Fatal(err)
+			}
+			submitted = append(submitted, j)
+		}
+		s.Run()
+		if len(finished) != jobs {
+			t.Fatalf("pipelined=%v: %d of %d jobs finished", pipelined, len(finished), jobs)
+		}
+		if len(g.jobs) != 0 {
+			t.Errorf("pipelined=%v: GAM still holds %d jobs after the run", pipelined, len(g.jobs))
+		}
+		if pipelined {
+			continue
+		}
+		for i, j := range finished {
+			if j != submitted[i] {
+				t.Fatalf("gate finished job %d at position %d", j.ID, i)
+			}
+			if i == 0 {
+				continue
+			}
+			if first, _ := j.FirstDispatch(); first < submitted[i-1].FinishedAt {
+				t.Errorf("job %d dispatched at %v, before job %d finished at %v",
+					j.ID, first, submitted[i-1].ID, submitted[i-1].FinishedAt)
+			}
+		}
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	s := newSystem(t, config.Default().WithInstances(1, 0, 0))
 	empty := NewJob(1)

@@ -18,9 +18,18 @@ import (
 type GAM struct {
 	sys *System
 
-	readyQ  map[accel.Level][]*TaskNode
-	claimed map[accel.Accelerator]*TaskNode
-	jobs    []*Job
+	readyQ map[accel.Level][]*TaskNode
+
+	// claimed[l][i] is the node running on Accelerators(l)[i], nil while
+	// that instance is unclaimed; nClaimed counts the non-nil slots.
+	claimed  [accel.CPU][]*TaskNode
+	nClaimed int
+
+	// jobs holds, in submission order, the jobs the gate has not yet seen
+	// finish. Only the gate reads it, so it is kept only when cross-job
+	// pipelining is off; the gate drops the finished prefix as it walks,
+	// so no finished job graph stays reachable from the GAM.
+	jobs []*Job
 
 	// streamBufs holds one registered stream buffer (the shared-layer
 	// TokenQueue) per src→dst level pair, created on first use. Every
@@ -130,7 +139,7 @@ func (n *TaskNode) Fire(_ *sim.Engine, arg uint64) {
 	case nodeExec:
 		g.execute(n)
 	case nodeFinish:
-		g.finish(n, n.acc)
+		g.finish(n)
 	case nodePoll:
 		g.poll(n)
 	case nodeDeliver:
@@ -181,8 +190,10 @@ func newGAM(s *System) *GAM {
 	g := &GAM{
 		sys:        s,
 		readyQ:     make(map[accel.Level][]*TaskNode),
-		claimed:    make(map[accel.Accelerator]*TaskNode),
 		streamBufs: make(map[[2]accel.Level]*sim.TokenQueue),
+	}
+	for l := range g.claimed {
+		g.claimed[l] = make([]*TaskNode, s.InstanceCount(accel.Level(l)))
 	}
 	g.deliverCB = func(v any) { g.deliver(v.(*TaskNode)) }
 	g.closeCB = func(v any) { g.closeNode(v.(*TaskNode)) }
@@ -195,13 +206,17 @@ func (g *GAM) Stats() GAMStats { return g.stats }
 // Progress returns the current progress table, sorted by instance name.
 func (g *GAM) Progress() []ProgressEntry {
 	var out []ProgressEntry
-	for acc, n := range g.claimed {
-		out = append(out, ProgressEntry{
-			Instance: acc.Name(),
-			Task:     n.Spec.Name,
-			Job:      n.job.ID,
-			State:    n.state,
-		})
+	for _, slots := range g.claimed {
+		for _, n := range slots {
+			if n != nil {
+				out = append(out, ProgressEntry{
+					Instance: n.Instance,
+					Task:     n.Spec.Name,
+					Job:      n.job.ID,
+					State:    n.state,
+				})
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Instance < out[j].Instance })
 	return out
@@ -233,7 +248,9 @@ func (g *GAM) Submit(j *Job) error {
 	if g.qlog != nil {
 		g.qlog.Submitted(j.QueryID, j.ID, j.SubmittedAt)
 	}
-	g.jobs = append(g.jobs, j)
+	if !g.sys.cfg.GAM.CrossJobPipelining {
+		g.jobs = append(g.jobs, j)
+	}
 	g.stats.JobsSubmitted++
 	for _, n := range j.Nodes {
 		n.gam = g
@@ -263,14 +280,17 @@ func (g *GAM) armDispatch() {
 }
 
 // oldestOpenJob returns the first unfinished job (the gate used when
-// cross-job pipelining is disabled).
+// cross-job pipelining is disabled), releasing the finished jobs ahead of
+// it.
 func (g *GAM) oldestOpenJob() *Job {
-	for _, j := range g.jobs {
-		if !j.done {
-			return j
-		}
+	for len(g.jobs) > 0 && g.jobs[0].done {
+		g.jobs[0] = nil
+		g.jobs = g.jobs[1:]
 	}
-	return nil
+	if len(g.jobs) == 0 {
+		return nil
+	}
+	return g.jobs[0]
 }
 
 // dispatchAll drains every level's ready queue onto idle devices.
@@ -312,15 +332,15 @@ func (g *GAM) dispatchAll() {
 				rest = append(rest, n)
 				continue
 			}
-			acc := g.pickIdle(level, n.Pin)
-			if acc == nil {
+			slot := g.pickIdle(level, n.Pin)
+			if slot < 0 {
 				if g.tracing() {
 					n.blockCause = metrics.CauseNoIdleInstance
 				}
 				rest = append(rest, n)
 				continue
 			}
-			g.dispatch(n, acc)
+			g.dispatch(n, slot)
 		}
 		g.readyQ[level] = rest
 	}
@@ -349,27 +369,33 @@ func readyBefore(a, b *TaskNode) bool {
 	return a.job.ID < b.job.ID
 }
 
-// pickIdle finds an unclaimed, idle instance at the level (honouring pins).
-func (g *GAM) pickIdle(l accel.Level, pin int) accel.Accelerator {
+// pickIdle finds an unclaimed, idle instance at the level (honouring pins)
+// and returns its index in Accelerators(l), or -1 when there is none.
+func (g *GAM) pickIdle(l accel.Level, pin int) int {
 	accs := g.sys.Accelerators(l)
+	claimed := g.claimed[l]
+	now := g.sys.eng.Now()
 	if pin >= 0 {
-		a := accs[pin]
-		if _, busy := g.claimed[a]; !busy && a.BusyUntil() <= g.sys.eng.Now() {
-			return a
+		if claimed[pin] == nil && accs[pin].BusyUntil() <= now {
+			return pin
 		}
-		return nil
+		return -1
 	}
-	for _, a := range accs {
-		if _, busy := g.claimed[a]; !busy && a.BusyUntil() <= g.sys.eng.Now() {
-			return a
+	for i, a := range accs {
+		if claimed[i] == nil && a.BusyUntil() <= now {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-// dispatch sends one ACC command packet and arranges completion detection.
-func (g *GAM) dispatch(n *TaskNode, a accel.Accelerator) {
-	g.claimed[a] = n
+// dispatch claims instance slot of the node's level, sends one ACC command
+// packet and arranges completion detection.
+func (g *GAM) dispatch(n *TaskNode, slot int) {
+	a := g.sys.Accelerators(n.Level)[slot]
+	g.claimed[n.Level][slot] = n
+	g.nClaimed++
+	n.slot = slot
 	n.state = NodeRunning
 	n.Instance = a.Name()
 	n.DispatchedAt = g.sys.eng.Now()
@@ -387,7 +413,7 @@ func (g *GAM) dispatch(n *TaskNode, a accel.Accelerator) {
 			g.spans.Add(metrics.Span{
 				Cat: metrics.CatDispatch, Name: n.Spec.Name, Lane: a.Name(),
 				Cause: cause, Start: n.ReadyAt, End: n.DispatchedAt,
-				Job: n.job.ID, V: int64(len(g.claimed)),
+				Job: n.job.ID, V: int64(g.nClaimed),
 			})
 		}
 		g.qtraceAdd(n.job, qtrace.PhaseQueue, n.Spec.Stage, n.Level.String(),
@@ -480,10 +506,12 @@ func (g *GAM) poll(n *TaskNode) {
 // finish runs when the GAM observes a task's completion: it frees the
 // device, forwards outputs to dependents via inter-level DMA, and closes
 // the job when its last node completes.
-func (g *GAM) finish(n *TaskNode, a accel.Accelerator) {
+func (g *GAM) finish(n *TaskNode) {
+	a := n.acc
 	n.state = NodeDone
 	n.DetectedAt = g.sys.eng.Now()
-	delete(g.claimed, a)
+	g.claimed[n.Level][n.slot] = nil
+	g.nClaimed--
 	if g.tracing() && n.Polls > 0 && n.DetectedAt > n.CompletedAt {
 		// Poll-detection gap: the window between device completion and the
 		// GAM noticing it through status polling (non-coherent levels).

@@ -59,16 +59,19 @@ type TaskNode struct {
 	SinkToHost bool
 
 	job        *Job
+	idx        int // position in job.Nodes
 	deps       int
 	dependents []*TaskNode
 	state      NodeState
 
 	// Event-dispatch state, filled in by the GAM so the node can serve as
 	// its own preallocated sim.Handler (no per-event closures): the owning
-	// GAM, the device the node was dispatched to, and the wait estimate the
-	// device returned at dispatch time.
+	// GAM, the device the node was dispatched to and its index among the
+	// level's instances, and the wait estimate the device returned at
+	// dispatch time.
 	gam      *GAM
 	acc      accel.Accelerator
+	slot     int
 	estimate sim.Time
 
 	// blockCause remembers why the latest dispatch pass skipped this ready
@@ -120,13 +123,15 @@ func NewJob(id int) *Job {
 }
 
 // AddTask appends a node with dependencies on the given prior nodes (all
-// must belong to this job).
+// must belong to this job). Dependencies can only name nodes already added,
+// so insertion order is a topological order of the job's graph.
 func (j *Job) AddTask(spec accel.Task, level accel.Level, deps ...*TaskNode) *TaskNode {
 	n := &TaskNode{
 		Spec:  spec,
 		Level: level,
 		Pin:   -1,
 		job:   j,
+		idx:   len(j.Nodes),
 	}
 	for _, d := range deps {
 		if d == nil {
@@ -224,39 +229,27 @@ func (j *Job) CriticalPath() (queue, exec, xfer sim.Time) {
 // OnDone registers a completion callback (fired at finish time).
 func (j *Job) OnDone(fn func(*Job)) { j.onDone = fn }
 
-// Validate checks the job is non-empty and acyclic (DAG check via Kahn's
-// algorithm over the declared dependencies).
+// Validate checks the job is non-empty, its task specs are valid and its
+// graph is acyclic. AddTask numbers nodes in insertion order, which is
+// topological, so the graph is acyclic exactly when every node sits at its
+// own index and every dependency edge points forward. The check allocates
+// nothing.
 func (j *Job) Validate() error {
 	if len(j.Nodes) == 0 {
 		return fmt.Errorf("core: job %d has no tasks", j.ID)
 	}
-	indeg := make(map[*TaskNode]int, len(j.Nodes))
-	for _, n := range j.Nodes {
+	for i, n := range j.Nodes {
 		if err := n.Spec.Validate(); err != nil {
 			return fmt.Errorf("core: job %d: %w", j.ID, err)
 		}
-		indeg[n] = n.deps
-	}
-	var queue []*TaskNode
-	for _, n := range j.Nodes {
-		if indeg[n] == 0 {
-			queue = append(queue, n)
+		if n.job != j || n.idx != i {
+			return fmt.Errorf("core: job %d task %q was not added by AddTask", j.ID, n.Spec.Name)
 		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		seen++
 		for _, d := range n.dependents {
-			indeg[d]--
-			if indeg[d] == 0 {
-				queue = append(queue, d)
+			if d.idx <= i || d.idx >= len(j.Nodes) || j.Nodes[d.idx] != d {
+				return fmt.Errorf("core: job %d dependency graph has a cycle", j.ID)
 			}
 		}
-	}
-	if seen != len(j.Nodes) {
-		return fmt.Errorf("core: job %d dependency graph has a cycle", j.ID)
 	}
 	return nil
 }

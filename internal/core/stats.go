@@ -18,7 +18,7 @@ type StatEntry struct {
 
 // Snapshot harvests the observable state of every simulated component —
 // the gem5-style statistics dump of a run: link traffic and utilisation,
-// queueing delays, cache behaviour, storage traffic split by interface,
+// queueing delays, storage traffic split by interface,
 // fabric busy time, and the GAM's control-plane counters.
 func (s *System) Snapshot() []StatEntry {
 	var out []StatEntry
@@ -86,13 +86,6 @@ func (s *System) Snapshot() []StatEntry {
 			add(name+".max_occ", "%d", st.MaxOccupancy)
 		}
 	})
-
-	// LLC.
-	cs := p.LLC.Stats()
-	add("llc.reads", "%d", cs.Reads)
-	add("llc.writes", "%d", cs.Writes)
-	add("llc.hit_rate", "%.3f", p.LLC.HitRate())
-	add("llc.writebacks", "%d", cs.WriteBacks)
 
 	// Storage device counters (per-interface traffic split; the host PCIe
 	// link itself is covered by the registry walk above as

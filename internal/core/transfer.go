@@ -104,10 +104,11 @@ func (s *System) Transfer(src, dst accel.Level, dstIdx int, bytes int64, stage s
 
 // forceWriteback models GAM flushing cached copies of a stream region
 // before a lower level may consume it: the dirty fraction of the region
-// that can live in the LLC is written back to DRAM.
+// that can live in the LLC (its whole lines) is written back to DRAM.
 func (s *System) forceWriteback(bytes int64, stage string) sim.Time {
 	resident := bytes
-	if cap := s.plat.LLC.CapacityBytes(); resident > cap {
+	line := int64(s.cfg.CPU.L2LineBytes)
+	if cap := s.cfg.CPU.SharedL2 / line * line; resident > cap {
 		resident = cap
 	}
 	if resident <= 0 {

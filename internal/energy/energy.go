@@ -128,22 +128,53 @@ func DefaultCosts() Costs {
 	}
 }
 
-type cellKey struct {
-	c     Component
-	stage string
-	kind  Kind
+// Meter accumulates energy, attributed to (component, pipeline stage,
+// compute-vs-movement). Each stage label seen is interned once, in
+// first-charge order, with a fixed array of cells indexed by component and
+// kind: a charge finds its stage by a scan of a short slice (a run has
+// fewer than ten stages) instead of hashing a key, and every query sums
+// the cells in one fixed order, so its result is bit-reproducible.
+type Meter struct {
+	costs  Costs
+	stages []stageCells
 }
 
-// Meter accumulates energy, attributed to (component, pipeline stage,
-// compute-vs-movement).
-type Meter struct {
-	costs Costs
-	cells map[cellKey]float64
+// stageCells is one stage's joules, indexed by component and kind.
+type stageCells struct {
+	stage string
+	j     [numComponents][2]float64
 }
 
 // NewMeter creates a meter with the given constants.
 func NewMeter(costs Costs) *Meter {
-	return &Meter{costs: costs, cells: make(map[cellKey]float64)}
+	return &Meter{costs: costs}
+}
+
+// cells returns the stage's cell array, interning the stage on first use.
+func (m *Meter) cells(stage string) *[numComponents][2]float64 {
+	for i := range m.stages {
+		if m.stages[i].stage == stage {
+			return &m.stages[i].j
+		}
+	}
+	m.stages = append(m.stages, stageCells{stage: stage})
+	return &m.stages[len(m.stages)-1].j
+}
+
+// sum adds the cells accepted by keep, in stage, component, kind order.
+func (m *Meter) sum(keep func(stage string, c Component, k Kind) bool) float64 {
+	var sum float64
+	for i := range m.stages {
+		sc := &m.stages[i]
+		for c := range sc.j {
+			for k, v := range sc.j[c] {
+				if keep(sc.stage, Component(c), Kind(k)) {
+					sum += v
+				}
+			}
+		}
+	}
+	return sum
 }
 
 // Costs reports the meter's constants.
@@ -154,7 +185,7 @@ func (m *Meter) Add(c Component, stage string, kind Kind, joules float64) {
 	if joules < 0 {
 		panic(fmt.Sprintf("energy: negative energy %v for %v/%s", joules, c, stage))
 	}
-	m.cells[cellKey{c, stage, kind}] += joules
+	m.cells(stage)[c][kind] += joules
 }
 
 // AddActive records P×t compute energy for an accelerator.
@@ -205,67 +236,33 @@ func (m *Meter) AddBackground(stage string, dimms, ssds int, d sim.Time) {
 
 // Total reports total joules.
 func (m *Meter) Total() float64 {
-	var sum float64
-	for _, v := range m.cells {
-		sum += v
-	}
-	return sum
+	return m.sum(func(string, Component, Kind) bool { return true })
 }
 
 // Component reports total joules for one component.
 func (m *Meter) Component(c Component) float64 {
-	var sum float64
-	for k, v := range m.cells {
-		if k.c == c {
-			sum += v
-		}
-	}
-	return sum
+	return m.sum(func(_ string, cc Component, _ Kind) bool { return cc == c })
 }
 
 // Stage reports total joules for one pipeline stage.
 func (m *Meter) Stage(stage string) float64 {
-	var sum float64
-	for k, v := range m.cells {
-		if k.stage == stage {
-			sum += v
-		}
-	}
-	return sum
+	return m.sum(func(s string, _ Component, _ Kind) bool { return s == stage })
 }
 
 // StageKind reports joules for (stage, kind) — the Figure 8 right chart.
 func (m *Meter) StageKind(stage string, kind Kind) float64 {
-	var sum float64
-	for k, v := range m.cells {
-		if k.stage == stage && k.kind == kind {
-			sum += v
-		}
-	}
-	return sum
+	return m.sum(func(s string, _ Component, k Kind) bool { return s == stage && k == kind })
 }
 
 // ComponentStage reports joules for (component, stage) — the Figure 8 left
 // chart's stacking.
 func (m *Meter) ComponentStage(c Component, stage string) float64 {
-	var sum float64
-	for k, v := range m.cells {
-		if k.c == c && k.stage == stage {
-			sum += v
-		}
-	}
-	return sum
+	return m.sum(func(s string, cc Component, _ Kind) bool { return cc == c && s == stage })
 }
 
 // Kind reports total joules of one kind.
 func (m *Meter) Kind(kind Kind) float64 {
-	var sum float64
-	for k, v := range m.cells {
-		if k.kind == kind {
-			sum += v
-		}
-	}
-	return sum
+	return m.sum(func(_ string, _ Component, k Kind) bool { return k == kind })
 }
 
 // MovementShare reports movement / total, the paper's headline "79 % of the
@@ -280,13 +277,9 @@ func (m *Meter) MovementShare() float64 {
 
 // Stages lists the stage labels seen so far, sorted.
 func (m *Meter) Stages() []string {
-	set := map[string]bool{}
-	for k := range m.cells {
-		set[k.stage] = true
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
+	out := make([]string, len(m.stages))
+	for i := range m.stages {
+		out[i] = m.stages[i].stage
 	}
 	sort.Strings(out)
 	return out
@@ -294,12 +287,17 @@ func (m *Meter) Stages() []string {
 
 // Merge adds all of other's cells into m.
 func (m *Meter) Merge(other *Meter) {
-	for k, v := range other.cells {
-		m.cells[k] += v
+	for i := range other.stages {
+		dst := m.cells(other.stages[i].stage)
+		for c, kinds := range other.stages[i].j {
+			for k, v := range kinds {
+				dst[c][k] += v
+			}
+		}
 	}
 }
 
 // Reset clears all accumulated energy.
 func (m *Meter) Reset() {
-	m.cells = make(map[cellKey]float64)
+	m.stages = nil
 }

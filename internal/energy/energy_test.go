@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -167,4 +168,63 @@ func TestMeterConsistency(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestMeterSumsAreDeterministic: every query sums its cells in one fixed
+// order, so repeated queries of one meter, and the same query of two
+// meters fed the same charges, agree to the last bit. The cells span
+// twelve orders of magnitude, so any change of summation order shows.
+func TestMeterSumsAreDeterministic(t *testing.T) {
+	stages := []string{"FE", "SL", "RR", "Setup"}
+	feed := func() *Meter {
+		m := NewMeter(DefaultCosts())
+		rng := rand.New(rand.NewSource(1))
+		for _, s := range stages {
+			for _, c := range Components() {
+				for _, k := range []Kind{Compute, Movement} {
+					m.Add(c, s, k, rng.Float64()*math.Pow(10, float64(rng.Intn(13)-6)))
+				}
+			}
+		}
+		return m
+	}
+	type result struct {
+		query string
+		v     float64
+	}
+	queries := func(m *Meter) []result {
+		out := []result{
+			{"Total", m.Total()},
+			{"Kind(Compute)", m.Kind(Compute)},
+			{"Kind(Movement)", m.Kind(Movement)},
+			{"MovementShare", m.MovementShare()},
+		}
+		for _, c := range Components() {
+			out = append(out, result{"Component(" + c.String() + ")", m.Component(c)})
+			for _, s := range stages {
+				out = append(out, result{"ComponentStage(" + c.String() + "," + s + ")", m.ComponentStage(c, s)})
+			}
+		}
+		for _, s := range stages {
+			out = append(out,
+				result{"Stage(" + s + ")", m.Stage(s)},
+				result{"StageKind(" + s + ",Compute)", m.StageKind(s, Compute)},
+				result{"StageKind(" + s + ",Movement)", m.StageKind(s, Movement)})
+		}
+		return out
+	}
+	same := func(what string, got, want []result) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i].v) != math.Float64bits(want[i].v) {
+				t.Fatalf("%s: %s = %v, want %v", what, got[i].query, got[i].v, want[i].v)
+			}
+		}
+	}
+	a := feed()
+	want := queries(a)
+	for i := 0; i < 2000; i++ {
+		same("repeated query", queries(a), want)
+	}
+	same("second meter", queries(feed()), want)
 }

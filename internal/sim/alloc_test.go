@@ -194,3 +194,47 @@ func TestRegistryWalkZeroAlloc(t *testing.T) {
 		t.Fatalf("walk order not sorted after late registration: %v", names)
 	}
 }
+
+// pingPong bounces a message between two domains over a pair of
+// CrossLinks until its hop budget runs out; arg is the domain it is in.
+type pingPong struct {
+	doms  [2]*Engine
+	links [2]*CrossLink
+	hops  int
+}
+
+func (p *pingPong) Fire(_ *Engine, arg uint64) {
+	if p.hops == 0 {
+		return
+	}
+	p.hops--
+	p.links[arg].Send(p.doms[1-arg], 64, p, 1-arg)
+}
+
+// TestBarrierRoundZeroAlloc: once warmed, a MultiEngine barrier round —
+// the safe-window run, the mailbox drain and its merge sort, the progress
+// publication — allocates nothing. A ping-pong makes every hop its own
+// round, so any per-round garbage shows up here.
+func TestBarrierRoundZeroAlloc(t *testing.T) {
+	m := NewMultiEngine(2)
+	a, b := m.Domain(0), m.Domain(1)
+	p := &pingPong{
+		doms:  [2]*Engine{a, b},
+		links: [2]*CrossLink{NewCrossLink(a, "x.ab", 1e9, 5), NewCrossLink(b, "x.ba", 1e9, 5)},
+	}
+	const hops = 32
+	bounce := func() {
+		p.hops = hops
+		a.AtCall(m.Now(), p, 0)
+		m.Run()
+	}
+	bounce() // warm calendars, mailboxes and the merge scratch
+	before := m.Rounds()
+	allocs := testing.AllocsPerRun(20, bounce)
+	if allocs != 0 {
+		t.Errorf("ping-pong run of %d barrier rounds allocated %.1f objects, want 0", hops, allocs)
+	}
+	if got := m.Rounds() - before; got < 21*hops {
+		t.Errorf("ran %d rounds over 21 bounces, want at least %d", got, 21*hops)
+	}
+}

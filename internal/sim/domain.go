@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -30,11 +31,12 @@ import (
 //     seq) — so same-timestamp events from two different domains merge
 //     into the destination calendar identically every run.
 //
-// Intra-domain hot paths are untouched: scheduling and dispatch inside a
-// domain stay lock-free and allocation-free exactly as in the
-// single-engine case. Only a cross-domain export takes a lock (the
-// destination's mailbox mutex), and only the coordinator touches the
-// mailboxes between rounds.
+// Everything runs on the coordinator goroutine, so nothing on the event
+// path takes a lock: scheduling and dispatch inside a domain stay
+// allocation-free exactly as in the single-engine case, a cross-domain
+// export appends to a plain slice, and a warmed barrier drain allocates
+// nothing. Only the published progress snapshot is guarded by a mutex,
+// because the live inspector reads it from another goroutine.
 
 // Domain is one event-domain of a partitioned simulation. A Domain is an
 // Engine — the single-domain Engine API (AtCall, ScheduleCall, handles,
@@ -52,18 +54,16 @@ type xevent struct {
 	src       int32
 	xseq      uint64
 	h         Handler
-	fn        func()
 	arg       uint64
 	cancelled bool
 }
 
-// inbox is a domain's bounded inbound mailbox. Senders append under the
-// mutex during a round; the coordinator drains it at the barrier. The
-// backing array is retained between rounds, so a warmed mailbox appends
-// without allocating; its effective bound is the cross-domain traffic of
-// one lookahead window.
+// inbox is a domain's inbound mailbox. Senders append during a round and
+// the coordinator drains it at the barrier, all on the coordinator
+// goroutine, so it needs no lock. The backing array is retained between
+// rounds, so a warmed mailbox appends without allocating; its effective
+// bound is the cross-domain traffic of one lookahead window.
 type inbox struct {
-	mu      sync.Mutex
 	epoch   uint64 // incremented at every drain; stale XHandles see it
 	pending []xevent
 }
@@ -82,30 +82,25 @@ type XHandle struct {
 
 // Cancel prevents the exported event from firing if it is still in the
 // destination mailbox; after the barrier that drained it, Cancel is a
-// no-op. Safe to call from the exporting domain's goroutine.
+// no-op. Call it from inside a domain's event, on the coordinator
+// goroutine.
 func (h XHandle) Cancel() {
-	d := h.dst
-	if d == nil {
-		return
+	if h.live() {
+		h.dst.inbox.pending[h.idx].cancelled = true
 	}
-	d.inbox.mu.Lock()
-	if h.epoch == d.inbox.epoch && h.idx < len(d.inbox.pending) {
-		d.inbox.pending[h.idx].cancelled = true
-	}
-	d.inbox.mu.Unlock()
 }
 
 // Exported reports whether the event is still in the destination mailbox
-// (not yet drained, not cancelled).
+// (not yet drained, not cancelled). Like Cancel, it runs on the
+// coordinator goroutine.
 func (h XHandle) Exported() bool {
+	return h.live() && !h.dst.inbox.pending[h.idx].cancelled
+}
+
+// live reports whether the handle still addresses its mailbox entry.
+func (h XHandle) live() bool {
 	d := h.dst
-	if d == nil {
-		return false
-	}
-	d.inbox.mu.Lock()
-	defer d.inbox.mu.Unlock()
-	return h.epoch == d.inbox.epoch && h.idx < len(d.inbox.pending) &&
-		!d.inbox.pending[h.idx].cancelled
+	return d != nil && h.epoch == d.inbox.epoch && h.idx < len(d.inbox.pending)
 }
 
 // DomainProgress is one domain's live position, published at barriers.
@@ -141,8 +136,10 @@ type MultiEngine struct {
 	rounds    uint64
 	running   bool
 
-	// merge is the barrier's scratch, reused across rounds.
-	merge []mergeEntry
+	// merge and depths are the barrier's scratch, reused across rounds
+	// and runs.
+	merge  []mergeEntry
+	depths []int
 
 	// progress is rewritten in place at each barrier under progressMu.
 	progressMu sync.Mutex
@@ -206,6 +203,7 @@ func NewMultiEngine(n int) *MultiEngine {
 		d.multi = m
 		m.domains = append(m.domains, d)
 	}
+	m.depths = make([]int, n)
 	m.progress.Domains = make([]DomainProgress, n)
 	m.progress.Lookahead = MaxTime
 	return m
@@ -300,11 +298,12 @@ func (m *MultiEngine) observeLatency(l Time) {
 
 // drain moves every mailbox's pending events into the destination
 // calendars in the total (at, src, xseq) order, returning the observed
-// per-domain mailbox depths. Coordinator-only, between rounds.
+// per-domain mailbox depths. Coordinator-only, between rounds. The key is
+// unique (xseq counts each source's exports), so an unstable sort gives
+// the one order every run, and the warmed drain allocates nothing.
 func (m *MultiEngine) drain(depths []int) {
 	m.merge = m.merge[:0]
 	for i, d := range m.domains {
-		d.inbox.mu.Lock()
 		depths[i] = len(d.inbox.pending)
 		for _, ev := range d.inbox.pending {
 			if !ev.cancelled {
@@ -313,24 +312,22 @@ func (m *MultiEngine) drain(depths []int) {
 		}
 		d.inbox.pending = d.inbox.pending[:0]
 		d.inbox.epoch++
-		d.inbox.mu.Unlock()
 	}
-	sort.Slice(m.merge, func(i, j int) bool {
-		a, b := m.merge[i].ev, m.merge[j].ev
-		if a.at != b.at {
-			return a.at < b.at
+	slices.SortFunc(m.merge, func(a, b mergeEntry) int {
+		if c := cmp.Compare(a.ev.at, b.ev.at); c != 0 {
+			return c
 		}
-		if a.src != b.src {
-			return a.src < b.src
+		if c := cmp.Compare(a.ev.src, b.ev.src); c != 0 {
+			return c
 		}
-		return a.xseq < b.xseq
+		return cmp.Compare(a.ev.xseq, b.ev.xseq)
 	})
 	for _, e := range m.merge {
 		if e.ev.at < e.dst.now {
 			panic(fmt.Sprintf("sim: cross-domain event at %v delivered into domain %d already at %v (lookahead violated)",
 				e.ev.at, e.dst.id, e.dst.now))
 		}
-		e.dst.push(e.ev.at, e.ev.h, e.ev.arg, e.ev.fn)
+		e.dst.push(e.ev.at, e.ev.h, e.ev.arg, nil)
 	}
 }
 
@@ -345,7 +342,7 @@ func (m *MultiEngine) Run() {
 	m.running = true
 	defer func() { m.running = false }()
 
-	depths := make([]int, len(m.domains))
+	depths := m.depths
 	for {
 		m.drain(depths)
 		tmin := MaxTime
@@ -391,7 +388,8 @@ func (m *MultiEngine) runRound(bound Time) {
 // lookahead past the exporting domain's clock — or the destination could
 // already have advanced past it. CrossLink.Send is the usual way to get
 // the timing right; ExportAt is the low-level primitive for latency-only
-// control messages.
+// control messages. Both run inside a domain's event, on the coordinator
+// goroutine, which is why the mailbox append takes no lock.
 func (e *Engine) ExportAt(dst *Engine, t Time, h Handler, arg uint64) XHandle {
 	if e.multi == nil || dst == nil || dst.multi != e.multi {
 		panic("sim: ExportAt needs source and destination domains of one MultiEngine")
@@ -407,14 +405,11 @@ func (e *Engine) ExportAt(dst *Engine, t Time, h Handler, arg uint64) XHandle {
 			t, e.multi.lookahead, e.id, e.now))
 	}
 	e.xseq++
-	dst.inbox.mu.Lock()
 	idx := len(dst.inbox.pending)
-	epoch := dst.inbox.epoch
 	dst.inbox.pending = append(dst.inbox.pending, xevent{
 		at: t, src: e.id, xseq: e.xseq, h: h, arg: arg,
 	})
-	dst.inbox.mu.Unlock()
-	return XHandle{dst: dst, epoch: epoch, idx: idx}
+	return XHandle{dst: dst, epoch: dst.inbox.epoch, idx: idx}
 }
 
 // CrossLink is a Link whose deliveries land in other event domains: the

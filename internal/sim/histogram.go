@@ -7,68 +7,23 @@ import (
 
 // Histogram collects simulated durations and answers quantile queries —
 // the latency-distribution utility behind the load-sweep experiment's
-// mean/p99 columns and the per-resource wait/service distributions of the
-// shared-resource layer.
+// mean/p99 columns. It keeps every sample.
 type Histogram struct {
 	samples []Time
 	sorted  bool
-
-	// Bounded histograms cap memory by deterministic stride decimation:
-	// once `limit` samples are stored, every other stored sample is
-	// dropped and only every `stride`-th future Add is recorded. The
-	// decimation depends only on the Add sequence, so bounded histograms
-	// stay bit-reproducible across identical runs.
-	limit  int
-	stride uint64
-	adds   uint64
 }
 
-// statHistogramCap bounds the per-resource wait/service histograms so
-// instrumenting hot links (millions of line-granularity transfers) cannot
-// grow memory without bound.
-const statHistogramCap = 4096
-
-// NewHistogram returns an empty, unbounded histogram.
-func NewHistogram() *Histogram { return &Histogram{stride: 1} }
-
-// NewBoundedHistogram returns a histogram that stores at most max samples,
-// decimating deterministically once full. Quantiles become approximate
-// past the cap; counts remain exact via Adds.
-func NewBoundedHistogram(max int) *Histogram {
-	if max < 2 {
-		panic(fmt.Sprintf("sim: bounded histogram cap %d too small", max))
-	}
-	return &Histogram{limit: max, stride: 1}
-}
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // Add records one sample.
 func (h *Histogram) Add(t Time) {
-	if h.stride == 0 {
-		h.stride = 1 // zero-value Histogram keeps working
-	}
-	h.adds++
-	if h.adds%h.stride != 0 {
-		return
-	}
 	h.samples = append(h.samples, t)
 	h.sorted = false
-	if h.limit > 0 && len(h.samples) >= h.limit {
-		kept := h.samples[:0]
-		for i, s := range h.samples {
-			if i%2 == 0 {
-				kept = append(kept, s)
-			}
-		}
-		h.samples = kept
-		h.stride *= 2
-	}
 }
 
-// Count reports the stored sample count (decimated when bounded).
+// Count reports the sample count.
 func (h *Histogram) Count() int { return len(h.samples) }
-
-// Adds reports how many samples were offered, including decimated ones.
-func (h *Histogram) Adds() uint64 { return h.adds }
 
 func (h *Histogram) ensureSorted() {
 	if !h.sorted {

@@ -100,32 +100,3 @@ func TestHistogramSingleSample(t *testing.T) {
 		t.Errorf("min/mean/max = %v/%v/%v, want 7µs each", h.Min(), h.Mean(), h.Max())
 	}
 }
-
-// TestHistogramAllDecimated: a bounded histogram driven far past its cap
-// keeps exact offered counts, bounded storage, and quantiles that remain
-// within the sample range with exact extremes — the all-in-overflow edge
-// of the decimating design.
-func TestHistogramAllDecimated(t *testing.T) {
-	const cap = 16
-	h := NewBoundedHistogram(cap)
-	const n = 10_000
-	for i := 1; i <= n; i++ {
-		h.Add(Time(i) * Nanosecond)
-	}
-	if h.Adds() != n {
-		t.Fatalf("adds = %d, want %d", h.Adds(), n)
-	}
-	if h.Count() >= cap {
-		t.Fatalf("stored %d samples, cap %d", h.Count(), cap)
-	}
-	if h.Count() == 0 {
-		t.Fatal("decimation dropped every sample")
-	}
-	lo, hi := h.Quantile(0), h.Quantile(1)
-	if lo < Nanosecond || hi > n*Nanosecond || lo > hi {
-		t.Fatalf("quantile range %v..%v outside sample range", lo, hi)
-	}
-	if med := h.Quantile(0.5); med < lo || med > hi {
-		t.Fatalf("median %v outside [%v, %v]", med, lo, hi)
-	}
-}

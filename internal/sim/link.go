@@ -17,8 +17,8 @@ import (
 // simulate in microseconds of wall time.
 //
 // Every link registers itself in its engine's StatsRegistry and is
-// instrumented at this base layer: payload bytes, busy time, accumulated
-// queueing delay, and bounded wait/service-time histograms.
+// instrumented at this base layer: payload bytes, busy time, transfer
+// count and accumulated queueing delay.
 type Link struct {
 	eng  *Engine
 	name string
@@ -36,8 +36,6 @@ type Link struct {
 	firstActivity  Time
 	lastActivity   Time
 	everTransfered bool
-	waitHist       *Histogram
-	serviceHist    *Histogram
 }
 
 // NewLink creates a link on eng with the given payload bandwidth (bytes per
@@ -57,8 +55,6 @@ func NewLink(eng *Engine, name string, bytesPerSec float64, latency Time) *Link 
 		eng:         eng,
 		bytesPerSec: bytesPerSec,
 		latency:     latency,
-		waitHist:    NewBoundedHistogram(statHistogramCap),
-		serviceHist: NewBoundedHistogram(statHistogramCap),
 	}
 	l.name = eng.Stats().Register(name, l)
 	return l
@@ -91,7 +87,7 @@ func (l *Link) duration(n int64) Time {
 
 // reserve is the single serialisation point every transfer flavour routes
 // through: it queues the occupancy behind in-flight work (FIFO), accounts
-// waiting and service time, and returns the occupancy's end time (link
+// waiting and busy time, and returns the occupancy's end time (link
 // latency excluded).
 func (l *Link) reserve(start Time, occupancy Time, payload int64) Time {
 	begin := start
@@ -110,8 +106,6 @@ func (l *Link) reserve(start Time, occupancy Time, payload int64) Time {
 			l.everTransfered = true
 		}
 		l.lastActivity = end
-		l.waitHist.Add(begin - start)
-		l.serviceHist.Add(occupancy)
 	}
 	return end
 }
@@ -197,8 +191,6 @@ func (l *Link) ResourceStats() ResourceStats {
 		Busy:        l.busy,
 		Wait:        l.queuedDelay,
 		Utilization: l.Utilization(),
-		WaitHist:    l.waitHist,
-		ServiceHist: l.serviceHist,
 	}
 }
 
@@ -213,6 +205,4 @@ func (l *Link) Reset() {
 	l.everTransfered = false
 	l.firstActivity = 0
 	l.lastActivity = 0
-	l.waitHist = NewBoundedHistogram(statHistogramCap)
-	l.serviceHist = NewBoundedHistogram(statHistogramCap)
 }

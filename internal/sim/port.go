@@ -74,7 +74,6 @@ type Queue struct {
 	stalls   uint64
 	maxOcc   int
 	waitTime Time
-	waitHist *Histogram
 }
 
 // NewQueue creates a bounded queue and registers it on eng's registry.
@@ -85,11 +84,7 @@ func NewQueue(eng *Engine, name string, capacity int) *Queue {
 	if capacity < 1 {
 		panic(fmt.Sprintf("sim: queue %q capacity must be >= 1", name))
 	}
-	q := &Queue{
-		eng:      eng,
-		capacity: capacity,
-		waitHist: NewBoundedHistogram(statHistogramCap),
-	}
+	q := &Queue{eng: eng, capacity: capacity}
 	q.name = eng.Stats().Register(name, q)
 	return q
 }
@@ -133,9 +128,6 @@ func (q *Queue) RemoveAt(i int) any {
 	q.served++
 	if w := q.eng.Now() - e.at; w > 0 {
 		q.waitTime += w
-		q.waitHist.Add(w)
-	} else {
-		q.waitHist.Add(0)
 	}
 	return e.item
 }
@@ -155,7 +147,6 @@ func (q *Queue) ResourceStats() ResourceStats {
 		Stalls:       q.stalls,
 		Occupancy:    len(q.entries),
 		MaxOccupancy: q.maxOcc,
-		WaitHist:     q.waitHist,
 	}
 }
 
@@ -175,7 +166,6 @@ type Window struct {
 	stalls   uint64
 	waitTime Time
 	maxOcc   int
-	waitHist *Histogram
 }
 
 // NewWindow creates a window of the given depth and registers it.
@@ -186,11 +176,7 @@ func NewWindow(eng *Engine, name string, depth int) *Window {
 	if depth < 1 {
 		panic(fmt.Sprintf("sim: window %q depth must be >= 1", name))
 	}
-	w := &Window{
-		eng:      eng,
-		depth:    depth,
-		waitHist: NewBoundedHistogram(statHistogramCap),
-	}
+	w := &Window{eng: eng, depth: depth}
 	w.name = eng.Stats().Register(name, w)
 	return w
 }
@@ -214,11 +200,9 @@ func (w *Window) Admit(at Time) Time {
 			w.stalls++
 			wait := oldest - at
 			w.waitTime += wait
-			w.waitHist.Add(wait)
 			return oldest
 		}
 	}
-	w.waitHist.Add(0)
 	return at
 }
 
@@ -248,6 +232,5 @@ func (w *Window) ResourceStats() ResourceStats {
 		Stalls:       w.stalls,
 		Occupancy:    len(w.inflight),
 		MaxOccupancy: w.maxOcc,
-		WaitHist:     w.waitHist,
 	}
 }

@@ -7,9 +7,9 @@ package sim
 // slot, and vice versa; this is what throttles a fast pipeline stage to
 // the rate of the slowest one.
 //
-// Every queue registers itself in its engine's StatsRegistry and records
-// park waits (producer back-pressure and consumer starvation) in a bounded
-// histogram at this base layer.
+// Every queue registers itself in its engine's StatsRegistry and
+// accumulates park waits (producer back-pressure and consumer starvation)
+// at this base layer.
 type TokenQueue struct {
 	eng      *Engine
 	name     string
@@ -31,7 +31,6 @@ type TokenQueue struct {
 	getWaits     uint64
 	maxOccupancy int
 	waitTime     Time
-	waitHist     *Histogram
 }
 
 type pendingPut struct {
@@ -54,11 +53,7 @@ func NewTokenQueue(eng *Engine, name string, capacity int) *TokenQueue {
 	if capacity < 1 {
 		panic("sim: TokenQueue capacity must be >= 1")
 	}
-	q := &TokenQueue{
-		eng:      eng,
-		capacity: capacity,
-		waitHist: NewBoundedHistogram(statHistogramCap),
-	}
+	q := &TokenQueue{eng: eng, capacity: capacity}
 	q.name = eng.Stats().Register(name, q)
 	return q
 }
@@ -97,9 +92,6 @@ func (q *TokenQueue) pushItem(item any) {
 func (q *TokenQueue) recordWait(parked Time) {
 	if w := q.eng.Now() - parked; w > 0 {
 		q.waitTime += w
-		q.waitHist.Add(w)
-	} else {
-		q.waitHist.Add(0)
 	}
 }
 
@@ -212,6 +204,5 @@ func (q *TokenQueue) ResourceStats() ResourceStats {
 		Stalls:       q.putWaits + q.getWaits,
 		Occupancy:    q.Len(),
 		MaxOccupancy: q.maxOccupancy,
-		WaitHist:     q.waitHist,
 	}
 }

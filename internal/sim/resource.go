@@ -29,11 +29,11 @@ import (
 // queue whose consumer may remove entries out of order — FR-FCFS) and
 // Window (an outstanding-operations limit — NVMe queue depth).
 //
-// All four implementations are instrumented at this base layer (bytes,
-// busy time, accumulated wait, wait/service histograms, stalls, occupancy
-// high-water marks) and register themselves in the owning Engine's
-// StatsRegistry under a dotted hierarchical name such as "mem.host",
-// "noc.cpu.out" or "nvme.qp0.sq".
+// All four implementations are instrumented at this base layer with plain
+// counters (bytes, busy time, accumulated wait, stalls, occupancy
+// high-water marks; no per-operation samples) and register themselves in
+// the owning Engine's StatsRegistry under a dotted hierarchical name such
+// as "mem.host", "noc.cpu.out" or "nvme.qp0.sq".
 
 // ResourceKind classifies a registered resource.
 type ResourceKind string
@@ -88,11 +88,6 @@ type ResourceStats struct {
 	// Utilization is busy time over the resource's active window, in
 	// [0, 1]; zero before any activity.
 	Utilization float64
-
-	// WaitHist and ServiceHist sample per-operation wait and service
-	// times. Either may be nil when the resource does not track it.
-	WaitHist    *Histogram
-	ServiceHist *Histogram
 }
 
 // Resource is implemented by every shared hardware model registered in a
