@@ -1,7 +1,8 @@
 # Development workflow for the ReACH reproduction.
 #
 #   make check       — everything CI runs: formatting, build, vet (the
-#                      root module and the bench/ module), race tests
+#                      root module and the bench/ module), race tests,
+#                      and the bench/ module's tests
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
 #   make bench       — root + sim benchmarks with allocation stats
 #   make bench-smoke — 1x pass over every benchmark, so benchmark code
@@ -35,9 +36,9 @@ CSMOKE_DIR := cluster-smoke-out
 CACHESMOKE_DIR := cache-smoke-out
 OBSSMOKE_DIR := cluster-obs-smoke-out
 
-.PHONY: check fmt-check build vet test race bench bench-smoke metrics-smoke qtrace-smoke cluster-smoke cache-smoke cluster-obs-smoke
+.PHONY: check fmt-check build vet test race bench-test bench bench-smoke metrics-smoke qtrace-smoke cluster-smoke cache-smoke cluster-obs-smoke
 
-check: fmt-check build vet race
+check: fmt-check build vet race bench-test
 
 # gofmt -l prints offending files; any output fails the target.
 fmt-check:
@@ -60,6 +61,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench/ calls into the simulator's packages (the per-layer ladder builds
+# a mem.Controller directly), so its own tests run with every check.
+bench-test:
+	$(GO) -C bench test ./...
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/

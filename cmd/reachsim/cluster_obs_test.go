@@ -39,7 +39,6 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{[]string{"cluster", "stats"}, "-stats"},
 		{[]string{"cluster", "list"}, "-list"},
 		{[]string{"cluster", "config"}, "-config"},
-		{[]string{"cluster", "benchout"}, "-benchout"},
 		{[]string{"cluster", "j"}, "-j"},
 		{[]string{"cluster", "qtrace"}, "-qtrace"},
 		{[]string{"cluster", "progress"}, "-progress"},
@@ -83,7 +82,7 @@ func TestValidateFlagMatrix(t *testing.T) {
 	}
 	accepted := [][]string{
 		{},
-		{"exp", "j", "csv", "metrics", "metrics-interval", "spans", "qtrace", "progress", "benchout"},
+		{"exp", "j", "csv", "metrics", "metrics-interval", "spans", "qtrace", "progress"},
 		{"exp", "http", "http-linger"},
 		{"pj"}, // deprecated no-op, still accepted
 		{"trace", "spans", "metrics-interval"},

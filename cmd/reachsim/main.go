@@ -23,7 +23,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -99,7 +98,7 @@ func validateFlags(given map[string]string) error {
 		// -cluster runs exactly one pinned deployment: the experiment
 		// selection, config and sweep-concurrency knobs have nothing to
 		// apply to (observability flags -metrics/-spans/-trace/-slo all do).
-		for _, f := range []string{"exp", "stats", "list", "config", "benchout", "j", "qtrace", "progress"} {
+		for _, f := range []string{"exp", "stats", "list", "config", "j", "qtrace", "progress"} {
 			if has(f) {
 				return fmt.Errorf("-%s does nothing with -cluster; drop one of them", f)
 			}
@@ -175,7 +174,6 @@ func main() {
 		jobs      = flag.Int("j", 0, "max simulations in flight across all experiments (0 = GOMAXPROCS)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
-		benchOut  = flag.String("benchout", "", "write a JSON wall-clock summary of the experiments to this file")
 		metricsF  = flag.String("metrics", "", "sample every run's resources and write the time series here (CSV, or JSON Lines when the path ends in .jsonl); also prints per-run bottleneck-attribution tables")
 		metricsIv = flag.Duration("metrics-interval", 0, "simulated-time sampling period for -metrics (default 10µs)")
 		spans     = flag.Bool("spans", false, "record GAM decision spans (merged into -trace timelines and .jsonl metrics dumps)")
@@ -312,7 +310,6 @@ func main() {
 	ra := runAllOptions{
 		jobs:     *jobs,
 		csv:      *csvOut,
-		benchOut: *benchOut,
 		progress: *progress,
 	}
 	if *metricsF != "" {
@@ -624,11 +621,10 @@ func writeFile(path string, write func(io.Writer) error) error {
 }
 
 // runAllOptions are the execution/output knobs of runAll, beyond what to
-// run: concurrency, output format, wall-clock summary, observability.
+// run: concurrency, output format, observability.
 type runAllOptions struct {
 	jobs     int
 	csv      bool
-	benchOut string
 	progress bool
 	// metrics/metricsPath, when set, sample every RunSpec-based run and
 	// write the combined time series to metricsPath (CSV, or JSONL for
@@ -669,8 +665,6 @@ type clusterObsEntry struct {
 // and sampled metrics are collected per experiment in spec order.
 func runAll(w io.Writer, ids []string, cfg config.SystemConfig, m workload.Model, o runAllOptions) error {
 	pool := runner.NewPool(o.jobs)
-	start := time.Now()
-	secs := make([]float64, len(ids)) // each index written by exactly one worker
 	obs := make([][]obsEntry, len(ids))
 	cobs := make([][]clusterObsEntry, len(ids))
 	qobs := make([][]obsEntry, len(ids))
@@ -706,15 +700,11 @@ func runAll(w io.Writer, ids []string, cfg config.SystemConfig, m workload.Model
 						}
 					}))
 			}
-			t0 := time.Now()
-			tables, err := run(id, cfg, m, opts...)
-			secs[i] = time.Since(t0).Seconds()
-			return tables, err
+			return run(id, cfg, m, opts...)
 		})
 	if err != nil {
 		return err
 	}
-	total := time.Since(start).Seconds()
 	for _, tables := range results {
 		for _, t := range tables {
 			if err := emit(t, w, o.csv); err != nil {
@@ -729,11 +719,6 @@ func runAll(w io.Writer, ids []string, cfg config.SystemConfig, m workload.Model
 	}
 	if o.qtracePath != "" {
 		if err := writeQTrace(o.qtracePath, qobs); err != nil {
-			return err
-		}
-	}
-	if o.benchOut != "" {
-		if err := writeBenchOut(o.benchOut, ids, secs, total, o.jobs); err != nil {
 			return err
 		}
 	}
@@ -845,28 +830,6 @@ func writeQTrace(path string, qobs [][]obsEntry) error {
 	}
 	fmt.Fprintf(os.Stderr, "per-query traces for %d runs written to %s\n", traced, where)
 	return nil
-}
-
-// writeBenchOut dumps per-experiment and total wall-clock seconds as JSON —
-// the before/after evidence file for performance PRs (see BENCH_pr3.json).
-func writeBenchOut(path string, ids []string, secs []float64, total float64, jobs int) error {
-	type expTiming struct {
-		ID      string  `json:"id"`
-		Seconds float64 `json:"seconds"`
-	}
-	out := struct {
-		Jobs         int         `json:"jobs"`
-		TotalSeconds float64     `json:"total_seconds"`
-		Experiments  []expTiming `json:"experiments"`
-	}{Jobs: jobs, TotalSeconds: total}
-	for i, id := range ids {
-		out.Experiments = append(out.Experiments, expTiming{ID: id, Seconds: secs[i]})
-	}
-	return writeFile(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
-	})
 }
 
 func run(id string, cfg config.SystemConfig, m workload.Model, opts ...experiments.Option) ([]*report.Table, error) {

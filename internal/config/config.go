@@ -255,8 +255,9 @@ func (c *SystemConfig) Validate() error {
 			return fmt.Errorf("config: %s", chk.msg)
 		}
 	}
-	// The LLC must have a set-associative geometry (internal/cache's
-	// conditions), even though the node models it in bulk.
+	// The LLC geometry must decode like a set-associative cache: whole
+	// sets of l2_assoc lines and a power-of-two set count. The node
+	// models the LLC in bulk, so this only rejects malformed input.
 	lines := c.CPU.SharedL2 / int64(c.CPU.L2LineBytes)
 	if lines == 0 || lines%int64(c.CPU.L2Assoc) != 0 {
 		return fmt.Errorf("config: cpu.shared_l2_bytes %d does not divide into whole %d-way sets of %d-byte lines",

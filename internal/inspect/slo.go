@@ -59,9 +59,6 @@ func (m *SLOMonitor) QueryDone(_ int, at, latency sim.Time) {
 	if m.windows == nil {
 		m.base = idx
 	}
-	for idx-m.base >= len(m.windows) {
-		m.windows = append(m.windows, nil)
-	}
 	if idx < m.base {
 		// A completion before the retained horizon (only possible across
 		// re-runs onto one monitor): count it, quantiles age out.
@@ -71,15 +68,22 @@ func (m *SLOMonitor) QueryDone(_ int, at, latency sim.Time) {
 		}
 		return
 	}
-	if len(m.windows) > maxSLOWindows {
-		drop := len(m.windows) - maxSLOWindows
-		for _, w := range m.windows[:drop] {
+	// Slide the horizon before growing: windows that would fall past the
+	// cap are dropped first, so a completion far ahead of the last one
+	// (a narrow window width) costs at most maxSLOWindows slots, not one
+	// per empty window in the gap.
+	if drop := idx - m.base + 1 - maxSLOWindows; drop > 0 {
+		kept := min(drop, len(m.windows))
+		for _, w := range m.windows[:kept] {
 			if w != nil && w.count > 0 {
 				m.evicted++
 			}
 		}
-		m.windows = append(m.windows[:0], m.windows[drop:]...)
+		m.windows = append(m.windows[:0], m.windows[kept:]...)
 		m.base += drop
+	}
+	for idx-m.base >= len(m.windows) {
+		m.windows = append(m.windows, nil)
 	}
 	w := m.windows[idx-m.base]
 	if w == nil {

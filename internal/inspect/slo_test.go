@@ -257,3 +257,29 @@ func TestSLOWindowEvictionAtCap(t *testing.T) {
 		t.Errorf("/debug/vars missing slo_windows_evicted: %.200s", vars)
 	}
 }
+
+// TestSLOWindowGapCostsAtMostTheCap: a window far narrower than the gap
+// between completions must not cost one slot per empty window in the
+// gap. With 1 ps windows and completions 1 µs apart, each completion
+// lands 10^6 windows past the previous one and evicts it.
+func TestSLOWindowGapCostsAtMostTheCap(t *testing.T) {
+	m := NewSLOMonitor(sim.Picosecond, 10*sim.Millisecond)
+	const n = 64
+	for i := 0; i < n; i++ {
+		m.QueryDone(i, sim.Time(i)*sim.Microsecond, 20*sim.Millisecond)
+	}
+	if c := cap(m.windows); c > 2*maxSLOWindows {
+		t.Fatalf("cap(windows) = %d after completions 10^6 windows apart, want <= %d", c, 2*maxSLOWindows)
+	}
+	st := m.Stats()
+	if st.Queries != n || st.Breaches != n {
+		t.Errorf("queries=%d breaches=%d, want %d", st.Queries, st.Breaches, n)
+	}
+	if st.WindowsEvicted != n-1 {
+		t.Errorf("WindowsEvicted = %d, want %d", st.WindowsEvicted, n-1)
+	}
+	last := sim.Time(n-1) * sim.Microsecond
+	if len(st.Windows) != 1 || st.Windows[0].StartMs != last.Milliseconds() {
+		t.Errorf("retained windows = %+v, want only the one at %.6f ms", st.Windows, last.Milliseconds())
+	}
+}

@@ -1,10 +1,6 @@
 package mem
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Request is one line-granularity memory access submitted to a Controller.
 type Request struct {
@@ -35,36 +31,8 @@ type Controller struct {
 	readQ  *sim.Queue
 	writeQ *sim.Queue
 
-	busy bool
-
-	// interleave maps request addresses to DIMMs. Cacheline interleaving
-	// spreads consecutive lines across DIMMs (high aggregate bandwidth to
-	// the chip); tile interleaving keeps large contiguous tiles on one
-	// DIMM (what GAM programs for near-memory kernels, §III-B).
-	interleave InterleavePolicy
-	tileBytes  int64
-	served     uint64
-}
-
-// InterleavePolicy selects how addresses map to DIMMs behind a controller.
-type InterleavePolicy int
-
-const (
-	// InterleaveCacheline stripes consecutive cache lines across DIMMs.
-	InterleaveCacheline InterleavePolicy = iota
-	// InterleaveTile keeps tiles of tileBytes contiguous on one DIMM.
-	InterleaveTile
-)
-
-func (p InterleavePolicy) String() string {
-	switch p {
-	case InterleaveCacheline:
-		return "cacheline"
-	case InterleaveTile:
-		return "tile"
-	default:
-		return fmt.Sprintf("InterleavePolicy(%d)", int(p))
-	}
+	busy   bool
+	served uint64
 }
 
 // NewController builds a controller over the given DIMMs.
@@ -76,39 +44,19 @@ func NewController(eng *sim.Engine, name string, dimms []*DIMM, readQ, writeQ in
 		panic("mem: queue depths must be positive")
 	}
 	return &Controller{
-		eng:        eng,
-		name:       name,
-		dimms:      dimms,
-		readQ:      sim.NewQueue(eng, name+".rdq", readQ),
-		writeQ:     sim.NewQueue(eng, name+".wrq", writeQ),
-		interleave: InterleaveCacheline,
-		tileBytes:  1 << 20,
+		eng:    eng,
+		name:   name,
+		dimms:  dimms,
+		readQ:  sim.NewQueue(eng, name+".rdq", readQ),
+		writeQ: sim.NewQueue(eng, name+".wrq", writeQ),
 	}
 }
 
-// SetInterleave reprograms the address mapping — the memory-space
-// reorganisation GAM performs when near-memory kernels launch (§III-B).
-// tileBytes is used only by InterleaveTile.
-func (c *Controller) SetInterleave(p InterleavePolicy, tileBytes int64) {
-	c.interleave = p
-	if tileBytes > 0 {
-		c.tileBytes = tileBytes
-	}
-}
-
-// Interleave reports the current policy.
-func (c *Controller) Interleave() InterleavePolicy { return c.interleave }
-
-// dimmFor maps an address to its DIMM under the current policy.
+// dimmFor maps an address to its DIMM: consecutive cache lines stripe
+// across the controller's DIMMs.
 func (c *Controller) dimmFor(addr int64) *DIMM {
-	n := int64(len(c.dimms))
-	switch c.interleave {
-	case InterleaveTile:
-		return c.dimms[(addr/c.tileBytes)%n]
-	default:
-		line := addr / c.dimms[0].geom.LineSize
-		return c.dimms[line%n]
-	}
+	line := addr / c.dimms[0].geom.LineSize
+	return c.dimms[line%int64(len(c.dimms))]
 }
 
 // Submit enqueues a request. It reports false (and drops the request) when

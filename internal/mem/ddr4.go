@@ -1,19 +1,16 @@
-// Package mem models the main-memory system of the ReACH server: DDR4
-// DIMMs with banks and row buffers, FR-FCFS memory controllers with bounded
-// read/write queues, channel interleaving policies (cacheline-granularity
-// for the CPU/on-chip accelerator, tile-granularity for near-memory
-// accelerators, paper §III-B), and the DIMM control handoff used by AIM
-// modules (§II-B).
+// Package mem models the main-memory system of the ReACH server at two
+// levels of fidelity:
 //
-// Two levels of fidelity coexist:
-//
-//   - a request-level discrete-event model (Controller) that simulates each
-//     64-byte access through bank timing and data-bus contention, used by
-//     latency-sensitive paths and by validation tests;
-//   - a bulk-stream model (Channel.Stream / Channel.RandomAccess) that
-//     accounts multi-megabyte accelerator transfers analytically at the
-//     effective bandwidth implied by the same timing parameters, so
-//     billion-scale workloads simulate quickly.
+//   - a bulk model (Port.Stream / Port.Random) that accounts multi-megabyte
+//     accelerator transfers on a shared link at a fixed streaming or
+//     random-access efficiency, so billion-scale workloads simulate
+//     quickly; the accelerator data paths use only this model;
+//   - a request-level reference model: DDR4 DIMMs with banks, row buffers,
+//     refresh and open- or closed-page policy behind an FR-FCFS Controller
+//     with bounded read/write queues and cacheline interleaving. It
+//     simulates each 64-byte access, and this package's tests run it on
+//     sequential and random traffic to derive the bulk model's
+//     stream_efficiency and random_efficiency.
 package mem
 
 import (
@@ -95,9 +92,7 @@ type bank struct {
 }
 
 // DIMM is one dual-inline memory module: a set of banks behind a shared
-// data bus. The AIM near-memory architecture attaches one accelerator per
-// DIMM; Handoff/Handback model the memory controller ceding control of the
-// DIMM to the AIM module during kernel execution (§II-B).
+// data bus.
 type DIMM struct {
 	eng    *sim.Engine
 	name   string
@@ -105,9 +100,6 @@ type DIMM struct {
 	geom   Geometry
 	banks  []bank
 	bus    *sim.Link
-
-	controlledByAIM bool
-	handoffs        uint64
 
 	nextRefresh sim.Time
 	refreshes   uint64
@@ -123,8 +115,7 @@ const (
 	// OpenPage leaves rows open after access (best for locality-rich
 	// streams; the host controller's default).
 	OpenPage PagePolicy = iota
-	// ClosedPage precharges after every access (best for random traffic,
-	// and the state AIM modules must leave the DIMM in, §II-B).
+	// ClosedPage precharges after every access (best for random traffic).
 	ClosedPage
 )
 
@@ -266,59 +257,6 @@ func (d *DIMM) applyRefresh(start sim.Time) sim.Time {
 
 // Refreshes reports REF commands issued so far.
 func (d *DIMM) Refreshes() uint64 { return d.refreshes }
-
-// PrechargeAll closes every row — the state the AIM module must leave the
-// DIMM in before handing control back to the host memory controller, so
-// the controller can assume all banks are precharged (§II-B).
-func (d *DIMM) PrechargeAll() sim.Time {
-	now := d.eng.Now()
-	var latest sim.Time = now
-	for i := range d.banks {
-		b := &d.banks[i]
-		if b.openRow == -1 {
-			continue
-		}
-		start := maxTime(now, b.readyAt)
-		if minClose := b.openedAt + d.timing.TRAS; minClose > start {
-			start = minClose
-		}
-		closed := start + d.timing.TRP
-		b.openRow = -1
-		b.readyAt = closed
-		if closed > latest {
-			latest = closed
-		}
-	}
-	return latest
-}
-
-// Handoff transfers control of the DIMM to its AIM module. It is an error
-// to hand off a DIMM that is already accelerator-controlled.
-func (d *DIMM) Handoff() error {
-	if d.controlledByAIM {
-		return fmt.Errorf("mem: %s already controlled by AIM", d.name)
-	}
-	d.controlledByAIM = true
-	d.handoffs++
-	return nil
-}
-
-// Handback returns control to the host memory controller, enforcing the
-// closed-row policy, and reports when the DIMM is usable by the host.
-func (d *DIMM) Handback() (sim.Time, error) {
-	if !d.controlledByAIM {
-		return 0, fmt.Errorf("mem: %s not controlled by AIM", d.name)
-	}
-	t := d.PrechargeAll()
-	d.controlledByAIM = false
-	return t, nil
-}
-
-// ControlledByAIM reports whether the DIMM is currently accelerator-owned.
-func (d *DIMM) ControlledByAIM() bool { return d.controlledByAIM }
-
-// Handoffs reports how many control transfers occurred.
-func (d *DIMM) Handoffs() uint64 { return d.handoffs }
 
 // RowHitRate reports the fraction of accesses that hit an open row.
 func (d *DIMM) RowHitRate() float64 {

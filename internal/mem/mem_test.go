@@ -68,36 +68,6 @@ func TestDIMMRowConflictSlowest(t *testing.T) {
 	}
 }
 
-func TestDIMMHandoffProtocol(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDIMM(eng, "d0", DDR42400(), DefaultGeometry())
-	if err := d.Handoff(); err != nil {
-		t.Fatalf("first handoff: %v", err)
-	}
-	if err := d.Handoff(); err == nil {
-		t.Error("double handoff not rejected")
-	}
-	d.Access(0, false) // opens a row while AIM-controlled
-	when, err := d.Handback()
-	if err != nil {
-		t.Fatalf("handback: %v", err)
-	}
-	if when <= 0 {
-		t.Error("handback with open rows completed instantly; precharge not modelled")
-	}
-	for i := range d.banks {
-		if d.banks[i].openRow != -1 {
-			t.Errorf("bank %d row still open after handback (closed-row policy violated)", i)
-		}
-	}
-	if _, err := d.Handback(); err == nil {
-		t.Error("handback without handoff not rejected")
-	}
-	if d.Handoffs() != 1 {
-		t.Errorf("handoffs = %d, want 1", d.Handoffs())
-	}
-}
-
 func TestControllerCompletesAllRequests(t *testing.T) {
 	eng := sim.NewEngine()
 	dimms := []*DIMM{
@@ -165,17 +135,6 @@ func TestControllerInterleavePolicies(t *testing.T) {
 	// Cacheline interleave: consecutive lines alternate DIMMs.
 	if c.dimmFor(0) == c.dimmFor(64) {
 		t.Error("cacheline interleave put consecutive lines on the same DIMM")
-	}
-	// Tile interleave: a whole 1 MiB tile stays on one DIMM.
-	c.SetInterleave(InterleaveTile, 1<<20)
-	if c.dimmFor(0) != c.dimmFor(64) || c.dimmFor(0) != c.dimmFor((1<<20)-64) {
-		t.Error("tile interleave split a tile across DIMMs")
-	}
-	if c.dimmFor(0) == c.dimmFor(1<<20) {
-		t.Error("tile interleave put adjacent tiles on the same DIMM")
-	}
-	if c.Interleave() != InterleaveTile {
-		t.Errorf("policy = %v, want tile", c.Interleave())
 	}
 }
 

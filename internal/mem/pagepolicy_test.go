@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/sim"
 )
 
@@ -93,5 +94,52 @@ func TestClosedPageLeavesRowsClosed(t *testing.T) {
 	}
 	if d.PagePolicy() != ClosedPage {
 		t.Error("policy getter wrong")
+	}
+}
+
+// TestRandomEfficiencyBracketedByPagePolicies derives the bulk model's
+// random_efficiency from the request-level model: uniformly random 64 B
+// reads across one DIMM, 64 in flight behind a Table II controller, reach
+// about 0.30 of peak under open page (nearly every access a row conflict)
+// and 0.41 under closed page (every access a row miss). A real controller
+// sits between the two policies (adaptive page closing), and so must the
+// configured constant.
+func TestRandomEfficiencyBracketedByPagePolicies(t *testing.T) {
+	const (
+		requests    = 32 << 10
+		outstanding = 64
+	)
+	cfg := config.Default().Memory
+	efficiency := func(policy PagePolicy) float64 {
+		eng := sim.NewEngine()
+		d := NewDIMM(eng, "d0", DDR42400(), DefaultGeometry())
+		d.SetPagePolicy(policy)
+		c := NewController(eng, "mc0", []*DIMM{d}, 64, 64)
+		rng := rand.New(rand.NewSource(1))
+		issued := 0
+		var finish sim.Time
+		var issue func()
+		issue = func() {
+			issued++
+			r := &Request{Addr: rng.Int63n(cfg.DIMMBytes) &^ 63, Done: func(at sim.Time) {
+				finish = at
+				if issued < requests {
+					issue()
+				}
+			}}
+			if !c.Submit(r) {
+				t.Fatalf("%v: controller rejected a read with %d in flight", policy, outstanding)
+			}
+		}
+		for i := 0; i < outstanding; i++ {
+			issue()
+		}
+		eng.Run()
+		return requests * 64 / finish.Seconds() / d.timing.PeakBandwidth()
+	}
+	open, closed := efficiency(OpenPage), efficiency(ClosedPage)
+	if !(open < cfg.RandomEfficieny && cfg.RandomEfficieny < closed) {
+		t.Errorf("random-read efficiency open-page %.3f, closed-page %.3f: want the configured random_efficiency %.2f strictly between",
+			open, closed, cfg.RandomEfficieny)
 	}
 }

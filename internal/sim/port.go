@@ -4,9 +4,9 @@ import "fmt"
 
 // Connection is serialised, shared bandwidth capacity with FIFO queueing —
 // the interface every bandwidth-bound resource model programs against.
-// Link is the canonical implementation; mem.Port, the NoC crossbar and
-// mesh, the AIMbus, the host PCIe link and the SSD flash interconnects are
-// all Connections under the hood.
+// Link is the canonical implementation; mem.Port, the NoC crossbar, the
+// AIMbus, the host PCIe link and the SSD flash interconnects are all
+// Connections under the hood.
 type Connection interface {
 	Resource
 	// Transfer reserves capacity for n bytes starting no earlier than now

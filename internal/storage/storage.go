@@ -53,12 +53,6 @@ type SSDConfig struct {
 	// reads (the rerank access pattern): scattered stripes rather than
 	// single 4 KiB pages, so the IOPS limit applies per stripe.
 	GatherGrainBytes int64
-	// WriteAmplification is the flash-level bytes written per host byte
-	// (garbage collection and wear levelling); 1.0 disables the model.
-	WriteAmplification float64
-	// WriteBytesPerSec is the sustained program bandwidth before
-	// amplification (flash programs are slower than reads).
-	WriteBytesPerSec float64
 	// PassThroughLatency is the extra latency the near-storage
 	// accelerator's pass-through logic adds to host IO (§II-C: "minimal
 	// overhead").
@@ -74,8 +68,6 @@ func DefaultSSDConfig() SSDConfig {
 		PageReadLatency:     80 * sim.Microsecond,
 		RandomIOPS:          800_000,
 		GatherGrainBytes:    64 << 10,
-		WriteAmplification:  1.5,
-		WriteBytesPerSec:    3.5e9,
 		PassThroughLatency:  2 * sim.Microsecond,
 	}
 }
@@ -87,13 +79,11 @@ type SSD struct {
 	cfg      SSDConfig
 	internal sim.Connection // aggregate flash-channel capacity
 
-	reads        uint64
-	pagesRead    uint64
-	bytesRead    uint64
-	bytesHost    uint64 // portion that crossed to the host
-	bytesDevice  uint64 // portion consumed by the attached accelerator
-	bytesWritten uint64 // host/device payload written
-	flashWear    uint64 // flash bytes programmed, amplification included
+	reads       uint64
+	pagesRead   uint64
+	bytesRead   uint64
+	bytesHost   uint64 // portion that crossed to the host
+	bytesDevice uint64 // portion consumed by the attached accelerator
 }
 
 // NewSSD creates a device on eng.
@@ -142,41 +132,16 @@ func (s *SSD) readInternal(n int64, pattern AccessPattern) sim.Time {
 	}
 }
 
-// writeInternal accounts the flash-side work of programming n payload
-// bytes: amplified by the GC factor and paced at the (slower) program
-// bandwidth. It occupies the same internal capacity reads use, so heavy
-// writes steal read bandwidth.
-func (s *SSD) writeInternal(n int64) sim.Time {
-	if n <= 0 {
-		return s.eng.Now()
-	}
-	wa := s.cfg.WriteAmplification
-	if wa < 1 {
-		wa = 1
-	}
-	wbw := s.cfg.WriteBytesPerSec
-	if wbw <= 0 {
-		wbw = s.cfg.InternalBytesPerSec
-	}
-	flashBytes := float64(n) * wa
-	d := sim.FromSeconds(flashBytes / wbw)
-	s.bytesWritten += uint64(n)
-	s.flashWear += uint64(flashBytes)
-	return s.internal.Occupy(d, n)
-}
-
 // InternalUtilization reports flash capacity utilisation.
 func (s *SSD) InternalUtilization() float64 { return s.internal.ResourceStats().Utilization }
 
 // Stats snapshot.
 type SSDStats struct {
-	Reads        uint64
-	PagesRead    uint64
-	BytesRead    uint64
-	BytesHost    uint64
-	BytesDevice  uint64
-	BytesWritten uint64
-	FlashWear    uint64
+	Reads       uint64
+	PagesRead   uint64
+	BytesRead   uint64
+	BytesHost   uint64
+	BytesDevice uint64
 }
 
 // Stats returns the device counters.
@@ -184,16 +149,7 @@ func (s *SSD) Stats() SSDStats {
 	return SSDStats{
 		Reads: s.reads, PagesRead: s.pagesRead, BytesRead: s.bytesRead,
 		BytesHost: s.bytesHost, BytesDevice: s.bytesDevice,
-		BytesWritten: s.bytesWritten, FlashWear: s.flashWear,
 	}
-}
-
-// WriteAmplificationObserved reports flash wear over payload written.
-func (s *SSD) WriteAmplificationObserved() float64 {
-	if s.bytesWritten == 0 {
-		return 0
-	}
-	return float64(s.flashWear) / float64(s.bytesWritten)
 }
 
 // Array is the storage system: a set of SSDs behind one shared host PCIe
@@ -266,28 +222,6 @@ func (a *Array) HostRead(i int, n int64, pattern AccessPattern) sim.Time {
 		done = pcieDone
 	}
 	return done + s.cfg.PassThroughLatency
-}
-
-// HostWrite moves n bytes from host memory onto SSD i (the forced
-// write-back GAM performs for near-storage stream inputs, §III-B 2c).
-func (a *Array) HostWrite(i int, n int64) sim.Time {
-	s := a.ssds[i]
-	s.bytesHost += uint64(n)
-	pcieDone := a.hostLink.TransferEff(n, a.hostEff)
-	flashDone := s.writeInternal(n)
-	if flashDone > pcieDone {
-		return flashDone
-	}
-	return pcieDone
-}
-
-// DeviceWrite programs n bytes produced by the attached near-storage
-// accelerator (e.g. materialised intermediate results) without touching
-// the host interface.
-func (a *Array) DeviceWrite(i int, n int64) sim.Time {
-	s := a.ssds[i]
-	s.bytesDevice += uint64(n)
-	return s.writeInternal(n)
 }
 
 // HostToDevice moves n bytes from host memory to the accelerator attached

@@ -125,20 +125,6 @@ func TestStatsAttribution(t *testing.T) {
 	}
 }
 
-func TestHostWrite(t *testing.T) {
-	eng := sim.NewEngine()
-	a := newArray(eng, 1)
-	n := int64(60e6)
-	done := a.HostWrite(0, n)
-	want := sim.FromSeconds(60e6 / 12e9)
-	if done < want {
-		t.Errorf("host write done = %v, want >= %v", done, want)
-	}
-	if a.HostLinkBytes() != uint64(n) {
-		t.Errorf("host link bytes = %d, want %d", a.HostLinkBytes(), n)
-	}
-}
-
 func TestZeroByteRead(t *testing.T) {
 	eng := sim.NewEngine()
 	a := newArray(eng, 1)
@@ -157,69 +143,5 @@ func TestAccessPatternString(t *testing.T) {
 	}
 	if AccessPattern(99).String() == "" {
 		t.Error("unknown pattern produced empty string")
-	}
-}
-
-func TestWritePathAmplification(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := DefaultSSDConfig()
-	a := NewArray(eng, 1, cfg, 16e9, 0.75, 0)
-	n := int64(1 << 30)
-	done := a.DeviceWrite(0, n)
-	// 1 GiB × 1.5 WA at 3.5 GB/s ≈ 460 ms — far slower than a read.
-	wantMin := sim.FromSeconds(float64(n) * cfg.WriteAmplification / cfg.WriteBytesPerSec)
-	if done < wantMin {
-		t.Errorf("write done at %v, faster than program-rate bound %v", done, wantMin)
-	}
-	st := a.SSD(0).Stats()
-	if st.BytesWritten != uint64(n) {
-		t.Errorf("bytes written = %d", st.BytesWritten)
-	}
-	if st.FlashWear != uint64(float64(n)*cfg.WriteAmplification) {
-		t.Errorf("flash wear = %d, want amplified", st.FlashWear)
-	}
-	if wa := a.SSD(0).WriteAmplificationObserved(); wa != cfg.WriteAmplification {
-		t.Errorf("observed WA = %v", wa)
-	}
-	if a.HostLinkBytes() != 0 {
-		t.Error("device write crossed host link")
-	}
-}
-
-func TestWritesStealReadBandwidth(t *testing.T) {
-	eng := sim.NewEngine()
-	a := NewArray(eng, 1, DefaultSSDConfig(), 16e9, 0.75, 0)
-	// A large write first: a subsequent device read queues behind it on
-	// the internal capacity.
-	a.DeviceWrite(0, 1<<30)
-	readDone := a.DeviceRead(0, 1<<20, Sequential)
-	soloEng := sim.NewEngine()
-	solo := NewArray(soloEng, 1, DefaultSSDConfig(), 16e9, 0.75, 0)
-	soloDone := solo.DeviceRead(0, 1<<20, Sequential)
-	if readDone <= soloDone {
-		t.Errorf("read behind write (%v) not slower than solo read (%v)", readDone, soloDone)
-	}
-}
-
-func TestHostWriteUsesProgramRate(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := DefaultSSDConfig()
-	a := NewArray(eng, 1, cfg, 16e9, 0.75, 0)
-	n := int64(1 << 30)
-	done := a.HostWrite(0, n)
-	// Flash programs (460 ms) dominate the PCIe transfer (89 ms).
-	if done < sim.FromSeconds(float64(n)*cfg.WriteAmplification/cfg.WriteBytesPerSec) {
-		t.Errorf("host write done at %v, ignores program rate", done)
-	}
-	if a.HostLinkBytes() != uint64(n) {
-		t.Error("host write did not cross host link")
-	}
-}
-
-func TestObservedWAZeroBeforeWrites(t *testing.T) {
-	eng := sim.NewEngine()
-	a := NewArray(eng, 1, DefaultSSDConfig(), 16e9, 0.75, 0)
-	if wa := a.SSD(0).WriteAmplificationObserved(); wa != 0 {
-		t.Errorf("WA before writes = %v", wa)
 	}
 }
