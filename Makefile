@@ -2,11 +2,14 @@
 #
 #   make check       — everything CI runs: formatting, build, vet (the
 #                      root module and the bench/ module), race tests,
-#                      and the bench/ module's tests
+#                      the bench/ module's tests, and 10 s of fuzzing the
+#                      four-row distance kernel against SquaredL2
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
 #   make bench       — root + sim benchmarks with allocation stats
 #   make bench-smoke — 1x pass over every benchmark, so benchmark code
 #                      compiles and runs in CI without paying full benchtime
+#                      (the kernels package's included, with the four-row
+#                      distance kernel beside its SquaredL2 loop)
 #   make metrics-smoke — end-to-end observability check: run reachsim with
 #                      -metrics/-spans/-trace and validate the CSV schema,
 #                      the Chrome-trace JSON and the bottleneck report
@@ -36,9 +39,9 @@ CSMOKE_DIR := cluster-smoke-out
 CACHESMOKE_DIR := cache-smoke-out
 OBSSMOKE_DIR := cluster-obs-smoke-out
 
-.PHONY: check fmt-check build vet test race bench-test bench bench-smoke metrics-smoke qtrace-smoke cluster-smoke cache-smoke cluster-obs-smoke
+.PHONY: check fmt-check build vet test race bench-test fuzz bench bench-smoke metrics-smoke qtrace-smoke cluster-smoke cache-smoke cluster-obs-smoke
 
-check: fmt-check build vet race bench-test
+check: fmt-check build vet race bench-test fuzz
 
 # gofmt -l prints offending files; any output fails the target.
 fmt-check:
@@ -67,12 +70,17 @@ race:
 bench-test:
 	$(GO) -C bench test ./...
 
+# Coverage-guided fuzzing of SquaredL2Rows for 10 s: every output must be
+# bit for bit the SquaredL2 of its row. Plain go test runs only the seeds.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzSquaredL2Rows$$' -fuzztime 10s ./internal/kernels/
+
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/
 
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./internal/sim/ ./internal/cbir/ ./internal/trace/ ./internal/metrics/ \
-		./internal/cluster/
+		./internal/cluster/ ./internal/kernels/
 	$(GO) test -bench BenchmarkFullEvaluation -benchtime 1x -run '^$$' .
 
 # End-to-end observability smoke: a sampled experiment sweep (CSV dump +

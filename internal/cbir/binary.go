@@ -107,7 +107,7 @@ func (ix *BinaryIndex) Encoder() *BinaryEncoder { return ix.enc }
 
 // Search runs shortlist → candidates → Hamming rerank.
 func (ix *BinaryIndex) Search(queries *kernels.Matrix, p SearchParams) ([][]kernels.Neighbor, error) {
-	shortlists, err := ix.ivf.Shortlist(queries, p.Probes)
+	shortlists, err := ix.ivf.searchShortlists(queries, p)
 	if err != nil {
 		return nil, err
 	}

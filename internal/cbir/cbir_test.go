@@ -1,6 +1,8 @@
 package cbir
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/kernels"
@@ -226,6 +228,66 @@ func TestSearchReturnsKResults(t *testing.T) {
 			if r[i].Dist < r[i-1].Dist {
 				t.Errorf("query %d results not sorted", b)
 			}
+		}
+	}
+}
+
+// TestSearchRejectsBadParams checks that every index type's search
+// returns an error naming the bad field, where it used to panic or report
+// recall 0.
+func TestSearchRejectsBadParams(t *testing.T) {
+	ds := testDataset(t, 600, 16, 8)
+	exact, err := BuildIndex(ds.Vectors, 8, 10, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := BuildPQIndex(ds.Vectors, 8, 10, 9, PQParams{Subspaces: 4, CentroidsPerSub: 16, KMeansIters: 5, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := BuildBinaryIndex(ds.Vectors, 8, 10, 9, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexes := map[string]interface {
+		RecallAtK(*kernels.Matrix, SearchParams) (float64, error)
+	}{"Index": exact, "PQIndex": pq, "BinaryIndex": bin}
+
+	queries := ds.Queries(3, 0.02, 11)
+	wide := kernels.NewMatrix(queries.Rows, queries.Cols+1)
+	good := SearchParams{Probes: 2, Candidates: 64, K: 5}
+	cases := []struct {
+		name    string
+		queries *kernels.Matrix
+		mutate  func(*SearchParams)
+		want    string
+	}{
+		{"K=0", queries, func(p *SearchParams) { p.K = 0 }, "K=0"},
+		{"K=-1", queries, func(p *SearchParams) { p.K = -1 }, "K=-1"},
+		{"Candidates=0", queries, func(p *SearchParams) { p.Candidates = 0 }, "Candidates=0"},
+		{"Candidates=-1", queries, func(p *SearchParams) { p.Candidates = -1 }, "Candidates=-1"},
+		{"wide queries", wide, func(*SearchParams) {}, fmt.Sprintf("D=%d", wide.Cols)},
+	}
+	for name, ix := range indexes {
+		if _, err := ix.RecallAtK(queries, good); err != nil {
+			t.Fatalf("%s: valid params rejected: %v", name, err)
+		}
+		for _, c := range cases {
+			p := good
+			c.mutate(&p)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s, %s: panicked: %v", name, c.name, r)
+					}
+				}()
+				recall, err := ix.RecallAtK(c.queries, p)
+				if err == nil {
+					t.Errorf("%s, %s: recall %.3f, no error", name, c.name, recall)
+				} else if !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s, %s: error %q does not name %q", name, c.name, err, c.want)
+				}
+			}()
 		}
 	}
 }

@@ -69,6 +69,22 @@ func (ix *Index) Shortlist(queries *kernels.Matrix, probes int) ([][]int, error)
 	return out, nil
 }
 
+// searchShortlists validates a Search call, then shortlists its queries.
+// The three Search methods share it, so each rejects a bad K, Candidates
+// or query width, and Shortlist a bad Probes, with an error naming it.
+func (ix *Index) searchShortlists(queries *kernels.Matrix, p SearchParams) ([][]int, error) {
+	if d := ix.Centroids.Cols; queries.Cols != d {
+		return nil, fmt.Errorf("cbir: queries have D=%d, index has D=%d", queries.Cols, d)
+	}
+	if p.K < 1 {
+		return nil, fmt.Errorf("cbir: K=%d invalid, need K >= 1", p.K)
+	}
+	if p.Candidates < 1 {
+		return nil, fmt.Errorf("cbir: Candidates=%d invalid, need Candidates >= 1", p.Candidates)
+	}
+	return ix.Shortlist(queries, p.Probes)
+}
+
 // Candidates gathers up to maxCandidates point IDs from the probed
 // clusters, round-robin across clusters so each probed cell contributes —
 // the candidate-list formation of the rerank stage.
@@ -117,7 +133,7 @@ type SearchParams struct {
 
 // Search runs shortlist → candidates → rerank for a batch of queries.
 func (ix *Index) Search(queries *kernels.Matrix, p SearchParams) ([][]kernels.Neighbor, error) {
-	shortlists, err := ix.Shortlist(queries, p.Probes)
+	shortlists, err := ix.searchShortlists(queries, p)
 	if err != nil {
 		return nil, err
 	}

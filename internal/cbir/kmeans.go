@@ -143,6 +143,7 @@ type yinyang struct {
 	lb              []float32       // n × t
 	drift           []float64       // k: distance each centroid moved in the last update
 	groupDrift      []float64       // t: largest drift in each group
+	dists           []float32       // k: distances of the group being scanned
 	driftSlack      float64
 	slope, offset   float64
 	evals           int64
@@ -190,6 +191,7 @@ func newYinyang(data, centroids *kernels.Matrix, seed int64) (*yinyang, error) {
 		lb:         make([]float32, data.Rows*t),
 		drift:      make([]float64, k),
 		groupDrift: make([]float64, t),
+		dists:      make([]float32, k),
 		driftSlack: 1 + (d+4)*0x1p-52,
 		slope:      math.Inf(1),
 	}
@@ -266,10 +268,12 @@ func (y *yinyang) nearest(i, cur int) int {
 		// MaxFloat32, which also bounds an overflowed (+Inf) sum from
 		// below and is vacuous for a group with no other centroid.
 		m1, m2 := float32(math.MaxFloat32), float32(math.MaxFloat32)
-		for _, c := range y.members[y.start[g]:y.start[g+1]] {
+		group := y.members[y.start[g]:y.start[g+1]]
+		kernels.SquaredL2Rows(row, y.centroids, group, y.dists)
+		for j, c := range group {
 			dist := da
 			if c != a {
-				dist = kernels.SquaredL2(row, y.centroids.Row(c))
+				dist = y.dists[j]
 				y.evals++
 			}
 			if dist <= bestD && (dist < bestD || c < best) {

@@ -172,7 +172,7 @@ func (ix *PQIndex) PQ() *PQ { return ix.pq }
 
 // Search runs shortlist → candidates → ADC rerank over codes.
 func (ix *PQIndex) Search(queries *kernels.Matrix, p SearchParams) ([][]kernels.Neighbor, error) {
-	shortlists, err := ix.ivf.Shortlist(queries, p.Probes)
+	shortlists, err := ix.ivf.searchShortlists(queries, p)
 	if err != nil {
 		return nil, err
 	}
