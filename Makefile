@@ -11,8 +11,9 @@
 #                      (the kernels package's included, with the four-row
 #                      distance kernel beside its SquaredL2 loop)
 #   make metrics-smoke — end-to-end observability check: run reachsim with
-#                      -metrics/-spans/-trace and validate the CSV schema,
-#                      the Chrome-trace JSON and the bottleneck report
+#                      -metrics, then -trace with -spans, and validate the
+#                      CSV schema, the Chrome-trace JSON and the bottleneck
+#                      report
 #   make qtrace-smoke — per-query tracing check: a Poisson tail-latency
 #                      sweep with the live inspector on an ephemeral port,
 #                      curl its progress/expvar endpoints mid-run, then
@@ -21,9 +22,6 @@
 #                      run with the inspector on an ephemeral port, its
 #                      summary table diffed against the committed golden
 #                      and the inspector snapshots validated
-#   make cache-smoke — front-end result-cache check: the pinned cluster
-#                      run with -cache 32 must emit the cache rows and
-#                      the cache sweep its p99 headline
 #   make cluster-obs-smoke — cluster observability check: one flash-crowd
 #                      run with every sink on (-metrics, -spans, -trace,
 #                      -slo, -flight -detect) must cut exactly one
@@ -36,10 +34,9 @@ GO ?= go
 SMOKE_DIR := metrics-smoke-out
 QSMOKE_DIR := qtrace-smoke-out
 CSMOKE_DIR := cluster-smoke-out
-CACHESMOKE_DIR := cache-smoke-out
 OBSSMOKE_DIR := cluster-obs-smoke-out
 
-.PHONY: check fmt-check build vet test race bench-test fuzz bench bench-smoke metrics-smoke qtrace-smoke cluster-smoke cache-smoke cluster-obs-smoke
+.PHONY: check fmt-check build vet test race bench-test fuzz bench bench-smoke metrics-smoke qtrace-smoke cluster-smoke cluster-obs-smoke
 
 check: fmt-check build vet race bench-test fuzz
 
@@ -89,7 +86,7 @@ bench-smoke:
 metrics-smoke:
 	rm -rf $(SMOKE_DIR) && mkdir -p $(SMOKE_DIR)
 	$(GO) run ./cmd/reachsim -exp fig9 -metrics $(SMOKE_DIR)/metrics.csv \
-		-metrics-interval 200us -spans > $(SMOKE_DIR)/report.txt
+		-metrics-interval 200us > $(SMOKE_DIR)/report.txt
 	$(GO) run ./cmd/reachsim -trace $(SMOKE_DIR)/trace.json -spans \
 		-metrics-interval 500us
 	METRICS_SMOKE_DIR=$$PWD/$(SMOKE_DIR) $(GO) test -run TestMetricsSmokeArtifacts -v ./cmd/reachsim/
@@ -141,17 +138,6 @@ cluster-smoke:
 	kill $$pid; wait $$pid 2>/dev/null || true
 	diff cmd/reachsim/testdata/cluster_smoke.golden $(CSMOKE_DIR)/report.txt
 	CLUSTER_SMOKE_DIR=$$PWD/$(CSMOKE_DIR) $(GO) test -run TestClusterSmokeArtifacts -v ./cmd/reachsim/
-
-# Front-end cache smoke: the -cache 32 run carries the cache accounting
-# rows and the cache sweep its headline. The cache-off golden and the
-# race run over the cache tests are part of make check.
-cache-smoke:
-	rm -rf $(CACHESMOKE_DIR) && mkdir -p $(CACHESMOKE_DIR)
-	$(GO) build -o $(CACHESMOKE_DIR)/reachsim ./cmd/reachsim
-	$(CACHESMOKE_DIR)/reachsim -cluster -cache 32 > $(CACHESMOKE_DIR)/cache.txt
-	grep -q 'cache hit rate %' $(CACHESMOKE_DIR)/cache.txt
-	$(CACHESMOKE_DIR)/reachsim -exp cachesweep > $(CACHESMOKE_DIR)/cachesweep.txt
-	grep -q 'cache-off p99' $(CACHESMOKE_DIR)/cachesweep.txt
 
 # Cluster observability smoke: one flash-crowd -cluster run with every
 # sink on, the flags of the benchmark's cluster-observed workload. The

@@ -13,10 +13,8 @@ import (
 
 // TestValidateFlagMatrix pins the flag contract: a flag the selected
 // mode would silently ignore is an error, so is a numeric value outside
-// the flag's domain, and every meaningful combination is accepted. Before
-// observability reached the -cluster path, `-cluster -metrics` ran and
-// did nothing; now the ignored combos fail fast and the meaningful ones
-// do work (see the artifact test below).
+// the flag's domain, and every meaningful combination is accepted — the
+// benchmark's reachsim argument lists included.
 func TestValidateFlagMatrix(t *testing.T) {
 	// given builds the set-flags map; "name=value" sets a value, a bare
 	// name stands for a valid one.
@@ -73,6 +71,14 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{[]string{"cluster", "slo=1e-10"}, "-slo 1e-10 ms rounds to 0 ps"},
 		{[]string{"cluster", "slo=400", "slo-window=1e-10"}, "-slo-window 1e-10 ms rounds to 0 ps"},
 		{[]string{"cluster", "flight", "flight-window=1e-10"}, "-flight-window 1e-10 ms rounds to 0 ps"},
+		{[]string{"stats", "config=/nonexistent.json"}, "-config does nothing with -stats"},
+		{[]string{"stats", "metrics=x.csv"}, "-metrics does nothing with -stats"},
+		{[]string{"list", "exp=bogus", "config=/nonexistent.json"}, "does nothing with -list"},
+		{[]string{"trace=t.json", "exp=fig9", "j=3", "qtrace=q.csv", "progress"}, "does nothing with -trace"},
+		{[]string{"trace=t.json", "metrics=m.csv", "csv"}, "-csv does nothing with -trace"},
+		{[]string{"exp=table1", "metrics-interval=1ms"}, "-metrics-interval requires -metrics"},
+		{[]string{"exp=table1", "spans"}, "-spans requires -cluster or -trace"},
+		{[]string{"j=-3"}, "-j must be non-negative, got -3"},
 	}
 	for _, c := range rejected {
 		err := validateFlags(given(c.flags...))
@@ -82,7 +88,7 @@ func TestValidateFlagMatrix(t *testing.T) {
 	}
 	accepted := [][]string{
 		{},
-		{"exp", "j", "csv", "metrics", "metrics-interval", "spans", "qtrace", "progress"},
+		{"exp", "j", "csv", "metrics", "metrics-interval", "qtrace", "progress"},
 		{"exp", "http", "http-linger"},
 		{"pj"}, // deprecated no-op, still accepted
 		{"trace", "spans", "metrics-interval"},
@@ -94,6 +100,18 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{"cluster", "nodes=0", "pj=0", "cache=0", "slo=0", "metrics-interval=0s"},
 		{"cluster", "slo=250", "slo-window=0.5", "flight", "flight-window=1e-3"},
 		{"cluster", "slo=1e-9", "slo-window=1e-9", "flight", "flight-window=1e-9"}, // 1 ps
+		// The benchmark's reachsim argument lists (bench/workload.go,
+		// bench/run.go, bench/trace.go): -list, -exp <id> -j 1, the
+		// cluster-observed run, and the bare flash run plus each sink group.
+		{"list"},
+		{"exp=all", "j=2"},
+		{"exp=table1", "j=1"},
+		{"cluster", "pj=1", "slo=400", "arrival=flash", "flight", "detect", "metrics", "spans", "trace"},
+		{"cluster", "pj=1", "arrival=flash"},
+		{"cluster", "pj=1", "arrival=flash", "metrics", "spans"},
+		{"cluster", "pj=1", "arrival=flash", "trace"},
+		{"cluster", "pj=1", "arrival=flash", "slo=400"},
+		{"cluster", "pj=1", "arrival=flash", "flight", "detect"},
 	}
 	for _, flags := range accepted {
 		if err := validateFlags(given(flags...)); err != nil {

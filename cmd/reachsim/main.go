@@ -29,6 +29,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,18 +50,115 @@ import (
 	"repro/internal/workload"
 )
 
-var experimentIDs = []string{
-	"table1", "table2", "table3", "table4",
-	"fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-	"ablation-gam", "ablation-mapping", "ablation-nsbuffer", "ablation-granularity",
-	"motivation", "loadsweep", "skew", "reverselookup", "multitenant", "recallsweep",
+// experiment is one -exp id: whether `-exp all` runs it, and the call that
+// returns its table.
+type experiment struct {
+	id string
+	// all is false for the extras, runnable and listed but kept out of
+	// `-exp all`: the tail sweep's Poisson runs and the cluster sweeps
+	// don't belong to the paper's evaluation tables, and keeping them out
+	// preserves `-exp all` output byte-for-byte.
+	all bool
+	run runFunc
 }
 
-// extraIDs are runnable and listed but excluded from `-exp all`: the tail
-// sweep's Poisson runs and the cluster scale-out don't belong to the
-// paper's evaluation tables, and keeping them out preserves `-exp all`
-// output byte-for-byte.
-var extraIDs = []string{"cachesweep", "clustersweep", "taillatency"}
+// runFunc runs one experiment with the execution options and returns its
+// table.
+type runFunc func(cfg config.SystemConfig, m workload.Model, opts []experiments.Option) (*report.Table, error)
+
+// experimentTable is every experiment, in the order `-exp all` runs and
+// prints them; -list sorts it.
+var experimentTable = []experiment{
+	{"table1", true, func(_ config.SystemConfig, m workload.Model, _ []experiments.Option) (*report.Table, error) {
+		return experiments.TableI(m), nil
+	}},
+	{"table2", true, func(cfg config.SystemConfig, _ workload.Model, _ []experiments.Option) (*report.Table, error) {
+		return experiments.TableII(cfg), nil
+	}},
+	{"table3", true, func(config.SystemConfig, workload.Model, []experiments.Option) (*report.Table, error) {
+		return experiments.TableIII(), nil
+	}},
+	{"table4", true, func(config.SystemConfig, workload.Model, []experiments.Option) (*report.Table, error) {
+		return experiments.TableIV(energy.DefaultCosts()), nil
+	}},
+	{"fig8", true, tabled(experiments.Fig8)},
+	{"fig9", true, rendered(experiments.Fig9, stageTable("Fig 9"))},
+	{"fig10", true, rendered(experiments.Fig10, stageTable("Fig 10"))},
+	{"fig11", true, rendered(experiments.Fig11, stageTable("Fig 11"))},
+	{"fig12", true, tabled(experiments.Fig12)},
+	{"fig13", true, tabled(experiments.Fig13)},
+	{"ablation-gam", true, tabled(experiments.AblationGAM)},
+	{"ablation-mapping", true, tabled(experiments.AblationMapping)},
+	{"ablation-nsbuffer", true, tabled(experiments.AblationNSBuffer)},
+	{"ablation-granularity", true, tabled(experiments.AblationGranularity)},
+	{"motivation", true, tabled(func(_ workload.Model, opts ...experiments.Option) (*experiments.MotivationResult, error) {
+		return experiments.Motivation(opts...)
+	})},
+	{"loadsweep", true, paired(experiments.LoadSweepBoth, experiments.LoadSweepTable)},
+	{"skew", true, tabled(experiments.SkewExperiment)},
+	{"reverselookup", true, tabled(experiments.ReverseLookup)},
+	{"multitenant", true, tabled(experiments.MultiTenant)},
+	{"recallsweep", true, tabled(experiments.RecallSweep)},
+	{"cachesweep", false, rendered(experiments.DefaultCacheSweep, experiments.CacheSweepTable)},
+	{"clustersweep", false, rendered(experiments.DefaultClusterSweep, experiments.ClusterSweepTable)},
+	{"taillatency", false, paired(experiments.TailLatencyBoth, experiments.TailLatencyTable)},
+}
+
+// rendered adapts an experiment entry point and the renderer of its
+// result.
+func rendered[R any](f func(workload.Model, ...experiments.Option) (R, error), table func(R) *report.Table) runFunc {
+	return func(_ config.SystemConfig, m workload.Model, opts []experiments.Option) (*report.Table, error) {
+		r, err := f(m, opts...)
+		if err != nil {
+			return nil, err
+		}
+		return table(r), nil
+	}
+}
+
+// tabled adapts an entry point whose result renders its own table.
+func tabled[R interface{ Table() *report.Table }](f func(workload.Model, ...experiments.Option) (R, error)) runFunc {
+	return rendered(f, R.Table)
+}
+
+// paired adapts an entry point that sweeps the on-chip baseline and ReACH,
+// rendered side by side.
+func paired[R any](f func(workload.Model, ...experiments.Option) (R, R, error), table func(onchip, reach R) *report.Table) runFunc {
+	return func(_ config.SystemConfig, m workload.Model, opts []experiments.Option) (*report.Table, error) {
+		onchip, reach, err := f(m, opts...)
+		if err != nil {
+			return nil, err
+		}
+		return table(onchip, reach), nil
+	}
+}
+
+// stageTable renders a single-stage sweep under its figure's title.
+func stageTable(figure string) func(*experiments.StageSweep) *report.Table {
+	return func(s *experiments.StageSweep) *report.Table { return s.Table(figure) }
+}
+
+// tableIDs lists the ids `-exp all` runs (all) or the extras (!all), in
+// table order.
+func tableIDs(all bool) []string {
+	var ids []string
+	for _, e := range experimentTable {
+		if e.all == all {
+			ids = append(ids, e.id)
+		}
+	}
+	return ids
+}
+
+// run looks id up in experimentTable, ignoring case, and runs it.
+func run(id string, cfg config.SystemConfig, m workload.Model, opts ...experiments.Option) (*report.Table, error) {
+	for _, e := range experimentTable {
+		if strings.EqualFold(e.id, id) {
+			return e.run(cfg, m, opts)
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (use -list)", id)
+}
 
 // Fixed inputs of the -cluster single run, pinned so its stdout is a
 // stable golden for the CI cluster smoke.
@@ -87,46 +185,79 @@ const defaultFlightWindowMS = 1000
 // pinned 32-query run still fills several windows.
 const defaultSLOWindowMS = 250
 
-// validateFlags rejects combinations the selected mode would silently
-// ignore — every flag on the command line must do something — and
-// numeric values outside a flag's domain, which would otherwise fall back
-// to the default unannounced. given maps each explicitly set flag to its
-// value as the flag package renders it.
+// modeFlags select reachsim's mode: the first one set wins, and with none
+// set it runs experiments, the "exp" mode.
+var modeFlags = []string{"cluster", "stats", "trace", "list"}
+
+// allModes is every mode, for the flags that act in all of them.
+var allModes = []string{"exp", "cluster", "stats", "trace", "list"}
+
+// flagModes is the flag contract: the modes each flag acts in. A flag
+// missing here acts in none.
+var flagModes = map[string][]string{
+	"cpuprofile": allModes,
+	"memprofile": allModes,
+	// -pj is a deprecated no-op, accepted everywhere so existing scripts
+	// still run.
+	"pj":               allModes,
+	"exp":              {"exp"},
+	"config":           {"exp"},
+	"j":                {"exp"},
+	"progress":         {"exp"},
+	"qtrace":           {"exp"},
+	"csv":              {"exp", "cluster", "stats"},
+	"metrics":          {"exp", "cluster", "trace"},
+	"metrics-interval": {"exp", "cluster", "trace"},
+	"spans":            {"cluster", "trace"},
+	"http":             {"exp", "cluster"},
+	"http-linger":      {"exp", "cluster"},
+	"trace":            {"trace", "cluster"},
+	"stats":            {"stats"},
+	"list":             {"list"},
+	"cluster":          {"cluster"},
+	"nodes":            {"cluster"},
+	"route":            {"cluster"},
+	"cache":            {"cluster"},
+	"cache-ttl":        {"cluster"},
+	"slo":              {"cluster"},
+	"slo-window":       {"cluster"},
+	"flight":           {"cluster"},
+	"flight-window":    {"cluster"},
+	"detect":           {"cluster"},
+	"arrival":          {"cluster"},
+}
+
+// validateFlags rejects a flag the selected mode would silently ignore —
+// every flag on the command line must do something — a numeric value
+// outside its flag's domain, which would otherwise fall back to the
+// default unannounced, and a flag given without the flag it refines.
+// given maps each explicitly set flag to its value as the flag package
+// renders it.
 func validateFlags(given map[string]string) error {
 	has := func(f string) bool { _, ok := given[f]; return ok }
-	if has("cluster") {
-		// -cluster runs exactly one pinned deployment: the experiment
-		// selection, config and sweep-concurrency knobs have nothing to
-		// apply to (observability flags -metrics/-spans/-trace/-slo all do).
-		for _, f := range []string{"exp", "stats", "list", "config", "j", "qtrace", "progress"} {
-			if has(f) {
-				return fmt.Errorf("-%s does nothing with -cluster; drop one of them", f)
-			}
-		}
-	} else {
-		for _, f := range []string{"nodes", "route", "cache", "cache-ttl", "slo", "slo-window",
-			"flight", "flight-window", "detect", "arrival"} {
-			if has(f) {
-				return fmt.Errorf("-%s requires -cluster", f)
-			}
+	mode := "exp"
+	for _, f := range modeFlags {
+		if has(f) {
+			mode = f
+			break
 		}
 	}
-	if has("slo-window") && !has("slo") {
-		return fmt.Errorf("-slo-window requires -slo")
+	names := make([]string, 0, len(given))
+	for f := range given {
+		names = append(names, f)
 	}
-	if has("flight-window") && !has("flight") {
-		return fmt.Errorf("-flight-window requires -flight")
+	sort.Strings(names)
+	for _, f := range names {
+		modes := flagModes[f]
+		switch {
+		case slices.Contains(modes, mode):
+		case mode != "exp":
+			return fmt.Errorf("-%s does nothing with -%s; drop one of them", f, mode)
+		default:
+			return fmt.Errorf("-%s requires -%s", f, strings.Join(modes, " or -"))
+		}
 	}
-	if has("detect") && !has("flight") {
-		return fmt.Errorf("-detect requires -flight")
-	}
-	if has("cache-ttl") && !has("cache") {
-		return fmt.Errorf("-cache-ttl requires -cache")
-	}
-	if has("http-linger") && !has("http") {
-		return fmt.Errorf("-http-linger requires -http")
-	}
-	for _, f := range []string{"nodes", "pj", "cache", "cache-ttl", "slo", "metrics-interval"} {
+	for _, f := range []string{"nodes", "pj", "j", "cache", "cache-ttl", "slo", "metrics-interval"} {
 		if v, ok := given[f]; ok {
 			if x, err := flagNumber(v); err != nil || x < 0 {
 				return fmt.Errorf("-%s must be non-negative, got %s", f, v)
@@ -148,6 +279,20 @@ func validateFlags(given map[string]string) error {
 			if x, _ := flagNumber(v); x > 0 && sim.FromSeconds(x/1e3) == 0 {
 				return fmt.Errorf("-%s %s ms rounds to 0 ps of simulated time", f, v)
 			}
+		}
+	}
+	requires := [][2]string{
+		{"slo-window", "slo"}, {"flight-window", "flight"}, {"detect", "flight"},
+		{"cache-ttl", "cache"}, {"http-linger", "http"},
+	}
+	if mode == "exp" {
+		// -cluster and -trace sample on the interval alone; experiments
+		// are sampled only for a -metrics dump.
+		requires = append(requires, [2]string{"metrics-interval", "metrics"})
+	}
+	for _, r := range requires {
+		if has(r[0]) && !has(r[1]) {
+			return fmt.Errorf("-%s requires -%s", r[0], r[1])
 		}
 	}
 	return nil
@@ -174,11 +319,11 @@ func main() {
 		jobs      = flag.Int("j", 0, "max simulations in flight across all experiments (0 = GOMAXPROCS)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
-		metricsF  = flag.String("metrics", "", "sample every run's resources and write the time series here (CSV, or JSON Lines when the path ends in .jsonl); also prints per-run bottleneck-attribution tables")
+		metricsF  = flag.String("metrics", "", "sample every run's resources and write the time series here as CSV; also prints per-run bottleneck-attribution tables")
 		metricsIv = flag.Duration("metrics-interval", 0, "simulated-time sampling period for -metrics (default 10µs)")
-		spans     = flag.Bool("spans", false, "record GAM decision spans (merged into -trace timelines and .jsonl metrics dumps)")
+		spans     = flag.Bool("spans", false, "with -trace or -cluster, record GAM decision spans into the Chrome trace")
 		progress  = flag.Bool("progress", false, "print per-run progress counters to stderr as experiments execute")
-		qtraceF   = flag.String("qtrace", "", "trace every query and write per-query timelines here (interval CSV plus a *_summary.csv, or a single JSON Lines file when the path ends in .jsonl)")
+		qtraceF   = flag.String("qtrace", "", "trace every query and write per-query timelines here (interval CSV plus a *_summary.csv)")
 		httpAddr  = flag.String("http", "", "serve a live run inspector on this address (/progress JSON, expvar at /debug/vars, pprof at /debug/pprof); implies per-query tracing")
 		httpWait  = flag.Duration("http-linger", 0, "with -http, keep the inspector serving this long after the experiments finish, so scripts can scrape the final counters")
 		clusterF  = flag.Bool("cluster", false, "run one sharded scatter-gather cluster deployment and print its summary table")
@@ -201,9 +346,11 @@ func main() {
 		fatal(err)
 	}
 
-	mo := metrics.Options{Spans: *spans}
-	if *metricsIv > 0 {
-		mo.Interval = sim.Time(metricsIv.Nanoseconds()) * sim.Nanosecond
+	// Any metrics flag turns sampling on; in experiments mode the flag
+	// contract leaves -metrics itself as the only way.
+	var mo *metrics.Options
+	if *metricsF != "" || *spans || *metricsIv > 0 {
+		mo = &metrics.Options{Spans: *spans, Interval: sim.Time(metricsIv.Nanoseconds()) * sim.Nanosecond}
 	}
 
 	// Profiling wraps whichever mode runs below, so profiling the full
@@ -242,6 +389,7 @@ func main() {
 			csv:         *csvOut,
 			httpAddr:    *httpAddr,
 			httpWait:    *httpWait,
+			metrics:     mo,
 			metricsPath: *metricsF,
 			tracePath:   *tracePath,
 			sloMs:       *sloF,
@@ -250,9 +398,6 @@ func main() {
 			flightWinMs: *flightWin,
 			detect:      *detectF,
 			arrival:     *arrivalF,
-		}
-		if *metricsF != "" || *spans || *metricsIv > 0 {
-			co.metrics = &mo
 		}
 		if err := runCluster(os.Stdout, co); err != nil {
 			fatal(err)
@@ -277,11 +422,7 @@ func main() {
 	}
 
 	if *tracePath != "" {
-		var rec *metrics.Options
-		if *metricsF != "" || *spans || *metricsIv > 0 {
-			rec = &mo
-		}
-		if err := writeTrace(*tracePath, rec, *metricsF); err != nil {
+		if err := writeTrace(*tracePath, mo, *metricsF); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "trace written to %s (open in chrome://tracing or Perfetto)\n", *tracePath)
@@ -305,16 +446,14 @@ func main() {
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = experimentIDs
+		ids = tableIDs(true)
 	}
 	ra := runAllOptions{
-		jobs:     *jobs,
-		csv:      *csvOut,
-		progress: *progress,
-	}
-	if *metricsF != "" {
-		ra.metricsPath = *metricsF
-		ra.metrics = &mo
+		jobs:        *jobs,
+		csv:         *csvOut,
+		progress:    *progress,
+		metrics:     mo,
+		metricsPath: *metricsF,
 	}
 	if *httpAddr != "" {
 		insp := inspect.New()
@@ -347,20 +486,11 @@ func main() {
 // scripts consuming the top block never pick up a non-default id by
 // accident.
 func listOutput() string {
-	var b strings.Builder
-	ids := append([]string(nil), experimentIDs...)
+	ids, extras := tableIDs(true), tableIDs(false)
 	sort.Strings(ids)
-	for _, id := range ids {
-		fmt.Fprintln(&b, id)
-	}
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "extra (runnable, excluded from -exp all):")
-	extras := append([]string(nil), extraIDs...)
 	sort.Strings(extras)
-	for _, id := range extras {
-		fmt.Fprintln(&b, id)
-	}
-	return b.String()
+	return strings.Join(ids, "\n") + "\n\nextra (runnable, excluded from -exp all):\n" +
+		strings.Join(extras, "\n") + "\n"
 }
 
 // clusterOptions are the -cluster path's knobs: the deployment overrides
@@ -379,8 +509,7 @@ type clusterOptions struct {
 	// (plus per-node GAM span logs when Spans is set) and enables straggler
 	// tracking, printing the per-merge attribution table after the summary.
 	metrics *metrics.Options
-	// metricsPath receives the sampled time series (CSV, or JSON Lines
-	// when the path ends in .jsonl, spans included).
+	// metricsPath receives the sampled time series as CSV.
 	metricsPath string
 	// tracePath receives a Chrome trace with one process group per node.
 	tracePath string
@@ -540,7 +669,7 @@ func runCluster(w io.Writer, o clusterOptions) error {
 		}
 	}
 	if o.metricsPath != "" {
-		if err := writeClusterMetrics(o.metricsPath, rec); err != nil {
+		if err := writeMetrics(w, o.metricsPath, []sampledRun{{label: "cluster", series: rec.Sampler}}, o.csv); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "cluster metrics written to %s\n", o.metricsPath)
@@ -570,18 +699,6 @@ func runCluster(w io.Writer, o clusterOptions) error {
 		time.Sleep(o.httpWait)
 	}
 	return nil
-}
-
-// writeClusterMetrics dumps the barrier sampler's time series — per-node
-// resources, cluster links and the synthetic per-domain streams — to path
-// (CSV, or JSONL with merged spans when the path ends in .jsonl).
-func writeClusterMetrics(path string, rec *metrics.MultiRecorder) error {
-	return writeFile(path, func(w io.Writer) error {
-		if strings.HasSuffix(path, ".jsonl") {
-			return metrics.NewJSONLWriter(w).WriteMulti("cluster", rec)
-		}
-		return metrics.NewCSVWriter(w).WriteRun("cluster", rec.Sampler)
-	})
 }
 
 // writeClusterTrace renders the cluster run as a Chrome trace: one
@@ -626,35 +743,35 @@ type runAllOptions struct {
 	jobs     int
 	csv      bool
 	progress bool
-	// metrics/metricsPath, when set, sample every RunSpec-based run and
-	// write the combined time series to metricsPath (CSV, or JSONL for
-	// .jsonl paths), plus a bottleneck-attribution table per sampled run.
+	// metrics/metricsPath, when set, sample every run and cluster-sweep
+	// cell and write the combined time series to metricsPath as CSV, plus
+	// a bottleneck-attribution table per sampled RunSpec run.
 	metrics     *metrics.Options
 	metricsPath string
 	// qtrace, when set, traces every query of every RunSpec-based run;
 	// qtracePath (optional) receives the per-query timelines as an
-	// interval CSV plus a *_summary.csv, or one JSONL file. The inspector,
-	// when set, rides qtrace.Options.Observers for live query counters and
-	// gets each finished run's resource utilization.
+	// interval CSV plus a *_summary.csv. The inspector, when set, rides
+	// qtrace.Options.Observers for live query counters and gets each
+	// finished run's resource utilization.
 	qtrace     *qtrace.Options
 	qtracePath string
 	inspector  *inspect.Server
 }
 
-// obsEntry is one sampled run: the experiment it belongs to, the run name,
-// and its result (carrying the recorder).
-type obsEntry struct {
-	exp string
-	run string
-	res *experiments.RunResult
+// sampledRun is one sampled simulation: its label, its time series and,
+// for a RunSpec run, the phase windows its bottleneck table attributes
+// (nil for a cluster run or sweep cell, which has no single-engine
+// phases).
+type sampledRun struct {
+	label  string
+	series metrics.Source
+	phases []metrics.PhaseWindow
 }
 
-// clusterObsEntry is one sampled cluster-sweep cell: cluster experiments
-// carry a barrier-driven MultiRecorder instead of a RunSpec result.
-type clusterObsEntry struct {
-	exp string
-	run string
-	rec *metrics.MultiRecorder
+// tracedRun is one query-traced run: its label and query log.
+type tracedRun struct {
+	label string
+	log   *qtrace.Log
 }
 
 // runAll executes the experiments concurrently on a shared simulation pool
@@ -662,39 +779,35 @@ type clusterObsEntry struct {
 // in-flight simulations at -j across all experiments (every experiment's
 // internal sweep draws from the same budget), so the output is identical
 // for any -j: tables are collected per experiment and printed in order,
-// and sampled metrics are collected per experiment in spec order.
+// and sampled and traced runs are collected per experiment in declaration
+// order.
 func runAll(w io.Writer, ids []string, cfg config.SystemConfig, m workload.Model, o runAllOptions) error {
 	pool := runner.NewPool(o.jobs)
-	obs := make([][]obsEntry, len(ids))
-	cobs := make([][]clusterObsEntry, len(ids))
-	qobs := make([][]obsEntry, len(ids))
+	sampled := make([][]sampledRun, len(ids))
+	traced := make([][]tracedRun, len(ids))
 	// The outer fan-out is unbounded: experiments only hold pool slots
 	// while leaf simulations run, so len(ids) goroutines cost nothing and
 	// a bounded outer layer could not deadlock the inner sweeps anyway.
-	results, err := runner.Map(context.Background(), runner.Options{Workers: len(ids)}, ids,
-		func(_ context.Context, i int, id string) ([]*report.Table, error) {
+	tables, err := runner.Map(context.Background(), runner.Options{Workers: len(ids)}, ids,
+		func(_ context.Context, i int, id string) (*report.Table, error) {
 			opts := []experiments.Option{experiments.WithPool(pool)}
 			if o.progress {
 				opts = append(opts, experiments.WithProgress(func(done, total int, name string) {
 					fmt.Fprintf(os.Stderr, "[%s] %d/%d %s\n", id, done, total, name)
 				}))
 			}
+			// The observe callbacks run serially per experiment after its
+			// runs complete, so sampled[i] and traced[i] need no lock.
 			if o.metrics != nil {
-				// The observe callbacks run serially per experiment after
-				// its runs complete, so obs[i]/cobs[i] need no lock.
 				opts = append(opts, experiments.WithMetrics(*o.metrics,
-					func(run string, res *experiments.RunResult) {
-						obs[i] = append(obs[i], obsEntry{exp: id, run: run, res: res})
-					}))
-				opts = append(opts, experiments.WithClusterObs(*o.metrics,
-					func(run string, rec *metrics.MultiRecorder, _ *cluster.Cluster) {
-						cobs[i] = append(cobs[i], clusterObsEntry{exp: id, run: run, rec: rec})
+					func(run string, series metrics.Source, phases []metrics.PhaseWindow) {
+						sampled[i] = append(sampled[i], sampledRun{id + "/" + run, series, phases})
 					}))
 			}
 			if o.qtrace != nil {
 				opts = append(opts, experiments.WithQTrace(*o.qtrace,
 					func(run string, res *experiments.RunResult) {
-						qobs[i] = append(qobs[i], obsEntry{exp: id, run: run, res: res})
+						traced[i] = append(traced[i], tracedRun{id + "/" + run, res.QLog})
 						if o.inspector != nil {
 							o.inspector.ObserveRun(id+"/"+run, res.Sys.Engine().Stats())
 						}
@@ -705,80 +818,44 @@ func runAll(w io.Writer, ids []string, cfg config.SystemConfig, m workload.Model
 	if err != nil {
 		return err
 	}
-	for _, tables := range results {
-		for _, t := range tables {
-			if err := emit(t, w, o.csv); err != nil {
-				return err
-			}
+	for _, t := range tables {
+		if err := emit(t, w, o.csv); err != nil {
+			return err
 		}
 	}
 	if o.metricsPath != "" {
-		if err := writeMetrics(w, o.metricsPath, obs, cobs, o.csv); err != nil {
+		runs := slices.Concat(sampled...)
+		if err := writeMetrics(w, o.metricsPath, runs, o.csv); err != nil {
 			return err
 		}
+		fmt.Fprintf(os.Stderr, "metrics for %d runs written to %s\n", len(runs), o.metricsPath)
 	}
 	if o.qtracePath != "" {
-		if err := writeQTrace(o.qtracePath, qobs); err != nil {
-			return err
-		}
+		return writeQTrace(o.qtracePath, slices.Concat(traced...))
 	}
 	return nil
 }
 
-// writeMetrics dumps every sampled run's time series to path (CSV, or
-// JSONL when the path ends in .jsonl) and emits one bottleneck-attribution
-// table per run on w. Cluster-sweep cells follow their experiment's
-// RunSpec entries, series only: a sweep cell has no single-engine phase
-// windows to attribute. Entries are ordered (experiment id order, spec
-// order), so output is identical for any -j.
-func writeMetrics(w io.Writer, path string, obs [][]obsEntry, cobs [][]clusterObsEntry, csv bool) error {
-	jsonl := strings.HasSuffix(path, ".jsonl")
-	sampled := 0
-	err := writeFile(path, func(f io.Writer) error {
+// writeMetrics dumps the runs' time series to path as CSV, in the order
+// given, and emits on w a bottleneck-attribution table for each run that
+// has phase windows.
+func writeMetrics(w io.Writer, path string, runs []sampledRun, csv bool) error {
+	return writeFile(path, func(f io.Writer) error {
 		cw := metrics.NewCSVWriter(f)
-		jw := metrics.NewJSONLWriter(f)
-		var err error
-		for i, entries := range obs {
-			for _, e := range entries {
-				label := e.exp + "/" + e.run
-				if jsonl {
-					err = jw.WriteRun(label, e.res.Obs)
-				} else {
-					err = cw.WriteRun(label, e.res.Obs.Sampler)
-				}
-				if err != nil {
-					return err
-				}
-				sampled++
-				atts := metrics.Attribute(e.res.Obs.Sampler, e.res.PhaseWindows())
-				t := report.Bottleneck("Bottleneck attribution — "+label, atts)
-				if err := emit(t, w, csv); err != nil {
-					return err
-				}
+		for _, r := range runs {
+			if err := cw.WriteRun(r.label, r.series); err != nil {
+				return err
 			}
-			if cobs == nil {
+			if r.phases == nil {
 				continue
 			}
-			for _, e := range cobs[i] {
-				label := e.exp + "/" + e.run
-				if jsonl {
-					err = jw.WriteMulti(label, e.rec)
-				} else {
-					err = cw.WriteRun(label, e.rec.Sampler)
-				}
-				if err != nil {
-					return err
-				}
-				sampled++
+			t := report.Bottleneck("Bottleneck attribution — "+r.label, metrics.Attribute(r.series, r.phases))
+			if err := emit(t, w, csv); err != nil {
+				return err
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "metrics for %d runs written to %s\n", sampled, path)
-	return nil
 }
 
 // qtraceSummaryPath derives the per-query summary CSV's path from the
@@ -792,173 +869,27 @@ func qtraceSummaryPath(path string) string {
 	return base + "_summary" + ext
 }
 
-// writeQTrace dumps every traced run's per-query timelines to path: the
-// phase intervals as CSV plus a *_summary.csv of per-query latencies and
-// dominant attributions, or both streams tagged by type in one JSON Lines
-// file when the path ends in .jsonl. Entries are ordered (experiment id
-// order, spec order), so output is identical for any -j.
-func writeQTrace(path string, qobs [][]obsEntry) error {
-	traced := 0
-	writeRuns := func(write func(label string, l *qtrace.Log) error) error {
-		for _, entries := range qobs {
-			for _, e := range entries {
-				if err := write(e.exp+"/"+e.run, e.res.QLog); err != nil {
+// writeQTrace dumps the runs' per-query timelines, in the order given: the
+// phase intervals to path as CSV, and the per-query latencies and dominant
+// attributions to its *_summary.csv.
+func writeQTrace(path string, runs []tracedRun) error {
+	sumPath := qtraceSummaryPath(path)
+	err := writeFile(path, func(w io.Writer) error {
+		return writeFile(sumPath, func(sw io.Writer) error {
+			cw := qtrace.NewCSVWriter(w, sw)
+			for _, r := range runs {
+				if err := cw.WriteRun(r.label, r.log); err != nil {
 					return err
 				}
-				traced++
 			}
-		}
-		return nil
-	}
-	where := path
-	var err error
-	if strings.HasSuffix(path, ".jsonl") {
-		err = writeFile(path, func(w io.Writer) error {
-			return writeRuns(qtrace.NewJSONLWriter(w).WriteRun)
+			return nil
 		})
-	} else {
-		sumPath := qtraceSummaryPath(path)
-		where += " and " + sumPath
-		err = writeFile(path, func(w io.Writer) error {
-			return writeFile(sumPath, func(sw io.Writer) error {
-				return writeRuns(qtrace.NewCSVWriter(w, sw).WriteRun)
-			})
-		})
-	}
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "per-query traces for %d runs written to %s\n", traced, where)
+	fmt.Fprintf(os.Stderr, "per-query traces for %d runs written to %s and %s\n", len(runs), path, sumPath)
 	return nil
-}
-
-func run(id string, cfg config.SystemConfig, m workload.Model, opts ...experiments.Option) ([]*report.Table, error) {
-	switch strings.ToLower(id) {
-	case "table1":
-		return []*report.Table{experiments.TableI(m)}, nil
-	case "table2":
-		return []*report.Table{experiments.TableII(cfg)}, nil
-	case "table3":
-		return []*report.Table{experiments.TableIII()}, nil
-	case "table4":
-		return []*report.Table{experiments.TableIV(energy.DefaultCosts())}, nil
-	case "fig8":
-		r, err := experiments.Fig8(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "fig9":
-		s, err := experiments.Fig9(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{s.Table("Fig 9")}, nil
-	case "fig10":
-		s, err := experiments.Fig10(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{s.Table("Fig 10")}, nil
-	case "fig11":
-		s, err := experiments.Fig11(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{s.Table("Fig 11")}, nil
-	case "fig12":
-		r, err := experiments.Fig12(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "fig13":
-		r, err := experiments.Fig13(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "ablation-gam":
-		r, err := experiments.AblationGAM(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "ablation-mapping":
-		r, err := experiments.AblationMapping(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "ablation-granularity":
-		r, err := experiments.AblationGranularity(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "recallsweep":
-		r, err := experiments.RecallSweep(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "multitenant":
-		r, err := experiments.MultiTenant(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "reverselookup":
-		r, err := experiments.ReverseLookup(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "skew":
-		r, err := experiments.SkewExperiment(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "loadsweep":
-		onchip, reach, err := experiments.LoadSweepBoth(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.LoadSweepTable(onchip, reach)}, nil
-	case "taillatency":
-		onchip, reach, err := experiments.TailLatencyBoth(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.TailLatencyTable(onchip, reach)}, nil
-	case "clustersweep":
-		r, err := experiments.DefaultClusterSweep(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.ClusterSweepTable(r)}, nil
-	case "cachesweep":
-		r, err := experiments.DefaultCacheSweep(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.CacheSweepTable(r)}, nil
-	case "ablation-nsbuffer":
-		r, err := experiments.AblationNSBuffer(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "motivation":
-		r, err := experiments.Motivation(opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	default:
-		return nil, fmt.Errorf("unknown experiment %q (use -list)", id)
-	}
 }
 
 func emit(t *report.Table, w io.Writer, csv bool) error {
@@ -993,10 +924,11 @@ func writeTrace(path string, mo *metrics.Options, metricsPath string) error {
 			tl.AddSpans(run.Obs.Spans)
 		}
 		if metricsPath != "" {
-			if err := writeMetrics(os.Stdout, metricsPath,
-				[][]obsEntry{{{exp: "trace", run: spec.Name, res: run}}}, nil, false); err != nil {
+			r := sampledRun{"trace/" + spec.Name, run.Obs.Sampler, run.PhaseWindows()}
+			if err := writeMetrics(os.Stdout, metricsPath, []sampledRun{r}, false); err != nil {
 				return err
 			}
+			fmt.Fprintf(os.Stderr, "metrics for 1 runs written to %s\n", metricsPath)
 		}
 	}
 	if err := writeFile(path, tl.WriteJSON); err != nil {

@@ -1,44 +1,44 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/experiments"
 	"repro/internal/inspect"
 	"repro/internal/metrics"
 	"repro/internal/qtrace"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 func TestRunAllExperimentIDs(t *testing.T) {
 	cfg := config.Default()
 	m := workload.DefaultModel()
-	for _, id := range experimentIDs {
-		id := id
+	for _, id := range tableIDs(true) {
 		t.Run(id, func(t *testing.T) {
-			tables, err := run(id, cfg, m)
+			tb, err := run(id, cfg, m)
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
-			if len(tables) == 0 {
-				t.Fatalf("%s produced no tables", id)
-			}
 			var sb strings.Builder
-			for _, tb := range tables {
-				if err := tb.Render(&sb); err != nil {
-					t.Fatal(err)
-				}
-				if err := tb.CSV(&sb); err != nil {
-					t.Fatal(err)
-				}
+			if err := tb.Render(&sb); err != nil {
+				t.Fatal(err)
 			}
-			if sb.Len() == 0 {
-				t.Fatalf("%s rendered empty output", id)
+			if err := tb.CSV(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if len(tb.Rows) == 0 {
+				t.Fatalf("%s rendered no rows", id)
 			}
 		})
 	}
@@ -79,23 +79,32 @@ taillatency
 	}
 }
 
-// TestExtraIDsRunnable: ids outside "all" still run through the same
-// switch; the extras must stay out of experimentIDs so `-exp all` output
-// is unchanged.
+// TestExtraIDsRunnable: the ids outside "all" run through the same table,
+// each under its headline note, and stay extras so `-exp all` output is
+// unchanged.
 func TestExtraIDsRunnable(t *testing.T) {
-	for _, extra := range extraIDs {
-		for _, id := range experimentIDs {
-			if id == extra {
-				t.Fatalf("%s joined -exp all; it must stay an extra id", extra)
-			}
+	headlines := map[string]string{
+		"cachesweep":   "cache-off p99",
+		"clustersweep": "hash p99",
+		"taillatency":  "p99/p50",
+	}
+	for _, id := range tableIDs(false) {
+		want, ok := headlines[id]
+		if !ok {
+			t.Errorf("extra %s has no headline pinned here", id)
+			continue
 		}
-		tables, err := run(extra, config.Default(), workload.DefaultModel())
+		delete(headlines, id)
+		tb, err := run(id, config.Default(), workload.DefaultModel())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tables) == 0 {
-			t.Fatalf("%s produced no tables", extra)
+		if !strings.Contains(strings.Join(tb.Notes, "\n"), want) {
+			t.Errorf("%s notes %q lack the headline %q", id, tb.Notes, want)
 		}
+	}
+	for id := range headlines {
+		t.Errorf("%s is no longer an extra id", id)
 	}
 }
 
@@ -183,35 +192,98 @@ func TestRunAllQTraceInspector(t *testing.T) {
 	}
 }
 
-// TestWriteQTraceJSONL: a .jsonl path switches to one tagged stream.
-func TestWriteQTraceJSONL(t *testing.T) {
-	path := t.TempDir() + "/q.jsonl"
-	o := runAllOptions{qtrace: &qtrace.Options{}, qtracePath: path}
-	var out strings.Builder
-	if err := runAll(&out, []string{"fig12"}, config.Default(), workload.DefaultModel(), o); err != nil {
+// TestRunAllSweepMetrics drives runAll the way `-exp clustersweep
+// -metrics m.csv -metrics-interval 100ms` and its cachesweep twin do:
+// one labelled run per sweep cell in declaration order, each with
+// per-node and per-domain series, a CSV identical at -j 1 and -j 4, and
+// stdout identical to a metrics-off run, since barrier samplers schedule
+// no events.
+func TestRunAllSweepMetrics(t *testing.T) {
+	ids := []string{"clustersweep", "cachesweep"}
+	cfg, m := config.Default(), workload.DefaultModel()
+	var plain strings.Builder
+	if err := runAll(&plain, ids, cfg, m, runAllOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
+	sampledAt := func(jobs int) []byte {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "m.csv")
+		var out strings.Builder
+		o := runAllOptions{
+			jobs:        jobs,
+			metrics:     &metrics.Options{Interval: 100 * sim.Millisecond},
+			metricsPath: path,
+		}
+		if err := runAll(&out, ids, cfg, m, o); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != plain.String() {
+			t.Errorf("-j %d: stdout with -metrics differs from the metrics-off run", jobs)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	raw := sampledAt(1)
+	if !bytes.Equal(raw, sampledAt(4)) {
+		t.Fatal("metrics CSV differs between -j 1 and -j 4")
+	}
+
+	var want []string
+	for _, n := range experiments.DefaultClusterNodeCounts() {
+		for _, pol := range config.RoutePolicies() {
+			for _, rate := range experiments.DefaultClusterRates() {
+				want = append(want, fmt.Sprintf("clustersweep/clustersweep %dn %s %.0f q/s", n, pol, rate))
+			}
+		}
+	}
+	for _, e := range experiments.DefaultCacheEntries() {
+		ttls := experiments.DefaultCacheTTLsMS()
+		if e == 0 {
+			ttls = ttls[:1]
+		}
+		for _, ttl := range ttls {
+			for _, skew := range experiments.DefaultCacheSkews() {
+				for _, rate := range experiments.DefaultCacheRates() {
+					if e == 0 {
+						want = append(want, fmt.Sprintf("cachesweep/cachesweep off s%.1f %.0f q/s", skew, rate))
+					} else {
+						want = append(want, fmt.Sprintf("cachesweep/cachesweep %de %.0fms s%.1f %.0f q/s", e, ttl, skew, rate))
+					}
+				}
+			}
+		}
+	}
+	rows, err := csv.NewReader(bytes.NewReader(raw)).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var intervals, queries int
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		var rec struct{ Type string }
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
+	var got []string
+	nodes, domains := map[string]bool{}, map[string]bool{}
+	for _, row := range rows[1:] {
+		if len(got) == 0 || got[len(got)-1] != row[0] {
+			got = append(got, row[0])
 		}
-		switch rec.Type {
-		case "interval":
-			intervals++
-		case "query":
-			queries++
-		default:
-			t.Fatalf("unknown record type %q", rec.Type)
+		nodes[row[0]] = nodes[row[0]] || strings.HasPrefix(row[3], "node")
+		domains[row[0]] = domains[row[0]] || strings.HasPrefix(row[3], "sim.domain")
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("sampled runs:\n%s\nwant one per cell in declaration order:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for _, label := range got {
+		if !nodes[label] || !domains[label] {
+			t.Errorf("%s: node series %v, domain series %v", label, nodes[label], domains[label])
 		}
 	}
-	if intervals == 0 || queries == 0 {
-		t.Fatalf("JSONL dump missing records: %d intervals, %d queries", intervals, queries)
+	// The clustersweep half is the file `reachsim -exp clustersweep
+	// -metrics m.csv -metrics-interval 100ms` writes: 107,446 lines.
+	half := raw[:bytes.Index(raw, []byte("\ncachesweep/"))+1]
+	const clusterSHA = "715931c8fc22ed3ef0f8975f279dc8827e620fea96b75840a49ee38c07824dad"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(half)); sum != clusterSHA {
+		t.Errorf("clustersweep CSV sha256 %s, want %s", sum, clusterSHA)
 	}
 }
 

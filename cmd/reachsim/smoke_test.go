@@ -257,8 +257,7 @@ func TestClusterRunGolden(t *testing.T) {
 }
 
 // TestClusterRunCacheRows: with the front-end result cache enabled, the
-// pinned -cluster run's summary table carries the cache accounting rows
-// that `make cache-smoke` greps for.
+// pinned -cluster run's summary table carries the cache accounting rows.
 func TestClusterRunCacheRows(t *testing.T) {
 	var out strings.Builder
 	if err := runCluster(&out, clusterOptions{cache: 32}); err != nil {

@@ -216,8 +216,8 @@ func (c *Cluster) PeakPending() int {
 
 // AttachSpans creates one GAM decision-span log per node and attaches
 // them. Each log is appended to only by its owning node's event domain,
-// so recording needs no synchronization; merge them for export with
-// metrics.MergeSpans. Call before Run.
+// so recording needs no synchronization; trace.Timeline.AddCluster renders
+// each in its node's process group. Call before Run.
 func (c *Cluster) AttachSpans() []*metrics.SpanLog {
 	logs := make([]*metrics.SpanLog, len(c.nodes))
 	for i, n := range c.nodes {

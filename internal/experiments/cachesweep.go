@@ -119,6 +119,7 @@ func CacheSweep(m workload.Model, cfg config.ClusterConfig, entries []int, ttlsM
 		return fmt.Sprintf("cachesweep %de %.0fms s%.1f %.0f q/s", c.entries, c.ttlMS, c.skew, c.rate)
 	}
 	arr := ArrivalSpec{Process: ArrivalPoisson, Seed: seed}
+	attach, report := o.sampleCells(len(cells), name)
 	points, err := mapRuns(o, cells, name, func(cell cacheCell) (*CachePoint, error) {
 		ccfg := cfg
 		ccfg.CacheEntries = cell.entries
@@ -128,6 +129,7 @@ func CacheSweep(m workload.Model, cfg config.ClusterConfig, entries []int, ttlsM
 		if err != nil {
 			return nil, err
 		}
+		attach(int(cell.stream), cl)
 		at := arr.schedule(cell.rate, queries, cell.stream)
 		for q := 0; q < queries; q++ {
 			cl.SubmitAt(at(q))
@@ -154,6 +156,7 @@ func CacheSweep(m workload.Model, cfg config.ClusterConfig, entries []int, ttlsM
 	if err != nil {
 		return nil, err
 	}
+	report()
 	return &CacheSweepResult{Points: points}, nil
 }
 

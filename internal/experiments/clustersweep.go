@@ -71,43 +71,26 @@ func DefaultClusterNodeCounts() []int { return []int{2, 4} }
 // DefaultClusterRates approaches hot-replica saturation at 4 nodes.
 func DefaultClusterRates() []float64 { return []float64{5, 10, 20} }
 
-// ClusterObserver receives one observed cluster cell after its run
-// drains: the run label, the barrier-driven recorder (sampler series plus
-// per-node span logs when enabled) and the drained cluster itself.
-type ClusterObserver func(run string, rec *metrics.MultiRecorder, cl *cluster.Cluster)
-
-// WithClusterObs attaches a barrier-driven metrics.MultiSampler to every
-// cluster simulation of the experiment — and, when mo.Spans is set, the
-// per-node GAM span logs — then reports each cell through observe after
-// all cells complete, in cell declaration order (deterministic regardless
-// of worker count). This is the cluster counterpart of WithMetrics, which
-// only covers RunSpec-based experiments: sweep cells own a MultiEngine,
-// not an Engine, so they need the barrier-observer attachment instead of
-// the event-loop sampler. Experiments without a cluster ignore it.
-func WithClusterObs(mo metrics.Options, observe ClusterObserver) Option {
-	return func(o *runOptions) {
-		o.clusterObs = &mo
-		o.clObserve = observe
+// sampleCells prepares WithMetrics for a sweep of n cluster cells:
+// attach installs cell i's barrier-driven sampler on its cluster before it
+// runs (each worker writes only its own cell's slot), and report replays
+// the sampled cells through the callback in declaration order. Both are
+// no-ops without WithMetrics or its callback: a cell's result carries no
+// sampler for anyone else to read.
+func (o runOptions) sampleCells(n int, name func(i int) string) (attach func(i int, cl *cluster.Cluster), report func()) {
+	if o.metrics == nil || o.observe == nil {
+		return func(int, *cluster.Cluster) {}, func() {}
 	}
-}
-
-// observedCell pairs one sweep cell's recorder with its cluster for the
-// post-sweep ClusterObserver callbacks.
-type observedCell struct {
-	rec *metrics.MultiRecorder
-	cl  *cluster.Cluster
-}
-
-// attachClusterObs wires the configured observability onto one cluster.
-func (o *runOptions) attachClusterObs(cl *cluster.Cluster) *metrics.MultiRecorder {
-	if o.clusterObs == nil {
-		return nil
+	samplers := make([]*metrics.MultiSampler, n)
+	attach = func(i int, cl *cluster.Cluster) {
+		samplers[i] = metrics.AttachMulti(cl.Multi(), *o.metrics).Sampler
 	}
-	rec := metrics.AttachMulti(cl.Multi(), *o.clusterObs)
-	if o.clusterObs.Spans {
-		rec.Spans = cl.AttachSpans()
+	report = func() {
+		for i, s := range samplers {
+			o.observe(name(i), s, nil)
+		}
 	}
-	return rec
+	return attach, report
 }
 
 // clusterCell is one unit of sweep work.
@@ -141,10 +124,7 @@ func ClusterSweep(m workload.Model, cfg config.ClusterConfig, nodeCounts []int, 
 		return fmt.Sprintf("clustersweep %dn %s %.0f q/s", c.nodes, c.policy, c.rate)
 	}
 	arr := ArrivalSpec{Process: ArrivalPoisson, Seed: seed}
-	var observed []observedCell
-	if o.clusterObs != nil {
-		observed = make([]observedCell, len(cells))
-	}
+	attach, report := o.sampleCells(len(cells), name)
 	points, err := mapRuns(o, cells, name, func(cell clusterCell) (*ClusterPoint, error) {
 		ccfg := cfg
 		ccfg.Nodes = cell.nodes
@@ -156,11 +136,7 @@ func ClusterSweep(m workload.Model, cfg config.ClusterConfig, nodeCounts []int, 
 		if err != nil {
 			return nil, err
 		}
-		if rec := o.attachClusterObs(cl); rec != nil {
-			// cell.stream is the cell's declaration index: each worker
-			// writes its own slot, the callbacks below replay in order.
-			observed[cell.stream] = observedCell{rec: rec, cl: cl}
-		}
+		attach(int(cell.stream), cl)
 		at := arr.schedule(cell.rate, queries, cell.stream)
 		for q := 0; q < queries; q++ {
 			cl.SubmitAt(at(q))
@@ -191,13 +167,7 @@ func ClusterSweep(m workload.Model, cfg config.ClusterConfig, nodeCounts []int, 
 	if err != nil {
 		return nil, err
 	}
-	if o.clObserve != nil {
-		for i := range cells {
-			if observed[i].cl != nil {
-				o.clObserve(name(i), observed[i].rec, observed[i].cl)
-			}
-		}
-	}
+	report()
 	return &ClusterSweepResult{Points: points}, nil
 }
 

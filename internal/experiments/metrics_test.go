@@ -68,7 +68,7 @@ func TestBottleneckLocalPartitioningAvoidsAIMbus(t *testing.T) {
 }
 
 // TestRunSpecsWithMetricsObserve: every instrumented run is observed, in
-// spec order, each carrying a recorder.
+// spec order, each with its series and phase windows.
 func TestRunSpecsWithMetricsObserve(t *testing.T) {
 	m := workload.DefaultModel()
 	specs := []RunSpec{
@@ -76,9 +76,9 @@ func TestRunSpecsWithMetricsObserve(t *testing.T) {
 		PipelineSpec("b", m, ReACHMapping(), 2, 1),
 	}
 	var seen []string
-	res, err := RunSpecs(specs, WithMetrics(metrics.Options{}, func(run string, r *RunResult) {
-		if r.Obs == nil {
-			t.Errorf("observed run %q without recorder", run)
+	res, err := RunSpecs(specs, WithMetrics(metrics.Options{}, func(run string, series metrics.Source, phases []metrics.PhaseWindow) {
+		if series == nil || series.Samples() == 0 || len(phases) == 0 {
+			t.Errorf("observed run %q without samples or phase windows", run)
 		}
 		seen = append(seen, run)
 	}))

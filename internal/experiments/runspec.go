@@ -228,13 +228,9 @@ type runOptions struct {
 	pool     *runner.Pool
 	progress func(done, total int, name string)
 	metrics  *metrics.Options
-	observe  func(run string, res *RunResult)
+	observe  func(run string, series metrics.Source, phases []metrics.PhaseWindow)
 	qtrace   *qtrace.Options
 	qobserve func(run string, res *RunResult)
-	// clusterObs/clObserve attach barrier-driven observability to cluster
-	// experiments (see WithClusterObs in clustersweep.go).
-	clusterObs *metrics.Options
-	clObserve  ClusterObserver
 }
 
 // Option adjusts how an experiment executes its runs (not what it
@@ -259,15 +255,19 @@ func WithProgress(fn func(done, total int, name string)) Option {
 	return func(o *runOptions) { o.progress = fn }
 }
 
-// WithMetrics attaches a time-resolved observability recorder to every
-// RunSpec of the experiment that does not already carry one, and — after
-// all runs complete — reports each sampled result through observe, in spec
-// order (deterministic regardless of worker count). observe may be nil
-// when the caller reads recorders off the experiment's own result type.
-// Experiments whose unit of work is not a RunSpec (recall sweep,
-// motivation, buffer ablation) have no simulation engine to sample and
-// ignore this option.
-func WithMetrics(mo metrics.Options, observe func(run string, res *RunResult)) Option {
+// WithMetrics samples every simulation of the experiment and, after all
+// of them complete, reports each one through observe in declaration order
+// (deterministic regardless of worker count). A RunSpec that does not
+// already carry a recorder gets the event-loop Sampler, reported with the
+// phase windows its bottleneck attribution reads. A cluster-sweep cell
+// owns a MultiEngine, so it gets the barrier-driven MultiSampler instead,
+// reported with nil phases; barrier sampling schedules no events, so the
+// sweep's results are those of an unsampled run. observe may be nil when
+// the caller reads recorders off the experiment's own result type; cells,
+// whose results carry none, are then not sampled. Experiments whose unit
+// of work is neither (recall sweep, motivation, buffer ablation) have no
+// simulation engine to sample and ignore this option.
+func WithMetrics(mo metrics.Options, observe func(run string, series metrics.Source, phases []metrics.PhaseWindow)) Option {
 	return func(o *runOptions) {
 		o.metrics = &mo
 		o.observe = observe
@@ -278,8 +278,8 @@ func WithMetrics(mo metrics.Options, observe func(run string, res *RunResult)) O
 // experiment that does not already carry one, and — after all runs
 // complete — reports each traced result through observe in spec order
 // (deterministic regardless of worker count). observe may be nil when the
-// caller reads logs off the experiment's own result type. Same scope as
-// WithMetrics: experiments whose unit of work is not a RunSpec ignore it.
+// caller reads logs off the experiment's own result type. Experiments
+// whose unit of work is not a RunSpec ignore it.
 func WithQTrace(qo qtrace.Options, observe func(run string, res *RunResult)) Option {
 	return func(o *runOptions) {
 		o.qtrace = &qo
@@ -338,7 +338,7 @@ func RunSpecs(specs []RunSpec, opts ...Option) ([]*RunResult, error) {
 	if err == nil && o.observe != nil {
 		for i, r := range res {
 			if r != nil && r.Obs != nil {
-				o.observe(specs[i].name(), r)
+				o.observe(specs[i].name(), r.Obs.Sampler, r.PhaseWindows())
 			}
 		}
 	}

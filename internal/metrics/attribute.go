@@ -38,13 +38,13 @@ type Attribution struct {
 // value at the last sample ≤ b minus the value at the last sample ≤ a.
 // Samples are cumulative counters, so this is exact at sample boundaries
 // and conservative (quantized to the sampling grid) inside them.
-func deltaIn(s *Sampler, se *Series, col *column, a, b sim.Time) int64 {
+func deltaIn(s Source, se *Series, col *column, a, b sim.Time) int64 {
 	return cumAt(s, se, col, b) - cumAt(s, se, col, a)
 }
 
 // cumAt reports a cumulative column's value at the last sample instant
 // ≤ t, or zero when the series has no sample that early.
-func cumAt(s *Sampler, se *Series, col *column, t sim.Time) int64 {
+func cumAt(s Source, se *Series, col *column, t sim.Time) int64 {
 	// Binary search over the global time axis restricted to the series'
 	// live range [se.start, se.start+len).
 	lo, hi := 0, se.Len() // candidate point counts
@@ -66,7 +66,7 @@ func cumAt(s *Sampler, se *Series, col *column, t sim.Time) int64 {
 // resource with the highest normalized pressure inside each window. A
 // phase in which no resource saw pressure yields Resource == "" with zero
 // Pressure. Ties break by resource name, so the result is deterministic.
-func Attribute(s *Sampler, phases []PhaseWindow) []Attribution {
+func Attribute(s Source, phases []PhaseWindow) []Attribution {
 	series := s.Series() // sorted by name
 	out := make([]Attribution, 0, len(phases))
 	for _, ph := range phases {

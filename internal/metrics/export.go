@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"io"
 	"strconv"
 
@@ -24,7 +23,7 @@ func CSVHeader() []string {
 // Source is the sampler side of the exporters: a recorded time axis plus
 // per-resource series in deterministic (sorted) order. Both the
 // single-engine Sampler and the cluster MultiSampler satisfy it, so one
-// CSV/JSONL/trace-counter pipeline serves both.
+// CSV/trace-counter/attribution pipeline serves both.
 type Source interface {
 	Samples() int
 	Time(i int) sim.Time
@@ -92,105 +91,4 @@ func formatUS(t sim.Time) string {
 		return "0.000"
 	}
 	return strconv.FormatFloat(t.Microseconds(), 'f', 3, 64)
-}
-
-// jsonSample is the JSONL shape of one (sample, resource) point.
-type jsonSample struct {
-	Run       string  `json:"run"`
-	Type      string  `json:"type"` // "sample"
-	Sample    int     `json:"sample"`
-	TimeUS    float64 `json:"time_us"`
-	Resource  string  `json:"resource"`
-	Kind      string  `json:"kind"`
-	Occupancy int     `json:"occupancy"`
-	Ops       uint64  `json:"ops"`
-	Bytes     uint64  `json:"bytes"`
-	BusyUS    float64 `json:"busy_us"`
-	WaitUS    float64 `json:"wait_us"`
-	Stalls    uint64  `json:"stalls"`
-}
-
-// jsonSpan is the JSONL shape of one GAM span.
-type jsonSpan struct {
-	Run     string  `json:"run"`
-	Type    string  `json:"type"` // "span"
-	Cat     string  `json:"cat"`
-	Name    string  `json:"name"`
-	Lane    string  `json:"lane"`
-	Cause   string  `json:"cause"`
-	StartUS float64 `json:"start_us"`
-	EndUS   float64 `json:"end_us"`
-	Job     int     `json:"job"`
-	V       int64   `json:"v"`
-}
-
-// JSONLWriter streams runs as JSON Lines: every sampler point as a
-// {"type":"sample"} object (sorted resource order within a sample) and,
-// when the recorder carries a span log, every span as {"type":"span"}.
-type JSONLWriter struct {
-	enc *json.Encoder
-}
-
-// NewJSONLWriter wraps w.
-func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{enc: json.NewEncoder(w)}
-}
-
-// WriteRun appends one run's samples and spans, labelled run.
-func (j *JSONLWriter) WriteRun(run string, r *Recorder) error {
-	if err := j.WriteSamples(run, r.Sampler); err != nil {
-		return err
-	}
-	return j.WriteSpans(run, r.Spans.Spans())
-}
-
-// WriteMulti appends one cluster run's samples and merged per-node
-// spans, labelled run.
-func (j *JSONLWriter) WriteMulti(run string, r *MultiRecorder) error {
-	if err := j.WriteSamples(run, r.Sampler); err != nil {
-		return err
-	}
-	return j.WriteSpans(run, r.MergedSpans())
-}
-
-// WriteSamples appends every {"type":"sample"} line of one source.
-func (j *JSONLWriter) WriteSamples(run string, s Source) error {
-	series := s.Series()
-	for i := 0; i < s.Samples(); i++ {
-		t := s.Time(i)
-		for _, se := range series {
-			k := i - se.Start()
-			if k < 0 || k >= se.Len() {
-				continue
-			}
-			p := se.At(k)
-			err := j.enc.Encode(jsonSample{
-				Run: run, Type: "sample", Sample: i, TimeUS: t.Microseconds(),
-				Resource: se.Name, Kind: string(se.Kind),
-				Occupancy: p.Occupancy, Ops: p.Ops, Bytes: p.Bytes,
-				BusyUS: p.Busy.Microseconds(), WaitUS: p.Wait.Microseconds(),
-				Stalls: p.Stalls,
-			})
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// WriteSpans appends every {"type":"span"} line for spans (already in
-// the caller's deterministic order).
-func (j *JSONLWriter) WriteSpans(run string, spans []Span) error {
-	for _, sp := range spans {
-		err := j.enc.Encode(jsonSpan{
-			Run: run, Type: "span", Cat: sp.Cat, Name: sp.Name, Lane: sp.Lane,
-			Cause: sp.Cause, StartUS: sp.Start.Microseconds(),
-			EndUS: sp.End.Microseconds(), Job: sp.Job, V: sp.V,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -16,14 +16,13 @@
 // series store (interval, time axis, columnar series and their accessors),
 // but driven off the MultiEngine's barriers rather than calendar events,
 // so sampling can never perturb the deterministic round structure.
-// AttachMulti installs it; per-node span logs merge back into one stable
-// order with MergeSpans. A standalone engine keeps the timer-driven
+// AttachMulti installs it. A standalone engine keeps the timer-driven
 // Sampler: run as a one-domain MultiEngine its lookahead is MaxTime, so
 // the whole run is a single round and would yield a single sample.
 //
 // Exporters live next to the consumers: trace.AddCounters/AddSpans merge
 // the series into the Chrome trace timeline as "C" counter lanes,
-// CSVWriter/JSONLWriter dump the raw time series, and Attribute reduces a
+// CSVWriter dumps the raw time series, and Attribute reduces a
 // sampled run to a per-phase bottleneck attribution (rendered by
 // report.Bottleneck).
 package metrics

@@ -1,10 +1,8 @@
 package metrics
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -181,8 +179,7 @@ func sampledRecorder(t *testing.T) *Recorder {
 	load := &tickLoad{link: a, period: 20 * sim.Microsecond, left: 5}
 	eng.ScheduleCall(0, load, 0)
 	eng.At(0, func() { b.Transfer(123) })
-	rec := Attach(eng, Options{Interval: 10 * sim.Microsecond, Spans: true})
-	rec.Spans.Add(Span{Cat: CatDispatch, Name: "t0", Lane: "acc0", Cause: CauseImmediate, Job: 1})
+	rec := Attach(eng, Options{Interval: 10 * sim.Microsecond})
 	eng.Run()
 	rec.Finish()
 	return rec
@@ -214,36 +211,6 @@ func TestCSVWriterSortedAndWellFormed(t *testing.T) {
 		if rows[i][1] != rows[i+1][1] {
 			t.Fatalf("rows %d/%d not the same sample", i, i+1)
 		}
-	}
-}
-
-func TestJSONLWriterShapes(t *testing.T) {
-	rec := sampledRecorder(t)
-	var buf bytes.Buffer
-	if err := NewJSONLWriter(&buf).WriteRun("r0", rec); err != nil {
-		t.Fatal(err)
-	}
-	var samples, spans int
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("bad JSONL line: %v", err)
-		}
-		switch m["type"] {
-		case "sample":
-			samples++
-		case "span":
-			spans++
-		default:
-			t.Fatalf("unknown line type %v", m["type"])
-		}
-	}
-	if samples != rec.Sampler.Samples()*2 {
-		t.Fatalf("sample lines %d, want %d", samples, rec.Sampler.Samples()*2)
-	}
-	if spans != 1 {
-		t.Fatalf("span lines %d, want 1", spans)
 	}
 }
 

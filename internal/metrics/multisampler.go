@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -93,8 +92,8 @@ func (s *MultiSampler) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool
 // MultiRecorder bundles one cluster run's observability state: the
 // barrier sampler and (when spans are enabled) one GAM span log per
 // node. Each log is only ever appended to by its owning node's event
-// domain, so recording stays synchronization-free; MergedSpans restores
-// one deterministic order at export time.
+// domain, so recording stays synchronization-free; the Chrome trace
+// renders each log in its node's process group.
 type MultiRecorder struct {
 	Sampler *MultiSampler
 	// Spans has one entry per node when Options.Spans was set (nil
@@ -109,23 +108,4 @@ func AttachMulti(me *sim.MultiEngine, o Options) *MultiRecorder {
 	r := &MultiRecorder{Sampler: NewMultiSampler(me, o.Interval)}
 	me.SetBarrierObserver(r.Sampler)
 	return r
-}
-
-// MergedSpans flattens the per-node logs into one deterministic order:
-// by start time, ties broken by node index then emission order — the
-// same (time, domain, seq) shape the barrier uses for cross-domain
-// events.
-func (r *MultiRecorder) MergedSpans() []Span { return MergeSpans(r.Spans) }
-
-// MergeSpans merges per-producer span logs into one stable (start,
-// producer, emission) order. Nil logs are skipped.
-func MergeSpans(logs []*SpanLog) []Span {
-	var out []Span
-	for _, l := range logs {
-		out = append(out, l.Spans()...)
-	}
-	// Stable sort on start time alone: equal starts keep concatenation
-	// order, which is (producer index, emission order).
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
 }

@@ -122,23 +122,3 @@ func TestMultiSamplerZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("sampler allocates %.2f/sample in steady state", perSample)
 	}
 }
-
-// TestMergeSpansStableOrder: per-node logs merge by start time with ties
-// broken by producer order then emission order.
-func TestMergeSpansStableOrder(t *testing.T) {
-	a, b := NewSpanLog(), NewSpanLog()
-	a.Add(Span{Name: "a0", Start: 10})
-	a.Add(Span{Name: "a1", Start: 30})
-	b.Add(Span{Name: "b0", Start: 10})
-	b.Add(Span{Name: "b1", Start: 20})
-	got := MergeSpans([]*SpanLog{a, b, nil})
-	want := []string{"a0", "b0", "b1", "a1"}
-	if len(got) != len(want) {
-		t.Fatalf("merged %d spans, want %d", len(got), len(want))
-	}
-	for i, n := range want {
-		if got[i].Name != n {
-			t.Fatalf("merged[%d] = %s, want %s", i, got[i].Name, n)
-		}
-	}
-}

@@ -19,8 +19,8 @@ func (w *windowSource) Series() []*Series   { return w.series }
 // re-anchored at index zero. The copy is materialized — columns are
 // re-appended, not aliased — which is acceptable at bundle-dump time: the
 // window is small by construction and the live sampler keeps recording
-// undisturbed. Every exporter that takes a Source (CSV, JSONL, the Chrome
-// trace counter lanes) works on the windowed view unchanged, and because
+// undisturbed. Every exporter that takes a Source (CSV, the Chrome trace
+// counter lanes) works on the windowed view unchanged, and because
 // the sample instants and counter values of the underlying sampler are
 // deterministic at any worker count, so is the window.
 func WindowOf(s Source, from, to sim.Time) Source {

@@ -2,7 +2,6 @@ package qtrace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -139,79 +138,6 @@ func (w *CSVWriter) Flush() error {
 		}
 		cw.Flush()
 		if err := cw.Error(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// jsonInterval is the JSONL shape of one timeline interval.
-type jsonInterval struct {
-	Run     string  `json:"run"`
-	Type    string  `json:"type"` // "interval"
-	Query   int     `json:"query"`
-	Job     int     `json:"job"`
-	Phase   string  `json:"phase"`
-	Stage   string  `json:"stage,omitempty"`
-	Level   string  `json:"level,omitempty"`
-	Detail  string  `json:"detail,omitempty"`
-	StartUS float64 `json:"start_us"`
-	EndUS   float64 `json:"end_us"`
-}
-
-// jsonQuery is the JSONL shape of one completed query's summary.
-type jsonQuery struct {
-	Run           string  `json:"run"`
-	Type          string  `json:"type"` // "query"
-	Query         int     `json:"query"`
-	Job           int     `json:"job"`
-	ArrivalUS     float64 `json:"arrival_us"`
-	DoneUS        float64 `json:"done_us"`
-	LatencyUS     float64 `json:"latency_us"`
-	DominantPhase string  `json:"dominant_phase,omitempty"`
-	DominantStage string  `json:"dominant_stage,omitempty"`
-	DominantLevel string  `json:"dominant_level,omitempty"`
-	DominantShare float64 `json:"dominant_share,omitempty"`
-}
-
-// JSONLWriter streams query logs as JSON Lines: every interval as a
-// {"type":"interval"} object and every completed query as a
-// {"type":"query"} summary object.
-type JSONLWriter struct {
-	enc *json.Encoder
-}
-
-// NewJSONLWriter wraps w.
-func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{enc: json.NewEncoder(w)}
-}
-
-// WriteRun appends one run's queries, labelled run, in QueryID order.
-func (j *JSONLWriter) WriteRun(run string, l *Log) error {
-	for _, q := range l.Queries() {
-		for _, iv := range q.Intervals {
-			err := j.enc.Encode(jsonInterval{
-				Run: run, Type: "interval", Query: q.ID, Job: q.Job,
-				Phase: iv.Phase, Stage: iv.Stage, Level: iv.Level,
-				Detail: iv.Detail, StartUS: iv.Start.Microseconds(),
-				EndUS: iv.End.Microseconds(),
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if !q.Completed() {
-			continue
-		}
-		dom := q.Dominant()
-		err := j.enc.Encode(jsonQuery{
-			Run: run, Type: "query", Query: q.ID, Job: q.Job,
-			ArrivalUS: q.Arrival.Microseconds(), DoneUS: q.Done.Microseconds(),
-			LatencyUS:     q.Latency().Microseconds(),
-			DominantPhase: dom.Phase, DominantStage: dom.Stage,
-			DominantLevel: dom.Level, DominantShare: dom.Share,
-		})
-		if err != nil {
 			return err
 		}
 	}

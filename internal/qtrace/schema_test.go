@@ -53,7 +53,7 @@ func phaseConstants(t *testing.T) map[string]string {
 }
 
 // TestPhaseConstantsDocumented pins the exporter schema docs to the Phase
-// constants: adding a new Phase* without documenting its CSV/JSONL value
+// constants: adding a new Phase* without documenting its CSV value
 // in export.go and EXPERIMENTS.md fails here, which is the point — the
 // cluster phases went undocumented for two PRs before this gate existed.
 func TestPhaseConstantsDocumented(t *testing.T) {
