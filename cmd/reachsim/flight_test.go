@@ -53,7 +53,7 @@ func readBundle(t *testing.T, dir string) (string, map[string][]byte) {
 func TestClusterFlightDetection(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
-	err := runCluster(&out, clusterOptions{
+	err := runCluster(&out, io.Discard, clusterOptions{
 		flightDir: dir,
 		detect:    true,
 		arrival:   "flash",
@@ -134,7 +134,7 @@ func TestClusterFlightDetection(t *testing.T) {
 func TestClusterFlightEndOfRunBundle(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
-	if err := runCluster(&out, clusterOptions{flightDir: dir}); err != nil {
+	if err := runCluster(&out, io.Discard, clusterOptions{flightDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	name, files := readBundle(t, dir)
@@ -174,7 +174,7 @@ func TestClusterFlightEndOfRunBundle(t *testing.T) {
 func TestClusterFlightWithFullObservability(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
-	err := runCluster(&out, clusterOptions{
+	err := runCluster(&out, io.Discard, clusterOptions{
 		flightDir: dir,
 		detect:    true,
 		arrival:   "flash",
@@ -226,7 +226,7 @@ func BenchmarkClusterRunFlight(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := runCluster(io.Discard, bc.opt(b.TempDir())); err != nil {
+				if err := runCluster(io.Discard, io.Discard, bc.opt(b.TempDir())); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -23,6 +23,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -161,7 +162,7 @@ func run(id string, cfg config.SystemConfig, m workload.Model, opts ...experimen
 }
 
 // Fixed inputs of the -cluster single run, pinned so its stdout is a
-// stable golden for the CI cluster smoke.
+// stable golden (testdata/cluster_smoke.golden).
 const (
 	clusterRunQueries = 32
 	clusterRunQPS     = 20
@@ -210,7 +211,6 @@ var flagModes = map[string][]string{
 	"metrics-interval": {"exp", "cluster", "trace"},
 	"spans":            {"cluster", "trace"},
 	"http":             {"exp", "cluster"},
-	"http-linger":      {"exp", "cluster"},
 	"trace":            {"trace", "cluster"},
 	"stats":            {"stats"},
 	"list":             {"list"},
@@ -227,13 +227,13 @@ var flagModes = map[string][]string{
 	"arrival":          {"cluster"},
 }
 
-// validateFlags rejects a flag the selected mode would silently ignore —
-// every flag on the command line must do something — a numeric value
-// outside its flag's domain, which would otherwise fall back to the
-// default unannounced, and a flag given without the flag it refines.
-// given maps each explicitly set flag to its value as the flag package
-// renders it.
-func validateFlags(given map[string]string) error {
+// validateFlags returns the selected mode, rejecting a flag that mode
+// would silently ignore — every flag on the command line must do
+// something — a numeric value outside its flag's domain, which would
+// otherwise fall back to the default unannounced, and a flag given
+// without the flag it refines. given maps each explicitly set flag to its
+// value as the flag package renders it.
+func validateFlags(given map[string]string) (string, error) {
 	has := func(f string) bool { _, ok := given[f]; return ok }
 	mode := "exp"
 	for _, f := range modeFlags {
@@ -252,22 +252,22 @@ func validateFlags(given map[string]string) error {
 		switch {
 		case slices.Contains(modes, mode):
 		case mode != "exp":
-			return fmt.Errorf("-%s does nothing with -%s; drop one of them", f, mode)
+			return "", fmt.Errorf("-%s does nothing with -%s; drop one of them", f, mode)
 		default:
-			return fmt.Errorf("-%s requires -%s", f, strings.Join(modes, " or -"))
+			return "", fmt.Errorf("-%s requires -%s", f, strings.Join(modes, " or -"))
 		}
 	}
 	for _, f := range []string{"nodes", "pj", "j", "cache", "cache-ttl", "slo", "metrics-interval"} {
 		if v, ok := given[f]; ok {
 			if x, err := flagNumber(v); err != nil || x < 0 {
-				return fmt.Errorf("-%s must be non-negative, got %s", f, v)
+				return "", fmt.Errorf("-%s must be non-negative, got %s", f, v)
 			}
 		}
 	}
 	for _, f := range []string{"slo-window", "flight-window"} {
 		if v, ok := given[f]; ok {
 			if x, err := flagNumber(v); err != nil || x <= 0 {
-				return fmt.Errorf("-%s must be positive, got %s", f, v)
+				return "", fmt.Errorf("-%s must be positive, got %s", f, v)
 			}
 		}
 	}
@@ -277,13 +277,13 @@ func validateFlags(given map[string]string) error {
 	for _, f := range []string{"slo", "slo-window", "flight-window"} {
 		if v, ok := given[f]; ok {
 			if x, _ := flagNumber(v); x > 0 && sim.FromSeconds(x/1e3) == 0 {
-				return fmt.Errorf("-%s %s ms rounds to 0 ps of simulated time", f, v)
+				return "", fmt.Errorf("-%s %s ms rounds to 0 ps of simulated time", f, v)
 			}
 		}
 	}
 	requires := [][2]string{
 		{"slo-window", "slo"}, {"flight-window", "flight"}, {"detect", "flight"},
-		{"cache-ttl", "cache"}, {"http-linger", "http"},
+		{"cache-ttl", "cache"},
 	}
 	if mode == "exp" {
 		// -cluster and -trace sample on the interval alone; experiments
@@ -292,10 +292,10 @@ func validateFlags(given map[string]string) error {
 	}
 	for _, r := range requires {
 		if has(r[0]) && !has(r[1]) {
-			return fmt.Errorf("-%s requires -%s", r[0], r[1])
+			return "", fmt.Errorf("-%s requires -%s", r[0], r[1])
 		}
 	}
-	return nil
+	return mode, nil
 }
 
 // flagNumber reads a numeric flag value as the flag package renders it:
@@ -309,41 +309,100 @@ func flagNumber(v string) (float64, error) {
 }
 
 func main() {
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cli parses and checks the flags, runs the selected mode with its
+// report on stdout and its status lines on stderr, and returns the
+// process exit code: 2 for a flag that does not parse, 1 for a rejected
+// flag or a failed run, 0 otherwise (-h included). Once the flags
+// validate, the -cpuprofile and -memprofile files are written on every
+// exit path, and failing to write one fails the run.
+func cli(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("reachsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "all", "experiment id (see -list)")
-		csvOut    = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		cfgPath   = flag.String("config", "", "optional system config JSON (defaults to Table II)")
-		tracePath = flag.String("trace", "", "write a Chrome trace of a ReACH pipeline run to this file")
-		stats     = flag.Bool("stats", false, "run a ReACH pipeline and dump all component statistics")
-		jobs      = flag.Int("j", 0, "max simulations in flight across all experiments (0 = GOMAXPROCS)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
-		metricsF  = flag.String("metrics", "", "sample every run's resources and write the time series here as CSV; also prints per-run bottleneck-attribution tables")
-		metricsIv = flag.Duration("metrics-interval", 0, "simulated-time sampling period for -metrics (default 10µs)")
-		spans     = flag.Bool("spans", false, "with -trace or -cluster, record GAM decision spans into the Chrome trace")
-		progress  = flag.Bool("progress", false, "print per-run progress counters to stderr as experiments execute")
-		qtraceF   = flag.String("qtrace", "", "trace every query and write per-query timelines here (interval CSV plus a *_summary.csv)")
-		httpAddr  = flag.String("http", "", "serve a live run inspector on this address (/progress JSON, expvar at /debug/vars, pprof at /debug/pprof); implies per-query tracing")
-		httpWait  = flag.Duration("http-linger", 0, "with -http, keep the inspector serving this long after the experiments finish, so scripts can scrape the final counters")
-		clusterF  = flag.Bool("cluster", false, "run one sharded scatter-gather cluster deployment and print its summary table")
-		nodesF    = flag.Int("nodes", 0, "with -cluster, override the node count (default 4)")
-		routeF    = flag.String("route", "", "with -cluster, override the routing policy: hash, rr, p2c (default p2c)")
-		_         = flag.Int("pj", 0, "deprecated and ignored: cluster event domains always run serially (still parsed so existing scripts work; negative values are rejected)")
-		cacheF    = flag.Int("cache", 0, "with -cluster, enable the front-end result cache with this many entries (0 = off, the default)")
-		cacheTTLF = flag.Float64("cache-ttl", 0, "with -cluster -cache, override the cache TTL in milliseconds (0 = config default, 500)")
-		sloF      = flag.Float64("slo", 0, "with -cluster, latency objective in milliseconds: track rolling sim-time windows of p50/p99/p999 and SLO burn, print the window table and serve it on -http (/progress, expvar)")
-		sloWinF   = flag.Float64("slo-window", defaultSLOWindowMS, "with -cluster -slo, rolling window width in milliseconds")
-		flightF   = flag.String("flight", "", "with -cluster, run the always-on flight recorder and write a diagnostic bundle directory under this path (triggered by -detect, else an end-of-run dump)")
-		flightWin = flag.Float64("flight-window", defaultFlightWindowMS, "with -cluster -flight, retention window in simulated milliseconds")
-		detectF   = flag.Bool("detect", false, "with -cluster -flight, arm the online anomaly detectors (SLO burn rate, queue divergence, cache collapse); the first trigger freezes the rings and the bundle captures the anomaly window")
-		arrivalF  = flag.String("arrival", "", "with -cluster, arrival process: poisson (default) or flash (a seeded flash crowd — the middle third of a longer query sequence arrives 8x faster)")
+		co        clusterOptions
+		ra        runAllOptions
+		exp       = fs.String("exp", "all", "experiment id (see -list)")
+		csvOut    = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		cfgPath   = fs.String("config", "", "optional system config JSON (defaults to Table II)")
+		tracePath = fs.String("trace", "", "write a Chrome trace of a ReACH pipeline run to this file")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
+		metricsF  = fs.String("metrics", "", "sample every run's resources and write the time series here as CSV; also prints per-run bottleneck-attribution tables")
+		metricsIv = fs.Duration("metrics-interval", 0, "simulated-time sampling period for -metrics (default 10µs)")
+		spans     = fs.Bool("spans", false, "with -trace or -cluster, record GAM decision spans into the Chrome trace")
+		qtraceF   = fs.String("qtrace", "", "trace every query and write per-query timelines here (interval CSV plus a *_summary.csv)")
+		httpAddr  = fs.String("http", "", "serve a live run inspector on this address (/progress JSON, expvar at /debug/vars, pprof at /debug/pprof); implies per-query tracing")
 	)
-	flag.Parse()
+	// The mode flags are read off the flag contract's given set.
+	fs.Bool("list", false, "list experiment ids and exit")
+	fs.Bool("stats", false, "run a ReACH pipeline and dump all component statistics")
+	fs.Bool("cluster", false, "run one sharded scatter-gather cluster deployment and print its summary table")
+	fs.Int("pj", 0, "deprecated and ignored: cluster event domains always run serially (still parsed so existing scripts work; negative values are rejected)")
+	fs.IntVar(&ra.jobs, "j", 0, "max simulations in flight across all experiments (0 = GOMAXPROCS)")
+	fs.BoolVar(&ra.progress, "progress", false, "print per-run progress counters to stderr as experiments execute")
+	fs.IntVar(&co.nodes, "nodes", 0, "with -cluster, override the node count (default 4)")
+	fs.StringVar(&co.route, "route", "", "with -cluster, override the routing policy: hash, rr, p2c (default p2c)")
+	fs.IntVar(&co.cache, "cache", 0, "with -cluster, enable the front-end result cache with this many entries (0 = off, the default)")
+	fs.Float64Var(&co.cacheTTL, "cache-ttl", 0, "with -cluster -cache, override the cache TTL in milliseconds (0 = config default, 500)")
+	fs.Float64Var(&co.sloMs, "slo", 0, "with -cluster, latency objective in milliseconds: track rolling sim-time windows of p50/p99/p999 and SLO burn, print the window table and serve it on -http (/progress, expvar)")
+	fs.Float64Var(&co.sloWindowMs, "slo-window", defaultSLOWindowMS, "with -cluster -slo, rolling window width in milliseconds")
+	fs.StringVar(&co.flightDir, "flight", "", "with -cluster, run the always-on flight recorder and write a diagnostic bundle directory under this path (triggered by -detect, else an end-of-run dump)")
+	fs.Float64Var(&co.flightWinMs, "flight-window", defaultFlightWindowMS, "with -cluster -flight, retention window in simulated milliseconds")
+	fs.BoolVar(&co.detect, "detect", false, "with -cluster -flight, arm the online anomaly detectors (SLO burn rate, queue divergence, cache collapse); the first trigger freezes the rings and the bundle captures the anomaly window")
+	fs.StringVar(&co.arrival, "arrival", "", "with -cluster, arrival process: poisson (default) or flash (a seeded flash crowd — the middle third of a longer query sequence arrives 8x faster)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "reachsim:", err)
+		return 1
+	}
 	given := map[string]string{}
-	flag.Visit(func(f *flag.Flag) { given[f.Name] = f.Value.String() })
-	if err := validateFlags(given); err != nil {
-		fatal(err)
+	fs.Visit(func(f *flag.Flag) {
+		// A boolean flag set false is the flag left out.
+		if b, ok := f.Value.(interface{ IsBoolFlag() bool }); !ok || !b.IsBoolFlag() || f.Value.String() != "false" {
+			given[f.Name] = f.Value.String()
+		}
+	})
+	mode, err := validateFlags(given)
+	if err != nil {
+		return fail(err)
+	}
+
+	// Profiling wraps whichever mode runs below, so profiling the full
+	// evaluation (`-exp all -cpuprofile cpu.pb.gz`) needs no custom build.
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return fail(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fail(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				code = fail(err)
+			}
+		}()
+	}
+	if *memProf != "" {
+		defer func() {
+			err := writeFile(*memProf, func(w io.Writer) error {
+				runtime.GC() // report retained heap, not transient garbage
+				return pprof.WriteHeapProfile(w)
+			})
+			if err != nil {
+				code = fail(err)
+			}
+		}()
 	}
 
 	// Any metrics flag turns sampling on; in experiments mode the flag
@@ -352,133 +411,65 @@ func main() {
 	if *metricsF != "" || *spans || *metricsIv > 0 {
 		mo = &metrics.Options{Spans: *spans, Interval: sim.Time(metricsIv.Nanoseconds()) * sim.Nanosecond}
 	}
-
-	// Profiling wraps whichever mode runs below, so profiling the full
-	// evaluation (`-exp all -cpuprofile cpu.pb.gz`) needs no custom build.
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		path := *memProf
-		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // report retained heap, not transient garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-		}()
-	}
-
-	if *clusterF {
-		co := clusterOptions{
-			nodes:       *nodesF,
-			route:       *routeF,
-			cache:       *cacheF,
-			cacheTTL:    *cacheTTLF,
-			csv:         *csvOut,
-			httpAddr:    *httpAddr,
-			httpWait:    *httpWait,
-			metrics:     mo,
-			metricsPath: *metricsF,
-			tracePath:   *tracePath,
-			sloMs:       *sloF,
-			sloWindowMs: *sloWinF,
-			flightDir:   *flightF,
-			flightWinMs: *flightWin,
-			detect:      *detectF,
-			arrival:     *arrivalF,
-		}
-		if err := runCluster(os.Stdout, co); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *stats {
-		run, err := experiments.RunPipeline(workload.DefaultModel(), experiments.ReACHMapping(), 4, 8)
-		if err != nil {
-			fatal(err)
-		}
-		if err := run.Sys.WriteSnapshot(os.Stdout); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-		t := report.ResourceTable(run.Sys.Engine().Stats())
-		if err := emit(t, os.Stdout, *csvOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *tracePath != "" {
-		if err := writeTrace(*tracePath, mo, *metricsF); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s (open in chrome://tracing or Perfetto)\n", *tracePath)
-		return
-	}
-
-	if *list {
-		fmt.Print(listOutput())
-		return
-	}
-
 	cfg := config.Default()
 	if *cfgPath != "" {
-		var err error
-		cfg, err = config.Load(*cfgPath)
-		if err != nil {
-			fatal(err)
+		if cfg, err = config.Load(*cfgPath); err != nil {
+			return fail(err)
 		}
 	}
-	m := workload.DefaultModel()
-
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = tableIDs(true)
-	}
-	ra := runAllOptions{
-		jobs:        *jobs,
-		csv:         *csvOut,
-		progress:    *progress,
-		metrics:     mo,
-		metricsPath: *metricsF,
-	}
+	var insp *inspect.Server
 	if *httpAddr != "" {
-		insp := inspect.New()
+		insp = inspect.New()
 		if err := insp.Start(*httpAddr); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer insp.Close()
-		fmt.Fprintf(os.Stderr, "inspector listening on http://%s\n", insp.Addr())
-		ra.inspector = insp
+		fmt.Fprintf(stderr, "inspector listening on http://%s\n", insp.Addr())
 	}
-	if *qtraceF != "" || ra.inspector != nil {
-		ra.qtracePath = *qtraceF
-		qo := &qtrace.Options{}
-		if ra.inspector != nil {
-			qo.Observers = []qtrace.Observer{ra.inspector}
+
+	switch mode {
+	case "cluster":
+		co.csv, co.metrics, co.metricsPath, co.tracePath, co.inspector = *csvOut, mo, *metricsF, *tracePath, insp
+		err = runCluster(stdout, stderr, co)
+	case "stats":
+		err = writeStats(stdout, *csvOut)
+	case "trace":
+		err = writeTrace(stdout, stderr, *tracePath, mo, *metricsF)
+	case "list":
+		_, err = io.WriteString(stdout, listOutput())
+	default:
+		ids := []string{*exp}
+		if *exp == "all" {
+			ids = tableIDs(true)
 		}
-		ra.qtrace = qo
+		ra.csv, ra.metrics, ra.metricsPath, ra.inspector = *csvOut, mo, *metricsF, insp
+		if *qtraceF != "" || insp != nil {
+			ra.qtracePath = *qtraceF
+			ra.qtrace = &qtrace.Options{}
+			if insp != nil {
+				ra.qtrace.Observers = []qtrace.Observer{insp}
+			}
+		}
+		err = runAll(stdout, stderr, ids, cfg, workload.DefaultModel(), ra)
 	}
-	if err := runAll(os.Stdout, ids, cfg, m, ra); err != nil {
-		fatal(err)
+	if err != nil {
+		return fail(err)
 	}
-	if ra.inspector != nil && *httpWait > 0 {
-		fmt.Fprintf(os.Stderr, "experiments done; inspector lingering %s\n", *httpWait)
-		time.Sleep(*httpWait)
+	return 0
+}
+
+// writeStats runs the reference ReACH pipeline and dumps its sorted
+// statistics snapshot, then its shared-resource table.
+func writeStats(w io.Writer, csv bool) error {
+	run, err := experiments.RunPipeline(workload.DefaultModel(), experiments.ReACHMapping(), 4, 8)
+	if err != nil {
+		return err
 	}
+	if err := run.Sys.WriteSnapshot(w); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	return emit(report.ResourceTable(run.Sys.Engine().Stats()), w, csv)
 }
 
 // listOutput renders the -list contract: the `-exp all` ids sorted, one
@@ -502,9 +493,10 @@ type clusterOptions struct {
 	cacheTTL float64
 	csv      bool
 
-	httpAddr string
-	httpWait time.Duration
-
+	// inspector, when set, observes every query completion, the
+	// per-domain clocks and mailboxes, cache counters, SLO burn and
+	// anomaly state while the run executes, and the final registry.
+	inspector *inspect.Server
 	// metrics, when non-nil, attaches the barrier-driven cluster sampler
 	// (plus per-node GAM span logs when Spans is set) and enables straggler
 	// tracking, printing the per-merge attribution table after the summary.
@@ -531,11 +523,9 @@ type clusterOptions struct {
 
 // runCluster is the -cluster path: one pinned scatter-gather deployment
 // (default cluster config; node count, routing policy and the front-end
-// result cache overridable), its summary table on w. With httpAddr set
-// the run serves the live inspector, observing every query completion,
-// the per-domain clocks/mailboxes, cache counters and SLO burn while the
-// run executes, and the final registry.
-func runCluster(w io.Writer, o clusterOptions) error {
+// result cache overridable), its summary table on w and its status lines
+// on stderr.
+func runCluster(w, stderr io.Writer, o clusterOptions) error {
 	ccfg := config.DefaultCluster()
 	if o.nodes > 0 {
 		ccfg.Nodes = o.nodes
@@ -553,14 +543,8 @@ func runCluster(w io.Writer, o clusterOptions) error {
 		ccfg.CacheTTLMS = o.cacheTTL
 	}
 	qo := qtrace.Options{}
-	var insp *inspect.Server
-	if o.httpAddr != "" {
-		insp = inspect.New()
-		if err := insp.Start(o.httpAddr); err != nil {
-			return err
-		}
-		defer insp.Close()
-		fmt.Fprintf(os.Stderr, "inspector listening on http://%s\n", insp.Addr())
+	insp := o.inspector
+	if insp != nil {
 		qo.Observers = append(qo.Observers, insp)
 	}
 	var slo *inspect.SLOMonitor
@@ -672,13 +656,13 @@ func runCluster(w io.Writer, o clusterOptions) error {
 		if err := writeMetrics(w, o.metricsPath, []sampledRun{{label: "cluster", series: rec.Sampler}}, o.csv); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "cluster metrics written to %s\n", o.metricsPath)
+		fmt.Fprintf(stderr, "cluster metrics written to %s\n", o.metricsPath)
 	}
 	if o.tracePath != "" {
 		if err := writeClusterTrace(o.tracePath, ccfg.Nodes, cl, rec); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "trace written to %s (open in chrome://tracing or Perfetto)\n", o.tracePath)
+		fmt.Fprintf(stderr, "trace written to %s (open in chrome://tracing or Perfetto)\n", o.tracePath)
 	}
 	if fr != nil {
 		dir, err := writeFlightBundle(o.flightDir, fr, cl, ccfg.Nodes, rec)
@@ -687,17 +671,13 @@ func runCluster(w io.Writer, o clusterOptions) error {
 		}
 		if fr.Frozen() {
 			v := fr.Verdict()
-			fmt.Fprintf(os.Stderr, "flight: %s detected at %.3f ms; bundle written to %s\n",
+			fmt.Fprintf(stderr, "flight: %s detected at %.3f ms; bundle written to %s\n",
 				v.Detector, v.TriggerMS, dir)
 		} else {
-			fmt.Fprintf(os.Stderr, "flight: no anomaly detected; end-of-run bundle written to %s\n", dir)
+			fmt.Fprintf(stderr, "flight: no anomaly detected; end-of-run bundle written to %s\n", dir)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "cluster run complete: %d queries\n", cl.Completed())
-	if insp != nil && o.httpWait > 0 {
-		fmt.Fprintf(os.Stderr, "inspector lingering %s\n", o.httpWait)
-		time.Sleep(o.httpWait)
-	}
+	fmt.Fprintf(stderr, "cluster run complete: %d queries\n", cl.Completed())
 	return nil
 }
 
@@ -775,13 +755,13 @@ type tracedRun struct {
 }
 
 // runAll executes the experiments concurrently on a shared simulation pool
-// and emits their tables in id order. The pool bounds the total number of
-// in-flight simulations at -j across all experiments (every experiment's
-// internal sweep draws from the same budget), so the output is identical
-// for any -j: tables are collected per experiment and printed in order,
-// and sampled and traced runs are collected per experiment in declaration
-// order.
-func runAll(w io.Writer, ids []string, cfg config.SystemConfig, m workload.Model, o runAllOptions) error {
+// and emits their tables in id order on w, its status lines on stderr.
+// The pool bounds the total number of in-flight simulations at -j across
+// all experiments (every experiment's internal sweep draws from the same
+// budget), so the output is identical for any -j: tables are collected
+// per experiment and printed in order, and sampled and traced runs are
+// collected per experiment in declaration order.
+func runAll(w, stderr io.Writer, ids []string, cfg config.SystemConfig, m workload.Model, o runAllOptions) error {
 	pool := runner.NewPool(o.jobs)
 	sampled := make([][]sampledRun, len(ids))
 	traced := make([][]tracedRun, len(ids))
@@ -793,7 +773,7 @@ func runAll(w io.Writer, ids []string, cfg config.SystemConfig, m workload.Model
 			opts := []experiments.Option{experiments.WithPool(pool)}
 			if o.progress {
 				opts = append(opts, experiments.WithProgress(func(done, total int, name string) {
-					fmt.Fprintf(os.Stderr, "[%s] %d/%d %s\n", id, done, total, name)
+					fmt.Fprintf(stderr, "[%s] %d/%d %s\n", id, done, total, name)
 				}))
 			}
 			// The observe callbacks run serially per experiment after its
@@ -828,10 +808,10 @@ func runAll(w io.Writer, ids []string, cfg config.SystemConfig, m workload.Model
 		if err := writeMetrics(w, o.metricsPath, runs, o.csv); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "metrics for %d runs written to %s\n", len(runs), o.metricsPath)
+		fmt.Fprintf(stderr, "metrics for %d runs written to %s\n", len(runs), o.metricsPath)
 	}
 	if o.qtracePath != "" {
-		return writeQTrace(o.qtracePath, slices.Concat(traced...))
+		return writeQTrace(stderr, o.qtracePath, slices.Concat(traced...))
 	}
 	return nil
 }
@@ -871,8 +851,8 @@ func qtraceSummaryPath(path string) string {
 
 // writeQTrace dumps the runs' per-query timelines, in the order given: the
 // phase intervals to path as CSV, and the per-query latencies and dominant
-// attributions to its *_summary.csv.
-func writeQTrace(path string, runs []tracedRun) error {
+// attributions to its *_summary.csv. It announces both on stderr.
+func writeQTrace(stderr io.Writer, path string, runs []tracedRun) error {
 	sumPath := qtraceSummaryPath(path)
 	err := writeFile(path, func(w io.Writer) error {
 		return writeFile(sumPath, func(sw io.Writer) error {
@@ -888,7 +868,7 @@ func writeQTrace(path string, runs []tracedRun) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "per-query traces for %d runs written to %s and %s\n", len(runs), path, sumPath)
+	fmt.Fprintf(stderr, "per-query traces for %d runs written to %s and %s\n", len(runs), path, sumPath)
 	return nil
 }
 
@@ -899,12 +879,13 @@ func emit(t *report.Table, w io.Writer, csv bool) error {
 	return t.Render(w)
 }
 
-// writeTrace runs an 8-batch ReACH pipeline and dumps its timeline, one
-// lane per query with its phase intervals merged in. With a non-nil
-// metrics option the run is sampled: counter lanes and (when enabled) GAM
-// decision spans are merged into the trace, and the raw time series
-// additionally lands at metricsPath when set.
-func writeTrace(path string, mo *metrics.Options, metricsPath string) error {
+// writeTrace runs an 8-batch ReACH pipeline and dumps its timeline to
+// path, one lane per query with its phase intervals merged in. With a
+// non-nil metrics option the run is sampled: counter lanes and (when
+// enabled) GAM decision spans are merged into the trace, and the raw time
+// series additionally lands at metricsPath when set, its bottleneck table
+// on w. Status lines go to stderr.
+func writeTrace(w, stderr io.Writer, path string, mo *metrics.Options, metricsPath string) error {
 	spec := experiments.PipelineSpec("pipeline", workload.DefaultModel(), experiments.ReACHMapping(), 4, 8)
 	spec.Metrics = mo
 	spec.QTrace = &qtrace.Options{}
@@ -925,10 +906,10 @@ func writeTrace(path string, mo *metrics.Options, metricsPath string) error {
 		}
 		if metricsPath != "" {
 			r := sampledRun{"trace/" + spec.Name, run.Obs.Sampler, run.PhaseWindows()}
-			if err := writeMetrics(os.Stdout, metricsPath, []sampledRun{r}, false); err != nil {
+			if err := writeMetrics(w, metricsPath, []sampledRun{r}, false); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "metrics for 1 runs written to %s\n", metricsPath)
+			fmt.Fprintf(stderr, "metrics for 1 runs written to %s\n", metricsPath)
 		}
 	}
 	if err := writeFile(path, tl.WriteJSON); err != nil {
@@ -937,10 +918,6 @@ func writeTrace(path string, mo *metrics.Options, metricsPath string) error {
 	if addErr != nil {
 		return fmt.Errorf("trace written incomplete: %w", addErr)
 	}
+	fmt.Fprintf(stderr, "trace written to %s (open in chrome://tracing or Perfetto)\n", path)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "reachsim:", err)
-	os.Exit(1)
 }

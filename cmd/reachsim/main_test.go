@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -124,15 +123,12 @@ func TestQTraceSummaryPath(t *testing.T) {
 // TestRunAllQTraceInspector drives runAll the way `-exp taillatency
 // -qtrace q.csv -http :0` does: per-query CSVs land with the pinned
 // schemas, the inspector's live counters see every completed query, and
-// each traced run reports its resource utilization.
+// each traced run reports its resource utilization. The inspector is not
+// started; its HTTP surface is inspect's own test.
 func TestRunAllQTraceInspector(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/queries.csv"
 	insp := inspect.New()
-	if err := insp.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer insp.Close()
 	o := runAllOptions{
 		jobs:       4,
 		qtrace:     &qtrace.Options{Observers: []qtrace.Observer{insp}},
@@ -140,7 +136,7 @@ func TestRunAllQTraceInspector(t *testing.T) {
 		inspector:  insp,
 	}
 	var out strings.Builder
-	if err := runAll(&out, []string{"taillatency"}, config.Default(), workload.DefaultModel(), o); err != nil {
+	if err := runAll(&out, io.Discard, []string{"taillatency"}, config.Default(), workload.DefaultModel(), o); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Tail latency") {
@@ -202,7 +198,7 @@ func TestRunAllSweepMetrics(t *testing.T) {
 	ids := []string{"clustersweep", "cachesweep"}
 	cfg, m := config.Default(), workload.DefaultModel()
 	var plain strings.Builder
-	if err := runAll(&plain, ids, cfg, m, runAllOptions{}); err != nil {
+	if err := runAll(&plain, io.Discard, ids, cfg, m, runAllOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	sampledAt := func(jobs int) []byte {
@@ -214,7 +210,7 @@ func TestRunAllSweepMetrics(t *testing.T) {
 			metrics:     &metrics.Options{Interval: 100 * sim.Millisecond},
 			metricsPath: path,
 		}
-		if err := runAll(&out, ids, cfg, m, o); err != nil {
+		if err := runAll(&out, io.Discard, ids, cfg, m, o); err != nil {
 			t.Fatal(err)
 		}
 		if out.String() != plain.String() {
@@ -311,46 +307,7 @@ func TestWriteFileReportsFlushError(t *testing.T) {
 
 func TestWriteTrace(t *testing.T) {
 	path := t.TempDir() + "/trace.json"
-	if err := writeTrace(path, nil, ""); err != nil {
+	if err := writeTrace(io.Discard, io.Discard, path, nil, ""); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestWriteTraceWithMetrics exercises the instrumented trace path: counter
-// lanes and GAM spans merged into the timeline, plus the raw CSV dump.
-func TestWriteTraceWithMetrics(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := dir + "/trace.json"
-	csvPath := dir + "/metrics.csv"
-	if err := writeTrace(tracePath, &metrics.Options{Spans: true}, csvPath); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(raw, &events); err != nil {
-		t.Fatalf("trace is not valid Chrome-trace JSON: %v", err)
-	}
-	var counters, spans int
-	for _, e := range events {
-		switch e["ph"] {
-		case "C":
-			counters++
-		case "X":
-			if cat, _ := e["cat"].(string); strings.HasPrefix(cat, "gam.") {
-				spans++
-			}
-		}
-	}
-	if counters == 0 {
-		t.Error("no counter events merged into trace")
-	}
-	if spans == 0 {
-		t.Error("no GAM spans merged into trace")
-	}
-	if _, err := os.Stat(csvPath); err != nil {
-		t.Errorf("metrics CSV not written: %v", err)
 	}
 }

@@ -22,8 +22,6 @@ type NearMemAccel struct {
 	// HandoffOverhead is charged once per task for DIMM control transfer
 	// (handoff command, closed-row precharge on handback, §II-B).
 	HandoffOverhead sim.Time
-
-	handoffs uint64
 }
 
 // NewNearMem attaches a new AIM module to near-memory DIMM i.
@@ -58,9 +56,6 @@ func (a *NearMemAccel) BusyUntil() sim.Time { return a.fab.BusyUntil() }
 
 // Estimate returns the synthesis-report runtime estimate.
 func (a *NearMemAccel) Estimate(t *Task) sim.Time { return estimate(t) }
-
-// Handoffs reports how many DIMM control transfers this module performed.
-func (a *NearMemAccel) Handoffs() uint64 { return a.handoffs }
 
 // Execute runs one task on the AIM module.
 func (a *NearMemAccel) Execute(t *Task) (sim.Time, error) {
@@ -139,7 +134,6 @@ func (a *NearMemAccel) Execute(t *Task) (sim.Time, error) {
 	if supplyDone > done {
 		done = supplyDone
 	}
-	a.handoffs++
 	a.fab.Occupy(done - now)
 	meter.AddActive(t.Stage, t.Kernel.Power(false), done-now)
 

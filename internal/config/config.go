@@ -18,11 +18,8 @@ const (
 	GiB = 1 << 30
 )
 
-// Bandwidth units in bytes/second.
-const (
-	MBps = 1e6
-	GBps = 1e9
-)
+// GBps is the bandwidth unit in bytes/second.
+const GBps = 1e9
 
 // CPUConfig models the host processor (Table II: one x86-64 OoO core at
 // 2 GHz, 8-wide issue, 32 KB L1, 2 MB shared L2). The CPU is nearly idle in

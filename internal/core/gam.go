@@ -222,9 +222,6 @@ func (g *GAM) Progress() []ProgressEntry {
 	return out
 }
 
-// QueueDepth reports ready tasks waiting for a level.
-func (g *GAM) QueueDepth(l accel.Level) int { return len(g.readyQ[l]) }
-
 // Submit hands a job to the GAM. The host-side runtime sends the job as
 // ACC command packets (Fig. 5a); tasks with no dependencies become ready
 // immediately.

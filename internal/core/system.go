@@ -110,10 +110,6 @@ func NewNode(eng *sim.Domain, cfg config.SystemConfig, prefix string) (*System, 
 // Engine exposes the simulation engine.
 func (s *System) Engine() *sim.Engine { return s.eng }
 
-// Prefix reports the node's registry-name prefix ("" for a single-server
-// system).
-func (s *System) Prefix() string { return s.prefix }
-
 // Config reports the system configuration.
 func (s *System) Config() config.SystemConfig { return s.cfg }
 

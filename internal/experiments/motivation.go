@@ -110,9 +110,6 @@ type motivationBuilder struct {
 	build func() (MotivationRow, error)
 }
 
-// ExactRecall returns the full-precision row's recall.
-func (r *MotivationResult) ExactRecall() float64 { return r.Rows[0].Recall }
-
 // Table renders the comparison.
 func (r *MotivationResult) Table() *report.Table {
 	t := &report.Table{

@@ -24,23 +24,22 @@ func feed(r *Recorder, n int, lat func(i int) sim.Time) *qtrace.Log {
 	return l
 }
 
-// TestConfigDefaults: zero fields resolve to the documented defaults and
-// the windows derive from the configured retention horizon.
+// TestConfigDefaults: zero fields resolve to the documented defaults, the
+// burn windows derive from the retention horizon, and a verdict's config
+// block reports every resolved value.
 func TestConfigDefaults(t *testing.T) {
-	c := New(Config{}).Config()
-	if c.Window != DefaultWindow || c.Objective != DefaultObjective {
-		t.Fatalf("window/objective = %v/%v, want defaults", c.Window, c.Objective)
+	want := ConfigView{
+		WindowMS: DefaultWindow.Milliseconds(), ObjectiveMS: DefaultObjective.Milliseconds(),
+		ShortWindowMS: 125, LongWindowMS: 500,
+		BurnThreshold: 0.5, MinCompletions: 8, QueueRatio: 4, QueueFloor: 8,
+		CacheDrop: 0.25, CacheMinLookups: 32,
 	}
-	if c.ShortWindow != c.Window/8 || c.LongWindow != c.Window/2 || c.BarrierEvery != c.Window/64 {
-		t.Fatalf("derived windows %v/%v/%v inconsistent with %v", c.ShortWindow, c.LongWindow, c.BarrierEvery, c.Window)
+	if got := New(Config{}).Verdict().Config; got != want {
+		t.Fatalf("default config %+v, want %+v", got, want)
 	}
-	if c.BurnThreshold != 0.5 || c.MinCompletions != 8 || c.QueueRatio != 4 ||
-		c.QueueFloor != 8 || c.CacheDrop != 0.25 || c.CacheMinLookups != 32 {
-		t.Fatalf("detector defaults off: %+v", c)
-	}
-	c2 := New(Config{Window: 100 * sim.Millisecond}).Config()
-	if c2.ShortWindow != ms(100)/8 || c2.LongWindow != ms(50) {
-		t.Fatalf("custom window did not propagate: %+v", c2)
+	want.WindowMS, want.ShortWindowMS, want.LongWindowMS, want.Detect = 100, 12.5, 50, true
+	if got := New(Config{Window: ms(100), Detect: true}).Verdict().Config; got != want {
+		t.Fatalf("custom window did not propagate: %+v, want %+v", got, want)
 	}
 }
 
@@ -218,7 +217,7 @@ func TestDisarmedRecorderOnlyRetains(t *testing.T) {
 
 // runEngine drives a real two-domain run observed by obs: a CrossLink
 // bounds the lookahead to 100 µs so barrier rounds advance in small steps,
-// and self-rescheduling ticks keep both domains busy for 30 ms.
+// and self-rescheduling ticks keep both domains busy for 100 ms.
 func runEngine(obs ...sim.BarrierObserver) {
 	m := sim.NewMultiEngine(2)
 	sim.NewCrossLink(m.Domain(0), "link", 1e9, 100*sim.Microsecond)
@@ -226,7 +225,7 @@ func runEngine(obs ...sim.BarrierObserver) {
 		d := m.Domain(i)
 		var tick func()
 		tick = func() {
-			if d.Now() < ms(30) {
+			if d.Now() < ms(100) {
 				d.Schedule(100*sim.Microsecond, tick)
 			}
 		}
@@ -236,27 +235,27 @@ func runEngine(obs ...sim.BarrierObserver) {
 	m.Run()
 }
 
-// TestBarrierRing: barrier samples honour the BarrierEvery throttle, the
+// TestBarrierRing: barrier samples honour the Window/64 throttle, the
 // final barrier is always captured, samples slide out of the window, and
 // a freeze stops sampling.
 func TestBarrierRing(t *testing.T) {
-	r := New(Config{Window: 10 * sim.Millisecond, BarrierEvery: ms(1)})
+	r := New(Config{Window: ms(64)})
 	runEngine(r)
 	bars := r.BarrierWindow()
 	if len(bars) == 0 {
 		t.Fatal("no barrier samples retained")
 	}
-	// 10 ms window at 1 ms spacing → at most ~12 samples survive
+	// 64 ms window at 1 ms spacing → at most ~66 samples survive
 	// (window edge plus the terminating barrier).
-	if len(bars) > 13 {
-		t.Fatalf("throttle failed: %d samples in a 10-sample window", len(bars))
+	if len(bars) > 67 {
+		t.Fatalf("throttle failed: %d samples in a 64-sample window", len(bars))
 	}
-	// The run ends at the 30 ms frontier; the ring's newest sample must
+	// The run ends at the 100 ms frontier; the ring's newest sample must
 	// sit there — either the terminating barrier or the same-instant round
 	// sample it deduplicated against.
 	last := bars[len(bars)-1]
-	if last.FrontierUS != ms(30).Microseconds() {
-		t.Fatalf("newest sample at %v µs, run ended at 30 ms: %+v", last.FrontierUS, last)
+	if last.FrontierUS != ms(100).Microseconds() {
+		t.Fatalf("newest sample at %v µs, run ended at 100 ms: %+v", last.FrontierUS, last)
 	}
 	for i := 1; i < len(bars)-1; i++ {
 		if gap := bars[i].FrontierUS - bars[i-1].FrontierUS; gap < ms(1).Microseconds() {
@@ -267,12 +266,12 @@ func TestBarrierRing(t *testing.T) {
 		t.Fatalf("sample missing domain stats: %+v", last)
 	}
 	// Ring slid: nothing older than the window before the last sample.
-	if span := last.FrontierUS - bars[0].FrontierUS; span > ms(10).Microseconds() {
-		t.Fatalf("ring kept %v µs of history, window is 10 ms", span)
+	if span := last.FrontierUS - bars[0].FrontierUS; span > ms(64).Microseconds() {
+		t.Fatalf("ring kept %v µs of history, window is 64 ms", span)
 	}
 
 	// A frozen recorder never samples.
-	frozen := New(Config{Window: 10 * sim.Millisecond, BarrierEvery: ms(1)})
+	frozen := New(Config{Window: ms(64)})
 	frozen.mu.Lock()
 	frozen.frozen = true
 	frozen.mu.Unlock()
@@ -287,7 +286,7 @@ func TestBarrierRing(t *testing.T) {
 // ring is identical to a run where it observes alone, and the observers
 // around it are notified in argument order at every barrier.
 func TestBarrierTee(t *testing.T) {
-	cfg := Config{Window: 10 * sim.Millisecond, BarrierEvery: ms(1)}
+	cfg := Config{Window: ms(64)}
 	alone := New(cfg)
 	runEngine(alone)
 

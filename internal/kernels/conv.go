@@ -53,9 +53,6 @@ func (p *ConvParams) w(o, i, ky, kx int) float32 {
 	return p.Weights[((o*p.InC+i)*p.K+ky)*p.K+kx]
 }
 
-// ParamCount reports the number of parameters (weights + biases).
-func (p *ConvParams) ParamCount() int { return len(p.Weights) + len(p.Bias) }
-
 // Conv2D applies a same-padded, stride-1 K×K convolution — the layer shape
 // used throughout VGG (3×3, pad 1).
 func Conv2D(in *Tensor3, p *ConvParams) *Tensor3 {

@@ -141,11 +141,6 @@ func (c *Controller) pick() *Request {
 	return nil
 }
 
-// QueueOccupancy reports current read/write queue lengths.
-func (c *Controller) QueueOccupancy() (reads, writes int) {
-	return c.readQ.Len(), c.writeQ.Len()
-}
-
 // Served reports completed requests.
 func (c *Controller) Served() uint64 { return c.served }
 
@@ -153,6 +148,3 @@ func (c *Controller) Served() uint64 { return c.served }
 func (c *Controller) StallEvents() uint64 {
 	return c.readQ.Stalls() + c.writeQ.Stalls()
 }
-
-// DIMMs exposes the controller's DIMMs (read-only use).
-func (c *Controller) DIMMs() []*DIMM { return c.dimms }

@@ -86,7 +86,6 @@ type bank struct {
 	openRow   int64 // -1 when precharged (closed)
 	readyAt   sim.Time
 	openedAt  sim.Time
-	activates uint64
 	rowHits   uint64
 	rowMisses uint64
 }
@@ -193,7 +192,6 @@ func (d *DIMM) Access(addr int64, write bool) sim.Time {
 		cmdDone = start + d.timing.CL
 	case b.openRow == -1:
 		b.rowMisses++
-		b.activates++
 		actAt := maxTime(b.readyAt, now)
 		b.openedAt = actAt
 		cmdDone = maxTime(actAt+d.timing.TRCD, start) + d.timing.CL
@@ -201,7 +199,6 @@ func (d *DIMM) Access(addr int64, write bool) sim.Time {
 	default:
 		// Row conflict: respect tRAS before precharging the open row.
 		b.rowMisses++
-		b.activates++
 		pre := maxTime(b.readyAt, now)
 		if minClose := b.openedAt + d.timing.TRAS; minClose > pre {
 			pre = minClose
@@ -269,16 +266,6 @@ func (d *DIMM) RowHitRate() float64 {
 		return 0
 	}
 	return float64(hits) / float64(total)
-}
-
-// Activates reports the total row activations, the dominant term of DRAM
-// dynamic energy.
-func (d *DIMM) Activates() uint64 {
-	var n uint64
-	for i := range d.banks {
-		n += d.banks[i].activates
-	}
-	return n
 }
 
 // BusBytes reports total data moved over the DIMM bus.

@@ -45,16 +45,6 @@ func (p *Port) Random(n int64) sim.Time {
 	return p.conn.TransferEff(n, p.randomEff)
 }
 
-// EffectiveStreamBandwidth reports peak × stream efficiency, in bytes/s.
-func (p *Port) EffectiveStreamBandwidth() float64 {
-	return p.conn.BytesPerSec() * p.streamEff
-}
-
-// EffectiveRandomBandwidth reports peak × random efficiency, in bytes/s.
-func (p *Port) EffectiveRandomBandwidth() float64 {
-	return p.conn.BytesPerSec() * p.randomEff
-}
-
 // TotalBytes reports payload bytes moved through the port.
 func (p *Port) TotalBytes() uint64 { return p.conn.ResourceStats().Bytes }
 

@@ -118,9 +118,6 @@ func (q *Queue) Offer(item any) bool {
 // At returns the i-th queued item without removing it (0 = oldest).
 func (q *Queue) At(i int) any { return q.entries[i].item }
 
-// EnqueuedAt reports when the i-th queued item was offered.
-func (q *Queue) EnqueuedAt(i int) Time { return q.entries[i].at }
-
 // RemoveAt removes and returns the i-th item, recording its queueing wait.
 func (q *Queue) RemoveAt(i int) any {
 	e := q.entries[i]
@@ -216,9 +213,6 @@ func (w *Window) Complete(done Time) {
 
 // Outstanding reports current in-flight operations.
 func (w *Window) Outstanding() int { return len(w.inflight) }
-
-// Admitted reports total admitted operations.
-func (w *Window) Admitted() uint64 { return w.admitted }
 
 // WaitTime reports accumulated full-window admission delay.
 func (w *Window) WaitTime() Time { return w.waitTime }

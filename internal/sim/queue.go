@@ -177,12 +177,6 @@ func (q *TokenQueue) admitParkedPutter() {
 	}
 }
 
-// Puts reports how many items were offered.
-func (q *TokenQueue) Puts() uint64 { return q.puts }
-
-// Gets reports how many items were requested.
-func (q *TokenQueue) Gets() uint64 { return q.gets }
-
 // PutWaits reports how many producers had to park (back-pressure events).
 func (q *TokenQueue) PutWaits() uint64 { return q.putWaits }
 

@@ -89,9 +89,6 @@ func NewClock(freqHz float64) Clock {
 // (the unit used by the paper's Table III synthesis reports).
 func MHz(f float64) Clock { return NewClock(f * 1e6) }
 
-// FreqHz reports the clock frequency in hertz.
-func (c Clock) FreqHz() float64 { return c.freqHz }
-
 // Period returns the duration of one cycle, rounded to the nearest
 // picosecond.
 func (c Clock) Period() Time {
@@ -107,12 +104,4 @@ func (c Clock) Cycles(n uint64) Time {
 		return MaxTime
 	}
 	return Time(d + 0.5)
-}
-
-// CyclesIn reports how many full cycles of this clock fit in d.
-func (c Clock) CyclesIn(d Time) uint64 {
-	if d <= 0 {
-		return 0
-	}
-	return uint64(d.Seconds() * c.freqHz)
 }

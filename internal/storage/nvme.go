@@ -117,9 +117,6 @@ func (qp *QueuePair) RunReads(commands int, bytesPer int64) sim.Time {
 	return qp.lastDone
 }
 
-// QueueWaitTime reports accumulated full-queue admission delay.
-func (qp *QueuePair) QueueWaitTime() sim.Time { return qp.sq.WaitTime() }
-
 // EffectiveBandwidth reports bytes moved over elapsed time for the whole
 // run (0 before any command).
 func (qp *QueuePair) EffectiveBandwidth() float64 {

@@ -132,9 +132,6 @@ func (s *SSD) readInternal(n int64, pattern AccessPattern) sim.Time {
 	}
 }
 
-// InternalUtilization reports flash capacity utilisation.
-func (s *SSD) InternalUtilization() float64 { return s.internal.ResourceStats().Utilization }
-
 // Stats snapshot.
 type SSDStats struct {
 	Reads       uint64
@@ -248,9 +245,6 @@ func (a *Array) HostLinkBytes() uint64 { return a.hostLink.ResourceStats().Bytes
 // HostLinkQueuedDelay reports accumulated contention on the host link —
 // the quantity that saturates in Fig. 11's near-memory rerank plateau.
 func (a *Array) HostLinkQueuedDelay() sim.Time { return a.hostLink.ResourceStats().Wait }
-
-// HostLinkUtilization reports host PCIe utilisation.
-func (a *Array) HostLinkUtilization() float64 { return a.hostLink.ResourceStats().Utilization }
 
 // EffectiveHostBandwidth reports raw × efficiency in bytes/s.
 func (a *Array) EffectiveHostBandwidth() float64 {

@@ -29,12 +29,6 @@ type SyntheticParams struct {
 	Seed     int64
 }
 
-// DefaultSyntheticParams returns the functional-scale defaults: 2^17
-// vectors of the paper's D=96 in 64 natural clusters.
-func DefaultSyntheticParams() SyntheticParams {
-	return SyntheticParams{N: 1 << 17, D: 96, Clusters: 64, Spread: 0.08, Seed: 20200901}
-}
-
 // Synthetic generates a deterministic Gaussian-mixture dataset.
 func Synthetic(p SyntheticParams) *Dataset {
 	if p.N <= 0 || p.D <= 0 || p.Clusters <= 0 || p.Clusters > p.N {
