@@ -3,8 +3,10 @@
 #   make check       — everything CI runs: formatting, build, vet (the
 #                      root module and the bench/ module), race tests
 #                      (reachsim's end-to-end TestCLI matrix included), the
-#                      bench/ module's tests, 10 s of fuzzing the four-row
-#                      distance kernel against SquaredL2, and bench-smoke
+#                      bench/ module's tests, 10 s each of fuzzing the
+#                      four-row distance kernel against SquaredL2 and the
+#                      MultiEngine coordinator against one Engine, and
+#                      bench-smoke
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
 #   make bench       — root + sim benchmarks with allocation stats
 #   make bench-smoke — 1x pass over every benchmark, so benchmark code
@@ -45,10 +47,13 @@ race:
 bench-test:
 	$(GO) -C bench test ./...
 
-# Coverage-guided fuzzing of SquaredL2Rows for 10 s: every output must be
-# bit for bit the SquaredL2 of its row. Plain go test runs only the seeds.
+# Coverage-guided fuzzing, 10 s per target: every SquaredL2Rows output
+# must be bit for bit the SquaredL2 of its row, and a random event graph
+# split across MultiEngine domains must dispatch exactly as on one Engine.
+# Plain go test runs only the seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSquaredL2Rows$$' -fuzztime 10s ./internal/kernels/
+	$(GO) test -run '^$$' -fuzz '^FuzzMultiEngine$$' -fuzztime 10s ./internal/sim/
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/

@@ -54,7 +54,7 @@ const (
 	observedCSV    = "14196e4129c36ae5e066c7f7123427e38507d09c6793a38eb1be7307de700078"
 	observedTrace  = "6ccabe9ee6bb9759353b889f47f20b57e8545e848bc8c640fac3beb1507510fe"
 	flashStdout    = "8697826d65f93bc488b291230ad7f4891928604542fb287ee8be924492f95337"
-	taillatStdout  = "e24d914dd260e867bd84dc2018d4f2bf8d83c591951f732269f408ed5beb7627"
+	taillatStdout  = "21fc111b51fa0dae9bb51b110e4eab520bd67469839811521610aed2d8cf6af5"
 	taillatCSV     = "1e4840b9f85b2aae64c725ddc54a14cc559a4a5b3fd3318d98bb1819051fd04b"
 	taillatSummary = "386d743264f5e6903d715681c405873b1c4bd73263f27d9aa0b539e3a4bd2e82"
 )

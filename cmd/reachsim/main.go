@@ -609,14 +609,13 @@ func runCluster(w, stderr io.Writer, o clusterOptions) error {
 				insp.ObserveAnomalies(func() inspect.AnomalyStatus { return anomalyStatus(fr) })
 			}
 		}
+		if insp != nil {
+			barriers = append(barriers, insp)
+		}
 		// The metrics sampler notifies first, so its series match a
 		// flight-off run.
 		cl.Multi().SetBarrierObserver(barriers...)
-		if insp == nil {
-			return
-		}
-		insp.ObserveMulti(cl.Multi())
-		if cl.CacheEnabled() {
+		if insp != nil && cl.CacheEnabled() {
 			insp.ObserveCache(func() inspect.CacheCounters {
 				cs := cl.CacheStats()
 				return inspect.CacheCounters{

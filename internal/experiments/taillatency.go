@@ -182,7 +182,7 @@ func TailLatencyTable(onchip, reach *TailLatencyResult) *report.Table {
 	for i := range onchip.Points {
 		o, r := onchip.Points[i], reach.Points[i]
 		t.AddRow(
-			report.F(o.OfferedQPS, 1),
+			report.F(o.OfferedQPS, 2),
 			report.F(o.P50.Milliseconds(), 0),
 			report.F(o.P99.Milliseconds(), 0),
 			report.F(o.TailRatio(), 2),
@@ -194,12 +194,12 @@ func TailLatencyTable(onchip, reach *TailLatencyResult) *report.Table {
 	if n := len(onchip.Points); n > 0 {
 		last := onchip.Points[n-1]
 		if last.TailCount > 0 {
-			t.AddNote("onchip tail at %.1f q/s: %.0f%% of the %d over-p99 queries dominated by queue wait (modal: %s at %s)",
+			t.AddNote("onchip tail at %.2f q/s: %.0f%% of the %d over-p99 queries dominated by queue wait (modal: %s at %s)",
 				last.OfferedQPS, last.TailQueueShare*100, last.TailCount,
 				last.TailStage, last.TailLevel)
 		}
 		rlast := reach.Points[n-1]
-		t.AddNote("p99/p50 at %.1f q/s: onchip %.2f, ReACH %.2f",
+		t.AddNote("p99/p50 at %.2f q/s: onchip %.2f, ReACH %.2f",
 			last.OfferedQPS, last.TailRatio(), rlast.TailRatio())
 	}
 	return t

@@ -44,10 +44,10 @@ type Snapshot struct {
 	// fractions, in registry (sorted-name) order.
 	Resources []ResourceBusy `json:"resources,omitempty"`
 
-	// Domain-partition progress, present when a MultiEngine is observed
-	// (cluster runs): the barrier-round count, the conservative lookahead,
-	// and per-domain clocks/mailbox depths from the latest barrier-
-	// consistent snapshot — a live view of how far each node's domain has
+	// Domain-partition progress, present once the server has observed a
+	// MultiEngine barrier (cluster runs): the barrier-round count, the
+	// conservative lookahead, and per-domain clocks/mailbox depths as of
+	// the latest barrier — a live view of how far each node's domain has
 	// advanced and how much cross-domain traffic is in flight.
 	BarrierRounds       uint64    `json:"barrier_rounds,omitempty"`
 	LookaheadUS         float64   `json:"lookahead_us,omitempty"`
@@ -96,7 +96,9 @@ type CacheCounters struct {
 }
 
 // Server is the inspector. It implements qtrace.Observer, so listing it
-// in every run's qtrace.Options.Observers feeds the live counters.
+// in every run's qtrace.Options.Observers feeds the live counters, and
+// sim.BarrierObserver, so installing it on a MultiEngine feeds the
+// domain-partition view.
 type Server struct {
 	mu        sync.Mutex
 	ln        net.Listener
@@ -107,10 +109,16 @@ type Server struct {
 	runsDone  int
 	lastRun   string
 	resources []ResourceBusy
-	multi     *sim.MultiEngine
 	cache     func() CacheCounters
 	slo       *SLOMonitor
 	anomalies func() AnomalyStatus
+
+	// The latest barrier's copy of the domain partition; clocks is nil
+	// until the first barrier.
+	rounds    uint64
+	lookahead sim.Time
+	clocks    []sim.Time
+	mailboxes []int
 }
 
 // New returns an inspector with empty counters. Call Start to serve.
@@ -143,14 +151,18 @@ func (s *Server) ObserveRun(run string, reg *sim.StatsRegistry) {
 	s.mu.Unlock()
 }
 
-// ObserveMulti attaches a domain coordinator (a cluster's MultiEngine):
-// snapshots thereafter include its barrier rounds, lookahead and
-// per-domain clocks/mailbox depths. Safe to call before Run — the
-// coordinator publishes a barrier-consistent snapshot each round, so
-// polling /progress while the simulation executes is race-free.
-func (s *Server) ObserveMulti(me *sim.MultiEngine) {
+// OnBarrier implements sim.BarrierObserver: it copies the coordinator's
+// round count, lookahead, per-domain clocks and mailbox depths, so
+// snapshots thereafter carry the domain-partition view of the latest
+// barrier while the run goes on.
+func (s *Server) OnBarrier(m *sim.MultiEngine, mailboxes []int, _ bool) {
 	s.mu.Lock()
-	s.multi = me
+	s.rounds, s.lookahead = m.Rounds(), m.Lookahead()
+	s.clocks = s.clocks[:0]
+	for i := range m.Domains() {
+		s.clocks = append(s.clocks, m.Domain(i).Now())
+	}
+	s.mailboxes = append(s.mailboxes[:0], mailboxes...)
 	s.mu.Unlock()
 }
 
@@ -200,16 +212,15 @@ func (s *Server) Snapshot() Snapshot {
 		snap.P99Ms = s.sketch.Quantile(0.99).Milliseconds()
 		snap.P999Ms = s.sketch.Quantile(0.999).Milliseconds()
 	}
-	if s.multi != nil {
-		p := s.multi.Progress() // its own mutex; barrier-consistent
-		snap.BarrierRounds = p.Rounds
-		if p.Lookahead != sim.MaxTime {
-			snap.LookaheadUS = p.Lookahead.Microseconds()
+	if s.clocks != nil {
+		snap.BarrierRounds = s.rounds
+		if s.lookahead != sim.MaxTime {
+			snap.LookaheadUS = s.lookahead.Microseconds()
 		}
-		for _, d := range p.Domains {
-			snap.DomainClocksUS = append(snap.DomainClocksUS, d.Clock.Microseconds())
-			snap.DomainMailboxDepths = append(snap.DomainMailboxDepths, d.Mailbox)
+		for _, c := range s.clocks {
+			snap.DomainClocksUS = append(snap.DomainClocksUS, c.Microseconds())
 		}
+		snap.DomainMailboxDepths = append([]int(nil), s.mailboxes...)
 	}
 	if s.cache != nil {
 		cc := s.cache()

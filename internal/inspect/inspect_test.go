@@ -140,9 +140,10 @@ type multiNop struct{}
 
 func (multiNop) Fire(*sim.Engine, uint64) {}
 
-// TestObserveMulti: after attaching a MultiEngine, /progress and expvar
-// report the per-domain view — barrier rounds, the conservative lookahead
-// and each domain's clock — alongside the query metrics.
+// TestObserveMulti: installed as a MultiEngine's barrier observer, the
+// server reports in /progress and expvar the per-domain view — barrier
+// rounds, the conservative lookahead and each domain's clock — alongside
+// the query metrics.
 func TestObserveMulti(t *testing.T) {
 	s := New()
 	if err := s.Start("127.0.0.1:0"); err != nil {
@@ -153,7 +154,7 @@ func TestObserveMulti(t *testing.T) {
 	me := sim.NewMultiEngine(2)
 	x := sim.NewCrossLink(me.Domain(0), "net", 1e9, sim.Millisecond)
 	me.Domain(0).AtCall(sim.Millisecond, crossSender{x, me.Domain(1)}, 0)
-	s.ObserveMulti(me)
+	me.SetBarrierObserver(s)
 	me.Run()
 
 	var snap Snapshot

@@ -137,7 +137,7 @@ func TestSLOScrapeDuringClusterRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ObserveMulti(c.Multi())
+	c.Multi().SetBarrierObserver(s)
 	s.ObserveSLO(mon)
 	const queries = 200
 	for i := 0; i < queries; i++ {

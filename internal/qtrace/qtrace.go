@@ -17,7 +17,9 @@
 package qtrace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -138,8 +140,9 @@ type Options struct {
 	// DefaultAlpha, 1%).
 	Alpha float64
 	// DropTimelines releases each query's interval slice once its
-	// attribution is computed, bounding memory on long sweeps. Attribution
-	// and the latency sketch are unaffected.
+	// attribution is computed, bounding memory on long sweeps: the log
+	// hands the array to the next submitted query. Attribution and the
+	// latency sketch are unaffected.
 	DropTimelines bool
 	// Observers are notified of every completion, in slice order.
 	Observers []Observer
@@ -153,6 +156,13 @@ type Log struct {
 	sketch  *Sketch
 	queries []*Query
 	done    uint64
+
+	// free holds the emptied interval arrays of completed queries for new
+	// queries to reuse (DropTimelines only).
+	free [][]Interval
+	// keys and spans are attribute's scratch, reused across completions.
+	keys  []attKey
+	spans []span
 }
 
 // NewLog returns an empty log.
@@ -167,7 +177,11 @@ func (l *Log) Submitted(qid, job int, at sim.Time) {
 	for len(l.queries) <= qid {
 		l.queries = append(l.queries, nil)
 	}
-	l.queries[qid] = &Query{ID: qid, Job: job, Arrival: at}
+	q := &Query{ID: qid, Job: job, Arrival: at}
+	if n := len(l.free); n > 0 {
+		q.Intervals, l.free = l.free[n-1], l.free[:n-1]
+	}
+	l.queries[qid] = q
 }
 
 // Add appends one interval to an open query's timeline. Intervals for
@@ -192,8 +206,13 @@ func (l *Log) Completed(qid int, at sim.Time) {
 	q.done = true
 	l.done++
 	l.sketch.Add(q.Latency())
-	q.Attribution = attribute(q)
+	q.Attribution = l.attribute(q)
 	if l.opt.DropTimelines {
+		// A late Add (a shard response after a quorum merge) then starts a
+		// fresh slice instead of writing into the array a new query reuses.
+		if q.Intervals != nil {
+			l.free = append(l.free, q.Intervals[:0])
+		}
 		q.Intervals = nil
 	}
 	for _, o := range l.opt.Observers {
@@ -231,76 +250,71 @@ func (l *Log) Query(qid int) *Query {
 // attKey groups intervals for attribution.
 type attKey struct{ phase, stage, level string }
 
+// span is one interval as attribution reads it: the index of its key in
+// the query's key table and its bounds clamped to the query's window. It
+// is a third of an Interval's size, which is what sorting moves.
+type span struct {
+	key        int
+	start, end sim.Time
+}
+
 // attribute reduces a completed query's timeline to per-phase coverage:
 // for each (phase, stage, level) key, the union length of its intervals
 // clamped to the query's [Arrival, Done] window, sorted by descending
-// coverage with name tie-breaks so the result is deterministic.
-func attribute(q *Query) []Attribution {
+// coverage with name tie-breaks. Keys are unique, so that order is total
+// and the result does not depend on how the intervals were grouped.
+func (l *Log) attribute(q *Query) []Attribution {
 	if len(q.Intervals) == 0 {
 		return nil
 	}
-	lat := q.Done - q.Arrival
-	groups := make(map[attKey][]Interval)
-	var keys []attKey
+	keys, spans := l.keys[:0], l.spans[:0]
 	for _, iv := range q.Intervals {
 		k := attKey{iv.Phase, iv.Stage, iv.Level}
-		if _, ok := groups[k]; !ok {
+		ki := slices.Index(keys, k)
+		if ki < 0 {
+			ki = len(keys)
 			keys = append(keys, k)
 		}
-		groups[k] = append(groups[k], iv)
+		if s, e := max(iv.Start, q.Arrival), min(iv.End, q.Done); e > s {
+			spans = append(spans, span{key: ki, start: s, end: e})
+		}
 	}
-	out := make([]Attribution, 0, len(keys))
-	for _, k := range keys {
-		ivs := groups[k]
-		sort.Slice(ivs, func(i, j int) bool {
-			if ivs[i].Start != ivs[j].Start {
-				return ivs[i].Start < ivs[j].Start
-			}
-			return ivs[i].End < ivs[j].End
-		})
-		var covered sim.Time
-		hi := sim.Time(-1)
-		lo := sim.Time(0)
-		for _, iv := range ivs {
-			s, e := iv.Start, iv.End
-			if s < q.Arrival {
-				s = q.Arrival
-			}
-			if e > q.Done {
-				e = q.Done
-			}
-			if e <= s {
-				continue
-			}
-			if hi < 0 || s > hi {
-				if hi >= 0 {
-					covered += hi - lo
-				}
-				lo, hi = s, e
-			} else if e > hi {
-				hi = e
-			}
+	l.keys, l.spans = keys, spans
+	slices.SortFunc(spans, func(a, b span) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
 		}
-		if hi >= 0 {
-			covered += hi - lo
-		}
-		att := Attribution{Phase: k.phase, Stage: k.stage, Level: k.level, Covered: covered}
-		if lat > 0 {
-			att.Share = float64(covered) / float64(lat)
-		}
-		out = append(out, att)
+		return cmp.Compare(a.start, b.start)
+	})
+	out := make([]Attribution, len(keys))
+	for i, k := range keys {
+		out[i] = Attribution{Phase: k.phase, Stage: k.stage, Level: k.level}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Covered != out[j].Covered {
-			return out[i].Covered > out[j].Covered
+	// Each key's spans are now in start order: merge overlaps into runs
+	// and add each run's length to the key's coverage.
+	for i, j := 0, 0; i < len(spans); i = j {
+		key, lo, hi := spans[i].key, spans[i].start, spans[i].end
+		for j = i + 1; j < len(spans) && spans[j].key == key && spans[j].start <= hi; j++ {
+			hi = max(hi, spans[j].end)
 		}
-		if out[i].Phase != out[j].Phase {
-			return out[i].Phase < out[j].Phase
+		out[key].Covered += hi - lo
+	}
+	if lat := q.Done - q.Arrival; lat > 0 {
+		for i := range out {
+			out[i].Share = float64(out[i].Covered) / float64(lat)
 		}
-		if out[i].Stage != out[j].Stage {
-			return out[i].Stage < out[j].Stage
+	}
+	slices.SortFunc(out, func(a, b Attribution) int {
+		if a.Covered != b.Covered {
+			return cmp.Compare(b.Covered, a.Covered)
 		}
-		return out[i].Level < out[j].Level
+		if a.Phase != b.Phase {
+			return strings.Compare(a.Phase, b.Phase)
+		}
+		if a.Stage != b.Stage {
+			return strings.Compare(a.Stage, b.Stage)
+		}
+		return strings.Compare(a.Level, b.Level)
 	})
 	return out
 }

@@ -3,7 +3,9 @@ package qtrace
 import (
 	"bytes"
 	"encoding/csv"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -87,6 +89,186 @@ func TestDropTimelines(t *testing.T) {
 	}
 	if q.Dominant().Phase != PhaseExec || l.Sketch().Count() != 1 {
 		t.Fatal("attribution or sketch lost with DropTimelines")
+	}
+}
+
+// randomTimeline draws n intervals around the window [arr, done] on up to
+// 27 (phase, stage, level) keys: overlapping, clamped at either edge,
+// wholly outside the window, and one in four zero-length.
+func randomTimeline(rng *rand.Rand, arr, done sim.Time, n int) []Interval {
+	phases := []string{PhaseQueue, PhaseExec, PhaseXfer}
+	stages := []string{"FE", "SL", "RR"}
+	levels := []string{"", "OnChip", "NearMem"}
+	w := int64(done-arr) + 4
+	ivs := make([]Interval, n)
+	for i := range ivs {
+		s := arr - sim.Time(w/4) + sim.Time(rng.Int63n(w+w/2))
+		e := s
+		if rng.Intn(4) > 0 {
+			e += sim.Time(rng.Int63n(w))
+		}
+		ivs[i] = Interval{Phase: phases[rng.Intn(3)], Stage: stages[rng.Intn(3)], Level: levels[rng.Intn(3)], Start: s, End: e}
+	}
+	return ivs
+}
+
+// attributeRef is an independent oracle for attribution: a key covers
+// each elementary segment, between consecutive clamped endpoints of its
+// intervals, that one of its intervals spans.
+func attributeRef(arr, done sim.Time, ivs []Interval) []Attribution {
+	if len(ivs) == 0 {
+		return nil
+	}
+	type key struct{ phase, stage, level string }
+	var keys []key
+	spans := map[key][][2]sim.Time{}
+	for _, iv := range ivs {
+		k := key{iv.Phase, iv.Stage, iv.Level}
+		if _, ok := spans[k]; !ok {
+			keys = append(keys, k)
+		}
+		spans[k] = append(spans[k], [2]sim.Time{max(iv.Start, arr), min(iv.End, done)})
+	}
+	var out []Attribution
+	for _, k := range keys {
+		var pts []sim.Time
+		for _, se := range spans[k] {
+			pts = append(pts, se[0], se[1])
+		}
+		sort.Slice(pts, func(i, j int) bool { return pts[i] < pts[j] })
+		var covered sim.Time
+		for i := 1; i < len(pts); i++ {
+			for _, se := range spans[k] {
+				if se[0] <= pts[i-1] && pts[i] <= se[1] {
+					covered += pts[i] - pts[i-1]
+					break
+				}
+			}
+		}
+		a := Attribution{Phase: k.phase, Stage: k.stage, Level: k.level, Covered: covered}
+		if done > arr {
+			a.Share = float64(covered) / float64(done-arr)
+		}
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Covered != b.Covered {
+			return a.Covered > b.Covered
+		}
+		if a.Phase != b.Phase {
+			return a.Phase < b.Phase
+		}
+		if a.Stage != b.Stage {
+			return a.Stage < b.Stage
+		}
+		return a.Level < b.Level
+	})
+	return out
+}
+
+// TestDropTimelinesReuse interleaves many open queries with random
+// timelines: a DropTimelines log, which hands completed queries' arrays to
+// new ones, attributes every query exactly as a log that keeps its
+// timelines, and both match the independent oracle.
+func TestDropTimelinesReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keep, drop := NewLog(Options{}), NewLog(Options{DropTimelines: true})
+	const queries = 400
+	type pending struct {
+		id        int
+		arr, done sim.Time
+		ivs       []Interval
+		added     int
+	}
+	var open []*pending
+	for next := 0; next < queries || len(open) > 0; {
+		if next < queries && (len(open) == 0 || rng.Intn(3) == 0) {
+			arr := sim.Time(rng.Intn(1000))
+			p := &pending{id: next, arr: arr, done: arr + sim.Time(rng.Intn(1000))}
+			p.ivs = randomTimeline(rng, p.arr, p.done, rng.Intn(60))
+			keep.Submitted(p.id, p.id, p.arr)
+			drop.Submitted(p.id, p.id, p.arr)
+			open = append(open, p)
+			next++
+			continue
+		}
+		i := rng.Intn(len(open))
+		p := open[i]
+		if p.added < len(p.ivs) {
+			keep.Add(p.id, p.ivs[p.added])
+			drop.Add(p.id, p.ivs[p.added])
+			p.added++
+			continue
+		}
+		keep.Completed(p.id, p.done)
+		drop.Completed(p.id, p.done)
+		open = append(open[:i], open[i+1:]...)
+		want := attributeRef(p.arr, p.done, p.ivs)
+		if got := keep.Query(p.id).Attribution; !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d attribution:\n got  %+v\n want %+v", p.id, got, want)
+		}
+		if got := drop.Query(p.id).Attribution; !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d attribution with reused timelines:\n got  %+v\n want %+v", p.id, got, want)
+		}
+		if len(p.ivs) > 0 && !reflect.DeepEqual(keep.Query(p.id).Intervals, p.ivs) {
+			t.Fatalf("query %d kept timeline differs from the one recorded", p.id)
+		}
+		if drop.Query(p.id).Intervals != nil {
+			t.Fatalf("query %d timeline retained despite DropTimelines", p.id)
+		}
+	}
+}
+
+// TestDropTimelinesLateAdd: an interval added after completion — a shard
+// response arriving after the quorum merge — lands in the completed
+// query's own fresh slice, never in the array the next query reuses.
+func TestDropTimelinesLateAdd(t *testing.T) {
+	l := NewLog(Options{DropTimelines: true})
+	l.Submitted(0, 0, 0)
+	l.Add(0, Interval{Phase: PhaseExec, Stage: "RR", Start: 0, End: ms(4)})
+	l.Completed(0, ms(4))
+	late := Interval{Phase: PhaseXfer, Stage: "RR", Start: ms(4), End: ms(5)}
+	l.Add(0, late)
+	l.Submitted(1, 1, ms(5))
+	if q := l.Query(1); len(q.Intervals) != 0 || cap(q.Intervals) == 0 {
+		t.Fatalf("query 1 starts with %d intervals, capacity %d; want query 0's emptied array", len(q.Intervals), cap(q.Intervals))
+	}
+	own := Interval{Phase: PhaseQueue, Stage: "FE", Start: ms(5), End: ms(6)}
+	l.Add(1, own)
+	l.Add(0, late)
+	if got := l.Query(1).Intervals; len(got) != 1 || got[0] != own {
+		t.Fatalf("query 1 timeline = %+v, want only its own interval", got)
+	}
+	if got := l.Query(0).Intervals; len(got) != 2 || got[0] != late || got[1] != late {
+		t.Fatalf("query 0 late intervals = %+v, want the two late adds", got)
+	}
+	l.Completed(1, ms(6))
+	if got := l.Query(1).Attribution; len(got) != 1 || got[0].Phase != PhaseQueue || got[0].Covered != ms(1) {
+		t.Fatalf("query 1 attribution = %+v, want its 1 ms queue wait alone", got)
+	}
+}
+
+// TestDropTimelinesAllocs: in steady state a DropTimelines query —
+// Submitted, N intervals, Completed — allocates its Query and its
+// Attribution slice and nothing else.
+func TestDropTimelinesAllocs(t *testing.T) {
+	l := NewLog(Options{DropTimelines: true})
+	ivs := randomTimeline(rand.New(rand.NewSource(1)), ms(1), ms(9), 100)
+	qid := 0
+	query := func() {
+		l.Submitted(qid, qid, ms(1))
+		for _, iv := range ivs {
+			l.Add(qid, iv)
+		}
+		l.Completed(qid, ms(9))
+		qid++
+	}
+	for range 100 {
+		query()
+	}
+	if allocs := testing.AllocsPerRun(1000, query); allocs > 2 {
+		t.Errorf("a %d-interval query allocated %.0f objects, want at most 2", len(ivs), allocs)
 	}
 }
 

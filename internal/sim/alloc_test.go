@@ -212,8 +212,8 @@ func (p *pingPong) Fire(_ *Engine, arg uint64) {
 }
 
 // TestBarrierRoundZeroAlloc: once warmed, a MultiEngine barrier round —
-// the safe-window run, the mailbox drain and its merge sort, the progress
-// publication — allocates nothing. A ping-pong makes every hop its own
+// the safe-window run, the mailbox drain and its merge sort, the mail
+// list — allocates nothing. A ping-pong makes every hop its own
 // round, so any per-round garbage shows up here.
 func TestBarrierRoundZeroAlloc(t *testing.T) {
 	m := NewMultiEngine(2)

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // This file partitions the event engine of one large simulation into
@@ -31,12 +30,14 @@ import (
 //     seq) — so same-timestamp events from two different domains merge
 //     into the destination calendar identically every run.
 //
-// Everything runs on the coordinator goroutine, so nothing on the event
-// path takes a lock: scheduling and dispatch inside a domain stay
-// allocation-free exactly as in the single-engine case, a cross-domain
-// export appends to a plain slice, and a warmed barrier drain allocates
-// nothing. Only the published progress snapshot is guarded by a mutex,
-// because the live inspector reads it from another goroutine.
+// Everything runs on the coordinator goroutine, so nothing takes a lock:
+// scheduling and dispatch inside a domain stay allocation-free exactly as
+// in the single-engine case, a cross-domain export appends to a plain
+// slice, and a warmed barrier drain allocates nothing. A round costs in
+// proportion to the domains with work: the coordinator keeps every
+// domain's earliest event time in one flat slice and lists the domains
+// that received mail, so it never walks an idle domain's calendar or
+// mailbox.
 
 // Domain is one event-domain of a partitioned simulation. A Domain is an
 // Engine — the single-domain Engine API (AtCall, ScheduleCall, handles,
@@ -50,78 +51,11 @@ type Domain = Engine
 // src/xseq make the barrier merge order total and independent of the
 // order in which domains ran.
 type xevent struct {
-	at        Time
-	src       int32
-	xseq      uint64
-	h         Handler
-	arg       uint64
-	cancelled bool
-}
-
-// inbox is a domain's inbound mailbox. Senders append during a round and
-// the coordinator drains it at the barrier, all on the coordinator
-// goroutine, so it needs no lock. The backing array is retained between
-// rounds, so a warmed mailbox appends without allocating; its effective
-// bound is the cross-domain traffic of one lookahead window.
-type inbox struct {
-	epoch   uint64 // incremented at every drain; stale XHandles see it
-	pending []xevent
-}
-
-// XHandle identifies an event exported to another domain's mailbox, for
-// cancellation from the exporting domain. An exported event can only be
-// cancelled until the next barrier: once the coordinator drains the
-// mailbox the event is committed to the destination calendar and Cancel
-// becomes a no-op (the destination domain may already have executed it).
-// The zero value is inert.
-type XHandle struct {
-	dst   *Engine
-	epoch uint64
-	idx   int
-}
-
-// Cancel prevents the exported event from firing if it is still in the
-// destination mailbox; after the barrier that drained it, Cancel is a
-// no-op. Call it from inside a domain's event, on the coordinator
-// goroutine.
-func (h XHandle) Cancel() {
-	if h.live() {
-		h.dst.inbox.pending[h.idx].cancelled = true
-	}
-}
-
-// Exported reports whether the event is still in the destination mailbox
-// (not yet drained, not cancelled). Like Cancel, it runs on the
-// coordinator goroutine.
-func (h XHandle) Exported() bool {
-	return h.live() && !h.dst.inbox.pending[h.idx].cancelled
-}
-
-// live reports whether the handle still addresses its mailbox entry.
-func (h XHandle) live() bool {
-	d := h.dst
-	return d != nil && h.epoch == d.inbox.epoch && h.idx < len(d.inbox.pending)
-}
-
-// DomainProgress is one domain's live position, published at barriers.
-type DomainProgress struct {
-	// Clock is the domain's virtual time (its last executed event).
-	Clock Time
-	// Pending is the domain calendar's population at the barrier.
-	Pending int
-	// Mailbox is the inbound mailbox depth just before the drain.
-	Mailbox int
-	// Executed counts events the domain has dispatched so far.
-	Executed uint64
-}
-
-// MultiProgress is a consistent snapshot of a running MultiEngine, taken
-// at the most recent barrier. Safe to read concurrently with the run —
-// this is what the live inspector serves.
-type MultiProgress struct {
-	Rounds    uint64
-	Lookahead Time
-	Domains   []DomainProgress
+	at   Time
+	src  int32
+	xseq uint64
+	h    Handler
+	arg  uint64
 }
 
 // MultiEngine coordinates N event domains executing one simulation. Wire
@@ -136,30 +70,35 @@ type MultiEngine struct {
 	rounds    uint64
 	running   bool
 
+	// next[i] is domain i's earliest calendar time (MaxTime when empty).
+	// Only a domain's own round and the drain change a calendar during
+	// Run, and both keep next current, so a round's minimum is one scan.
+	next []Time
+	// mail lists, in first-export order, the domains whose mailbox filled
+	// since the last drain; drained lists the ones that drain emptied, so
+	// the next drain can zero their depths.
+	mail, drained []int32
+
 	// merge and depths are the barrier's scratch, reused across rounds
 	// and runs.
 	merge  []mergeEntry
 	depths []int
 
-	// progress is rewritten in place at each barrier under progressMu.
-	progressMu sync.Mutex
-	progress   MultiProgress
-
 	// barriers are invoked by the coordinator, in order, after every
-	// round's progress publication and once more when the run drains.
+	// round and once more when the run drains.
 	barriers []BarrierObserver
 }
 
 // BarrierObserver receives a coordinator callback at every barrier of a
-// MultiEngine run, after the round's cross-domain mailboxes were drained
-// and the progress snapshot was published. The callback runs on the
-// coordinator goroutine while every domain is quiescent, so the observer
-// may read domain clocks, calendars and the shared StatsRegistry without
-// synchronization — this is the sampling hook time-resolved cluster
-// observability hangs off. mailboxes[i] is domain i's inbound mailbox
-// depth observed at the barrier (before the drain emptied it). final is
-// true for the terminating callback of a Run invocation, when every
-// calendar and mailbox is empty.
+// MultiEngine run, after the round's cross-domain mailboxes were drained.
+// The callback runs on the coordinator goroutine while every domain is
+// quiescent, so the observer may read domain clocks, calendars and the
+// shared StatsRegistry without synchronization — this is the sampling
+// hook time-resolved cluster observability and the live inspector hang
+// off. mailboxes[i] is domain i's inbound mailbox depth observed at the
+// barrier (before the drain emptied it). final is true for the
+// terminating callback of a Run invocation, when every calendar and
+// mailbox is empty.
 //
 // Observers must not schedule events: the round structure (and therefore
 // Rounds()) is part of the deterministic output, and an observer-injected
@@ -204,8 +143,7 @@ func NewMultiEngine(n int) *MultiEngine {
 		m.domains = append(m.domains, d)
 	}
 	m.depths = make([]int, n)
-	m.progress.Domains = make([]DomainProgress, n)
-	m.progress.Lookahead = MaxTime
+	m.next = make([]Time, n)
 	return m
 }
 
@@ -255,34 +193,6 @@ func (m *MultiEngine) Pending() int {
 	return n
 }
 
-// Progress returns the barrier-consistent snapshot the coordinator
-// published most recently. Safe to call from any goroutine while Run
-// executes — this is the inspector's read path.
-func (m *MultiEngine) Progress() MultiProgress {
-	m.progressMu.Lock()
-	defer m.progressMu.Unlock()
-	out := m.progress
-	out.Domains = append([]DomainProgress(nil), m.progress.Domains...)
-	return out
-}
-
-// publishProgress rewrites the published snapshot. mailboxes[i] is the
-// depth observed at the barrier, before the drain emptied it.
-func (m *MultiEngine) publishProgress(mailboxes []int) {
-	m.progressMu.Lock()
-	m.progress.Rounds = m.rounds
-	m.progress.Lookahead = m.lookahead
-	for i, d := range m.domains {
-		m.progress.Domains[i] = DomainProgress{
-			Clock:    d.now,
-			Pending:  len(d.heap),
-			Mailbox:  mailboxes[i],
-			Executed: d.executed,
-		}
-	}
-	m.progressMu.Unlock()
-}
-
 // observeLatency folds a newly wired cross-domain latency into the
 // lookahead. Latencies must be positive: a zero-latency cross link would
 // collapse the safe window to nothing and the barrier could never admit
@@ -296,22 +206,25 @@ func (m *MultiEngine) observeLatency(l Time) {
 	}
 }
 
-// drain moves every mailbox's pending events into the destination
-// calendars in the total (at, src, xseq) order, returning the observed
-// per-domain mailbox depths. Coordinator-only, between rounds. The key is
-// unique (xseq counts each source's exports), so an unstable sort gives
-// the one order every run, and the warmed drain allocates nothing.
-func (m *MultiEngine) drain(depths []int) {
+// drain moves every filled mailbox's events into the destination
+// calendars in the total (at, src, xseq) order, lowering each
+// destination's next time, and records the observed mailbox depths.
+// Coordinator-only, between rounds. The key is unique (xseq counts each
+// source's exports), so an unstable sort gives the one order every run,
+// and the warmed drain allocates nothing.
+func (m *MultiEngine) drain() {
+	for _, i := range m.drained {
+		m.depths[i] = 0
+	}
+	m.drained, m.mail = m.mail, m.drained[:0]
 	m.merge = m.merge[:0]
-	for i, d := range m.domains {
-		depths[i] = len(d.inbox.pending)
-		for _, ev := range d.inbox.pending {
-			if !ev.cancelled {
-				m.merge = append(m.merge, mergeEntry{dst: d, ev: ev})
-			}
+	for _, i := range m.drained {
+		d := m.domains[i]
+		m.depths[i] = len(d.inbox)
+		for _, ev := range d.inbox {
+			m.merge = append(m.merge, mergeEntry{dst: d, ev: ev})
 		}
-		d.inbox.pending = d.inbox.pending[:0]
-		d.inbox.epoch++
+		d.inbox = d.inbox[:0]
 	}
 	slices.SortFunc(m.merge, func(a, b mergeEntry) int {
 		if c := cmp.Compare(a.ev.at, b.ev.at); c != 0 {
@@ -328,6 +241,9 @@ func (m *MultiEngine) drain(depths []int) {
 				e.ev.at, e.dst.id, e.dst.now))
 		}
 		e.dst.push(e.ev.at, e.ev.h, e.ev.arg, nil)
+		if e.ev.at < m.next[e.dst.id] {
+			m.next[e.dst.id] = e.ev.at
+		}
 	}
 }
 
@@ -342,19 +258,19 @@ func (m *MultiEngine) Run() {
 	m.running = true
 	defer func() { m.running = false }()
 
-	depths := m.depths
+	// Model code may schedule into any calendar between runs.
+	for i, d := range m.domains {
+		m.next[i] = d.head()
+	}
 	for {
-		m.drain(depths)
+		m.drain()
 		tmin := MaxTime
-		for _, d := range m.domains {
-			if len(d.heap) > 0 && d.heap[0].at < tmin {
-				tmin = d.heap[0].at
-			}
+		for _, t := range m.next {
+			tmin = min(tmin, t)
 		}
 		if tmin == MaxTime {
-			m.publishProgress(depths)
 			for _, o := range m.barriers {
-				o.OnBarrier(m, depths, true)
+				o.OnBarrier(m, m.depths, true)
 			}
 			return
 		}
@@ -364,33 +280,33 @@ func (m *MultiEngine) Run() {
 		}
 		m.runRound(bound)
 		m.rounds++
-		m.publishProgress(depths)
 		for _, o := range m.barriers {
-			o.OnBarrier(m, depths, false)
+			o.OnBarrier(m, m.depths, false)
 		}
 	}
 }
 
-// runRound executes every domain's safe window in index order. Domains
-// without an event inside the window are skipped.
+// runRound executes, in index order, the safe window of every domain with
+// an event inside it.
 func (m *MultiEngine) runRound(bound Time) {
-	for _, d := range m.domains {
-		if len(d.heap) > 0 && d.heap[0].at < bound {
+	for i, t := range m.next {
+		if t < bound {
+			d := m.domains[i]
 			d.runBound(bound)
+			m.next[i] = d.head()
 		}
 	}
 }
 
 // ExportAt schedules h.Fire(dst, arg) at absolute time t in another
 // domain of the same MultiEngine, through dst's mailbox. The event is
-// committed at the next barrier; until then the returned XHandle can
-// cancel it. t must respect the conservative lookahead — at least one
+// committed at the next barrier. t must respect the conservative lookahead — at least one
 // lookahead past the exporting domain's clock — or the destination could
 // already have advanced past it. CrossLink.Send is the usual way to get
 // the timing right; ExportAt is the low-level primitive for latency-only
 // control messages. Both run inside a domain's event, on the coordinator
 // goroutine, which is why the mailbox append takes no lock.
-func (e *Engine) ExportAt(dst *Engine, t Time, h Handler, arg uint64) XHandle {
+func (e *Engine) ExportAt(dst *Engine, t Time, h Handler, arg uint64) {
 	if e.multi == nil || dst == nil || dst.multi != e.multi {
 		panic("sim: ExportAt needs source and destination domains of one MultiEngine")
 	}
@@ -405,11 +321,10 @@ func (e *Engine) ExportAt(dst *Engine, t Time, h Handler, arg uint64) XHandle {
 			t, e.multi.lookahead, e.id, e.now))
 	}
 	e.xseq++
-	idx := len(dst.inbox.pending)
-	dst.inbox.pending = append(dst.inbox.pending, xevent{
-		at: t, src: e.id, xseq: e.xseq, h: h, arg: arg,
-	})
-	return XHandle{dst: dst, epoch: dst.inbox.epoch, idx: idx}
+	if len(dst.inbox) == 0 {
+		e.multi.mail = append(e.multi.mail, dst.id)
+	}
+	dst.inbox = append(dst.inbox, xevent{at: t, src: e.id, xseq: e.xseq, h: h, arg: arg})
 }
 
 // CrossLink is a Link whose deliveries land in other event domains: the
@@ -443,9 +358,9 @@ func (x *CrossLink) Link() *Link { return x.l }
 // h.Fire(dst, arg) in the destination domain when the last byte lands —
 // egress occupancy plus the link latency. Zero-byte sends model
 // control-plane messages: pure latency, no capacity occupancy, no stats.
-// Returns the arrival time and a handle valid until the next barrier.
-func (x *CrossLink) Send(dst *Engine, n int64, h Handler, arg uint64) (Time, XHandle) {
-	end := x.l.reserve(x.src.now, x.l.duration(n), n)
-	at := end + x.l.latency
-	return at, x.src.ExportAt(dst, at, h, arg)
+// Returns the arrival time.
+func (x *CrossLink) Send(dst *Engine, n int64, h Handler, arg uint64) Time {
+	at := x.l.reserve(x.src.now, x.l.duration(n), n) + x.l.latency
+	x.src.ExportAt(dst, at, h, arg)
+	return at
 }

@@ -116,11 +116,14 @@ type Engine struct {
 	// Domain fields, zero/nil on a standalone engine. When multi is set the
 	// engine is one domain of a MultiEngine: the coordinator drives it via
 	// runBound, xseq orders its cross-domain exports, and inbox receives
-	// events exported by sibling domains (see domain.go).
+	// events exported by sibling domains (see domain.go). Senders append
+	// during a round and the coordinator drains it at the barrier; the
+	// backing array is retained, so a warmed mailbox appends without
+	// allocating.
 	id    int32
 	multi *MultiEngine
 	xseq  uint64
-	inbox inbox
+	inbox []xevent
 }
 
 // NewEngine returns an engine with the clock at time zero and an empty
@@ -384,6 +387,15 @@ func (e *Engine) RunUntil(deadline Time) {
 	if deadline != MaxTime && deadline > e.now {
 		e.now = deadline
 	}
+}
+
+// head reports the earliest calendar time, or MaxTime when the calendar
+// is empty.
+func (e *Engine) head() Time {
+	if len(e.heap) == 0 {
+		return MaxTime
+	}
+	return e.heap[0].at
 }
 
 // runBound dispatches every event strictly before bound — one domain's
