@@ -4,8 +4,9 @@
 #                      root module and the bench/ module), race tests
 #                      (reachsim's end-to-end TestCLI matrix included), the
 #                      bench/ module's tests, 10 s each of fuzzing the
-#                      four-row distance kernel against SquaredL2 and the
-#                      MultiEngine coordinator against one Engine, and
+#                      four-row distance kernel against SquaredL2, the
+#                      MultiEngine coordinator against one Engine and
+#                      reset job graphs against fresh ones, and
 #                      bench-smoke
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
 #   make bench       — root + sim benchmarks with allocation stats
@@ -48,12 +49,14 @@ bench-test:
 	$(GO) -C bench test ./...
 
 # Coverage-guided fuzzing, 10 s per target: every SquaredL2Rows output
-# must be bit for bit the SquaredL2 of its row, and a random event graph
-# split across MultiEngine domains must dispatch exactly as on one Engine.
-# Plain go test runs only the seeds.
+# must be bit for bit the SquaredL2 of its row, a random event graph
+# split across MultiEngine domains must dispatch exactly as on one Engine,
+# and random job graphs run again after Job.Reset must schedule exactly as
+# fresh copies. Plain go test runs only the seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSquaredL2Rows$$' -fuzztime 10s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzMultiEngine$$' -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobReuse$$' -fuzztime 10s ./internal/core/
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -14,17 +15,19 @@ import (
 
 // TestClusterQueryAllocBudget pins the per-query allocation budget of the
 // scatter-gather hot path, in the spirit of the sim/mem zero-alloc gates.
-// A cluster query cannot be allocation-free — every query builds 1+Shards
-// core.Jobs with their task graphs — but everything around the jobs is
-// pooled or precomputed: query objects and their per-shard timing slices
-// recycle through the cluster's free list, interval labels are built once
-// at construction, and routing uses precomputed candidate slices. Nor does
-// anything around a job allocate per task: resources keep no per-operation
-// samples, job validation and the barrier drain allocate nothing, energy
-// cells are indexed arrays and the GAM claims instances in slot tables.
-// The budget fails loudly if per-query garbage creeps back in (the 18-cell
-// sweep benchmark ran ~900 allocations/query before pooling and the
-// cached accelerator views, ~160 after).
+// Every query runs 1+Shards core.Jobs, but a warm cluster builds none: each
+// node reuses its finished job graphs, and a job reports completion to its
+// query through core.DoneHandler rather than a closure. Everything around
+// the jobs is pooled or precomputed too: query objects and their per-shard
+// timing slices recycle through the cluster's free list, interval labels
+// are built once at construction, and routing uses precomputed candidate
+// slices. Nor does anything around a job allocate per task: resources keep
+// no per-operation samples, job validation and the barrier drain allocate
+// nothing, energy cells are indexed arrays and the GAM's queues and
+// instance claims are tables indexed by level. The budget fails loudly if
+// per-query garbage creeps back in (the 18-cell sweep benchmark ran ~900
+// allocations/query before pooling and the cached accelerator views, ~160
+// after).
 func TestClusterQueryAllocBudget(t *testing.T) {
 	cl, err := New(config.DefaultCluster(), testModel(), qtrace.Options{DropTimelines: true})
 	if err != nil {
@@ -43,12 +46,11 @@ func TestClusterQueryAllocBudget(t *testing.T) {
 
 	const queries = 8
 	perQuery := testing.AllocsPerRun(5, func() { submitBatch(queries) }) / queries
-	// Measured ~103/query on go1.24, almost all of it the job graphs (~145
-	// before the barrier drain, job validation and the energy cells stopped
-	// allocating). The bound leaves headroom for toolchain drift while still
-	// catching any real regression (an unpooled slice or a fmt call per
-	// query costs hundreds at cluster fan-out).
-	const budget = 130.0
+	// Measured 2.6/query on go1.24, 66 while every query built its job
+	// graphs. The bound leaves headroom for toolchain drift while still
+	// catching any real regression (one graph built per shard job, or a
+	// closure per job, costs 33 or more at the default fan-out).
+	const budget = 8.0
 	t.Logf("cluster query allocates %.1f objects (budget %.0f)", perQuery, budget)
 	if perQuery > budget {
 		t.Errorf("cluster query allocates %.1f objects, budget %.0f", perQuery, budget)
@@ -58,8 +60,7 @@ func TestClusterQueryAllocBudget(t *testing.T) {
 // TestClusterCachedQueryAllocBudget holds the cache-on path to the same
 // budget: the LRU is a fixed slot array, singleflight entries and waiter
 // slices recycle, and a hit never builds a query object — so enabling the
-// cache must not add per-query garbage (hits and coalesced queries skip
-// the job graphs entirely, so the mean typically drops).
+// cache must not add per-query garbage.
 func TestClusterCachedQueryAllocBudget(t *testing.T) {
 	cfg := config.DefaultCluster()
 	cfg.CacheEntries = 8
@@ -80,8 +81,9 @@ func TestClusterCachedQueryAllocBudget(t *testing.T) {
 
 	const queries = 8
 	perQuery := testing.AllocsPerRun(5, func() { submitBatch(queries) }) / queries
-	// Measured ~62/query on go1.24 (~88 before the changes listed above).
-	const budget = 80.0
+	// Measured 2.6/query on go1.24, 38.9 while every scattered query built
+	// its job graphs.
+	const budget = 8.0
 	t.Logf("cached cluster query allocates %.1f objects (budget %.0f)", perQuery, budget)
 	if perQuery > budget {
 		t.Errorf("cached cluster query allocates %.1f objects, budget %.0f", perQuery, budget)
@@ -138,15 +140,20 @@ func TestClusterLegacyDomainsFieldIgnored(t *testing.T) {
 }
 
 // TestClusterRejectsZeroLatency: the wire latency is the conservative
-// lookahead, so a zero-latency cluster network must be rejected at
-// validation rather than deadlocking the barrier.
+// lookahead, so a zero-latency cluster network — or one so short it rounds
+// to 0 ps — must be rejected at validation rather than deadlocking the
+// barrier or panicking in the link constructor.
 func TestClusterRejectsZeroLatency(t *testing.T) {
-	cfg := config.DefaultCluster()
-	cfg.NetLatencyUS = 0
-	if _, err := New(cfg, testModel(), qtrace.Options{}); err == nil {
-		t.Fatal("zero net latency accepted")
+	for _, us := range []float64{0, 1e-7} {
+		cfg := config.DefaultCluster()
+		cfg.NetLatencyUS = us
+		if _, err := New(cfg, testModel(), qtrace.Options{}); err == nil {
+			t.Fatalf("net latency %v us accepted", us)
+		} else if !strings.Contains(err.Error(), "net_latency_us") {
+			t.Fatalf("net latency %v us: error %q does not name net_latency_us", us, err)
+		}
 	}
-	cfg = config.DefaultCluster()
+	cfg := config.DefaultCluster()
 	cfg.ParallelDomains = -1
 	if _, err := New(cfg, testModel(), qtrace.Options{}); err == nil {
 		t.Fatal("negative parallel_domains accepted")

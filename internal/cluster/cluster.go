@@ -44,6 +44,7 @@ type Cluster struct {
 	cfg    config.ClusterConfig
 	model  workload.Model
 	nodes  []*core.System
+	pools  []jobPool        // per-node finished job graphs (node domain)
 	in     []*sim.Link      // per-node network ingress (node domain, latency-free)
 	out    []*sim.CrossLink // per-node network egress (carries the wire latency)
 	feIn   *sim.Link        // front-end gather ingress
@@ -113,6 +114,7 @@ func New(cfg config.ClusterConfig, m workload.Model, qopt qtrace.Options) (*Clus
 		model:  m,
 		router: NewRouter(policy, cfg.Nodes, cfg.RouteSeed),
 		qlog:   qtrace.NewLog(qopt),
+		pools:  make([]jobPool, cfg.Nodes),
 		needed: cfg.Quorum,
 		netLat: sim.FromSeconds(cfg.NetLatencyUS * 1e-6),
 	}
@@ -353,11 +355,10 @@ const (
 )
 
 // query is one in-flight scatter-gather request; it is its own event
-// handler, so the whole lifecycle schedules without closures (job
-// completion callbacks are the one exception — jobs already allocate).
-// Queries are pooled: the object and its per-shard slices recycle once the
-// last shard response merges, so steady-state submission allocates no
-// scatter/merge state.
+// handler and its jobs' done handler, so the whole lifecycle schedules
+// without closures. Queries are pooled: the object and its per-shard
+// slices recycle once the last shard response merges, so steady-state
+// submission allocates no scatter/merge state.
 //
 // Domain ownership contract: the front end writes the routing fields at
 // arrival, before the query is exported to any node; each timing slot is
@@ -491,12 +492,12 @@ func (q *query) Fire(eng *sim.Engine, arg uint64) {
 
 	case qFeatures: // home node domain
 		q.feStart = now
-		j, err := buildFEJob(c.nodes[q.home], q.id*(c.cfg.Shards+1), c.model)
+		j, err := c.pools[q.home].feJob(c.nodes[q.home], q.id*(c.cfg.Shards+1), c.model)
 		if err != nil {
 			c.fail(err)
 			return
 		}
-		j.OnDone(func(jj *core.Job) { q.featDone(jj) })
+		j.OnDone(q, qFeatures)
 		if err := c.nodes[q.home].GAM().Submit(j); err != nil {
 			c.fail(err)
 		}
@@ -508,14 +509,13 @@ func (q *query) Fire(eng *sim.Engine, arg uint64) {
 	case qShardStart: // replica node domain
 		node := q.replica[shard]
 		q.shardExecStart[shard] = now
-		j, err := buildShardJob(c.nodes[node], q.id*(c.cfg.Shards+1)+1+shard,
+		j, err := c.pools[node].shardJob(c.nodes[node], q.id*(c.cfg.Shards+1)+1+shard,
 			c.model, c.shardFrac(q.content, shard))
 		if err != nil {
 			c.fail(err)
 			return
 		}
-		s := shard
-		j.OnDone(func(jj *core.Job) { q.shardDone(s, jj) })
+		j.OnDone(q, arg)
 		if err := c.nodes[node].GAM().Submit(j); err != nil {
 			c.fail(err)
 		}
@@ -598,15 +598,28 @@ func (q *query) Fire(eng *sim.Engine, arg uint64) {
 	}
 }
 
-// featDone runs at FE-job completion in the home node's domain: notify the
-// front end (latency-only control message, off the critical path) and fan
-// the feature vector out to one replica per shard — co-located shards skip
-// the wire entirely, remote ones ride the home's egress CrossLink.
+// JobDone implements core.DoneHandler for the query's jobs; arg is the
+// phase that submitted the job (qFeatures, or qShardStart with the shard
+// index), and the handler runs in that job's node domain.
+func (q *query) JobDone(j *core.Job, arg uint64) {
+	if arg == qFeatures {
+		q.featDone(j)
+		return
+	}
+	q.shardDone(int(arg>>qShift), j)
+}
+
+// featDone runs at FE-job completion in the home node's domain: return the
+// graph to the home's free list, notify the front end (latency-only control
+// message, off the critical path) and fan the feature vector out to one
+// replica per shard — co-located shards skip the wire entirely, remote ones
+// ride the home's egress CrossLink.
 func (q *query) featDone(j *core.Job) {
 	c := q.c
 	home := c.dom[q.home]
 	now := home.Now()
 	q.feDispatch, _ = j.FirstDispatch()
+	c.pools[q.home].fe = append(c.pools[q.home].fe, j)
 	q.feEnd = now
 	home.ExportAt(c.fe, now+c.netLat, q, qFeatDone)
 	featBytes := c.model.BatchFeatureBytes()
@@ -620,9 +633,10 @@ func (q *query) featDone(j *core.Job) {
 	}
 }
 
-// shardDone runs at a shard job's completion in its replica's domain: send
-// the shard's rerank results back to the front end for the merge. The
-// gather always crosses the wire — the front end is its own tier.
+// shardDone runs at a shard job's completion in its replica's domain:
+// return the graph to the replica's free list and send the shard's rerank
+// results back to the front end for the merge. The gather always crosses
+// the wire — the front end is its own tier.
 func (q *query) shardDone(shard int, j *core.Job) {
 	c := q.c
 	node := q.replica[shard]
@@ -632,6 +646,7 @@ func (q *query) shardDone(shard int, j *core.Job) {
 	if c.trackStragglers {
 		q.shardQueue[shard], q.shardExec[shard], q.shardXfer[shard] = j.CriticalPath()
 	}
+	c.pools[node].shard = append(c.pools[node].shard, j)
 	respBytes := scaleBytes(c.model.ResultBytesPerBatch(), c.shardFrac(q.content, shard))
 	c.out[node].Send(c.fe, respBytes, q, uint64(shard)<<qShift|qRespIn)
 }

@@ -17,29 +17,6 @@ const (
 	stageRR = "Rerank"
 )
 
-// Shard-task name tables, precomputed for the common instance counts so
-// the per-query job-build path formats nothing; nodes with more instances
-// fall back to fmt (cold, config-dependent).
-var (
-	slNames = taskNames("sl", 16)
-	rrNames = taskNames("rr", 16)
-)
-
-func taskNames(prefix string, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("%s%d", prefix, i)
-	}
-	return out
-}
-
-func taskName(table []string, prefix string, i int) string {
-	if i < len(table) {
-		return table[i]
-	}
-	return fmt.Sprintf("%s%d", prefix, i)
-}
-
 // scaleBytes applies a shard's work fraction to a byte count, never
 // rounding a non-empty payload down to zero.
 func scaleBytes(b int64, frac float64) int64 {
@@ -50,10 +27,37 @@ func scaleBytes(b int64, frac float64) int64 {
 	return s
 }
 
-// buildFEJob builds the front-end half of a cluster query on its home
-// node: one batched feature-extraction task on the on-chip accelerator,
-// features collected back to the host for the network scatter.
-func buildFEJob(node *core.System, id int, m workload.Model) (*core.Job, error) {
+// jobPool holds one node's finished job graphs, front-end and shard, for
+// the node's next queries to reuse. The node's own event domain owns it:
+// it builds, runs, releases and reuses each graph there. A graph never
+// moves to another node, since its task kernels point into the node's own
+// registry. The lists start empty and grow to the node's peak count of
+// jobs in flight.
+type jobPool struct {
+	fe, shard []*core.Job
+}
+
+// pop takes the last graph off list, reset to id, or returns nil when the
+// list is empty.
+func pop(list *[]*core.Job, id int) *core.Job {
+	n := len(*list)
+	if n == 0 {
+		return nil
+	}
+	j := (*list)[n-1]
+	*list = (*list)[:n-1]
+	j.Reset(id)
+	return j
+}
+
+// feJob returns the front-end half of a cluster query on its home node:
+// one batched feature-extraction task on the on-chip accelerator, features
+// collected back to the host for the network scatter. Nothing in it
+// depends on the query, so a reused graph needs only a reset.
+func (p *jobPool) feJob(node *core.System, id int, m workload.Model) (*core.Job, error) {
+	if j := pop(&p.fe, id); j != nil {
+		return j, nil
+	}
 	kernel, err := node.Registry().Lookup("CNN-VU9P")
 	if err != nil {
 		return nil, err
@@ -68,48 +72,59 @@ func buildFEJob(node *core.System, id int, m workload.Model) (*core.Job, error) 
 	return j, nil
 }
 
-// buildShardJob builds one shard's slice of a query on a replica node:
+// shardJob returns one shard's slice of a query on a replica node:
 // shortlist retrieval near memory feeding rerank near storage, both scaled
 // by frac — this query's share of work landing on this shard. The rerank
-// results are collected to the replica's host for the network gather.
-func buildShardJob(node *core.System, id int, m workload.Model, frac float64) (*core.Job, error) {
-	reg := node.Registry()
-	gemm, err := reg.Lookup("GEMM-ZCU9")
-	if err != nil {
-		return nil, err
-	}
-	knn, err := reg.Lookup("KNN-ZCU9")
-	if err != nil {
-		return nil, err
-	}
+// results are collected to the replica's host for the network gather. A
+// reused graph keeps its tasks and only has its work rescaled.
+func (p *jobPool) shardJob(node *core.System, id int, m workload.Model, frac float64) (*core.Job, error) {
 	nm := node.InstanceCount(accel.NearMemory)
 	ns := node.InstanceCount(accel.NearStorage)
-	if nm == 0 || ns == 0 {
-		return nil, fmt.Errorf("cluster: shard job needs near-memory and near-storage instances, node has %d/%d", nm, ns)
+	j := pop(&p.shard, id)
+	if j == nil {
+		reg := node.Registry()
+		gemm, err := reg.Lookup("GEMM-ZCU9")
+		if err != nil {
+			return nil, err
+		}
+		knn, err := reg.Lookup("KNN-ZCU9")
+		if err != nil {
+			return nil, err
+		}
+		if nm == 0 || ns == 0 {
+			return nil, fmt.Errorf("cluster: shard job needs near-memory and near-storage instances, node has %d/%d", nm, ns)
+		}
+		j = core.NewJob(id)
+		sl := make([]*core.TaskNode, nm)
+		for i := range sl {
+			sl[i] = j.AddTask(accel.Task{
+				Name: fmt.Sprintf("sl%d", i), Stage: stageSL, Kernel: gemm,
+				Source: accel.SourceLocalDIMM, Pattern: storage.Sequential,
+			}, accel.NearMemory)
+			sl[i].Pin = i
+		}
+		for i := 0; i < ns; i++ {
+			n := j.AddTask(accel.Task{
+				Name: fmt.Sprintf("rr%d", i), Stage: stageRR, Kernel: knn,
+				Source: accel.SourceSSD, Pattern: storage.RandomPages,
+			}, accel.NearStorage, sl...)
+			n.Pin = i
+			n.SinkToHost = true
+		}
 	}
-	j := core.NewJob(id)
-	var sl []*core.TaskNode
-	for i := 0; i < nm; i++ {
-		n := j.AddTask(accel.Task{
-			Name: taskName(slNames, "sl", i), Stage: stageSL, Kernel: gemm,
-			MACs:   m.ShortlistMACsPerBatch() * frac / float64(nm),
-			Bytes:  scaleBytes(m.ShortlistScanBytesPerBatch(), frac) / int64(nm),
-			Source: accel.SourceLocalDIMM, Pattern: storage.Sequential,
-		}, accel.NearMemory)
-		n.Pin = i
-		n.OutBytes = scaleBytes(m.ShortlistResultBytesPerBatch(), frac) / int64(nm)
-		sl = append(sl, n)
-	}
-	for i := 0; i < ns; i++ {
-		n := j.AddTask(accel.Task{
-			Name: taskName(rrNames, "rr", i), Stage: stageRR, Kernel: knn,
-			MACs:   m.RerankMACsPerBatch() * frac / float64(ns),
-			Bytes:  scaleBytes(m.RerankScanBytesPerBatch(), frac) / int64(ns),
-			Source: accel.SourceSSD, Pattern: storage.RandomPages,
-		}, accel.NearStorage, sl...)
-		n.Pin = i
-		n.OutBytes = scaleBytes(m.ResultBytesPerBatch(), frac) / int64(ns)
-		n.SinkToHost = true
+	// Each level's share of the work splits evenly over its pinned tasks.
+	slMACs := m.ShortlistMACsPerBatch() * frac / float64(nm)
+	slBytes := scaleBytes(m.ShortlistScanBytesPerBatch(), frac) / int64(nm)
+	slOut := scaleBytes(m.ShortlistResultBytesPerBatch(), frac) / int64(nm)
+	rrMACs := m.RerankMACsPerBatch() * frac / float64(ns)
+	rrBytes := scaleBytes(m.RerankScanBytesPerBatch(), frac) / int64(ns)
+	rrOut := scaleBytes(m.ResultBytesPerBatch(), frac) / int64(ns)
+	for _, n := range j.Nodes {
+		if n.Level == accel.NearMemory {
+			n.Spec.MACs, n.Spec.Bytes, n.OutBytes = slMACs, slBytes, slOut
+		} else {
+			n.Spec.MACs, n.Spec.Bytes, n.OutBytes = rrMACs, rrBytes, rrOut
+		}
 	}
 	return j, nil
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"repro/internal/sim"
 )
 
 // ClusterConfig describes a datacenter deployment of N ReACH servers
@@ -185,6 +187,9 @@ func (c *ClusterConfig) Validate() error {
 		// Strictly positive: the wire latency is the conservative lookahead
 		// that bounds each barrier round; zero would admit no event.
 		return fmt.Errorf("cluster: net_latency_us must be positive, got %v", c.NetLatencyUS)
+	}
+	if sim.FromSeconds(c.NetLatencyUS*1e-6) == 0 {
+		return fmt.Errorf("cluster: net_latency_us %v rounds to 0 ps of simulated time", c.NetLatencyUS)
 	}
 	if c.ParallelDomains < 0 {
 		return fmt.Errorf("cluster: parallel_domains must be non-negative, got %d", c.ParallelDomains)

@@ -60,6 +60,9 @@ func TestClusterValidateNamesBadEntry(t *testing.T) {
 		{"bad net", func(c *ClusterConfig) {
 			c.NetGBps = 0
 		}, "net_gbps must be positive"},
+		{"sub-picosecond latency", func(c *ClusterConfig) {
+			c.NetLatencyUS = 1e-7
+		}, "net_latency_us 1e-07 rounds to 0 ps"},
 		{"no contents", func(c *ClusterConfig) {
 			c.ContentItems = 0
 		}, "content_items must be >= 1"},

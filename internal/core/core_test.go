@@ -201,6 +201,11 @@ func TestCrossJobPipeliningImprovesThroughput(t *testing.T) {
 	}
 }
 
+// doneFunc adapts a function to DoneHandler.
+type doneFunc func(*Job)
+
+func (f doneFunc) JobDone(j *Job, _ uint64) { f(j) }
+
 // TestGAMReleasesFinishedJobs: the GAM keeps no finished job graph
 // reachable. With cross-job pipelining on it keeps no job list at all;
 // with it off, the gate still runs jobs strictly in submission order while
@@ -215,22 +220,19 @@ func TestGAMReleasesFinishedJobs(t *testing.T) {
 		var submitted, finished []*Job
 		for i := 0; i < jobs; i++ {
 			j := pipelineJob(t, s, i)
-			j.OnDone(func(j *Job) {
+			j.OnDone(doneFunc(func(j *Job) {
 				finished = append(finished, j)
-				if pipelined {
-					return
-				}
-				// The finishing job is the gate's head until the next
-				// dispatch pass drops it; everything behind it is open.
-				if len(g.jobs) == 0 || g.jobs[0] != j {
-					t.Errorf("job %d finished but is not the head of the gate list", j.ID)
-				}
-				for _, open := range g.jobs[1:] {
+				// The finishing job has left the gate list before its
+				// handler runs; everything still on it is open.
+				for _, open := range g.jobs {
+					if open == j {
+						t.Errorf("job %d finished but is still on the gate list", j.ID)
+					}
 					if open.Done() {
 						t.Errorf("gate list keeps finished job %d", open.ID)
 					}
 				}
-			})
+			}), 0)
 			if err := g.Submit(j); err != nil {
 				t.Fatal(err)
 			}
@@ -259,6 +261,61 @@ func TestGAMReleasesFinishedJobs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGateKeepsOrderUnderReuse: with cross-job pipelining off, a done
+// handler that resets its job and resubmits it in the same instant queues
+// it behind the job already waiting at the gate. The finished job must have
+// left the gate list before the handler runs, or its reset would make it
+// look like the oldest open job and let it jump the queue.
+func TestGateKeepsOrderUnderReuse(t *testing.T) {
+	cfg := config.Default()
+	cfg.GAM.CrossJobPipelining = false
+	s := newSystem(t, cfg)
+	g := s.GAM()
+	reused, waiting := pipelineJob(t, s, 0), pipelineJob(t, s, 1)
+	var firstFinish sim.Time
+	reused.OnDone(doneFunc(func(j *Job) {
+		firstFinish = j.FinishedAt
+		j.Reset(2)
+		if err := g.Submit(j); err != nil {
+			t.Error(err)
+		}
+	}), 0)
+	for _, j := range []*Job{reused, waiting} {
+		if err := g.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run()
+	if !reused.Done() || !waiting.Done() {
+		t.Fatalf("jobs incomplete: resubmitted %v, waiting %v", reused.Done(), waiting.Done())
+	}
+	if reused.SubmittedAt != firstFinish {
+		t.Fatalf("job resubmitted at %v, want its finish instant %v", reused.SubmittedAt, firstFinish)
+	}
+	wait, _ := waiting.FirstDispatch()
+	again, _ := reused.FirstDispatch()
+	if again < waiting.FinishedAt || wait > again {
+		t.Errorf("resubmitted job dispatched at %v, ahead of the waiting job (dispatched %v, finished %v)",
+			again, wait, waiting.FinishedAt)
+	}
+}
+
+// TestJobResetPanicsWhileRunning: resetting a submitted job before it
+// finishes would corrupt the GAM's view of it, so Reset panics.
+func TestJobResetPanicsWhileRunning(t *testing.T) {
+	s := newSystem(t, config.Default())
+	j := pipelineJob(t, s, 1)
+	if err := s.GAM().Submit(j); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset of a running job did not panic")
+		}
+	}()
+	j.Reset(2)
 }
 
 func TestSubmitValidation(t *testing.T) {

@@ -18,24 +18,27 @@ import (
 type GAM struct {
 	sys *System
 
-	readyQ map[accel.Level][]*TaskNode
+	// readyQ holds each level's ready nodes, indexed by level.
+	readyQ [accel.CPU + 1][]*TaskNode
 
 	// claimed[l][i] is the node running on Accelerators(l)[i], nil while
 	// that instance is unclaimed; nClaimed counts the non-nil slots.
 	claimed  [accel.CPU][]*TaskNode
 	nClaimed int
 
-	// jobs holds, in submission order, the jobs the gate has not yet seen
-	// finish. Only the gate reads it, so it is kept only when cross-job
-	// pipelining is off; the gate drops the finished prefix as it walks,
-	// so no finished job graph stays reachable from the GAM.
+	// jobs holds, in submission order, the jobs that have not finished.
+	// Only the gate reads it, so it is kept only when cross-job pipelining
+	// is off. Under the gate jobs finish in submission order, and a
+	// finishing job leaves the head before its done handler runs, so no
+	// finished job graph stays reachable from the GAM.
 	jobs []*Job
 
-	// streamBufs holds one registered stream buffer (the shared-layer
-	// TokenQueue) per src→dst level pair, created on first use. Every
-	// inter-level stream chunk passes through its pair's buffer, so stream
-	// traffic is accounted in the central registry ("stream.<src>-<dst>").
-	streamBufs map[[2]accel.Level]*sim.TokenQueue
+	// streamBufs[src][dst] is the registered stream buffer (the
+	// shared-layer TokenQueue) of a src→dst level pair, created on first
+	// use. Every inter-level stream chunk passes through its pair's buffer,
+	// so stream traffic is accounted in the central registry
+	// ("stream.<src>-<dst>").
+	streamBufs [accel.CPU + 1][accel.CPU + 1]*sim.TokenQueue
 
 	dispatchArmed bool
 
@@ -187,11 +190,7 @@ type ProgressEntry struct {
 }
 
 func newGAM(s *System) *GAM {
-	g := &GAM{
-		sys:        s,
-		readyQ:     make(map[accel.Level][]*TaskNode),
-		streamBufs: make(map[[2]accel.Level]*sim.TokenQueue),
-	}
+	g := &GAM{sys: s}
 	for l := range g.claimed {
 		g.claimed[l] = make([]*TaskNode, s.InstanceCount(accel.Level(l)))
 	}
@@ -276,30 +275,16 @@ func (g *GAM) armDispatch() {
 	g.sys.eng.ScheduleCall(0, g, gamDispatch)
 }
 
-// oldestOpenJob returns the first unfinished job (the gate used when
-// cross-job pipelining is disabled), releasing the finished jobs ahead of
-// it.
-func (g *GAM) oldestOpenJob() *Job {
-	for len(g.jobs) > 0 && g.jobs[0].done {
-		g.jobs[0] = nil
-		g.jobs = g.jobs[1:]
-	}
-	if len(g.jobs) == 0 {
-		return nil
-	}
-	return g.jobs[0]
-}
-
-// dispatchAll drains every level's ready queue onto idle devices.
+// dispatchAll drains every level's ready queue onto idle devices, in
+// level order.
 func (g *GAM) dispatchAll() {
-	gate := (*Job)(nil)
-	if !g.sys.cfg.GAM.CrossJobPipelining {
-		gate = g.oldestOpenJob()
+	// With cross-job pipelining off, only the oldest open job dispatches.
+	var gate *Job
+	if len(g.jobs) > 0 {
+		gate = g.jobs[0]
 	}
-	// Fixed level order keeps the simulation deterministic (map iteration
-	// order would otherwise vary run to run).
-	for _, level := range []accel.Level{accel.OnChip, accel.NearMemory, accel.NearStorage, accel.CPU} {
-		q := g.readyQ[level]
+	for l := range g.readyQ {
+		level, q := accel.Level(l), g.readyQ[l]
 		if len(q) == 0 {
 			continue
 		}
@@ -604,8 +589,7 @@ func (g *GAM) deliver(dep *TaskNode) {
 // depth; the buffer is a shared-layer TokenQueue, so puts, gets, occupancy
 // and park waits surface through the central stats registry.
 func (g *GAM) streamBuf(src, dst accel.Level) *sim.TokenQueue {
-	key := [2]accel.Level{src, dst}
-	if q, ok := g.streamBufs[key]; ok {
+	if q := g.streamBufs[src][dst]; q != nil {
 		return q
 	}
 	depth := g.sys.cfg.GAM.StreamDepth
@@ -618,7 +602,7 @@ func (g *GAM) streamBuf(src, dst accel.Level) *sim.TokenQueue {
 	name := fmt.Sprintf("%sstream.%s-%s", g.sys.prefix,
 		strings.ToLower(src.String()), strings.ToLower(dst.String()))
 	q := sim.NewTokenQueue(g.sys.eng, name, depth)
-	g.streamBufs[key] = q
+	g.streamBufs[src][dst] = q
 	return q
 }
 
@@ -645,8 +629,18 @@ func (j *Job) Fire(eng *sim.Engine, _ uint64) {
 	if g.qlog != nil {
 		g.qlog.Completed(j.QueryID, j.FinishedAt)
 	}
+	if len(g.jobs) > 0 {
+		// The gate runs jobs one at a time, so the finishing job is the
+		// head. It leaves before the handler runs, which may reset and
+		// resubmit it.
+		if g.jobs[0] != j {
+			panic(fmt.Sprintf("core: job %d finished ahead of gated job %d", j.ID, g.jobs[0].ID))
+		}
+		g.jobs[0] = nil
+		g.jobs = g.jobs[1:]
+	}
 	if j.onDone != nil {
-		j.onDone(j)
+		j.onDone.JobDone(j, j.doneArg)
 	}
 	// A finished job may unblock the next one when cross-job pipelining is
 	// disabled.

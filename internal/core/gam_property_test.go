@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/config"
+	"repro/internal/metrics"
 	"repro/internal/storage"
 )
 
@@ -173,4 +174,90 @@ func TestGAMDeterminism(t *testing.T) {
 			t.Fatalf("nondeterminism at %d: %d vs %d", i, a[i], b[i])
 		}
 	}
+}
+
+// FuzzJobReuse checks that a job graph run again after Reset is
+// indistinguishable from a freshly built copy. One system runs a batch of
+// random graphs, then resets them under new ids and runs them again; a twin
+// system runs the same first batch, then fresh graphs built from the same
+// seed. Both second batches must match node for node and job for job, and
+// the two systems must end with equal GAM counters and equal decision spans
+// (a stale dispatch cause would show in the spans).
+func FuzzJobReuse(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 42, 1234} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		cfgRNG := rand.New(rand.NewSource(seed))
+		cfg := config.Default().WithInstances(1, 1+cfgRNG.Intn(3), 1+cfgRNG.Intn(3))
+		cfg.GAM.CrossJobPipelining = cfgRNG.Intn(2) == 0
+		build := func(s *System, firstID int) []*Job {
+			rng := rand.New(rand.NewSource(seed))
+			jobs := make([]*Job, 1+rng.Intn(4))
+			for i := range jobs {
+				jobs[i] = buildRandomJob(t, s, firstID+i, rng, 1+rng.Intn(10))
+				jobs[i].Priority = rng.Intn(2)
+			}
+			return jobs
+		}
+		run := func(reuse bool) (*System, []*Job) {
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.GAM().SetSpanLog(metrics.NewSpanLog())
+			submit := func(jobs []*Job) {
+				for _, j := range jobs {
+					if err := s.GAM().Submit(j); err != nil {
+						t.Fatalf("seed %d: submit job %d: %v", seed, j.ID, err)
+					}
+				}
+				s.Run()
+			}
+			first := build(s, 0)
+			submit(first)
+			second := first
+			if reuse {
+				for i, j := range second {
+					j.Reset(len(first) + i)
+				}
+			} else {
+				second = build(s, len(first))
+			}
+			submit(second)
+			return s, second
+		}
+		reusedSys, reused := run(true)
+		freshSys, fresh := run(false)
+
+		for i, j := range reused {
+			k := fresh[i]
+			if !j.Done() || !k.Done() {
+				t.Fatalf("seed %d: job %d incomplete (reused %v, fresh %v)", seed, j.ID, j.Done(), k.Done())
+			}
+			if j.ID != k.ID || j.QueryID != k.QueryID || j.SubmittedAt != k.SubmittedAt || j.FinishedAt != k.FinishedAt {
+				t.Fatalf("seed %d: reused job id %d query %d [%v, %v], fresh id %d query %d [%v, %v]", seed,
+					j.ID, j.QueryID, j.SubmittedAt, j.FinishedAt, k.ID, k.QueryID, k.SubmittedAt, k.FinishedAt)
+			}
+			for x, n := range j.Nodes {
+				m := k.Nodes[x]
+				if n.ReadyAt != m.ReadyAt || n.DispatchedAt != m.DispatchedAt || n.CompletedAt != m.CompletedAt ||
+					n.DetectedAt != m.DetectedAt || n.Instance != m.Instance || n.Polls != m.Polls {
+					t.Fatalf("seed %d: job %d node %d reused %+v, fresh %+v", seed, j.ID, x, *n, *m)
+				}
+			}
+		}
+		if a, b := reusedSys.GAM().Stats(), freshSys.GAM().Stats(); a != b {
+			t.Fatalf("seed %d: GAM stats reused %+v, fresh %+v", seed, a, b)
+		}
+		a, b := reusedSys.GAM().SpanLog().Spans(), freshSys.GAM().SpanLog().Spans()
+		if len(a) != len(b) {
+			t.Fatalf("seed %d: %d spans reused, %d fresh", seed, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("seed %d: span %d reused %+v, fresh %+v", seed, i, a[i], b[i])
+			}
+		}
+	})
 }

@@ -113,8 +113,16 @@ type Job struct {
 	SubmittedAt sim.Time
 	FinishedAt  sim.Time
 	done        bool
-	onDone      func(*Job)
+	onDone      DoneHandler
+	doneArg     uint64
 	gam         *GAM // owning GAM, set at Submit; the job is its own completion-event handler
+}
+
+// DoneHandler is notified when a job finishes. Like a sim.Handler, one
+// long-lived implementation serves many jobs and tells them apart by the
+// arg registered with OnDone, so completion allocates no closure.
+type DoneHandler interface {
+	JobDone(j *Job, arg uint64)
 }
 
 // NewJob creates an empty job.
@@ -226,8 +234,32 @@ func (j *Job) CriticalPath() (queue, exec, xfer sim.Time) {
 	return
 }
 
-// OnDone registers a completion callback (fired at finish time).
-func (j *Job) OnDone(fn func(*Job)) { j.onDone = fn }
+// OnDone registers h to be called with arg when the job finishes.
+func (j *Job) OnDone(h DoneHandler, arg uint64) { j.onDone, j.doneArg = h, arg }
+
+// Reset returns a finished (or never submitted) job to its pre-Submit
+// state under a new id, so its graph can run again: the nodes, their task
+// specs, pins, OutBytes and NotBefore, and the job's Priority are kept;
+// run state, timelines and the done handler are cleared. Resetting a job
+// that is still running is a bug and panics.
+func (j *Job) Reset(id int) {
+	if j.gam != nil && !j.done {
+		panic(fmt.Sprintf("core: reset of job %d while it runs", j.ID))
+	}
+	*j = Job{ID: id, Nodes: j.Nodes, Priority: j.Priority, remaining: len(j.Nodes)}
+	for _, n := range j.Nodes {
+		n.deps = 0
+	}
+	for _, n := range j.Nodes {
+		for _, d := range n.dependents {
+			d.deps++
+		}
+		n.state = NodePending
+		n.gam, n.acc, n.slot, n.estimate, n.blockCause = nil, nil, 0, 0, ""
+		n.ReadyAt, n.DispatchedAt, n.CompletedAt, n.DetectedAt = 0, 0, 0, 0
+		n.Instance, n.Polls = "", 0
+	}
+}
 
 // Validate checks the job is non-empty, its task specs are valid and its
 // graph is acyclic. AddTask numbers nodes in insertion order, which is
