@@ -12,8 +12,10 @@
 #   make bench       — root + sim benchmarks with allocation stats
 #   make bench-smoke — 1x pass over every benchmark, so benchmark code
 #                      compiles and runs without paying full benchtime
-#                      (the kernels package's included, with the four-row
-#                      distance kernel beside its SquaredL2 loop)
+#                      (the root package's tables, figures, ablations and
+#                      cluster scatter-gathers included, and the kernels
+#                      package's four-row distance kernel beside its
+#                      SquaredL2 loop)
 
 GO ?= go
 
@@ -62,6 +64,5 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/
 
 bench-smoke:
-	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./internal/sim/ ./internal/cbir/ ./internal/trace/ ./internal/metrics/ \
+	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/sim/ ./internal/cbir/ ./internal/trace/ ./internal/metrics/ \
 		./internal/cluster/ ./internal/kernels/
-	$(GO) test -bench BenchmarkFullEvaluation -benchtime 1x -run '^$$' .

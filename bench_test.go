@@ -72,7 +72,7 @@ func BenchmarkFig8(b *testing.B) {
 			b.Fatal(err)
 		}
 		movement = r.MovementShare
-		rerank = r.StageMovement[experiments.StageRR]
+		rerank = r.StageMovement[workload.StageRR]
 	}
 	b.ReportMetric(movement*100, "movement_%")
 	b.ReportMetric(rerank*100, "rerank_movement_%")

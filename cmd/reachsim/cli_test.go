@@ -286,6 +286,12 @@ var cliRows = []cliRow{
 		stderr: []string{"reachsim: -config does nothing with -stats; drop one of them"},
 	},
 	{
+		// A TTL below 1 ps would expire every cached result at its first
+		// lookup.
+		name: "sub-picosecond-cache-ttl", args: []string{"-cluster", "-cache", "32", "-cache-ttl", "1e-10"}, code: 1, stdout: emptySHA,
+		stderr: []string{"reachsim: cluster: cache_ttl_ms 1e-10 rounds to 0 ps of simulated time"},
+	},
+	{
 		name: "undefined-flag", args: []string{"-http-linger", "1s"}, code: 2, stdout: emptySHA,
 		stderr: []string{"flag provided but not defined: -http-linger"}, usage: true,
 	},

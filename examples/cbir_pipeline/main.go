@@ -8,57 +8,80 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"sort"
 
 	"repro/internal/cbir"
 	"repro/internal/workload"
 	"repro/reach"
 )
 
-func main() {
-	batches := flag.Int("batches", 8, "query batches to stream through the pipeline")
-	flag.Parse()
+var batches = flag.Int("batches", 8, "query batches to stream through the pipeline")
 
+func main() {
+	flag.Parse()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	m := workload.DefaultModel()
 
 	// ======================= config.h (Listing 2) ========================
 	sys, err := reach.NewSystem() // Table II: 1 on-chip, 4 near-mem, 4 near-storage
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// ReACH::Buffer — fixed data regions.
 	if _, err := sys.CreateFixedBuffer("vgg16_param", reach.OnChip, m.CNN.CompressedParamBytes()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i := 0; i < 4; i++ {
 		if _, err := sys.CreateFixedBufferAt("centroids", reach.NearMem, m.CentroidStoreBytes()/4, i); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	dbs := make([]*reach.Buffer, 4)
 	for i := range dbs {
 		dbs[i], err = sys.CreateFixedBufferAt(fmt.Sprintf("feature_db%d", i), reach.NearStor, m.FeatureStoreBytes()/4, i)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	// ReACH::Stream — inter-level communication.
-	input := mustStream(sys.CreateStream("Input", reach.CPU, reach.OnChip, reach.Pair, m.BatchImageBytes(), 2))
-	features := mustStream(sys.CreateStream("Features", reach.OnChip, reach.NearMem, reach.BroadCast, m.BatchFeatureBytes(), 2))
-	shortlists := mustStream(sys.CreateStream("Shortlists", reach.NearMem, reach.NearStor, reach.BroadCast, m.ShortlistResultBytesPerBatch(), 2))
-	result := mustStream(sys.CreateStream("Result", reach.NearStor, reach.CPU, reach.Collect, m.ResultBytesPerBatch(), 2))
+	input, err := sys.CreateStream("Input", reach.CPU, reach.OnChip, reach.Pair, m.BatchImageBytes(), 2)
+	if err != nil {
+		return err
+	}
+	features, err := sys.CreateStream("Features", reach.OnChip, reach.NearMem, reach.BroadCast, m.BatchFeatureBytes(), 2)
+	if err != nil {
+		return err
+	}
+	shortlists, err := sys.CreateStream("Shortlists", reach.NearMem, reach.NearStor, reach.BroadCast, m.ShortlistResultBytesPerBatch(), 2)
+	if err != nil {
+		return err
+	}
+	result, err := sys.CreateStream("Result", reach.NearStor, reach.CPU, reach.Collect, m.ResultBytesPerBatch(), 2)
+	if err != nil {
+		return err
+	}
 
 	// ReACH::ACC — register accelerators and bind arguments.
 	cnnAcc, err := sys.RegisterAcc("VGG16-VU9P", reach.OnChip)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	must(cnnAcc.SetArg(0, input))
-	must(cnnAcc.SetArg(2, features))
+	if err := errors.Join(cnnAcc.SetArg(0, input), cnnAcc.SetArg(2, features)); err != nil {
+		return err
+	}
 	cnnAcc.SetWork(reach.Work{
 		Stage: "FeatureExtraction", MACs: m.FeatureMACsPerBatch(),
 		SPMResident: true, OutputBytes: m.BatchFeatureBytes(),
@@ -68,10 +91,11 @@ func main() {
 	for i := 0; i < 4; i++ {
 		sl, err := sys.RegisterAcc("GEMM-ZCU9", reach.NearMem)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		must(sl.SetArg(0, features))
-		must(sl.SetArg(2, shortlists))
+		if err := errors.Join(sl.SetArg(0, features), sl.SetArg(2, shortlists)); err != nil {
+			return err
+		}
 		sl.SetWork(reach.Work{
 			Stage: "ShortlistRetrieval",
 			MACs:  m.ShortlistMACsPerBatch() / 4, StreamBytes: m.ShortlistScanBytesPerBatch() / 4,
@@ -81,11 +105,11 @@ func main() {
 
 		knn, err := sys.RegisterAcc("KNN-ZCU9", reach.NearStor)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		must(knn.SetArg(0, shortlists))
-		must(knn.SetArg(1, dbs[i]))
-		must(knn.SetArg(2, result))
+		if err := errors.Join(knn.SetArg(0, shortlists), knn.SetArg(1, dbs[i]), knn.SetArg(2, result)); err != nil {
+			return err
+		}
 		knn.SetWork(reach.Work{
 			Stage: "Rerank",
 			MACs:  m.RerankMACsPerBatch() / 4, StreamBytes: m.RerankScanBytesPerBatch() / 4,
@@ -95,20 +119,20 @@ func main() {
 	}
 
 	if err := sys.Deploy(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// ============== functional retrieval (runs beside the sim) ===========
-	fmt.Println("building the functional IVF index (scaled dataset)...")
+	fmt.Fprintln(w, "building the functional IVF index (scaled dataset)...")
 	ds := workload.Synthetic(workload.SyntheticParams{N: 1 << 15, D: 96, Clusters: 64, Spread: 0.08, Seed: 7})
 	index, err := cbir.BuildIndex(ds.Vectors, 64, 25, 8)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	params := cbir.SearchParams{Probes: m.Probes, Candidates: 2048, K: m.TopK}
 
 	// ======================= host.cpp (Listing 3) ========================
-	fmt.Printf("streaming %d query batches through the hierarchy...\n", *batches)
+	fmt.Fprintf(w, "streaming %d query batches through the hierarchy...\n", *batches)
 	start := sys.Now()
 	var jobs []*reach.Job
 	var recallSum float64
@@ -116,26 +140,40 @@ func main() {
 		// while (Input.enqueue(new_query_batch)) { ... }
 		job, err := sys.Begin()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		must(job.Enqueue(input))  // Input.enqueue(new_query_batch)
-		must(job.Execute(cnnAcc)) // cnn.execute(threadId)
-		must(job.Broadcast(features))
+		if err := job.Enqueue(input); err != nil { // Input.enqueue(new_query_batch)
+			return err
+		}
+		if err := job.Execute(cnnAcc); err != nil { // cnn.execute(threadId)
+			return err
+		}
+		if err := job.Broadcast(features); err != nil {
+			return err
+		}
 		for _, sl := range sls {
-			must(job.Execute(sl)) // shortlist on every AIM module
+			if err := job.Execute(sl); err != nil { // shortlist on every AIM module
+				return err
+			}
 		}
 		for _, knn := range knns {
-			must(job.Execute(knn)) // knn0.execute, knn1.execute, ...
+			if err := job.Execute(knn); err != nil { // knn0.execute, knn1.execute, ...
+				return err
+			}
 		}
-		must(job.Collect(result)) // Result.collect()
-		must(job.Commit())
+		if err := job.Collect(result); err != nil { // Result.collect()
+			return err
+		}
+		if err := job.Commit(); err != nil {
+			return err
+		}
 		jobs = append(jobs, job)
 
 		// The functional layer answers the same batch with real math.
 		queries := ds.Queries(m.BatchSize, 0.02, int64(100+b))
 		recall, err := index.RecallAtK(queries, params)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		recallSum += recall
 	}
@@ -143,30 +181,24 @@ func main() {
 
 	// ======================= results =====================================
 	makespan := jobs[len(jobs)-1].FinishedAt() - start
-	fmt.Printf("\nfirst batch latency : %v\n", jobs[0].Latency())
-	fmt.Printf("steady-state period : %.1f ms/batch (pipelined by the GAM)\n",
+	fmt.Fprintf(w, "\nfirst batch latency : %v\n", jobs[0].Latency())
+	fmt.Fprintf(w, "steady-state period : %.1f ms/batch (pipelined by the GAM)\n",
 		makespan.Seconds()*1000/float64(*batches))
-	fmt.Printf("throughput          : %.2f batches/s, %.1f queries/s\n",
+	fmt.Fprintf(w, "throughput          : %.2f batches/s, %.1f queries/s\n",
 		float64(*batches)/makespan.Seconds(),
 		float64(*batches*m.BatchSize)/makespan.Seconds())
-	fmt.Printf("mean recall@%d       : %.3f (functional layer)\n", m.TopK, recallSum/float64(*batches))
-	fmt.Println("\nenergy breakdown (J, whole run):")
-	for comp, joules := range sys.Energy() {
-		if joules > 0 {
-			fmt.Printf("  %-20s %.2f\n", comp, joules)
+	fmt.Fprintf(w, "mean recall@%d       : %.3f (functional layer)\n", m.TopK, recallSum/float64(*batches))
+	fmt.Fprintln(w, "\nenergy breakdown (J, whole run):")
+	energy := sys.Energy()
+	comps := make([]string, 0, len(energy))
+	for comp := range energy {
+		comps = append(comps, comp)
+	}
+	sort.Strings(comps)
+	for _, comp := range comps {
+		if joules := energy[comp]; joules > 0 {
+			fmt.Fprintf(w, "  %-20s %.2f\n", comp, joules)
 		}
 	}
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-func mustStream(st *reach.Stream, err error) *reach.Stream {
-	if err != nil {
-		log.Fatal(err)
-	}
-	return st
+	return nil
 }

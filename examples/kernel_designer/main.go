@@ -8,16 +8,25 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/fpga"
 	"repro/internal/hls"
 )
 
 func main() {
-	fmt.Println("design space: tiled fp32 GeMM on Zynq UltraScale+ (near-memory AIM module)")
-	fmt.Printf("%8s %4s %6s %9s %9s %9s %10s %6s\n",
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "design space: tiled fp32 GeMM on Zynq UltraScale+ (near-memory AIM module)")
+	fmt.Fprintf(w, "%8s %4s %6s %9s %9s %9s %10s %6s\n",
 		"unroll", "II", "depth", "freq MHz", "DSP %", "BRAM %", "GMAC/s", "fits")
 
 	type variant struct {
@@ -46,10 +55,10 @@ func main() {
 		}
 		est, err := hls.Analyze(k, fpga.ZynqZCU9)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		gmacs := float64(unroll) / float64(est.II) * est.FreqMHz * 1e6 / 1e9
-		fmt.Printf("%8d %4d %6d %9.0f %9.0f %9.0f %10.1f %6v\n",
+		fmt.Fprintf(w, "%8d %4d %6d %9.0f %9.0f %9.0f %10.1f %6v\n",
 			unroll, est.II, est.Depth, est.FreqMHz,
 			est.Util.DSP, est.Util.BRAM, gmacs, est.Fits)
 		if est.Fits && (best == nil || gmacs > best.gmacs) {
@@ -57,16 +66,16 @@ func main() {
 		}
 	}
 	if best == nil {
-		log.Fatal("no variant fits the device")
+		return errors.New("no variant fits the device")
 	}
 
-	fmt.Printf("\nselected: unroll %d (%.1f GMAC/s) — generating accelerator template\n",
+	fmt.Fprintf(w, "\nselected: unroll %d (%.1f GMAC/s) — generating accelerator template\n",
 		best.unroll, best.gmacs)
 	tpl, err := best.est.Template("GEMM-DESIGNED-ZCU9", 5.0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("template %q: %v MHz, II=%d, depth=%d, util ff=%.0f%% lut=%.0f%% dsp=%.0f%% bram=%.0f%%\n",
+	fmt.Fprintf(w, "template %q: %v MHz, II=%d, depth=%d, util ff=%.0f%% lut=%.0f%% dsp=%.0f%% bram=%.0f%%\n",
 		tpl.Name, tpl.FreqMHz, tpl.II, tpl.Depth,
 		tpl.Util.FF, tpl.Util.LUT, tpl.Util.DSP, tpl.Util.BRAM)
 
@@ -74,8 +83,9 @@ func main() {
 	// ReACH runtime (RegisterAcc resolves it like any Table III kernel).
 	reg := fpga.NewRegistry()
 	if err := reg.Register(tpl); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	shortlist := tpl.Duration(16*96*1000, 2_200_000_000/4)
-	fmt.Printf("estimated shortlist-retrieval shard time on this kernel: %v\n", shortlist)
+	fmt.Fprintf(w, "estimated shortlist-retrieval shard time on this kernel: %v\n", shortlist)
+	return nil
 }

@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/reach"
 )
@@ -22,25 +24,32 @@ const (
 )
 
 func main() {
-	fmt.Println("log-scan on ReACH: on-chip vs near-storage filtering")
-	fmt.Printf("log store: %.0f GB on 4 SSDs; matches: %.0f MB (reduction %.0fx)\n\n",
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "log-scan on ReACH: on-chip vs near-storage filtering")
+	fmt.Fprintf(w, "log store: %.0f GB on 4 SSDs; matches: %.0f MB (reduction %.0fx)\n\n",
 		logStoreBytes/1e9, matchBytes/1e6, logStoreBytes/matchBytes)
 
-	onchip, err := run(reach.OnChip)
+	onchip, err := scan(reach.OnChip)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	nearstor, err := run(reach.NearStor)
+	nearstor, err := scan(reach.NearStor)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("%-14s %14s %14s\n", "deployment", "scan time (s)", "energy (J)")
-	fmt.Printf("%-14s %14.2f %14.1f\n", "on-chip", onchip.seconds, onchip.energy)
-	fmt.Printf("%-14s %14.2f %14.1f\n", "near-storage", nearstor.seconds, nearstor.energy)
-	fmt.Printf("\nnear-storage speedup: %.1fx, energy reduction: %.0f%%\n",
+	fmt.Fprintf(w, "%-14s %14s %14s\n", "deployment", "scan time (s)", "energy (J)")
+	fmt.Fprintf(w, "%-14s %14.2f %14.1f\n", "on-chip", onchip.seconds, onchip.energy)
+	fmt.Fprintf(w, "%-14s %14.2f %14.1f\n", "near-storage", nearstor.seconds, nearstor.energy)
+	fmt.Fprintf(w, "\nnear-storage speedup: %.1fx, energy reduction: %.0f%%\n",
 		onchip.seconds/nearstor.seconds,
 		(1-nearstor.energy/onchip.energy)*100)
+	return nil
 }
 
 type result struct {
@@ -48,7 +57,9 @@ type result struct {
 	energy  float64
 }
 
-func run(level reach.Level) (*result, error) {
+// scan runs the whole log scan at one level and reports its latency and
+// energy.
+func scan(level reach.Level) (*result, error) {
 	sys, err := reach.NewSystem(reach.WithInstances(1, 0, 4))
 	if err != nil {
 		return nil, err

@@ -10,7 +10,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	"repro/internal/runner"
@@ -36,6 +38,12 @@ type outcome struct {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	m := workload.DefaultModel()
 	levels := []reach.Level{reach.OnChip, reach.NearMem, reach.NearStor}
 
@@ -54,19 +62,20 @@ func main() {
 			return evaluate(a, m)
 		})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].throughput > results[j].throughput })
 
-	fmt.Printf("%2s %-40s %10s %12s %10s\n", "#", "mapping", "batches/s", "latency ms", "J/batch")
+	fmt.Fprintf(w, "%2s %-40s %10s %12s %10s\n", "#", "mapping", "batches/s", "latency ms", "J/batch")
 	for i, o := range results {
 		marker := ""
 		if o.a == (assignment{reach.OnChip, reach.NearMem, reach.NearStor}) {
 			marker = "  <- paper's ReACH mapping"
 		}
-		fmt.Printf("%2d %-40s %10.2f %12.1f %10.1f%s\n",
+		fmt.Fprintf(w, "%2d %-40s %10.2f %12.1f %10.1f%s\n",
 			i+1, o.a, o.throughput, o.latency*1000, o.energy, marker)
 	}
+	return nil
 }
 
 // evaluate builds a fresh system for the assignment and streams batches

@@ -1,0 +1,24 @@
+package main
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+)
+
+// TestRunPinned pins the example's stdout, and a second run must
+// reproduce every byte.
+func TestRunPinned(t *testing.T) {
+	const want = "af26bf525b613afc40cac753648ba86d133ed7ff23daac7906b82b0cb5fc73ea"
+	for i := 1; i <= 2; i++ {
+		var out bytes.Buffer
+		if err := run(&out); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(out.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Fatalf("run %d stdout sha256 %s, want %s:\n%s", i, got, want, out.String())
+		}
+	}
+}

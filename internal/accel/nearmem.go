@@ -110,7 +110,7 @@ func (a *NearMemAccel) Execute(t *Task) (sim.Time, error) {
 		// DIMM carries the traffic twice.
 		hostDone := a.p.HostMem.Stream(t.Bytes)
 		stageDone := dimm.Stream(2 * t.Bytes)
-		supplyDone = maxT(hostDone, stageDone)
+		supplyDone = max(hostDone, stageDone)
 		meter.DRAMTraffic(t.Stage, 3*t.Bytes) // host read + DIMM write + DIMM read
 		meter.MCTraffic(t.Stage, t.Bytes)
 	case SourceSSD:
@@ -158,11 +158,4 @@ func (a *NearMemAccel) readStriped(n int64, pattern storage.AccessPattern) sim.T
 		}
 	}
 	return last
-}
-
-func maxT(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -106,7 +106,7 @@ func (a *NearStorAccel) Execute(t *Task) (sim.Time, error) {
 		// device buffer; the kernel reads it back from the buffer.
 		hostDone := a.p.Storage.HostToDevice(a.ssd, t.Bytes)
 		bufDone := buf.Stream(2 * t.Bytes)
-		supplyDone = maxT(hostDone, bufDone)
+		supplyDone = max(hostDone, bufDone)
 		meter.DRAMTraffic(t.Stage, 3*t.Bytes) // host read + buffer write/read
 		meter.MCTraffic(t.Stage, t.Bytes)
 		meter.PCIeTraffic(t.Stage, t.Bytes)

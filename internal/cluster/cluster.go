@@ -471,7 +471,7 @@ func (c *Cluster) Fire(eng *sim.Engine, arg uint64) {
 func (c *Cluster) serveCached(id int, now sim.Time, detail string) {
 	if q := c.qlog.Query(id); q != nil {
 		c.qlog.Add(id, qtrace.Interval{
-			Phase: qtrace.PhaseCacheHit, Stage: stageFE,
+			Phase: qtrace.PhaseCacheHit, Stage: workload.StageFE,
 			Detail: detail,
 			Start:  q.Arrival, End: now,
 		})
@@ -523,19 +523,19 @@ func (q *query) Fire(eng *sim.Engine, arg uint64) {
 	case qFeatDone: // front-end domain
 		c.router.Done(q.home)
 		c.qlog.Add(q.id, qtrace.Interval{
-			Phase: qtrace.PhaseXfer, Stage: stageFE,
+			Phase: qtrace.PhaseXfer, Stage: workload.StageFE,
 			Detail: c.detImg[q.home],
 			Start:  q.arrival, End: q.imgEnd,
 		})
 		if q.feDispatch > q.feStart {
 			c.qlog.Add(q.id, qtrace.Interval{
-				Phase: qtrace.PhaseQueue, Stage: stageFE, Level: "onchip",
+				Phase: qtrace.PhaseQueue, Stage: workload.StageFE, Level: "onchip",
 				Detail: c.detExec[q.home],
 				Start:  q.feStart, End: q.feDispatch,
 			})
 		}
 		c.qlog.Add(q.id, qtrace.Interval{
-			Phase: qtrace.PhaseExec, Stage: stageFE, Level: "onchip",
+			Phase: qtrace.PhaseExec, Stage: workload.StageFE, Level: "onchip",
 			Detail: c.detExec[q.home],
 			Start:  q.feDispatch, End: q.feEnd,
 		})
@@ -550,25 +550,25 @@ func (q *query) Fire(eng *sim.Engine, arg uint64) {
 		c.router.Done(node)
 		if node != q.home {
 			c.qlog.Add(q.id, qtrace.Interval{
-				Phase: qtrace.PhaseXfer, Stage: stageSL,
+				Phase: qtrace.PhaseXfer, Stage: workload.StageSL,
 				Detail: c.detScat[q.home][node],
 				Start:  q.feEnd, End: q.shardExecStart[shard],
 			})
 		}
 		if q.shardDispatch[shard] > q.shardExecStart[shard] {
 			c.qlog.Add(q.id, qtrace.Interval{
-				Phase: qtrace.PhaseQueue, Stage: stageRR, Level: "nearmem+nearstor",
+				Phase: qtrace.PhaseQueue, Stage: workload.StageRR, Level: "nearmem+nearstor",
 				Detail: c.detShard[shard][node],
 				Start:  q.shardExecStart[shard], End: q.shardDispatch[shard],
 			})
 		}
 		c.qlog.Add(q.id, qtrace.Interval{
-			Phase: qtrace.PhaseExec, Stage: stageRR, Level: "nearmem+nearstor",
+			Phase: qtrace.PhaseExec, Stage: workload.StageRR, Level: "nearmem+nearstor",
 			Detail: c.detShard[shard][node],
 			Start:  q.shardDispatch[shard], End: q.shardExecEnd[shard],
 		})
 		c.qlog.Add(q.id, qtrace.Interval{
-			Phase: qtrace.PhaseXfer, Stage: stageRR,
+			Phase: qtrace.PhaseXfer, Stage: workload.StageRR,
 			Detail: c.detResp[node],
 			Start:  q.shardExecEnd[shard], End: now,
 		})

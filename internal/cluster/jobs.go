@@ -1,20 +1,9 @@
 package cluster
 
 import (
-	"fmt"
-
 	"repro/internal/accel"
 	"repro/internal/core"
-	"repro/internal/storage"
 	"repro/internal/workload"
-)
-
-// Stage labels, matching the single-server pipeline spelling so cluster
-// traces and energy attribution line up with the experiments package.
-const (
-	stageFE = "FeatureExtraction"
-	stageSL = "ShortlistRetrieval"
-	stageRR = "Rerank"
 )
 
 // scaleBytes applies a shard's work fraction to a byte count, never
@@ -58,17 +47,12 @@ func (p *jobPool) feJob(node *core.System, id int, m workload.Model) (*core.Job,
 	if j := pop(&p.fe, id); j != nil {
 		return j, nil
 	}
-	kernel, err := node.Registry().Lookup("CNN-VU9P")
+	j := core.NewJob(id)
+	fe, err := workload.AddStage(node, j, workload.StageFE, accel.OnChip, m, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	j := core.NewJob(id)
-	n := j.AddTask(accel.Task{
-		Name: "fe", Stage: stageFE, Kernel: kernel,
-		MACs: m.FeatureMACsPerBatch(), Source: accel.SourceSPM,
-	}, accel.OnChip)
-	n.OutBytes = m.BatchFeatureBytes()
-	n.SinkToHost = true
+	fe[0].SinkToHost = true
 	return j, nil
 }
 
@@ -78,47 +62,26 @@ func (p *jobPool) feJob(node *core.System, id int, m workload.Model) (*core.Job,
 // results are collected to the replica's host for the network gather. A
 // reused graph keeps its tasks and only has its work rescaled.
 func (p *jobPool) shardJob(node *core.System, id int, m workload.Model, frac float64) (*core.Job, error) {
-	nm := node.InstanceCount(accel.NearMemory)
-	ns := node.InstanceCount(accel.NearStorage)
 	j := pop(&p.shard, id)
 	if j == nil {
-		reg := node.Registry()
-		gemm, err := reg.Lookup("GEMM-ZCU9")
-		if err != nil {
-			return nil, err
-		}
-		knn, err := reg.Lookup("KNN-ZCU9")
-		if err != nil {
-			return nil, err
-		}
-		if nm == 0 || ns == 0 {
-			return nil, fmt.Errorf("cluster: shard job needs near-memory and near-storage instances, node has %d/%d", nm, ns)
-		}
 		j = core.NewJob(id)
-		sl := make([]*core.TaskNode, nm)
-		for i := range sl {
-			sl[i] = j.AddTask(accel.Task{
-				Name: fmt.Sprintf("sl%d", i), Stage: stageSL, Kernel: gemm,
-				Source: accel.SourceLocalDIMM, Pattern: storage.Sequential,
-			}, accel.NearMemory)
-			sl[i].Pin = i
+		sl, err := workload.AddStage(node, j, workload.StageSL, accel.NearMemory, m, 0, nil)
+		if err != nil {
+			return nil, err
 		}
-		for i := 0; i < ns; i++ {
-			n := j.AddTask(accel.Task{
-				Name: fmt.Sprintf("rr%d", i), Stage: stageRR, Kernel: knn,
-				Source: accel.SourceSSD, Pattern: storage.RandomPages,
-			}, accel.NearStorage, sl...)
-			n.Pin = i
-			n.SinkToHost = true
+		if _, err := workload.AddStage(node, j, workload.StageRR, accel.NearStorage, m, 0, sl); err != nil {
+			return nil, err
 		}
 	}
 	// Each level's share of the work splits evenly over its pinned tasks.
+	nm := int64(node.InstanceCount(accel.NearMemory))
+	ns := int64(node.InstanceCount(accel.NearStorage))
 	slMACs := m.ShortlistMACsPerBatch() * frac / float64(nm)
-	slBytes := scaleBytes(m.ShortlistScanBytesPerBatch(), frac) / int64(nm)
-	slOut := scaleBytes(m.ShortlistResultBytesPerBatch(), frac) / int64(nm)
+	slBytes := scaleBytes(m.ShortlistScanBytesPerBatch(), frac) / nm
+	slOut := scaleBytes(m.ShortlistResultBytesPerBatch(), frac) / nm
 	rrMACs := m.RerankMACsPerBatch() * frac / float64(ns)
-	rrBytes := scaleBytes(m.RerankScanBytesPerBatch(), frac) / int64(ns)
-	rrOut := scaleBytes(m.ResultBytesPerBatch(), frac) / int64(ns)
+	rrBytes := scaleBytes(m.RerankScanBytesPerBatch(), frac) / ns
+	rrOut := scaleBytes(m.ResultBytesPerBatch(), frac) / ns
 	for _, n := range j.Nodes {
 		if n.Level == accel.NearMemory {
 			n.Spec.MACs, n.Spec.Bytes, n.OutBytes = slMACs, slBytes, slOut

@@ -211,6 +211,9 @@ func (c *ClusterConfig) Validate() error {
 	if c.CacheEntries > 0 && c.CacheTTLMS <= 0 {
 		return fmt.Errorf("cluster: cache_ttl_ms must be positive when the cache is enabled, got %v", c.CacheTTLMS)
 	}
+	if c.CacheEntries > 0 && sim.FromSeconds(c.CacheTTLMS*1e-3) == 0 {
+		return fmt.Errorf("cluster: cache_ttl_ms %v rounds to 0 ps of simulated time", c.CacheTTLMS)
+	}
 	if c.CacheHitUS < 0 {
 		return fmt.Errorf("cluster: cache_hit_us must be non-negative, got %v", c.CacheHitUS)
 	}
@@ -219,6 +222,16 @@ func (c *ClusterConfig) Validate() error {
 	}
 	if err := c.Node.Validate(); err != nil {
 		return fmt.Errorf("cluster: node config: %w", err)
+	}
+	// Every query runs feature extraction on chip and each shard's
+	// shortlist and rerank near memory and near storage, on every node.
+	switch in := c.Node.Instances; {
+	case in.OnChip < 1:
+		return fmt.Errorf("cluster: node.instances.on_chip must be >= 1, got %d", in.OnChip)
+	case in.NearMemory < 1:
+		return fmt.Errorf("cluster: node.instances.near_memory must be >= 1, got %d", in.NearMemory)
+	case in.NearStorage < 1:
+		return fmt.Errorf("cluster: node.instances.near_storage must be >= 1, got %d", in.NearStorage)
 	}
 	return nil
 }

@@ -79,6 +79,19 @@ func TestClusterValidateNamesBadEntry(t *testing.T) {
 		{"negative coalesce latency", func(c *ClusterConfig) {
 			c.CoalesceUS = -1
 		}, "coalesce_us must be non-negative"},
+		{"sub-picosecond cache ttl", func(c *ClusterConfig) {
+			c.CacheEntries = 32
+			c.CacheTTLMS = 1e-10
+		}, "cache_ttl_ms 1e-10 rounds to 0 ps"},
+		{"node without on-chip", func(c *ClusterConfig) {
+			c.Node = c.Node.WithInstances(0, 2, 2)
+		}, "node.instances.on_chip must be >= 1, got 0"},
+		{"node without near-memory", func(c *ClusterConfig) {
+			c.Node = c.Node.WithInstances(1, 0, 2)
+		}, "node.instances.near_memory must be >= 1, got 0"},
+		{"node without near-storage", func(c *ClusterConfig) {
+			c.Node = c.Node.WithInstances(1, 2, 0)
+		}, "node.instances.near_storage must be >= 1, got 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -113,9 +113,6 @@ type GAMConfig struct {
 	// device reports a new wait estimate of (remaining × (1+slack)). Models
 	// the estimated-wait-time refresh in the progress table.
 	StatusSlackFraction float64 `json:"status_slack_fraction"`
-	// EstimateErrorFraction models how much the initial synthesis-report
-	// based runtime estimate undershoots reality (causing extra polls).
-	EstimateErrorFraction float64 `json:"estimate_error_fraction"`
 	// CrossJobPipelining enables dispatching tasks of job N+1 before all
 	// tasks of job N finish when no dependency exists (§II-D). Disabling it
 	// is an ablation.
@@ -190,12 +187,11 @@ func Default() SystemConfig {
 			TLBMissRate:          0.001,
 		},
 		GAM: GAMConfig{
-			CommandLatencyNS:      500,
-			DispatchCycles:        24,
-			StatusSlackFraction:   0.10,
-			EstimateErrorFraction: 0.05,
-			CrossJobPipelining:    true,
-			StreamDepth:           2,
+			CommandLatencyNS:    500,
+			DispatchCycles:      24,
+			StatusSlackFraction: 0.10,
+			CrossJobPipelining:  true,
+			StreamDepth:         2,
 		},
 		Instances: InstanceConfig{
 			OnChip:      1,

@@ -92,6 +92,10 @@ type TaskNode struct {
 // State reports the node's scheduling state.
 func (n *TaskNode) State() NodeState { return n.state }
 
+// Dependents lists the nodes added with n as a dependency, in insertion
+// order. The slice is the job's own; callers must not modify it.
+func (n *TaskNode) Dependents() []*TaskNode { return n.dependents }
+
 // Job is one request from the host application (one query batch in the
 // case study): a DAG of task nodes the GAM decomposes and schedules.
 type Job struct {

@@ -63,7 +63,7 @@ func bufferCell(m workload.Model, hit float64) (*BufferAblationCell, error) {
 		// Each image re-streams the full uncompressed parameter set
 		// (the buffer exists precisely because this reuse is heavy).
 		done, err := a.Execute(&accel.Task{
-			Name: fmt.Sprintf("fe%d", img), Stage: StageFE, Kernel: kernel,
+			Name: fmt.Sprintf("fe%d", img), Stage: workload.StageFE, Kernel: kernel,
 			MACs:    m.FeatureMACsPerImage(),
 			Bytes:   m.CNN.ParamBytes(),
 			Source:  accel.SourceDeviceDRAM,

@@ -24,13 +24,13 @@ func TestFig8EnergyDistribution(t *testing.T) {
 		t.Errorf("movement share = %.2f, paper says ~0.79", r.MovementShare)
 	}
 	// Paper: rerank data movement alone is ~52 % of the total.
-	rr := r.StageMovement[StageRR]
+	rr := r.StageMovement[workload.StageRR]
 	if rr < 0.42 || rr > 0.62 {
 		t.Errorf("rerank movement share = %.2f, paper says ~0.52", rr)
 	}
 	// Rerank movement dominates every other cell.
-	for _, st := range Stages() {
-		if st != StageRR && r.StageMovement[st] >= rr {
+	for _, st := range workload.Stages() {
+		if st != workload.StageRR && r.StageMovement[st] >= rr {
 			t.Errorf("%s movement (%.2f) >= rerank movement (%.2f)", st, r.StageMovement[st], rr)
 		}
 		if r.StageCompute[st] >= rr {
@@ -40,7 +40,7 @@ func TestFig8EnergyDistribution(t *testing.T) {
 	// Every component appears in the table.
 	for _, c := range energy.Components() {
 		var sum float64
-		for _, st := range Stages() {
+		for _, st := range workload.Stages() {
 			sum += r.ComponentStage[c][st]
 		}
 		if sum <= 0 {
@@ -246,7 +246,7 @@ func TestTablesRender(t *testing.T) {
 
 func TestRunStageErrors(t *testing.T) {
 	m := workload.DefaultModel()
-	if _, err := RunStage(StageFE, accel.CPU, 1, m); err == nil {
+	if _, err := RunStage(workload.StageFE, accel.CPU, 1, m); err == nil {
 		t.Error("stage on CPU accepted")
 	}
 	if _, err := RunStage("bogus", accel.OnChip, 1, m); err == nil {

@@ -56,7 +56,7 @@ func fig12Cell(l accel.Level, n int, run *RunResult) *Fig12Cell {
 		Runtime:      run.Latency,
 	}
 	meter := run.Sys.Meter()
-	for _, st := range Stages() {
+	for _, st := range workload.Stages() {
 		cell.StageEnergy[st] = meter.Stage(st)
 		cell.EnergyJ += meter.Stage(st)
 	}
@@ -98,9 +98,9 @@ func (r *Fig12Result) Table() *report.Table {
 			c.Level.String(),
 			report.F(float64(c.Runtime)/float64(r.Baseline.Runtime), 2),
 			report.F(c.EnergyJ/r.Baseline.EnergyJ, 2),
-			report.F(c.StageRuntime[StageFE].Milliseconds(), 1),
-			report.F(c.StageRuntime[StageSL].Milliseconds(), 1),
-			report.F(c.StageRuntime[StageRR].Milliseconds(), 1),
+			report.F(c.StageRuntime[workload.StageFE].Milliseconds(), 1),
+			report.F(c.StageRuntime[workload.StageSL].Milliseconds(), 1),
+			report.F(c.StageRuntime[workload.StageRR].Milliseconds(), 1),
 		)
 	}
 	t.AddNote("on-chip baseline: %.1f ms, %.2f J per batch",

@@ -38,16 +38,16 @@ func fig8Reduce(run *RunResult) *Fig8Result {
 	res.TotalJ = meter.Total() - meter.Stage("Setup")
 	for _, c := range energy.Components() {
 		res.ComponentStage[c] = make(map[string]float64)
-		for _, st := range Stages() {
+		for _, st := range workload.Stages() {
 			res.ComponentStage[c][st] = meter.ComponentStage(c, st)
 		}
 	}
-	for _, st := range Stages() {
+	for _, st := range workload.Stages() {
 		res.StageCompute[st] = meter.StageKind(st, energy.Compute) / res.TotalJ
 		res.StageMovement[st] = meter.StageKind(st, energy.Movement) / res.TotalJ
 	}
 	var movement float64
-	for _, st := range Stages() {
+	for _, st := range workload.Stages() {
 		movement += meter.StageKind(st, energy.Movement)
 	}
 	res.MovementShare = movement / res.TotalJ
@@ -69,12 +69,12 @@ func Fig8(m workload.Model, opts ...Option) (*Fig8Result, error) {
 func (r *Fig8Result) Table() *report.Table {
 	t := &report.Table{
 		Title:   "Fig 8 — energy breakdown, on-chip-only CBIR (J per batch)",
-		Columns: []string{"Component", StageFE, StageSL, StageRR, "Total"},
+		Columns: []string{"Component", workload.StageFE, workload.StageSL, workload.StageRR, "Total"},
 	}
 	for _, c := range energy.Components() {
 		row := []string{c.String()}
 		var sum float64
-		for _, st := range Stages() {
+		for _, st := range workload.Stages() {
 			v := r.ComponentStage[c][st]
 			sum += v
 			row = append(row, report.F(v, 2))
@@ -84,7 +84,7 @@ func (r *Fig8Result) Table() *report.Table {
 	}
 	t.AddNote("total %.1f J/batch; data movement share %s (paper: ~79%%)",
 		r.TotalJ, report.Pct(r.MovementShare))
-	for _, st := range Stages() {
+	for _, st := range workload.Stages() {
 		t.AddNote("%s: compute %s, movement %s of total (paper rerank movement: ~52%%)",
 			st, report.Pct(r.StageCompute[st]), report.Pct(r.StageMovement[st]))
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/accel"
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -22,31 +21,25 @@ type StageResult struct {
 // StageSpec declares a single pipeline stage run in isolation at one
 // level with n instances, background charged over the stage runtime.
 func StageSpec(stage string, l accel.Level, n int, m workload.Model) (RunSpec, error) {
-	var cfg config.SystemConfig
 	switch l {
-	case accel.OnChip:
-		cfg = config.Default().WithInstances(1, 0, 0)
-	case accel.NearMemory:
-		cfg = config.Default().WithInstances(0, n, 0)
-	case accel.NearStorage:
-		cfg = config.Default().WithInstances(0, 0, n)
+	case accel.OnChip, accel.NearMemory, accel.NearStorage:
 	default:
 		return RunSpec{}, fmt.Errorf("experiments: cannot run a stage on %v", l)
 	}
 	return RunSpec{
-		Name:    fmt.Sprintf("%s@%v/%d", stage, l, n),
-		Model:   m,
-		Batches: 1,
-		Config:  &cfg,
+		Name:      fmt.Sprintf("%s@%v/%d", stage, l, n),
+		Model:     m,
+		Mapping:   SingleLevel(l),
+		Instances: n,
+		Batches:   1,
 		BuildJob: func(sys *core.System, id int) (*core.Job, error) {
 			j := core.NewJob(id)
-			if _, err := addStage(sys, j, stage, l, m, nil); err != nil {
+			if _, err := workload.AddStage(sys, j, stage, l, m, 0, nil); err != nil {
 				return nil, err
 			}
 			return j, nil
 		},
-		Background:      BackgroundFirstLatency,
-		BackgroundLabel: stage,
+		Background: BackgroundFirstLatency,
 	}, nil
 }
 
@@ -58,14 +51,14 @@ func StageSpec(stage string, l accel.Level, n int, m workload.Model) (RunSpec, e
 // crossing one 12.8 GB/s bus, "mem.aimbus" must surface as the
 // top-pressure resource.
 func NearMemInterleavedSpec(n int, m workload.Model) (RunSpec, error) {
-	spec, err := StageSpec(StageSL, accel.NearMemory, n, m)
+	spec, err := StageSpec(workload.StageSL, accel.NearMemory, n, m)
 	if err != nil {
 		return RunSpec{}, err
 	}
 	if n < 2 {
 		return RunSpec{}, fmt.Errorf("experiments: interleaving needs >= 2 DIMMs, got %d", n)
 	}
-	spec.Name = fmt.Sprintf("%s@%v/%d-interleaved", StageSL, accel.NearMemory, n)
+	spec.Name = fmt.Sprintf("%s@%v/%d-interleaved", workload.StageSL, accel.NearMemory, n)
 	inner := spec.BuildJob
 	spec.BuildJob = func(sys *core.System, id int) (*core.Job, error) {
 		j, err := inner(sys, id)
@@ -227,15 +220,15 @@ func (s *StageSweep) Table(figure string) *report.Table {
 
 // Fig9 reproduces the feature-extraction sweep.
 func Fig9(m workload.Model, opts ...Option) (*StageSweep, error) {
-	return RunStageSweep(StageFE, m, opts...)
+	return RunStageSweep(workload.StageFE, m, opts...)
 }
 
 // Fig10 reproduces the shortlist-retrieval sweep.
 func Fig10(m workload.Model, opts ...Option) (*StageSweep, error) {
-	return RunStageSweep(StageSL, m, opts...)
+	return RunStageSweep(workload.StageSL, m, opts...)
 }
 
 // Fig11 reproduces the rerank sweep.
 func Fig11(m workload.Model, opts ...Option) (*StageSweep, error) {
-	return RunStageSweep(StageRR, m, opts...)
+	return RunStageSweep(workload.StageRR, m, opts...)
 }

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -51,7 +49,7 @@ func granularitySpecs(m workload.Model) []RunSpec {
 			Instances: 4,
 			Batches:   granularityBatches,
 			BuildJob: func(sys *core.System, id int) (*core.Job, error) {
-				return buildChunkedJob(sys, id, m, tasks)
+				return buildPipelineJob(sys, id, m, ReACHMapping(), tasks)
 			},
 		}
 	}
@@ -81,60 +79,6 @@ func AblationGranularity(m workload.Model, opts ...Option) (*GranularityResult, 
 		res.Cells = append(res.Cells, granularityCell(tasks, runs[i]))
 	}
 	return res, nil
-}
-
-// buildChunkedJob is BuildPipelineJob with the SL and RR stages split into
-// `chunks` equal tasks spread over the instances (instead of one task per
-// instance).
-func buildChunkedJob(sys *core.System, id int, m workload.Model, chunks int) (*core.Job, error) {
-	j := core.NewJob(id)
-	reg := sys.Registry()
-	cnn, err := reg.Lookup("CNN-VU9P")
-	if err != nil {
-		return nil, err
-	}
-	gemm, err := reg.Lookup("GEMM-ZCU9")
-	if err != nil {
-		return nil, err
-	}
-	knn, err := reg.Lookup("KNN-ZCU9")
-	if err != nil {
-		return nil, err
-	}
-
-	fe := j.AddTask(accel.Task{
-		Name: "fe", Stage: StageFE, Kernel: cnn,
-		MACs: m.FeatureMACsPerBatch(), Source: accel.SourceSPM,
-	}, accel.OnChip)
-	fe.OutBytes = m.BatchFeatureBytes()
-
-	nmCount := sys.InstanceCount(accel.NearMemory)
-	slNodes := make([]*core.TaskNode, 0, chunks)
-	for c := 0; c < chunks; c++ {
-		n := j.AddTask(accel.Task{
-			Name: fmt.Sprintf("sl%d", c), Stage: StageSL, Kernel: gemm,
-			MACs:   m.ShortlistMACsPerBatch() / float64(chunks),
-			Bytes:  m.ShortlistScanBytesPerBatch() / int64(chunks),
-			Source: accel.SourceLocalDIMM,
-		}, accel.NearMemory, fe)
-		n.Pin = c % nmCount
-		n.OutBytes = m.ShortlistResultBytesPerBatch() / int64(chunks)
-		slNodes = append(slNodes, n)
-	}
-
-	nsCount := sys.InstanceCount(accel.NearStorage)
-	for c := 0; c < chunks; c++ {
-		n := j.AddTask(accel.Task{
-			Name: fmt.Sprintf("rr%d", c), Stage: StageRR, Kernel: knn,
-			MACs:   m.RerankMACsPerBatch() / float64(chunks),
-			Bytes:  m.RerankScanBytesPerBatch() / int64(chunks),
-			Source: accel.SourceSSD, Pattern: storage.RandomPages,
-		}, accel.NearStorage, slNodes...)
-		n.Pin = c % nsCount
-		n.OutBytes = m.ResultBytesPerBatch() / int64(chunks)
-		n.SinkToHost = true
-	}
-	return j, nil
 }
 
 // Best returns the highest-throughput cell.

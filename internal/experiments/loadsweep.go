@@ -22,7 +22,7 @@ const (
 	// exposes tail latency the way production traffic does.
 	ArrivalPoisson
 	// ArrivalFlash is a flash crowd: Poisson arrivals at the baseline rate,
-	// except a middle stretch of the query sequence arrives BurstFactor×
+	// except arrivals [1/3, 2/3) of the query sequence come flashFactor×
 	// faster — baseline → burst → baseline. The gaps are precomputed from
 	// the same seeded source as ArrivalPoisson, so the anomaly is exactly
 	// reproducible: the deterministic trigger the flight recorder's
@@ -38,27 +38,10 @@ type ArrivalSpec struct {
 	// own stream from Seed and the rate's index, so every run is
 	// reproducible and independent of worker scheduling.
 	Seed int64
-	// BurstFactor multiplies the baseline rate during the burst phase of
-	// ArrivalFlash; values <= 1 fall back to the default of 8. Ignored by
-	// the other processes.
-	BurstFactor float64
-	// BurstStart and BurstEnd bound the burst phase as fractions of the
-	// query sequence (arrival index, not wall time). When both are zero the
-	// burst covers the middle third, [1/3, 2/3).
-	BurstStart, BurstEnd float64
 }
 
-// flashShape resolves the ArrivalFlash defaults.
-func (a ArrivalSpec) flashShape() (factor, start, end float64) {
-	factor, start, end = a.BurstFactor, a.BurstStart, a.BurstEnd
-	if factor <= 1 {
-		factor = 8
-	}
-	if start == 0 && end == 0 {
-		start, end = 1.0/3, 2.0/3
-	}
-	return factor, start, end
-}
+// flashFactor multiplies the baseline rate during an ArrivalFlash burst.
+const flashFactor = 8
 
 // schedule builds job id → submission time for one rate. Poisson arrival
 // times are precomputed sequentially here, in the spec builder, so the
@@ -72,12 +55,11 @@ func (a ArrivalSpec) schedule(rate float64, batches int, stream int64) func(id i
 	rng := rand.New(rand.NewSource(a.Seed ^ stream*0x5851f42d4c957f2d))
 	times := make([]sim.Time, batches)
 	at := 0.0
-	factor, start, end := a.flashShape()
 	for i := range times {
 		r := rate
 		if a.Process == ArrivalFlash {
-			if frac := float64(i) / float64(batches); frac >= start && frac < end {
-				r = rate * factor
+			if frac := float64(i) / float64(batches); frac >= 1.0/3 && frac < 2.0/3 {
+				r = rate * flashFactor
 			}
 		}
 		at += rng.ExpFloat64() / r

@@ -51,7 +51,7 @@ func TestBottleneckNamesAIMbusWhenInterleaved(t *testing.T) {
 // its runtime to the AIMbus — the paper's reason for partitioning the
 // database DIMM-locally in the first place.
 func TestBottleneckLocalPartitioningAvoidsAIMbus(t *testing.T) {
-	spec, err := StageSpec(StageSL, accel.NearMemory, 4, workload.DefaultModel())
+	spec, err := StageSpec(workload.StageSL, accel.NearMemory, 4, workload.DefaultModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestPhaseWindowsCoverStages(t *testing.T) {
 	for _, w := range wins {
 		byName[w.Name] = w
 	}
-	for _, st := range []string{StageFE, StageSL, StageRR, "run"} {
+	for _, st := range []string{workload.StageFE, workload.StageSL, workload.StageRR, "run"} {
 		w, ok := byName[st]
 		if !ok {
 			t.Fatalf("missing phase window %q (have %v)", st, wins)

@@ -25,7 +25,7 @@ func TestParallelRunsAreIndependent(t *testing.T) {
 	specs = append(specs, granularitySpecs(m)[:2]...)
 	skews, _ := skewSpecs(m)
 	specs = append(specs, skews[:2]...)
-	stage, err := StageSpec(StageSL, accel.NearMemory, 2, m)
+	stage, err := StageSpec(workload.StageSL, accel.NearMemory, 2, m)
 	if err != nil {
 		t.Fatal(err)
 	}

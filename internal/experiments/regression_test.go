@@ -28,7 +28,7 @@ func TestHeadlineRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	pin(t, "Fig8 movement share", f8.MovementShare, 0.784, 0.005)
-	pin(t, "Fig8 rerank movement share", f8.StageMovement[StageRR], 0.577, 0.005)
+	pin(t, "Fig8 rerank movement share", f8.StageMovement[workload.StageRR], 0.577, 0.005)
 }
 
 func pin(t *testing.T, name string, got, want, tol float64) {

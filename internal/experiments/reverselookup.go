@@ -64,7 +64,7 @@ func buildReverseLookupJob(sys *core.System, id int, m workload.Model, imageByte
 	}
 	var rrNodes []*core.TaskNode
 	for _, n := range j.Nodes {
-		if n.Spec.Stage == StageRR {
+		if n.Spec.Stage == workload.StageRR {
 			n.SinkToHost = false
 			rrNodes = append(rrNodes, n)
 		}

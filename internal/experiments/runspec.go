@@ -27,23 +27,17 @@ type RunSpec struct {
 	// Model is the CBIR workload model; it is validated before the run.
 	Model workload.Model
 	// Mapping assigns pipeline stages to compute levels. Used by the
-	// default job builder and, with Instances, by the default config.
+	// default job builder and, with Instances, by the system config.
 	Mapping Mapping
 	// Instances is the near-data population per used level for the
-	// default config (configFor semantics).
+	// system config (configFor semantics).
 	Instances int
 	// Batches is the number of jobs submitted (ids 0..Batches-1).
 	Batches int
 
-	// Config, when non-nil, replaces the default configFor(Mapping,
-	// Instances) system config.
-	Config *config.SystemConfig
 	// Mutate, when non-nil, adjusts the config before the system is
 	// built — how the ablations vary GAM parameters per run.
 	Mutate func(*config.SystemConfig)
-	// Setup, when non-nil, runs after the system is built and before any
-	// job is submitted (e.g. to tweak accelerator instances).
-	Setup func(sys *core.System) error
 	// BuildJob, when non-nil, replaces the default pipeline job builder
 	// (BuildPipelineJob with Mapping) — how the granularity, skew,
 	// reverse-lookup and multi-tenant experiments shape their jobs.
@@ -55,8 +49,6 @@ type RunSpec struct {
 	// Background selects the post-run background-energy attribution.
 	// The zero value charges nothing.
 	Background BackgroundMode
-	// BackgroundLabel is the stage label for BackgroundFirstLatency.
-	BackgroundLabel string
 
 	// Metrics, when non-nil, attaches a time-resolved observability
 	// recorder to the run: a periodic registry sampler and (when
@@ -87,8 +79,8 @@ const (
 	// BackgroundMakespanRR charges the whole makespan to the rerank
 	// stage (the GAM ablation's convention).
 	BackgroundMakespanRR
-	// BackgroundFirstLatency charges the first job's latency to
-	// BackgroundLabel (the isolated single-stage runs of Figs. 9-11).
+	// BackgroundFirstLatency charges the first job's latency to the stage
+	// of its first task (the isolated single-stage runs of Figs. 9-11).
 	BackgroundFirstLatency
 )
 
@@ -101,27 +93,9 @@ func (s RunSpec) Run() (*RunResult, error) {
 	if s.Batches <= 0 {
 		return nil, fmt.Errorf("experiments: run %q needs at least one batch", s.Name)
 	}
-	cfg := configFor(s.Mapping, s.Instances)
-	if s.Config != nil {
-		cfg = *s.Config
-	}
-	if s.Mutate != nil {
-		s.Mutate(&cfg)
-	}
-	sys, err := core.NewSystem(cfg)
+	sys, err := s.system()
 	if err != nil {
 		return nil, err
-	}
-	if s.Setup != nil {
-		if err := s.Setup(sys); err != nil {
-			return nil, err
-		}
-	}
-	build := s.BuildJob
-	if build == nil {
-		build = func(sys *core.System, id int) (*core.Job, error) {
-			return BuildPipelineJob(sys, id, s.Model, s.Mapping)
-		}
 	}
 	res := &RunResult{Sys: sys, Batches: s.Batches, StageSpan: make(map[string]sim.Time)}
 	if s.Metrics != nil {
@@ -135,7 +109,7 @@ func (s RunSpec) Run() (*RunResult, error) {
 		sys.GAM().SetQueryLog(res.QLog)
 	}
 	for b := 0; b < s.Batches; b++ {
-		j, err := build(sys, b)
+		j, err := s.job(sys, b)
 		if err != nil {
 			return nil, err
 		}
@@ -203,14 +177,33 @@ func (s RunSpec) Run() (*RunResult, error) {
 				sys.Background(st, window)
 			}
 		} else {
-			sys.Background(StageRR, res.Makespan)
+			sys.Background(workload.StageRR, res.Makespan)
 		}
 	case BackgroundMakespanRR:
-		sys.Background(StageRR, res.Makespan)
+		sys.Background(workload.StageRR, res.Makespan)
 	case BackgroundFirstLatency:
-		sys.Background(s.BackgroundLabel, res.Latency)
+		sys.Background(first.Nodes[0].Spec.Stage, res.Latency)
 	}
 	return res, nil
+}
+
+// system builds the spec's system: configFor(Mapping, Instances), then
+// Mutate.
+func (s RunSpec) system() (*core.System, error) {
+	cfg := configFor(s.Mapping, s.Instances)
+	if s.Mutate != nil {
+		s.Mutate(&cfg)
+	}
+	return core.NewSystem(cfg)
+}
+
+// job builds batch id's job graph on sys: BuildJob when set, else the
+// pipeline under Mapping.
+func (s RunSpec) job(sys *core.System, id int) (*core.Job, error) {
+	if s.BuildJob != nil {
+		return s.BuildJob(sys, id)
+	}
+	return BuildPipelineJob(sys, id, s.Model, s.Mapping)
 }
 
 func (s RunSpec) name() string {

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -86,43 +84,20 @@ func SkewExperiment(m workload.Model, opts ...Option) (*SkewResult, error) {
 	return res, nil
 }
 
-// buildSkewedJob is BuildPipelineJob with rerank bytes split per the load
-// shares instead of evenly.
+// buildSkewedJob is BuildPipelineJob with the rerank work split per the
+// load shares instead of evenly: rerank task i runs on instance i, so
+// shares[i] is its fraction of the batch.
 func buildSkewedJob(sys *core.System, id int, m workload.Model, shares []float64) (*core.Job, error) {
-	reg := sys.Registry()
-	cnn, _ := reg.Lookup("CNN-VU9P")
-	gemm, _ := reg.Lookup("GEMM-ZCU9")
-	knn, _ := reg.Lookup("KNN-ZCU9")
-
-	j := core.NewJob(id)
-	fe := j.AddTask(accel.Task{
-		Name: "fe", Stage: StageFE, Kernel: cnn,
-		MACs: m.FeatureMACsPerBatch(), Source: accel.SourceSPM,
-	}, accel.OnChip)
-	fe.OutBytes = m.BatchFeatureBytes()
-
-	var slNodes []*core.TaskNode
-	for i := range shares {
-		n := j.AddTask(accel.Task{
-			Name: fmt.Sprintf("sl%d", i), Stage: StageSL, Kernel: gemm,
-			MACs:   m.ShortlistMACsPerBatch() / float64(len(shares)),
-			Bytes:  m.ShortlistScanBytesPerBatch() / int64(len(shares)),
-			Source: accel.SourceLocalDIMM,
-		}, accel.NearMemory, fe)
-		n.Pin = i
-		n.OutBytes = m.ShortlistResultBytesPerBatch() / int64(len(shares))
-		slNodes = append(slNodes, n)
+	j, err := BuildPipelineJob(sys, id, m, ReACHMapping())
+	if err != nil {
+		return nil, err
 	}
-	for i, share := range shares {
-		n := j.AddTask(accel.Task{
-			Name: fmt.Sprintf("rr%d", i), Stage: StageRR, Kernel: knn,
-			MACs:   m.RerankMACsPerBatch() * share,
-			Bytes:  int64(float64(m.RerankScanBytesPerBatch()) * share),
-			Source: accel.SourceSSD, Pattern: storage.RandomPages,
-		}, accel.NearStorage, slNodes...)
-		n.Pin = i
-		n.OutBytes = m.ResultBytesPerBatch() / int64(len(shares))
-		n.SinkToHost = true
+	for _, n := range j.Nodes {
+		if n.Spec.Stage == workload.StageRR {
+			share := shares[n.Pin]
+			n.Spec.MACs = m.RerankMACsPerBatch() * share
+			n.Spec.Bytes = int64(float64(m.RerankScanBytesPerBatch()) * share)
+		}
 	}
 	return j, nil
 }

@@ -5,8 +5,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/accel"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -14,20 +12,8 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/qtrace"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
-
-// Stage labels used for energy attribution — the three online CBIR stages
-// of Fig. 7.
-const (
-	StageFE = "FeatureExtraction"
-	StageSL = "ShortlistRetrieval"
-	StageRR = "Rerank"
-)
-
-// Stages lists the pipeline stages in order.
-func Stages() []string { return []string{StageFE, StageSL, StageRR} }
 
 // Mapping assigns each pipeline stage to a compute level.
 type Mapping struct {
@@ -43,18 +29,6 @@ func ReACHMapping() Mapping {
 
 // SingleLevel maps every stage to one level (the §VI-C baselines).
 func SingleLevel(l accel.Level) Mapping { return Mapping{FE: l, SL: l, RR: l} }
-
-// Level returns the level of a stage label.
-func (m Mapping) Level(stage string) accel.Level {
-	switch stage {
-	case StageFE:
-		return m.FE
-	case StageSL:
-		return m.SL
-	default:
-		return m.RR
-	}
-}
 
 // configFor sizes the accelerator population for a mapping: one on-chip
 // instance when used, n near-memory/near-storage instances when used.
@@ -73,139 +47,24 @@ func configFor(m Mapping, n int) config.SystemConfig {
 	return config.Default().WithInstances(onChip, nm, ns)
 }
 
-// kernelFor picks the Table III template for a stage at a level.
-func kernelFor(stage string, l accel.Level) string {
-	suffix := "-ZCU9"
-	if l == accel.OnChip {
-		suffix = "-VU9P"
-	}
-	switch stage {
-	case StageFE:
-		return "CNN" + suffix
-	case StageSL:
-		return "GEMM" + suffix
-	default:
-		return "KNN" + suffix
-	}
-}
-
-// addStage appends one stage's task group to a job, depending on `deps`,
-// and returns the new nodes. Task decomposition follows §VI-B/§VI-C: the
-// on-chip accelerator runs batched single tasks; near-data levels split
-// the stage across instances (and feature extraction runs one image per
-// task with duplicated parameters).
-func addStage(sys *core.System, j *core.Job, stage string, l accel.Level, m workload.Model, deps []*core.TaskNode) ([]*core.TaskNode, error) {
-	reg := sys.Registry()
-	kName := kernelFor(stage, l)
-	kernel, err := reg.Lookup(kName)
-	if err != nil {
-		return nil, err
-	}
-	n := sys.InstanceCount(l)
-	if n == 0 {
-		return nil, fmt.Errorf("experiments: mapping stage %s to empty level %v", stage, l)
-	}
-	var nodes []*core.TaskNode
-
-	switch stage {
-	case StageFE:
-		if l == accel.OnChip {
-			// One batched task; compressed parameters resident in SRAM.
-			node := j.AddTask(accel.Task{
-				Name: "fe", Stage: stage, Kernel: kernel,
-				MACs: m.FeatureMACsPerBatch(), Source: accel.SourceSPM,
-			}, l, deps...)
-			node.OutBytes = m.BatchFeatureBytes()
-			nodes = append(nodes, node)
-			break
-		}
-		// Near-data: one image per task, duplicated (compressed)
-		// parameters per instance (§VI-B "single image per task").
-		src := accel.SourceLocalDIMM
-		if l == accel.NearStorage {
-			src = accel.SourceDeviceDRAM
-		}
-		for i := 0; i < m.BatchSize; i++ {
-			node := j.AddTask(accel.Task{
-				Name: fmt.Sprintf("fe%d", i), Stage: stage, Kernel: kernel,
-				MACs:   m.FeatureMACsPerImage(),
-				Bytes:  m.CNN.CompressedParamBytes() + m.ImageBytes(),
-				Source: src,
-			}, l, deps...)
-			node.OutBytes = m.VectorBytes()
-			nodes = append(nodes, node)
-		}
-
-	case StageSL:
-		switch l {
-		case accel.OnChip:
-			node := j.AddTask(accel.Task{
-				Name: "sl", Stage: stage, Kernel: kernel,
-				MACs: m.ShortlistMACsPerBatch(), Bytes: m.ShortlistScanBytesPerBatch(),
-				Source: accel.SourceHostDRAM,
-			}, l, deps...)
-			node.OutBytes = m.ShortlistResultBytesPerBatch()
-			nodes = append(nodes, node)
-		default:
-			src := accel.SourceLocalDIMM
-			if l == accel.NearStorage {
-				src = accel.SourceSSD
-			}
-			for i := 0; i < n; i++ {
-				node := j.AddTask(accel.Task{
-					Name: fmt.Sprintf("sl%d", i), Stage: stage, Kernel: kernel,
-					MACs:   m.ShortlistMACsPerBatch() / float64(n),
-					Bytes:  m.ShortlistScanBytesPerBatch() / int64(n),
-					Source: src, Pattern: storage.Sequential,
-				}, l, deps...)
-				node.Pin = i
-				node.OutBytes = m.ShortlistResultBytesPerBatch() / int64(n)
-				nodes = append(nodes, node)
-			}
-		}
-
-	case StageRR:
-		// The rerank scan is storage-resident everywhere; the level only
-		// changes which interface the bytes cross.
-		for i := 0; i < n; i++ {
-			count := n
-			if l == accel.OnChip {
-				count = 1
-			}
-			node := j.AddTask(accel.Task{
-				Name: fmt.Sprintf("rr%d", i), Stage: stage, Kernel: kernel,
-				MACs:   m.RerankMACsPerBatch() / float64(count),
-				Bytes:  m.RerankScanBytesPerBatch() / int64(count),
-				Source: accel.SourceSSD, Pattern: storage.RandomPages,
-			}, l, deps...)
-			if l != accel.OnChip {
-				node.Pin = i
-			}
-			node.OutBytes = m.ResultBytesPerBatch() / int64(count)
-			node.SinkToHost = true
-			nodes = append(nodes, node)
-			if l == accel.OnChip {
-				break
-			}
-		}
-	default:
-		return nil, fmt.Errorf("experiments: unknown stage %q", stage)
-	}
-	return nodes, nil
-}
-
 // BuildPipelineJob constructs one batch's job under a mapping.
 func BuildPipelineJob(sys *core.System, id int, m workload.Model, mp Mapping) (*core.Job, error) {
+	return buildPipelineJob(sys, id, m, mp, 0)
+}
+
+// buildPipelineJob is BuildPipelineJob with each near-data shortlist and
+// rerank stage split into `tasks` tasks (workload.AddStage semantics).
+func buildPipelineJob(sys *core.System, id int, m workload.Model, mp Mapping, tasks int) (*core.Job, error) {
 	j := core.NewJob(id)
-	fe, err := addStage(sys, j, StageFE, mp.FE, m, nil)
+	fe, err := workload.AddStage(sys, j, workload.StageFE, mp.FE, m, tasks, nil)
 	if err != nil {
 		return nil, err
 	}
-	sl, err := addStage(sys, j, StageSL, mp.SL, m, fe)
+	sl, err := workload.AddStage(sys, j, workload.StageSL, mp.SL, m, tasks, fe)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := addStage(sys, j, StageRR, mp.RR, m, sl); err != nil {
+	if _, err := workload.AddStage(sys, j, workload.StageRR, mp.RR, m, tasks, sl); err != nil {
 		return nil, err
 	}
 	return j, nil

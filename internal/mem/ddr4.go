@@ -192,25 +192,22 @@ func (d *DIMM) Access(addr int64, write bool) sim.Time {
 		cmdDone = start + d.timing.CL
 	case b.openRow == -1:
 		b.rowMisses++
-		actAt := maxTime(b.readyAt, now)
+		actAt := max(b.readyAt, now)
 		b.openedAt = actAt
-		cmdDone = maxTime(actAt+d.timing.TRCD, start) + d.timing.CL
+		cmdDone = max(actAt+d.timing.TRCD, start) + d.timing.CL
 		b.openRow = row
 	default:
 		// Row conflict: respect tRAS before precharging the open row.
 		b.rowMisses++
-		pre := maxTime(b.readyAt, now)
-		if minClose := b.openedAt + d.timing.TRAS; minClose > pre {
-			pre = minClose
-		}
+		pre := max(b.readyAt, now, b.openedAt+d.timing.TRAS)
 		actAt := pre + d.timing.TRP
-		cmdDone = maxTime(actAt+d.timing.TRCD, start) + d.timing.CL
+		cmdDone = max(actAt+d.timing.TRCD, start) + d.timing.CL
 		b.openRow = row
 		b.openedAt = actAt
 	}
 
 	// Burst occupies the shared data bus.
-	done := d.bus.TransferAt(maxTime(cmdDone, now), d.geom.LineSize)
+	done := d.bus.TransferAt(max(cmdDone, now), d.geom.LineSize)
 	b.readyAt = done
 	if write {
 		b.readyAt += d.timing.TWR
@@ -270,13 +267,6 @@ func (d *DIMM) RowHitRate() float64 {
 
 // BusBytes reports total data moved over the DIMM bus.
 func (d *DIMM) BusBytes() uint64 { return d.bus.TotalBytes() }
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // bankReady reports when the bank serving addr is next available.
 func (d *DIMM) bankReady(addr int64) sim.Time {

@@ -107,10 +107,3 @@ func DescribeSkew(n, shards int, s float64, p Placement) string {
 	return fmt.Sprintf("zipf %.1f, %s: hottest shard %.0f%%, imbalance %.2fx",
 		s, p, sorted[0]*100, ImbalanceFactor(load))
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -22,7 +22,7 @@ func (s *System) Deploy() error {
 	for i, b := range s.buffers {
 		idx := b.Instance
 		if idx < 0 {
-			idx = i % maxInt(1, s.sys.InstanceCount(b.Level.internal()))
+			idx = i % max(1, s.sys.InstanceCount(b.Level.internal()))
 		}
 		if d := s.sys.LoadFixedBuffer(b.Level.internal(), idx, b.Size, "Setup"); d > latest {
 			latest = d
@@ -217,11 +217,4 @@ func mustTemplate(a *ACC) *fpga.Template {
 		panic(err)
 	}
 	return t
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
