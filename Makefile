@@ -13,9 +13,9 @@
 #   make bench-smoke — 1x pass over every benchmark, so benchmark code
 #                      compiles and runs without paying full benchtime
 #                      (the root package's tables, figures, ablations and
-#                      cluster scatter-gathers included, and the kernels
+#                      cluster scatter-gathers included, the kernels
 #                      package's four-row distance kernel beside its
-#                      SquaredL2 loop)
+#                      SquaredL2 loop, and the GAM's deep-queue dispatch)
 
 GO ?= go
 
@@ -65,4 +65,4 @@ bench:
 
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/sim/ ./internal/cbir/ ./internal/trace/ ./internal/metrics/ \
-		./internal/cluster/ ./internal/kernels/
+		./internal/cluster/ ./internal/kernels/ ./internal/core/

@@ -162,8 +162,14 @@ func TestCandidatesRoundRobinAndBounds(t *testing.T) {
 	}
 	// Asking for more than available returns everything once.
 	all := ix.Candidates(clusters, 1<<20)
-	if len(all) != len(ix.Lists[0])+len(ix.Lists[1]) {
-		t.Errorf("exhaustive gather = %d, want %d", len(all), len(ix.Lists[0])+len(ix.Lists[1]))
+	probed := len(ix.Lists[0]) + len(ix.Lists[1])
+	if len(all) != probed {
+		t.Errorf("exhaustive gather = %d, want %d", len(all), probed)
+	}
+	// An uncapped budget, such as recallsweep's 1<<20, must not size the
+	// result.
+	if cap(all) > probed {
+		t.Errorf("exhaustive gather has cap %d, want at most the %d probed points", cap(all), probed)
 	}
 	if got := ix.Candidates(clusters, 0); got != nil {
 		t.Errorf("zero candidates returned %v", got)

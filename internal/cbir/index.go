@@ -92,7 +92,13 @@ func (ix *Index) Candidates(clusters []int, maxCandidates int) []int {
 	if maxCandidates <= 0 {
 		return nil
 	}
-	out := make([]int, 0, maxCandidates)
+	// Size the result by what the probed lists hold, not by the budget,
+	// which callers may leave uncapped.
+	probed := 0
+	for _, c := range clusters {
+		probed += len(ix.Lists[c])
+	}
+	out := make([]int, 0, min(maxCandidates, probed))
 	offsets := make([]int, len(clusters))
 	for len(out) < maxCandidates {
 		progress := false

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -18,8 +19,15 @@ import (
 type GAM struct {
 	sys *System
 
-	// readyQ holds each level's ready nodes, indexed by level.
+	// readyQ holds each level's ready nodes, indexed by level, always in
+	// dispatch order: markReady inserts each node behind every queued node
+	// it does not precede by readyBefore.
 	readyQ [accel.CPU + 1][]*TaskNode
+	// notBefore is, per level, the latest NotBefore of any node ever
+	// queued there. While it lies ahead, some queued node may still be
+	// waiting for its input, and each round must visit it to re-arm
+	// dispatch; once it has passed, no queued node is.
+	notBefore [accel.CPU + 1]sim.Time
 
 	// claimed[l][i] is the node running on Accelerators(l)[i], nil while
 	// that instance is unclaimed; nClaimed counts the non-nil slots.
@@ -259,10 +267,16 @@ func (g *GAM) Submit(j *Job) error {
 	return nil
 }
 
+// markReady queues n behind every node at its level that it does not
+// precede by readyBefore, so the queue stays sorted and nodes with equal
+// keys keep their ready order.
 func (g *GAM) markReady(n *TaskNode) {
 	n.state = NodeReady
 	n.ReadyAt = g.sys.eng.Now()
-	g.readyQ[n.Level] = append(g.readyQ[n.Level], n)
+	q := g.readyQ[n.Level]
+	i := sort.Search(len(q), func(i int) bool { return readyBefore(n, q[i]) })
+	g.readyQ[n.Level] = slices.Insert(q, i, n)
+	g.notBefore[n.Level] = max(g.notBefore[n.Level], n.NotBefore)
 	g.armDispatch()
 }
 
@@ -276,74 +290,71 @@ func (g *GAM) armDispatch() {
 }
 
 // dispatchAll drains every level's ready queue onto idle devices, in
-// level order.
+// level order; markReady keeps each queue in dispatch order. A level's
+// scan stops once it has no idle instance left, since no node behind that
+// point can dispatch this round. It goes on to the end only while a
+// skipped node still has a side effect: spans and query tracing refresh
+// every queued node's block cause, and a node whose input is still in
+// flight re-arms dispatch for when it lands.
 func (g *GAM) dispatchAll() {
 	// With cross-job pipelining off, only the oldest open job dispatches.
 	var gate *Job
 	if len(g.jobs) > 0 {
 		gate = g.jobs[0]
 	}
+	now, tracing := g.sys.eng.Now(), g.tracing()
 	for l := range g.readyQ {
 		level, q := accel.Level(l), g.readyQ[l]
 		if len(q) == 0 {
 			continue
 		}
-		// Priority first, then oldest job (stable within a job): keeps
-		// early batches' later stages ahead of later batches' early
-		// stages, so pipeline fill does not starve in-flight queries, and
-		// lets a latency-sensitive tenant preempt queued bulk work.
-		sortReady(q)
+		idle := g.idleCount(level, now)
+		full := tracing || g.notBefore[l] > now
 		// Filter in place: nothing inside the loop mutates this level's
 		// queue (dispatch only schedules events), so compacting the kept
 		// nodes into the same backing array avoids a per-round allocation.
+		// The unscanned tail moves down only when some node left.
 		rest := q[:0]
-		for _, n := range q {
+		i := 0
+		for ; i < len(q) && (idle > 0 || full); i++ {
+			n := q[i]
 			if gate != nil && n.job != gate {
-				if g.tracing() {
+				if tracing {
 					n.blockCause = metrics.CauseJobGate
 				}
 				rest = append(rest, n)
 				continue
 			}
-			if now := g.sys.eng.Now(); n.NotBefore > now {
+			if n.NotBefore > now {
 				// Input still in flight: revisit when it lands.
 				g.sys.eng.AtCall(n.NotBefore, g, gamArm)
-				if g.tracing() {
+				if tracing {
 					n.blockCause = metrics.CauseInputInFlight
 				}
 				rest = append(rest, n)
 				continue
 			}
-			slot := g.pickIdle(level, n.Pin)
+			slot := g.pickIdle(level, n.Pin, now)
 			if slot < 0 {
-				if g.tracing() {
+				if tracing {
 					n.blockCause = metrics.CauseNoIdleInstance
 				}
 				rest = append(rest, n)
 				continue
 			}
 			g.dispatch(n, slot)
+			idle--
 		}
-		g.readyQ[level] = rest
+		if len(rest) < i {
+			g.readyQ[l] = append(rest, q[i:]...)
+		}
 	}
 }
 
-// sortReady is a stable insertion sort over a ready queue (priority
-// descending, then job ID ascending). The queues are small and nearly
-// sorted between dispatch rounds, so this beats sort.SliceStable in the
-// hot path and — unlike it — allocates nothing.
-func sortReady(q []*TaskNode) {
-	for i := 1; i < len(q); i++ {
-		n := q[i]
-		j := i
-		for j > 0 && readyBefore(n, q[j-1]) {
-			q[j] = q[j-1]
-			j--
-		}
-		q[j] = n
-	}
-}
-
+// readyBefore is the dispatch order: priority first, then oldest job
+// (stable within a job). It keeps early batches' later stages ahead of
+// later batches' early stages, so pipeline fill does not starve in-flight
+// queries, and lets a latency-sensitive tenant preempt queued bulk work.
 func readyBefore(a, b *TaskNode) bool {
 	if a.job.Priority != b.job.Priority {
 		return a.job.Priority > b.job.Priority
@@ -351,12 +362,23 @@ func readyBefore(a, b *TaskNode) bool {
 	return a.job.ID < b.job.ID
 }
 
+// idleCount counts the level's instances that pickIdle may return: the
+// unclaimed ones that are not busy at now.
+func (g *GAM) idleCount(l accel.Level, now sim.Time) int {
+	idle := 0
+	for i, a := range g.sys.Accelerators(l) {
+		if g.claimed[l][i] == nil && a.BusyUntil() <= now {
+			idle++
+		}
+	}
+	return idle
+}
+
 // pickIdle finds an unclaimed, idle instance at the level (honouring pins)
 // and returns its index in Accelerators(l), or -1 when there is none.
-func (g *GAM) pickIdle(l accel.Level, pin int) int {
+func (g *GAM) pickIdle(l accel.Level, pin int, now sim.Time) int {
 	accs := g.sys.Accelerators(l)
 	claimed := g.claimed[l]
-	now := g.sys.eng.Now()
 	if pin >= 0 {
 		if claimed[pin] == nil && accs[pin].BusyUntil() <= now {
 			return pin

@@ -51,7 +51,8 @@ type TaskNode struct {
 	OutBytes int64
 	// NotBefore delays dispatch until the given simulated time — used for
 	// tasks whose host-side input (a CPU→level stream enqueue) is still in
-	// flight.
+	// flight. Set it before Submit: the GAM notes it when the node becomes
+	// ready.
 	NotBefore sim.Time
 	// SinkToHost marks a terminal node whose OutBytes are collected back
 	// to the CPU before the job can complete (a Collect stream ending at
