@@ -5,9 +5,10 @@
 #                      (reachsim's end-to-end TestCLI matrix included), the
 #                      bench/ module's tests, 10 s each of fuzzing the
 #                      four-row distance kernel against SquaredL2, the
-#                      MultiEngine coordinator against one Engine and
-#                      reset job graphs against fresh ones, and
-#                      bench-smoke
+#                      MultiEngine coordinator against one Engine, reset
+#                      job graphs against fresh ones and the metrics CSV's
+#                      integer microsecond formatter against FormatFloat,
+#                      and bench-smoke
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
 #   make bench       — root + sim benchmarks with allocation stats
 #   make bench-smoke — 1x pass over every benchmark, so benchmark code
@@ -53,12 +54,15 @@ bench-test:
 # Coverage-guided fuzzing, 10 s per target: every SquaredL2Rows output
 # must be bit for bit the SquaredL2 of its row, a random event graph
 # split across MultiEngine domains must dispatch exactly as on one Engine,
-# and random job graphs run again after Job.Reset must schedule exactly as
-# fresh copies. Plain go test runs only the seeds.
+# random job graphs run again after Job.Reset must schedule exactly as
+# fresh copies, and the CSV writer's microseconds from integer
+# picoseconds must equal strconv.FormatFloat's for every int64. Plain go
+# test runs only the seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSquaredL2Rows$$' -fuzztime 10s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzMultiEngine$$' -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobReuse$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendUS$$' -fuzztime 10s ./internal/metrics/
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/

@@ -275,9 +275,9 @@ func TestRunAllSweepMetrics(t *testing.T) {
 		}
 	}
 	// The clustersweep half is the file `reachsim -exp clustersweep
-	// -metrics m.csv -metrics-interval 100ms` writes: 107,446 lines.
+	// -metrics m.csv -metrics-interval 100ms` writes: 51,842 lines.
 	half := raw[:bytes.Index(raw, []byte("\ncachesweep/"))+1]
-	const clusterSHA = "715931c8fc22ed3ef0f8975f279dc8827e620fea96b75840a49ee38c07824dad"
+	const clusterSHA = "cdebd20729b1023f9f0490e090468149628fbb31ea1ad3b9b99ef1b73f8dacf6"
 	if sum := fmt.Sprintf("%x", sha256.Sum256(half)); sum != clusterSHA {
 		t.Errorf("clustersweep CSV sha256 %s, want %s", sum, clusterSHA)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -85,26 +86,49 @@ func TestClusterDeterministic(t *testing.T) {
 }
 
 // TestClusterNodePrefixes checks the shared registry keeps node resources
-// disjoint, and that each node's snapshot covers only its own prefix.
+// disjoint: every name belongs to a node's prefix or to the cluster tier,
+// none is a duplicate renamed with "#", the on-chip accelerators' NoC
+// ports sit under their node, and each node's snapshot covers only its
+// own prefix.
 func TestClusterNodePrefixes(t *testing.T) {
-	c, err := New(config.DefaultCluster(), testModel(), qtrace.Options{})
+	cfg := config.DefaultCluster()
+	c, err := New(cfg, testModel(), qtrace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}
-	c.Engine().Stats().Walk(func(name string, _ sim.Resource) { names[name] = true })
-	for _, want := range []string{"node0.mem.host", "node3.mem.host", "cluster.net.node0.in", "cluster.net.node3.out"} {
+	c.Engine().Stats().Walk(func(name string, _ sim.Resource) {
+		names[name] = true
+		if strings.Contains(name, "#") {
+			t.Errorf("registry name %q was renamed as a duplicate", name)
+		}
+		if strings.HasPrefix(name, "cluster.") {
+			return
+		}
+		node, _, _ := strings.Cut(name, ".")
+		n, err := strconv.Atoi(strings.TrimPrefix(node, "node"))
+		if !strings.HasPrefix(node, "node") || err != nil || n < 0 || n >= cfg.Nodes {
+			t.Errorf("registry name %q is outside every node<i>. prefix and cluster.", name)
+		}
+	})
+	for _, want := range []string{"node0.mem.host", "node3.mem.host", "cluster.net.node0.in", "cluster.net.node3.out",
+		"node0.noc.onchip0.in", "node3.noc.onchip0.out"} {
 		if !names[want] {
 			t.Fatalf("registry missing %q", want)
 		}
 	}
+	ownPort := false
 	for _, e := range c.Nodes()[1].Snapshot() {
+		ownPort = ownPort || e.Name == "node1.noc.onchip0.in.bytes"
 		if strings.HasPrefix(e.Name, "node1.") || !strings.Contains(e.Name, ".") {
 			continue
 		}
 		if strings.HasPrefix(e.Name, "node") || strings.HasPrefix(e.Name, "cluster.") {
 			t.Fatalf("node1 snapshot leaked foreign resource %q", e.Name)
 		}
+	}
+	if !ownPort {
+		t.Error("node1 snapshot misses its on-chip accelerator's NoC port")
 	}
 }
 

@@ -63,9 +63,11 @@ func NewSystem(cfg config.SystemConfig) (*System, error) {
 // prefix reproduces the single-server registry byte for byte.
 func NewNode(eng *sim.Domain, cfg config.SystemConfig, prefix string) (*System, error) {
 	meter := energy.NewMeter(energy.DefaultCosts())
+	// The prefix holds until the accelerators are built: an on-chip
+	// instance adds its NoC ports to the registry.
 	old := eng.Stats().SetPrefix(prefix)
+	defer eng.Stats().SetPrefix(old)
 	plat, err := accel.NewPlatform(eng, cfg, meter)
-	eng.Stats().SetPrefix(old)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/csv"
 	"io"
 	"strconv"
@@ -8,8 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-// csvHeader is the stable schema of the time-series CSV dump. The
-// metrics-smoke CI target validates files against it.
+// csvHeader is the stable schema of the time-series CSV dump. reachsim's
+// TestCLI validates its dumps against it.
 var csvHeader = []string{
 	"run", "sample", "time_us", "resource", "kind",
 	"occupancy", "ops", "bytes", "busy_us", "wait_us", "stalls",
@@ -30,65 +31,123 @@ type Source interface {
 	Series() []*Series
 }
 
+// csvFlushAt is how many buffered bytes trigger a write to the
+// underlying writer.
+const csvFlushAt = 64 << 10
+
 // CSVWriter streams one or more runs' sampler series as CSV: one row per
 // (sample instant, resource), resources in sorted registry order within
-// each sample so the output is diffable.
+// each sample so the output is diffable. A series contributes rows from
+// its Start on, so a resource has no rows before its first non-zero
+// sample and none at all if it never moves.
+//
+// The bytes are what encoding/csv writes for the same fields, but only
+// the text fields go through it, once per run: the run label and each
+// series' name and kind. Every row is appended to one reused buffer with
+// the strconv Append functions.
 type CSVWriter struct {
-	cw          *csv.Writer
+	w           io.Writer
+	buf         []byte // rows not yet written; its capacity is reused
 	wroteHeader bool
 }
 
 // NewCSVWriter wraps w.
 func NewCSVWriter(w io.Writer) *CSVWriter {
-	return &CSVWriter{cw: csv.NewWriter(w)}
+	return &CSVWriter{w: w}
 }
 
 // WriteRun appends every sample of one run, labelled run in the first
 // column. The header is written once, before the first row.
 func (c *CSVWriter) WriteRun(run string, s Source) error {
+	series := s.Series() // sorted by name
+	label, text := csvRecord(run), make([][]byte, len(series))
+	for k, se := range series {
+		text[k] = csvRecord(se.Name, string(se.Kind))
+	}
+	if c.buf == nil {
+		// Twice the flush mark, so a row shorter than csvFlushAt never
+		// regrows the buffer.
+		c.buf = make([]byte, 0, 2*csvFlushAt)
+	}
+	b := c.buf[:0]
 	if !c.wroteHeader {
-		if err := c.cw.Write(csvHeader); err != nil {
-			return err
-		}
+		b = append(append(b, csvRecord(csvHeader...)...), '\n')
 		c.wroteHeader = true
 	}
-	series := s.Series() // sorted by name
-	rec := make([]string, len(csvHeader))
+	var head []byte // "run,sample,time_us," of the current sample
 	for i := 0; i < s.Samples(); i++ {
-		sample := strconv.Itoa(i)
-		at := formatUS(s.Time(i))
-		for _, se := range series {
+		head = append(append(head[:0], label...), ',')
+		head = append(strconv.AppendInt(head, int64(i), 10), ',')
+		head = append(appendUS(head, s.Time(i)), ',')
+		for k, se := range series {
 			j := i - se.Start()
 			if j < 0 || j >= se.Len() {
-				continue // resource registered after this instant
+				continue // the series starts after this instant
 			}
 			p := se.At(j)
-			// csv.Writer copies the fields out, so one record serves
-			// every row.
-			rec[0], rec[1], rec[2], rec[3], rec[4] = run, sample, at, se.Name, string(se.Kind)
-			rec[5] = strconv.Itoa(p.Occupancy)
-			rec[6] = strconv.FormatUint(p.Ops, 10)
-			rec[7] = strconv.FormatUint(p.Bytes, 10)
-			rec[8] = formatUS(p.Busy)
-			rec[9] = formatUS(p.Wait)
-			rec[10] = strconv.FormatUint(p.Stalls, 10)
-			if err := c.cw.Write(rec); err != nil {
-				return err
+			b = append(append(append(b, head...), text[k]...), ',')
+			b = append(strconv.AppendInt(b, int64(p.Occupancy), 10), ',')
+			b = append(strconv.AppendUint(b, p.Ops, 10), ',')
+			b = append(strconv.AppendUint(b, p.Bytes, 10), ',')
+			b = append(appendUS(b, p.Busy), ',')
+			b = append(appendUS(b, p.Wait), ',')
+			b = append(strconv.AppendUint(b, p.Stalls, 10), '\n')
+			if len(b) >= csvFlushAt {
+				if _, err := c.w.Write(b); err != nil {
+					return err
+				}
+				b = b[:0]
 			}
 		}
 	}
-	c.cw.Flush()
-	return c.cw.Error()
+	c.buf = b
+	if len(b) == 0 {
+		return nil
+	}
+	_, err := c.w.Write(b)
+	return err
 }
 
-// formatUS renders t in microseconds with three decimals, as %.3f does.
-// busy_us and wait_us are cumulative, so they read zero for a resource
-// that has never been busy or never waited (70% of those fields in the
-// observed flash-crowd cluster run). The constant skips FormatFloat and
-// its two allocations for each of them; DESIGN.md §4e has the timing.
-func formatUS(t sim.Time) string {
-	if t == 0 {
-		return "0.000"
+// csvRecord renders fields as encoding/csv writes them in one record,
+// without the record's newline.
+func csvRecord(fields ...string) []byte {
+	var b bytes.Buffer
+	w := csv.NewWriter(&b)
+	w.Write(fields) // writes to a bytes.Buffer cannot fail
+	w.Flush()
+	return bytes.TrimSuffix(b.Bytes(), []byte{'\n'})
+}
+
+// maxExactPS bounds the picoseconds float64 holds exactly. Up to it the
+// quotient t.Microseconds() is within 0.96 ps of t/10^6 µs.
+const maxExactPS = 1 << 53
+
+// appendUS appends t in microseconds with three decimals, exactly as
+// strconv.FormatFloat(t.Microseconds(), 'f', 3, 64) renders it, from
+// integer picoseconds: the nanoseconds rounded half up, with the sign of
+// t even where they round to zero. The float quotient is within 1 ps of
+// the exact one, so both round to the same nanosecond unless the
+// sub-nanosecond residue lies within 1 ps of the 500 ps tie; those
+// residues, and magnitudes past maxExactPS, take FormatFloat itself.
+func appendUS(b []byte, t sim.Time) []byte {
+	if t > maxExactPS || t < -maxExactPS {
+		return strconv.AppendFloat(b, t.Microseconds(), 'f', 3, 64)
 	}
-	return strconv.FormatFloat(t.Microseconds(), 'f', 3, 64)
+	u := int64(t)
+	if u < 0 {
+		u = -u
+	}
+	ns, r := u/1000, u%1000
+	if r >= 499 && r <= 501 {
+		return strconv.AppendFloat(b, t.Microseconds(), 'f', 3, 64)
+	}
+	if r > 500 {
+		ns++
+	}
+	if t < 0 {
+		b = append(b, '-')
+	}
+	b = strconv.AppendInt(b, ns/1000, 10)
+	f := ns % 1000
+	return append(b, '.', byte('0'+f/100), byte('0'+f/10%10), byte('0'+f%10))
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"io"
 	"math"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/sim"
@@ -170,4 +173,61 @@ func BenchmarkCSVWriteRun(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(buf.Len()))
+}
+
+// TestCSVWriteRunAllocs: WriteRun's allocations depend on the series,
+// not on the rows. The same run sampled at 1 µs and at 10 µs has the
+// same series and about ten times the rows, and allocates exactly as
+// often.
+func TestCSVWriteRunAllocs(t *testing.T) {
+	sampled := func(interval sim.Time) *Sampler {
+		eng := sim.NewEngine()
+		eng.ScheduleCall(0, &tickLoad{link: sim.NewLink(eng, "bus.a", 1e9, 0), period: 20 * sim.Microsecond, left: 50}, 0)
+		b := sim.NewLink(eng, "bus.b", 1e9, 0)
+		eng.At(0, func() { b.Transfer(123) })
+		rec := Attach(eng, Options{Interval: interval})
+		eng.Run()
+		rec.Finish()
+		return rec.Sampler
+	}
+	fine, coarse := sampled(sim.Microsecond), sampled(10*sim.Microsecond)
+	if len(fine.Series()) != len(coarse.Series()) {
+		t.Fatalf("%d series at 1 µs, %d at 10 µs", len(fine.Series()), len(coarse.Series()))
+	}
+	if fine.Samples() < 9*coarse.Samples() {
+		t.Fatalf("%d samples at 1 µs, %d at 10 µs: want many more rows at 1 µs", fine.Samples(), coarse.Samples())
+	}
+	allocs := func(s Source) float64 {
+		// A collection inside the measurement counts the runtime's own
+		// allocations (the first one starts its mark workers), so both
+		// sides start right after one.
+		runtime.GC()
+		return testing.AllocsPerRun(10, func() {
+			if err := NewCSVWriter(io.Discard).WriteRun("r", s); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(fine), allocs(coarse); a != b {
+		t.Fatalf("WriteRun allocates %.0f times over %d samples and %.0f over %d", a, fine.Samples(), b, coarse.Samples())
+	}
+}
+
+// FuzzAppendUS: the integer microsecond formatter writes exactly what
+// strconv.FormatFloat writes for the float quotient, for every int64
+// picosecond count. Each input is also checked shifted into the range
+// where the integer path runs.
+func FuzzAppendUS(f *testing.F) {
+	for _, ps := range []int64{0, 1, -1, 499, 500, 501, -499, -500, -501, 498, 502, 1_000_500, 62_500,
+		1<<52 - 1, 1<<52 + 1, 1 << 53, -(1 << 53), 1<<53 + 1, math.MaxInt64, math.MinInt64} {
+		f.Add(ps)
+	}
+	f.Fuzz(func(t *testing.T, ps int64) {
+		for _, v := range []int64{ps, ps >> 10, ps % 1_000_000_000_000} {
+			got := string(appendUS(nil, sim.Time(v)))
+			if want := strconv.FormatFloat(sim.Time(v).Microseconds(), 'f', 3, 64); got != want {
+				t.Fatalf("%d ps: got %s, want %s", v, got, want)
+			}
+		}
+	})
 }

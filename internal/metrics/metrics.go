@@ -2,9 +2,9 @@
 // Where the StatsRegistry reports end-of-run aggregates, this package
 // records *when* pressure built: a periodic Sampler scheduled on the sim
 // engine walks the registry every N sim-microseconds and appends one point
-// per resource to chunked columnar series, and a SpanLog collects the
-// GAM's structured decision spans (dispatch causes, reconfigurations,
-// poll-detection gaps, stream-buffer stalls).
+// per resource that has moved so far to chunked columnar series, and a
+// SpanLog collects the GAM's structured decision spans (dispatch causes,
+// reconfigurations, poll-detection gaps, stream-buffer stalls).
 //
 // The layer is zero-cost when disabled — nothing is attached to the engine
 // and the model hot paths only pay a nil check — and allocation-free in

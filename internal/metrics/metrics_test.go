@@ -3,6 +3,8 @@ package metrics
 import (
 	"bytes"
 	"encoding/csv"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -116,12 +118,15 @@ func TestSamplerMidRunRegistration(t *testing.T) {
 func TestSamplerZeroAllocSteadyState(t *testing.T) {
 	eng := sim.NewEngine()
 	for _, n := range []string{"r.a", "r.b", "r.c", "r.d"} {
-		sim.NewLink(eng, n, 1e9, 0)
+		sim.NewLink(eng, n, 1e9, 0).Transfer(1) // a series starts at its first move
 	}
 	s := NewSampler(eng, 10*sim.Microsecond)
 	// Warm up: create series and first chunks.
 	for i := 0; i < 8; i++ {
 		s.sampleNow()
+	}
+	if len(s.Series()) != 4 {
+		t.Fatalf("%d series after warm-up, want 4", len(s.Series()))
 	}
 	allocs := testing.AllocsPerRun(200, func() { s.sampleNow() })
 	if allocs > 0 {
@@ -219,5 +224,153 @@ func TestSpanLogNilSafe(t *testing.T) {
 	l.Add(Span{Cat: CatReconfig})
 	if l.Len() != 0 || l.Spans() != nil {
 		t.Fatal("nil SpanLog not inert")
+	}
+}
+
+// firstMoveAt is when "z.late" first moves: off every sample instant, so
+// each sample unambiguously precedes or follows it.
+const firstMoveAt = 95*sim.Microsecond + 1
+
+// firstMoveRun is a sampled run on a Sampler or a MultiSampler: links
+// "z.late", idle until firstMoveAt, and "m.idle", which never moves,
+// are registered before the first sample beside the run's busy
+// resources. It returns the recorded series and the registry.
+type firstMoveRun func(t *testing.T) (*seriesSet, *sim.StatsRegistry)
+
+func firstMoveSampler(t *testing.T) (*seriesSet, *sim.StatsRegistry) {
+	eng := sim.NewEngine()
+	// A fast link keeps a.early's pressure low, so z.late's one big
+	// transfer wins the windows that cover it.
+	eng.ScheduleCall(0, &tickLoad{link: sim.NewLink(eng, "a.early", 1e12, 0), period: 20 * sim.Microsecond, left: 10}, 0)
+	late := sim.NewLink(eng, "z.late", 1e9, 0)
+	sim.NewLink(eng, "m.idle", 1e9, 0)
+	eng.At(firstMoveAt, func() { late.Transfer(1 << 20) })
+	rec := Attach(eng, Options{Interval: 10 * sim.Microsecond})
+	eng.Run()
+	rec.Finish()
+	return &rec.Sampler.seriesSet, eng.Stats()
+}
+
+func firstMoveMulti(t *testing.T) (*seriesSet, *sim.StatsRegistry) {
+	m := buildPingPong(200)
+	d := m.Domain(0)
+	late := sim.NewLink(d, "z.late", 1e9, 0)
+	sim.NewLink(d, "m.idle", 1e9, 0)
+	d.At(firstMoveAt, func() { late.Transfer(1 << 20) })
+	rec := AttachMulti(m, Options{Interval: 10 * sim.Microsecond})
+	m.Run()
+	for _, se := range rec.Sampler.doms {
+		if se.Start() != 0 || se.Len() != rec.Sampler.Samples() {
+			t.Errorf("%s covers samples [%d, %d), want every one of %d",
+				se.Name, se.Start(), se.Start()+se.Len(), rec.Sampler.Samples())
+		}
+	}
+	return &rec.Sampler.seriesSet, m.Stats()
+}
+
+// zeroFilled copies src with a series for every registered resource
+// that starts at sample 0: zero before the recorded Start, and zero
+// throughout for a resource without a series.
+func zeroFilled(src Source, reg *sim.StatsRegistry) Source {
+	w := &windowSource{}
+	for i := 0; i < src.Samples(); i++ {
+		w.times = append(w.times, src.Time(i))
+	}
+	recorded := map[string]*Series{}
+	names := reg.Names()
+	for _, se := range src.Series() {
+		recorded[se.Name] = se
+		if se.Kind == sim.KindDomain {
+			names = append(names, se.Name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		se, out := recorded[name], &Series{Name: name}
+		for i := 0; i < src.Samples(); i++ {
+			var p Point
+			if se != nil && i >= se.Start() {
+				p, out.Kind = se.At(i-se.Start()), se.Kind
+			}
+			out.occupancy.append(int64(p.Occupancy))
+			out.ops.append(int64(p.Ops))
+			out.bytes.append(int64(p.Bytes))
+			out.busy.append(int64(p.Busy))
+			out.wait.append(int64(p.Wait))
+			out.stalls.append(int64(p.Stalls))
+		}
+		w.series = append(w.series, out)
+	}
+	return w
+}
+
+// TestSeriesStartAtFirstMove: a resource idle for the first k samples
+// gets a series starting at k whose first point is non-zero, one that
+// never moves gets none, and Attribute over every window between and
+// around the sample instants reads the missing points as the zeros they
+// were.
+func TestSeriesStartAtFirstMove(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  firstMoveRun
+	}{{"Sampler", firstMoveSampler}, {"MultiSampler", firstMoveMulti}} {
+		t.Run(c.name, func(t *testing.T) {
+			s, reg := c.run(t)
+			k := 0
+			for k < s.Samples() && s.Time(k) < firstMoveAt {
+				k++
+			}
+			if k == 0 || k == s.Samples() {
+				t.Fatalf("z.late moves at sample %d of %d, want one in between", k, s.Samples())
+			}
+			late, ok := s.Lookup("z.late")
+			if !ok {
+				t.Fatal("z.late moved but has no series")
+			}
+			if late.Start() != k || late.Start()+late.Len() != s.Samples() {
+				t.Fatalf("z.late covers samples [%d, %d), want [%d, %d)",
+					late.Start(), late.Start()+late.Len(), k, s.Samples())
+			}
+			if _, ok := s.Lookup("m.idle"); ok {
+				t.Error("m.idle never moved but has a series")
+			}
+			for _, se := range s.Series() {
+				if se.Name == "m.idle" {
+					t.Error("m.idle is among the exported series")
+				}
+				if p := se.At(0); se.Kind != sim.KindDomain && p == (Point{}) {
+					t.Errorf("%s starts at sample %d on an all-zero point", se.Name, se.Start())
+				}
+			}
+
+			var bounds []sim.Time
+			for i := 0; i < s.Samples(); i++ {
+				bounds = append(bounds, s.Time(i)-1, s.Time(i))
+			}
+			bounds = append(bounds, 0, s.Time(s.Samples()-1)+1)
+			var phases []PhaseWindow
+			for _, a := range bounds {
+				for _, b := range bounds {
+					if a <= b {
+						phases = append(phases, PhaseWindow{Name: "w", Start: a, End: b})
+					}
+				}
+			}
+			got, want := Attribute(s, phases), Attribute(zeroFilled(s, reg), phases)
+			if !reflect.DeepEqual(got, want) {
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("window [%v, %v]: got %+v, zero-filled %+v", phases[i].Start, phases[i].End, got[i], want[i])
+					}
+				}
+			}
+			lateWins := false
+			for _, a := range got {
+				lateWins = lateWins || a.Resource == "z.late"
+			}
+			if !lateWins {
+				t.Error("z.late wins no window, so its start is never exercised")
+			}
+		})
 	}
 }

@@ -21,12 +21,13 @@ import (
 //   - one Point per resource in the shared StatsRegistry — per-node GAM
 //     queues, accelerator links and memories (names prefixed "nodeN."),
 //     the cluster ingress/egress cross links and the front-end result
-//     cache — exactly as the single-engine Sampler would;
+//     cache — exactly as the single-engine Sampler would, each series
+//     starting at the resource's first non-zero sample;
 //   - one synthetic per-domain series "sim.domainN" (kind "domain"),
-//     the domain's own stream driven off its own clock: Busy is the
-//     domain clock, Wait its lag behind the frontier, Occupancy the
-//     calendar population, Stalls the inbound mailbox depth at the
-//     barrier, Ops the cumulative events executed.
+//     present from the first sample: the domain's own stream driven off
+//     its own clock. Busy is the domain clock, Wait its lag behind the
+//     frontier, Occupancy the calendar population, Stalls the inbound
+//     mailbox depth at the barrier, Ops the cumulative events executed.
 //
 // Because the barrier structure is a pure function of the simulation, the
 // recorded samples are byte-identical on every run; and because appends

@@ -43,9 +43,10 @@ type Point struct {
 	Stalls    uint64
 }
 
-// Series is the time series of one registered resource. Resources that
-// register mid-run (e.g. the GAM's lazily created stream buffers) start at
-// a later global sample index; Start reports it.
+// Series is the time series of one registered resource. A series starts
+// at the first sample where any of its counters or its occupancy is
+// non-zero, so a resource that never moves has none; Start reports that
+// global sample index, and every earlier sample read zero.
 type Series struct {
 	Name string
 	Kind sim.ResourceKind
@@ -82,7 +83,7 @@ func (s *Series) At(i int) Point {
 // barrier-driven MultiSampler share: the sampling period, the time axis
 // every series is aligned to, a map for lookup and first-seen order for
 // iteration. The time axis length anchors Series.Start for resources
-// registering mid-run.
+// that first move mid-run.
 type seriesSet struct {
 	interval sim.Time
 	times    column // sample instants, shared time axis for every series
@@ -108,16 +109,22 @@ func (ss *seriesSet) sample(at sim.Time, reg *sim.StatsRegistry) {
 	ss.times.append(int64(at))
 }
 
-// record appends the resource's current counters to its series, creating
-// the series at the current sample index on first sight.
+// record appends the resource's current counters to its series. The
+// series is created at the current sample index the first time the
+// resource reads anything but zero: until then every exporter reads the
+// missing points as zero, and a resource that never moves costs no rows,
+// lanes or memory.
 func (ss *seriesSet) record(name string, res sim.Resource) {
+	st := res.ResourceStats()
 	se := ss.series[name]
 	if se == nil {
+		if st.Occupancy == 0 && st.Ops == 0 && st.Bytes == 0 && st.Busy == 0 && st.Wait == 0 && st.Stalls == 0 {
+			return
+		}
 		se = &Series{Name: name, start: ss.times.len()}
 		ss.series[name] = se
 		ss.ordered = append(ss.ordered, se)
 	}
-	st := res.ResourceStats()
 	se.Kind = st.Kind
 	se.occupancy.append(int64(st.Occupancy))
 	se.ops.append(int64(st.Ops))

@@ -118,27 +118,56 @@ func refSpans(tl *Timeline, ref *[]refEvent, pid int, l *metrics.SpanLog) {
 	}
 }
 
+// refCounters renders each series' counter lanes the way the exporter
+// did before lanes started at their first non-zero value, with one
+// addition: a series starting at sample k > 0 also gets a busy % at its
+// first point, against the zero it read at sample k-1. It then drops
+// each lane's events up to its first non-zero value.
 func refCounters(ref *[]refEvent, pid int, s metrics.Source) {
 	for _, se := range s.Series() {
+		var events []refEvent
 		stride := max((se.Len()+counterPointCap-1)/counterPointCap, 1)
 		prevIdx := -1
 		for i := 0; i < se.Len(); i += stride {
 			gi := se.Start() + i
 			p := se.At(i)
 			ts := us(s.Time(gi))
-			*ref = append(*ref, refEvent{Name: se.Name + " occupancy", Cat: "metrics", Phase: "C",
+			events = append(events, refEvent{Name: se.Name + " occupancy", Cat: "metrics", Phase: "C",
 				TS: ts, PID: pid, Args: map[string]any{"value": p.Occupancy}})
-			if prevIdx >= 0 {
-				prev := se.At(prevIdx)
-				if dt := s.Time(gi) - s.Time(se.Start()+prevIdx); dt > 0 {
-					pct := float64(p.Busy-prev.Busy) / float64(dt) * 100
-					*ref = append(*ref, refEvent{Name: se.Name + " busy %", Cat: "metrics", Phase: "C",
-						TS: ts, PID: pid, Args: map[string]any{"value": pct}})
-				}
+			havePrev, prevAt, prevBusy := true, sim.Time(0), sim.Time(0)
+			switch {
+			case prevIdx >= 0:
+				prevAt, prevBusy = s.Time(se.Start()+prevIdx), se.At(prevIdx).Busy
+			case se.Start() > 0:
+				prevAt = s.Time(se.Start() - 1)
+			default:
+				havePrev = false
+			}
+			if dt := s.Time(gi) - prevAt; havePrev && dt > 0 {
+				pct := float64(p.Busy-prevBusy) / float64(dt) * 100
+				events = append(events, refEvent{Name: se.Name + " busy %", Cat: "metrics", Phase: "C",
+					TS: ts, PID: pid, Args: map[string]any{"value": pct}})
 			}
 			prevIdx = i
 		}
+		started := map[string]bool{}
+		for _, e := range events {
+			if started[e.Name] = started[e.Name] || !isZero(e.Args["value"]); started[e.Name] {
+				*ref = append(*ref, e)
+			}
+		}
 	}
+}
+
+// isZero reports whether a counter event's int or float64 value is zero.
+func isZero(v any) bool {
+	switch v := v.(type) {
+	case int:
+		return v == 0
+	case float64:
+		return v == 0
+	}
+	panic(fmt.Sprintf("counter value of type %T", v))
 }
 
 func refResources(tl *Timeline, ref *[]refEvent, reg *sim.StatsRegistry, now sim.Time) {
@@ -249,6 +278,12 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 	// separators and invalid UTF-8.
 	a := sim.NewLink(eng, strs[6]+strs[8], 1e9, 0)
 	b := sim.NewLink(eng, strs[9], 1e9, 0)
+	// A link first busy after the first sample, one never busy and a
+	// port that holds an item for one sample: lanes that start late,
+	// never, and for occupancy only.
+	late := sim.NewLink(eng, "late", 1e9, 0)
+	sim.NewLink(eng, "idle", 1e9, 0)
+	port := sim.NewTokenQueue(eng, "port", 2)
 	rec := metrics.Attach(eng, metrics.Options{Interval: at})
 	for _, start := range []sim.Time{0, at, 2 * at} {
 		eng.At(start, func() {
@@ -257,8 +292,13 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 			b.Transfer(7)
 		})
 	}
+	eng.At(at+at/2, func() { late.Transfer(1 << 10); port.Put(1, nil) })
+	eng.At(2*at+at/2, func() { port.TryGet() })
 	eng.Run()
 	rec.Finish()
+	if se, ok := rec.Sampler.Lookup("late"); !ok || se.Start() == 0 {
+		t.Fatal("the late link's series does not start after the first sample")
+	}
 	spans := metrics.NewSpanLog()
 	for i, s := range strs {
 		start := at * sim.Time(1+i%2)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/qtrace"
+	"repro/internal/sim"
 )
 
 // AddJobs records a batch of jobs, keeping every job that can be traced
@@ -34,9 +35,12 @@ const counterPointCap = 2048
 // "C" counter events: per resource one "occupancy" track and one "busy %"
 // track (the busy-time delta over the decimated sampling stride, as a
 // percentage), rendered by Perfetto as counter lanes alongside the task
-// slices. Series longer than counterPointCap points are decimated. Accepts
-// any metrics.Source, so both the single-system Sampler and the cluster
-// MultiSampler export through the same path.
+// slices. Each lane starts at its first non-zero value and every earlier
+// value is zero, so a resource that never queues (a connection) has no
+// occupancy lane and one that is never busy no busy-% lane. Series longer
+// than counterPointCap points are decimated. Accepts any metrics.Source,
+// so both the single-system Sampler and the cluster MultiSampler export
+// through the same path.
 func (t *Timeline) AddCounters(s metrics.Source) {
 	for _, se := range s.Series() {
 		t.addCounterSeries(1, se.Name, s, se)
@@ -44,32 +48,38 @@ func (t *Timeline) AddCounters(s metrics.Source) {
 }
 
 // addCounterSeries emits one series' occupancy and busy-% counter tracks
-// under the given pid and display name.
+// under the given pid and display name. A series that starts at sample
+// s > 0 read zero at sample s-1, so its first busy % is taken against
+// that zero and the interval in which the resource first became busy
+// still shows.
 func (t *Timeline) addCounterSeries(pid int, display string, s metrics.Source, se *metrics.Series) {
 	stride := (se.Len() + counterPointCap - 1) / counterPointCap
 	if stride < 1 {
 		stride = 1
 	}
 	occupancy, busy := display+" occupancy", display+" busy %"
-	prevIdx := -1
+	var occOn, busyOn bool // each lane starts at its first non-zero value
+	prevAt, prevBusy, havePrev := sim.Time(0), sim.Time(0), se.Start() > 0
+	if havePrev {
+		prevAt = s.Time(se.Start() - 1)
+	}
 	for i := 0; i < se.Len(); i += stride {
-		gi := se.Start() + i // global sample index
 		p := se.At(i)
-		ts := us(s.Time(gi))
-		t.begin(occupancy, eventHead{cat: "metrics", ph: "C", ts: ts, pid: pid}).
-			argInt("value", int64(p.Occupancy)).
-			add()
-		if prevIdx >= 0 {
-			prev := se.At(prevIdx)
-			dt := s.Time(gi) - s.Time(se.Start()+prevIdx)
-			if dt > 0 {
-				pct := float64(p.Busy-prev.Busy) / float64(dt) * 100
-				t.begin(busy, eventHead{cat: "metrics", ph: "C", ts: ts, pid: pid}).
+		at := s.Time(se.Start() + i)
+		if occOn = occOn || p.Occupancy != 0; occOn {
+			t.begin(occupancy, eventHead{cat: "metrics", ph: "C", ts: us(at), pid: pid}).
+				argInt("value", int64(p.Occupancy)).
+				add()
+		}
+		if dt := at - prevAt; havePrev && dt > 0 {
+			pct := float64(p.Busy-prevBusy) / float64(dt) * 100
+			if busyOn = busyOn || pct != 0; busyOn {
+				t.begin(busy, eventHead{cat: "metrics", ph: "C", ts: us(at), pid: pid}).
 					argFloat("value", pct).
 					add()
 			}
 		}
-		prevIdx = i
+		prevAt, prevBusy, havePrev = at, p.Busy, true
 	}
 }
 

@@ -13,10 +13,11 @@ import (
 	"repro/internal/workload"
 )
 
-// The pins below were recorded with the encoding/json renderer the
-// streaming encoder replaced. Both runs are pure functions of the
-// simulation, so any drift in field order, escaping, number formatting or
-// event order changes the digest.
+// The pins below were first recorded with the encoding/json renderer the
+// streaming encoder replaced, and re-recorded when counter lanes began to
+// start at their first non-zero value. Both runs are pure functions of
+// the simulation, so any drift in field order, escaping, number
+// formatting or event order changes the digest.
 
 func checkPin(t *testing.T, raw []byte, wantLen int, wantSHA string) {
 	t.Helper()
@@ -31,8 +32,8 @@ func checkPin(t *testing.T, raw []byte, wantLen int, wantSHA string) {
 // groups, async query pairs, routed intervals, per-node counters and
 // spans.
 func TestClusterTracePinned(t *testing.T) {
-	checkPin(t, runClusterTrace(t), 2410926,
-		"3631b0f493774e4e869141430aee1223e1d7d378ba777e65a673724e797b03a9")
+	checkPin(t, runClusterTrace(t), 516284,
+		"edf34b3b1849fd1713f56890a21b4f64259b6db27d324580601dca03db23d24d")
 }
 
 // pipelineTrace renders a sampled, query-traced single-system pipeline
@@ -64,6 +65,6 @@ func pipelineTrace(t *testing.T) []byte {
 // TestPipelineTracePinned pins the single-system trace: job and detection
 // slices, resource counters, query lanes, counter lanes and GAM spans.
 func TestPipelineTracePinned(t *testing.T) {
-	checkPin(t, pipelineTrace(t), 1858281,
-		"8df7e577d0ca65558e7e18eacaa0c3219d5e1093ed8d67745c72205ad1af7887")
+	checkPin(t, pipelineTrace(t), 358540,
+		"98c21ca3762830a8633915be1763e7f61b2f2caffc36fd95e3bbe0449bf3a67b")
 }
