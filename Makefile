@@ -6,9 +6,10 @@
 #                      bench/ module's tests, 10 s each of fuzzing the
 #                      four-row distance kernel against SquaredL2, the
 #                      MultiEngine coordinator against one Engine, reset
-#                      job graphs against fresh ones and the metrics CSV's
-#                      integer microsecond formatter against FormatFloat,
-#                      and bench-smoke
+#                      job graphs against fresh ones, the metrics CSV's
+#                      integer microsecond formatter against FormatFloat
+#                      and random reach programs against a second run of
+#                      themselves, and bench-smoke
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
 #   make bench       — root + sim benchmarks with allocation stats
 #   make bench-smoke — 1x pass over every benchmark, so benchmark code
@@ -55,14 +56,17 @@ bench-test:
 # must be bit for bit the SquaredL2 of its row, a random event graph
 # split across MultiEngine domains must dispatch exactly as on one Engine,
 # random job graphs run again after Job.Reset must schedule exactly as
-# fresh copies, and the CSV writer's microseconds from integer
-# picoseconds must equal strconv.FormatFloat's for every int64. Plain go
-# test runs only the seeds.
+# fresh copies, the CSV writer's microseconds from integer picoseconds
+# must equal strconv.FormatFloat's for every int64, and a random
+# Listings-style reach program run twice in one process must give the
+# same latencies and energy bit for bit. Plain go test runs only the
+# seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSquaredL2Rows$$' -fuzztime 10s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzMultiEngine$$' -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobReuse$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendUS$$' -fuzztime 10s ./internal/metrics/
+	$(GO) test -run '^$$' -fuzz '^FuzzReachProgram$$' -fuzztime 10s ./reach/
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/

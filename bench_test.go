@@ -334,8 +334,9 @@ func runFullEvaluation(workers int) error {
 		func() error { _, err := experiments.ReverseLookup(m, opt); return err },
 		func() error { _, err := experiments.MultiTenant(m, opt); return err },
 	}
-	// Unbounded outer fan-out: only leaf simulations hold pool slots.
-	_, err := runner.Map(context.Background(), runner.Options{Workers: len(entries)}, entries,
+	// The outer fan-out has one slot per entry: only leaf simulations hold
+	// the shared pool's slots.
+	_, err := runner.Map(context.Background(), runner.Options{Pool: runner.NewPool(len(entries))}, entries,
 		func(_ context.Context, _ int, fn func() error) (struct{}, error) {
 			return struct{}{}, fn()
 		})

@@ -282,8 +282,8 @@ var cliRows = []cliRow{
 		},
 	},
 	{
-		name: "rejected-flag", args: []string{"-stats", "-config", "x.json"}, code: 1, stdout: emptySHA,
-		stderr: []string{"reachsim: -config does nothing with -stats; drop one of them"},
+		name: "rejected-flag", args: []string{"-stats", "-exp", "fig9"}, code: 1, stdout: emptySHA,
+		stderr: []string{"reachsim: -exp does nothing with -stats; drop one of them"},
 	},
 	{
 		// A TTL below 1 ps would expire every cached result at its first
@@ -294,6 +294,12 @@ var cliRows = []cliRow{
 	{
 		name: "undefined-flag", args: []string{"-http-linger", "1s"}, code: 2, stdout: emptySHA,
 		stderr: []string{"flag provided but not defined: -http-linger"}, usage: true,
+	},
+	{
+		// Every simulation runs config.Default(), so a system config file
+		// would reach Table II alone; reachcfg -check validates one.
+		name: "config-flag-gone", args: []string{"-config", "x.json"}, code: 2, stdout: emptySHA,
+		stderr: []string{"flag provided but not defined: -config"}, usage: true,
 	},
 	{
 		name: "help", args: []string{"-h"}, stdout: emptySHA, usage: true,
@@ -651,7 +657,7 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{[]string{"cluster", "exp"}, "-exp"},
 		{[]string{"cluster", "stats"}, "-stats"},
 		{[]string{"cluster", "list"}, "-list"},
-		{[]string{"cluster", "config"}, "-config"},
+		{[]string{"cluster", "csv", "http", "exp"}, "-exp"},
 		{[]string{"cluster", "j"}, "-j"},
 		{[]string{"cluster", "qtrace"}, "-qtrace"},
 		{[]string{"cluster", "progress"}, "-progress"},
@@ -684,9 +690,9 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{[]string{"cluster", "slo=1e-10"}, "-slo 1e-10 ms rounds to 0 ps"},
 		{[]string{"cluster", "slo=400", "slo-window=1e-10"}, "-slo-window 1e-10 ms rounds to 0 ps"},
 		{[]string{"cluster", "flight", "flight-window=1e-10"}, "-flight-window 1e-10 ms rounds to 0 ps"},
-		{[]string{"stats", "config=/nonexistent.json"}, "-config does nothing with -stats"},
+		{[]string{"stats", "qtrace=q.csv"}, "-qtrace does nothing with -stats"},
 		{[]string{"stats", "metrics=x.csv"}, "-metrics does nothing with -stats"},
-		{[]string{"list", "exp=bogus", "config=/nonexistent.json"}, "does nothing with -list"},
+		{[]string{"list", "exp=bogus", "j=2"}, "does nothing with -list"},
 		{[]string{"trace=t.json", "exp=fig9", "j=3", "qtrace=q.csv", "progress"}, "does nothing with -trace"},
 		{[]string{"trace=t.json", "metrics=m.csv", "csv"}, "-csv does nothing with -trace"},
 		{[]string{"exp=table1", "metrics-interval=1ms"}, "-metrics-interval requires -metrics"},

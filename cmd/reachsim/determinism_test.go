@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/report"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -30,10 +31,10 @@ func statsDigest(t *testing.T) ([32]byte, string) {
 	return sha256.Sum256([]byte(sb.String())), sb.String()
 }
 
-// renderFig12 renders the Fig. 12 tables with the given worker count.
+// renderFig12 renders the Fig. 12 tables on a pool of the given size.
 func renderFig12(t *testing.T, workers int) string {
 	t.Helper()
-	r, err := experiments.Fig12(workload.DefaultModel(), experiments.WithWorkers(workers))
+	r, err := experiments.Fig12(workload.DefaultModel(), experiments.WithPool(runner.NewPool(workers)))
 	if err != nil {
 		t.Fatal(err)
 	}

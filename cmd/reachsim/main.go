@@ -65,21 +65,23 @@ type experiment struct {
 
 // runFunc runs one experiment with the execution options and returns its
 // table.
-type runFunc func(cfg config.SystemConfig, m workload.Model, opts []experiments.Option) (*report.Table, error)
+type runFunc func(m workload.Model, opts []experiments.Option) (*report.Table, error)
 
 // experimentTable is every experiment, in the order `-exp all` runs and
 // prints them; -list sorts it.
 var experimentTable = []experiment{
-	{"table1", true, func(_ config.SystemConfig, m workload.Model, _ []experiments.Option) (*report.Table, error) {
+	{"table1", true, func(m workload.Model, _ []experiments.Option) (*report.Table, error) {
 		return experiments.TableI(m), nil
 	}},
-	{"table2", true, func(cfg config.SystemConfig, _ workload.Model, _ []experiments.Option) (*report.Table, error) {
-		return experiments.TableII(cfg), nil
+	// Every simulation builds its system from config.Default(), so Table II
+	// prints that config.
+	{"table2", true, func(workload.Model, []experiments.Option) (*report.Table, error) {
+		return experiments.TableII(config.Default()), nil
 	}},
-	{"table3", true, func(config.SystemConfig, workload.Model, []experiments.Option) (*report.Table, error) {
+	{"table3", true, func(workload.Model, []experiments.Option) (*report.Table, error) {
 		return experiments.TableIII(), nil
 	}},
-	{"table4", true, func(config.SystemConfig, workload.Model, []experiments.Option) (*report.Table, error) {
+	{"table4", true, func(workload.Model, []experiments.Option) (*report.Table, error) {
 		return experiments.TableIV(energy.DefaultCosts()), nil
 	}},
 	{"fig8", true, tabled(experiments.Fig8)},
@@ -108,7 +110,7 @@ var experimentTable = []experiment{
 // rendered adapts an experiment entry point and the renderer of its
 // result.
 func rendered[R any](f func(workload.Model, ...experiments.Option) (R, error), table func(R) *report.Table) runFunc {
-	return func(_ config.SystemConfig, m workload.Model, opts []experiments.Option) (*report.Table, error) {
+	return func(m workload.Model, opts []experiments.Option) (*report.Table, error) {
 		r, err := f(m, opts...)
 		if err != nil {
 			return nil, err
@@ -125,7 +127,7 @@ func tabled[R interface{ Table() *report.Table }](f func(workload.Model, ...expe
 // paired adapts an entry point that sweeps the on-chip baseline and ReACH,
 // rendered side by side.
 func paired[R any](f func(workload.Model, ...experiments.Option) (R, R, error), table func(onchip, reach R) *report.Table) runFunc {
-	return func(_ config.SystemConfig, m workload.Model, opts []experiments.Option) (*report.Table, error) {
+	return func(m workload.Model, opts []experiments.Option) (*report.Table, error) {
 		onchip, reach, err := f(m, opts...)
 		if err != nil {
 			return nil, err
@@ -152,10 +154,10 @@ func tableIDs(all bool) []string {
 }
 
 // run looks id up in experimentTable, ignoring case, and runs it.
-func run(id string, cfg config.SystemConfig, m workload.Model, opts ...experiments.Option) (*report.Table, error) {
+func run(id string, m workload.Model, opts ...experiments.Option) (*report.Table, error) {
 	for _, e := range experimentTable {
 		if strings.EqualFold(e.id, id) {
-			return e.run(cfg, m, opts)
+			return e.run(m, opts)
 		}
 	}
 	return nil, fmt.Errorf("unknown experiment %q (use -list)", id)
@@ -202,7 +204,6 @@ var flagModes = map[string][]string{
 	// still run.
 	"pj":               allModes,
 	"exp":              {"exp"},
-	"config":           {"exp"},
 	"j":                {"exp"},
 	"progress":         {"exp"},
 	"qtrace":           {"exp"},
@@ -326,7 +327,6 @@ func cli(args []string, stdout, stderr io.Writer) (code int) {
 		ra        runAllOptions
 		exp       = fs.String("exp", "all", "experiment id (see -list)")
 		csvOut    = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		cfgPath   = fs.String("config", "", "optional system config JSON (defaults to Table II)")
 		tracePath = fs.String("trace", "", "write a Chrome trace of a ReACH pipeline run to this file")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
@@ -411,12 +411,6 @@ func cli(args []string, stdout, stderr io.Writer) (code int) {
 	if *metricsF != "" || *spans || *metricsIv > 0 {
 		mo = &metrics.Options{Spans: *spans, Interval: sim.Time(metricsIv.Nanoseconds()) * sim.Nanosecond}
 	}
-	cfg := config.Default()
-	if *cfgPath != "" {
-		if cfg, err = config.Load(*cfgPath); err != nil {
-			return fail(err)
-		}
-	}
 	var insp *inspect.Server
 	if *httpAddr != "" {
 		insp = inspect.New()
@@ -450,7 +444,7 @@ func cli(args []string, stdout, stderr io.Writer) (code int) {
 				ra.qtrace.Observers = []qtrace.Observer{insp}
 			}
 		}
-		err = runAll(stdout, stderr, ids, cfg, workload.DefaultModel(), ra)
+		err = runAll(stdout, stderr, ids, workload.DefaultModel(), ra)
 	}
 	if err != nil {
 		return fail(err)
@@ -760,14 +754,14 @@ type tracedRun struct {
 // budget), so the output is identical for any -j: tables are collected
 // per experiment and printed in order, and sampled and traced runs are
 // collected per experiment in declaration order.
-func runAll(w, stderr io.Writer, ids []string, cfg config.SystemConfig, m workload.Model, o runAllOptions) error {
+func runAll(w, stderr io.Writer, ids []string, m workload.Model, o runAllOptions) error {
 	pool := runner.NewPool(o.jobs)
 	sampled := make([][]sampledRun, len(ids))
 	traced := make([][]tracedRun, len(ids))
-	// The outer fan-out is unbounded: experiments only hold pool slots
-	// while leaf simulations run, so len(ids) goroutines cost nothing and
-	// a bounded outer layer could not deadlock the inner sweeps anyway.
-	tables, err := runner.Map(context.Background(), runner.Options{Workers: len(ids)}, ids,
+	// The outer fan-out has a pool of its own, one slot per experiment, so
+	// every experiment starts at once; only their leaf simulations hold
+	// slots of the shared -j pool, so the nesting cannot deadlock.
+	tables, err := runner.Map(context.Background(), runner.Options{Pool: runner.NewPool(len(ids))}, ids,
 		func(_ context.Context, i int, id string) (*report.Table, error) {
 			opts := []experiments.Option{experiments.WithPool(pool)}
 			if o.progress {
@@ -792,7 +786,7 @@ func runAll(w, stderr io.Writer, ids []string, cfg config.SystemConfig, m worklo
 						}
 					}))
 			}
-			return run(id, cfg, m, opts...)
+			return run(id, m, opts...)
 		})
 	if err != nil {
 		return err

@@ -21,11 +21,10 @@ import (
 )
 
 func TestRunAllExperimentIDs(t *testing.T) {
-	cfg := config.Default()
 	m := workload.DefaultModel()
 	for _, id := range tableIDs(true) {
 		t.Run(id, func(t *testing.T) {
-			tb, err := run(id, cfg, m)
+			tb, err := run(id, m)
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
@@ -94,7 +93,7 @@ func TestExtraIDsRunnable(t *testing.T) {
 			continue
 		}
 		delete(headlines, id)
-		tb, err := run(id, config.Default(), workload.DefaultModel())
+		tb, err := run(id, workload.DefaultModel())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +135,7 @@ func TestRunAllQTraceInspector(t *testing.T) {
 		inspector:  insp,
 	}
 	var out strings.Builder
-	if err := runAll(&out, io.Discard, []string{"taillatency"}, config.Default(), workload.DefaultModel(), o); err != nil {
+	if err := runAll(&out, io.Discard, []string{"taillatency"}, workload.DefaultModel(), o); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Tail latency") {
@@ -196,9 +195,9 @@ func TestRunAllQTraceInspector(t *testing.T) {
 // no events.
 func TestRunAllSweepMetrics(t *testing.T) {
 	ids := []string{"clustersweep", "cachesweep"}
-	cfg, m := config.Default(), workload.DefaultModel()
+	m := workload.DefaultModel()
 	var plain strings.Builder
-	if err := runAll(&plain, io.Discard, ids, cfg, m, runAllOptions{}); err != nil {
+	if err := runAll(&plain, io.Discard, ids, m, runAllOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	sampledAt := func(jobs int) []byte {
@@ -210,7 +209,7 @@ func TestRunAllSweepMetrics(t *testing.T) {
 			metrics:     &metrics.Options{Interval: 100 * sim.Millisecond},
 			metricsPath: path,
 		}
-		if err := runAll(&out, io.Discard, ids, cfg, m, o); err != nil {
+		if err := runAll(&out, io.Discard, ids, m, o); err != nil {
 			t.Fatal(err)
 		}
 		if out.String() != plain.String() {
@@ -284,7 +283,7 @@ func TestRunAllSweepMetrics(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if _, err := run("nonsense", config.Default(), workload.DefaultModel()); err == nil {
+	if _, err := run("nonsense", workload.DefaultModel()); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

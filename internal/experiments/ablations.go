@@ -69,7 +69,6 @@ func ablationGAMSpecs(m workload.Model) []RunSpec {
 				cfg.GAM.StatusSlackFraction = v.SlackFraction
 				cfg.GAM.CommandLatencyNS = v.CommandNS
 			},
-			Background: BackgroundMakespanRR,
 		}
 	}
 	return specs

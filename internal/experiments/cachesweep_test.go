@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/config"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -103,8 +104,8 @@ func TestCacheSweepWorkerCountInvariant(t *testing.T) {
 		}
 		return b.String()
 	}
-	serial := render(WithWorkers(1))
-	parallel := render(WithWorkers(8))
+	serial := render(WithPool(runner.NewPool(1)))
+	parallel := render(WithPool(runner.NewPool(8)))
 	if serial != parallel {
 		t.Fatalf("cache sweep differs by worker count:\n-- j1 --\n%s\n-- j8 --\n%s", serial, parallel)
 	}

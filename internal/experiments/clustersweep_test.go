@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -76,8 +77,8 @@ func TestClusterSweepWorkerCountInvariant(t *testing.T) {
 		}
 		return b.String()
 	}
-	serial := render(WithWorkers(1))
-	parallel := render(WithWorkers(8))
+	serial := render(WithPool(runner.NewPool(1)))
+	parallel := render(WithPool(runner.NewPool(8)))
 	if serial != parallel {
 		t.Fatalf("cluster sweep differs by worker count:\n-- j1 --\n%s\n-- j8 --\n%s", serial, parallel)
 	}

@@ -35,7 +35,7 @@ func fig8Reduce(run *RunResult) *Fig8Result {
 		StageCompute:   make(map[string]float64),
 		StageMovement:  make(map[string]float64),
 	}
-	res.TotalJ = meter.Total() - meter.Stage("Setup")
+	res.TotalJ = meter.Total()
 	for _, c := range energy.Components() {
 		res.ComponentStage[c] = make(map[string]float64)
 		for _, st := range workload.Stages() {

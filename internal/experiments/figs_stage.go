@@ -19,7 +19,8 @@ type StageResult struct {
 }
 
 // StageSpec declares a single pipeline stage run in isolation at one
-// level with n instances, background charged over the stage runtime.
+// level with n instances. Its makespan is the stage's runtime, so standby
+// is charged over exactly that.
 func StageSpec(stage string, l accel.Level, n int, m workload.Model) (RunSpec, error) {
 	switch l {
 	case accel.OnChip, accel.NearMemory, accel.NearStorage:
@@ -39,7 +40,6 @@ func StageSpec(stage string, l accel.Level, n int, m workload.Model) (RunSpec, e
 			}
 			return j, nil
 		},
-		Background: BackgroundFirstLatency,
 	}, nil
 }
 

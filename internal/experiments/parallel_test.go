@@ -40,7 +40,7 @@ func TestParallelRunsAreIndependent(t *testing.T) {
 		serial[i] = r
 	}
 
-	parallel, err := RunSpecs(specs, WithWorkers(8))
+	parallel, err := RunSpecs(specs, WithPool(runner.NewPool(8)))
 	if err != nil {
 		t.Fatal(err)
 	}

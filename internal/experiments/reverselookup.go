@@ -35,7 +35,6 @@ type ReverseLookupResult struct {
 // rerank nodes.
 func reverseLookupSpecs(m workload.Model, imageBytes int64, batches int) []RunSpec {
 	base := PipelineSpec("reverselookup base", m, ReACHMapping(), 4, batches)
-	base.Background = BackgroundNone
 	with := RunSpec{
 		Name:      "reverselookup with-rl",
 		Model:     m,

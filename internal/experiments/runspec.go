@@ -14,13 +14,13 @@ import (
 )
 
 // RunSpec declares one independent simulation run: which system to build,
-// which workload and mapping to run on it, how many batch jobs to submit,
-// and how to attribute background energy afterwards. Every experiment in
-// this package is a slice of RunSpecs plus a pure reducer over the
-// resulting []*RunResult; RunSpecs executes the slice on the shared
-// parallel runner. Each run owns its own core.System and event engine, so
-// runs are independent and the results are byte-for-byte identical
-// whatever the worker count.
+// which workload and mapping to run on it and how many batch jobs to
+// submit; every run charges standby power by the same rule (see Run).
+// Every experiment in this package is a slice of RunSpecs plus a pure
+// reducer over the resulting []*RunResult; RunSpecs executes the slice on
+// the shared parallel runner. Each run owns its own core.System and event
+// engine, so runs are independent and the results are byte-for-byte
+// identical whatever the pool size.
 type RunSpec struct {
 	// Name labels the run in progress reports and errors.
 	Name string
@@ -46,9 +46,6 @@ type RunSpec struct {
 	// returned simulated time instead of submitting everything at t=0 —
 	// the open-loop arrival processes of the load sweep.
 	SubmitAt func(id int) sim.Time
-	// Background selects the post-run background-energy attribution.
-	// The zero value charges nothing.
-	Background BackgroundMode
 
 	// Metrics, when non-nil, attaches a time-resolved observability
 	// recorder to the run: a periodic registry sampler and (when
@@ -64,28 +61,10 @@ type RunSpec struct {
 	QTrace *qtrace.Options
 }
 
-// BackgroundMode is a RunSpec's background-energy attribution policy,
-// applied once after the simulation drains.
-type BackgroundMode int
-
-const (
-	// BackgroundNone charges no background energy (experiments that only
-	// report runtime/throughput).
-	BackgroundNone BackgroundMode = iota
-	// BackgroundStageSpan charges background power over the makespan,
-	// split across stages in proportion to the first job's per-stage
-	// busy spans (the end-to-end pipeline experiments).
-	BackgroundStageSpan
-	// BackgroundMakespanRR charges the whole makespan to the rerank
-	// stage (the GAM ablation's convention).
-	BackgroundMakespanRR
-	// BackgroundFirstLatency charges the first job's latency to the stage
-	// of its first task (the isolated single-stage runs of Figs. 9-11).
-	BackgroundFirstLatency
-)
-
 // Run executes the spec to completion and returns its result. It is the
-// single-run core under RunPipeline, RunStage and every sweep.
+// single-run core under RunPipeline, RunStage and every sweep. After the
+// simulation drains it charges standby — the DRAM background and SSD idle
+// power of core.System.Background — over the makespan.
 func (s RunSpec) Run() (*RunResult, error) {
 	if err := s.Model.Validate(); err != nil {
 		return nil, err
@@ -142,8 +121,7 @@ func (s RunSpec) Run() (*RunResult, error) {
 	res.Makespan = last.FinishedAt - first.SubmittedAt
 
 	// The first batch's per-stage earliest-dispatch to latest-completion
-	// windows, for the figure reducers and the stage-span background
-	// split.
+	// windows, for the figure reducers and the standby split.
 	type span struct{ lo, hi sim.Time }
 	spans := map[string]*span{}
 	for _, node := range first.Nodes {
@@ -166,23 +144,11 @@ func (s RunSpec) Run() (*RunResult, error) {
 		totalSpan += sp.hi - sp.lo
 	}
 
-	switch s.Background {
-	case BackgroundStageSpan:
-		// Background power over the makespan, split across stages by
-		// busy share so the Fig. 8 stacking has a home for it.
-		if totalSpan > 0 {
-			for st, sp := range res.StageSpan {
-				frac := float64(sp) / float64(totalSpan)
-				window := sim.Time(float64(res.Makespan) * frac)
-				sys.Background(st, window)
-			}
-		} else {
-			sys.Background(workload.StageRR, res.Makespan)
-		}
-	case BackgroundMakespanRR:
-		sys.Background(workload.StageRR, res.Makespan)
-	case BackgroundFirstLatency:
-		sys.Background(first.Nodes[0].Spec.Stage, res.Latency)
+	// Split the standby charge across stages by the first batch's stage
+	// spans, so the Fig. 8 stacking has a home for it.
+	for st, sp := range res.StageSpan {
+		frac := float64(sp) / float64(totalSpan)
+		sys.Background(st, sim.Time(float64(res.Makespan)*frac))
 	}
 	return res, nil
 }
@@ -216,7 +182,6 @@ func (s RunSpec) name() string {
 // runOptions collects the execution knobs shared by every experiment
 // entry point.
 type runOptions struct {
-	workers  int
 	pool     *runner.Pool
 	progress func(done, total int, name string)
 	metrics  *metrics.Options
@@ -226,17 +191,13 @@ type runOptions struct {
 }
 
 // Option adjusts how an experiment executes its runs (not what it
-// simulates): worker count, shared concurrency pool, progress reporting,
-// observability.
+// simulates): concurrency pool, progress reporting, observability.
 type Option func(*runOptions)
 
-// WithWorkers bounds the experiment's private worker pool (<= 0 means
-// GOMAXPROCS). Ignored when a shared pool is set.
-func WithWorkers(n int) Option { return func(o *runOptions) { o.workers = n } }
-
-// WithPool runs the experiment's simulations on a concurrency budget
-// shared with other experiments — how `reachsim -exp all -j N` bounds the
-// whole evaluation at N in-flight simulations.
+// WithPool runs the experiment's simulations on the given concurrency
+// budget instead of a private pool of GOMAXPROCS slots. Experiments that
+// share one pool share its budget — how `reachsim -exp all -j N` bounds
+// the whole evaluation at N in-flight simulations.
 func WithPool(p *runner.Pool) Option { return func(o *runOptions) { o.pool = p } }
 
 // WithProgress reports each completed run. The callback is serialised.
@@ -285,7 +246,7 @@ func buildOptions(opts []Option) runOptions {
 }
 
 func (o runOptions) runnerOptions(name func(i int) string) runner.Options {
-	ro := runner.Options{Workers: o.workers, Pool: o.pool}
+	ro := runner.Options{Pool: o.pool}
 	if o.progress != nil {
 		progress := o.progress
 		ro.Progress = func(e runner.Event) { progress(e.Done, e.Total, name(e.Index)) }

@@ -139,12 +139,9 @@ func (r *RunResult) ThroughputBatchesPerSec() float64 {
 	return float64(r.Batches) / r.Makespan.Seconds()
 }
 
-// EnergyPerBatch reports joules per batch for one component, excluding the
-// one-time Setup stage.
+// EnergyPerBatch reports joules per batch for one component.
 func (r *RunResult) EnergyPerBatch(c energy.Component) float64 {
-	m := r.Sys.Meter()
-	total := m.Component(c) - m.ComponentStage(c, "Setup")
-	return total / float64(r.Batches)
+	return r.Sys.Meter().Component(c) / float64(r.Batches)
 }
 
 // TotalEnergyPerBatch reports joules per batch across components.
@@ -158,17 +155,9 @@ func (r *RunResult) TotalEnergyPerBatch() float64 {
 
 // PipelineSpec declares the standard end-to-end pipeline run: `batches`
 // consecutive batch jobs of workload m under mapping mp on a system with n
-// near-data instances per used level, background power attributed per
-// stage busy span.
+// near-data instances per used level.
 func PipelineSpec(name string, m workload.Model, mp Mapping, n, batches int) RunSpec {
-	return RunSpec{
-		Name:       name,
-		Model:      m,
-		Mapping:    mp,
-		Instances:  n,
-		Batches:    batches,
-		Background: BackgroundStageSpan,
-	}
+	return RunSpec{Name: name, Model: m, Mapping: mp, Instances: n, Batches: batches}
 }
 
 // RunPipeline runs the standard pipeline spec synchronously (the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/qtrace"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -121,7 +122,7 @@ func TestTailLatencyDivergenceAndAttribution(t *testing.T) {
 func TestTailLatencySweepDeterministic(t *testing.T) {
 	render := func(workers int) string {
 		res, err := TailLatency(workload.DefaultModel(), ReACHMapping(), 4,
-			[]float64{2, 3}, 24, 42, WithWorkers(workers))
+			[]float64{2, 3}, 24, 42, WithPool(runner.NewPool(workers)))
 		if err != nil {
 			t.Fatal(err)
 		}

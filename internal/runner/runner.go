@@ -3,9 +3,10 @@
 // core.System and event engine and shares no mutable state with any other
 // run, so a full evaluation regeneration is an embarrassingly parallel
 // slice of independent runs. The runner turns that observation into a
-// first-class subsystem: a bounded worker pool with per-run panic capture,
-// first-error cancellation and deterministic result ordering, so callers
-// get byte-identical output whether they run on one worker or sixteen.
+// first-class subsystem: a bounded pool of run slots with per-run panic
+// capture, first-error cancellation and deterministic result ordering, so
+// callers get byte-identical output whether they run one at a time or
+// sixteen.
 package runner
 
 import (
@@ -28,12 +29,14 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: run panicked: %v\n%s", e.Value, e.Stack)
 }
 
-// Pool is a concurrency budget shared between independent Map calls.
-// Nested fan-outs (the CLI running every experiment, each experiment
-// running its sweep) hand the same Pool down so the total number of
-// in-flight simulations stays bounded at the pool size, no matter how the
-// work is nested. Only leaf work holds a slot, so sharing a pool across
-// nesting levels cannot deadlock.
+// Pool is a concurrency budget: Map runs an item only while it holds one
+// of the pool's slots. Independent Map calls that share a Pool share its
+// budget. Nested fan-outs (the CLI running every experiment, each
+// experiment running its sweep) give the outer level a pool of its own and
+// hand one shared Pool to every leaf fan-out, so the total number of
+// in-flight simulations stays bounded at that pool's size, no matter how
+// the work is nested; since only running leaf items hold its slots, the
+// sharing cannot deadlock.
 type Pool struct {
 	slots chan struct{}
 }
@@ -71,36 +74,24 @@ type Event struct {
 
 // Options configures one Map call.
 type Options struct {
-	// Workers bounds the worker pool; <= 0 means GOMAXPROCS. Ignored
-	// when Pool is set.
-	Workers int
-	// Pool, when non-nil, bounds concurrency by a budget shared with
-	// other Map calls instead of a private worker count.
+	// Pool bounds how many items run at once. Nil means a private
+	// NewPool(0): GOMAXPROCS slots.
 	Pool *Pool
 	// Progress, when non-nil, is called after every run completes. Calls
 	// are serialised; the callback must not invoke Map reentrantly.
 	Progress func(Event)
 }
 
-func (o Options) workers(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// Map executes fn over every item on a bounded worker pool and returns the
-// results in item order, regardless of completion order. A panic inside fn
-// is captured and converted to a *PanicError. The first failure cancels
-// the derived context, so queued items are skipped (their error is the
-// context's); in-flight runs are left to finish. The returned error is the
-// lowest-index genuine failure, making the call deterministic for a given
-// input slice. The partially filled result slice is returned even on
-// error: slots whose run completed are valid.
+// Map executes fn over every item and returns the results in item order,
+// regardless of completion order. It takes a pool slot for each item in
+// index order and runs the item on its own goroutine while holding the
+// slot, so on a one-slot pool the items run serially in index order. A
+// panic inside fn is captured and converted to a *PanicError. The first
+// failure cancels the derived context, so queued items are skipped (their
+// error is the context's); in-flight runs are left to finish. The returned
+// error is the lowest-index genuine failure, making the call deterministic
+// for a given input slice. The partially filled result slice is returned
+// even on error: slots whose run completed are valid.
 func Map[S, R any](ctx context.Context, opts Options, items []S, fn func(ctx context.Context, index int, item S) (R, error)) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -147,38 +138,22 @@ func Map[S, R any](ctx context.Context, opts Options, items []S, fn func(ctx con
 		finish(i, err)
 	}
 
+	pool := opts.Pool
+	if pool == nil {
+		pool = NewPool(0)
+	}
 	var wg sync.WaitGroup
-	if opts.Pool != nil {
-		// Shared budget: one goroutine per item, each holding a pool
-		// slot only while its run executes.
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if err := opts.Pool.acquire(ctx); err != nil {
-					finish(i, err)
-					return
-				}
-				defer opts.Pool.release()
-				run(i)
-			}(i)
+	for i := 0; i < n; i++ {
+		if err := pool.acquire(ctx); err != nil {
+			finish(i, err)
+			continue
 		}
-	} else {
-		workers := opts.workers(n)
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					run(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-		close(next)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer pool.release()
+			run(i)
+		}(i)
 	}
 	wg.Wait()
 

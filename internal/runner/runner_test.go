@@ -17,8 +17,8 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	for _, workers := range []int{1, 3, 16} {
-		out, err := Map(context.Background(), Options{Workers: workers}, items,
+	for _, slots := range []int{1, 3, 16} {
+		out, err := Map(context.Background(), Options{Pool: NewPool(slots)}, items,
 			func(_ context.Context, i, v int) (string, error) {
 				// Earlier items sleep longer, so completion order inverts
 				// submission order under parallelism.
@@ -26,11 +26,11 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 				return fmt.Sprintf("r%d", v), nil
 			})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("slots=%d: %v", slots, err)
 		}
 		for i, r := range out {
 			if want := fmt.Sprintf("r%d", i); r != want {
-				t.Fatalf("workers=%d: out[%d] = %q, want %q", workers, i, r, want)
+				t.Fatalf("slots=%d: out[%d] = %q, want %q", slots, i, r, want)
 			}
 		}
 	}
@@ -39,9 +39,9 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 // A panic inside a run becomes a *PanicError instead of killing the test
 // binary, and other runs' results survive.
 func TestMapCapturesPanics(t *testing.T) {
-	// One worker: items 0 and 1 complete before 2 panics, so their
+	// One slot: items 0 and 1 complete before 2 panics, so their
 	// results must survive in the partial slice.
-	out, err := Map(context.Background(), Options{Workers: 1}, []int{0, 1, 2, 3},
+	out, err := Map(context.Background(), Options{Pool: NewPool(1)}, []int{0, 1, 2, 3},
 		func(_ context.Context, i, v int) (int, error) {
 			if v == 2 {
 				panic("boom in run 2")
@@ -69,7 +69,7 @@ func TestMapCancelsOnFirstError(t *testing.T) {
 	sentinel := errors.New("run 0 failed")
 	var started atomic.Int32
 	items := make([]int, 100)
-	_, err := Map(context.Background(), Options{Workers: 1}, items,
+	_, err := Map(context.Background(), Options{Pool: NewPool(1)}, items,
 		func(ctx context.Context, i, _ int) (int, error) {
 			started.Add(1)
 			if i == 0 {
@@ -80,7 +80,7 @@ func TestMapCancelsOnFirstError(t *testing.T) {
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
-	// Worker 1 fails on item 0; everything queued behind it must be
+	// Item 0 fails in the only slot; everything queued behind it must be
 	// skipped without running.
 	if n := started.Load(); n != 1 {
 		t.Errorf("%d runs started after first error, want 1", n)
@@ -92,7 +92,7 @@ func TestMapPropagatesCancellationToRuns(t *testing.T) {
 	sentinel := errors.New("early failure")
 	sawCancel := make(chan struct{})
 	ready := make(chan struct{})
-	_, err := Map(context.Background(), Options{Workers: 2}, []int{0, 1},
+	_, err := Map(context.Background(), Options{Pool: NewPool(2)}, []int{0, 1},
 		func(ctx context.Context, i, _ int) (int, error) {
 			if i == 0 {
 				// Fail only once run 1 is in flight, so the cancellation
@@ -124,7 +124,7 @@ func TestMapPropagatesCancellationToRuns(t *testing.T) {
 func TestMapParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Map(ctx, Options{Workers: 2}, []int{0, 1, 2},
+	_, err := Map(ctx, Options{Pool: NewPool(2)}, []int{0, 1, 2},
 		func(context.Context, int, int) (int, error) { return 0, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -132,7 +132,8 @@ func TestMapParentCancellation(t *testing.T) {
 }
 
 // A shared Pool bounds concurrency across nested Map calls without
-// deadlocking, because only leaf runs hold slots.
+// deadlocking: the outer fan-out has a pool of its own, and only running
+// leaf items hold the shared pool's slots.
 func TestMapSharedPoolBoundsNestedConcurrency(t *testing.T) {
 	pool := NewPool(2)
 	var inFlight, peak atomic.Int32
@@ -151,7 +152,7 @@ func TestMapSharedPoolBoundsNestedConcurrency(t *testing.T) {
 	// Outer fan-out over 4 "experiments", each fanning out 6 leaf runs on
 	// the same pool.
 	outer := []int{0, 1, 2, 3}
-	_, err := Map(context.Background(), Options{Workers: len(outer)}, outer,
+	_, err := Map(context.Background(), Options{Pool: NewPool(len(outer))}, outer,
 		func(ctx context.Context, _, _ int) (int, error) {
 			_, err := Map(ctx, Options{Pool: pool}, []int{0, 1, 2, 3, 4, 5}, leaf)
 			return 0, err
@@ -168,7 +169,7 @@ func TestMapSharedPoolBoundsNestedConcurrency(t *testing.T) {
 func TestMapProgress(t *testing.T) {
 	var events []Event
 	_, err := Map(context.Background(), Options{
-		Workers:  4,
+		Pool:     NewPool(4),
 		Progress: func(e Event) { events = append(events, e) },
 	}, []int{0, 1, 2, 3, 4}, func(_ context.Context, i, _ int) (int, error) { return i, nil })
 	if err != nil {
@@ -206,12 +207,12 @@ func TestPoolSizeDefaults(t *testing.T) {
 	}
 }
 
-// Serial (one-worker) execution visits items strictly in index order —
-// the property the -j 1 byte-identical guarantee rests on.
+// A one-slot pool visits items strictly in index order — the property the
+// -j 1 byte-identical guarantee rests on.
 func TestMapSerialOrderIsIndexOrder(t *testing.T) {
 	var mu sync.Mutex
 	var order []int
-	_, err := Map(context.Background(), Options{Workers: 1}, []int{0, 1, 2, 3, 4, 5},
+	_, err := Map(context.Background(), Options{Pool: NewPool(1)}, []int{0, 1, 2, 3, 4, 5},
 		func(_ context.Context, i, _ int) (int, error) {
 			mu.Lock()
 			order = append(order, i)

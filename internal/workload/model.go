@@ -35,9 +35,11 @@ type Model struct {
 	// ScanFraction is the fraction of each probed cluster's feature data
 	// the rerank accelerator streams to collect and score its candidates.
 	// Candidates are scattered through the cluster's pages, so the gather
-	// reads far more than RerankCandidates × VectorBytes; 5 % of each
-	// probed cluster reproduces the storage-traffic dominance of the
-	// paper's Fig. 8 (see DESIGN.md §4).
+	// reads far more than RerankCandidates × VectorBytes. The default, 5 %
+	// of each probed cluster, is a fitted value, not a derived one: it
+	// reproduces the storage-traffic dominance of the paper's Fig. 8, and
+	// a page-granular gather of the candidates would read about a ninth
+	// of it (ROADMAP item 3).
 	ScanFraction float64
 	// ImageH/ImageW/ImageC is the query image geometry (224×224×3).
 	ImageH, ImageW, ImageC int

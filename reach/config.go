@@ -1,7 +1,9 @@
 package reach
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/accel"
 	"repro/internal/fpga"
@@ -55,9 +57,15 @@ type ACC struct {
 	Instance int
 
 	sys  *System
-	args map[int]Arg
-	dirs map[int]argDir
+	args []binding // in slot order
 	work Work
+}
+
+// binding is one bound argument slot.
+type binding struct {
+	slot int
+	arg  Arg
+	dir  argDir
 }
 
 // argDir records how an argument slot was bound.
@@ -189,7 +197,6 @@ func (s *System) RegisterAccAt(template string, l Level, instance int) (*ACC, er
 		Template: template,
 		Instance: instance,
 		sys:      s,
-		args:     make(map[int]Arg),
 	}
 	s.accs = append(s.accs, a)
 	return a, nil
@@ -256,6 +263,10 @@ func (a *ACC) bind(i int, arg Arg, dir argDir) error {
 	if arg == nil {
 		return fmt.Errorf("reach: %s arg %d is nil", a.Name, i)
 	}
+	at, dup := slices.BinarySearchFunc(a.args, i, func(b binding, slot int) int { return cmp.Compare(b.slot, slot) })
+	if dup {
+		return fmt.Errorf("reach: %s arg %d bound twice", a.Name, i)
+	}
 	switch v := arg.(type) {
 	case *Buffer:
 		if v.Level != a.Level {
@@ -274,14 +285,7 @@ func (a *ACC) bind(i int, arg Arg, dir argDir) error {
 	default:
 		return fmt.Errorf("reach: %s arg %d: unsupported argument type %T", a.Name, i, arg)
 	}
-	if _, dup := a.args[i]; dup {
-		return fmt.Errorf("reach: %s arg %d bound twice", a.Name, i)
-	}
-	if a.dirs == nil {
-		a.dirs = make(map[int]argDir)
-	}
-	a.args[i] = arg
-	a.dirs[i] = dir
+	a.args = slices.Insert(a.args, at, binding{slot: i, arg: arg, dir: dir})
 	return nil
 }
 
@@ -291,12 +295,12 @@ func (a *ACC) SetWork(w Work) { a.work = w }
 // inputStreams lists streams bound as inputs.
 func (a *ACC) inputStreams() []*Stream {
 	var out []*Stream
-	for i, arg := range a.args {
-		st, ok := arg.(*Stream)
+	for _, b := range a.args {
+		st, ok := b.arg.(*Stream)
 		if !ok {
 			continue
 		}
-		switch a.dirs[i] {
+		switch b.dir {
 		case dirIn:
 			out = append(out, st)
 		case dirAuto:
@@ -308,14 +312,15 @@ func (a *ACC) inputStreams() []*Stream {
 	return out
 }
 
-// outputStream returns the first stream bound as output (nil if none).
+// outputStream returns the stream bound as output in the lowest slot (nil
+// if none).
 func (a *ACC) outputStream() *Stream {
-	for i, arg := range a.args {
-		st, ok := arg.(*Stream)
+	for _, b := range a.args {
+		st, ok := b.arg.(*Stream)
 		if !ok {
 			continue
 		}
-		switch a.dirs[i] {
+		switch b.dir {
 		case dirOut:
 			return st
 		case dirAuto:
@@ -330,9 +335,9 @@ func (a *ACC) outputStream() *Stream {
 // fixedInputBytes sums bound fixed buffers.
 func (a *ACC) fixedInputBytes() int64 {
 	var sum int64
-	for _, arg := range a.args {
-		if b, ok := arg.(*Buffer); ok {
-			sum += b.Size
+	for _, b := range a.args {
+		if buf, ok := b.arg.(*Buffer); ok {
+			sum += buf.Size
 		}
 	}
 	return sum

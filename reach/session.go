@@ -161,15 +161,19 @@ func (b *Job) Collect(st *Stream) error {
 }
 
 // Commit submits the job to the GAM. Host-enqueued inputs are DMAed to
-// their destination level first; consuming tasks carry a matching
-// NotBefore.
+// their destination level first, in stream-creation order; consuming tasks
+// carry a matching NotBefore.
 func (b *Job) Commit() error {
 	if b.committed {
 		return fmt.Errorf("reach: job %d already committed", b.id)
 	}
 	b.committed = true
 	// Transfer host inputs and stamp NotBefore on the consumers.
-	for st, bytes := range b.hostInput {
+	for _, st := range b.sys.streams {
+		bytes := b.hostInput[st]
+		if bytes == 0 {
+			continue
+		}
 		done := b.sys.sys.Transfer(accel.CPU, st.Dst.internal(), 0, bytes, "Input")
 		for a, nodes := range b.nodesByACC {
 			if a.Level != st.Dst {
