@@ -21,6 +21,16 @@ func newPlatform(t *testing.T, cfg config.SystemConfig) *Platform {
 	return p
 }
 
+// newAcc attaches instance i of level l, failing the test on error.
+func newAcc(t *testing.T, p *Platform, l Level, i int) *Accelerator {
+	t.Helper()
+	a, err := p.NewAccelerator(l, i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func tpl(t *testing.T, name string) *fpga.Template {
 	t.Helper()
 	k, err := fpga.NewRegistry().Lookup(name)
@@ -43,7 +53,7 @@ func TestLevelStrings(t *testing.T) {
 
 func TestOnChipComputeBoundSPM(t *testing.T) {
 	p := newPlatform(t, config.Default())
-	a := p.NewOnChip()
+	a := newAcc(t, p, OnChip, 0)
 	k := tpl(t, "CNN-VU9P")
 	// One VGG16 batch from SRAM-resident parameters: 247.5 GMAC at
 	// 8192 MACs/cycle × 273 MHz ≈ 110.7 ms.
@@ -68,7 +78,7 @@ func TestOnChipComputeBoundSPM(t *testing.T) {
 
 func TestOnChipDRAMStreamBandwidthBound(t *testing.T) {
 	p := newPlatform(t, config.Default())
-	a := p.NewOnChip()
+	a := newAcc(t, p, OnChip, 0)
 	k := tpl(t, "GEMM-VU9P")
 	// The shortlist working set: 2.2 GB streamed from host DRAM with tiny
 	// compute. Host channels: 2 × 19.2 GB/s × 0.82 × 0.70 ≈ 22 GB/s →
@@ -95,7 +105,7 @@ func TestOnChipDRAMStreamBandwidthBound(t *testing.T) {
 
 func TestOnChipSSDStagedRead(t *testing.T) {
 	p := newPlatform(t, config.Default())
-	a := p.NewOnChip()
+	a := newAcc(t, p, OnChip, 0)
 	k := tpl(t, "KNN-VU9P")
 	// The rerank scan: 2.46 GB gathered from SSD via the host interface
 	// (per-stripe NVMe commands: 12 GB/s × 0.75 gather efficiency → 9 GB/s
@@ -129,7 +139,7 @@ func TestOnChipSSDStagedRead(t *testing.T) {
 
 func TestOnChipRejectsBusyAndBadSource(t *testing.T) {
 	p := newPlatform(t, config.Default())
-	a := p.NewOnChip()
+	a := newAcc(t, p, OnChip, 0)
 	k := tpl(t, "CNN-VU9P")
 	if _, err := a.Execute(&Task{Name: "x", Stage: "s", Kernel: k, MACs: 1e9, Source: SourceSPM}); err != nil {
 		t.Fatal(err)
@@ -138,7 +148,7 @@ func TestOnChipRejectsBusyAndBadSource(t *testing.T) {
 		t.Error("busy accelerator accepted a task")
 	}
 	p2 := newPlatform(t, config.Default())
-	a2 := p2.NewOnChip()
+	a2 := newAcc(t, p2, OnChip, 0)
 	if _, err := a2.Execute(&Task{Name: "z", Stage: "s", Kernel: k, Bytes: 1, Source: SourceLocalDIMM}); err == nil {
 		t.Error("on-chip accepted a local-DIMM source")
 	}
@@ -155,10 +165,7 @@ func TestNearMemLocalScaling(t *testing.T) {
 	k := tpl(t, "GEMM-ZCU9")
 	var last sim.Time
 	for i := 0; i < 4; i++ {
-		a, err := p.NewNearMem(i)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := newAcc(t, p, NearMemory, i)
 		done, err := a.Execute(&Task{
 			Name: "sl", Stage: "SL", Kernel: k,
 			MACs: 0.4e6, Bytes: int64(2.2e9) / 4, Source: SourceLocalDIMM,
@@ -182,7 +189,7 @@ func TestNearMemSingleInstanceSlowerThanOnChip(t *testing.T) {
 	// instances", §VI-B).
 	cfg := config.Default()
 	p := newPlatform(t, cfg)
-	a, _ := p.NewNearMem(0)
+	a := newAcc(t, p, NearMemory, 0)
 	done, err := a.Execute(&Task{
 		Name: "sl", Stage: "SL", Kernel: tpl(t, "GEMM-ZCU9"),
 		MACs: 1.55e6, Bytes: int64(2.2e9), Source: SourceLocalDIMM,
@@ -199,7 +206,7 @@ func TestNearMemSingleInstanceSlowerThanOnChip(t *testing.T) {
 func TestNearMemRemoteDataCrossesAIMBus(t *testing.T) {
 	cfg := config.Default()
 	p := newPlatform(t, cfg)
-	a, _ := p.NewNearMem(0)
+	a := newAcc(t, p, NearMemory, 0)
 	bytes := int64(1e9)
 	done, err := a.Execute(&Task{
 		Name: "sl", Stage: "SL", Kernel: tpl(t, "GEMM-ZCU9"),
@@ -229,10 +236,7 @@ func TestNearMemSSDPlateau(t *testing.T) {
 		per := total / int64(n)
 		var last sim.Time
 		for i := 0; i < n; i++ {
-			a, err := p.NewNearMem(i)
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := newAcc(t, p, NearMemory, i)
 			done, err := a.Execute(&Task{
 				Name: "rr", Stage: "RR", Kernel: tpl(t, "KNN-ZCU9"),
 				Bytes: per, Source: SourceSSD, Pattern: storage.Sequential,
@@ -269,10 +273,7 @@ func TestNearStorScalesLinearly(t *testing.T) {
 		per := total / int64(n)
 		var last sim.Time
 		for i := 0; i < n; i++ {
-			a, err := p.NewNearStor(i)
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := newAcc(t, p, NearStorage, i)
 			done, err := a.Execute(&Task{
 				Name: "rr", Stage: "RR", Kernel: tpl(t, "KNN-ZCU9"),
 				Bytes: per, Source: SourceSSD, Pattern: storage.Sequential,
@@ -303,7 +304,7 @@ func TestNearStorEnergyBeatsOnChipForRerank(t *testing.T) {
 	macs := 614e6
 
 	pOn := newPlatform(t, config.Default())
-	aOn := pOn.NewOnChip()
+	aOn := newAcc(t, pOn, OnChip, 0)
 	if _, err := aOn.Execute(&Task{Name: "rr", Stage: "RR", Kernel: tpl(t, "KNN-VU9P"),
 		MACs: macs, Bytes: bytes, Source: SourceSSD}); err != nil {
 		t.Fatal(err)
@@ -313,7 +314,7 @@ func TestNearStorEnergyBeatsOnChipForRerank(t *testing.T) {
 	pNS := newPlatform(t, config.Default().WithInstances(0, 0, 4))
 	var lastNS sim.Time
 	for i := 0; i < 4; i++ {
-		a, _ := pNS.NewNearStor(i)
+		a := newAcc(t, pNS, NearStorage, i)
 		done, err := a.Execute(&Task{Name: "rr", Stage: "RR", Kernel: tpl(t, "KNN-ZCU9"),
 			MACs: macs / 4, Bytes: bytes / 4, Source: SourceSSD})
 		if err != nil {
@@ -340,14 +341,14 @@ func TestNearStorBufferHitVsMiss(t *testing.T) {
 			Bytes: 500e6, Source: SourceDeviceDRAM, Pattern: storage.RandomPages}
 	}
 	pHit := newPlatform(t, cfg)
-	aHit, _ := pHit.NewNearStor(0)
+	aHit := newAcc(t, pHit, NearStorage, 0)
 	aHit.BufferHitRatio = 1.0
 	dHit, err := aHit.Execute(task())
 	if err != nil {
 		t.Fatal(err)
 	}
 	pMiss := newPlatform(t, cfg)
-	aMiss, _ := pMiss.NewNearStor(0)
+	aMiss := newAcc(t, pMiss, NearStorage, 0)
 	aMiss.BufferHitRatio = 0.0
 	dMiss, err := aMiss.Execute(task())
 	if err != nil {
@@ -366,13 +367,13 @@ func TestNearStorUsesNearStoragePower(t *testing.T) {
 	// buffer + interface).
 	cfg := config.Default()
 	pNM := newPlatform(t, cfg)
-	nm, _ := pNM.NewNearMem(0)
+	nm := newAcc(t, pNM, NearMemory, 0)
 	if _, err := nm.Execute(&Task{Name: "a", Stage: "s", Kernel: tpl(t, "KNN-ZCU9"),
 		Bytes: 1e9, Source: SourceLocalDIMM}); err != nil {
 		t.Fatal(err)
 	}
 	pNS := newPlatform(t, cfg)
-	ns, _ := pNS.NewNearStor(0)
+	ns := newAcc(t, pNS, NearStorage, 0)
 	if _, err := ns.Execute(&Task{Name: "a", Stage: "s", Kernel: tpl(t, "KNN-ZCU9"),
 		Bytes: 1e9, Source: SourceSSD}); err != nil {
 		t.Fatal(err)
@@ -389,11 +390,27 @@ func TestNearStorUsesNearStoragePower(t *testing.T) {
 
 func TestPlatformInstanceErrors(t *testing.T) {
 	p := newPlatform(t, config.Default())
-	if _, err := p.NewNearMem(99); err == nil {
-		t.Error("NewNearMem(99) accepted")
+	for _, c := range []struct {
+		l Level
+		i int
+	}{
+		{CPU, 0}, {Level(9), 0}, {Level(-1), 0},
+		{NearMemory, -1}, {NearMemory, len(p.NearDIMMs)}, {NearMemory, 99},
+		{NearStorage, -1}, {NearStorage, p.Storage.Len()},
+	} {
+		if a, err := p.NewAccelerator(c.l, c.i); err == nil {
+			t.Errorf("NewAccelerator(%v, %d) accepted as %s", c.l, c.i, a.Name())
+		}
 	}
-	if _, err := p.NewNearStor(-1); err == nil {
-		t.Error("NewNearStor(-1) accepted")
+	// Rejected instances take no name: each level numbers from 0.
+	for l, want := range map[Level][]string{
+		OnChip: {"onchip0", "onchip1"}, NearMemory: {"nm0", "nm1"}, NearStorage: {"ns0", "ns1"},
+	} {
+		for i, name := range want {
+			if got := newAcc(t, p, l, i).Name(); got != name {
+				t.Errorf("instance %d at %v named %q, want %q", i, l, got, name)
+			}
+		}
 	}
 	bad := config.Default()
 	bad.Memory.Controllers = 0
@@ -404,7 +421,7 @@ func TestPlatformInstanceErrors(t *testing.T) {
 
 func TestEstimateIgnoresContention(t *testing.T) {
 	p := newPlatform(t, config.Default())
-	a := p.NewOnChip()
+	a := newAcc(t, p, OnChip, 0)
 	k := tpl(t, "KNN-VU9P")
 	task := &Task{Name: "rr", Stage: "RR", Kernel: k, MACs: 614e6, Bytes: int64(2.46e9), Source: SourceSSD}
 	est := a.Estimate(task)

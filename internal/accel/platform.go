@@ -1,9 +1,10 @@
 // Package accel models the three ReACH compute levels — the on-chip
 // accelerator (paper §II-A), the AIM-based near-memory accelerators
-// (§II-B) and the near-storage accelerators (§II-C) — each wiring an FPGA
-// fabric to its level-specific data path, and the Platform that owns the
-// shared resources they contend for (host memory channels, the AIMbus, the
-// host PCIe link, the SSD array, the on-chip network).
+// (§II-B) and the near-storage accelerators (§II-C) — as one Accelerator
+// type whose level selects the data path behind its FPGA fabric, and the
+// Platform that owns the shared resources they contend for (host memory
+// channels, the AIMbus, the host PCIe link, the SSD array, the on-chip
+// network).
 package accel
 
 import (
@@ -60,6 +61,9 @@ type Platform struct {
 	// bounds GAM's forced writebacks and its traffic is charged as cache
 	// energy, with no per-line state.
 	NoC *noc.Crossbar
+	// llc is the LLC's NoC port, which on-chip instances read from and
+	// write their output to.
+	llc *noc.Port
 	// HostMem is the aggregate host-DRAM bandwidth (the channels backing
 	// the CPU/on-chip DIMMs, cacheline-interleaved).
 	HostMem *mem.Port
@@ -75,7 +79,8 @@ type Platform struct {
 	// ports, one per SSD.
 	DevBuffers []*mem.Port
 
-	nextID map[Level]int
+	// nextID numbers each level's instances in construction order.
+	nextID [CPU]int
 }
 
 // NewPlatform builds the hardware described by cfg, charging energy to
@@ -85,15 +90,14 @@ func NewPlatform(eng *sim.Engine, cfg config.SystemConfig, meter *energy.Meter) 
 		return nil, err
 	}
 	p := &Platform{
-		Eng:    eng,
-		Cfg:    cfg,
-		Meter:  meter,
-		nextID: make(map[Level]int),
+		Eng:   eng,
+		Cfg:   cfg,
+		Meter: meter,
 	}
 
 	p.NoC = noc.New(eng, "noc", 20*sim.Nanosecond)
 	p.NoC.MustAddPort("cpu", cfg.OnChip.NoCGBps*config.GBps)
-	p.NoC.MustAddPort("llc", cfg.OnChip.NoCGBps*config.GBps)
+	p.llc = p.NoC.MustAddPort("llc", cfg.OnChip.NoCGBps*config.GBps)
 	p.NoC.MustAddPort("gam", cfg.OnChip.NoCGBps*config.GBps)
 
 	// Host DRAM: the host-side DIMMs sit behind the memory controllers'
@@ -137,16 +141,20 @@ func NewPlatform(eng *sim.Engine, cfg config.SystemConfig, meter *energy.Meter) 
 	return p, nil
 }
 
-// id produces sequential instance names per level.
-func (p *Platform) id(l Level) string {
-	n := p.nextID[l]
-	p.nextID[l] = n + 1
-	switch l {
-	case OnChip:
-		return fmt.Sprintf("onchip%d", n)
-	case NearMemory:
-		return fmt.Sprintf("nm%d", n)
-	default:
-		return fmt.Sprintf("ns%d", n)
+// readStriped reads n bytes spread evenly across the SSD array through the
+// host interface and returns the last completion.
+func (p *Platform) readStriped(n int64, pattern storage.AccessPattern) sim.Time {
+	count := p.Storage.Len()
+	per := n / int64(count)
+	var last sim.Time
+	for i := 0; i < count; i++ {
+		chunk := per
+		if i == count-1 {
+			chunk = n - per*int64(count-1)
+		}
+		if d := p.Storage.HostRead(i, chunk, pattern); d > last {
+			last = d
+		}
 	}
+	return last
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fpga"
-	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -84,24 +83,4 @@ func (t *Task) Validate() error {
 		return fmt.Errorf("accel: task %s remote fraction %v out of range", t.Name, t.RemoteFraction)
 	}
 	return nil
-}
-
-// Accelerator is the interface GAM drives. Execute starts the task as soon
-// as the device is free, reserves the data-path resources, charges energy
-// and returns the completion time. Estimate returns the synthesis-report
-// runtime estimate GAM stores in its progress table (kernel time only —
-// it deliberately ignores data-path contention, which is why GAM's status
-// polling exists).
-type Accelerator interface {
-	Name() string
-	Level() Level
-	Fabric() *fpga.Fabric
-	Execute(t *Task) (sim.Time, error)
-	Estimate(t *Task) sim.Time
-	BusyUntil() sim.Time
-}
-
-// estimate is the shared Estimate implementation.
-func estimate(t *Task) sim.Time {
-	return t.Kernel.Duration(t.MACs, t.Bytes)
 }

@@ -106,9 +106,6 @@ type GAMConfig struct {
 	// CommandLatencyNS is the latency of one ACC command packet from GAM to
 	// a device (and of a status request/response leg).
 	CommandLatencyNS float64 `json:"command_latency_ns"`
-	// DispatchCycles is GAM's internal processing per task dispatch at the
-	// chip clock.
-	DispatchCycles int `json:"dispatch_cycles"`
 	// StatusSlackFraction: when a status poll finds a task unfinished, the
 	// device reports a new wait estimate of (remaining × (1+slack)). Models
 	// the estimated-wait-time refresh in the progress table.
@@ -188,7 +185,6 @@ func Default() SystemConfig {
 		},
 		GAM: GAMConfig{
 			CommandLatencyNS:    500,
-			DispatchCycles:      24,
 			StatusSlackFraction: 0.10,
 			CrossJobPipelining:  true,
 			StreamDepth:         2,

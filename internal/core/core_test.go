@@ -471,6 +471,30 @@ func TestBackgroundEnergy(t *testing.T) {
 	}
 }
 
+// Accelerators serves each level's instances in construction order, and
+// nil for the CPU or a level that does not exist.
+func TestAcceleratorsTable(t *testing.T) {
+	s := newSystem(t, config.Default().WithInstances(1, 2, 3))
+	for l, want := range map[accel.Level][]string{
+		accel.OnChip:      {"onchip0"},
+		accel.NearMemory:  {"nm0", "nm1"},
+		accel.NearStorage: {"ns0", "ns1", "ns2"},
+	} {
+		var got []string
+		for _, a := range s.Accelerators(l) {
+			got = append(got, a.Name())
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") || s.InstanceCount(l) != len(want) {
+			t.Errorf("Accelerators(%v) = %v (count %d), want %v", l, got, s.InstanceCount(l), want)
+		}
+	}
+	for _, l := range []accel.Level{accel.CPU, accel.Level(9), accel.Level(-1)} {
+		if got := s.Accelerators(l); got != nil {
+			t.Errorf("Accelerators(%v) = %v, want nil", l, got)
+		}
+	}
+}
+
 func TestNodeStateStrings(t *testing.T) {
 	for st, want := range map[NodeState]string{
 		NodePending: "pending", NodeReady: "ready", NodeRunning: "running", NodeDone: "done",

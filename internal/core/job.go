@@ -71,7 +71,7 @@ type TaskNode struct {
 	// level's instances, and the wait estimate the device returned at
 	// dispatch time.
 	gam      *GAM
-	acc      accel.Accelerator
+	acc      *accel.Accelerator
 	slot     int
 	estimate sim.Time
 

@@ -32,17 +32,8 @@ type System struct {
 	plat     *accel.Platform
 	registry *fpga.Registry
 
-	onChip   []*accel.OnChipAccel
-	nearMem  []*accel.NearMemAccel
-	nearStor []*accel.NearStorAccel
-
-	// Cached interface views of the populations above, served by
-	// Accelerators: the GAM consults the per-level instance list on every
-	// dispatch decision, so rebuilding the slice there dominated cluster
-	// allocation profiles.
-	accOnChip   []accel.Accelerator
-	accNearMem  []accel.Accelerator
-	accNearStor []accel.Accelerator
+	// accs[l] holds level l's instances in construction order.
+	accs [accel.CPU][]*accel.Accelerator
 
 	gam *GAM
 }
@@ -79,31 +70,15 @@ func NewNode(eng *sim.Domain, cfg config.SystemConfig, prefix string) (*System, 
 		plat:     plat,
 		registry: fpga.NewRegistry(),
 	}
-	for i := 0; i < cfg.Instances.OnChip; i++ {
-		s.onChip = append(s.onChip, plat.NewOnChip())
-	}
-	for i := 0; i < cfg.Instances.NearMemory; i++ {
-		a, err := plat.NewNearMem(i)
-		if err != nil {
-			return nil, err
+	counts := [accel.CPU]int{cfg.Instances.OnChip, cfg.Instances.NearMemory, cfg.Instances.NearStorage}
+	for l, n := range counts {
+		for i := 0; i < n; i++ {
+			a, err := plat.NewAccelerator(accel.Level(l), i)
+			if err != nil {
+				return nil, err
+			}
+			s.accs[l] = append(s.accs[l], a)
 		}
-		s.nearMem = append(s.nearMem, a)
-	}
-	for i := 0; i < cfg.Instances.NearStorage; i++ {
-		a, err := plat.NewNearStor(i)
-		if err != nil {
-			return nil, err
-		}
-		s.nearStor = append(s.nearStor, a)
-	}
-	for _, a := range s.onChip {
-		s.accOnChip = append(s.accOnChip, a)
-	}
-	for _, a := range s.nearMem {
-		s.accNearMem = append(s.accNearMem, a)
-	}
-	for _, a := range s.nearStor {
-		s.accNearStor = append(s.accNearStor, a)
 	}
 	s.gam = newGAM(s)
 	return s, nil
@@ -127,20 +102,14 @@ func (s *System) Registry() *fpga.Registry { return s.registry }
 // GAM exposes the global accelerator manager.
 func (s *System) GAM() *GAM { return s.gam }
 
-// Accelerators returns the instances at one level. The slice is a cached
-// view built at construction (the population is fixed after NewNode) and
-// is on the GAM's per-dispatch path — callers must not mutate it.
-func (s *System) Accelerators(l accel.Level) []accel.Accelerator {
-	switch l {
-	case accel.OnChip:
-		return s.accOnChip
-	case accel.NearMemory:
-		return s.accNearMem
-	case accel.NearStorage:
-		return s.accNearStor
-	default:
+// Accelerators returns the instances at one level, nil for the CPU or an
+// unknown level. The population is fixed after NewNode and the slice is
+// the System's own — callers must not mutate it.
+func (s *System) Accelerators(l accel.Level) []*accel.Accelerator {
+	if l < accel.OnChip || l >= accel.CPU {
 		return nil
 	}
+	return s.accs[l]
 }
 
 // InstanceCount reports the accelerator population at a level.

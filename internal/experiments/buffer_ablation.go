@@ -49,7 +49,7 @@ func bufferCell(m workload.Model, hit float64) (*BufferAblationCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := plat.NewNearStor(0)
+	a, err := plat.NewAccelerator(accel.NearStorage, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -106,12 +106,6 @@ func WithCrossJobPipelining(on bool) Option {
 	return func(c *config.SystemConfig) { c.GAM.CrossJobPipelining = on }
 }
 
-// WithConfig replaces the whole hardware description (advanced use; see
-// the internal/config package for the schema).
-func WithConfig(c config.SystemConfig) Option {
-	return func(dst *config.SystemConfig) { *dst = c }
-}
-
 // System is one configured ReACH machine plus its meta-accelerator state.
 type System struct {
 	sys      *core.System
@@ -140,10 +134,6 @@ func NewSystem(opts ...Option) (*System, error) {
 	}
 	return &System{sys: sys, nextInstance: make(map[Level]int)}, nil
 }
-
-// Core exposes the underlying simulator system for the experiment harness
-// and tests.
-func (s *System) Core() *core.System { return s.sys }
 
 // Now reports the current simulated time.
 func (s *System) Now() sim.Time { return s.sys.Engine().Now() }

@@ -319,3 +319,60 @@ func TestLevelAndStreamTypeStrings(t *testing.T) {
 		t.Error("unknown stream type empty")
 	}
 }
+
+// A job's dependencies come from the producers Execute has already seen,
+// so a stream's consumer executed before its producer would run without
+// waiting for it. Execute rejects that order; the producer-first order of
+// the same program keeps its latency.
+func TestExecuteRejectsProducerAfterConsumer(t *testing.T) {
+	run := func(producerFirst bool) (sim.Time, error) {
+		s, err := NewSystem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, _ := s.CreateStream("in", CPU, OnChip, Pair, 64<<20, 0)
+		mid, _ := s.CreateStream("mid", OnChip, NearMem, Pair, 64<<20, 0)
+		prod, err := s.RegisterAcc("GEMM-VU9P", OnChip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cons, err := s.RegisterAcc("GEMM-ZCU9", NearMem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []error{prod.SetArg(0, in), prod.SetArg(1, mid), cons.SetArg(0, mid), s.Deploy()} {
+			if e != nil {
+				t.Fatal(e)
+			}
+		}
+		prod.SetWork(Work{Stage: "p", MACs: 1e9, StreamBytes: 64 << 20})
+		cons.SetWork(Work{Stage: "c", MACs: 1e9, StreamBytes: 64 << 20})
+		j, err := s.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Enqueue(in); err != nil {
+			t.Fatal(err)
+		}
+		order := []*ACC{cons, prod}
+		if producerFirst {
+			order = []*ACC{prod, cons}
+		}
+		for _, a := range order {
+			if err := j.Execute(a); err != nil {
+				return 0, err
+			}
+		}
+		if err := j.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		return j.Latency(), nil
+	}
+	if lat, err := run(true); err != nil || lat != 22125524397*sim.Picosecond {
+		t.Errorf("producer first: latency %v, error %v; want 22.1255ms", lat, err)
+	}
+	if lat, err := run(false); err == nil {
+		t.Errorf("consumer first accepted, latency %v", lat)
+	}
+}

@@ -2,6 +2,7 @@ package reach
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/accel"
 	"repro/internal/core"
@@ -92,13 +93,27 @@ func (b *Job) Enqueue(st *Stream) error {
 // Listing 3's acc.execute(threadId). Dependencies are inferred from the
 // ACC's input streams: it waits for every producer of those streams that
 // ran earlier in this job, or for the host enqueue when the stream comes
-// from the CPU.
+// from the CPU. Producers therefore execute before their consumers: an ACC
+// that produces a stream an ACC already executed in this job reads is an
+// error, since that consumer would not wait for it.
 func (b *Job) Execute(a *ACC) error {
 	if b.committed {
 		return fmt.Errorf("reach: job %d already committed", b.id)
 	}
 	if a.sys != b.sys {
 		return fmt.Errorf("reach: accelerator %s belongs to a different system", a.Name)
+	}
+	for _, arg := range a.args {
+		st, ok := arg.arg.(*Stream)
+		if !ok || !slices.Contains(st.producers, a) {
+			continue
+		}
+		for _, c := range b.sys.accs {
+			if len(b.nodesByACC[c]) > 0 && slices.Contains(c.inputStreams(), st) {
+				return fmt.Errorf("reach: %s produces stream %q, which %s already read in job %d; execute producers first",
+					a.Name, st.Name, c.Name, b.id)
+			}
+		}
 	}
 	var deps []*core.TaskNode
 	for _, st := range a.inputStreams() {
@@ -201,9 +216,6 @@ func (b *Job) Latency() sim.Time { return b.j.Latency() }
 
 // FinishedAt reports the completion time (zero until done).
 func (b *Job) FinishedAt() sim.Time { return b.j.FinishedAt }
-
-// CoreJob exposes the underlying GAM job for the experiment harness.
-func (b *Job) CoreJob() *core.Job { return b.j }
 
 // stage produces the energy-attribution label for an ACC.
 func (a *ACC) stage() string {
