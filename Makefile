@@ -7,9 +7,11 @@
 #                      four-row distance kernel against SquaredL2, the
 #                      MultiEngine coordinator against one Engine, reset
 #                      job graphs against fresh ones, the metrics CSV's
-#                      integer microsecond formatter against FormatFloat
-#                      and random reach programs against a second run of
-#                      themselves, and bench-smoke
+#                      integer microsecond formatter against FormatFloat,
+#                      random reach programs against a second run of
+#                      themselves and the trace's counter lanes against
+#                      their every-sample rendering with repeats dropped,
+#                      and bench-smoke
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
 #   make bench       — root + sim benchmarks with allocation stats
 #   make bench-smoke — 1x pass over every benchmark, so benchmark code
@@ -57,16 +59,18 @@ bench-test:
 # split across MultiEngine domains must dispatch exactly as on one Engine,
 # random job graphs run again after Job.Reset must schedule exactly as
 # fresh copies, the CSV writer's microseconds from integer picoseconds
-# must equal strconv.FormatFloat's for every int64, and a random
+# must equal strconv.FormatFloat's for every int64, a random
 # Listings-style reach program run twice in one process must give the
-# same latencies and energy bit for bit. Plain go test runs only the
-# seeds.
+# same latencies and energy bit for bit, and the Chrome-trace counter
+# lanes of randomly scheduled resources must hold exactly the changes of
+# their sampled values. Plain go test runs only the seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSquaredL2Rows$$' -fuzztime 10s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzMultiEngine$$' -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobReuse$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendUS$$' -fuzztime 10s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzReachProgram$$' -fuzztime 10s ./reach/
+	$(GO) test -run '^$$' -fuzz '^FuzzCounterLanes$$' -fuzztime 10s ./internal/trace/
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/

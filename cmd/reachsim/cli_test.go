@@ -52,7 +52,7 @@ const emptySHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b8
 const (
 	observedStdout = "62596242ca911ed1ec17c831b700db099c0467d8ebd3d85751bb0640e228d03c"
 	observedCSV    = "6acfc6364143b09879ac6cf896fb27f8e491aaef27a80595cf9b457bb1596671"
-	observedTrace  = "73d14db59743aad982ce5a6847ec48330cfa0b17b4ac59b5b1c101143fcdc4ad"
+	observedTrace  = "2a206bcd0df0979ef8a2e5211add3dc25a94ff97e2cccb8d5446a3b85f225970"
 	flashStdout    = "8697826d65f93bc488b291230ad7f4891928604542fb287ee8be924492f95337"
 	taillatStdout  = "21fc111b51fa0dae9bb51b110e4eab520bd67469839811521610aed2d8cf6af5"
 	taillatCSV     = "1e4840b9f85b2aae64c725ddc54a14cc559a4a5b3fd3318d98bb1819051fd04b"
@@ -64,7 +64,7 @@ func observedBundle(dir string) map[string]string {
 	b := dir + "/bundle-3680510us/"
 	return map[string]string{
 		b + "verdict.json":   "e80bc26b58be3fb6411346338dcd6ce3a69e2c39fcb3986bd72bc10a57fdf187",
-		b + "trace.json":     "67b8cf62cede14a22cfd9361652c80e79e630ad5ce30ac2570d9a40d9424280d",
+		b + "trace.json":     "06b1a9424cc8a47009f38f36ce900991427aab1fa9465d8340357e26669714a1",
 		b + "stragglers.txt": "f5cd6083debb118f96f8fd2ba179e74457314707db21b8edb45181d4c5237109",
 		b + "domains.json":   "35dda06dc6519fcb8b8e76a8b380a91f093d383dc78e6323c8179f2dd64a4e10",
 		b + "state.json":     "bcae0cfe8bd86888e5cffaa6b5ab8d9a54306c64a8b1fd7335adf8176d45ad11",
@@ -121,7 +121,7 @@ var cliRows = []cliRow{
 		stdout: "4b26edbe448e717fa1b6e5560311e25584e7fe6c7413369f2dba9e9a821435d6",
 		files: map[string]string{
 			"metrics.csv": "6a1b69071dfd59acb8395d1758c0a1775cf42447689ad86af515e89ad4f2428e",
-			"trace.json":  "1509fbe52e3e04e2f25dd5e1f6c24f5d26cd964439be58abc78e08f2c275b682",
+			"trace.json":  "fbfa9d8452ddf6d93f0d3d84668bc59567aff312cf279b5d71956d6b617fd150",
 		},
 		stderr: []string{
 			"cluster metrics written to DIR/metrics.csv",
@@ -224,7 +224,7 @@ var cliRows = []cliRow{
 	{
 		name: "trace-spans", args: []string{"-trace", "DIR/trace.json", "-spans", "-metrics-interval", "500us"},
 		stdout: emptySHA,
-		files:  map[string]string{"trace.json": "f5eae46354b72dc710f3278e7291fb16bc82c682627816330588aab754aa803f"},
+		files:  map[string]string{"trace.json": "6757f593cf9c7c6aff0b65429d11550ca400c621892ae875e97fa95e3be74e00"},
 		stderr: []string{"trace written to DIR/trace.json (open in chrome://tracing or Perfetto)"},
 		check: func(t *testing.T, dir string, _ []byte) {
 			checkTrace(t, filepath.Join(dir, "trace.json"), traceWant{counters: true, spans: true})
@@ -235,7 +235,7 @@ var cliRows = []cliRow{
 		stdout: "b2c0b306de94c50442e50a4495a5dcfef208f3505fd23f9aaa2b337eea20294c",
 		files: map[string]string{
 			"metrics.csv": "94438f594767525f23e8a3078051a9214ad2dde7236ac39d9b846c527af34551",
-			"trace.json":  "f5eae46354b72dc710f3278e7291fb16bc82c682627816330588aab754aa803f",
+			"trace.json":  "6757f593cf9c7c6aff0b65429d11550ca400c621892ae875e97fa95e3be74e00",
 		},
 		stderr: []string{
 			"metrics for 1 runs written to DIR/metrics.csv",

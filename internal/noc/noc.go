@@ -69,12 +69,6 @@ func (x *Crossbar) MustAddPort(name string, bytesPerSec float64) *Port {
 	return p
 }
 
-// Port looks up an endpoint by name.
-func (x *Crossbar) Port(name string) (*Port, bool) {
-	p, ok := x.ports[name]
-	return p, ok
-}
-
 // Transfer moves n bytes from src to dst and returns the completion time.
 // The transfer occupies the source egress and destination ingress ports;
 // the effective rate is the narrower of the two, modelled by serialising
@@ -115,12 +109,3 @@ func (x *Crossbar) TotalBytes() uint64 { return x.totalBytes }
 
 // Transfers reports the number of nonempty transfers.
 func (x *Crossbar) Transfers() uint64 { return x.transfers }
-
-// PortUtilization reports egress utilisation for a named port.
-func (x *Crossbar) PortUtilization(name string) float64 {
-	p, ok := x.ports[name]
-	if !ok {
-		return 0
-	}
-	return p.egress.ResourceStats().Utilization
-}

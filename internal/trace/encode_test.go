@@ -119,10 +119,11 @@ func refSpans(tl *Timeline, ref *[]refEvent, pid int, l *metrics.SpanLog) {
 }
 
 // refCounters renders each series' counter lanes the way the exporter
-// did before lanes started at their first non-zero value, with one
-// addition: a series starting at sample k > 0 also gets a busy % at its
-// first point, against the zero it read at sample k-1. It then drops
-// each lane's events up to its first non-zero value.
+// did before lanes held only changes, a point at every kept sample, with
+// one addition: a series starting at sample k > 0 also gets a busy % at
+// its first point, against the zero it read at sample k-1. It then drops
+// each event whose value equals the last kept event of its lane, every
+// lane starting from zero.
 func refCounters(ref *[]refEvent, pid int, s metrics.Source) {
 	for _, se := range s.Series() {
 		var events []refEvent
@@ -150,22 +151,23 @@ func refCounters(ref *[]refEvent, pid int, s metrics.Source) {
 			}
 			prevIdx = i
 		}
-		started := map[string]bool{}
+		last := map[string]float64{}
 		for _, e := range events {
-			if started[e.Name] = started[e.Name] || !isZero(e.Args["value"]); started[e.Name] {
+			if v := counterValue(e.Args["value"]); v != last[e.Name] {
+				last[e.Name] = v
 				*ref = append(*ref, e)
 			}
 		}
 	}
 }
 
-// isZero reports whether a counter event's int or float64 value is zero.
-func isZero(v any) bool {
+// counterValue returns a counter event's int or float64 value.
+func counterValue(v any) float64 {
 	switch v := v.(type) {
 	case int:
-		return v == 0
+		return float64(v)
 	case float64:
-		return v == 0
+		return v
 	}
 	panic(fmt.Sprintf("counter value of type %T", v))
 }
@@ -278,11 +280,13 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 	// separators and invalid UTF-8.
 	a := sim.NewLink(eng, strs[6]+strs[8], 1e9, 0)
 	b := sim.NewLink(eng, strs[9], 1e9, 0)
-	// A link first busy after the first sample, one never busy and a
-	// port that holds an item for one sample: lanes that start late,
-	// never, and for occupancy only.
+	// A link first busy after the first sample, one never busy, one busy
+	// at one rate for three samples and a port that holds an item for
+	// three samples: lanes that start late, never, repeat a value, and
+	// exist for occupancy only.
 	late := sim.NewLink(eng, "late", 1e9, 0)
 	sim.NewLink(eng, "idle", 1e9, 0)
+	held := sim.NewLink(eng, "held", 1e9, 0)
 	port := sim.NewTokenQueue(eng, "port", 2)
 	rec := metrics.Attach(eng, metrics.Options{Interval: at})
 	for _, start := range []sim.Time{0, at, 2 * at} {
@@ -293,11 +297,18 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 		})
 	}
 	eng.At(at+at/2, func() { late.Transfer(1 << 10); port.Put(1, nil) })
-	eng.At(2*at+at/2, func() { port.TryGet() })
+	for _, k := range []sim.Time{1, 2, 3} {
+		eng.At(k*at+at/2, func() { held.Transfer(1 << 10) })
+	}
+	eng.At(4*at+at/2, func() { port.TryGet() })
 	eng.Run()
 	rec.Finish()
 	if se, ok := rec.Sampler.Lookup("late"); !ok || se.Start() == 0 {
 		t.Fatal("the late link's series does not start after the first sample")
+	}
+	if se, ok := rec.Sampler.Lookup("held"); !ok || se.Len() < 3 ||
+		se.At(2).Busy-se.At(1).Busy != se.At(1).Busy-se.At(0).Busy {
+		t.Fatal("the held link's busy % does not repeat a value")
 	}
 	spans := metrics.NewSpanLog()
 	for i, s := range strs {

@@ -35,12 +35,14 @@ const counterPointCap = 2048
 // "C" counter events: per resource one "occupancy" track and one "busy %"
 // track (the busy-time delta over the decimated sampling stride, as a
 // percentage), rendered by Perfetto as counter lanes alongside the task
-// slices. Each lane starts at its first non-zero value and every earlier
-// value is zero, so a resource that never queues (a connection) has no
-// occupancy lane and one that is never busy no busy-% lane. Series longer
-// than counterPointCap points are decimated. Accepts any metrics.Source,
-// so both the single-system Sampler and the cluster MultiSampler export
-// through the same path.
+// slices. A "C" event holds its value until the next one, so each lane
+// starts from an implicit zero and gets a point only where its value
+// differs from the last point written: a resource that never queues (a
+// connection) has no occupancy lane, one that is never busy no busy-%
+// lane, and a link held busy at one rate shows one point for the whole
+// stretch. Series longer than counterPointCap points are decimated.
+// Accepts any metrics.Source, so both the single-system Sampler and the
+// cluster MultiSampler export through the same path.
 func (t *Timeline) AddCounters(s metrics.Source) {
 	for _, se := range s.Series() {
 		t.addCounterSeries(1, se.Name, s, se)
@@ -53,12 +55,9 @@ func (t *Timeline) AddCounters(s metrics.Source) {
 // that zero and the interval in which the resource first became busy
 // still shows.
 func (t *Timeline) addCounterSeries(pid int, display string, s metrics.Source, se *metrics.Series) {
-	stride := (se.Len() + counterPointCap - 1) / counterPointCap
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max((se.Len()+counterPointCap-1)/counterPointCap, 1)
 	occupancy, busy := display+" occupancy", display+" busy %"
-	var occOn, busyOn bool // each lane starts at its first non-zero value
+	lastOcc, lastPct := 0, 0.0 // the last point written on each lane
 	prevAt, prevBusy, havePrev := sim.Time(0), sim.Time(0), se.Start() > 0
 	if havePrev {
 		prevAt = s.Time(se.Start() - 1)
@@ -66,14 +65,15 @@ func (t *Timeline) addCounterSeries(pid int, display string, s metrics.Source, s
 	for i := 0; i < se.Len(); i += stride {
 		p := se.At(i)
 		at := s.Time(se.Start() + i)
-		if occOn = occOn || p.Occupancy != 0; occOn {
+		if p.Occupancy != lastOcc {
+			lastOcc = p.Occupancy
 			t.begin(occupancy, eventHead{cat: "metrics", ph: "C", ts: us(at), pid: pid}).
 				argInt("value", int64(p.Occupancy)).
 				add()
 		}
 		if dt := at - prevAt; havePrev && dt > 0 {
-			pct := float64(p.Busy-prevBusy) / float64(dt) * 100
-			if busyOn = busyOn || pct != 0; busyOn {
+			if pct := float64(p.Busy-prevBusy) / float64(dt) * 100; pct != lastPct {
+				lastPct = pct
 				t.begin(busy, eventHead{cat: "metrics", ph: "C", ts: us(at), pid: pid}).
 					argFloat("value", pct).
 					add()

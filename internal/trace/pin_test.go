@@ -14,8 +14,9 @@ import (
 )
 
 // The pins below were first recorded with the encoding/json renderer the
-// streaming encoder replaced, and re-recorded when counter lanes began to
-// start at their first non-zero value. Both runs are pure functions of
+// streaming encoder replaced, re-recorded when counter lanes began to
+// start at their first non-zero value, and again when they began to hold
+// a point only where their value changes. Both runs are pure functions of
 // the simulation, so any drift in field order, escaping, number
 // formatting or event order changes the digest.
 
@@ -32,8 +33,8 @@ func checkPin(t *testing.T, raw []byte, wantLen int, wantSHA string) {
 // groups, async query pairs, routed intervals, per-node counters and
 // spans.
 func TestClusterTracePinned(t *testing.T) {
-	checkPin(t, runClusterTrace(t), 516284,
-		"edf34b3b1849fd1713f56890a21b4f64259b6db27d324580601dca03db23d24d")
+	checkPin(t, runClusterTrace(t), 289467,
+		"8e1392f7d92b38bd0a047a61379211fd05337bc51b9ec1c0a0e2715492df7739")
 }
 
 // pipelineTrace renders a sampled, query-traced single-system pipeline
@@ -65,6 +66,6 @@ func pipelineTrace(t *testing.T) []byte {
 // TestPipelineTracePinned pins the single-system trace: job and detection
 // slices, resource counters, query lanes, counter lanes and GAM spans.
 func TestPipelineTracePinned(t *testing.T) {
-	checkPin(t, pipelineTrace(t), 358540,
-		"98c21ca3762830a8633915be1763e7f61b2f2caffc36fd95e3bbe0449bf3a67b")
+	checkPin(t, pipelineTrace(t), 43868,
+		"e1551b354f980d0e68e829d79a0fd73d2350338ba82050a203c81293b95a9c2d")
 }
