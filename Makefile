@@ -9,9 +9,10 @@
 #                      job graphs against fresh ones, the metrics CSV's
 #                      integer microsecond formatter against FormatFloat,
 #                      random reach programs against a second run of
-#                      themselves and the trace's counter lanes against
-#                      their every-sample rendering with repeats dropped,
-#                      and bench-smoke
+#                      themselves, the trace's counter lanes against
+#                      their every-sample rendering with repeats dropped
+#                      and the metrics series' change runs against a
+#                      dense six-column reference, and bench-smoke
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
 #   make bench       — root + sim benchmarks with allocation stats
 #   make bench-smoke — 1x pass over every benchmark, so benchmark code
@@ -19,7 +20,8 @@
 #                      (the root package's tables, figures, ablations and
 #                      cluster scatter-gathers included, the kernels
 #                      package's four-row distance kernel beside its
-#                      SquaredL2 loop, and the GAM's deep-queue dispatch)
+#                      SquaredL2 loop, the GAM's deep-queue dispatch, and
+#                      the metrics CSV writer over moving and held series)
 
 GO ?= go
 
@@ -61,9 +63,12 @@ bench-test:
 # fresh copies, the CSV writer's microseconds from integer picoseconds
 # must equal strconv.FormatFloat's for every int64, a random
 # Listings-style reach program run twice in one process must give the
-# same latencies and energy bit for bit, and the Chrome-trace counter
+# same latencies and energy bit for bit, the Chrome-trace counter
 # lanes of randomly scheduled resources must hold exactly the changes of
-# their sampled values. Plain go test runs only the seeds.
+# their sampled values, and the change runs of randomly scheduled
+# resources, sampled by a Sampler and a MultiSampler, must read, write
+# CSV, window and attribute exactly as a dense six-column store. Plain go
+# test runs only the seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSquaredL2Rows$$' -fuzztime 10s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzMultiEngine$$' -fuzztime 10s ./internal/sim/
@@ -71,6 +76,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendUS$$' -fuzztime 10s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzReachProgram$$' -fuzztime 10s ./reach/
 	$(GO) test -run '^$$' -fuzz '^FuzzCounterLanes$$' -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzSeriesRuns$$' -fuzztime 10s ./internal/metrics/
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/

@@ -1,6 +1,10 @@
 package metrics
 
-import "repro/internal/sim"
+import (
+	"sort"
+
+	"repro/internal/sim"
+)
 
 // PhaseWindow is one named interval of a run — typically a pipeline
 // stage's earliest-dispatch to latest-detection window, plus a "run"
@@ -34,32 +38,19 @@ type Attribution struct {
 	Share float64
 }
 
-// deltaIn reports the change of a cumulative column inside (a, b]: the
-// value at the last sample ≤ b minus the value at the last sample ≤ a.
-// Samples are cumulative counters, so this is exact at sample boundaries
-// and conservative (quantized to the sampling grid) inside them.
-func deltaIn(s Source, se *Series, col *column, a, b sim.Time) int64 {
-	return cumAt(s, se, col, b) - cumAt(s, se, col, a)
-}
-
-// cumAt reports a cumulative column's value at the last sample instant
-// ≤ t, or zero when the series has no sample that early.
-func cumAt(s Source, se *Series, col *column, t sim.Time) int64 {
-	// Binary search over the global time axis restricted to the series'
-	// live range [se.start, se.start+len).
-	lo, hi := 0, se.Len() // candidate point counts
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.Time(se.start+mid) <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// cumAt reports the series' point at the last sample instant ≤ t, or
+// the zero point when the series has no sample that early. The counters
+// are cumulative, so the difference of two such points is exact at
+// sample boundaries and conservative (quantized to the sampling grid)
+// inside them. Runs tile the series' samples in time order, so the last
+// run beginning at or before t holds that sample: a binary search over
+// the runs' first instants finds it.
+func cumAt(s Source, se *Series, t sim.Time) Point {
+	k := sort.Search(se.runs.len(), func(k int) bool { return s.Time(se.start+se.runs.at(k).from) > t })
+	if k == 0 {
+		return Point{}
 	}
-	if lo == 0 {
-		return 0
-	}
-	return col.at(lo - 1)
+	return se.runs.at(k - 1).p
 }
 
 // Attribute reduces a sampled run to one Attribution per phase: the
@@ -77,8 +68,8 @@ func Attribute(s Source, phases []PhaseWindow) []Attribution {
 		}
 		w := att.Window.Seconds()
 		for _, se := range series {
-			busy := sim.Time(deltaIn(s, se, &se.busy, ph.Start, ph.End))
-			wait := sim.Time(deltaIn(s, se, &se.wait, ph.Start, ph.End))
+			a, b := cumAt(s, se, ph.Start), cumAt(s, se, ph.End)
+			busy, wait := b.Busy-a.Busy, b.Wait-a.Wait
 			if busy <= 0 && wait <= 0 {
 				continue
 			}

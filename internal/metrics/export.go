@@ -43,8 +43,10 @@ const csvFlushAt = 64 << 10
 //
 // The bytes are what encoding/csv writes for the same fields, but only
 // the text fields go through it, once per run: the run label and each
-// series' name and kind. Every row is appended to one reused buffer with
-// the strconv Append functions.
+// series' name and kind. A series' row tail, "resource,kind,occupancy,
+// …,stalls\n", is formatted once per stored run with the strconv Append
+// functions and copied for every sample the run holds; every row is
+// appended to one reused buffer.
 type CSVWriter struct {
 	w           io.Writer
 	buf         []byte // rows not yet written; its capacity is reused
@@ -56,13 +58,31 @@ func NewCSVWriter(w io.Writer) *CSVWriter {
 	return &CSVWriter{w: w}
 }
 
+// maxCountersLen bounds the bytes appendCounters writes: six fields of at
+// most 20 bytes (an int64 or uint64 in decimal, or a microsecond value
+// from appendUS) with a separator each.
+const maxCountersLen = 6 * (20 + 1)
+
+// heldRow is one series' place in WriteRun: its run iterator, the
+// series-relative sample at which the current run ends, and the row tail
+// formatted for that run after the series' "resource,kind," text.
+type heldRow struct {
+	runs   RunIter
+	to     int
+	prefix int // length of tail's "resource,kind," text
+	tail   []byte
+}
+
 // WriteRun appends every sample of one run, labelled run in the first
 // column. The header is written once, before the first row.
 func (c *CSVWriter) WriteRun(run string, s Source) error {
 	series := s.Series() // sorted by name
-	label, text := csvRecord(run), make([][]byte, len(series))
+	label, rows := csvRecord(run), make([]heldRow, len(series))
 	for k, se := range series {
-		text[k] = csvRecord(se.Name, string(se.Kind))
+		text := append(csvRecord(se.Name, string(se.Kind)), ',')
+		// Sized for the longest possible row, so a tail never regrows.
+		tail := append(make([]byte, 0, len(text)+maxCountersLen), text...)
+		rows[k] = heldRow{runs: se.Runs(), prefix: len(text), tail: tail}
 	}
 	if c.buf == nil {
 		// Twice the flush mark, so a row shorter than csvFlushAt never
@@ -84,14 +104,14 @@ func (c *CSVWriter) WriteRun(run string, s Source) error {
 			if j < 0 || j >= se.Len() {
 				continue // the series starts after this instant
 			}
-			p := se.At(j)
-			b = append(append(append(b, head...), text[k]...), ',')
-			b = append(strconv.AppendInt(b, int64(p.Occupancy), 10), ',')
-			b = append(strconv.AppendUint(b, p.Ops, 10), ',')
-			b = append(strconv.AppendUint(b, p.Bytes, 10), ',')
-			b = append(appendUS(b, p.Busy), ',')
-			b = append(appendUS(b, p.Wait), ',')
-			b = append(strconv.AppendUint(b, p.Stalls, 10), '\n')
+			h := &rows[k]
+			if j >= h.to { // the series enters its next run
+				h.runs.Next()
+				r := h.runs.Run()
+				h.to = r.To
+				h.tail = appendCounters(h.tail[:h.prefix], r.Point)
+			}
+			b = append(append(b, head...), h.tail...)
 			if len(b) >= csvFlushAt {
 				if _, err := c.w.Write(b); err != nil {
 					return err
@@ -106,6 +126,17 @@ func (c *CSVWriter) WriteRun(run string, s Source) error {
 	}
 	_, err := c.w.Write(b)
 	return err
+}
+
+// appendCounters appends p's six CSV fields, each followed by its
+// separator, the last by the row's newline.
+func appendCounters(b []byte, p Point) []byte {
+	b = append(strconv.AppendInt(b, int64(p.Occupancy), 10), ',')
+	b = append(strconv.AppendUint(b, p.Ops, 10), ',')
+	b = append(strconv.AppendUint(b, p.Bytes, 10), ',')
+	b = append(appendUS(b, p.Busy), ',')
+	b = append(appendUS(b, p.Wait), ',')
+	return append(strconv.AppendUint(b, p.Stalls, 10), '\n')
 }
 
 // csvRecord renders fields as encoding/csv writes them in one record,

@@ -15,30 +15,29 @@ import (
 
 // sprintfCSV is the reference rendering CSVWriter must reproduce: the
 // row builder it used before formatting with strconv, one fmt.Sprintf
-// per numeric field, header once, runs in order.
-func sprintfCSV(t *testing.T, runs []string, srcs []Source) []byte {
+// per numeric field over the dense six-column reference store, header
+// once, runs in order.
+func sprintfCSV(t *testing.T, runs []string, refs []*dense) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	cw := csv.NewWriter(&buf)
 	if err := cw.Write(csvHeader); err != nil {
 		t.Fatal(err)
 	}
-	for r, s := range srcs {
-		series := s.Series()
-		for i := 0; i < s.Samples(); i++ {
-			tm := s.Time(i)
-			for _, se := range series {
-				j := i - se.Start()
-				if j < 0 || j >= se.Len() {
+	for r, d := range refs {
+		for i, tm := range d.times {
+			for _, se := range d.series {
+				j := i - se.start
+				if j < 0 || j >= se.len() {
 					continue
 				}
-				p := se.At(j)
+				p := se.at(j)
 				err := cw.Write([]string{
 					runs[r],
 					fmt.Sprintf("%d", i),
 					fmt.Sprintf("%.3f", tm.Microseconds()),
-					se.Name,
-					string(se.Kind),
+					se.name,
+					string(se.kind),
 					fmt.Sprintf("%d", p.Occupancy),
 					fmt.Sprintf("%d", p.Ops),
 					fmt.Sprintf("%d", p.Bytes),
@@ -105,16 +104,15 @@ func newExtremeSource() extremeSource {
 	a := &Series{Name: "a,quoted \"name\"", Kind: sim.KindPort}
 	b := &Series{Name: "b", Kind: sim.KindDomain, start: 1}
 	for _, v := range []int64{0, -1} {
-		a.occupancy.append(v)
-		a.ops.append(v)
-		a.bytes.append(v)
-		a.busy.append(v)
-		a.wait.append(math.MinInt64 - v)
-		a.stalls.append(v)
+		a.append(Point{
+			Occupancy: int(v), Ops: uint64(v), Bytes: uint64(v), Busy: sim.Time(v),
+			Wait: sim.Time(math.MinInt64 - v), Stalls: uint64(v),
+		}, 1)
 	}
-	for _, c := range []*column{&b.occupancy, &b.ops, &b.bytes, &b.busy, &b.wait, &b.stalls} {
-		c.append(math.MaxInt64)
-	}
+	b.append(Point{
+		Occupancy: math.MaxInt64, Ops: math.MaxInt64, Bytes: math.MaxInt64,
+		Busy: math.MaxInt64, Wait: math.MaxInt64, Stalls: math.MaxInt64,
+	}, 1)
 	return extremeSource{series: []*Series{a, b}}
 }
 
@@ -135,12 +133,19 @@ func TestCSVWriterMatchesSprintf(t *testing.T) {
 	srcs := []Source{s, ms, newExtremeSource()}
 	var got bytes.Buffer
 	cw := NewCSVWriter(&got)
+	refs := make([]*dense, len(srcs))
 	for i, src := range srcs {
 		if err := cw.WriteRun(runs[i], src); err != nil {
 			t.Fatal(err)
 		}
+		refs[i] = denseOf(src)
 	}
-	if want := sprintfCSV(t, runs, srcs); !bytes.Equal(got.Bytes(), want) {
+	// Two rows for the series holding at both samples and one for the
+	// series starting at sample 1.
+	if n := bytes.Count(got.Bytes(), []byte("\nextreme,")); n != 3 {
+		t.Fatalf("extreme run wrote %d rows, want 3", n)
+	}
+	if want := sprintfCSV(t, runs, refs); !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("CSV diverges from the fmt.Sprintf rendering:\n got %d bytes\nwant %d bytes\n%s",
 			got.Len(), len(want), firstDiff(got.Bytes(), want))
 	}
@@ -158,17 +163,35 @@ func firstDiff(got, want []byte) string {
 }
 
 // BenchmarkCSVWriteRun measures CSVWriter.WriteRun over a recorded
-// barrier-sampled run.
+// barrier-sampled run whose four series move at nearly every sample.
 func BenchmarkCSVWriteRun(b *testing.B) {
 	m := buildPingPong(4000)
 	rec := AttachMulti(m, Options{Interval: sim.Microsecond})
 	m.Run()
+	benchWriteRun(b, rec.Sampler)
+}
+
+// BenchmarkCSVWriteRunHeld is BenchmarkCSVWriteRun with 16 more links
+// that each move once and then hold, so most rows copy a held tail.
+func BenchmarkCSVWriteRunHeld(b *testing.B) {
+	m := buildPingPong(4000)
+	d := m.Domain(0)
+	for k := 0; k < 16; k++ {
+		l := sim.NewLink(d, fmt.Sprintf("held.%02d", k), 1e12, 0)
+		d.At(sim.Time(k)*sim.Microsecond, func() { l.Transfer(4096) })
+	}
+	rec := AttachMulti(m, Options{Interval: sim.Microsecond})
+	m.Run()
+	benchWriteRun(b, rec.Sampler)
+}
+
+func benchWriteRun(b *testing.B, s Source) {
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := NewCSVWriter(&buf).WriteRun("bench", rec.Sampler); err != nil {
+		if err := NewCSVWriter(&buf).WriteRun("bench", s); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,19 +1,26 @@
 // Package metrics is the simulator's time-resolved observability layer.
 // Where the StatsRegistry reports end-of-run aggregates, this package
 // records *when* pressure built: a periodic Sampler scheduled on the sim
-// engine walks the registry every N sim-microseconds and appends one point
-// per resource that has moved so far to chunked columnar series, and a
-// SpanLog collects the GAM's structured decision spans (dispatch causes,
-// reconfigurations, poll-detection gaps, stream-buffer stalls).
+// engine walks the registry every N sim-microseconds and records one
+// point per resource that has moved so far, and a SpanLog collects the
+// GAM's structured decision spans (dispatch causes, reconfigurations,
+// poll-detection gaps, stream-buffer stalls).
+//
+// A Series is stored as change runs: a point is kept only where one of
+// its six values differs from the last kept point, with the sample its
+// run begins at, so a resource holding still between samples costs a
+// comparison and no memory. Series.At still reads any sample, and the
+// exporters walk the runs (Series.Runs): the CSV writer formats a run's
+// row tail once and copies it for every sample the run holds.
 //
 // The layer is zero-cost when disabled — nothing is attached to the engine
 // and the model hot paths only pay a nil check — and allocation-free in
-// steady state when enabled: samples append into preallocated column
-// chunks and the registry walk is cached between registrations (see
+// steady state when enabled: stored points fill preallocated chunks and
+// the registry walk is cached between registrations (see
 // TestSamplerZeroAllocSteadyState).
 //
 // Partitioned (cluster) simulations use MultiSampler instead: the same
-// series store (interval, time axis, columnar series and their accessors),
+// series store (interval, time axis, run-stored series and their accessors),
 // but driven off the MultiEngine's barriers rather than calendar events,
 // so sampling can never perturb the deterministic round structure.
 // AttachMulti installs it. A standalone engine keeps the timer-driven

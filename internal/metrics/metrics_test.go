@@ -114,11 +114,15 @@ func TestSamplerMidRunRegistration(t *testing.T) {
 }
 
 // TestSamplerZeroAllocSteadyState is the tentpole's allocation gate: once
-// every chunk and series exists, taking a sample allocates nothing.
+// every chunk and series exists, taking a sample allocates nothing, also
+// when it stores a point. Link r.a moves before every measured sample;
+// the other three hold.
 func TestSamplerZeroAllocSteadyState(t *testing.T) {
 	eng := sim.NewEngine()
+	var links []*sim.Link
 	for _, n := range []string{"r.a", "r.b", "r.c", "r.d"} {
-		sim.NewLink(eng, n, 1e9, 0).Transfer(1) // a series starts at its first move
+		links = append(links, sim.NewLink(eng, n, 1e9, 0))
+		links[len(links)-1].Transfer(1) // a series starts at its first move
 	}
 	s := NewSampler(eng, 10*sim.Microsecond)
 	// Warm up: create series and first chunks.
@@ -128,9 +132,15 @@ func TestSamplerZeroAllocSteadyState(t *testing.T) {
 	if len(s.Series()) != 4 {
 		t.Fatalf("%d series after warm-up, want 4", len(s.Series()))
 	}
-	allocs := testing.AllocsPerRun(200, func() { s.sampleNow() })
+	allocs := testing.AllocsPerRun(200, func() {
+		links[0].Transfer(1)
+		s.sampleNow()
+	})
 	if allocs > 0 {
 		t.Fatalf("sampleNow allocates %.1f/op in steady state, want 0", allocs)
+	}
+	if a, b := s.series["r.a"].runs.len(), s.series["r.b"].runs.len(); a <= 200 || b != 1 {
+		t.Fatalf("r.a stores %d points and r.b %d, want one per measured sample and 1", a, b)
 	}
 }
 
@@ -292,12 +302,7 @@ func zeroFilled(src Source, reg *sim.StatsRegistry) Source {
 			if se != nil && i >= se.Start() {
 				p, out.Kind = se.At(i-se.Start()), se.Kind
 			}
-			out.occupancy.append(int64(p.Occupancy))
-			out.ops.append(int64(p.Ops))
-			out.bytes.append(int64(p.Bytes))
-			out.busy.append(int64(p.Busy))
-			out.wait.append(int64(p.Wait))
-			out.stalls.append(int64(p.Stalls))
+			out.append(p, 1)
 		}
 		w.series = append(w.series, out)
 	}

@@ -15,7 +15,7 @@ import (
 // whenever the cluster frontier has advanced at least one interval since
 // the previous sample (plus a closing sample when the run drains).
 //
-// Each sample instant appends, with the frontier time as the shared
+// Each sample instant records, with the frontier time as the shared
 // axis:
 //
 //   - one Point per resource in the shared StatsRegistry — per-node GAM
@@ -29,12 +29,16 @@ import (
 //     frontier, Occupancy the calendar population, Stalls the inbound
 //     mailbox depth at the barrier, Ops the cumulative events executed.
 //
+// Like the Sampler's, each series stores a point only where its counters
+// changed since the last stored one (see Series), so a resource holding
+// still between samples costs a comparison, not a stored point.
+//
 // Because the barrier structure is a pure function of the simulation, the
-// recorded samples are byte-identical on every run; and because appends
-// reuse the chunked columns and the registry walk is cached, the steady
-// state is allocation-free (TestMultiSamplerZeroAllocSteadyState).
+// recorded samples are byte-identical on every run; and because stored
+// points fill preallocated chunks and the registry walk is cached, the
+// steady state is allocation-free (TestMultiSamplerZeroAllocSteadyState).
 type MultiSampler struct {
-	rounds column // barrier round counter at each sample
+	rounds chunked[uint64] // barrier round counter at each sample
 	doms   []*Series
 	seriesSet
 }
@@ -55,7 +59,7 @@ func NewMultiSampler(me *sim.MultiEngine, interval sim.Time) *MultiSampler {
 }
 
 // Round reports the barrier round counter at the i-th sample instant.
-func (s *MultiSampler) Round(i int) uint64 { return uint64(s.rounds.at(i)) }
+func (s *MultiSampler) Round(i int) uint64 { return *s.rounds.at(i) }
 
 // OnBarrier implements sim.BarrierObserver: sample when the frontier has
 // advanced a full interval past the previous sample, and always on the
@@ -73,19 +77,14 @@ func (s *MultiSampler) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool
 			return
 		}
 	}
-	s.rounds.append(int64(m.Rounds()))
+	s.rounds.append(m.Rounds())
 	for i, se := range s.doms {
 		d := m.Domain(i)
-		se.occupancy.append(int64(d.Pending()))
-		se.ops.append(int64(d.Executed()))
-		se.bytes.append(0)
-		se.busy.append(int64(d.Now()))
-		se.wait.append(int64(now - d.Now()))
 		mb := 0
 		if i < len(mailboxes) {
 			mb = mailboxes[i]
 		}
-		se.stalls.append(int64(mb))
+		se.append(Point{Occupancy: d.Pending(), Ops: d.Executed(), Busy: d.Now(), Wait: now - d.Now(), Stalls: uint64(mb)}, 1)
 	}
 	s.sample(now, m.Stats())
 }

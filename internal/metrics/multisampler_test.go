@@ -87,14 +87,13 @@ func TestMultiSamplerRecordsDomainsAndResources(t *testing.T) {
 }
 
 // TestMultiSamplerZeroAllocSteadyState: the barrier sampler's cost per
-// sample must amortize to (near) zero — chunked columns allocate only at
-// 4096-sample boundaries and the registry walk is cached. Measured as
+// sample must amortize to (near) zero — chunks allocate only every 1024
+// stored points and the registry walk is cached. Measured as
 // the allocation delta between an instrumented and a bare run of the
 // identical model, divided by the samples taken.
 func TestMultiSamplerZeroAllocSteadyState(t *testing.T) {
 	const hops = 4000
-	run := func(sample bool) (allocs float64, samples int) {
-		var rec *MultiRecorder
+	run := func(sample bool) (allocs float64, rec *MultiRecorder) {
 		allocs = testing.AllocsPerRun(1, func() {
 			m := buildPingPong(hops)
 			if sample {
@@ -103,15 +102,23 @@ func TestMultiSamplerZeroAllocSteadyState(t *testing.T) {
 			}
 			m.Run()
 		})
-		if rec != nil {
-			samples = rec.Sampler.Samples()
-		}
-		return allocs, samples
+		return allocs, rec
 	}
 	bare, _ := run(false)
-	inst, samples := run(true)
+	inst, rec := run(true)
+	samples := rec.Sampler.Samples()
 	if samples < hops/2 {
 		t.Fatalf("expected ~%d samples, got %d", hops, samples)
+	}
+	// A hop moves one of the two cross links between every two samples,
+	// so the measured steady state stores points, not only compares.
+	stored := 0
+	for _, name := range []string{"x.01", "x.10"} {
+		se, _ := rec.Sampler.Lookup(name)
+		stored += se.runs.len()
+	}
+	if stored < samples-1 {
+		t.Fatalf("cross links store %d points over %d samples, want one per sample after the first", stored, samples)
 	}
 	perSample := (inst - bare) / float64(samples)
 	t.Logf("sampler overhead: %.3f allocs/sample over %d samples", perSample, samples)

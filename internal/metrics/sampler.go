@@ -6,31 +6,32 @@ import (
 	"repro/internal/sim"
 )
 
-// chunkSize is the column chunk length: large enough that steady-state
-// sampling is pure in-chunk appends (zero allocations per sample), small
-// enough that a short run does not over-reserve.
-const chunkSize = 4096
+// chunkSize is the chunk length of the sampler's storage: large enough
+// that steady-state sampling is pure in-chunk appends (zero allocations
+// per sample), small enough that a short run does not over-reserve.
+const chunkSize = 1024
 
-// column is chunked int64 storage: append never moves recorded data and
-// only allocates at chunk boundaries, so the sampler's hot path is
-// allocation-free between boundaries.
-type column struct {
-	chunks [][]int64
+// chunked is append-only storage in fixed-size chunks: append never
+// moves recorded data and only allocates at chunk boundaries, so the
+// sampler's hot path is allocation-free between boundaries.
+type chunked[T any] struct {
+	chunks [][]T
 	n      int
 }
 
-func (c *column) append(v int64) {
+func (c *chunked[T]) append(v T) {
 	if k := len(c.chunks); k == 0 || len(c.chunks[k-1]) == chunkSize {
-		c.chunks = append(c.chunks, make([]int64, 0, chunkSize))
+		c.chunks = append(c.chunks, make([]T, 0, chunkSize))
 	}
 	k := len(c.chunks) - 1
 	c.chunks[k] = append(c.chunks[k], v)
 	c.n++
 }
 
-func (c *column) at(i int) int64 { return c.chunks[i/chunkSize][i%chunkSize] }
+// at returns the i-th element by reference (0 ≤ i < len).
+func (c *chunked[T]) at(i int) *T { return &c.chunks[i/chunkSize][i%chunkSize] }
 
-func (c *column) len() int { return c.n }
+func (c *chunked[T]) len() int { return c.n }
 
 // Point is one recorded sample of one resource: the cumulative registry
 // counters plus the instantaneous occupancy at the sample instant.
@@ -47,36 +48,81 @@ type Point struct {
 // at the first sample where any of its counters or its occupancy is
 // non-zero, so a resource that never moves has none; Start reports that
 // global sample index, and every earlier sample read zero.
+//
+// A series is stored as change runs: a Point is kept only where one of
+// its six values differs from the last kept Point, with the sample at
+// which that run begins. Len, At and Runs still cover every sample from
+// Start on.
 type Series struct {
 	Name string
 	Kind sim.ResourceKind
 
 	start int // global sample index of the first point
+	n     int // samples recorded from start on
+	runs  chunked[run]
+}
 
-	occupancy column
-	ops       column
-	bytes     column
-	busy      column
-	wait      column
-	stalls    column
+// run is one stored Point and the series-relative sample where it
+// begins to hold; it holds until the next run begins, the last one to
+// the end of the series.
+type run struct {
+	from int
+	p    Point
 }
 
 // Start reports the global sample index of the series' first point.
 func (s *Series) Start() int { return s.start }
 
-// Len reports the number of recorded points.
-func (s *Series) Len() int { return s.occupancy.len() }
+// Len reports the number of samples the series covers.
+func (s *Series) Len() int { return s.n }
 
-// At returns the i-th recorded point (0 ≤ i < Len).
+// At returns the point at the series' i-th sample (0 ≤ i < Len). It is
+// a binary search over the runs and keeps no state, so concurrent
+// readers are safe.
 func (s *Series) At(i int) Point {
-	return Point{
-		Occupancy: int(s.occupancy.at(i)),
-		Ops:       uint64(s.ops.at(i)),
-		Bytes:     uint64(s.bytes.at(i)),
-		Busy:      sim.Time(s.busy.at(i)),
-		Wait:      sim.Time(s.wait.at(i)),
-		Stalls:    uint64(s.stalls.at(i)),
+	k := sort.Search(s.runs.len(), func(k int) bool { return s.runs.at(k).from > i })
+	return s.runs.at(k - 1).p
+}
+
+// append records p for the next count samples. It stores p only when p
+// differs from the last stored point; otherwise the last run grows.
+func (s *Series) append(p Point, count int) {
+	if k := s.runs.len(); k == 0 || s.runs.at(k-1).p != p {
+		s.runs.append(run{from: s.n, p: p})
 	}
+	s.n += count
+}
+
+// Run is a stretch of a series' samples, [From, To) relative to its
+// Start, over which every value held Point.
+type Run struct {
+	From, To int
+	Point
+}
+
+// Runs returns an iterator over the series' runs in sample order. No two
+// consecutive runs hold the same Point, and together they cover [0, Len).
+func (s *Series) Runs() RunIter { return RunIter{s: s, k: -1} }
+
+// RunIter walks a series' runs: call Next before each Run.
+type RunIter struct {
+	s *Series
+	k int
+}
+
+// Next advances to the next run and reports whether there is one.
+func (it *RunIter) Next() bool {
+	it.k++
+	return it.k < it.s.runs.len()
+}
+
+// Run returns the current run.
+func (it *RunIter) Run() Run {
+	r, to := it.s.runs.at(it.k), it.s.n
+	if it.k+1 < it.s.runs.len() {
+		to = it.s.runs.at(it.k + 1).from
+	}
+	return Run{From: r.from, To: to, Point: r.p}
 }
 
 // seriesSet is the series store the timer-driven Sampler and the
@@ -86,7 +132,7 @@ func (s *Series) At(i int) Point {
 // that first move mid-run.
 type seriesSet struct {
 	interval sim.Time
-	times    column // sample instants, shared time axis for every series
+	times    chunked[sim.Time] // sample instants, shared time axis for every series
 	series   map[string]*Series
 	ordered  []*Series                           // first-seen order; sorted on demand at export
 	walkFn   func(name string, res sim.Resource) // bound once: no per-sample closure
@@ -106,19 +152,20 @@ func (ss *seriesSet) init(interval sim.Time) {
 // sample records one sample instant at: one point per resource in reg.
 func (ss *seriesSet) sample(at sim.Time, reg *sim.StatsRegistry) {
 	reg.Walk(ss.walkFn)
-	ss.times.append(int64(at))
+	ss.times.append(at)
 }
 
-// record appends the resource's current counters to its series. The
-// series is created at the current sample index the first time the
-// resource reads anything but zero: until then every exporter reads the
-// missing points as zero, and a resource that never moves costs no rows,
-// lanes or memory.
+// record extends the resource's series by its current counters, storing
+// a point only where they changed. The series is created at the current
+// sample index the first time the resource reads anything but zero:
+// until then every exporter reads the missing points as zero, and a
+// resource that never moves costs no rows, lanes or memory.
 func (ss *seriesSet) record(name string, res sim.Resource) {
 	st := res.ResourceStats()
+	p := Point{Occupancy: st.Occupancy, Ops: st.Ops, Bytes: st.Bytes, Busy: st.Busy, Wait: st.Wait, Stalls: st.Stalls}
 	se := ss.series[name]
 	if se == nil {
-		if st.Occupancy == 0 && st.Ops == 0 && st.Bytes == 0 && st.Busy == 0 && st.Wait == 0 && st.Stalls == 0 {
+		if p == (Point{}) {
 			return
 		}
 		se = &Series{Name: name, start: ss.times.len()}
@@ -126,12 +173,7 @@ func (ss *seriesSet) record(name string, res sim.Resource) {
 		ss.ordered = append(ss.ordered, se)
 	}
 	se.Kind = st.Kind
-	se.occupancy.append(int64(st.Occupancy))
-	se.ops.append(int64(st.Ops))
-	se.bytes.append(int64(st.Bytes))
-	se.busy.append(int64(st.Busy))
-	se.wait.append(int64(st.Wait))
-	se.stalls.append(int64(st.Stalls))
+	se.append(p, 1)
 }
 
 // Interval reports the sampling period (for the MultiSampler a lower
@@ -142,7 +184,7 @@ func (ss *seriesSet) Interval() sim.Time { return ss.interval }
 func (ss *seriesSet) Samples() int { return ss.times.len() }
 
 // Time reports the simulated time of the i-th sample instant.
-func (ss *seriesSet) Time(i int) sim.Time { return sim.Time(ss.times.at(i)) }
+func (ss *seriesSet) Time(i int) sim.Time { return *ss.times.at(i) }
 
 // Series returns every recorded series sorted by name — the
 // deterministic export order (allocates; call at export time, not from
@@ -161,7 +203,7 @@ func (ss *seriesSet) Lookup(name string) (*Series, bool) {
 }
 
 // Sampler walks the engine's StatsRegistry on a fixed simulated-time
-// period and appends one Point per registered resource. It schedules
+// period and records one Point per registered resource. It schedules
 // itself on the calendar and stops rescheduling once it is the only
 // pending event, so an attached sampler never keeps a drained simulation
 // alive.

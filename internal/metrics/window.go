@@ -16,13 +16,14 @@ func (w *windowSource) Series() []*Series   { return w.series }
 
 // WindowOf returns a Source holding only the sample instants of s that
 // fall within [from, to], with every series trimmed to that range and
-// re-anchored at index zero. The copy is materialized — columns are
-// re-appended, not aliased — which is acceptable at bundle-dump time: the
-// window is small by construction and the live sampler keeps recording
-// undisturbed. Every exporter that takes a Source (CSV, the Chrome trace
-// counter lanes) works on the windowed view unchanged, and because
-// the sample instants and counter values of the underlying sampler are
-// deterministic at any worker count, so is the window.
+// re-anchored at index zero. The copy is materialized — the runs that
+// overlap the range are re-stored, clipped to it, not aliased — which is
+// acceptable at bundle-dump time: the window is small by construction
+// and the live sampler keeps recording undisturbed. Every exporter that
+// takes a Source (CSV, the Chrome trace counter lanes) works on the
+// windowed view unchanged, and because the sample instants and counter
+// values of the underlying sampler are deterministic at any worker
+// count, so is the window.
 func WindowOf(s Source, from, to sim.Time) Source {
 	lo := s.Samples()
 	hi := -1
@@ -44,26 +45,19 @@ func WindowOf(s Source, from, to sim.Time) Source {
 		w.times = append(w.times, s.Time(i))
 	}
 	for _, se := range s.Series() {
-		var out *Series
-		for i := lo; i <= hi; i++ {
-			j := i - se.Start()
-			if j < 0 || j >= se.Len() {
-				continue // series started after instant i (or ended before)
-			}
-			if out == nil {
-				out = &Series{Name: se.Name, Kind: se.Kind, start: i - lo}
-			}
-			p := se.At(j)
-			out.occupancy.append(int64(p.Occupancy))
-			out.ops.append(int64(p.Ops))
-			out.bytes.append(int64(p.Bytes))
-			out.busy.append(int64(p.Busy))
-			out.wait.append(int64(p.Wait))
-			out.stalls.append(int64(p.Stalls))
+		// The series' own samples inside the window: [a, b).
+		a, b := max(lo-se.Start(), 0), min(hi+1-se.Start(), se.Len())
+		if a >= b {
+			continue // series started after the window (or ended before)
 		}
-		if out != nil {
-			w.series = append(w.series, out)
+		out := &Series{Name: se.Name, Kind: se.Kind, start: se.Start() + a - lo}
+		for it := se.Runs(); it.Next(); {
+			r := it.Run()
+			if n := min(r.To, b) - max(r.From, a); n > 0 {
+				out.append(r.Point, n)
+			}
 		}
+		w.series = append(w.series, out)
 	}
 	return w
 }

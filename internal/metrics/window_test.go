@@ -14,19 +14,9 @@ func fakeSource(n int) *windowSource {
 	late := &Series{Name: "late", Kind: sim.KindPort, start: 3}
 	for i := 0; i < n; i++ {
 		w.times = append(w.times, sim.Time(i)*10*sim.Microsecond)
-		full.occupancy.append(int64(i))
-		full.ops.append(int64(100 + i))
-		full.bytes.append(0)
-		full.busy.append(int64(sim.Time(i) * sim.Microsecond))
-		full.wait.append(0)
-		full.stalls.append(0)
+		full.append(Point{Occupancy: i, Ops: uint64(100 + i), Busy: sim.Time(i) * sim.Microsecond}, 1)
 		if i >= 3 {
-			late.occupancy.append(int64(1000 + i))
-			late.ops.append(0)
-			late.bytes.append(0)
-			late.busy.append(0)
-			late.wait.append(0)
-			late.stalls.append(0)
+			late.append(Point{Occupancy: 1000 + i}, 1)
 		}
 	}
 	w.series = []*Series{full, late}

@@ -17,13 +17,9 @@ import (
 // egress directions are shared-layer sim.Connections registered in the
 // central stats registry as "<xbar>.<port>.in" / ".out".
 type Port struct {
-	name    string
 	egress  sim.Connection
 	ingress sim.Connection
 }
-
-// Name reports the port's name.
-func (p *Port) Name() string { return p.name }
 
 // Crossbar is the on-chip interconnect.
 type Crossbar struct {
@@ -52,7 +48,6 @@ func (x *Crossbar) AddPort(name string, bytesPerSec float64) (*Port, error) {
 		return nil, fmt.Errorf("noc: duplicate port %q", name)
 	}
 	p := &Port{
-		name:    name,
 		egress:  sim.NewLink(x.eng, x.name+"."+name+".out", bytesPerSec, 0),
 		ingress: sim.NewLink(x.eng, x.name+"."+name+".in", bytesPerSec, 0),
 	}

@@ -53,7 +53,10 @@ func (t *Timeline) AddCounters(s metrics.Source) {
 // under the given pid and display name. A series that starts at sample
 // s > 0 read zero at sample s-1, so its first busy % is taken against
 // that zero and the interval in which the resource first became busy
-// still shows.
+// still shows. The series is walked run by run: once a run's occupancy
+// and busy time match the last points written and the last busy % is 0,
+// none of its later samples can write a point, so the walk jumps to the
+// run's last kept sample.
 func (t *Timeline) addCounterSeries(pid int, display string, s metrics.Source, se *metrics.Series) {
 	stride := max((se.Len()+counterPointCap-1)/counterPointCap, 1)
 	occupancy, busy := display+" occupancy", display+" busy %"
@@ -62,24 +65,33 @@ func (t *Timeline) addCounterSeries(pid int, display string, s metrics.Source, s
 	if havePrev {
 		prevAt = s.Time(se.Start() - 1)
 	}
-	for i := 0; i < se.Len(); i += stride {
-		p := se.At(i)
-		at := s.Time(se.Start() + i)
-		if p.Occupancy != lastOcc {
-			lastOcc = p.Occupancy
-			t.begin(occupancy, eventHead{cat: "metrics", ph: "C", ts: us(at), pid: pid}).
-				argInt("value", int64(p.Occupancy)).
-				add()
-		}
-		if dt := at - prevAt; havePrev && dt > 0 {
-			if pct := float64(p.Busy-prevBusy) / float64(dt) * 100; pct != lastPct {
-				lastPct = pct
-				t.begin(busy, eventHead{cat: "metrics", ph: "C", ts: us(at), pid: pid}).
-					argFloat("value", pct).
+	i := 0 // the next kept sample
+	for it := se.Runs(); it.Next(); {
+		r := it.Run()
+		for ; i < r.To; i += stride {
+			if havePrev && r.Busy == prevBusy && r.Occupancy == lastOcc && lastPct == 0 {
+				// Every kept sample left in the run repeats both lanes.
+				i += (r.To - 1 - i) / stride * stride
+				prevAt = s.Time(se.Start() + i)
+				continue
+			}
+			at := s.Time(se.Start() + i)
+			if r.Occupancy != lastOcc {
+				lastOcc = r.Occupancy
+				t.begin(occupancy, eventHead{cat: "metrics", ph: "C", ts: us(at), pid: pid}).
+					argInt("value", int64(r.Occupancy)).
 					add()
 			}
+			if dt := at - prevAt; havePrev && dt > 0 {
+				if pct := float64(r.Busy-prevBusy) / float64(dt) * 100; pct != lastPct {
+					lastPct = pct
+					t.begin(busy, eventHead{cat: "metrics", ph: "C", ts: us(at), pid: pid}).
+						argFloat("value", pct).
+						add()
+				}
+			}
+			prevAt, prevBusy, havePrev = at, r.Busy, true
 		}
-		prevAt, prevBusy, havePrev = at, p.Busy, true
 	}
 }
 
