@@ -10,9 +10,10 @@
 #                      integer microsecond formatter against FormatFloat,
 #                      random reach programs against a second run of
 #                      themselves, the trace's counter lanes against
-#                      their every-sample rendering with repeats dropped
-#                      and the metrics series' change runs against a
-#                      dense six-column reference, and bench-smoke
+#                      their every-sample rendering with repeats dropped,
+#                      the metrics series' change runs against a dense
+#                      six-column reference and the SLO monitor's ring
+#                      windows against a grouped reference, and bench-smoke
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
 #   make bench       — root + sim benchmarks with allocation stats
 #   make bench-smoke — 1x pass over every benchmark, so benchmark code
@@ -67,8 +68,11 @@ bench-test:
 # lanes of randomly scheduled resources must hold exactly the changes of
 # their sampled values, and the change runs of randomly scheduled
 # resources, sampled by a Sampler and a MultiSampler, must read, write
-# CSV, window and attribute exactly as a dense six-column store. Plain go
-# test runs only the seeds.
+# CSV, window and attribute exactly as a dense six-column store, and the
+# SLO monitor's windows over random nondecreasing completion streams
+# (widths from 1 ps to 10,000 s, gaps past its 1,024-window cap) must
+# equal every completion grouped by window index with the last 1,024
+# indices kept. Plain go test runs only the seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSquaredL2Rows$$' -fuzztime 10s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzMultiEngine$$' -fuzztime 10s ./internal/sim/
@@ -77,6 +81,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReachProgram$$' -fuzztime 10s ./reach/
 	$(GO) test -run '^$$' -fuzz '^FuzzCounterLanes$$' -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzSeriesRuns$$' -fuzztime 10s ./internal/metrics/
+	$(GO) test -run '^$$' -fuzz '^FuzzSLOWindows$$' -fuzztime 10s ./internal/flight/
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/flight"
-	"repro/internal/inspect"
 	"repro/internal/metrics"
 	"repro/internal/qtrace"
 	"repro/internal/trace"
@@ -73,7 +72,7 @@ func writeFlightBundle(dir string, fr *flight.Recorder, cl *cluster.Cluster, nod
 		counters = metrics.WindowOf(rec.Sampler, from, to)
 		spans = metrics.WindowSpans(rec.Spans, from, to)
 	}
-	tl.AddCluster(nodes, fr.WindowLog(), counters, spans)
+	tl.AddCluster(nodes, wq, counters, spans)
 	if err := writeFile(filepath.Join(path, "trace.json"), tl.WriteJSON); err != nil {
 		return "", err
 	}
@@ -134,7 +133,7 @@ func writeFlightBundle(dir string, fr *flight.Recorder, cl *cluster.Cluster, nod
 // windowStragglers restricts the run's straggler records to queries the
 // flight window retained — post-freeze merges and evicted queries drop
 // out, so the table describes exactly the bundle's trace.
-func windowStragglers(recs []cluster.StragglerRecord, wq []qtrace.Query) []cluster.StragglerRecord {
+func windowStragglers(recs []cluster.StragglerRecord, wq []*qtrace.Query) []cluster.StragglerRecord {
 	in := make(map[int]bool, len(wq))
 	for _, q := range wq {
 		in[q.ID] = true
@@ -157,22 +156,4 @@ func writeBundleJSON(path string, v any) error {
 		return err
 	}
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// anomalyStatus adapts the recorder's live status to the inspector's
-// /anomalies mirror (the decoupled-counters pattern: inspect depends on
-// neither flight nor cluster).
-func anomalyStatus(fr *flight.Recorder) inspect.AnomalyStatus {
-	st := fr.Status()
-	return inspect.AnomalyStatus{
-		WindowMs:        st.WindowMS,
-		Detect:          st.Detect,
-		Completions:     st.Completions,
-		RetainedQueries: st.Retained,
-		Detections:      st.Detections,
-		Frozen:          st.Frozen,
-		TriggerDetector: st.TriggerDetector,
-		TriggerMs:       st.TriggerMS,
-		TriggerReason:   st.TriggerReason,
-	}
 }

@@ -541,13 +541,13 @@ func runCluster(w, stderr io.Writer, o clusterOptions) error {
 	if insp != nil {
 		qo.Observers = append(qo.Observers, insp)
 	}
-	var slo *inspect.SLOMonitor
+	var slo *flight.SLOMonitor
 	if o.sloMs > 0 {
 		width := o.sloWindowMs
 		if width <= 0 {
 			width = defaultSLOWindowMS
 		}
-		slo = inspect.NewSLOMonitor(sim.FromSeconds(width/1e3), sim.FromSeconds(o.sloMs/1e3))
+		slo = flight.NewSLOMonitor(sim.FromSeconds(width/1e3), sim.FromSeconds(o.sloMs/1e3))
 		qo.Observers = append(qo.Observers, slo)
 		if insp != nil {
 			insp.ObserveSLO(slo)
@@ -600,7 +600,7 @@ func runCluster(w, stderr io.Writer, o clusterOptions) error {
 			barriers = append(barriers, fr)
 			cl.EnableStragglers()
 			if insp != nil {
-				insp.ObserveAnomalies(func() inspect.AnomalyStatus { return anomalyStatus(fr) })
+				insp.ObserveAnomalies(fr)
 			}
 		}
 		if insp != nil {
@@ -687,7 +687,7 @@ func writeClusterTrace(path string, nodes int, cl *cluster.Cluster, rec *metrics
 		counters = rec.Sampler
 		spans = rec.Spans
 	}
-	tl.AddCluster(nodes, cl.QLog(), counters, spans)
+	tl.AddCluster(nodes, cl.QLog().Queries(), counters, spans)
 	return writeFile(path, tl.WriteJSON)
 }
 

@@ -57,19 +57,19 @@ func run(w io.Writer) error {
 	}
 
 	// ReACH::Stream — inter-level communication.
-	input, err := sys.CreateStream("Input", reach.CPU, reach.OnChip, reach.Pair, m.BatchImageBytes(), 2)
+	input, err := sys.CreateStream("Input", reach.CPU, reach.OnChip, reach.Pair, m.BatchImageBytes())
 	if err != nil {
 		return err
 	}
-	features, err := sys.CreateStream("Features", reach.OnChip, reach.NearMem, reach.BroadCast, m.BatchFeatureBytes(), 2)
+	features, err := sys.CreateStream("Features", reach.OnChip, reach.NearMem, reach.BroadCast, m.BatchFeatureBytes())
 	if err != nil {
 		return err
 	}
-	shortlists, err := sys.CreateStream("Shortlists", reach.NearMem, reach.NearStor, reach.BroadCast, m.ShortlistResultBytesPerBatch(), 2)
+	shortlists, err := sys.CreateStream("Shortlists", reach.NearMem, reach.NearStor, reach.BroadCast, m.ShortlistResultBytesPerBatch())
 	if err != nil {
 		return err
 	}
-	result, err := sys.CreateStream("Result", reach.NearStor, reach.CPU, reach.Collect, m.ResultBytesPerBatch(), 2)
+	result, err := sys.CreateStream("Result", reach.NearStor, reach.CPU, reach.Collect, m.ResultBytesPerBatch())
 	if err != nil {
 		return err
 	}

@@ -82,7 +82,7 @@ func scan(level reach.Level) (*result, error) {
 		return nil, err
 	}
 
-	matches, err := sys.CreateStream("Matches", level, reach.CPU, reach.Collect, matchBytes, 2)
+	matches, err := sys.CreateStream("Matches", level, reach.CPU, reach.Collect, matchBytes)
 	if err != nil {
 		return nil, err
 	}

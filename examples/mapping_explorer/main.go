@@ -87,19 +87,19 @@ func evaluate(a assignment, m workload.Model) (outcome, error) {
 		return outcome{}, err
 	}
 
-	input, err := sys.CreateStream("Input", reach.CPU, a.fe, reach.Pair, m.BatchImageBytes(), 2)
+	input, err := sys.CreateStream("Input", reach.CPU, a.fe, reach.Pair, m.BatchImageBytes())
 	if err != nil {
 		return outcome{}, err
 	}
-	feOut, err := sys.CreateStream("Features", a.fe, a.sl, reach.BroadCast, m.BatchFeatureBytes(), 2)
+	feOut, err := sys.CreateStream("Features", a.fe, a.sl, reach.BroadCast, m.BatchFeatureBytes())
 	if err != nil {
 		return outcome{}, err
 	}
-	slOut, err := sys.CreateStream("Shortlists", a.sl, a.rr, reach.BroadCast, m.ShortlistResultBytesPerBatch(), 2)
+	slOut, err := sys.CreateStream("Shortlists", a.sl, a.rr, reach.BroadCast, m.ShortlistResultBytesPerBatch())
 	if err != nil {
 		return outcome{}, err
 	}
-	result, err := sys.CreateStream("Result", a.rr, reach.CPU, reach.Collect, m.ResultBytesPerBatch(), 2)
+	result, err := sys.CreateStream("Result", a.rr, reach.CPU, reach.Collect, m.ResultBytesPerBatch())
 	if err != nil {
 		return outcome{}, err
 	}

@@ -42,15 +42,15 @@ func run(w io.Writer) error {
 		return err
 	}
 
-	input, err := sys.CreateStream("Input", reach.CPU, reach.OnChip, reach.Pair, 16*224*224*3, 2)
+	input, err := sys.CreateStream("Input", reach.CPU, reach.OnChip, reach.Pair, 16*224*224*3)
 	if err != nil {
 		return err
 	}
-	features, err := sys.CreateStream("Features", reach.OnChip, reach.NearStor, reach.BroadCast, 16*96*4, 2)
+	features, err := sys.CreateStream("Features", reach.OnChip, reach.NearStor, reach.BroadCast, 16*96*4)
 	if err != nil {
 		return err
 	}
-	result, err := sys.CreateStream("Result", reach.NearStor, reach.CPU, reach.Collect, 16*10*8, 2)
+	result, err := sys.CreateStream("Result", reach.NearStor, reach.CPU, reach.Collect, 16*10*8)
 	if err != nil {
 		return err
 	}

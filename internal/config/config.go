@@ -114,9 +114,6 @@ type GAMConfig struct {
 	// tasks of job N finish when no dependency exists (§II-D). Disabling it
 	// is an ablation.
 	CrossJobPipelining bool `json:"cross_job_pipelining"`
-	// StreamDepth is the default depth of inter-level stream buffers
-	// (number of batches in flight).
-	StreamDepth int `json:"stream_depth"`
 }
 
 // InstanceConfig selects how many accelerator modules exist at each level
@@ -187,7 +184,6 @@ func Default() SystemConfig {
 			CommandLatencyNS:    500,
 			StatusSlackFraction: 0.10,
 			CrossJobPipelining:  true,
-			StreamDepth:         2,
 		},
 		Instances: InstanceConfig{
 			OnChip:      1,
@@ -231,7 +227,6 @@ func (c *SystemConfig) Validate() error {
 		{c.OnChip.NoCGBps > 0, "on_chip.noc_gbps must be positive"},
 		{c.OnChip.CachePollutionFactor > 0 && c.OnChip.CachePollutionFactor <= 1,
 			"on_chip.cache_pollution_factor must be in (0,1]"},
-		{c.GAM.StreamDepth >= 1, "gam.stream_depth must be >= 1"},
 		{c.GAM.CommandLatencyNS >= 0, "gam.command_latency_ns must be non-negative"},
 		{c.Instances.OnChip >= 0, "instances.on_chip must be non-negative"},
 		{c.Instances.NearMemory >= 0, "instances.near_memory must be non-negative"},

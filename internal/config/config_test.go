@@ -61,7 +61,6 @@ func TestValidateCatchesBadValues(t *testing.T) {
 		{"pcie exceeds raw", func(c *SystemConfig) { c.Storage.HostPCIeGBps = 99 }, "raw link"},
 		{"no instances", func(c *SystemConfig) { c.Instances = InstanceConfig{} }, "at least one"},
 		{"neg latency", func(c *SystemConfig) { c.GAM.CommandLatencyNS = -1 }, "command_latency"},
-		{"zero depth", func(c *SystemConfig) { c.GAM.StreamDepth = 0 }, "stream_depth"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -61,8 +61,8 @@ type GAM struct {
 	stats GAMStats
 
 	// spans, when non-nil, receives structured decision spans (dispatch
-	// causes, reconfigurations, poll gaps, stream stalls). Nil — the
-	// default — keeps every hook down to a single pointer check.
+	// causes, reconfigurations, poll gaps). Nil — the default — keeps
+	// every hook down to a single pointer check.
 	spans *metrics.SpanLog
 
 	// qlog, when non-nil, receives per-query phase intervals (queue wait,
@@ -575,27 +575,12 @@ func (g *GAM) streamDeliver(n, dep *TaskNode) {
 	g.streamPass(g.streamBuf(n.Level, dep.Level), dep, g.deliverCB)
 }
 
-// streamPass pushes item through buf's put/get pair. With spans enabled it
-// watches the buffer's park counter across the put: an increment means the
-// producer hit a full buffer (back-pressure), recorded as a stall span.
+// streamPass pushes item through buf's put/get pair. The get takes the
+// item back out in the same call, so a buffer never holds more than the
+// item in hand and a put never parks.
 func (g *GAM) streamPass(buf *sim.TokenQueue, item *TaskNode, consume func(any)) {
-	if g.spans == nil {
-		buf.Put(item, nil)
-		buf.Get(consume)
-		return
-	}
-	parksBefore := buf.PutWaits()
-	start := g.sys.eng.Now()
 	buf.Put(item, nil)
 	buf.Get(consume)
-	if buf.PutWaits() != parksBefore {
-		g.spans.Add(metrics.Span{
-			Cat: metrics.CatStreamStall, Name: buf.Name(), Lane: "GAM",
-			Cause: metrics.CauseStreamBackpressure,
-			Start: start, End: g.sys.eng.Now(),
-			Job: item.job.ID, V: int64(buf.MaxOccupancy()),
-		})
-	}
 }
 
 // deliver releases one dependency edge into dep.
@@ -607,23 +592,19 @@ func (g *GAM) deliver(dep *TaskNode) {
 }
 
 // streamBuf returns (creating on first use) the registered stream buffer
-// for a src→dst level pair. Depth follows the configured default stream
-// depth; the buffer is a shared-layer TokenQueue, so puts, gets, occupancy
-// and park waits surface through the central stats registry.
+// for a src→dst level pair. streamPass never holds more than one item in
+// it, so it has capacity 1; the buffer is a shared-layer TokenQueue, so
+// puts, gets and occupancy surface through the central stats registry.
 func (g *GAM) streamBuf(src, dst accel.Level) *sim.TokenQueue {
 	if q := g.streamBufs[src][dst]; q != nil {
 		return q
-	}
-	depth := g.sys.cfg.GAM.StreamDepth
-	if depth < 1 {
-		depth = 1
 	}
 	// Stream buffers are created lazily mid-run, so the node prefix is
 	// applied here rather than through the registry's construction-scoped
 	// prefix.
 	name := fmt.Sprintf("%sstream.%s-%s", g.sys.prefix,
 		strings.ToLower(src.String()), strings.ToLower(dst.String()))
-	q := sim.NewTokenQueue(g.sys.eng, name, depth)
+	q := sim.NewTokenQueue(g.sys.eng, name, 1)
 	g.streamBufs[src][dst] = q
 	return q
 }

@@ -7,13 +7,12 @@ import (
 	"repro/internal/accel"
 	"repro/internal/config"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
-// TestStreamPassDisabledZeroAlloc: with spans disabled (the default), the
-// GAM's stream-pass hook is just the original put/get pair — zero
-// allocations, zero observer effect.
-func TestStreamPassDisabledZeroAlloc(t *testing.T) {
+// TestStreamPassZeroAlloc: the GAM's stream pass is a put/get pair
+// through its level pair's registered buffer — zero allocations, zero
+// observer effect, and the capacity-1 buffer never parks a put.
+func TestStreamPassZeroAlloc(t *testing.T) {
 	s, err := NewSystem(config.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -22,13 +21,17 @@ func TestStreamPassDisabledZeroAlloc(t *testing.T) {
 	if g.SpanLog() != nil {
 		t.Fatal("span log attached by default")
 	}
-	buf := sim.NewTokenQueue(s.Engine(), "test.stream", 4)
+	buf := g.streamBuf(accel.OnChip, accel.NearMemory)
 	j := NewJob(0)
 	n := &TaskNode{job: j}
 	sink := func(any) {}
 	allocs := testing.AllocsPerRun(200, func() { g.streamPass(buf, n, sink) })
 	if allocs > 0 {
-		t.Fatalf("streamPass with spans disabled allocates %.1f/op, want 0", allocs)
+		t.Fatalf("streamPass allocates %.1f/op, want 0", allocs)
+	}
+	if buf.PutWaits() != 0 || buf.MaxOccupancy() != 1 || buf.Len() != 0 {
+		t.Fatalf("stream buffer parked %d puts, held up to %d items, holds %d; want 0, 1, 0",
+			buf.PutWaits(), buf.MaxOccupancy(), buf.Len())
 	}
 }
 

@@ -13,6 +13,11 @@
 // series — can be cut after the run (cmd/reachsim's -flight bundle
 // writer).
 //
+// The package also holds the cluster's SLO monitor (SLOMonitor), whose
+// tumbling latency windows sit on the same ring, stamped by window index.
+// Its stats and the recorder's Status are the types the live inspector
+// serves.
+//
 // Determinism. Both recorder inputs are already serialised by the
 // engine's determinism machinery: query completions fire in the front-end
 // event domain in nondecreasing simulated-time order (DESIGN.md §4g), and
@@ -23,12 +28,15 @@
 // freeze lands on the same completion on every run. Sliding-window
 // maintenance is O(1) amortised per event.
 //
-// When the recorder is not attached, nothing in the hot path changes:
-// the observer lists stay empty and every 0-allocs/op gate holds.
+// When neither the recorder nor the monitor is attached, nothing in the
+// hot path changes: the observer lists stay empty and every 0-allocs/op
+// gate holds.
 package flight
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -211,18 +219,19 @@ type Verdict struct {
 }
 
 // Status is the recorder's live state, served by the inspector's
-// /anomalies endpoint and expvars while the simulation runs.
+// /anomalies endpoint, /progress block and expvars while the simulation
+// runs.
 type Status struct {
-	WindowMS        float64
-	Detect          bool
-	Completions     uint64
-	Breaches        uint64
-	Retained        int
-	Detections      map[string]uint64
-	Frozen          bool
-	TriggerDetector string
-	TriggerMS       float64
-	TriggerReason   string
+	WindowMS        float64           `json:"window_ms"`
+	Detect          bool              `json:"detect"`
+	Completions     uint64            `json:"completions"`
+	Breaches        uint64            `json:"breaches"`
+	Retained        int               `json:"retained_queries"`
+	Detections      map[string]uint64 `json:"detections,omitempty"`
+	Frozen          bool              `json:"frozen"`
+	TriggerDetector string            `json:"trigger_detector,omitempty"`
+	TriggerMS       float64           `json:"trigger_ms,omitempty"`
+	TriggerReason   string            `json:"trigger_reason,omitempty"`
 }
 
 // Recorder is the flight recorder: a qtrace.Observer (append it to the
@@ -555,29 +564,18 @@ func (r *Recorder) Window() (from, to sim.Time) {
 	return max(to-r.cfg.Window, 0), to
 }
 
-// WindowLog rebuilds a self-contained qtrace.Log holding exactly the
-// retained queries — timelines, attributions and latency sketch — by
-// replaying them in QueryID order. The result is what a full-run Log
-// would look like had the run consisted of only the in-window queries, so
-// every exporter that consumes a Log (the Chrome trace exporter, the
-// straggler reducers) works on the windowed copy unchanged.
-func (r *Recorder) WindowLog() *qtrace.Log {
-	retained := r.WindowQueries()
-	sort.Slice(retained, func(i, j int) bool { return retained[i].ID < retained[j].ID })
-	l := qtrace.NewLog(qtrace.Options{})
-	for i := range retained {
-		q := &retained[i]
-		l.Submitted(q.ID, q.Job, q.Arrival)
-		for _, iv := range q.Intervals {
-			l.Add(q.ID, iv)
-		}
-		l.Completed(q.ID, q.Done)
+// WindowQueries returns copies of the retained queries in QueryID order,
+// each with the attribution its log computed at completion, so a bundle's
+// trace renders them as a full run's trace renders the log's own queries.
+func (r *Recorder) WindowQueries() []*qtrace.Query {
+	qs := r.queries.values()
+	out := make([]*qtrace.Query, len(qs))
+	for i := range qs {
+		out[i] = &qs[i]
 	}
-	return l
+	slices.SortFunc(out, func(a, b *qtrace.Query) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
-
-// WindowQueries returns copies of the retained queries, completion order.
-func (r *Recorder) WindowQueries() []qtrace.Query { return r.queries.values() }
 
 // BarrierWindow returns the retained barrier samples, oldest first.
 func (r *Recorder) BarrierWindow() []BarrierSample { return r.bars.values() }

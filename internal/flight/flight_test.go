@@ -2,6 +2,7 @@ package flight
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -209,9 +210,8 @@ func TestDisarmedRecorderOnlyRetains(t *testing.T) {
 	if int64(len(v.Series)) > int64(st.Retained)+1 {
 		t.Fatalf("series %d points vs %d retained queries", len(v.Series), st.Retained)
 	}
-	wl := r.WindowLog()
-	if int(wl.CompletedCount()) != st.Retained {
-		t.Fatalf("window log %d completions, status retained %d", wl.CompletedCount(), st.Retained)
+	if n := len(r.WindowQueries()); n != st.Retained {
+		t.Fatalf("window holds %d queries, status retained %d", n, st.Retained)
 	}
 }
 
@@ -395,31 +395,69 @@ func TestRecorderCopiesAreIndependent(t *testing.T) {
 	}
 }
 
-// TestRecorderWindowLog: the rebuilt window log is a self-contained Log —
-// query table, timelines, recomputed attributions and latency sketch all
-// restricted to the retained set.
-func TestRecorderWindowLog(t *testing.T) {
-	r, full := feedTimelines(ms(10), 100)
-	wl := r.WindowLog()
-	if got := wl.CompletedCount(); got != 11 {
-		t.Fatalf("window log completed %d, want 11", got)
+// TestRecorderWindowQueries: the retained copies come back in QueryID
+// order whatever order they completed in, each with the full log's bounds,
+// timeline and attribution — what a bundle's trace renders.
+func TestRecorderWindowQueries(t *testing.T) {
+	r := New(Config{Window: ms(10)})
+	full := qtrace.NewLog(qtrace.Options{Observers: []qtrace.Observer{r}})
+	r.AttachLog(full)
+	// Query i arrives at i ms and runs 5 ms when i%3 == 0, else 1 ms, so
+	// completions interleave out of QueryID order.
+	type done struct {
+		id int
+		at sim.Time
 	}
-	if got := wl.Sketch().Count(); got != 11 {
-		t.Fatalf("window sketch count %d, want 11", got)
+	var order []done
+	for i := 0; i < 100; i++ {
+		at, run := ms(i), ms(1)
+		if i%3 == 0 {
+			run = ms(5)
+		}
+		full.Submitted(i, i, at)
+		full.Add(i, qtrace.Interval{Phase: qtrace.PhaseQueue, Stage: "SL", Level: "NearMem", Start: at, End: at + run/4})
+		full.Add(i, qtrace.Interval{Phase: qtrace.PhaseExec, Stage: "SL", Level: "NearMem", Start: at + run/4, End: at + run})
+		order = append(order, done{i, at + run})
 	}
-	for _, q := range wl.Queries() {
+	sort.SliceStable(order, func(i, j int) bool { return order[i].at < order[j].at })
+	var completed []int
+	for _, d := range order {
+		full.Completed(d.id, d.at)
+		completed = append(completed, d.id)
+	}
+
+	qs := r.WindowQueries()
+	if len(qs) == 0 || len(qs) != r.Status().Retained {
+		t.Fatalf("%d queries in the window, status retained %d", len(qs), r.Status().Retained)
+	}
+	in := map[int]bool{}
+	for i, q := range qs {
+		in[q.ID] = true
+		if i > 0 && qs[i-1].ID >= q.ID {
+			t.Fatalf("window queries out of QueryID order at %d: %d then %d", i, qs[i-1].ID, q.ID)
+		}
 		orig := full.Query(q.ID)
-		if q.Arrival != orig.Arrival || q.Done != orig.Done || q.Job != orig.Job {
+		if q.Arrival != orig.Arrival || q.Done != orig.Done || q.Job != orig.Job || !q.Completed() {
 			t.Fatalf("window query %d bounds diverged: %+v vs %+v", q.ID, q, orig)
 		}
-		if len(q.Intervals) != len(orig.Intervals) {
-			t.Fatalf("window query %d lost intervals", q.ID)
+		if !reflect.DeepEqual(q.Intervals, orig.Intervals) {
+			t.Fatalf("window query %d intervals %+v, log has %+v", q.ID, q.Intervals, orig.Intervals)
 		}
-		if q.Dominant() != orig.Dominant() {
-			t.Fatalf("window query %d attribution diverged", q.ID)
+		if q.Dominant() != orig.Dominant() || !reflect.DeepEqual(q.Attribution, orig.Attribution) {
+			t.Fatalf("window query %d attribution %+v, log has %+v", q.ID, q.Attribution, orig.Attribution)
 		}
 	}
-	if empty := New(Config{}).WindowLog(); empty.CompletedCount() != 0 {
-		t.Fatal("an empty recorder should rebuild an empty log")
+	// The sort is exercised: the retained queries completed out of ID order.
+	var byCompletion []int
+	for _, id := range completed {
+		if in[id] {
+			byCompletion = append(byCompletion, id)
+		}
+	}
+	if sort.IntsAreSorted(byCompletion) {
+		t.Fatalf("retained queries completed in ID order %v; the test needs them interleaved", byCompletion)
+	}
+	if n := len(New(Config{}).WindowQueries()); n != 0 {
+		t.Fatalf("an empty recorder returned %d window queries", n)
 	}
 }

@@ -2,7 +2,10 @@
 // small HTTP server that exposes, while experiments execute, the query
 // completion counters and current latency quantiles (via the qtrace
 // observer hook), per-resource busy fractions from completed runs, expvar
-// counters, and net/http/pprof profiling endpoints.
+// counters, and net/http/pprof profiling endpoints. A cluster run's SLO
+// monitor and flight recorder are served through flight's own types; the
+// front-end cache comes in through CacheCounters, which keeps the
+// inspector off the model packages.
 //
 // The server aggregates across every run of the process: simulations run
 // on worker goroutines, so all state behind the handlers is mutex
@@ -20,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/qtrace"
 	"repro/internal/sim"
 )
@@ -60,26 +64,11 @@ type Snapshot struct {
 
 	// SLO, present when a windowed SLO monitor is observed, carries the
 	// rolling sim-time window quantiles and the burn counters.
-	SLO *SLOStats `json:"slo,omitempty"`
+	SLO *flight.SLOStats `json:"slo,omitempty"`
 
 	// Anomalies, present when a flight recorder is observed, is the
 	// recorder's live detector state (also served alone at /anomalies).
-	Anomalies *AnomalyStatus `json:"anomalies,omitempty"`
-}
-
-// AnomalyStatus is the flight recorder's live state in a progress
-// snapshot — a decoupled mirror of flight.Status, so the inspector does
-// not depend on the flight package (the same pattern as CacheCounters).
-type AnomalyStatus struct {
-	WindowMs        float64           `json:"window_ms"`
-	Detect          bool              `json:"detect"`
-	Completions     uint64            `json:"completions"`
-	RetainedQueries int               `json:"retained_queries"`
-	Detections      map[string]uint64 `json:"detections,omitempty"`
-	Frozen          bool              `json:"frozen"`
-	TriggerDetector string            `json:"trigger_detector,omitempty"`
-	TriggerMs       float64           `json:"trigger_ms,omitempty"`
-	TriggerReason   string            `json:"trigger_reason,omitempty"`
+	Anomalies *flight.Status `json:"anomalies,omitempty"`
 }
 
 // CacheCounters is the front-end result cache's live accounting in a
@@ -110,8 +99,8 @@ type Server struct {
 	lastRun   string
 	resources []ResourceBusy
 	cache     func() CacheCounters
-	slo       *SLOMonitor
-	anomalies func() AnomalyStatus
+	slo       *flight.SLOMonitor
+	recorder  *flight.Recorder
 
 	// The latest barrier's copy of the domain partition; clocks is nil
 	// until the first barrier.
@@ -179,19 +168,19 @@ func (s *Server) ObserveCache(fn func() CacheCounters) {
 // ObserveSLO attaches a windowed SLO monitor: snapshots thereafter
 // include its window quantiles and burn counters. The monitor carries its
 // own mutex, so scraping while the simulation runs is race-free.
-func (s *Server) ObserveSLO(m *SLOMonitor) {
+func (s *Server) ObserveSLO(m *flight.SLOMonitor) {
 	s.mu.Lock()
 	s.slo = m
 	s.mu.Unlock()
 }
 
-// ObserveAnomalies attaches a flight-recorder status source: snapshots
-// thereafter include its live detector state and the /anomalies endpoint
-// serves it alone. The source must be safe to call while the simulation
-// runs — the flight recorder guards its status fields with a mutex.
-func (s *Server) ObserveAnomalies(fn func() AnomalyStatus) {
+// ObserveAnomalies attaches a flight recorder: snapshots thereafter
+// include its live detector state and the /anomalies endpoint serves it
+// alone. The recorder guards its status fields with its own mutex, so
+// scraping while the simulation runs is race-free.
+func (s *Server) ObserveAnomalies(r *flight.Recorder) {
 	s.mu.Lock()
-	s.anomalies = fn
+	s.recorder = r
 	s.mu.Unlock()
 }
 
@@ -230,9 +219,9 @@ func (s *Server) Snapshot() Snapshot {
 		st := s.slo.Stats() // its own mutex
 		snap.SLO = &st
 	}
-	if s.anomalies != nil {
-		a := s.anomalies()
-		snap.Anomalies = &a
+	if s.recorder != nil {
+		st := s.recorder.Status() // its own mutex
+		snap.Anomalies = &st
 	}
 	return snap
 }
@@ -256,106 +245,63 @@ func snapshotActive() (Snapshot, bool) {
 	return s.Snapshot(), true
 }
 
-func publishVars() {
-	expvar.Publish("qtrace_queries_completed", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		return snap.QueriesCompleted
-	}))
-	expvar.Publish("qtrace_p99_ms", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		return snap.P99Ms
-	}))
-	expvar.Publish("qtrace_resources_busy_pct", expvar.Func(func() any {
-		snap, _ := snapshotActive()
+// vars are the package's expvar readings, each a projection of the active
+// server's snapshot; an absent block reads as zero.
+var vars = []struct {
+	name string
+	get  func(Snapshot) any
+}{
+	{"qtrace_queries_completed", func(s Snapshot) any { return s.QueriesCompleted }},
+	{"qtrace_p99_ms", func(s Snapshot) any { return s.P99Ms }},
+	{"qtrace_resources_busy_pct", func(s Snapshot) any {
 		out := map[string]float64{}
-		for _, r := range snap.Resources {
+		for _, r := range s.Resources {
 			out[r.Name] = r.BusyPct
 		}
 		return out
-	}))
-	expvar.Publish("sim_barrier_rounds", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		return snap.BarrierRounds
-	}))
-	expvar.Publish("sim_domain_clocks_us", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		return snap.DomainClocksUS
-	}))
-	expvar.Publish("sim_domain_mailbox_depths", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		return snap.DomainMailboxDepths
-	}))
-	expvar.Publish("cluster_cache_hits", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		if snap.Cache == nil {
-			return uint64(0)
+	}},
+	{"sim_barrier_rounds", func(s Snapshot) any { return s.BarrierRounds }},
+	{"sim_domain_clocks_us", func(s Snapshot) any { return s.DomainClocksUS }},
+	{"sim_domain_mailbox_depths", func(s Snapshot) any { return s.DomainMailboxDepths }},
+	{"cluster_cache_hits", func(s Snapshot) any { return orZero(s.Cache).Hits }},
+	{"cluster_cache_lookups", func(s Snapshot) any { return orZero(s.Cache).Lookups }},
+	{"cluster_cache_hit_rate", func(s Snapshot) any { return orZero(s.Cache).HitRate }},
+	{"cluster_cache_coalesced", func(s Snapshot) any { return orZero(s.Cache).Coalesced }},
+	{"slo_breaches_total", func(s Snapshot) any { return orZero(s.SLO).Breaches }},
+	{"slo_burn_pct", func(s Snapshot) any { return orZero(s.SLO).BurnPct }},
+	{"slo_window_p99_ms", func(s Snapshot) any {
+		if w := orZero(s.SLO).Windows; len(w) > 0 {
+			return w[len(w)-1].P99Ms
 		}
-		return snap.Cache.Hits
-	}))
-	expvar.Publish("cluster_cache_lookups", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		if snap.Cache == nil {
-			return uint64(0)
-		}
-		return snap.Cache.Lookups
-	}))
-	expvar.Publish("cluster_cache_hit_rate", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		if snap.Cache == nil {
-			return float64(0)
-		}
-		return snap.Cache.HitRate
-	}))
-	expvar.Publish("cluster_cache_coalesced", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		if snap.Cache == nil {
-			return uint64(0)
-		}
-		return snap.Cache.Coalesced
-	}))
-	expvar.Publish("slo_breaches_total", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		if snap.SLO == nil {
-			return uint64(0)
-		}
-		return snap.SLO.Breaches
-	}))
-	expvar.Publish("slo_burn_pct", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		if snap.SLO == nil {
-			return float64(0)
-		}
-		return snap.SLO.BurnPct
-	}))
-	expvar.Publish("slo_window_p99_ms", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		if snap.SLO == nil || len(snap.SLO.Windows) == 0 {
-			return float64(0)
-		}
-		return snap.SLO.Windows[len(snap.SLO.Windows)-1].P99Ms
-	}))
-	expvar.Publish("slo_windows_evicted", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		if snap.SLO == nil {
-			return uint64(0)
-		}
-		return snap.SLO.WindowsEvicted
-	}))
-	expvar.Publish("flight_detections_total", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		if snap.Anomalies == nil {
-			return uint64(0)
-		}
+		return float64(0)
+	}},
+	{"slo_windows_evicted", func(s Snapshot) any { return orZero(s.SLO).WindowsEvicted }},
+	{"flight_detections_total", func(s Snapshot) any {
 		var total uint64
-		for _, n := range snap.Anomalies.Detections {
+		for _, n := range orZero(s.Anomalies).Detections {
 			total += n
 		}
 		return total
-	}))
-	expvar.Publish("flight_frozen", expvar.Func(func() any {
-		snap, _ := snapshotActive()
-		return snap.Anomalies != nil && snap.Anomalies.Frozen
-	}))
+	}},
+	{"flight_frozen", func(s Snapshot) any { return orZero(s.Anomalies).Frozen }},
+}
+
+// orZero dereferences an optional snapshot block, zero when absent.
+func orZero[T any](p *T) T {
+	var z T
+	if p != nil {
+		z = *p
+	}
+	return z
+}
+
+func publishVars() {
+	for _, v := range vars {
+		expvar.Publish(v.name, expvar.Func(func() any {
+			snap, _ := snapshotActive()
+			return v.get(snap)
+		}))
+	}
 }
 
 // Start listens on addr (":8080", or "127.0.0.1:0" for an ephemeral port)
@@ -384,14 +330,11 @@ func (s *Server) Start(addr string) error {
 	mux.HandleFunc("/anomalies", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		s.mu.Lock()
-		fn := s.anomalies
+		fr := s.recorder
 		s.mu.Unlock()
-		var body any
-		if fn == nil {
-			body = map[string]bool{"enabled": false}
-		} else {
-			st := fn()
-			body = &st
+		var body any = map[string]bool{"enabled": false}
+		if fr != nil {
+			body = fr.Status()
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

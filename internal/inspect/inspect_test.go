@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/flight"
 	"repro/internal/qtrace"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -241,5 +243,116 @@ func TestProgressEmptyServer(t *testing.T) {
 	}
 	if snap.QueriesCompleted != 0 || snap.P99Ms != 0 || snap.RunsObserved != 0 {
 		t.Errorf("empty server snapshot not zero: %+v", snap)
+	}
+}
+
+// TestExpvarReadings pins every expvar reading: each reads zero before
+// its block is observed, then the observed value. The flight recorder is
+// frozen by a sustained breach, and /anomalies serves its status alone.
+func TestExpvarReadings(t *testing.T) {
+	s := New()
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	readings := func() map[string]string {
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(get(t, "http://"+s.Addr()+"/debug/vars")), &raw); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for k, v := range raw {
+			out[k] = string(v)
+		}
+		return out
+	}
+	check := func(want map[string]string) {
+		t.Helper()
+		got := readings()
+		for name, w := range want {
+			if got[name] != w {
+				t.Errorf("%s = %s, want %s", name, got[name], w)
+			}
+		}
+	}
+	check(map[string]string{
+		"qtrace_queries_completed":  "0",
+		"qtrace_p99_ms":             "0",
+		"qtrace_resources_busy_pct": "{}",
+		"sim_barrier_rounds":        "0",
+		"sim_domain_clocks_us":      "null",
+		"sim_domain_mailbox_depths": "null",
+		"cluster_cache_hits":        "0",
+		"cluster_cache_lookups":     "0",
+		"cluster_cache_hit_rate":    "0",
+		"cluster_cache_coalesced":   "0",
+		"slo_breaches_total":        "0",
+		"slo_burn_pct":              "0",
+		"slo_window_p99_ms":         "0",
+		"slo_windows_evicted":       "0",
+		"flight_detections_total":   "0",
+		"flight_frozen":             "false",
+	})
+	if body := get(t, "http://"+s.Addr()+"/anomalies"); !strings.Contains(body, `"enabled": false`) {
+		t.Errorf("/anomalies without a recorder = %s", body)
+	}
+
+	s.QueryDone(0, 0, 2*sim.Millisecond)
+	s.QueryDone(1, 0, 4*sim.Millisecond)
+	me := sim.NewMultiEngine(2)
+	x := sim.NewCrossLink(me.Domain(0), "net", 1e9, sim.Millisecond)
+	me.Domain(0).AtCall(sim.Millisecond, crossSender{x, me.Domain(1)}, 0)
+	me.SetBarrierObserver(s)
+	me.Run()
+	s.ObserveCache(func() CacheCounters {
+		return CacheCounters{Hits: 6, Misses: 2, Coalesced: 3, Lookups: 8, HitRate: 0.75}
+	})
+	mon := flight.NewSLOMonitor(sim.Millisecond, 10*sim.Millisecond)
+	mon.QueryDone(0, 0, 20*sim.Millisecond)
+	mon.QueryDone(1, 1, 5*sim.Millisecond)
+	s.ObserveSLO(mon)
+	fr := flight.New(flight.Config{Window: 100 * sim.Millisecond, Detect: true, Objective: 5 * sim.Millisecond})
+	l := qtrace.NewLog(qtrace.Options{Observers: []qtrace.Observer{fr}})
+	fr.AttachLog(l)
+	for i := 0; i < 40; i++ {
+		l.Submitted(i, i, sim.Time(i)*sim.Millisecond)
+		l.Completed(i, sim.Time(i+20)*sim.Millisecond)
+	}
+	s.ObserveAnomalies(fr)
+
+	snap := s.Snapshot()
+	js := func(v any) string {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	if snap.Anomalies == nil || !snap.Anomalies.Frozen || snap.Anomalies.Detections[flight.DetectorSLOBurn] != 1 {
+		t.Fatalf("anomalies block = %+v, want frozen by one %s", snap.Anomalies, flight.DetectorSLOBurn)
+	}
+	check(map[string]string{
+		"qtrace_queries_completed":  "2",
+		"qtrace_p99_ms":             js(snap.P99Ms),
+		"sim_barrier_rounds":        js(snap.BarrierRounds),
+		"sim_domain_clocks_us":      js(snap.DomainClocksUS),
+		"sim_domain_mailbox_depths": js(snap.DomainMailboxDepths),
+		"cluster_cache_hits":        "6",
+		"cluster_cache_lookups":     "8",
+		"cluster_cache_hit_rate":    "0.75",
+		"cluster_cache_coalesced":   "3",
+		"slo_breaches_total":        "1",
+		"slo_burn_pct":              "50",
+		"slo_window_p99_ms":         js(mon.Stats().Windows[0].P99Ms),
+		"slo_windows_evicted":       "0",
+		"flight_detections_total":   "1",
+		"flight_frozen":             "true",
+	})
+	var st flight.Status
+	if err := json.Unmarshal([]byte(get(t, "http://"+s.Addr()+"/anomalies")), &st); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st, *snap.Anomalies) {
+		t.Errorf("/anomalies = %+v, want the snapshot's block %+v", st, *snap.Anomalies)
 	}
 }

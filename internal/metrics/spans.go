@@ -14,9 +14,6 @@ const (
 	// CatPollGap is the device-completion to GAM-detection gap of a polled
 	// (non-coherent) task.
 	CatPollGap = "gam.pollgap"
-	// CatStreamStall is a back-pressure event on an inter-level stream
-	// buffer.
-	CatStreamStall = "gam.stream"
 )
 
 // Cause tags — why the spanned activity happened or took as long as it
@@ -39,8 +36,6 @@ const (
 	// CauseStatusPoll: completion was observed by status polling rather
 	// than a coherent flag.
 	CauseStatusPoll = "status-poll"
-	// CauseStreamBackpressure: a stream-buffer put found the buffer full.
-	CauseStreamBackpressure = "stream-backpressure"
 )
 
 // Span is one structured GAM event: a category, the affected task/kernel/
@@ -57,8 +52,8 @@ type Span struct {
 	// Job is the owning job ID (-1 when not job-scoped).
 	Job int
 	// V carries one category-specific detail: polls for CatPollGap, busy
-	// device count at decision time for CatDispatch, buffer high-water
-	// mark for CatStreamStall, reconfiguration count for CatReconfig.
+	// device count at decision time for CatDispatch, reconfiguration count
+	// for CatReconfig.
 	V int64
 }
 

@@ -20,23 +20,23 @@ const clusterFEPID = 1
 func clusterNodePID(i int) int { return 2 + i }
 
 // AddCluster merges a cluster run's observability streams into the
-// timeline: the per-query trace log fans out to per-node lanes (routed by
-// each interval's detail label), the counter source's series land under
-// their owning node's process, and each per-node span log lands under
-// that node. Any argument may be nil (spans entries included). Taking a
-// metrics.Source rather than the live recorder lets callers hand in a
-// windowed view (metrics.WindowOf / metrics.WindowSpans) and cut a
-// bundle-sized trace with the same renderer as a full-run trace; pass a
-// MultiRecorder's Sampler and Spans fields for the full run. Beware
-// typed-nil Sources: convert a possibly-nil *MultiSampler before calling.
-func (t *Timeline) AddCluster(nodes int, l *qtrace.Log, counters metrics.Source, spans []*metrics.SpanLog) {
+// timeline: the queries, in QueryID order, fan out to per-node lanes
+// (routed by each interval's detail label), the counter source's series
+// land under their owning node's process, and each per-node span log
+// lands under that node. Any argument may be nil (spans entries
+// included). Taking queries and a metrics.Source rather than the live log
+// and recorder lets callers hand in windowed views (flight's
+// WindowQueries, metrics.WindowOf / metrics.WindowSpans) and cut a
+// bundle-sized trace with the same renderer as a full-run trace; pass the
+// log's Queries() and a MultiRecorder's Sampler and Spans fields for the
+// full run. Beware typed-nil Sources: convert a possibly-nil
+// *MultiSampler before calling.
+func (t *Timeline) AddCluster(nodes int, queries []*qtrace.Query, counters metrics.Source, spans []*metrics.SpanLog) {
 	t.SetProcessName(clusterFEPID, "front end")
 	for i := 0; i < nodes; i++ {
 		t.SetProcessName(clusterNodePID(i), fmt.Sprintf("node %d", i))
 	}
-	if l != nil {
-		t.addClusterQueries(l)
-	}
+	t.addClusterQueries(queries)
 	if counters != nil {
 		t.AddClusterCounters(counters)
 	}
@@ -51,8 +51,8 @@ func (t *Timeline) AddCluster(nodes int, l *qtrace.Log, counters metrics.Source,
 // front end (async events tolerate the arbitrary overlap of concurrent
 // queries) and routes every recorded interval to the lane of the node that
 // produced it.
-func (t *Timeline) addClusterQueries(l *qtrace.Log) {
-	for _, q := range l.Queries() {
+func (t *Timeline) addClusterQueries(queries []*qtrace.Query) {
+	for _, q := range queries {
 		if q.Completed() {
 			name, qid := "query "+strconv.Itoa(q.ID), "q"+strconv.Itoa(q.ID)
 			queries := t.laneAt(clusterFEPID, "queries")

@@ -41,7 +41,7 @@ func runClusterTrace(t *testing.T) []byte {
 	t.Helper()
 	c, rec := recordCluster(t)
 	tl := NewTimeline()
-	tl.AddCluster(config.DefaultCluster().Nodes, c.QLog(), rec.Sampler, rec.Spans)
+	tl.AddCluster(config.DefaultCluster().Nodes, c.QLog().Queries(), rec.Sampler, rec.Spans)
 	var buf bytes.Buffer
 	if err := tl.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func BenchmarkTimelineWriteJSON(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tl := NewTimeline()
-		tl.AddCluster(nodes, c.QLog(), rec.Sampler, rec.Spans)
+		tl.AddCluster(nodes, c.QLog().Queries(), rec.Sampler, rec.Spans)
 		cw := &countWriter{}
 		if err := tl.WriteJSON(cw); err != nil {
 			b.Fatal(err)

@@ -409,7 +409,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 func TestWriteJSONReportsWriterError(t *testing.T) {
 	c, rec := recordCluster(t)
 	tl := NewTimeline()
-	tl.AddCluster(config.DefaultCluster().Nodes, c.QLog(), rec.Sampler, rec.Spans)
+	tl.AddCluster(config.DefaultCluster().Nodes, c.QLog().Queries(), rec.Sampler, rec.Spans)
 	var full bytes.Buffer
 	if err := tl.WriteJSON(&full); err != nil {
 		t.Fatal(err)

@@ -30,17 +30,16 @@ type Buffer struct {
 
 func (b *Buffer) argLabel() string { return "buffer:" + b.Name }
 
-// Stream is a depth-bounded communication buffer between two levels
-// (Listing 1's CreateStream): a pair of queues in the source and
-// destination memory spaces, duplicated per instance for BroadCast
-// destinations and per source for Collect.
+// Stream is a communication buffer between two levels (Listing 1's
+// CreateStream): a pair of queues in the source and destination memory
+// spaces, duplicated per instance for BroadCast destinations and per
+// source for Collect.
 type Stream struct {
-	Name  string
-	Src   Level
-	Dst   Level
-	Type  StreamType
-	Size  int64 // payload bytes per element (one batch's worth)
-	Depth int   // elements in flight
+	Name string
+	Src  Level
+	Dst  Level
+	Type StreamType
+	Size int64 // payload bytes per element (one batch's worth)
 
 	producers []*ACC // accelerators writing this stream
 }
@@ -225,16 +224,12 @@ func (s *System) CreateFixedBufferAt(name string, dst Level, size int64, instanc
 }
 
 // CreateStream creates a communication stream between two levels
-// (Listing 1). size is the payload per element; depth bounds elements in
-// flight (0 uses the system default).
-func (s *System) CreateStream(name string, src, dst Level, typ StreamType, size int64, depth int) (*Stream, error) {
+// (Listing 1). size is the payload per element.
+func (s *System) CreateStream(name string, src, dst Level, typ StreamType, size int64) (*Stream, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("reach: stream %q needs positive element size", name)
 	}
-	if depth <= 0 {
-		depth = s.sys.Config().GAM.StreamDepth
-	}
-	st := &Stream{Name: name, Src: src, Dst: dst, Type: typ, Size: size, Depth: depth}
+	st := &Stream{Name: name, Src: src, Dst: dst, Type: typ, Size: size}
 	s.streams = append(s.streams, st)
 	return st, nil
 }

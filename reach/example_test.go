@@ -16,7 +16,7 @@ func Example() {
 		log.Fatal(err)
 	}
 	db, _ := sys.CreateFixedBuffer("db", reach.NearStor, 96e9)
-	feat, _ := sys.CreateStream("Features", reach.OnChip, reach.NearStor, reach.BroadCast, 6144, 2)
+	feat, _ := sys.CreateStream("Features", reach.OnChip, reach.NearStor, reach.BroadCast, 6144)
 
 	cnn, _ := sys.RegisterAcc("VGG16-VU9P", reach.OnChip)
 	_ = cnn.SetArg(0, feat)

@@ -35,7 +35,7 @@ func TestRegisterTemplateAndUse(t *testing.T) {
 	if _, err := s.RegisterAcc("SCAN-ZCU9", OnChip); err == nil {
 		t.Error("embedded template accepted on on-chip fabric")
 	}
-	out, err := s.CreateStream("out", NearStor, CPU, Collect, 1024, 1)
+	out, err := s.CreateStream("out", NearStor, CPU, Collect, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +93,8 @@ func TestRegisterAccAtSharing(t *testing.T) {
 	knn.SetWork(Work{Stage: "RR", MACs: 614e6, StreamBytes: 2.46e9, FromStorage: true, Random: true})
 
 	// Chain via same-level streams with explicit directions.
-	feOut, _ := s.CreateStream("f", OnChip, OnChip, Pair, 6144, 1)
-	slOut, _ := s.CreateStream("s", OnChip, OnChip, Pair, 1024, 1)
+	feOut, _ := s.CreateStream("f", OnChip, OnChip, Pair, 6144)
+	slOut, _ := s.CreateStream("s", OnChip, OnChip, Pair, 1024)
 	must := func(e error) {
 		t.Helper()
 		if e != nil {

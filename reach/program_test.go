@@ -64,7 +64,7 @@ func decodeProgram(data []byte) (run programRun, ok bool) {
 	hosts := make([]*Stream, 1+next(3))
 	for i := range hosts {
 		dst := levels[next(3)]
-		if hosts[i], err = s.CreateStream(fmt.Sprintf("in%d", i), CPU, dst, Pair, int64(1+next(64))<<20, 0); err != nil {
+		if hosts[i], err = s.CreateStream(fmt.Sprintf("in%d", i), CPU, dst, Pair, int64(1+next(64))<<20); err != nil {
 			return run, false
 		}
 	}
@@ -76,7 +76,7 @@ func decodeProgram(data []byte) (run programRun, ok bool) {
 		if k > 0 && input%2 == 1 {
 			producer := accs[input/2%k]
 			typ := []StreamType{Pair, BroadCast, Collect}[(flags>>4&3)%3]
-			if in, err = s.CreateStream(fmt.Sprintf("s%d", k), producer.Level, level, typ, size, 0); err != nil {
+			if in, err = s.CreateStream(fmt.Sprintf("s%d", k), producer.Level, level, typ, size); err != nil {
 				return run, false
 			}
 			if err := producer.SetOutput(1+k, in); err != nil {
@@ -95,7 +95,7 @@ func decodeProgram(data []byte) (run programRun, ok bool) {
 			return run, false
 		}
 		if flags&8 != 0 {
-			sink, err := s.CreateStream(fmt.Sprintf("out%d", k), in.Dst, CPU, Collect, 4096, 0)
+			sink, err := s.CreateStream(fmt.Sprintf("out%d", k), in.Dst, CPU, Collect, 4096)
 			if err != nil {
 				return run, false
 			}

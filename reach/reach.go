@@ -7,8 +7,8 @@
 //   - a configuration (the paper's config.h): RegisterAcc binds
 //     pre-synthesised accelerator templates to compute levels,
 //     CreateFixedBuffer pins data regions at a level, CreateStream creates
-//     depth-bounded communication buffers between levels, and SetArg wires
-//     buffers and streams to accelerator arguments;
+//     communication buffers between levels, and SetArg wires buffers and
+//     streams to accelerator arguments;
 //   - a host program (host.cpp): Begin/Enqueue/Execute/Commit describe the
 //     per-batch task flow in conventional synchronous style while the GAM
 //     handles the asynchronous scheduling, data movement and cross-batch
@@ -93,11 +93,6 @@ func WithInstances(onChip, nearMem, nearStor int) Option {
 	return func(c *config.SystemConfig) {
 		*c = c.WithInstances(onChip, nearMem, nearStor)
 	}
-}
-
-// WithStreamDepth sets the default depth of inter-level streams.
-func WithStreamDepth(depth int) Option {
-	return func(c *config.SystemConfig) { c.GAM.StreamDepth = depth }
 }
 
 // WithCrossJobPipelining toggles GAM's dispatching of the next job's tasks

@@ -37,13 +37,13 @@ func buildCBIR(t *testing.T, s *System, nm, ns int) (input, features, shortlists
 	}
 
 	// Streams (Listing 2 lines 8-13).
-	input, err = s.CreateStream("Input", CPU, OnChip, Pair, m.BatchImageBytes(), 2)
+	input, err = s.CreateStream("Input", CPU, OnChip, Pair, m.BatchImageBytes())
 	check(err)
-	features, err = s.CreateStream("Features", OnChip, NearMem, BroadCast, m.BatchFeatureBytes(), 2)
+	features, err = s.CreateStream("Features", OnChip, NearMem, BroadCast, m.BatchFeatureBytes())
 	check(err)
-	shortlists, err = s.CreateStream("Shortlists", NearMem, NearStor, BroadCast, m.ShortlistResultBytesPerBatch(), 2)
+	shortlists, err = s.CreateStream("Shortlists", NearMem, NearStor, BroadCast, m.ShortlistResultBytesPerBatch())
 	check(err)
-	result, err = s.CreateStream("Result", NearStor, CPU, Collect, m.ResultBytesPerBatch(), 2)
+	result, err = s.CreateStream("Result", NearStor, CPU, Collect, m.ResultBytesPerBatch())
 	check(err)
 
 	// Accelerators (Listing 2 lines 15-26).
@@ -228,7 +228,7 @@ func TestConfigurationErrors(t *testing.T) {
 	}
 	// Same-level streams are allowed (buffer handovers / sibling-instance
 	// hops) but must be bound with explicit directions.
-	same, err := s.CreateStream("same", NearStor, NearStor, Pair, 10, 1)
+	same, err := s.CreateStream("same", NearStor, NearStor, Pair, 10)
 	if err != nil {
 		t.Errorf("same-level stream rejected: %v", err)
 	}
@@ -242,7 +242,7 @@ func TestConfigurationErrors(t *testing.T) {
 	if err := knn.SetInput(0, same); err != nil {
 		t.Errorf("SetInput on same-level stream rejected: %v", err)
 	}
-	if _, err := s.CreateStream("s", CPU, OnChip, Pair, 0, 1); err == nil {
+	if _, err := s.CreateStream("s", CPU, OnChip, Pair, 0); err == nil {
 		t.Error("zero-size stream accepted")
 	}
 	if _, err := s.Begin(); err == nil {
@@ -263,11 +263,11 @@ func TestSetArgValidation(t *testing.T) {
 	if err := acc.SetArg(0, bufWrongLevel); err == nil {
 		t.Error("buffer at wrong level accepted")
 	}
-	stWrong, _ := s.CreateStream("x", CPU, OnChip, Pair, 10, 1)
+	stWrong, _ := s.CreateStream("x", CPU, OnChip, Pair, 10)
 	if err := acc.SetArg(0, stWrong); err == nil {
 		t.Error("stream not touching the level accepted")
 	}
-	stIn, _ := s.CreateStream("in", OnChip, NearMem, BroadCast, 10, 1)
+	stIn, _ := s.CreateStream("in", OnChip, NearMem, BroadCast, 10)
 	if err := acc.SetArg(0, stIn); err != nil {
 		t.Errorf("valid stream rejected: %v", err)
 	}
@@ -291,14 +291,14 @@ func TestStreamTypeValidationInJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, _ := s.CreateStream("p", CPU, OnChip, Pair, 10, 1)
+	pair, _ := s.CreateStream("p", CPU, OnChip, Pair, 10)
 	if err := b.Broadcast(pair); err == nil {
 		t.Error("Broadcast on a Pair stream accepted")
 	}
 	if err := b.Collect(pair); err == nil {
 		t.Error("Collect on a Pair stream accepted")
 	}
-	notHost, _ := s.CreateStream("nh", OnChip, NearMem, Pair, 10, 1)
+	notHost, _ := s.CreateStream("nh", OnChip, NearMem, Pair, 10)
 	if err := b.Enqueue(notHost); err == nil {
 		t.Error("Enqueue on a non-CPU-sourced stream accepted")
 	}
@@ -330,8 +330,8 @@ func TestExecuteRejectsProducerAfterConsumer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, _ := s.CreateStream("in", CPU, OnChip, Pair, 64<<20, 0)
-		mid, _ := s.CreateStream("mid", OnChip, NearMem, Pair, 64<<20, 0)
+		in, _ := s.CreateStream("in", CPU, OnChip, Pair, 64<<20)
+		mid, _ := s.CreateStream("mid", OnChip, NearMem, Pair, 64<<20)
 		prod, err := s.RegisterAcc("GEMM-VU9P", OnChip)
 		if err != nil {
 			t.Fatal(err)
