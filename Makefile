@@ -3,17 +3,10 @@
 #   make check       — everything CI runs: formatting, build, vet (the
 #                      root module and the bench/ module), race tests
 #                      (reachsim's end-to-end TestCLI matrix included), the
-#                      bench/ module's tests, 10 s each of fuzzing the
-#                      four-row distance kernel against SquaredL2, the
-#                      MultiEngine coordinator against one Engine, reset
-#                      job graphs against fresh ones, the metrics CSV's
-#                      integer microsecond formatter against FormatFloat,
-#                      random reach programs against a second run of
-#                      themselves, the trace's counter lanes against
-#                      their every-sample rendering with repeats dropped,
-#                      the metrics series' change runs against a dense
-#                      six-column reference and the SLO monitor's ring
-#                      windows against a grouped reference, and bench-smoke
+#                      bench/ module's tests, 10 s of fuzzing each Fuzz
+#                      target the root module's tests define, and
+#                      bench-smoke
+#   make fuzz        — every Fuzz target of every package, 10 s each
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
 #   make bench       — root + sim benchmarks with allocation stats
 #   make bench-smoke — 1x pass over every benchmark, so benchmark code
@@ -57,31 +50,23 @@ race:
 bench-test:
 	$(GO) -C bench test ./...
 
-# Coverage-guided fuzzing, 10 s per target: every SquaredL2Rows output
-# must be bit for bit the SquaredL2 of its row, a random event graph
-# split across MultiEngine domains must dispatch exactly as on one Engine,
-# random job graphs run again after Job.Reset must schedule exactly as
-# fresh copies, the CSV writer's microseconds from integer picoseconds
-# must equal strconv.FormatFloat's for every int64, a random
-# Listings-style reach program run twice in one process must give the
-# same latencies and energy bit for bit, the Chrome-trace counter
-# lanes of randomly scheduled resources must hold exactly the changes of
-# their sampled values, and the change runs of randomly scheduled
-# resources, sampled by a Sampler and a MultiSampler, must read, write
-# CSV, window and attribute exactly as a dense six-column store, and the
-# SLO monitor's windows over random nondecreasing completion streams
-# (widths from 1 ps to 10,000 s, gaps past its 1,024-window cap) must
-# equal every completion grouped by window index with the last 1,024
-# indices kept. Plain go test runs only the seeds.
+# Coverage-guided fuzzing: go test -list finds the Fuzz targets of every
+# package of the root module, and each one runs for 10 s (a target's doc
+# comment says what it checks). The target fails when a package does not
+# build, when it finds no Fuzz target, or when any target fails. Plain go
+# test runs only the seeds.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzSquaredL2Rows$$' -fuzztime 10s ./internal/kernels/
-	$(GO) test -run '^$$' -fuzz '^FuzzMultiEngine$$' -fuzztime 10s ./internal/sim/
-	$(GO) test -run '^$$' -fuzz '^FuzzJobReuse$$' -fuzztime 10s ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzAppendUS$$' -fuzztime 10s ./internal/metrics/
-	$(GO) test -run '^$$' -fuzz '^FuzzReachProgram$$' -fuzztime 10s ./reach/
-	$(GO) test -run '^$$' -fuzz '^FuzzCounterLanes$$' -fuzztime 10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz '^FuzzSeriesRuns$$' -fuzztime 10s ./internal/metrics/
-	$(GO) test -run '^$$' -fuzz '^FuzzSLOWindows$$' -fuzztime 10s ./internal/flight/
+	@set -e; n=0; \
+	for pkg in $$($(GO) list ./...); do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for f in $$(echo "$$targets" | grep '^Fuzz' || true); do \
+			echo "== fuzzing $$f in $$pkg"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s $$pkg; \
+			n=$$((n + 1)); \
+		done; \
+	done; \
+	if [ $$n -eq 0 ]; then echo "== no Fuzz target found"; exit 1; fi; \
+	echo "== fuzzed $$n targets"
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/

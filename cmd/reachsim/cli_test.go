@@ -50,7 +50,7 @@ const emptySHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b8
 
 // Digests shared by rows that write the same bytes.
 const (
-	observedStdout = "62596242ca911ed1ec17c831b700db099c0467d8ebd3d85751bb0640e228d03c"
+	observedStdout = "bd5b59ad65e3981e28f046748e96d66ccaea43ecd0aa3b80eefb36f85d90bdc0"
 	observedCSV    = "6acfc6364143b09879ac6cf896fb27f8e491aaef27a80595cf9b457bb1596671"
 	observedTrace  = "2a206bcd0df0979ef8a2e5211add3dc25a94ff97e2cccb8d5446a3b85f225970"
 	flashStdout    = "8697826d65f93bc488b291230ad7f4891928604542fb287ee8be924492f95337"
@@ -118,7 +118,7 @@ var cliRows = []cliRow{
 		name: "cluster-sinks",
 		args: []string{"-cluster", "-metrics", "DIR/metrics.csv", "-spans", "-trace", "DIR/trace.json",
 			"-slo", "250", "-slo-window", "100"},
-		stdout: "4b26edbe448e717fa1b6e5560311e25584e7fe6c7413369f2dba9e9a821435d6",
+		stdout: "aa4f139d344ec6ba39ebbcb713b11f142cfe6c5a6e36964c2f8bf15778b06355",
 		files: map[string]string{
 			"metrics.csv": "6a1b69071dfd59acb8395d1758c0a1775cf42447689ad86af515e89ad4f2428e",
 			"trace.json":  "fbfa9d8452ddf6d93f0d3d84668bc59567aff312cf279b5d71956d6b617fd150",
@@ -191,7 +191,7 @@ var cliRows = []cliRow{
 	},
 	{
 		name: "flash-slo", args: slices.Concat(flashBase, []string{"-slo", "400"}), once: true,
-		stdout: "cf8e1e5e220685e3023022e827a4ea9cfab93b03a6d0ad7adf83f0e9089ffb8f",
+		stdout: "4986d505adb4b89df038f8b3e94b334051132bf8e9281dc19ba2462457ff4f2d",
 		stderr: []string{"cluster run complete: 96 queries"},
 	},
 	{

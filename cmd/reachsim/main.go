@@ -14,7 +14,7 @@
 //	reachsim -cluster -nodes 8 -route hash
 //	reachsim -cluster -cache 32    # same run with the front-end result cache on
 //	reachsim -cluster -metrics m.csv -trace t.json   # cluster time series + Chrome trace
-//	reachsim -cluster -slo 250     # rolling SLO windows against a 250 ms objective
+//	reachsim -cluster -slo 250     # tumbling SLO windows against a 250 ms objective
 //	reachsim -cluster -flight out -detect -arrival flash    # flight recorder: anomaly-triggered diagnostic bundle
 //	reachsim -exp all -http :8080  # live inspector while experiments run
 //	reachsim -list                 # list experiment ids
@@ -347,8 +347,8 @@ func cli(args []string, stdout, stderr io.Writer) (code int) {
 	fs.StringVar(&co.route, "route", "", "with -cluster, override the routing policy: hash, rr, p2c (default p2c)")
 	fs.IntVar(&co.cache, "cache", 0, "with -cluster, enable the front-end result cache with this many entries (0 = off, the default)")
 	fs.Float64Var(&co.cacheTTL, "cache-ttl", 0, "with -cluster -cache, override the cache TTL in milliseconds (0 = config default, 500)")
-	fs.Float64Var(&co.sloMs, "slo", 0, "with -cluster, latency objective in milliseconds: track rolling sim-time windows of p50/p99/p999 and SLO burn, print the window table and serve it on -http (/progress, expvar)")
-	fs.Float64Var(&co.sloWindowMs, "slo-window", defaultSLOWindowMS, "with -cluster -slo, rolling window width in milliseconds")
+	fs.Float64Var(&co.sloMs, "slo", 0, "with -cluster, latency objective in milliseconds: track tumbling sim-time windows of p50/p99/p999 and SLO burn, print the window table and serve it on -http (/progress, expvar)")
+	fs.Float64Var(&co.sloWindowMs, "slo-window", defaultSLOWindowMS, "with -cluster -slo, tumbling window width in milliseconds")
 	fs.StringVar(&co.flightDir, "flight", "", "with -cluster, run the always-on flight recorder and write a diagnostic bundle directory under this path (triggered by -detect, else an end-of-run dump)")
 	fs.Float64Var(&co.flightWinMs, "flight-window", defaultFlightWindowMS, "with -cluster -flight, retention window in simulated milliseconds")
 	fs.BoolVar(&co.detect, "detect", false, "with -cluster -flight, arm the online anomaly detectors (SLO burn rate, queue divergence, cache collapse); the first trigger freezes the rings and the bundle captures the anomaly window")
@@ -499,7 +499,7 @@ type clusterOptions struct {
 	metricsPath string
 	// tracePath receives a Chrome trace with one process group per node.
 	tracePath string
-	// sloMs > 0 tracks rolling sim-time windows of latency quantiles
+	// sloMs > 0 tracks tumbling sim-time windows of latency quantiles
 	// against this objective; sloWindowMs is the window width.
 	sloMs       float64
 	sloWindowMs float64

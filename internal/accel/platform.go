@@ -72,7 +72,7 @@ type Platform struct {
 	NearDIMMs []*mem.Port
 	// AIMBus is the shared inter-DIMM accelerator bus, registered as
 	// "mem.aimbus".
-	AIMBus sim.Connection
+	AIMBus *sim.Link
 	// Storage is the SSD array behind the shared host PCIe link.
 	Storage *storage.Array
 	// DevBuffers holds the near-storage accelerators' private DRAM buffer

@@ -577,7 +577,7 @@ func (g *GAM) streamDeliver(n, dep *TaskNode) {
 
 // streamPass pushes item through buf's put/get pair. The get takes the
 // item back out in the same call, so a buffer never holds more than the
-// item in hand and a put never parks.
+// item in hand and a put never finds it full.
 func (g *GAM) streamPass(buf *sim.TokenQueue, item *TaskNode, consume func(any)) {
 	buf.Put(item, nil)
 	buf.Get(consume)

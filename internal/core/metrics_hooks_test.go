@@ -11,7 +11,8 @@ import (
 
 // TestStreamPassZeroAlloc: the GAM's stream pass is a put/get pair
 // through its level pair's registered buffer — zero allocations, zero
-// observer effect, and the capacity-1 buffer never parks a put.
+// observer effect, and the capacity-1 buffer is empty again after each
+// pass.
 func TestStreamPassZeroAlloc(t *testing.T) {
 	s, err := NewSystem(config.Default())
 	if err != nil {
@@ -29,9 +30,9 @@ func TestStreamPassZeroAlloc(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("streamPass allocates %.1f/op, want 0", allocs)
 	}
-	if buf.PutWaits() != 0 || buf.MaxOccupancy() != 1 || buf.Len() != 0 {
-		t.Fatalf("stream buffer parked %d puts, held up to %d items, holds %d; want 0, 1, 0",
-			buf.PutWaits(), buf.MaxOccupancy(), buf.Len())
+	if buf.MaxOccupancy() != 1 || buf.Len() != 0 {
+		t.Fatalf("stream buffer held up to %d items, holds %d; want 1, 0",
+			buf.MaxOccupancy(), buf.Len())
 	}
 }
 

@@ -142,7 +142,7 @@ func (m *SLOMonitor) Table() *report.Table {
 		return nil
 	}
 	t := &report.Table{
-		Title: "SLO windows — rolling sim-time latency quantiles vs objective",
+		Title: "SLO windows — tumbling sim-time latency quantiles vs objective",
 		Columns: []string{
 			"window start ms", "queries", "p50 ms", "p99 ms", "p999 ms",
 			"breaches", "burn %",

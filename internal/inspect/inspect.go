@@ -63,7 +63,7 @@ type Snapshot struct {
 	Cache *CacheCounters `json:"cluster_cache,omitempty"`
 
 	// SLO, present when a windowed SLO monitor is observed, carries the
-	// rolling sim-time window quantiles and the burn counters.
+	// tumbling sim-time window quantiles and the burn counters.
 	SLO *flight.SLOStats `json:"slo,omitempty"`
 
 	// Anomalies, present when a flight recorder is observed, is the
@@ -184,10 +184,12 @@ func (s *Server) ObserveAnomalies(r *flight.Recorder) {
 	s.mu.Unlock()
 }
 
-// Snapshot returns the current progress state.
+// Snapshot returns the current progress state. The cache source, the SLO
+// monitor and the flight recorder carry their own synchronization, so they
+// are read after s.mu is released: their Stats and Status walk every
+// window, and the simulation's QueryDone must not wait for that.
 func (s *Server) Snapshot() Snapshot {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	snap := Snapshot{
 		UptimeSeconds:    time.Since(s.started).Seconds(),
 		QueriesCompleted: s.queries,
@@ -211,16 +213,18 @@ func (s *Server) Snapshot() Snapshot {
 		}
 		snap.DomainMailboxDepths = append([]int(nil), s.mailboxes...)
 	}
-	if s.cache != nil {
-		cc := s.cache()
+	cache, slo, recorder := s.cache, s.slo, s.recorder
+	s.mu.Unlock()
+	if cache != nil {
+		cc := cache()
 		snap.Cache = &cc
 	}
-	if s.slo != nil {
-		st := s.slo.Stats() // its own mutex
+	if slo != nil {
+		st := slo.Stats()
 		snap.SLO = &st
 	}
-	if s.recorder != nil {
-		st := s.recorder.Status() // its own mutex
+	if recorder != nil {
+		st := recorder.Status()
 		snap.Anomalies = &st
 	}
 	return snap
@@ -245,45 +249,42 @@ func snapshotActive() (Snapshot, bool) {
 	return s.Snapshot(), true
 }
 
-// vars are the package's expvar readings, each a projection of the active
-// server's snapshot; an absent block reads as zero.
-var vars = []struct {
-	name string
-	get  func(Snapshot) any
-}{
-	{"qtrace_queries_completed", func(s Snapshot) any { return s.QueriesCompleted }},
-	{"qtrace_p99_ms", func(s Snapshot) any { return s.P99Ms }},
-	{"qtrace_resources_busy_pct", func(s Snapshot) any {
+// vars are the package's expvar readings by name, each a projection of
+// the active server's snapshot; an absent block reads as zero.
+var vars = map[string]func(Snapshot) any{
+	"qtrace_queries_completed": func(s Snapshot) any { return s.QueriesCompleted },
+	"qtrace_p99_ms":            func(s Snapshot) any { return s.P99Ms },
+	"qtrace_resources_busy_pct": func(s Snapshot) any {
 		out := map[string]float64{}
 		for _, r := range s.Resources {
 			out[r.Name] = r.BusyPct
 		}
 		return out
-	}},
-	{"sim_barrier_rounds", func(s Snapshot) any { return s.BarrierRounds }},
-	{"sim_domain_clocks_us", func(s Snapshot) any { return s.DomainClocksUS }},
-	{"sim_domain_mailbox_depths", func(s Snapshot) any { return s.DomainMailboxDepths }},
-	{"cluster_cache_hits", func(s Snapshot) any { return orZero(s.Cache).Hits }},
-	{"cluster_cache_lookups", func(s Snapshot) any { return orZero(s.Cache).Lookups }},
-	{"cluster_cache_hit_rate", func(s Snapshot) any { return orZero(s.Cache).HitRate }},
-	{"cluster_cache_coalesced", func(s Snapshot) any { return orZero(s.Cache).Coalesced }},
-	{"slo_breaches_total", func(s Snapshot) any { return orZero(s.SLO).Breaches }},
-	{"slo_burn_pct", func(s Snapshot) any { return orZero(s.SLO).BurnPct }},
-	{"slo_window_p99_ms", func(s Snapshot) any {
+	},
+	"sim_barrier_rounds":        func(s Snapshot) any { return s.BarrierRounds },
+	"sim_domain_clocks_us":      func(s Snapshot) any { return s.DomainClocksUS },
+	"sim_domain_mailbox_depths": func(s Snapshot) any { return s.DomainMailboxDepths },
+	"cluster_cache_hits":        func(s Snapshot) any { return orZero(s.Cache).Hits },
+	"cluster_cache_lookups":     func(s Snapshot) any { return orZero(s.Cache).Lookups },
+	"cluster_cache_hit_rate":    func(s Snapshot) any { return orZero(s.Cache).HitRate },
+	"cluster_cache_coalesced":   func(s Snapshot) any { return orZero(s.Cache).Coalesced },
+	"slo_breaches_total":        func(s Snapshot) any { return orZero(s.SLO).Breaches },
+	"slo_burn_pct":              func(s Snapshot) any { return orZero(s.SLO).BurnPct },
+	"slo_window_p99_ms": func(s Snapshot) any {
 		if w := orZero(s.SLO).Windows; len(w) > 0 {
 			return w[len(w)-1].P99Ms
 		}
 		return float64(0)
-	}},
-	{"slo_windows_evicted", func(s Snapshot) any { return orZero(s.SLO).WindowsEvicted }},
-	{"flight_detections_total", func(s Snapshot) any {
+	},
+	"slo_windows_evicted": func(s Snapshot) any { return orZero(s.SLO).WindowsEvicted },
+	"flight_detections_total": func(s Snapshot) any {
 		var total uint64
 		for _, n := range orZero(s.Anomalies).Detections {
 			total += n
 		}
 		return total
-	}},
-	{"flight_frozen", func(s Snapshot) any { return orZero(s.Anomalies).Frozen }},
+	},
+	"flight_frozen": func(s Snapshot) any { return orZero(s.Anomalies).Frozen },
 }
 
 // orZero dereferences an optional snapshot block, zero when absent.
@@ -296,12 +297,32 @@ func orZero[T any](p *T) T {
 }
 
 func publishVars() {
-	for _, v := range vars {
-		expvar.Publish(v.name, expvar.Func(func() any {
+	for name, get := range vars {
+		expvar.Publish(name, expvar.Func(func() any {
 			snap, _ := snapshotActive()
-			return v.get(snap)
+			return get(snap)
 		}))
 	}
+}
+
+// serveVars writes every published expvar as expvar.Handler does, but
+// projects the package's own readings from one snapshot of the active
+// server instead of building a snapshot per reading.
+func serveVars(w http.ResponseWriter, _ *http.Request) {
+	snap, _ := snapshotActive()
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	fmt.Fprint(w, "{\n")
+	sep := ""
+	expvar.Do(func(kv expvar.KeyValue) {
+		var val any = kv.Value
+		if get, ok := vars[kv.Key]; ok {
+			raw, _ := json.Marshal(get(snap)) // as expvar.Func's String does
+			val = string(raw)
+		}
+		fmt.Fprintf(w, "%s%q: %s", sep, kv.Key, val)
+		sep = ",\n"
+	})
+	fmt.Fprint(w, "\n}\n")
 }
 
 // Start listens on addr (":8080", or "127.0.0.1:0" for an ephemeral port)
@@ -342,7 +363,7 @@ func (s *Server) Start(addr string) error {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/vars", serveVars)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -11,11 +11,11 @@ import (
 // validated against the request-level Controller model by tests in this
 // package.
 //
-// Port is a thin efficiency adapter over the shared sim.Connection layer:
-// all serialisation, queueing and statistics live in the connection, which
-// registers itself in the engine's central stats registry.
+// Port is a thin efficiency adapter over a shared sim.Link: all
+// serialisation, queueing and statistics live in the link, which registers
+// itself in the engine's central stats registry.
 type Port struct {
-	conn      sim.Connection
+	link      *sim.Link
 	streamEff float64
 	randomEff float64
 }
@@ -28,7 +28,7 @@ func NewPort(eng *sim.Engine, name string, peakBytesPerSec float64, latency sim.
 		panic("mem: port efficiencies must be in (0,1]")
 	}
 	return &Port{
-		conn:      sim.NewLink(eng, name, peakBytesPerSec, latency),
+		link:      sim.NewLink(eng, name, peakBytesPerSec, latency),
 		streamEff: streamEff,
 		randomEff: randomEff,
 	}
@@ -37,36 +37,36 @@ func NewPort(eng *sim.Engine, name string, peakBytesPerSec float64, latency sim.
 // Stream accounts a sequential bulk transfer of n bytes and returns its
 // completion time (contention with other users of the port included).
 func (p *Port) Stream(n int64) sim.Time {
-	return p.conn.TransferEff(n, p.streamEff)
+	return p.link.TransferEff(n, p.streamEff)
 }
 
 // Random accounts a random-access bulk transfer of n bytes.
 func (p *Port) Random(n int64) sim.Time {
-	return p.conn.TransferEff(n, p.randomEff)
+	return p.link.TransferEff(n, p.randomEff)
 }
 
 // TotalBytes reports payload bytes moved through the port.
-func (p *Port) TotalBytes() uint64 { return p.conn.ResourceStats().Bytes }
+func (p *Port) TotalBytes() uint64 { return p.link.TotalBytes() }
 
 // BusyTime reports occupied capacity time.
-func (p *Port) BusyTime() sim.Time { return p.conn.ResourceStats().Busy }
+func (p *Port) BusyTime() sim.Time { return p.link.BusyTime() }
 
 // QueuedDelay reports accumulated contention delay.
-func (p *Port) QueuedDelay() sim.Time { return p.conn.ResourceStats().Wait }
+func (p *Port) QueuedDelay() sim.Time { return p.link.QueuedDelay() }
 
 // NextFree reports when the port next has free capacity.
-func (p *Port) NextFree() sim.Time { return p.conn.NextFree() }
+func (p *Port) NextFree() sim.Time { return p.link.NextFree() }
 
-// Link exposes the underlying connection for shared-resource wiring
-// (several ports can be layered over one physical channel via NewPortOn).
-func (p *Port) Link() sim.Connection { return p.conn }
+// Link exposes the underlying link for shared-resource wiring (several
+// ports can be layered over one physical channel via NewPortOn).
+func (p *Port) Link() *sim.Link { return p.link }
 
 // NewPortOn layers a port with its own efficiencies over an existing
-// connection, sharing its capacity with all other users — used to model
+// link, sharing its capacity with all other users — used to model
 // several agents contending for one physical channel.
-func NewPortOn(conn sim.Connection, streamEff, randomEff float64) *Port {
+func NewPortOn(link *sim.Link, streamEff, randomEff float64) *Port {
 	if streamEff <= 0 || streamEff > 1 || randomEff <= 0 || randomEff > 1 {
 		panic("mem: port efficiencies must be in (0,1]")
 	}
-	return &Port{conn: conn, streamEff: streamEff, randomEff: randomEff}
+	return &Port{link: link, streamEff: streamEff, randomEff: randomEff}
 }

@@ -33,7 +33,7 @@ type Attribution struct {
 	Pressure float64
 	// Share is min(1, max(Busy, Wait)/window): the fraction of the phase's
 	// critical-path time attributable to this resource — busy time for
-	// bandwidth resources (connections), park/queue wait for buffering
+	// bandwidth resources (connections), queue wait for buffering
 	// resources (ports, queues, windows) whose Busy is zero by definition.
 	Share float64
 }

@@ -72,8 +72,7 @@ func Attach(eng *sim.Engine, o Options) *Recorder {
 	return r
 }
 
-// Finish takes the closing sample (and cancels any pending tick). Call
-// once, after the run completes.
+// Finish takes the closing sample. Call once, after the engine drains.
 func (r *Recorder) Finish() {
 	r.Sampler.Finish()
 }

@@ -210,8 +210,6 @@ func (ss *seriesSet) Lookup(name string) (*Series, bool) {
 type Sampler struct {
 	eng *sim.Engine
 	seriesSet
-
-	pending sim.EventHandle
 }
 
 // NewSampler creates a sampler on eng; interval <= 0 means
@@ -224,7 +222,7 @@ func NewSampler(eng *sim.Engine, interval sim.Time) *Sampler {
 
 // Start schedules the first tick, one interval from now.
 func (s *Sampler) Start() {
-	s.pending = s.eng.ScheduleCall(s.interval, s, 0)
+	s.eng.ScheduleCall(s.interval, s, 0)
 }
 
 // Fire implements sim.Handler: take a sample and re-arm while the
@@ -232,19 +230,17 @@ func (s *Sampler) Start() {
 // last one in the calendar the run is over and it stops, so attaching a
 // sampler never prevents Engine.Run from terminating.
 func (s *Sampler) Fire(eng *sim.Engine, _ uint64) {
-	s.pending = sim.EventHandle{}
 	s.sampleNow()
 	if eng.Pending() > 0 {
-		s.pending = eng.ScheduleCall(s.interval, s, 0)
+		eng.ScheduleCall(s.interval, s, 0)
 	}
 }
 
-// Finish cancels any pending tick and takes the closing sample at the
-// current (end-of-run) time, so attributions over the full run window see
-// final counter values. Safe to call once after Engine.Run returns.
+// Finish takes the closing sample at the current (end-of-run) time, so
+// attributions over the full run window see final counter values. Call it
+// once, after the engine drains: Fire re-arms only while other events are
+// pending, so no tick is left on the calendar then.
 func (s *Sampler) Finish() {
-	s.pending.Cancel()
-	s.pending = sim.EventHandle{}
 	if n := s.Samples(); n == 0 || s.Time(n-1) != s.eng.Now() {
 		s.sampleNow()
 	}

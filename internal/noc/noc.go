@@ -14,11 +14,11 @@ import (
 )
 
 // Port identifies an endpoint attached to the crossbar. Its ingress and
-// egress directions are shared-layer sim.Connections registered in the
-// central stats registry as "<xbar>.<port>.in" / ".out".
+// egress directions are shared-layer sim.Links registered in the central
+// stats registry as "<xbar>.<port>.in" / ".out".
 type Port struct {
-	egress  sim.Connection
-	ingress sim.Connection
+	egress  *sim.Link
+	ingress *sim.Link
 }
 
 // Crossbar is the on-chip interconnect.

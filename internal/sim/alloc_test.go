@@ -26,21 +26,34 @@ func (h *countHandler) Fire(_ *Engine, arg uint64) {
 func TestScheduleCallZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	h := &countHandler{}
+	fired := 0
+	fn := func() { fired++ } // prebuilt: the closure is the caller's allocation
 	// Warm the pool: establish heap/slot/free-list capacity.
 	for i := 0; i < 64; i++ {
 		e.ScheduleCall(Time(i), h, uint64(i))
 	}
 	e.Run()
 
-	allocs := testing.AllocsPerRun(200, func() {
-		e.ScheduleCall(Nanosecond, h, 7)
-		e.RunUntil(e.Now() + Nanosecond)
-	})
-	if allocs != 0 {
-		t.Errorf("ScheduleCall+dispatch allocated %.1f objects/op, want 0", allocs)
+	for _, c := range []struct {
+		name     string
+		schedule func()
+	}{
+		{"ScheduleCall", func() { e.ScheduleCall(Nanosecond, h, 7) }},
+		{"At", func() { e.At(e.Now()+Nanosecond, fn) }},
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			c.schedule()
+			e.RunUntil(e.Now() + Nanosecond)
+		})
+		if allocs != 0 {
+			t.Errorf("%s+dispatch allocated %.1f objects/op, want 0", c.name, allocs)
+		}
 	}
 	if h.last != 7 {
 		t.Errorf("handler arg = %d, want 7", h.last)
+	}
+	if fired != 201 { // AllocsPerRun runs the function once more to warm up
+		t.Errorf("At closure fired %d times, want 201", fired)
 	}
 }
 
@@ -66,58 +79,11 @@ func TestFanOutZeroAlloc(t *testing.T) {
 	}
 }
 
-// Cancellation via generation-stamped handles must be allocation-free too
-// (the timeout-guard pattern runs once per request in the storage models).
-func TestCancelZeroAlloc(t *testing.T) {
-	e := NewEngine()
-	h := &countHandler{}
-	for i := 0; i < 64; i++ {
-		e.ScheduleCall(Time(i), h, 0)
-	}
-	e.Run()
-
-	allocs := testing.AllocsPerRun(200, func() {
-		guard := e.ScheduleCall(Microsecond, h, 0)
-		e.ScheduleCall(Nanosecond, h, 0)
-		e.RunUntil(e.Now() + Nanosecond)
-		guard.Cancel()
-	})
-	if allocs != 0 {
-		t.Errorf("schedule+cancel allocated %.1f objects/op, want 0", allocs)
-	}
-}
-
-// A stale handle must never cancel a recycled slot: after the original
-// event fires, its slot is reused by a new event; cancelling through the
-// old handle has to be a no-op because the generation stamp advanced.
-func TestStaleHandleCannotCancelReusedSlot(t *testing.T) {
-	e := NewEngine()
-	h := &countHandler{}
-	stale := e.ScheduleCall(10, h, 1)
-	if !stale.Scheduled() {
-		t.Fatal("fresh handle reports not scheduled")
-	}
-	e.Run()
-	if stale.Scheduled() || stale.When() != 0 {
-		t.Error("fired handle still reports scheduled")
-	}
-	// The freed slot is recycled by the next schedule (LIFO free list).
-	fresh := e.ScheduleCall(20, h, 2)
-	stale.Cancel() // must NOT cancel the new event
-	if !fresh.Scheduled() {
-		t.Fatal("stale handle cancelled a reused slot")
-	}
-	e.Run()
-	if h.fired != 2 {
-		t.Errorf("fired = %d, want 2", h.fired)
-	}
-	if h.last != 2 {
-		t.Errorf("last arg = %d, want 2", h.last)
-	}
-}
-
 // FIFO among same-time events must hold for AtCall exactly as for At, and
-// across a mix of both APIs (the seq tie-break is shared).
+// across a mix of both APIs (the seq tie-break is shared): closures and
+// handlers interleaved at one instant fire in scheduling order, and an
+// event scheduled for that instant from inside a callback fires after every
+// one already queued.
 func TestAtCallFIFOAmongTies(t *testing.T) {
 	e := NewEngine()
 	var order []uint64
@@ -126,8 +92,16 @@ func TestAtCallFIFOAmongTies(t *testing.T) {
 	e.At(5, func() { order = append(order, 2) })
 	e.AtCall(5, rec, 3)
 	e.At(3, func() { order = append(order, 0) })
+	e.At(5, func() {
+		order = append(order, 4)
+		e.At(5, func() { order = append(order, 8) })
+		e.AtCall(5, rec, 9)
+	})
+	e.AtCall(5, rec, 5)
+	e.At(5, func() { order = append(order, 6) })
+	e.AtCall(5, rec, 7)
 	e.Run()
-	want := []uint64{0, 1, 2, 3}
+	want := []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -136,15 +110,19 @@ func TestAtCallFIFOAmongTies(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
+	if e.Now() != 5 || e.Executed() != uint64(len(want)) {
+		t.Errorf("now %v after %d events, want 5 after %d", e.Now(), e.Executed(), len(want))
+	}
 }
 
 type recordHandler struct{ order *[]uint64 }
 
 func (r recordHandler) Fire(_ *Engine, arg uint64) { *r.order = append(*r.order, arg) }
 
-// Step must refuse re-entrant invocation from inside a callback, exactly
-// like Run — dispatching mid-dispatch would corrupt event order.
-func TestStepReentrancyGuard(t *testing.T) {
+// Run must refuse re-entrant invocation from inside a callback —
+// dispatching mid-dispatch would corrupt event order — and the engine must
+// stay usable after the callback recovers.
+func TestRunReentrancyGuard(t *testing.T) {
 	e := NewEngine()
 	panicked := false
 	e.Schedule(1, func() {
@@ -153,21 +131,21 @@ func TestStepReentrancyGuard(t *testing.T) {
 				panicked = true
 			}
 		}()
-		e.Step()
+		e.Run()
 	})
 	e.Schedule(2, func() {})
-	if !e.Step() {
-		t.Fatal("Step found no event")
-	}
+	e.Run()
 	if !panicked {
-		t.Error("re-entrant Step did not panic")
+		t.Error("re-entrant Run did not panic")
+	}
+	if e.Executed() != 2 || e.Now() != 2 {
+		t.Errorf("executed %d events by %v, want 2 by 2ps", e.Executed(), e.Now())
 	}
 	// The engine must remain usable after the recovered panic.
-	if !e.Step() {
-		t.Error("engine unusable after recovered re-entrant Step")
-	}
-	if e.Executed() != 2 {
-		t.Errorf("executed = %d, want 2", e.Executed())
+	e.Schedule(1, func() {})
+	e.Run()
+	if e.Executed() != 3 {
+		t.Errorf("engine unusable after recovered re-entrant Run: executed = %d, want 3", e.Executed())
 	}
 }
 

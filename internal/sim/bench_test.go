@@ -79,25 +79,6 @@ func BenchmarkEngineFanOut(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCancelHeavy exercises the slot free list with the
-// timeout-guard pattern: every unit of work schedules a guard event that is
-// cancelled when the work completes first, so half of all scheduled events
-// are removed mid-heap and their slots recycled.
-func BenchmarkEngineCancelHeavy(b *testing.B) {
-	e := NewEngine()
-	h := &countHandler{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		guard := e.ScheduleCall(Microsecond, h, 1)
-		e.ScheduleCall(Nanosecond, h, 0)
-		e.RunUntil(e.Now() + Nanosecond)
-		guard.Cancel()
-	}
-	b.StopTimer()
-	assertDrained(b, e, uint64(b.N)) // every guard cancelled, every work event fired
-}
-
 // BenchmarkLinkTransfers measures the contended-link fast path.
 func BenchmarkLinkTransfers(b *testing.B) {
 	e := NewEngine()

@@ -40,8 +40,8 @@ import (
 // mailbox.
 
 // Domain is one event-domain of a partitioned simulation. A Domain is an
-// Engine — the single-domain Engine API (AtCall, ScheduleCall, handles,
-// resources) is exactly the per-domain API, so model code written against
+// Engine — the single-domain Engine API (AtCall, ScheduleCall, resources)
+// is exactly the per-domain API, so model code written against
 // *Engine runs unchanged inside a domain. Standalone engines made with
 // NewEngine are simply single domains that were never attached to a
 // MultiEngine.
@@ -240,7 +240,7 @@ func (m *MultiEngine) drain() {
 			panic(fmt.Sprintf("sim: cross-domain event at %v delivered into domain %d already at %v (lookahead violated)",
 				e.ev.at, e.dst.id, e.dst.now))
 		}
-		e.dst.push(e.ev.at, e.ev.h, e.ev.arg, nil)
+		e.dst.push(e.ev.at, e.ev.h, e.ev.arg)
 		if e.ev.at < m.next[e.dst.id] {
 			m.next[e.dst.id] = e.ev.at
 		}

@@ -5,9 +5,8 @@ import (
 	"math"
 )
 
-// Link is the canonical Connection: a shared, serialised bandwidth
-// resource — a DDR4 channel, the AIMbus, a PCIe link, a NoC port, an SSD's
-// internal flash interconnect.
+// Link is a shared, serialised bandwidth resource — a DDR4 channel, the
+// AIMbus, a PCIe link, a NoC port, an SSD's internal flash interconnect.
 //
 // Transfers reserve capacity in FIFO order: a transfer issued while the
 // link is busy queues behind the in-flight ones. This captures the

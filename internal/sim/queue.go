@@ -1,17 +1,14 @@
 package sim
 
-// TokenQueue is the canonical Port: a bounded FIFO with asynchronous,
-// callback-based put/get — the building block for the ReACH stream buffers
-// (paper §III-B), which are depth-bounded queues between compute levels.
-// Producers that find the queue full are parked until a consumer frees a
-// slot, and vice versa; this is what throttles a fast pipeline stage to
-// the rate of the slowest one.
-//
-// Every queue registers itself in its engine's StatsRegistry and
-// accumulates park waits (producer back-pressure and consumer starvation)
-// at this base layer.
+import "fmt"
+
+// TokenQueue is a counted bounded FIFO, registered as a "port" resource:
+// the ReACH stream buffers between compute levels (paper §III-B). Put and
+// Get complete at once, so a queue throttles nothing; a put into a full
+// queue or a get from an empty one is a model bug and panics. What the
+// queue adds is accounting: items passed and the occupancy high-water mark
+// show up in its engine's StatsRegistry.
 type TokenQueue struct {
-	eng      *Engine
 	name     string
 	capacity int
 
@@ -20,28 +17,11 @@ type TokenQueue struct {
 	// once it drains instead of being re-allocated every wraparound —
 	// steady-state put/get traffic (the GAM stream buffers) is
 	// allocation-free.
-	items   []any
-	head    int
-	getters []pendingGet
-	putters []pendingPut
+	items []any
+	head  int
 
-	// accounting
-	puts, gets   uint64
-	putWaits     uint64
-	getWaits     uint64
+	puts         uint64
 	maxOccupancy int
-	waitTime     Time
-}
-
-type pendingPut struct {
-	item   any
-	done   func()
-	parked Time
-}
-
-type pendingGet struct {
-	onItem func(any)
-	parked Time
 }
 
 // NewTokenQueue creates a queue holding at most capacity items, registered
@@ -53,7 +33,7 @@ func NewTokenQueue(eng *Engine, name string, capacity int) *TokenQueue {
 	if capacity < 1 {
 		panic("sim: TokenQueue capacity must be >= 1")
 	}
-	q := &TokenQueue{eng: eng, capacity: capacity}
+	q := &TokenQueue{capacity: capacity}
 	q.name = eng.Stats().Register(name, q)
 	return q
 }
@@ -61,15 +41,34 @@ func NewTokenQueue(eng *Engine, name string, capacity int) *TokenQueue {
 // Name reports the queue's registered name.
 func (q *TokenQueue) Name() string { return q.name }
 
-// Capacity reports the configured depth.
-func (q *TokenQueue) Capacity() int { return q.capacity }
-
 // Len reports the number of items currently buffered.
 func (q *TokenQueue) Len() int { return len(q.items) - q.head }
 
-// popItem removes and returns the oldest buffered item, recycling the
-// backing array once it fully drains.
-func (q *TokenQueue) popItem() any {
+// Put appends item and then runs done (optional). Putting into a full
+// queue panics.
+func (q *TokenQueue) Put(item any, done func()) {
+	if q.Len() == q.capacity {
+		panic(fmt.Sprintf("sim: Put into full TokenQueue %q", q.name))
+	}
+	q.puts++
+	q.items = append(q.items, item)
+	if occ := q.Len(); occ > q.maxOccupancy {
+		q.maxOccupancy = occ
+	}
+	if done != nil {
+		done()
+	}
+}
+
+// Get removes the oldest item and passes it to onItem. Getting from an
+// empty queue panics.
+func (q *TokenQueue) Get(onItem func(any)) {
+	if onItem == nil {
+		panic("sim: TokenQueue.Get with nil callback")
+	}
+	if q.Len() == 0 {
+		panic(fmt.Sprintf("sim: Get from empty TokenQueue %q", q.name))
+	}
 	item := q.items[q.head]
 	q.items[q.head] = nil
 	q.head++
@@ -77,126 +76,196 @@ func (q *TokenQueue) popItem() any {
 		q.items = q.items[:0]
 		q.head = 0
 	}
-	return item
+	onItem(item)
 }
-
-// pushItem appends an item and tracks the occupancy high-water mark.
-func (q *TokenQueue) pushItem(item any) {
-	q.items = append(q.items, item)
-	if occ := len(q.items) - q.head; occ > q.maxOccupancy {
-		q.maxOccupancy = occ
-	}
-}
-
-// recordWait accounts a park that began at parked and ended now.
-func (q *TokenQueue) recordWait(parked Time) {
-	if w := q.eng.Now() - parked; w > 0 {
-		q.waitTime += w
-	}
-}
-
-// Put offers item to the queue. done (optional) runs at the simulated time
-// the item is accepted: immediately if there is space or a waiting getter,
-// otherwise when a consumer frees a slot.
-func (q *TokenQueue) Put(item any, done func()) {
-	q.puts++
-	// Fast path: hand directly to a parked getter.
-	if len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
-		q.recordWait(g.parked)
-		if done != nil {
-			done()
-		}
-		g.onItem(item)
-		return
-	}
-	if q.Len() < q.capacity {
-		q.pushItem(item)
-		if done != nil {
-			done()
-		}
-		return
-	}
-	q.putWaits++
-	q.putters = append(q.putters, pendingPut{item: item, done: done, parked: q.eng.Now()})
-}
-
-// Get asks for the next item. onItem runs at the simulated time an item is
-// available: immediately if the queue is nonempty, otherwise when a
-// producer delivers one.
-func (q *TokenQueue) Get(onItem func(any)) {
-	if onItem == nil {
-		panic("sim: TokenQueue.Get with nil callback")
-	}
-	q.gets++
-	if q.Len() > 0 {
-		item := q.popItem()
-		q.admitParkedPutter()
-		onItem(item)
-		return
-	}
-	if len(q.putters) > 0 {
-		// Queue is empty but a producer is parked (possible only when
-		// capacity fills and drains in the same instant); serve directly.
-		p := q.putters[0]
-		q.putters = q.putters[1:]
-		q.recordWait(p.parked)
-		if p.done != nil {
-			p.done()
-		}
-		onItem(p.item)
-		return
-	}
-	q.getWaits++
-	q.getters = append(q.getters, pendingGet{onItem: onItem, parked: q.eng.Now()})
-}
-
-// TryGet pops an item if one is buffered, without parking.
-func (q *TokenQueue) TryGet() (any, bool) {
-	if q.Len() == 0 {
-		return nil, false
-	}
-	item := q.popItem()
-	q.gets++
-	q.admitParkedPutter()
-	return item, true
-}
-
-// admitParkedPutter moves the oldest parked producer into the freed slot.
-func (q *TokenQueue) admitParkedPutter() {
-	if len(q.putters) == 0 {
-		return
-	}
-	p := q.putters[0]
-	q.putters = q.putters[1:]
-	q.pushItem(p.item)
-	q.recordWait(p.parked)
-	if p.done != nil {
-		p.done()
-	}
-}
-
-// PutWaits reports how many producers had to park (back-pressure events).
-func (q *TokenQueue) PutWaits() uint64 { return q.putWaits }
-
-// GetWaits reports how many consumers had to park (starvation events).
-func (q *TokenQueue) GetWaits() uint64 { return q.getWaits }
 
 // MaxOccupancy reports the high-water mark of buffered items.
 func (q *TokenQueue) MaxOccupancy() int { return q.maxOccupancy }
 
-// WaitTime reports accumulated producer+consumer park time.
-func (q *TokenQueue) WaitTime() Time { return q.waitTime }
-
-// ResourceStats implements Resource.
+// ResourceStats implements Resource. A put never waits, so Wait and
+// Stalls are zero.
 func (q *TokenQueue) ResourceStats() ResourceStats {
 	return ResourceStats{
 		Kind:         KindPort,
 		Ops:          q.puts,
-		Wait:         q.waitTime,
-		Stalls:       q.putWaits + q.getWaits,
 		Occupancy:    q.Len(),
 		MaxOccupancy: q.maxOccupancy,
+	}
+}
+
+// queueEntry pairs a queued item with its enqueue time for wait accounting.
+type queueEntry struct {
+	item any
+	at   Time
+}
+
+// Queue is a bounded, instrumented request queue whose consumer may scan
+// entries and remove them out of order — the shape of an FR-FCFS memory
+// controller's read/write queues, where a row-hit request overtakes older
+// ones. Offers that find the queue full are rejected and counted as
+// stalls; callers model back-pressure by retrying.
+type Queue struct {
+	eng      *Engine
+	name     string
+	capacity int
+	entries  []queueEntry
+
+	offers   uint64
+	served   uint64
+	stalls   uint64
+	maxOcc   int
+	waitTime Time
+}
+
+// NewQueue creates a bounded queue and registers it on eng's registry.
+func NewQueue(eng *Engine, name string, capacity int) *Queue {
+	if eng == nil {
+		panic("sim: NewQueue with nil engine")
+	}
+	if capacity < 1 {
+		panic(fmt.Sprintf("sim: queue %q capacity must be >= 1", name))
+	}
+	q := &Queue{eng: eng, capacity: capacity}
+	q.name = eng.Stats().Register(name, q)
+	return q
+}
+
+// Name reports the registered name.
+func (q *Queue) Name() string { return q.name }
+
+// Capacity reports the configured depth.
+func (q *Queue) Capacity() int { return q.capacity }
+
+// Len reports current occupancy.
+func (q *Queue) Len() int { return len(q.entries) }
+
+// Full reports whether the queue is at capacity.
+func (q *Queue) Full() bool { return len(q.entries) >= q.capacity }
+
+// Offer appends item, reporting false (a counted stall) when full.
+func (q *Queue) Offer(item any) bool {
+	q.offers++
+	if len(q.entries) >= q.capacity {
+		q.stalls++
+		return false
+	}
+	q.entries = append(q.entries, queueEntry{item: item, at: q.eng.Now()})
+	if len(q.entries) > q.maxOcc {
+		q.maxOcc = len(q.entries)
+	}
+	return true
+}
+
+// At returns the i-th queued item without removing it (0 = oldest).
+func (q *Queue) At(i int) any { return q.entries[i].item }
+
+// RemoveAt removes and returns the i-th item, recording its queueing wait.
+func (q *Queue) RemoveAt(i int) any {
+	e := q.entries[i]
+	q.entries = append(q.entries[:i], q.entries[i+1:]...)
+	q.served++
+	if w := q.eng.Now() - e.at; w > 0 {
+		q.waitTime += w
+	}
+	return e.item
+}
+
+// Served reports how many entries were removed.
+func (q *Queue) Served() uint64 { return q.served }
+
+// Stalls reports rejected offers.
+func (q *Queue) Stalls() uint64 { return q.stalls }
+
+// ResourceStats implements Resource.
+func (q *Queue) ResourceStats() ResourceStats {
+	return ResourceStats{
+		Kind:         KindQueue,
+		Ops:          q.served,
+		Wait:         q.waitTime,
+		Stalls:       q.stalls,
+		Occupancy:    len(q.entries),
+		MaxOccupancy: q.maxOcc,
+	}
+}
+
+// Window models an outstanding-operations limit over a time-analytic
+// command loop: an NVMe submission queue's depth, a bounded number of
+// in-flight DMA descriptors. Admission of a new operation when the window
+// is full waits for the oldest outstanding completion (FIFO), which is
+// exactly the host-side behaviour of a driver keeping a queue pair full.
+type Window struct {
+	eng   *Engine
+	name  string
+	depth int
+
+	inflight []Time // completion times of admitted ops, oldest first
+
+	admitted uint64
+	stalls   uint64
+	waitTime Time
+	maxOcc   int
+}
+
+// NewWindow creates a window of the given depth and registers it.
+func NewWindow(eng *Engine, name string, depth int) *Window {
+	if eng == nil {
+		panic("sim: NewWindow with nil engine")
+	}
+	if depth < 1 {
+		panic(fmt.Sprintf("sim: window %q depth must be >= 1", name))
+	}
+	w := &Window{eng: eng, depth: depth}
+	w.name = eng.Stats().Register(name, w)
+	return w
+}
+
+// Name reports the registered name.
+func (w *Window) Name() string { return w.name }
+
+// Depth reports the configured limit.
+func (w *Window) Depth() int { return w.depth }
+
+// Admit requests a slot for an operation wanting to start at `at`. When
+// the window is full it retires the oldest outstanding completion and
+// returns the (possibly delayed) admission time; the delay is recorded as
+// wait. Callers pair every Admit with one Complete.
+func (w *Window) Admit(at Time) Time {
+	w.admitted++
+	if len(w.inflight) >= w.depth {
+		oldest := w.inflight[0]
+		w.inflight = w.inflight[1:]
+		if oldest > at {
+			w.stalls++
+			wait := oldest - at
+			w.waitTime += wait
+			return oldest
+		}
+	}
+	return at
+}
+
+// Complete records the completion time of the operation admitted last.
+func (w *Window) Complete(done Time) {
+	w.inflight = append(w.inflight, done)
+	if len(w.inflight) > w.maxOcc {
+		w.maxOcc = len(w.inflight)
+	}
+}
+
+// Outstanding reports current in-flight operations.
+func (w *Window) Outstanding() int { return len(w.inflight) }
+
+// WaitTime reports accumulated full-window admission delay.
+func (w *Window) WaitTime() Time { return w.waitTime }
+
+// ResourceStats implements Resource.
+func (w *Window) ResourceStats() ResourceStats {
+	return ResourceStats{
+		Kind:         KindWindow,
+		Ops:          w.admitted,
+		Wait:         w.waitTime,
+		Stalls:       w.stalls,
+		Occupancy:    len(w.inflight),
+		MaxOccupancy: w.maxOcc,
 	}
 }

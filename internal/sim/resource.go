@@ -13,23 +13,19 @@ import (
 // attribution becomes a single pass over the registry instead of
 // per-package plumbing.
 //
-// The layer is an interface trio:
+// The layer is one interface, Resource (a hierarchical name and a uniform
+// stats snapshot), over four concrete primitives:
 //
-//   - Resource: anything with a hierarchical name and a uniform stats
-//     snapshot. Everything below implements it.
-//   - Connection: serialised bandwidth capacity with FIFO queueing (a DDR4
+//   - Link: serialised bandwidth capacity with FIFO queueing (a DDR4
 //     channel, the AIMbus, a PCIe link, a NoC port link, an SSD's flash
-//     interconnect). Canonical implementation: Link.
-//   - Port: a bounded-FIFO endpoint with park/wake back-pressure (the
-//     stream buffers between compute levels). Canonical implementation:
-//     TokenQueue.
+//     interconnect).
+//   - TokenQueue: a counted bounded FIFO (the stream buffers between
+//     compute levels).
+//   - Queue: a bounded scheduler-visible request queue whose consumer may
+//     remove entries out of order (FR-FCFS).
+//   - Window: an outstanding-operations limit (NVMe queue depth).
 //
-// Two further primitives round out the models that are neither pure
-// bandwidth nor pure buffering: Queue (a bounded scheduler-visible request
-// queue whose consumer may remove entries out of order — FR-FCFS) and
-// Window (an outstanding-operations limit — NVMe queue depth).
-//
-// All four implementations are instrumented at this base layer with plain
+// All four primitives are instrumented at this base layer with plain
 // counters (bytes, busy time, accumulated wait, stalls, occupancy
 // high-water marks; no per-operation samples) and register themselves in
 // the owning Engine's StatsRegistry under a dotted hierarchical name such
@@ -41,7 +37,7 @@ type ResourceKind string
 const (
 	// KindConnection is serialised bandwidth capacity (Link).
 	KindConnection ResourceKind = "connection"
-	// KindPort is a bounded park/wake stream buffer (TokenQueue).
+	// KindPort is a counted stream buffer (TokenQueue).
 	KindPort ResourceKind = "port"
 	// KindQueue is a bounded scheduler request queue (Queue).
 	KindQueue ResourceKind = "queue"
@@ -75,11 +71,11 @@ type ResourceStats struct {
 	Bytes uint64
 	// Busy is the total time the resource's capacity was occupied.
 	Busy Time
-	// Wait is the accumulated time operations spent queued/parked before
-	// the resource served them — the direct measure of contention.
+	// Wait is the accumulated time operations spent queued before the
+	// resource served them — the direct measure of contention.
 	Wait Time
-	// Stalls counts back-pressure events: rejected offers, parked
-	// producers/consumers, full-window waits.
+	// Stalls counts back-pressure events: rejected offers and full-window
+	// waits.
 	Stalls uint64
 	// Occupancy is the current number of queued entries (ports/queues).
 	Occupancy int

@@ -50,10 +50,10 @@ func DefaultQueuePairConfig() QueuePairConfig {
 type QueuePair struct {
 	eng  *sim.Engine
 	cfg  QueuePairConfig
-	link sim.Connection
+	link *sim.Link
 
 	// host CPU is a serial resource for submission/completion work.
-	hostCPU sim.Connection
+	hostCPU *sim.Link
 
 	// sq is the queue-depth window: admission of a new command when the
 	// queue is full waits for the oldest outstanding completion.

@@ -77,7 +77,7 @@ type SSD struct {
 	eng      *sim.Engine
 	name     string
 	cfg      SSDConfig
-	internal sim.Connection // aggregate flash-channel capacity
+	internal *sim.Link // aggregate flash-channel capacity
 
 	reads       uint64
 	pagesRead   uint64
@@ -157,7 +157,7 @@ type Array struct {
 	// hostLink is the single PCIe Gen3 x16 connection between the host
 	// and the whole SSD array (16 GB/s raw, ~12 GB/s effective after IO
 	// software stack inefficiency [6]); registered as "ssd.host_link".
-	hostLink sim.Connection
+	hostLink *sim.Link
 	hostEff  float64
 	// GatherEff further derates the host interface for scattered
 	// candidate-gather reads (RandomPages): each stripe is a separate

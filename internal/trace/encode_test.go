@@ -300,7 +300,7 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 	for _, k := range []sim.Time{1, 2, 3} {
 		eng.At(k*at+at/2, func() { held.Transfer(1 << 10) })
 	}
-	eng.At(4*at+at/2, func() { port.TryGet() })
+	eng.At(4*at+at/2, func() { port.Get(func(any) {}) })
 	eng.Run()
 	rec.Finish()
 	if se, ok := rec.Sampler.Lookup("late"); !ok || se.Start() == 0 {

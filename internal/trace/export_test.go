@@ -146,7 +146,7 @@ func laneRun(t *testing.T, interval sim.Time) *metrics.Sampler {
 	for _, at := range []sim.Time{45, 55, 65, 75} {
 		eng.At(at*sim.Microsecond, func() { steady.Transfer(4096) })
 	}
-	eng.At(55*sim.Microsecond, func() { port.TryGet(); port.TryGet() })
+	eng.At(55*sim.Microsecond, func() { port.Get(func(any) {}); port.Get(func(any) {}) })
 	eng.At(75*sim.Microsecond, func() { late.Transfer(4096) })
 	eng.At(100*sim.Microsecond, func() {})
 	rec := metrics.Attach(eng, metrics.Options{Interval: interval})
