@@ -1,27 +1,31 @@
 # Development workflow for the ReACH reproduction.
 #
-#   make check       — everything CI runs: formatting, build, vet (the
-#                      root module and the bench/ module), race tests
-#                      (reachsim's end-to-end TestCLI matrix included), the
-#                      bench/ module's tests, 10 s of fuzzing each Fuzz
-#                      target the root module's tests define, and
-#                      bench-smoke
-#   make fuzz        — every Fuzz target of every package, 10 s each
+#   make check       — everything CI runs: formatting, build, an arm64
+#                      cross build and vet, vet (the root module and the
+#                      bench/ module), race tests (reachsim's end-to-end
+#                      TestCLI matrix included), the bench/ module's tests,
+#                      10 s of fuzzing each Fuzz target the root module's
+#                      tests define, and bench-smoke
+#   make cross       — GOARCH=arm64 build of everything and vet of the
+#                      kernels and cbir packages, so the portable body of
+#                      the lane distance kernel keeps compiling
+#   make fuzz        — every Fuzz target of every package, 10 s each,
+#                      minimizing a new input for at most 1 s
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
 #   make bench       — root + sim benchmarks with allocation stats
 #   make bench-smoke — 1x pass over every benchmark, so benchmark code
 #                      compiles and runs without paying full benchtime
 #                      (the root package's tables, figures, ablations and
 #                      cluster scatter-gathers included, the kernels
-#                      package's four-row distance kernel beside its
+#                      package's lane distance kernel beside its
 #                      SquaredL2 loop, the GAM's deep-queue dispatch, and
 #                      the metrics CSV writer over moving and held series)
 
 GO ?= go
 
-.PHONY: check fmt-check build vet test race bench-test fuzz bench bench-smoke
+.PHONY: check fmt-check build cross vet test race bench-test fuzz bench bench-smoke
 
-check: fmt-check build vet race bench-test fuzz bench-smoke
+check: fmt-check build cross vet race bench-test fuzz bench-smoke
 
 # gofmt -l prints offending files; any output fails the target.
 fmt-check:
@@ -32,6 +36,13 @@ fmt-check:
 
 build:
 	$(GO) build ./...
+
+# The lane distance kernel (internal/kernels) runs SSE assembly on amd64
+# and a plain-Go loop on every other GOARCH; this keeps the second side
+# compiling and vetted. On amd64 FuzzSquaredL2Rows runs both sides.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/kernels ./internal/cbir
 
 # bench/ is a module of its own, so the root ./... never compiles it;
 # vetting it here catches API changes that break the benchmark harness.
@@ -52,16 +63,17 @@ bench-test:
 
 # Coverage-guided fuzzing: go test -list finds the Fuzz targets of every
 # package of the root module, and each one runs for 10 s (a target's doc
-# comment says what it checks). The target fails when a package does not
-# build, when it finds no Fuzz target, or when any target fails. Plain go
-# test runs only the seeds.
+# comment says what it checks). Minimizing a new interesting input gets
+# at most 1 s, not Go's default 60 s, which can eat a target's whole 10 s.
+# The target fails when a package does not build, when it finds no Fuzz
+# target, or when any target fails. Plain go test runs only the seeds.
 fuzz:
 	@set -e; n=0; \
 	for pkg in $$($(GO) list ./...); do \
 		targets=$$($(GO) test -list '^Fuzz' $$pkg); \
 		for f in $$(echo "$$targets" | grep '^Fuzz' || true); do \
 			echo "== fuzzing $$f in $$pkg"; \
-			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s $$pkg; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s -fuzzminimizetime 1s $$pkg; \
 			n=$$((n + 1)); \
 		done; \
 	done; \

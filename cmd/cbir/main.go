@@ -121,7 +121,11 @@ func run(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	recall, err := index.RecallAtK(dbQueries, params)
+	truth, err := cbir.GroundTruth(ds.Vectors, dbQueries, o.topk)
+	if err != nil {
+		return err
+	}
+	recall, err := truth.RecallAtK(index, params)
 	if err != nil {
 		return err
 	}

@@ -171,7 +171,11 @@ func run(w io.Writer) error {
 
 		// The functional layer answers the same batch with real math.
 		queries := ds.Queries(m.BatchSize, 0.02, int64(100+b))
-		recall, err := index.RecallAtK(queries, params)
+		truth, err := cbir.GroundTruth(ds.Vectors, queries, params.K)
+		if err != nil {
+			return err
+		}
+		recall, err := truth.RecallAtK(index, params)
 		if err != nil {
 			return err
 		}

@@ -85,13 +85,11 @@ type BinaryIndex struct {
 	codes [][]uint64
 }
 
-// BuildBinaryIndex clusters the database and encodes every vector.
-func BuildBinaryIndex(vectors *kernels.Matrix, m, kmeansIters int, seed int64, bitsN int) (*BinaryIndex, error) {
-	ivf, err := BuildIndex(vectors, m, kmeansIters, seed)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := NewBinaryEncoder(bitsN, vectors.Cols, seed+100)
+// BuildBinaryIndex encodes ivf's database with a bitsN-bit encoder whose
+// hyperplanes come from seed, reusing ivf's clustering for the shortlist.
+func BuildBinaryIndex(ivf *Index, bitsN int, seed int64) (*BinaryIndex, error) {
+	vectors := ivf.Vectors
+	enc, err := NewBinaryEncoder(bitsN, vectors.Cols, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -122,18 +120,4 @@ func (ix *BinaryIndex) Search(queries *kernels.Matrix, p SearchParams) ([][]kern
 		out[b] = sel.Results()
 	}
 	return out, nil
-}
-
-// RecallAtK evaluates against exhaustive search on the original vectors.
-func (ix *BinaryIndex) RecallAtK(queries *kernels.Matrix, p SearchParams) (float64, error) {
-	found, err := ix.Search(queries, p)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for b := 0; b < queries.Rows; b++ {
-		truth := kernels.BruteForceKNN(ix.ivf.Vectors, queries.Row(b), p.K)
-		sum += kernels.RecallAtK(found[b], truth)
-	}
-	return sum / float64(queries.Rows), nil
 }

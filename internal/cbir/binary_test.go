@@ -98,13 +98,17 @@ func TestBinaryIndexRecallBelowExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactRecall, _ := exact.RecallAtK(queries, params)
-
-	bin, err := BuildBinaryIndex(ds.Vectors, 24, 20, 5, 64)
+	truth, err := GroundTruth(ds.Vectors, queries, params.K)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binRecall, err := bin.RecallAtK(queries, params)
+	exactRecall, _ := truth.RecallAtK(exact, params)
+
+	bin, err := BuildBinaryIndex(exact, 64, 105)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binRecall, err := truth.RecallAtK(bin, params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,8 +200,11 @@ func TestEndToEndRecall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := ds.Queries(16, 0.02, 777)
-	recall, err := ix.RecallAtK(queries, SearchParams{Probes: 8, Candidates: 2048, K: 10})
+	truth, err := GroundTruth(ds.Vectors, ds.Queries(16, 0.02, 777), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recall, err := truth.RecallAtK(ix, SearchParams{Probes: 8, Candidates: 2048, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +212,7 @@ func TestEndToEndRecall(t *testing.T) {
 		t.Errorf("recall@10 = %.3f, want >= 0.9", recall)
 	}
 	// Fewer probes must not increase recall.
-	lowRecall, _ := ix.RecallAtK(queries, SearchParams{Probes: 1, Candidates: 2048, K: 10})
+	lowRecall, _ := truth.RecallAtK(ix, SearchParams{Probes: 1, Candidates: 2048, K: 10})
 	if lowRecall > recall+1e-9 {
 		t.Errorf("recall with 1 probe (%.3f) exceeds recall with 8 (%.3f)", lowRecall, recall)
 	}
@@ -247,17 +250,15 @@ func TestSearchRejectsBadParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq, err := BuildPQIndex(ds.Vectors, 8, 10, 9, PQParams{Subspaces: 4, CentroidsPerSub: 16, KMeansIters: 5, Seed: 2})
+	pq, err := BuildPQIndex(exact, PQParams{Subspaces: 4, CentroidsPerSub: 16, KMeansIters: 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := BuildBinaryIndex(ds.Vectors, 8, 10, 9, 64)
+	bin, err := BuildBinaryIndex(exact, 64, 109)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexes := map[string]interface {
-		RecallAtK(*kernels.Matrix, SearchParams) (float64, error)
-	}{"Index": exact, "PQIndex": pq, "BinaryIndex": bin}
+	indexes := map[string]Searcher{"Index": exact, "PQIndex": pq, "BinaryIndex": bin}
 
 	queries := ds.Queries(3, 0.02, 11)
 	wide := kernels.NewMatrix(queries.Rows, queries.Cols+1)
@@ -274,8 +275,12 @@ func TestSearchRejectsBadParams(t *testing.T) {
 		{"Candidates=-1", queries, func(p *SearchParams) { p.Candidates = -1 }, "Candidates=-1"},
 		{"wide queries", wide, func(*SearchParams) {}, fmt.Sprintf("D=%d", wide.Cols)},
 	}
+	truth, err := GroundTruth(ds.Vectors, queries, good.K)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, ix := range indexes {
-		if _, err := ix.RecallAtK(queries, good); err != nil {
+		if _, err := truth.RecallAtK(ix, good); err != nil {
 			t.Fatalf("%s: valid params rejected: %v", name, err)
 		}
 		for _, c := range cases {
@@ -287,13 +292,38 @@ func TestSearchRejectsBadParams(t *testing.T) {
 						t.Errorf("%s, %s: panicked: %v", name, c.name, r)
 					}
 				}()
-				recall, err := ix.RecallAtK(c.queries, p)
+				res, err := ix.Search(c.queries, p)
 				if err == nil {
-					t.Errorf("%s, %s: recall %.3f, no error", name, c.name, recall)
+					t.Errorf("%s, %s: %d result sets, no error", name, c.name, len(res))
 				} else if !strings.Contains(err.Error(), c.want) {
 					t.Errorf("%s, %s: error %q does not name %q", name, c.name, err, c.want)
 				}
 			}()
 		}
+	}
+}
+
+// TestGroundTruthRejectsBadInput checks that a ground truth refuses
+// queries of the wrong width or a K below 1, and a recall at another K
+// than it holds, with errors naming the value.
+func TestGroundTruthRejectsBadInput(t *testing.T) {
+	ds := testDataset(t, 300, 16, 4)
+	ix, err := BuildIndex(ds.Vectors, 4, 10, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := ds.Queries(3, 0.02, 11)
+	if _, err := GroundTruth(ds.Vectors, kernels.NewMatrix(3, 17), 5); err == nil || !strings.Contains(err.Error(), "D=17") {
+		t.Errorf("17-wide queries on a 16-wide database: err = %v", err)
+	}
+	if _, err := GroundTruth(ds.Vectors, queries, 0); err == nil || !strings.Contains(err.Error(), "K=0") {
+		t.Errorf("K=0: err = %v", err)
+	}
+	truth, err := GroundTruth(ds.Vectors, queries, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := truth.RecallAtK(ix, SearchParams{Probes: 2, Candidates: 64, K: 3}); err == nil || !strings.Contains(err.Error(), "K=3") {
+		t.Errorf("recall@3 against a K=5 truth: err = %v", err)
 	}
 }

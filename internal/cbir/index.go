@@ -151,19 +151,52 @@ func (ix *Index) Search(queries *kernels.Matrix, p SearchParams) ([][]kernels.Ne
 	return out, nil
 }
 
-// RecallAtK evaluates mean recall@K of the index against exhaustive search
-// over a batch of queries.
-func (ix *Index) RecallAtK(queries *kernels.Matrix, p SearchParams) (float64, error) {
-	found, err := ix.Search(queries, p)
+// Searcher is an index a Truth can score: Index, PQIndex and
+// BinaryIndex.
+type Searcher interface {
+	Search(queries *kernels.Matrix, p SearchParams) ([][]kernels.Neighbor, error)
+}
+
+// Truth is the exhaustive-search ground truth of a query batch: each
+// query's K nearest database vectors. It costs a scan of the whole
+// database per query, so build it once per batch and score every index
+// and setting against it.
+type Truth struct {
+	queries *kernels.Matrix
+	k       int
+	nn      [][]kernels.Neighbor
+}
+
+// GroundTruth scans vectors for each query's k nearest.
+func GroundTruth(vectors, queries *kernels.Matrix, k int) (*Truth, error) {
+	if queries.Cols != vectors.Cols {
+		return nil, fmt.Errorf("cbir: queries have D=%d, database has D=%d", queries.Cols, vectors.Cols)
+	}
+	if k < 1 {
+		return nil, fmt.Errorf("cbir: K=%d invalid, need K >= 1", k)
+	}
+	t := &Truth{queries: queries, k: k, nn: make([][]kernels.Neighbor, queries.Rows)}
+	for b := range t.nn {
+		t.nn[b] = kernels.BruteForceKNN(vectors, queries.Row(b), k)
+	}
+	return t, nil
+}
+
+// RecallAtK searches ix with the truth's queries and reports the mean
+// recall@K against it; p.K must be the truth's K.
+func (t *Truth) RecallAtK(ix Searcher, p SearchParams) (float64, error) {
+	if p.K != t.k {
+		return 0, fmt.Errorf("cbir: K=%d, but the ground truth holds K=%d", p.K, t.k)
+	}
+	found, err := ix.Search(t.queries, p)
 	if err != nil {
 		return 0, err
 	}
 	var sum float64
-	for b := 0; b < queries.Rows; b++ {
-		truth := kernels.BruteForceKNN(ix.Vectors, queries.Row(b), p.K)
-		sum += kernels.RecallAtK(found[b], truth)
+	for b, nn := range t.nn {
+		sum += kernels.RecallAtK(found[b], nn)
 	}
-	return sum / float64(queries.Rows), nil
+	return sum / float64(len(t.nn)), nil
 }
 
 // ListSizeStats reports min/median/max cluster occupancy — used to check

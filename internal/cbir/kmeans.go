@@ -107,6 +107,7 @@ func KMeans(data *kernels.Matrix, k, maxIters int, seed int64) (*KMeansResult, e
 			}
 		}
 		y.measureDrift()
+		y.loadLanes()
 	}
 	res.DistanceEvals = y.evals
 	return res, nil
@@ -141,9 +142,10 @@ type yinyang struct {
 	start           []int           // t+1: group g is members[start[g]:start[g+1]]
 	ub              []float32       // n
 	lb              []float32       // n × t
+	lanes           []kernels.Lanes // t: each group's centroids, lane-blocked
 	drift           []float64       // k: distance each centroid moved in the last update
 	groupDrift      []float64       // t: largest drift in each group
-	dists           []float32       // k: distances of the group being scanned
+	dists           []float32       // k+3: distances of the group being scanned, padded
 	driftSlack      float64
 	slope, offset   float64
 	evals           int64
@@ -189,9 +191,10 @@ func newYinyang(data, centroids *kernels.Matrix, seed int64) (*yinyang, error) {
 		start:      start,
 		ub:         make([]float32, data.Rows),
 		lb:         make([]float32, data.Rows*t),
+		lanes:      make([]kernels.Lanes, t),
 		drift:      make([]float64, k),
 		groupDrift: make([]float64, t),
-		dists:      make([]float32, k),
+		dists:      make([]float32, k+3),
 		driftSlack: 1 + (d+4)*0x1p-52,
 		slope:      math.Inf(1),
 	}
@@ -204,6 +207,7 @@ func newYinyang(data, centroids *kernels.Matrix, seed int64) (*yinyang, error) {
 	for i := range y.ub {
 		y.ub[i] = float32(math.Inf(1))
 	}
+	y.loadLanes()
 	return y, nil
 }
 
@@ -269,7 +273,7 @@ func (y *yinyang) nearest(i, cur int) int {
 		// below and is vacuous for a group with no other centroid.
 		m1, m2 := float32(math.MaxFloat32), float32(math.MaxFloat32)
 		group := y.members[y.start[g]:y.start[g+1]]
-		kernels.SquaredL2Rows(row, y.centroids, group, y.dists)
+		kernels.SquaredL2Lanes(row, &y.lanes[g], y.dists)
 		for j, c := range group {
 			dist := da
 			if c != a {
@@ -315,6 +319,14 @@ func (y *yinyang) threshold(ub float32) float64 {
 		return math.Inf(1)
 	}
 	return thr
+}
+
+// loadLanes copies each group's centroids into its lane block, after
+// seeding and after every update step.
+func (y *yinyang) loadLanes() {
+	for g := range y.lanes {
+		y.lanes[g].Load(y.centroids, y.members[y.start[g]:y.start[g+1]])
+	}
 }
 
 // measureDrift records how far each centroid moved in the update that just

@@ -172,7 +172,8 @@ func TestKMeansMatchesReferenceBitForBit(t *testing.T) {
 }
 
 // TestKMeansSkipsMostDistances pins the point of the Yinyang filter: on an
-// over-clustered set most squared-L2 evaluations are skipped.
+// over-clustered set most squared-L2 evaluations are skipped. The count
+// is exact, so a change to how distances are computed must leave it be.
 func TestKMeansSkipsMostDistances(t *testing.T) {
 	data := synthetic(4096, 64, 16, 31)
 	const k = 256
@@ -188,6 +189,25 @@ func TestKMeansSkipsMostDistances(t *testing.T) {
 	if float64(km.DistanceEvals) >= 0.35*float64(full) {
 		t.Errorf("%d distance evaluations = %.2f of a full scan, want < 0.35",
 			km.DistanceEvals, float64(km.DistanceEvals)/float64(full))
+	}
+	if want := int64(1_538_120); km.DistanceEvals != want {
+		t.Errorf("%d distance evaluations, want exactly %d", km.DistanceEvals, want)
+	}
+}
+
+// TestKMeansRecallSweepWorkCount pins the exact work of the largest
+// k-means reachsim -exp all runs: recallsweep's 256-cell index over
+// 32,768 64-D vectors.
+func TestKMeansRecallSweepWorkCount(t *testing.T) {
+	ds := workload.Synthetic(workload.SyntheticParams{
+		N: 1 << 15, D: 64, Clusters: 64, Spread: 0.1, Seed: 4242,
+	})
+	km, err := KMeans(ds.Vectors, 256, 15, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if km.Iterations != 15 || km.DistanceEvals != 21_263_717 {
+		t.Errorf("%d iterations, %d distance evaluations; want 15 and 21263717", km.Iterations, km.DistanceEvals)
 	}
 }
 

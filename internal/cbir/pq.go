@@ -40,6 +40,7 @@ type PQ struct {
 	subDim int
 	k      int               // centroids per subspace
 	books  []*kernels.Matrix // m codebooks, each k × subDim
+	lanes  []kernels.Lanes   // the m codebooks, lane-blocked for scoring
 }
 
 // TrainPQ fits codebooks on training vectors.
@@ -66,6 +67,14 @@ func TrainPQ(train *kernels.Matrix, p PQParams) (*PQ, error) {
 		}
 		pq.books = append(pq.books, km.Centroids)
 	}
+	all := make([]int, pq.k)
+	for c := range all {
+		all[c] = c
+	}
+	pq.lanes = make([]kernels.Lanes, pq.m)
+	for s, book := range pq.books {
+		pq.lanes[s].Load(book, all)
+	}
 	return pq, nil
 }
 
@@ -87,30 +96,40 @@ func (pq *PQ) CompressionRatio() float64 {
 // Encode quantizes one vector to its code (nearest codebook entry per
 // subspace).
 func (pq *PQ) Encode(v []float32) []uint16 {
+	return pq.encode(v, pq.scratch())
+}
+
+// EncodeAll encodes a whole matrix.
+func (pq *PQ) EncodeAll(vs *kernels.Matrix) [][]uint16 {
+	out := make([][]uint16, vs.Rows)
+	dists := pq.scratch()
+	for i := range out {
+		out[i] = pq.encode(vs.Row(i), dists)
+	}
+	return out
+}
+
+// scratch returns a buffer for one subspace's codebook distances.
+func (pq *PQ) scratch() []float32 { return make([]float32, pq.lanes[0].Padded()) }
+
+// encode is Encode with the scratch buffer supplied. The lowest index
+// among equal minima wins, as in a scan of the codebook in order.
+func (pq *PQ) encode(v, dists []float32) []uint16 {
 	if len(v) != pq.m*pq.subDim {
 		panic(fmt.Sprintf("cbir: PQ encode dim %d, want %d", len(v), pq.m*pq.subDim))
 	}
 	code := make([]uint16, pq.m)
-	for s := 0; s < pq.m; s++ {
-		sub := v[s*pq.subDim : (s+1)*pq.subDim]
+	for s := range code {
+		kernels.SquaredL2Lanes(v[s*pq.subDim:(s+1)*pq.subDim], &pq.lanes[s], dists)
 		best, bestD := 0, float32(math.MaxFloat32)
-		for c := 0; c < pq.k; c++ {
-			if d := kernels.SquaredL2(sub, pq.books[s].Row(c)); d < bestD {
+		for c, d := range dists[:pq.k] {
+			if d < bestD {
 				best, bestD = c, d
 			}
 		}
 		code[s] = uint16(best)
 	}
 	return code
-}
-
-// EncodeAll encodes a whole matrix.
-func (pq *PQ) EncodeAll(vs *kernels.Matrix) [][]uint16 {
-	out := make([][]uint16, vs.Rows)
-	for i := 0; i < vs.Rows; i++ {
-		out[i] = pq.Encode(vs.Row(i))
-	}
-	return out
 }
 
 // Decode reconstructs the approximation of a code.
@@ -127,12 +146,10 @@ func (pq *PQ) Decode(code []uint16) []float32 {
 // computation) table. Scoring a code is then m table lookups and adds.
 func (pq *PQ) DistanceTable(q []float32) *kernels.Matrix {
 	t := kernels.NewMatrix(pq.m, pq.k)
+	dists := pq.scratch()
 	for s := 0; s < pq.m; s++ {
-		sub := q[s*pq.subDim : (s+1)*pq.subDim]
-		row := t.Row(s)
-		for c := 0; c < pq.k; c++ {
-			row[c] = kernels.SquaredL2(sub, pq.books[s].Row(c))
-		}
+		kernels.SquaredL2Lanes(q[s*pq.subDim:(s+1)*pq.subDim], &pq.lanes[s], dists)
+		copy(t.Row(s), dists)
 	}
 	return t
 }
@@ -154,17 +171,14 @@ type PQIndex struct {
 	codes [][]uint16
 }
 
-// BuildPQIndex clusters the database and PQ-encodes every vector.
-func BuildPQIndex(vectors *kernels.Matrix, m, kmeansIters int, seed int64, p PQParams) (*PQIndex, error) {
-	ivf, err := BuildIndex(vectors, m, kmeansIters, seed)
+// BuildPQIndex trains a quantizer on ivf's database and PQ-encodes every
+// vector, reusing ivf's clustering for the shortlist.
+func BuildPQIndex(ivf *Index, p PQParams) (*PQIndex, error) {
+	pq, err := TrainPQ(ivf.Vectors, p)
 	if err != nil {
 		return nil, err
 	}
-	pq, err := TrainPQ(vectors, p)
-	if err != nil {
-		return nil, err
-	}
-	return &PQIndex{ivf: ivf, pq: pq, codes: pq.EncodeAll(vectors)}, nil
+	return &PQIndex{ivf: ivf, pq: pq, codes: pq.EncodeAll(ivf.Vectors)}, nil
 }
 
 // PQ exposes the quantizer.
@@ -187,21 +201,6 @@ func (ix *PQIndex) Search(queries *kernels.Matrix, p SearchParams) ([][]kernels.
 		out[b] = sel.Results()
 	}
 	return out, nil
-}
-
-// RecallAtK evaluates the compressed index against exhaustive search on
-// the original vectors.
-func (ix *PQIndex) RecallAtK(queries *kernels.Matrix, p SearchParams) (float64, error) {
-	found, err := ix.Search(queries, p)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for b := 0; b < queries.Rows; b++ {
-		truth := kernels.BruteForceKNN(ix.ivf.Vectors, queries.Row(b), p.K)
-		sum += kernels.RecallAtK(found[b], truth)
-	}
-	return sum / float64(queries.Rows), nil
 }
 
 // QuantizationError reports the mean squared reconstruction error over a

@@ -97,17 +97,20 @@ func TestPQIndexRecallBelowExactRerank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactRecall, err := exact.RecallAtK(queries, params)
+	truth, err := GroundTruth(ds.Vectors, queries, params.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactRecall, err := truth.RecallAtK(exact, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	compressed, err := BuildPQIndex(ds.Vectors, 24, 20, 5,
-		PQParams{Subspaces: 4, CentroidsPerSub: 16, KMeansIters: 10, Seed: 6})
+	compressed, err := BuildPQIndex(exact, PQParams{Subspaces: 4, CentroidsPerSub: 16, KMeansIters: 10, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pqRecall, err := compressed.RecallAtK(queries, params)
+	pqRecall, err := truth.RecallAtK(compressed, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +132,11 @@ func TestPQIndexRecallBelowExactRerank(t *testing.T) {
 
 func TestPQSearchReturnsSortedK(t *testing.T) {
 	ds := pqTestData(t)
-	ix, err := BuildPQIndex(ds.Vectors, 16, 15, 9, DefaultPQParamsFor(32))
+	ivf, err := BuildIndex(ds.Vectors, 16, 15, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := BuildPQIndex(ivf, DefaultPQParamsFor(32))
 	if err != nil {
 		t.Fatal(err)
 	}

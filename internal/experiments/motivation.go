@@ -26,10 +26,11 @@ type MotivationResult struct {
 }
 
 // Motivation runs the functional comparison on a scaled dataset: the exact
-// IVF pipeline versus IVF-PQ at two code rates, all at matched probe and
-// candidate counts. The four index builds are independent (the dataset and
-// queries are only read), so they run in parallel; Rows keeps the fixed
-// order exact, PQ 8B, PQ 4B, binary.
+// IVF pipeline versus IVF-PQ at two code rates and binary codes, all over
+// one IVF clustering at matched probe and candidate counts, scored against
+// one exhaustive ground truth. Those two are built first; the rows only
+// read them, so they run in parallel. Rows keeps the fixed order exact,
+// PQ 8B, PQ 4B, binary.
 func Motivation(opts ...Option) (*MotivationResult, error) {
 	ds := workload.Synthetic(workload.SyntheticParams{
 		N: 8192, D: 32, Clusters: 32, Spread: 0.12, Seed: 2020,
@@ -37,39 +38,38 @@ func Motivation(opts ...Option) (*MotivationResult, error) {
 	queries := ds.Queries(16, 0.03, 909)
 	params := cbir.SearchParams{Probes: 10, Candidates: 2560, K: 10}
 	vecBytes := int64(ds.D()) * 4
+	ivf, err := cbir.BuildIndex(ds.Vectors, 32, 20, 11)
+	if err != nil {
+		return nil, err
+	}
+	truth, err := cbir.GroundTruth(ds.Vectors, queries, params.K)
+	if err != nil {
+		return nil, err
+	}
 
-	pqRow := func(name string, p cbir.PQParams) (MotivationRow, error) {
-		ix, err := cbir.BuildPQIndex(ds.Vectors, 32, 20, 11, p)
-		if err != nil {
-			return MotivationRow{}, err
-		}
-		recall, err := ix.RecallAtK(queries, params)
+	// row scores ix and labels it with its name and code size.
+	row := func(name string, ix cbir.Searcher, ratio float64, codeBytes int64) (MotivationRow, error) {
+		recall, err := truth.RecallAtK(ix, params)
 		if err != nil {
 			return MotivationRow{}, err
 		}
 		return MotivationRow{
 			Name:             name,
-			CompressionRatio: ix.PQ().CompressionRatio(),
-			BytesVisited:     int64(params.Candidates) * ix.PQ().CodeBytes(),
+			CompressionRatio: ratio,
+			BytesVisited:     int64(params.Candidates) * codeBytes,
 			Recall:           recall,
 		}, nil
 	}
+	pqRow := func(name string, p cbir.PQParams) (MotivationRow, error) {
+		ix, err := cbir.BuildPQIndex(ivf, p)
+		if err != nil {
+			return MotivationRow{}, err
+		}
+		return row(name, ix, ix.PQ().CompressionRatio(), ix.PQ().CodeBytes())
+	}
 	builders := []motivationBuilder{
 		{"motivation exact", func() (MotivationRow, error) {
-			ix, err := cbir.BuildIndex(ds.Vectors, 32, 20, 11)
-			if err != nil {
-				return MotivationRow{}, err
-			}
-			recall, err := ix.RecallAtK(queries, params)
-			if err != nil {
-				return MotivationRow{}, err
-			}
-			return MotivationRow{
-				Name:             "IVF + exact rerank (ReACH design point)",
-				CompressionRatio: 1,
-				BytesVisited:     int64(params.Candidates) * vecBytes,
-				Recall:           recall,
-			}, nil
+			return row("IVF + exact rerank (ReACH design point)", ivf, 1, vecBytes)
 		}},
 		{"motivation pq8", func() (MotivationRow, error) {
 			return pqRow("IVF-PQ, 8B codes", cbir.PQParams{Subspaces: 8, CentroidsPerSub: 256, KMeansIters: 12, Seed: 12})
@@ -79,20 +79,11 @@ func Motivation(opts ...Option) (*MotivationResult, error) {
 		}},
 		{"motivation binary", func() (MotivationRow, error) {
 			// Binary codes (64-bit SimHash): the most aggressive compression.
-			ix, err := cbir.BuildBinaryIndex(ds.Vectors, 32, 20, 11, 64)
+			ix, err := cbir.BuildBinaryIndex(ivf, 64, 111)
 			if err != nil {
 				return MotivationRow{}, err
 			}
-			recall, err := ix.RecallAtK(queries, params)
-			if err != nil {
-				return MotivationRow{}, err
-			}
-			return MotivationRow{
-				Name:             "IVF + binary codes (64-bit SimHash)",
-				CompressionRatio: ix.Encoder().CompressionRatio(),
-				BytesVisited:     int64(params.Candidates) * ix.Encoder().CodeBytes(),
-				Recall:           recall,
-			}, nil
+			return row("IVF + binary codes (64-bit SimHash)", ix, ix.Encoder().CompressionRatio(), ix.Encoder().CodeBytes())
 		}},
 	}
 	rows, err := mapRuns(buildOptions(opts), builders,

@@ -42,14 +42,18 @@ func RecallSweep(m workload.Model, opts ...Option) (*RecallSweepResult, error) {
 	// probe set dilutes per-cluster depth and *hurts* recall — an IVF
 	// subtlety the tests pin down).
 	queries := ds.Queries(16, 0.15, 4321)
+	truth, err := cbir.GroundTruth(ds.Vectors, queries, m.TopK)
+	if err != nil {
+		return nil, err
+	}
 
 	probeCounts := []int{1, 2, 4, 8, 16, 32}
-	// The index is built once and only read by the probe evaluations, so
-	// the sweep points can run in parallel against it.
+	// The index and the ground truth are built once and only read by the
+	// probe evaluations, so the sweep points can run in parallel.
 	points, err := mapRuns(buildOptions(opts), probeCounts,
 		func(i int) string { return fmt.Sprintf("recall probes=%d", probeCounts[i]) },
 		func(probes int) (*RecallPoint, error) {
-			recall, err := ix.RecallAtK(queries, cbir.SearchParams{
+			recall, err := truth.RecallAtK(ix, cbir.SearchParams{
 				Probes: probes, Candidates: 1 << 20, K: m.TopK,
 			})
 			if err != nil {

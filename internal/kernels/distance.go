@@ -20,42 +20,6 @@ func SquaredL2(p, q []float32) float32 {
 	return sum
 }
 
-// SquaredL2Rows scores the rows of m listed in rows against q, storing
-// SquaredL2(q, m.Row(rows[j])) in out[j]; out must hold len(rows) values.
-// It walks four rows per pass with one accumulator each, so four
-// independent add chains overlap where SquaredL2 waits on one. Each chain
-// still sums its own row in ascending order with SquaredL2's expression,
-// so every result is bit-identical to SquaredL2 (DESIGN.md §6). It
-// allocates nothing.
-func SquaredL2Rows(q []float32, m *Matrix, rows []int, out []float32) {
-	if len(q) != m.Cols {
-		panic(fmt.Sprintf("kernels: SquaredL2Rows dim mismatch %d vs %d", len(q), m.Cols))
-	}
-	out = out[:len(rows)]
-	j := 0
-	for ; j+4 <= len(rows); j += 4 {
-		r0 := m.Row(rows[j])[:len(q)]
-		r1 := m.Row(rows[j+1])[:len(q)]
-		r2 := m.Row(rows[j+2])[:len(q)]
-		r3 := m.Row(rows[j+3])[:len(q)]
-		var s0, s1, s2, s3 float32
-		for i, x := range q {
-			d0 := x - r0[i]
-			s0 += d0 * d0
-			d1 := x - r1[i]
-			s1 += d1 * d1
-			d2 := x - r2[i]
-			s2 += d2 * d2
-			d3 := x - r3[i]
-			s3 += d3 * d3
-		}
-		out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
-	}
-	for ; j < len(rows); j++ {
-		out[j] = SquaredL2(q, m.Row(rows[j]))
-	}
-}
-
 // SquaredNorm computes ‖v‖².
 func SquaredNorm(v []float32) float32 {
 	var sum float32

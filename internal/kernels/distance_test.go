@@ -8,22 +8,22 @@ import (
 	"testing"
 )
 
-// rowsCase is one SquaredL2Rows input decoded from fuzz bytes.
-type rowsCase struct {
+// lanesCase is one SquaredL2Lanes input decoded from fuzz bytes.
+type lanesCase struct {
 	q    []float32
 	m    *Matrix
 	rows []int
 }
 
-// decodeRowsCase reads a width 0–70, a row-index count 0–9 and a matrix
+// decodeLanesCase reads a width 0–70, a row count 0–31 and a matrix
 // height 1–8 from the first three bytes, then the row indices (repeats
 // allowed), then raw little-endian float32 bit patterns for q and the
 // matrix, row by row. Values past the end of the input are zero.
-func decodeRowsCase(b []byte) rowsCase {
+func decodeLanesCase(b []byte) lanesCase {
 	var head [3]byte
 	copy(head[:], b)
 	b = b[min(len(b), len(head)):]
-	width, n, height := int(head[0])%71, int(head[1])%10, 1+int(head[2])%8
+	width, n, height := int(head[0])%71, int(head[1])%32, 1+int(head[2])%8
 
 	rows := make([]int, n)
 	for j := range rows {
@@ -51,12 +51,12 @@ func decodeRowsCase(b []byte) rowsCase {
 	for i := range m.Data {
 		m.Data[i] = next()
 	}
-	return rowsCase{q: q, m: m, rows: rows}
+	return lanesCase{q: q, m: m, rows: rows}
 }
 
-// encodeRowsCase is the inverse of decodeRowsCase, for seeds: vals holds
-// q followed by the matrix rows.
-func encodeRowsCase(width, height int, rows []int, vals []float32) []byte {
+// encodeLanesCase is the inverse of decodeLanesCase, for seeds: vals
+// holds q followed by the matrix rows.
+func encodeLanesCase(width, height int, rows []int, vals []float32) []byte {
 	b := []byte{byte(width), byte(len(rows)), byte(height - 1)}
 	for _, r := range rows {
 		b = append(b, byte(r))
@@ -67,15 +67,19 @@ func encodeRowsCase(width, height int, rows []int, vals []float32) []byte {
 	return b
 }
 
-// FuzzSquaredL2Rows checks that every SquaredL2Rows output is bit for bit
-// the SquaredL2 of its row, over raw float32 bit patterns: subnormals,
-// sums that overflow to +Inf, ±Inf and NaN all occur.
+// FuzzSquaredL2Rows checks that every row SquaredL2Lanes scores is bit
+// for bit the SquaredL2 of that row, over raw float32 bit patterns:
+// subnormals, sums that overflow to +Inf, ±Inf and NaN all occur. The
+// portable lane loop must meet the same contract on the same input, so on
+// amd64, where SquaredL2Lanes runs the assembly, both implementations are
+// checked. The rows are loaded into a Lanes that held the whole matrix
+// before, so stale lanes of a reused buffer would show.
 func FuzzSquaredL2Rows(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, width := range []int{0, 1, 3, 4, 5, 64} {
-		// Every index count 0–9 covers every tail length after 0–2
-		// four-row passes.
-		for n := 0; n <= 9; n++ {
+		// Row counts 0–31 give every padding count, and passes of one to
+		// four blocks, alone and after full four-block passes.
+		for n := 0; n < 32; n++ {
 			const height = 8
 			rows := make([]int, n)
 			for j := range rows {
@@ -85,50 +89,67 @@ func FuzzSquaredL2Rows(f *testing.F) {
 			for i := range vals {
 				vals[i] = float32(rng.NormFloat64())
 			}
-			f.Add(encodeRowsCase(width, height, rows, vals))
+			f.Add(encodeLanesCase(width, height, rows, vals))
 		}
 	}
 	// A sum that overflows to +Inf: each term is (2e19)² = 4e38.
 	big := []float32{1e19, 1e19, 1e19, 1e19, -1e19, -1e19, -1e19, -1e19}
-	f.Add(encodeRowsCase(4, 1, []int{0, 0, 0, 0, 0}, big))
+	f.Add(encodeLanesCase(4, 1, []int{0, 0, 0, 0, 0}, big))
 	// An all-subnormal query and row, whose squares underflow.
 	sub := make([]float32, 3*5)
 	for i := range sub {
 		sub[i] = math.Float32frombits(uint32(1 + 37*i))
 	}
-	f.Add(encodeRowsCase(5, 2, []int{1, 0, 1, 1, 0}, sub))
+	f.Add(encodeLanesCase(5, 2, []int{1, 0, 1, 1, 0}, sub))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		c := decodeRowsCase(b)
+		c := decodeLanesCase(b)
+		all := make([]int, c.m.Rows)
+		for i := range all {
+			all[i] = c.m.Rows - 1 - i
+		}
+		var l Lanes
+		l.Load(c.m, all)
+		l.Load(c.m, c.rows)
+		n := l.Padded()
+		if n < len(c.rows) || n >= len(c.rows)+4 || n%4 != 0 {
+			t.Fatalf("Padded() = %d after loading %d rows", n, len(c.rows))
+		}
 		const sentinel = float32(-1.5)
-		out := make([]float32, len(c.rows)+1)
-		out[len(c.rows)] = sentinel
-		SquaredL2Rows(c.q, c.m, c.rows, out)
+		out := make([]float32, n+1)
+		out[n] = sentinel
+		SquaredL2Lanes(c.q, &l, out)
+		portable := make([]float32, n)
+		squaredL2LanesGo(c.q, l.data, portable)
 		for j, r := range c.rows {
 			want := SquaredL2(c.q, c.m.Row(r))
-			got := out[j]
-			if math.Float32bits(got) != math.Float32bits(want) && !(got != got && want != want) {
-				t.Errorf("row %d (index %d, width %d): got %v (%#08x), SquaredL2 gives %v (%#08x)",
-					j, r, len(c.q), got, math.Float32bits(got), want, math.Float32bits(want))
+			for impl, got := range map[string]float32{"SquaredL2Lanes": out[j], "portable loop": portable[j]} {
+				if math.Float32bits(got) != math.Float32bits(want) && !(got != got && want != want) {
+					t.Errorf("%s, lane %d (row %d, width %d): got %v (%#08x), SquaredL2 gives %v (%#08x)",
+						impl, j, r, len(c.q), got, math.Float32bits(got), want, math.Float32bits(want))
+				}
 			}
 		}
-		if out[len(c.rows)] != sentinel {
-			t.Errorf("wrote past len(rows): out[%d] = %v", len(c.rows), out[len(c.rows)])
+		if out[n] != sentinel {
+			t.Errorf("wrote past the last block: out[%d] = %v", n, out[n])
 		}
 	})
 }
 
 func TestSquaredL2RowsPanicsOnWidthMismatch(t *testing.T) {
 	m := NewMatrix(4, 3)
+	var l Lanes
+	l.Load(m, []int{0, 1, 2, 3, 1})
 	q := make([]float32, 2)
 	for name, call := range map[string]func(){
-		"SquaredL2":     func() { SquaredL2(q, m.Row(0)) },
-		"SquaredL2Rows": func() { SquaredL2Rows(q, m, []int{0, 1, 2, 3}, make([]float32, 4)) },
+		"SquaredL2":            func() { SquaredL2(q, m.Row(0)) },
+		"SquaredL2Lanes":       func() { SquaredL2Lanes(q, &l, make([]float32, 8)) },
+		"SquaredL2Lanes short": func() { SquaredL2Lanes(make([]float32, 3), &l, make([]float32, 5, 8)) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s with a 2-wide query on 3-wide rows did not panic", name)
+					t.Errorf("%s did not panic", name)
 				}
 			}()
 			call()
@@ -138,11 +159,12 @@ func TestSquaredL2RowsPanicsOnWidthMismatch(t *testing.T) {
 
 func TestSquaredL2RowsAllocatesNothing(t *testing.T) {
 	m := NewMatrix(16, 64)
+	var l Lanes
+	l.Load(m, []int{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5})
 	q := make([]float32, 64)
-	rows := []int{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	out := make([]float32, len(rows))
-	if allocs := testing.AllocsPerRun(100, func() { SquaredL2Rows(q, m, rows, out) }); allocs != 0 {
-		t.Errorf("SquaredL2Rows allocated %v times per call, want 0", allocs)
+	out := make([]float32, l.Padded())
+	if allocs := testing.AllocsPerRun(100, func() { SquaredL2Lanes(q, &l, out) }); allocs != 0 {
+		t.Errorf("SquaredL2Lanes allocated %v times per call, want 0", allocs)
 	}
 }
 
@@ -163,16 +185,18 @@ func benchRows(d int) ([]float32, *Matrix, []int) {
 	return q, m, rng.Perm(256)[:10]
 }
 
-// BenchmarkSquaredL2Rows scores one 10-row group per op at the widths
-// reachsim -exp all clusters at.
-func BenchmarkSquaredL2Rows(b *testing.B) {
+// BenchmarkSquaredL2Lanes scores one lane-blocked 10-row group per op
+// at the widths reachsim -exp all clusters at.
+func BenchmarkSquaredL2Lanes(b *testing.B) {
 	for _, d := range []int{4, 8, 32, 64} {
 		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
 			q, m, rows := benchRows(d)
-			out := make([]float32, len(rows))
+			var l Lanes
+			l.Load(m, rows)
+			out := make([]float32, l.Padded())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				SquaredL2Rows(q, m, rows, out)
+				SquaredL2Lanes(q, &l, out)
 			}
 			sinkF32 = out[0]
 		})
@@ -180,7 +204,7 @@ func BenchmarkSquaredL2Rows(b *testing.B) {
 }
 
 // BenchmarkSquaredL2Loop scores the same groups one SquaredL2 call per
-// row, the baseline SquaredL2Rows replaces.
+// row, the baseline SquaredL2Lanes replaces.
 func BenchmarkSquaredL2Loop(b *testing.B) {
 	for _, d := range []int{4, 8, 32, 64} {
 		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
