@@ -7,8 +7,11 @@
 #                      10 s of fuzzing each Fuzz target the root module's
 #                      tests define, and bench-smoke
 #   make cross       — GOARCH=arm64 build of everything and vet of the
-#                      kernels and cbir packages, so the portable body of
-#                      the lane distance kernel keeps compiling
+#                      kernels and cbir packages, so the portable bodies
+#                      of the lane distance kernels keep compiling, and a
+#                      GOARCH=386 run of those two packages' tests, so
+#                      k-means runs its bit-identity and work-count tests
+#                      over the portable kernels
 #   make fuzz        — every Fuzz target of every package, 10 s each,
 #                      minimizing a new input for at most 1 s
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
@@ -17,7 +20,7 @@
 #                      compiles and runs without paying full benchtime
 #                      (the root package's tables, figures, ablations and
 #                      cluster scatter-gathers included, the kernels
-#                      package's lane distance kernel beside its
+#                      package's lane distance kernels beside their
 #                      SquaredL2 loop, the GAM's deep-queue dispatch, and
 #                      the metrics CSV writer over moving and held series)
 
@@ -37,12 +40,16 @@ fmt-check:
 build:
 	$(GO) build ./...
 
-# The lane distance kernel (internal/kernels) runs SSE assembly on amd64
-# and a plain-Go loop on every other GOARCH; this keeps the second side
-# compiling and vetted. On amd64 FuzzSquaredL2Rows runs both sides.
+# The lane distance kernels (internal/kernels) run SSE assembly on amd64
+# and plain Go on every other GOARCH; this keeps the second side compiling
+# and vetted. On amd64 FuzzSquaredL2Rows runs both sides, and only it
+# reaches plain Go, so the kernels and k-means tests also run as 386
+# binaries, which an amd64 Linux host runs natively and which take the
+# plain-Go side.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/kernels ./internal/cbir
+	GOARCH=386 $(GO) test ./internal/kernels ./internal/cbir
 
 # bench/ is a module of its own, so the root ./... never compiles it;
 # vetting it here catches API changes that break the benchmark harness.

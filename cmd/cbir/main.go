@@ -125,7 +125,7 @@ func run(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	recall, err := truth.RecallAtK(index, params)
+	recall, err := truth.Recall(results)
 	if err != nil {
 		return err
 	}

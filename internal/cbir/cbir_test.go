@@ -304,8 +304,9 @@ func TestSearchRejectsBadParams(t *testing.T) {
 }
 
 // TestGroundTruthRejectsBadInput checks that a ground truth refuses
-// queries of the wrong width or a K below 1, and a recall at another K
-// than it holds, with errors naming the value.
+// queries of the wrong width or a K below 1, a recall at another K than
+// it holds, and results for another number of queries, with errors naming
+// the value.
 func TestGroundTruthRejectsBadInput(t *testing.T) {
 	ds := testDataset(t, 300, 16, 4)
 	ix, err := BuildIndex(ds.Vectors, 4, 10, 9)
@@ -325,5 +326,12 @@ func TestGroundTruthRejectsBadInput(t *testing.T) {
 	}
 	if _, err := truth.RecallAtK(ix, SearchParams{Probes: 2, Candidates: 64, K: 3}); err == nil || !strings.Contains(err.Error(), "K=3") {
 		t.Errorf("recall@3 against a K=5 truth: err = %v", err)
+	}
+	found, err := ix.Search(ds.Queries(2, 0.02, 11), SearchParams{Probes: 2, Candidates: 64, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := truth.Recall(found); err == nil || !strings.Contains(err.Error(), "2 result lists") {
+		t.Errorf("2 result lists against a 3-query truth: err = %v", err)
 	}
 }

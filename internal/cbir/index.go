@@ -192,6 +192,15 @@ func (t *Truth) RecallAtK(ix Searcher, p SearchParams) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return t.Recall(found)
+}
+
+// Recall reports the mean recall@K of found, one result list per query
+// of the truth's batch in order, against the truth.
+func (t *Truth) Recall(found [][]kernels.Neighbor) (float64, error) {
+	if len(found) != len(t.nn) {
+		return 0, fmt.Errorf("cbir: %d result lists, but the ground truth holds %d queries", len(found), len(t.nn))
+	}
 	var sum float64
 	for b, nn := range t.nn {
 		sum += kernels.RecallAtK(found[b], nn)

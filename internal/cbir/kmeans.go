@@ -145,7 +145,6 @@ type yinyang struct {
 	lanes           []kernels.Lanes // t: each group's centroids, lane-blocked
 	drift           []float64       // k: distance each centroid moved in the last update
 	groupDrift      []float64       // t: largest drift in each group
-	dists           []float32       // k+3: distances of the group being scanned, padded
 	driftSlack      float64
 	slope, offset   float64
 	evals           int64
@@ -194,7 +193,6 @@ func newYinyang(data, centroids *kernels.Matrix, seed int64) (*yinyang, error) {
 		lanes:      make([]kernels.Lanes, t),
 		drift:      make([]float64, k),
 		groupDrift: make([]float64, t),
-		dists:      make([]float32, k+3),
 		driftSlack: 1 + (d+4)*0x1p-52,
 		slope:      math.Inf(1),
 	}
@@ -262,49 +260,46 @@ func (y *yinyang) nearest(i, cur int) int {
 		return a
 	}
 
+	// One NearestLanes call per scanned group gives its nearest centroid
+	// and its two smallest distances, d1 ≤ d2; a's lane scores da again,
+	// bit for bit, so only the other centroids count as evaluations.
+	// sqrtDown reads a +Inf distance as MaxFloat32: a bound from below
+	// for an overflowed sum, and vacuous where there is no distance, as
+	// for d2 of a one-centroid group or anything of an empty group.
+	ga := y.groupOf[a]
 	best, bestD := a, da
-	bestScanned, bestSecond := false, float32(0)
+	bestGroup, bestSecond := -1, float32(0)
 	for g := range lb {
 		if float64(lb[g]) > thr {
 			continue
 		}
-		// m1 ≤ m2 are the group's two smallest distances. They start at
-		// MaxFloat32, which also bounds an overflowed (+Inf) sum from
-		// below and is vacuous for a group with no other centroid.
-		m1, m2 := float32(math.MaxFloat32), float32(math.MaxFloat32)
 		group := y.members[y.start[g]:y.start[g+1]]
-		kernels.SquaredL2Lanes(row, &y.lanes[g], y.dists)
-		for j, c := range group {
-			dist := da
-			if c != a {
-				dist = y.dists[j]
-				y.evals++
-			}
-			if dist <= bestD && (dist < bestD || c < best) {
-				best, bestD = c, dist
-			}
-			if dist < m2 {
-				if dist < m1 {
-					m1, m2 = dist, m1
-				} else {
-					m2 = dist
-				}
-			}
+		if len(group) == 0 {
+			lb[g] = sqrtDown(float32(math.Inf(1)))
+			continue
 		}
-		lb[g] = sqrtDown(m1)
-		if y.groupOf[best] == g {
+		j, d1, d2 := kernels.NearestLanes(row, &y.lanes[g])
+		y.evals += int64(len(group))
+		if g == ga {
+			y.evals--
+		}
+		lb[g] = sqrtDown(d1)
+		c := group[j]
+		if d1 <= bestD && (d1 < bestD || c < best) {
+			best, bestD = c, d1
+		}
+		if best == c {
 			// The best centroid so far is the smallest of this group, so
 			// the bound for the rest of the group is its second smallest.
-			bestScanned, bestSecond = true, m2
+			bestGroup, bestSecond = g, d2
 		}
 	}
-	if bestScanned {
-		lb[y.groupOf[best]] = sqrtDown(bestSecond)
+	if bestGroup >= 0 {
+		lb[bestGroup] = sqrtDown(bestSecond)
 	}
 	if best != a {
 		// The old centroid joins its group's bound; a no-op if that
 		// group was scanned, since its bound then already covers da.
-		ga := y.groupOf[a]
 		lb[ga] = min(lb[ga], sqrtDown(da))
 	}
 	y.ub[i] = sqrtUp(bestD)

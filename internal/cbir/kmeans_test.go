@@ -137,38 +137,133 @@ func TestKMeansMatchesReferenceBitForBit(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, reseeds := referenceKMeans(tc.data, tc.k, tc.iters, tc.seed)
-			got, err := KMeans(tc.data, tc.k, tc.iters, tc.seed)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, want, reseeds := matchReference(t, tc.data, tc.k, tc.iters, tc.seed)
 			if tc.wantReseeds && reseeds == 0 {
 				t.Fatal("shape never re-seeds an empty cluster")
 			}
 			if tc.wantMultiIter && want.Iterations < 2 {
 				t.Fatalf("shape converged in %d iteration", want.Iterations)
 			}
-			if got.Iterations != want.Iterations || got.Moved != want.Moved {
-				t.Fatalf("iterations/moved %d/%d, reference %d/%d",
-					got.Iterations, got.Moved, want.Iterations, want.Moved)
+		})
+	}
+
+	// Shapes at the edges of the filter, each checked to reach its edge,
+	// with the distance evaluations pinned.
+	edges := []struct {
+		name     string
+		data     *kernels.Matrix
+		k, iters int
+		seed     int64
+		evals    int64
+		edge     string
+		reached  func(data *kernels.Matrix, k int, seed int64, want *KMeansResult) bool
+	}{
+		// groupCentroids leaves one of the 4 groups with no centroid.
+		{"empty-group-seed43", duplicatedPoints(400, 4, 10, 43), 40, 15, 43, 237_968, "an empty group", hasEmptyGroup},
+		{"empty-group-seed380", duplicatedPoints(400, 4, 10, 380), 40, 15, 380, 112_000, "an empty group", hasEmptyGroup},
+		// Squared distances that overflow float32 to +Inf: 90 of the
+		// 24,000 from each point to the first 40 at 1e19, 20,049 at 3e19.
+		{"overflowing-distances-1e19", scaled(synthetic(600, 8, 6, 31), 1e19), 40, 10, 5, 55_757, "a +Inf distance", hasInfDistance},
+		{"overflowing-distances-3e19", scaled(synthetic(600, 8, 6, 31), 3e19), 40, 10, 5, 146_589, "a +Inf distance", hasInfDistance},
+		// Centroid sums that overflow, leaving coordinates at ±Inf.
+		{"overflowing-centroids", scaled(synthetic(600, 4, 6, 31), 3e37), 40, 10, 5, 47_886, "a ±Inf centroid", hasInfCentroid},
+	}
+	for _, tc := range edges {
+		t.Run(tc.name, func(t *testing.T) {
+			got, want, _ := matchReference(t, tc.data, tc.k, tc.iters, tc.seed)
+			if !tc.reached(tc.data, tc.k, tc.seed, want) {
+				t.Fatalf("shape never reaches %s", tc.edge)
 			}
-			for i := range want.Assign {
-				if got.Assign[i] != want.Assign[i] {
-					t.Fatalf("point %d assigned %d, reference %d", i, got.Assign[i], want.Assign[i])
-				}
-			}
-			for i, v := range want.Centroids.Data {
-				if math.Float32bits(got.Centroids.Data[i]) != math.Float32bits(v) {
-					t.Fatalf("centroid word %d = %v, reference %v", i, got.Centroids.Data[i], v)
-				}
-			}
-			t.Logf("%d iterations, %.3f of brute force's distance evaluations",
-				got.Iterations, float64(got.DistanceEvals)/float64(want.DistanceEvals))
-			if got.DistanceEvals > want.DistanceEvals {
-				t.Errorf("%d distance evaluations, more than brute force's %d", got.DistanceEvals, want.DistanceEvals)
+			if got.DistanceEvals != tc.evals {
+				t.Errorf("%d distance evaluations, want exactly %d", got.DistanceEvals, tc.evals)
 			}
 		})
 	}
+}
+
+// matchReference runs KMeans and referenceKMeans on one shape and fails
+// unless they agree bit for bit, returning both results and the
+// reference's re-seed count.
+func matchReference(t *testing.T, data *kernels.Matrix, k, iters int, seed int64) (got, want *KMeansResult, reseeds int) {
+	t.Helper()
+	want, reseeds = referenceKMeans(data, k, iters, seed)
+	got, err := KMeans(data, k, iters, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iterations != want.Iterations || got.Moved != want.Moved {
+		t.Fatalf("iterations/moved %d/%d, reference %d/%d",
+			got.Iterations, got.Moved, want.Iterations, want.Moved)
+	}
+	for i := range want.Assign {
+		if got.Assign[i] != want.Assign[i] {
+			t.Fatalf("point %d assigned %d, reference %d", i, got.Assign[i], want.Assign[i])
+		}
+	}
+	for i, v := range want.Centroids.Data {
+		if math.Float32bits(got.Centroids.Data[i]) != math.Float32bits(v) {
+			t.Fatalf("centroid word %d = %v, reference %v", i, got.Centroids.Data[i], v)
+		}
+	}
+	t.Logf("%d iterations, %.3f of brute force's distance evaluations",
+		got.Iterations, float64(got.DistanceEvals)/float64(want.DistanceEvals))
+	if got.DistanceEvals > want.DistanceEvals {
+		t.Errorf("%d distance evaluations, more than brute force's %d", got.DistanceEvals, want.DistanceEvals)
+	}
+	return got, want, reseeds
+}
+
+// scaled returns m with every value multiplied by s.
+func scaled(m *kernels.Matrix, s float32) *kernels.Matrix {
+	out := kernels.NewMatrix(m.Rows, m.Cols)
+	for i, v := range m.Data {
+		out.Data[i] = v * s
+	}
+	return out
+}
+
+// hasEmptyGroup reports whether KMeans' Yinyang filter, seeded as KMeans
+// seeds it, forms a centroid group with no centroid.
+func hasEmptyGroup(data *kernels.Matrix, k int, seed int64, _ *KMeansResult) bool {
+	perm := rand.New(rand.NewSource(seed)).Perm(data.Rows)
+	centroids := kernels.NewMatrix(k, data.Cols)
+	for c := range k {
+		copy(centroids.Row(c), data.Row(perm[c]))
+	}
+	y, err := newYinyang(data, centroids, seed)
+	if err != nil {
+		panic(err)
+	}
+	for g := range len(y.start) - 1 {
+		if y.start[g] == y.start[g+1] {
+			return true
+		}
+	}
+	return false
+}
+
+// hasInfDistance reports whether a squared distance from some point to
+// one of the first k points overflows to +Inf.
+func hasInfDistance(data *kernels.Matrix, k int, _ int64, _ *KMeansResult) bool {
+	for i := range data.Rows {
+		for r := range k {
+			if math.IsInf(float64(kernels.SquaredL2(data.Row(i), data.Row(r))), 1) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// hasInfCentroid reports whether the reference ends with a ±Inf centroid
+// coordinate.
+func hasInfCentroid(_ *kernels.Matrix, _ int, _ int64, want *KMeansResult) bool {
+	for _, v := range want.Centroids.Data {
+		if math.IsInf(float64(v), 0) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestKMeansSkipsMostDistances pins the point of the Yinyang filter: on an
@@ -195,19 +290,40 @@ func TestKMeansSkipsMostDistances(t *testing.T) {
 	}
 }
 
-// TestKMeansRecallSweepWorkCount pins the exact work of the largest
-// k-means reachsim -exp all runs: recallsweep's 256-cell index over
-// 32,768 64-D vectors.
+// TestKMeansRecallSweepWorkCount pins the exact work of the k-means that
+// reachsim -exp all runs: recallsweep's 256-cell index over 32,768 64-D
+// vectors, and the first subspace of each of motivation's two product
+// quantizers, 256 centroids over 8,192 points.
 func TestKMeansRecallSweepWorkCount(t *testing.T) {
-	ds := workload.Synthetic(workload.SyntheticParams{
+	recall := workload.Synthetic(workload.SyntheticParams{
 		N: 1 << 15, D: 64, Clusters: 64, Spread: 0.1, Seed: 4242,
-	})
-	km, err := KMeans(ds.Vectors, 256, 15, 17)
-	if err != nil {
-		t.Fatal(err)
+	}).Vectors
+	motivation := workload.Synthetic(workload.SyntheticParams{
+		N: 8192, D: 32, Clusters: 32, Spread: 0.12, Seed: 2020,
+	}).Vectors
+	cases := []struct {
+		name      string
+		data      *kernels.Matrix
+		k, iters  int
+		seed      int64
+		wantIters int
+		wantEvals int64
+	}{
+		{"recallsweep", recall, 256, 15, 17, 15, 21_263_717},
+		{"motivation-pq-8B", pqSubspace(motivation, 0, 4), 256, 12, 12, 12, 3_861_269},
+		{"motivation-pq-4B", pqSubspace(motivation, 0, 8), 256, 12, 13, 12, 5_064_436},
 	}
-	if km.Iterations != 15 || km.DistanceEvals != 21_263_717 {
-		t.Errorf("%d iterations, %d distance evaluations; want 15 and 21263717", km.Iterations, km.DistanceEvals)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			km, err := KMeans(tc.data, tc.k, tc.iters, tc.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if km.Iterations != tc.wantIters || km.DistanceEvals != tc.wantEvals {
+				t.Errorf("%d iterations, %d distance evaluations; want %d and %d",
+					km.Iterations, km.DistanceEvals, tc.wantIters, tc.wantEvals)
+			}
+		})
 	}
 }
 

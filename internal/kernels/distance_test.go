@@ -46,7 +46,7 @@ func decodeLanesCase(b []byte) lanesCase {
 	for i := range q {
 		q[i] = next()
 	}
-	// NewMatrix rejects width 0, which the kernel must still accept.
+	// NewMatrix rejects width 0, which SquaredL2Lanes must still accept.
 	m := &Matrix{Rows: height, Cols: width, Data: make([]float32, height*width)}
 	for i := range m.Data {
 		m.Data[i] = next()
@@ -67,11 +67,38 @@ func encodeLanesCase(width, height int, rows []int, vals []float32) []byte {
 	return b
 }
 
+// scanNearest is the scan NearestLanes must match: the rows in order,
+// each kept only when its SquaredL2 is strictly less than the least so far.
+func scanNearest(q []float32, m *Matrix, rows []int) (j int, d1, d2 float32) {
+	d1, d2 = float32(math.Inf(1)), float32(math.Inf(1))
+	for r, row := range rows {
+		if d := SquaredL2(q, m.Row(row)); d < d1 {
+			j, d1, d2 = r, d, d1
+		} else if d < d2 {
+			d2 = d
+		}
+	}
+	return j, d1, d2
+}
+
+// nearestResult is what NearestLanes returns, for comparing.
+type nearestResult struct {
+	j      int
+	d1, d2 float32
+}
+
+func (r nearestResult) String() string {
+	return fmt.Sprintf("row %d, d1 %v (%#08x), d2 %v (%#08x)",
+		r.j, r.d1, math.Float32bits(r.d1), r.d2, math.Float32bits(r.d2))
+}
+
 // FuzzSquaredL2Rows checks that every row SquaredL2Lanes scores is bit
 // for bit the SquaredL2 of that row, over raw float32 bit patterns:
-// subnormals, sums that overflow to +Inf, ±Inf and NaN all occur. The
-// portable lane loop must meet the same contract on the same input, so on
-// amd64, where SquaredL2Lanes runs the assembly, both implementations are
+// subnormals, sums that overflow to +Inf, ±Inf and NaN all occur. It
+// also checks that NearestLanes returns, bit for bit, what scanNearest
+// returns, wherever l holds a row of at least one element. The portable
+// lane loop and fold must meet the same contracts on the same input, so
+// on amd64, where both kernels run the assembly, both implementations are
 // checked. The rows are loaded into a Lanes that held the whole matrix
 // before, so stale lanes of a reused buffer would show.
 func FuzzSquaredL2Rows(f *testing.F) {
@@ -101,6 +128,16 @@ func FuzzSquaredL2Rows(f *testing.F) {
 		sub[i] = math.Float32frombits(uint32(1 + 37*i))
 	}
 	f.Add(encodeLanesCase(5, 2, []int{1, 0, 1, 1, 0}, sub))
+	// Exact ties across lanes and blocks: rows 0 and 2 are both 0.0625
+	// from q, and row 1 is farther.
+	tie := []float32{0.5, -1, 2, 0.5, -1, 2.25, 3, 3, 3, 0.5, -1.25, 2}
+	f.Add(encodeLanesCase(3, 3, []int{1, 1, 1, 1, 1, 2, 1, 1, 0, 1, 2}, tie))
+	f.Add(encodeLanesCase(3, 3, []int{1, 1, 1, 2, 0, 1, 1}, tie))
+	f.Add(encodeLanesCase(3, 3, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, tie))
+	// +Inf sums beside finite ones: row 0 is +Inf from q, row 1 is 0.
+	mixed := []float32{1e19, 1e19, 1e19, 1e19, -1e19, -1e19, -1e19, -1e19, 1e19, 1e19, 1e19, 1e19}
+	f.Add(encodeLanesCase(4, 2, []int{0, 0, 0, 0, 0, 1}, mixed))
+	f.Add(encodeLanesCase(4, 2, []int{0, 1, 0, 0, 0, 0, 1, 0, 1}, mixed))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		c := decodeLanesCase(b)
@@ -133,6 +170,21 @@ func FuzzSquaredL2Rows(f *testing.F) {
 		if out[n] != sentinel {
 			t.Errorf("wrote past the last block: out[%d] = %v", n, out[n])
 		}
+
+		if len(c.rows) == 0 || len(c.q) == 0 {
+			return
+		}
+		var want nearestResult
+		want.j, want.d1, want.d2 = scanNearest(c.q, c.m, c.rows)
+		var fused, twin nearestResult
+		fused.j, fused.d1, fused.d2 = NearestLanes(c.q, &l)
+		twin.j, twin.d1, twin.d2 = nearestLanesGo(c.q, l.data, n/4)
+		for impl, got := range map[string]nearestResult{"NearestLanes": fused, "portable fold": twin} {
+			if got.j != want.j || math.Float32bits(got.d1) != math.Float32bits(want.d1) ||
+				math.Float32bits(got.d2) != math.Float32bits(want.d2) {
+				t.Errorf("%s over %d rows of width %d: %v, the scan gives %v", impl, len(c.rows), len(c.q), got, want)
+			}
+		}
 	})
 }
 
@@ -145,6 +197,9 @@ func TestSquaredL2RowsPanicsOnWidthMismatch(t *testing.T) {
 		"SquaredL2":            func() { SquaredL2(q, m.Row(0)) },
 		"SquaredL2Lanes":       func() { SquaredL2Lanes(q, &l, make([]float32, 8)) },
 		"SquaredL2Lanes short": func() { SquaredL2Lanes(make([]float32, 3), &l, make([]float32, 5, 8)) },
+		"NearestLanes":         func() { NearestLanes(q, &l) },
+		"NearestLanes no rows": func() { NearestLanes(make([]float32, 3), &Lanes{dim: 3}) },
+		"NearestLanes width 0": func() { NearestLanes(nil, &Lanes{n: 2}) },
 	} {
 		func() {
 			defer func() {
@@ -166,9 +221,15 @@ func TestSquaredL2RowsAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { SquaredL2Lanes(q, &l, out) }); allocs != 0 {
 		t.Errorf("SquaredL2Lanes allocated %v times per call, want 0", allocs)
 	}
+	if allocs := testing.AllocsPerRun(100, func() { sinkInt, sinkF32, _ = NearestLanes(q, &l) }); allocs != 0 {
+		t.Errorf("NearestLanes allocated %v times per call, want 0", allocs)
+	}
 }
 
-var sinkF32 float32
+var (
+	sinkF32 float32
+	sinkInt int
+)
 
 // benchRows returns a query, a k = 256 centroid matrix at width d and one
 // group of 10 rows in it, the shape of a Yinyang group scan.
@@ -199,6 +260,22 @@ func BenchmarkSquaredL2Lanes(b *testing.B) {
 				SquaredL2Lanes(q, &l, out)
 			}
 			sinkF32 = out[0]
+		})
+	}
+}
+
+// BenchmarkNearestLanes finds the nearest row of the same groups and its
+// two least distances, the one call a Yinyang group scan makes.
+func BenchmarkNearestLanes(b *testing.B) {
+	for _, d := range []int{4, 8, 32, 64} {
+		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
+			q, m, rows := benchRows(d)
+			var l Lanes
+			l.Load(m, rows)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkInt, sinkF32, _ = NearestLanes(q, &l)
+			}
 		})
 	}
 }

@@ -7,3 +7,11 @@ package kernels
 //
 //go:noescape
 func squaredL2Lanes(q, blk, out []float32)
+
+// nearestLanes is nearestLanesGo in baseline SSE: squaredL2Lanes' passes,
+// each block's sums folded into the lanes' state with CMPPS, MINPS, MAXPS
+// and bitwise blends, then the lanes reduced with shuffles, MINPS, MAXPS
+// and integer compares and blends. None of these rounds.
+//
+//go:noescape
+func nearestLanes(q, blk []float32, blocks int) (j int, d1, d2 float32)

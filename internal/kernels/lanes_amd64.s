@@ -1,13 +1,72 @@
 #include "textflag.h"
 
+// SCORE scores the blocks of one pass, up to four from DI on, each into
+// its own accumulator, X0 to X3: per element i, the lanes of
+// (broadcast q[i] − block[i])² are added in ascending i, so every lane is
+// one SquaredL2 chain. The broadcast is the subtract's destination, so the
+// operands stand in SquaredL2's order. SI is &q[0], R8 the bytes per block
+// and BX the blocks left, at least one. When fewer than four blocks
+// remain, the spare block pointers repeat the last block and their sums
+// are to be ignored; R12 ends on the pass's last block. The loop starts on
+// a 64-byte boundary wherever the linker places the function; the padding
+// sits after the jump, so it never runs.
+#define SCORE \
+	MOVQ  DI, R9 \
+	MOVQ  R9, R10 \
+	CMPQ  BX, $2 \
+	JLT   third \
+	ADDQ  R8, R10 \
+third: \
+	MOVQ R10, R11 \
+	CMPQ BX, $3 \
+	JLT  fourth \
+	ADDQ R8, R11 \
+fourth: \
+	MOVQ  R11, R12 \
+	CMPQ  BX, $4 \
+	JLT   zero \
+	ADDQ  R8, R12 \
+zero: \
+	XORPS X0, X0 \
+	XORPS X1, X1 \
+	XORPS X2, X2 \
+	XORPS X3, X3 \
+	MOVQ  SI, R14 \
+	XORQ  R13, R13 \
+	JMP   test \
+	PCALIGN $64 \
+loop: \
+	MOVSS  (R14), X4 \
+	SHUFPS $0x00, X4, X4 \
+	MOVAPS X4, X5 \
+	MOVAPS X4, X6 \
+	MOVAPS X4, X7 \
+	MOVUPS (R9)(R13*1), X8 \
+	MOVUPS (R10)(R13*1), X9 \
+	MOVUPS (R11)(R13*1), X10 \
+	MOVUPS (R12)(R13*1), X11 \
+	SUBPS  X8, X4 \
+	SUBPS  X9, X5 \
+	SUBPS  X10, X6 \
+	SUBPS  X11, X7 \
+	MULPS  X4, X4 \
+	MULPS  X5, X5 \
+	MULPS  X6, X6 \
+	MULPS  X7, X7 \
+	ADDPS  X4, X0 \
+	ADDPS  X5, X1 \
+	ADDPS  X6, X2 \
+	ADDPS  X7, X3 \
+	ADDQ   $4, R14 \
+	ADDQ   $16, R13 \
+test: \
+	CMPQ R13, R8 \
+	JLT  loop
+
 // func squaredL2Lanes(q, blk, out []float32)
 //
-// Each pass scores four blocks, each into its own accumulator: per
-// element i, the lanes of (broadcast q[i] − block[i])² are added in
-// ascending i, so every lane is one SquaredL2 chain. The broadcast is the
-// subtract's destination, so the operands stand in SquaredL2's order.
-// When fewer than four blocks remain, the spare block pointers repeat the
-// last block and their sums are not stored.
+// Each pass scores four blocks (SCORE) and stores the sums of the real
+// ones.
 TEXT ·squaredL2Lanes(SB), NOSPLIT, $0-72
 	MOVQ q_base+0(FP), SI
 	MOVQ q_len+8(FP), CX
@@ -21,65 +80,7 @@ TEXT ·squaredL2Lanes(SB), NOSPLIT, $0-72
 pass:
 	TESTQ BX, BX
 	JZ    done
-	MOVQ  DI, R9
-	MOVQ  R9, R10
-	CMPQ  BX, $2
-	JLT   third
-	ADDQ  R8, R10
-
-third:
-	MOVQ R10, R11
-	CMPQ BX, $3
-	JLT  fourth
-	ADDQ R8, R11
-
-fourth:
-	MOVQ  R11, R12
-	CMPQ  BX, $4
-	JLT   zero
-	ADDQ  R8, R12
-
-zero:
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	MOVQ  SI, R14                // &q[i]
-	XORQ  R13, R13               // byte offset of element i in a block
-	JMP   test
-
-	// The loop starts on a 64-byte boundary wherever the linker places
-	// the function; the padding sits after the jump, so it never runs.
-	PCALIGN $64
-
-loop:
-	MOVSS  (R14), X4
-	SHUFPS $0x00, X4, X4
-	MOVAPS X4, X5
-	MOVAPS X4, X6
-	MOVAPS X4, X7
-	MOVUPS (R9)(R13*1), X8
-	MOVUPS (R10)(R13*1), X9
-	MOVUPS (R11)(R13*1), X10
-	MOVUPS (R12)(R13*1), X11
-	SUBPS  X8, X4
-	SUBPS  X9, X5
-	SUBPS  X10, X6
-	SUBPS  X11, X7
-	MULPS  X4, X4
-	MULPS  X5, X5
-	MULPS  X6, X6
-	MULPS  X7, X7
-	ADDPS  X4, X0
-	ADDPS  X5, X1
-	ADDPS  X6, X2
-	ADDPS  X7, X3
-	ADDQ   $4, R14
-	ADDQ   $16, R13
-
-test:
-	CMPQ R13, R8
-	JLT  loop
+	SCORE
 	MOVUPS X0, (DX)
 	CMPQ   BX, $2
 	JLT    done
@@ -96,4 +97,135 @@ test:
 	JMP    pass
 
 done:
+	RET
+
+// The first block's row numbers, then the step to the next block's.
+DATA rows<>+0x00(SB)/4, $0
+DATA rows<>+0x04(SB)/4, $1
+DATA rows<>+0x08(SB)/4, $2
+DATA rows<>+0x0c(SB)/4, $3
+DATA rows<>+0x10(SB)/4, $4
+DATA rows<>+0x14(SB)/4, $4
+DATA rows<>+0x18(SB)/4, $4
+DATA rows<>+0x1c(SB)/4, $4
+GLOBL rows<>(SB), RODATA|NOPTR, $32
+
+// FOLD scans one block's sums s one step further in each lane, as
+// laneMins.fold does: X12 holds the lanes' least distances d1, X13 their
+// second least d2, X14 the rows of d1 as int32, X15 this block's rows and
+// X7 the step to the next block's. With v the block's sum, d2 becomes
+// min(max(d1, v), d2) and d1 becomes min(v, d1), where MAXPS answers v
+// and MINPS its second operand when v is NaN; the mask v < d1 moves this
+// block's rows into the lanes whose d1 changed.
+#define FOLD(s) \
+	MOVAPS X12, X4 \
+	MAXPS  s, X4 \
+	MINPS  X13, X4 \
+	MOVAPS X4, X13 \
+	MOVAPS s, X5 \
+	CMPPS  X12, X5, $1 \
+	MINPS  X12, s \
+	MOVAPS s, X12 \
+	MOVAPS X15, X6 \
+	ANDPS  X5, X6 \
+	ANDNPS X14, X5 \
+	ORPS   X6, X5 \
+	MOVAPS X5, X14 \
+	PADDL  X7, X15
+
+// func nearestLanes(q, blk []float32, blocks int) (j int, d1, d2 float32)
+//
+// Each pass scores four blocks (SCORE) and folds the sums of the real
+// ones into the lane state in ascending block order, so a tie keeps the
+// earlier block. Every lane starts at d1 = d2 = +Inf on row 0. Then the
+// four lanes are reduced as laneMins.nearest does: d1 is the least of
+// their d1, d2 the least of the second least of their d1 and of their
+// d2, and j the least row among the lanes whose d1 equals d1.
+TEXT ·nearestLanes(SB), NOSPLIT, $0-72
+	MOVQ    q_base+0(FP), SI
+	MOVQ    q_len+8(FP), CX
+	MOVQ    blk_base+24(FP), DI
+	MOVQ    blocks+48(FP), BX
+	MOVQ    CX, R8
+	SHLQ    $4, R8               // bytes per block: dim × 4 lanes × 4
+	PCMPEQL X12, X12
+	PSLLL   $24, X12
+	PSRLL   $1, X12              // +Inf
+	MOVAPS  X12, X13
+	PXOR    X14, X14
+	MOVUPS  rows<>+0x00(SB), X15
+
+pass:
+	TESTQ   BX, BX
+	JZ      reduce
+	SCORE
+	MOVUPS  rows<>+0x10(SB), X7
+	FOLD(X0)
+	CMPQ    BX, $2
+	JLT     reduce
+	FOLD(X1)
+	CMPQ    BX, $3
+	JLT     reduce
+	FOLD(X2)
+	CMPQ    BX, $4
+	JLT     reduce
+	FOLD(X3)
+	LEAQ    (R12)(R8*1), DI
+	SUBQ    $4, BX
+	JMP     pass
+
+reduce:
+	// The least and second least of the lanes' d1: X1 and X0 first
+	// hold the least and the greatest of lanes 0, 1 and of lanes 2, 3.
+	MOVAPS  X12, X0
+	SHUFPS  $0xb1, X0, X0
+	MOVAPS  X12, X1
+	MINPS   X0, X1
+	MAXPS   X12, X0
+	MOVAPS  X1, X2
+	SHUFPS  $0x4e, X2, X2
+	MOVAPS  X0, X3
+	SHUFPS  $0x4e, X3, X3
+	MINPS   X3, X0
+	MOVAPS  X1, X3
+	MINPS   X2, X3               // d1, in every lane
+	MAXPS   X2, X1
+	MINPS   X1, X0               // the second least of the lanes' d1
+
+	// The least of the lanes' d2.
+	MOVAPS  X13, X1
+	SHUFPS  $0xb1, X1, X1
+	MINPS   X13, X1
+	MOVAPS  X1, X2
+	SHUFPS  $0x4e, X2, X2
+	MINPS   X2, X1
+	MINPS   X1, X0               // d2, in every lane
+
+	// The least row among the lanes whose d1 is d1; the others read as
+	// the greatest int32.
+	MOVAPS  X12, X4
+	CMPPS   X3, X4, $0
+	PCMPEQL X5, X5
+	PSRLL   $1, X5
+	ANDPS   X4, X14
+	ANDNPS  X5, X4
+	ORPS    X4, X14
+	PSHUFD  $0xb1, X14, X5
+	MOVO    X14, X6
+	PCMPGTL X5, X6
+	PAND    X6, X5
+	PANDN   X14, X6
+	POR     X5, X6
+	PSHUFD  $0x4e, X6, X5
+	MOVO    X6, X14
+	PCMPGTL X5, X14
+	PAND    X14, X5
+	PANDN   X6, X14
+	POR     X5, X14              // j, in every lane
+
+	MOVQ    X14, AX
+	MOVL    AX, AX
+	MOVQ    AX, j+56(FP)
+	MOVSS   X3, d1+64(FP)
+	MOVSS   X0, d2+68(FP)
 	RET
