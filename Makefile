@@ -40,12 +40,12 @@ fmt-check:
 build:
 	$(GO) build ./...
 
-# The lane distance kernels (internal/kernels) run SSE assembly on amd64
-# and plain Go on every other GOARCH; this keeps the second side compiling
-# and vetted. On amd64 FuzzSquaredL2Rows runs both sides, and only it
-# reaches plain Go, so the kernels and k-means tests also run as 386
-# binaries, which an amd64 Linux host runs natively and which take the
-# plain-Go side.
+# The lane distance kernels and the bound relaxation (internal/kernels)
+# run SSE assembly on amd64 and plain Go on every other GOARCH; this keeps
+# the second side compiling and vetted. On amd64 only FuzzSquaredL2Rows
+# and FuzzRelaxBounds run both sides, so the kernels and k-means tests
+# also run as 386 binaries, which an amd64 Linux host runs natively and
+# which take the plain-Go side.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/kernels ./internal/cbir

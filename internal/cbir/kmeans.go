@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"repro/internal/kernels"
 )
@@ -31,7 +33,9 @@ type KMeansResult struct {
 // skips centroid groups that triangle-inequality bounds prove too far, and
 // its result is bit-identical to scanning every centroid with
 // kernels.SquaredL2 and keeping the lowest index among equal minima
-// (DESIGN.md §6). Input with a NaN or ±Inf value is rejected.
+// (DESIGN.md §6). It splits the points of an input of at least 2,048
+// over up to GOMAXPROCS goroutines, and the result does not depend on the
+// split. Input with a NaN or ±Inf value is rejected.
 func KMeans(data *kernels.Matrix, k, maxIters int, seed int64) (*KMeansResult, error) {
 	n, d := data.Rows, data.Cols
 	if k <= 0 || k > n {
@@ -64,14 +68,8 @@ func KMeans(data *kernels.Matrix, k, maxIters int, seed int64) (*KMeansResult, e
 	}
 
 	for iter := 0; iter < maxIters; iter++ {
-		moved := 0
-		// Assignment step.
-		for i := 0; i < n; i++ {
-			if best := y.nearest(i, assign[i]); assign[i] != best {
-				moved++
-				assign[i] = best
-			}
-		}
+		moved, evals := y.assignStep(assign)
+		res.DistanceEvals += evals
 		res.Iterations = iter + 1
 		res.Moved = moved
 		if moved == 0 {
@@ -109,7 +107,6 @@ func KMeans(data *kernels.Matrix, k, maxIters int, seed int64) (*KMeansResult, e
 		y.measureDrift()
 		y.loadLanes()
 	}
-	res.DistanceEvals = y.evals
 	return res, nil
 }
 
@@ -147,7 +144,6 @@ type yinyang struct {
 	groupDrift      []float64       // t: largest drift in each group
 	driftSlack      float64
 	slope, offset   float64
-	evals           int64
 }
 
 // maxThreshold caps the skip test well below sqrt(MaxFloat32), so a point
@@ -155,12 +151,18 @@ type yinyang struct {
 const maxThreshold = 1 << 62
 
 func newYinyang(data, centroids *kernels.Matrix, seed int64) (*yinyang, error) {
-	k := centroids.Rows
-	t := (k + 9) / 10
+	t := (centroids.Rows + 9) / 10
 	groupOf, err := groupCentroids(centroids, t, seed)
 	if err != nil {
 		return nil, err
 	}
+	return groupedYinyang(data, centroids, groupOf, t), nil
+}
+
+// groupedYinyang builds the filter over a grouping of the centroids into
+// t groups: groupOf[c] in [0, t) for every centroid c.
+func groupedYinyang(data, centroids *kernels.Matrix, groupOf []int, t int) *yinyang {
+	k := centroids.Rows
 	start := make([]int, t+1)
 	for _, g := range groupOf {
 		start[g+1]++
@@ -206,7 +208,7 @@ func newYinyang(data, centroids *kernels.Matrix, seed int64) (*yinyang, error) {
 		y.ub[i] = float32(math.Inf(1))
 	}
 	y.loadLanes()
-	return y, nil
+	return y
 }
 
 // groupCentroids splits the initial centroids into t groups the way Ding
@@ -223,41 +225,88 @@ func groupCentroids(centroids *kernels.Matrix, t int, seed int64) ([]int, error)
 	return km.Assign, nil
 }
 
-// nearest returns the centroid point i is assigned to this iteration: the
-// lowest index among the minima of kernels.SquaredL2 over all centroids.
-// cur is the previous assignment, or -1 in the first iteration.
-func (y *yinyang) nearest(i, cur int) int {
+// minSplit is the fewest points a goroutine of the assignment step
+// takes. Even where every point passes the global test, a range this long
+// costs tens of microseconds, against a few for starting and joining a
+// goroutine; a smaller input runs inline.
+const minSplit = 1024
+
+// assignParts reports how many contiguous ranges, each run by its own
+// goroutine, the assignment step splits n points into: up to one per
+// GOMAXPROCS, and one when n is below 2·minSplit.
+func assignParts(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/minSplit))
+}
+
+// assignStep sets every point's entry of assign to its nearest centroid and
+// returns how many changed and the distance evaluations it took. Each
+// range keeps its own counts, summed after the step. A point reads only
+// the shared centroids, lanes and drifts and writes only its own ub, lb
+// row and assign entry, so the result does not depend on the split.
+func (y *yinyang) assignStep(assign []int) (moved int, evals int64) {
+	n := len(assign)
+	parts := assignParts(n)
+	counts := make([]struct {
+		moved int
+		evals int64
+	}, parts)
+	var wg sync.WaitGroup
+	for p := 1; p < parts; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := &counts[p]
+			c.moved, c.evals = y.assignRange(assign, p*n/parts, (p+1)*n/parts)
+		}()
+	}
+	counts[0].moved, counts[0].evals = y.assignRange(assign, 0, n/parts)
+	wg.Wait()
+	for _, c := range counts {
+		moved += c.moved
+		evals += c.evals
+	}
+	return moved, evals
+}
+
+// assignRange runs the assignment step over points lo to hi−1.
+func (y *yinyang) assignRange(assign []int, lo, hi int) (moved int, evals int64) {
+	for i := lo; i < hi; i++ {
+		best, e := y.nearest(i, assign[i])
+		evals += e
+		if assign[i] != best {
+			moved++
+			assign[i] = best
+		}
+	}
+	return moved, evals
+}
+
+// nearest returns the centroid point i is assigned to this iteration, the
+// lowest index among the minima of kernels.SquaredL2 over all centroids,
+// and the distance evaluations it took. cur is the previous assignment,
+// or -1 in the first iteration.
+func (y *yinyang) nearest(i, cur int) (int, int64) {
 	t := len(y.groupDrift)
 	lb := y.lb[i*t : (i+1)*t]
 	a := max(cur, 0)
 
 	// Relax the bounds by the last update's drift.
 	ub := roundUp(float64(y.ub[i]) + y.drift[a])
-	minLB := float32(math.Inf(1))
-	for g := range lb {
-		v := float32(0)
-		if d := float64(lb[g]) - y.groupDrift[g]; d > 0 {
-			v = roundDown(d)
-		}
-		lb[g] = v
-		if v < minLB {
-			minLB = v
-		}
-	}
+	minLB := kernels.RelaxBounds(lb, y.groupDrift)
 	if float64(minLB) > y.threshold(ub) {
 		y.ub[i] = ub
-		return a
+		return a, 0
 	}
 
 	// Tighten the upper bound and try the global test again.
 	row := y.data.Row(i)
 	da := kernels.SquaredL2(row, y.centroids.Row(a))
-	y.evals++
+	evals := int64(1)
 	ub = sqrtUp(da)
 	thr := y.threshold(ub)
 	if float64(minLB) > thr {
 		y.ub[i] = ub
-		return a
+		return a, evals
 	}
 
 	// One NearestLanes call per scanned group gives its nearest centroid
@@ -279,9 +328,9 @@ func (y *yinyang) nearest(i, cur int) int {
 			continue
 		}
 		j, d1, d2 := kernels.NearestLanes(row, &y.lanes[g])
-		y.evals += int64(len(group))
+		evals += int64(len(group))
 		if g == ga {
-			y.evals--
+			evals--
 		}
 		lb[g] = sqrtDown(d1)
 		c := group[j]
@@ -303,7 +352,7 @@ func (y *yinyang) nearest(i, cur int) int {
 		lb[ga] = min(lb[ga], sqrtDown(da))
 	}
 	y.ub[i] = sqrtUp(bestD)
-	return best
+	return best, evals
 }
 
 // threshold is the value a lower bound must exceed for its centroids to

@@ -3,6 +3,7 @@ package cbir
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -322,6 +323,89 @@ func TestKMeansRecallSweepWorkCount(t *testing.T) {
 			if km.Iterations != tc.wantIters || km.DistanceEvals != tc.wantEvals {
 				t.Errorf("%d iterations, %d distance evaluations; want %d and %d",
 					km.Iterations, km.DistanceEvals, tc.wantIters, tc.wantEvals)
+			}
+		})
+	}
+}
+
+// TestEmptyGroupBoundIsVacuous pins the bound of a group with no
+// centroid: a scan sets it to sqrtDown(+Inf), above any distance a point
+// can skip by, so the empty group never keeps a point from passing the
+// global test. Centroids 0 and 1 form group 0, centroid 2 group 2, and
+// group 1 is empty; the point lies near centroid 0.
+func TestEmptyGroupBoundIsVacuous(t *testing.T) {
+	data := kernels.NewMatrix(1, 2)
+	copy(data.Row(0), []float32{0.5, 0.25})
+	centroids := kernels.NewMatrix(3, 2)
+	copy(centroids.Data, []float32{0, 0, 10, 0, 0, 10})
+	y := groupedYinyang(data, centroids, []int{0, 0, 2}, 3)
+
+	// The first call scans every group: a's distance, centroid 1 beside it
+	// and centroid 2.
+	best, evals := y.nearest(0, -1)
+	if best != 0 || evals != 3 {
+		t.Fatalf("first call: centroid %d after %d evaluations, want 0 after 3", best, evals)
+	}
+	if got, want := y.lb[1], sqrtDown(float32(math.Inf(1))); got != want {
+		t.Errorf("empty group's bound %g after a scan, want sqrtDown(+Inf) = %g", got, want)
+	}
+	best, evals = y.nearest(0, best)
+	if best != 0 || evals != 0 {
+		t.Errorf("second call: centroid %d after %d evaluations, want 0 by the global test alone", best, evals)
+	}
+}
+
+// TestKMeansSplitInvariant runs KMeans at GOMAXPROCS 1, 2 and 5, so the
+// assignment step runs inline and over two and five ranges of points, and
+// requires the same assignments, iterations, moves, centroid bits and
+// distance evaluations from each. make race runs it under the race
+// detector.
+func TestKMeansSplitInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cases := []struct {
+		name     string
+		data     *kernels.Matrix
+		k, iters int
+		seed     int64
+	}{
+		// 5,123 points split into ranges of 1,024 and 1,025.
+		{"overclustered-64d", synthetic(5123, 64, 16, 31), 256, 12, 5},
+		{"pq-d4-k256", pqSubspace(synthetic(8192, 32, 32, 2020), 0, 4), 256, 12, 12},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var first *KMeansResult
+			for _, procs := range []int{1, 2, 5} {
+				runtime.GOMAXPROCS(procs)
+				if parts := assignParts(tc.data.Rows); parts != procs {
+					t.Fatalf("GOMAXPROCS %d: %d points split into %d ranges", procs, tc.data.Rows, parts)
+				}
+				got, err := KMeans(tc.data, tc.k, tc.iters, tc.seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = got
+					t.Logf("%d iterations, %d distance evaluations", got.Iterations, got.DistanceEvals)
+					if got.Iterations < 2 {
+						t.Fatalf("shape converged in %d iteration", got.Iterations)
+					}
+					continue
+				}
+				if got.Iterations != first.Iterations || got.Moved != first.Moved || got.DistanceEvals != first.DistanceEvals {
+					t.Errorf("GOMAXPROCS %d: iterations/moved/evaluations %d/%d/%d, at 1: %d/%d/%d", procs,
+						got.Iterations, got.Moved, got.DistanceEvals, first.Iterations, first.Moved, first.DistanceEvals)
+				}
+				for i, c := range first.Assign {
+					if got.Assign[i] != c {
+						t.Fatalf("GOMAXPROCS %d: point %d assigned %d, at 1: %d", procs, i, got.Assign[i], c)
+					}
+				}
+				for i, v := range first.Centroids.Data {
+					if math.Float32bits(got.Centroids.Data[i]) != math.Float32bits(v) {
+						t.Fatalf("GOMAXPROCS %d: centroid word %d = %v, at 1: %v", procs, i, got.Centroids.Data[i], v)
+					}
+				}
 			}
 		})
 	}

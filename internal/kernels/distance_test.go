@@ -200,6 +200,7 @@ func TestSquaredL2RowsPanicsOnWidthMismatch(t *testing.T) {
 		"NearestLanes":         func() { NearestLanes(q, &l) },
 		"NearestLanes no rows": func() { NearestLanes(make([]float32, 3), &Lanes{dim: 3}) },
 		"NearestLanes width 0": func() { NearestLanes(nil, &Lanes{n: 2}) },
+		"RelaxBounds short":    func() { RelaxBounds(make([]float32, 5), make([]float64, 4)) },
 	} {
 		func() {
 			defer func() {
@@ -232,8 +233,8 @@ var (
 )
 
 // benchRows returns a query, a k = 256 centroid matrix at width d and one
-// group of 10 rows in it, the shape of a Yinyang group scan.
-func benchRows(d int) ([]float32, *Matrix, []int) {
+// group of n rows in it, the shape of a Yinyang group scan.
+func benchRows(d, n int) ([]float32, *Matrix, []int) {
 	rng := rand.New(rand.NewSource(int64(d)))
 	m := NewMatrix(256, d)
 	for i := range m.Data {
@@ -243,7 +244,7 @@ func benchRows(d int) ([]float32, *Matrix, []int) {
 	for i := range q {
 		q[i] = rng.Float32()
 	}
-	return q, m, rng.Perm(256)[:10]
+	return q, m, rng.Perm(256)[:n]
 }
 
 // BenchmarkSquaredL2Lanes scores one lane-blocked 10-row group per op
@@ -251,7 +252,7 @@ func benchRows(d int) ([]float32, *Matrix, []int) {
 func BenchmarkSquaredL2Lanes(b *testing.B) {
 	for _, d := range []int{4, 8, 32, 64} {
 		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
-			q, m, rows := benchRows(d)
+			q, m, rows := benchRows(d, 10)
 			var l Lanes
 			l.Load(m, rows)
 			out := make([]float32, l.Padded())
@@ -264,19 +265,23 @@ func BenchmarkSquaredL2Lanes(b *testing.B) {
 	}
 }
 
-// BenchmarkNearestLanes finds the nearest row of the same groups and its
-// two least distances, the one call a Yinyang group scan makes.
+// BenchmarkNearestLanes finds the nearest row of one group and its two
+// least distances, the one call a Yinyang group scan makes: 10-row groups
+// as above, and 4-, 8- and 12-row ones, whose single passes score one,
+// two and three blocks.
 func BenchmarkNearestLanes(b *testing.B) {
-	for _, d := range []int{4, 8, 32, 64} {
-		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
-			q, m, rows := benchRows(d)
-			var l Lanes
-			l.Load(m, rows)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sinkInt, sinkF32, _ = NearestLanes(q, &l)
-			}
-		})
+	for _, rows := range []int{4, 8, 10, 12} {
+		for _, d := range []int{4, 8, 32, 64} {
+			b.Run(fmt.Sprintf("rows=%d/D=%d", rows, d), func(b *testing.B) {
+				q, m, group := benchRows(d, rows)
+				var l Lanes
+				l.Load(m, group)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sinkInt, sinkF32, _ = NearestLanes(q, &l)
+				}
+			})
+		}
 	}
 }
 
@@ -285,7 +290,7 @@ func BenchmarkNearestLanes(b *testing.B) {
 func BenchmarkSquaredL2Loop(b *testing.B) {
 	for _, d := range []int{4, 8, 32, 64} {
 		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
-			q, m, rows := benchRows(d)
+			q, m, rows := benchRows(d, 10)
 			out := make([]float32, len(rows))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

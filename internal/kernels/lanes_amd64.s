@@ -1,41 +1,37 @@
 #include "textflag.h"
 
-// SCORE scores the blocks of one pass, up to four from DI on, each into
-// its own accumulator, X0 to X3: per element i, the lanes of
-// (broadcast q[i] − block[i])² are added in ascending i, so every lane is
-// one SquaredL2 chain. The broadcast is the subtract's destination, so the
-// operands stand in SquaredL2's order. SI is &q[0], R8 the bytes per block
-// and BX the blocks left, at least one. When fewer than four blocks
-// remain, the spare block pointers repeat the last block and their sums
-// are to be ignored; R12 ends on the pass's last block. The loop starts on
-// a 64-byte boundary wherever the linker places the function; the padding
-// sits after the jump, so it never runs.
+// SCORE scores the blocks of one pass, the four from DI on or all that
+// remain when fewer do, each into its own accumulator, X0 to X3: per
+// element i, the lanes of (broadcast q[i] − block[i])² are added in
+// ascending i, so every lane is one SquaredL2 chain. The broadcast is the
+// subtract's destination, so the operands stand in SquaredL2's order. SI
+// is &q[0], R8 the bytes per block and BX the blocks left, at least one.
+// A pass of four blocks leaves R12 on its last block. The last pass, when
+// fewer blocks remain, runs a loop of its own length, 3, 2 or 1, so no
+// block is scored that is not there; the accumulators it leaves out stay
+// +0 and are not read, and the pointers past its last block are not
+// dereferenced. Each loop starts on a 64-byte boundary wherever the
+// linker places the function; the padding sits after a jump, so it never
+// runs.
 #define SCORE \
+	MOVQ  SI, R14 \
+	XORQ  R13, R13 \
 	MOVQ  DI, R9 \
-	MOVQ  R9, R10 \
-	CMPQ  BX, $2 \
-	JLT   third \
-	ADDQ  R8, R10 \
-third: \
-	MOVQ R10, R11 \
-	CMPQ BX, $3 \
-	JLT  fourth \
-	ADDQ R8, R11 \
-fourth: \
-	MOVQ  R11, R12 \
-	CMPQ  BX, $4 \
-	JLT   zero \
-	ADDQ  R8, R12 \
-zero: \
+	LEAQ  (R9)(R8*1), R10 \
+	LEAQ  (R10)(R8*1), R11 \
+	LEAQ  (R11)(R8*1), R12 \
 	XORPS X0, X0 \
 	XORPS X1, X1 \
 	XORPS X2, X2 \
 	XORPS X3, X3 \
-	MOVQ  SI, R14 \
-	XORQ  R13, R13 \
-	JMP   test \
+	CMPQ  BX, $3 \
+	JGT   test4 \
+	JEQ   test3 \
+	CMPQ  BX, $2 \
+	JEQ   test2 \
+	JMP   test1 \
 	PCALIGN $64 \
-loop: \
+loop4: \
 	MOVSS  (R14), X4 \
 	SHUFPS $0x00, X4, X4 \
 	MOVAPS X4, X5 \
@@ -59,14 +55,71 @@ loop: \
 	ADDPS  X7, X3 \
 	ADDQ   $4, R14 \
 	ADDQ   $16, R13 \
-test: \
+test4: \
 	CMPQ R13, R8 \
-	JLT  loop
+	JLT  loop4 \
+	JMP  scored \
+	PCALIGN $64 \
+loop3: \
+	MOVSS  (R14), X4 \
+	SHUFPS $0x00, X4, X4 \
+	MOVAPS X4, X5 \
+	MOVAPS X4, X6 \
+	MOVUPS (R9)(R13*1), X8 \
+	MOVUPS (R10)(R13*1), X9 \
+	MOVUPS (R11)(R13*1), X10 \
+	SUBPS  X8, X4 \
+	SUBPS  X9, X5 \
+	SUBPS  X10, X6 \
+	MULPS  X4, X4 \
+	MULPS  X5, X5 \
+	MULPS  X6, X6 \
+	ADDPS  X4, X0 \
+	ADDPS  X5, X1 \
+	ADDPS  X6, X2 \
+	ADDQ   $4, R14 \
+	ADDQ   $16, R13 \
+test3: \
+	CMPQ R13, R8 \
+	JLT  loop3 \
+	JMP  scored \
+	PCALIGN $64 \
+loop2: \
+	MOVSS  (R14), X4 \
+	SHUFPS $0x00, X4, X4 \
+	MOVAPS X4, X5 \
+	MOVUPS (R9)(R13*1), X8 \
+	MOVUPS (R10)(R13*1), X9 \
+	SUBPS  X8, X4 \
+	SUBPS  X9, X5 \
+	MULPS  X4, X4 \
+	MULPS  X5, X5 \
+	ADDPS  X4, X0 \
+	ADDPS  X5, X1 \
+	ADDQ   $4, R14 \
+	ADDQ   $16, R13 \
+test2: \
+	CMPQ R13, R8 \
+	JLT  loop2 \
+	JMP  scored \
+	PCALIGN $64 \
+loop1: \
+	MOVSS  (R14), X4 \
+	SHUFPS $0x00, X4, X4 \
+	MOVUPS (R9)(R13*1), X8 \
+	SUBPS  X8, X4 \
+	MULPS  X4, X4 \
+	ADDPS  X4, X0 \
+	ADDQ   $4, R14 \
+	ADDQ   $16, R13 \
+test1: \
+	CMPQ R13, R8 \
+	JLT  loop1 \
+scored:
 
 // func squaredL2Lanes(q, blk, out []float32)
 //
-// Each pass scores four blocks (SCORE) and stores the sums of the real
-// ones.
+// Each pass scores up to four blocks (SCORE) and stores their sums.
 TEXT ·squaredL2Lanes(SB), NOSPLIT, $0-72
 	MOVQ q_base+0(FP), SI
 	MOVQ q_len+8(FP), CX
@@ -135,9 +188,9 @@ GLOBL rows<>(SB), RODATA|NOPTR, $32
 
 // func nearestLanes(q, blk []float32, blocks int) (j int, d1, d2 float32)
 //
-// Each pass scores four blocks (SCORE) and folds the sums of the real
-// ones into the lane state in ascending block order, so a tie keeps the
-// earlier block. Every lane starts at d1 = d2 = +Inf on row 0. Then the
+// Each pass scores up to four blocks (SCORE) and folds their sums into
+// the lane state in ascending block order, so a tie keeps the earlier
+// block. Every lane starts at d1 = d2 = +Inf on row 0. Then the
 // four lanes are reduced as laneMins.nearest does: d1 is the least of
 // their d1, d2 the least of the second least of their d1 and of their
 // d2, and j the least row among the lanes whose d1 equals d1.
@@ -228,4 +281,93 @@ reduce:
 	MOVQ    AX, j+56(FP)
 	MOVSS   X3, d1+64(FP)
 	MOVSS   X0, d2+68(FP)
+	RET
+
+// RELAX relaxes the bounds of X0 by the drifts of X2 (lanes 0 and 1) and
+// X3 (lanes 2 and 3), as relaxBoundsGo does, leaving them in X0: d is the
+// float64 difference (CVTPS2PD, SUBPD), MAXPD with +0 as its second
+// operand answers +0 wherever d > 0 fails (NaN, −Inf and −0 included),
+// CVTPD2PS rounds to nearest, and the int32 step down by one (PADDL of −1)
+// is undone wherever the float is +0 (PCMPEQL, PSUBL). X15 holds +0 and
+// X14 −1 in every lane; X1 and X4 are scratch.
+#define RELAX \
+	CVTPS2PD X0, X1 \
+	MOVHLPS  X0, X0 \
+	CVTPS2PD X0, X0 \
+	SUBPD    X2, X1 \
+	SUBPD    X3, X0 \
+	MAXPD    X15, X1 \
+	MAXPD    X15, X0 \
+	CVTPD2PS X1, X1 \
+	CVTPD2PS X0, X0 \
+	MOVLHPS  X0, X1 \
+	MOVO     X1, X0 \
+	PCMPEQL  X15, X1 \
+	PADDL    X14, X0 \
+	PSUBL    X1, X0
+
+// func relaxBounds(lb []float32, drift []float64) (minLB float32)
+//
+// Four bounds per pass, then a pair and a single bound for the tail, the
+// lanes past them reading +0 − +0 and not kept. X13 keeps the running
+// minimum, reduced across its lanes at the end; the pair enters it with
+// +Inf (X12) above, the single bound by MINSS.
+TEXT ·relaxBounds(SB), NOSPLIT, $0-52
+	MOVQ    lb_base+0(FP), SI
+	MOVQ    lb_len+8(FP), CX
+	MOVQ    drift_base+24(FP), DI
+	XORPS   X15, X15
+	PCMPEQL X14, X14
+	MOVO    X14, X12
+	PSLLL   $24, X12
+	PSRLL   $1, X12              // +Inf
+	MOVAPS  X12, X13
+
+quad:
+	CMPQ    CX, $4
+	JLT     pair
+	MOVUPS  (SI), X0
+	MOVUPD  (DI), X2
+	MOVUPD  16(DI), X3
+	RELAX
+	MINPS   X0, X13
+	MOVUPS  X0, (SI)
+	ADDQ    $16, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     quad
+
+pair:
+	CMPQ    CX, $2
+	JLT     single
+	MOVSD   (SI), X0
+	MOVUPD  (DI), X2
+	XORPS   X3, X3
+	RELAX
+	MOVAPS  X12, X1
+	MOVSD   X0, X1
+	MINPS   X1, X13
+	MOVSD   X0, (SI)
+	ADDQ    $8, SI
+	ADDQ    $16, DI
+	SUBQ    $2, CX
+
+single:
+	TESTQ   CX, CX
+	JZ      reduce
+	MOVSS   (SI), X0
+	MOVSD   (DI), X2
+	XORPS   X3, X3
+	RELAX
+	MINSS   X0, X13
+	MOVSS   X0, (SI)
+
+reduce:
+	MOVAPS  X13, X0
+	SHUFPS  $0x4e, X0, X0
+	MINPS   X0, X13
+	MOVAPS  X13, X0
+	SHUFPS  $0xb1, X0, X0
+	MINPS   X0, X13
+	MOVSS   X13, minLB+48(FP)
 	RET
