@@ -46,8 +46,9 @@ func TestClusterQueryAllocBudget(t *testing.T) {
 
 	const queries = 8
 	perQuery := testing.AllocsPerRun(5, func() { submitBatch(queries) }) / queries
-	// Measured 2.6/query on go1.24, 66 while every query built its job
-	// graphs. The bound leaves headroom for toolchain drift while still
+	// Measured 2.0/query on go1.24 (3.0 while the latency-only log still
+	// reduced each query's intervals to an attribution), 66 while every
+	// query built its job graphs. The bound leaves headroom for toolchain drift while still
 	// catching any real regression (one graph built per shard job, or a
 	// closure per job, costs 33 or more at the default fan-out).
 	const budget = 8.0
@@ -81,8 +82,9 @@ func TestClusterCachedQueryAllocBudget(t *testing.T) {
 
 	const queries = 8
 	perQuery := testing.AllocsPerRun(5, func() { submitBatch(queries) }) / queries
-	// Measured 2.6/query on go1.24, 38.9 while every scattered query built
-	// its job graphs.
+	// Measured 1.9/query on go1.24 (2.9 while the latency-only log still
+	// built attributions), 38.9 while every scattered query built its job
+	// graphs.
 	const budget = 8.0
 	t.Logf("cached cluster query allocates %.1f objects (budget %.0f)", perQuery, budget)
 	if perQuery > budget {

@@ -268,11 +268,12 @@ func (c *Cluster) shardFrac(content, s int) float64 {
 
 // SubmitAt schedules one query arrival at the front end at time `at` and
 // returns its query id. Call before Run; arrivals are processed inside
-// the event loop in time order.
+// the event loop in time order. Arrivals submitted in time order wait in
+// the front end's arrival lane rather than its calendar heap.
 func (c *Cluster) SubmitAt(at sim.Time) int {
 	id := c.submitted
 	c.submitted++
-	c.fe.AtCall(at, c, uint64(id)<<qShift|qArrive)
+	c.fe.AtCallInOrder(at, c, uint64(id)<<qShift|qArrive)
 	return id
 }
 

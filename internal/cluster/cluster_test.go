@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -191,5 +193,91 @@ func TestClusterRejectsInvalidConfig(t *testing.T) {
 	cfg.RoutePolicy = "sticky"
 	if _, err := New(cfg, testModel(), qtrace.Options{}); err == nil {
 		t.Fatal("New accepted invalid route policy")
+	}
+}
+
+// TestLatencyOnlyLogRunsIdentically: a DropTimelines log — the latency-only
+// log every sweep and timed benchmark pass uses — changes nothing those
+// callers read. The cached hot-content deployment and a 32-node p2c
+// deployment each run a seeded Poisson stream with a full log and with a
+// latency-only one, and must agree on every query's arrival and
+// completion, the latency quantiles, the event and round counts, the
+// router's state and the cache accounting; the latency-only log holds no
+// interval and no attribution.
+func TestLatencyOnlyLogRunsIdentically(t *testing.T) {
+	hot := config.DefaultCluster()
+	hot.SkewExponent, hot.CacheEntries, hot.CacheTTLMS = 1.2, 32, 2500
+	wide := config.DefaultCluster()
+	wide.Nodes, wide.Shards = 32, 32
+	for _, c := range []struct {
+		name    string
+		cfg     config.ClusterConfig
+		rate    float64
+		queries int
+	}{
+		{"hotcache", hot, 20, 400},
+		{"32-node", wide, 80, 300},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(drop bool) *Cluster {
+				cl, err := New(c.cfg, workload.DefaultModel(), qtrace.Options{DropTimelines: drop})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(1))
+				var at sim.Time
+				for range c.queries {
+					at += sim.FromSeconds(rng.ExpFloat64() / c.rate)
+					cl.SubmitAt(at)
+				}
+				if err := cl.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return cl
+			}
+			full, drop := run(false), run(true)
+			fq, dq := full.QLog().Queries(), drop.QLog().Queries()
+			if len(fq) != c.queries || len(dq) != len(fq) {
+				t.Fatalf("logs hold %d and %d queries, want %d", len(fq), len(dq), c.queries)
+			}
+			intervals := 0
+			for i, f := range fq {
+				d := dq[i]
+				if !d.Completed() || d.Arrival != f.Arrival || d.Done != f.Done {
+					t.Fatalf("query %d: latency-only log %v..%v, full log %v..%v", i, d.Arrival, d.Done, f.Arrival, f.Done)
+				}
+				if d.Intervals != nil || d.Attribution != nil {
+					t.Fatalf("query %d: latency-only log kept %d intervals and %d attributions", i, len(d.Intervals), len(d.Attribution))
+				}
+				intervals += len(f.Intervals)
+			}
+			if intervals == 0 {
+				t.Fatal("the full log recorded no interval")
+			}
+			fs, ds := full.QLog().Sketch(), drop.QLog().Sketch()
+			for _, q := range []float64{0.5, 0.99, 0.999} {
+				if fs.Quantile(q) != ds.Quantile(q) {
+					t.Errorf("p%g: full log %v, latency-only log %v", q*100, fs.Quantile(q), ds.Quantile(q))
+				}
+			}
+			if fs.Max() != ds.Max() {
+				t.Errorf("max: full log %v, latency-only log %v", fs.Max(), ds.Max())
+			}
+			fm, dm := full.Multi(), drop.Multi()
+			if fm.Executed() != dm.Executed() || fm.Rounds() != dm.Rounds() {
+				t.Errorf("full log ran %d events in %d rounds, latency-only log %d in %d",
+					fm.Executed(), fm.Rounds(), dm.Executed(), dm.Rounds())
+			}
+			if !reflect.DeepEqual(full.RouterStats(), drop.RouterStats()) {
+				t.Errorf("router state differs: full log routed %v, latency-only log %v",
+					full.RouterStats().Routed(), drop.RouterStats().Routed())
+			}
+			if full.CacheStats() != drop.CacheStats() {
+				t.Errorf("cache accounting: full log %+v, latency-only log %+v", full.CacheStats(), drop.CacheStats())
+			}
+			if c.cfg.CacheEntries > 0 && full.CacheStats().Hits == 0 {
+				t.Error("the cached deployment served no hit")
+			}
+		})
 	}
 }

@@ -329,8 +329,9 @@ func (r *Recorder) QueryDone(id int, at, latency sim.Time) {
 }
 
 // retain deep-copies query id out of the attached log into the query
-// ring, so neither DropTimelines nor later mutation of the log can reach
-// into an already-cut bundle. Queries the log does not know are skipped.
+// ring, so later mutation of the log cannot reach into an already-cut
+// bundle. Queries the log does not know are skipped. A DropTimelines log
+// records no interval or attribution, so its copies hold bounds alone.
 func (r *Recorder) retain(id int, at sim.Time) {
 	if r.log == nil {
 		return

@@ -366,8 +366,8 @@ func TestRecorderWindowSlides(t *testing.T) {
 }
 
 // TestRecorderCopiesAreIndependent: the retained copy must not alias the
-// live log's interval storage — DropTimelines or later mutation of the
-// log cannot reach into an already-cut bundle.
+// live log's interval storage — later mutation of the log cannot reach
+// into an already-cut bundle.
 func TestRecorderCopiesAreIndependent(t *testing.T) {
 	r := New(Config{})
 	l := qtrace.NewLog(qtrace.Options{Observers: []qtrace.Observer{r}})

@@ -10,6 +10,9 @@
 // bound) and reduce their timeline to a critical-path attribution: the
 // phase whose merged intervals cover the largest share of the query's
 // lifetime ("query 1041: 62% shortlist queue wait at near-memory").
+// A log opened with Options.DropTimelines is the latency-only variant the
+// timed sweeps use: it records no interval and attributes nothing, and
+// keeps each query's bounds, the sketch and the observers.
 //
 // The layer is zero-cost when disabled: nothing is attached and the model
 // hot paths pay a single nil check per hook (gated by
@@ -93,13 +96,14 @@ type Query struct {
 	// Arrival and Done bound the query: GAM submission to host interrupt.
 	Arrival sim.Time
 	Done    sim.Time
-	// Intervals is the recorded timeline in emission order (nil after
-	// completion when Options.DropTimelines is set).
+	// Intervals is the recorded timeline in emission order (always nil
+	// when Options.DropTimelines is set).
 	Intervals []Interval
 
 	// Attribution is the per-phase breakdown, sorted by descending
-	// Covered (ties by phase/stage/level name), computed at completion.
-	// Attribution[0] is the dominant phase.
+	// Covered (ties by phase/stage/level name), computed at completion
+	// (nil for a query that recorded no intervals). Attribution[0] is the
+	// dominant phase.
 	Attribution []Attribution
 
 	done bool
@@ -139,10 +143,11 @@ type Options struct {
 	// Alpha is the latency sketch's relative-error bound (<= 0 means
 	// DefaultAlpha, 1%).
 	Alpha float64
-	// DropTimelines releases each query's interval slice once its
-	// attribution is computed, bounding memory on long sweeps: the log
-	// hands the array to the next submitted query. Attribution and the
-	// latency sketch are unaffected.
+	// DropTimelines makes the log latency-only, for long sweeps that read
+	// latencies alone: Add records nothing, so no query keeps a timeline
+	// or an attribution. Every query still keeps its Arrival and Done,
+	// completions still feed the latency sketch, and the observers are
+	// still notified.
 	DropTimelines bool
 	// Observers are notified of every completion, in slice order.
 	Observers []Observer
@@ -157,9 +162,6 @@ type Log struct {
 	queries []*Query
 	done    uint64
 
-	// free holds the emptied interval arrays of completed queries for new
-	// queries to reuse (DropTimelines only).
-	free [][]Interval
 	// keys and spans are attribute's scratch, reused across completions.
 	keys  []attKey
 	spans []span
@@ -177,26 +179,23 @@ func (l *Log) Submitted(qid, job int, at sim.Time) {
 	for len(l.queries) <= qid {
 		l.queries = append(l.queries, nil)
 	}
-	q := &Query{ID: qid, Job: job, Arrival: at}
-	if n := len(l.free); n > 0 {
-		q.Intervals, l.free = l.free[n-1], l.free[:n-1]
-	}
-	l.queries[qid] = q
+	l.queries[qid] = &Query{ID: qid, Job: job, Arrival: at}
 }
 
 // Add appends one interval to an open query's timeline. Intervals for
 // unknown queries are dropped (a Log attached mid-run sees tails of
-// queries it never saw submitted).
+// queries it never saw submitted), and so is every interval under
+// DropTimelines.
 func (l *Log) Add(qid int, iv Interval) {
-	if qid < 0 || qid >= len(l.queries) || l.queries[qid] == nil {
+	if l.opt.DropTimelines || qid < 0 || qid >= len(l.queries) || l.queries[qid] == nil {
 		return
 	}
 	l.queries[qid].Intervals = append(l.queries[qid].Intervals, iv)
 }
 
 // Completed closes query qid at simulated time at: records its latency in
-// the sketch, reduces its timeline to attributions, and notifies the
-// observers.
+// the sketch, reduces its timeline to attributions (none under
+// DropTimelines, which records no timeline), and notifies the observers.
 func (l *Log) Completed(qid int, at sim.Time) {
 	if qid < 0 || qid >= len(l.queries) || l.queries[qid] == nil {
 		return
@@ -207,14 +206,6 @@ func (l *Log) Completed(qid int, at sim.Time) {
 	l.done++
 	l.sketch.Add(q.Latency())
 	q.Attribution = l.attribute(q)
-	if l.opt.DropTimelines {
-		// A late Add (a shard response after a quorum merge) then starts a
-		// fresh slice instead of writing into the array a new query reuses.
-		if q.Intervals != nil {
-			l.free = append(l.free, q.Intervals[:0])
-		}
-		q.Intervals = nil
-	}
 	for _, o := range l.opt.Observers {
 		o.QueryDone(qid, at, q.Latency())
 	}

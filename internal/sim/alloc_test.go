@@ -216,3 +216,45 @@ func TestBarrierRoundZeroAlloc(t *testing.T) {
 		t.Errorf("ran %d rounds over 21 bounces, want at least %d", got, 21*hops)
 	}
 }
+
+// relayHandler stands in for a front end fed from the arrival lane: an
+// even arg is an arrival, which schedules one runtime event (arg+1) a
+// short delay later, so a small heap runs beside the queued arrivals.
+type relayHandler struct {
+	delay Time
+	fired uint64
+}
+
+func (h *relayHandler) Fire(e *Engine, arg uint64) {
+	h.fired++
+	if arg&1 == 0 {
+		e.ScheduleCall(h.delay, h, arg+1)
+	}
+}
+
+// TestArrivalLaneZeroAlloc: once warmed, a batch of arrivals queued in
+// the lane and drained beside the runtime heap allocates nothing — the
+// drained lane keeps its array for the next batch.
+func TestArrivalLaneZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	h := &relayHandler{delay: 2}
+	const n = 3000
+	batch := func() {
+		base := e.Now()
+		for i := range n {
+			e.AtCallInOrder(base+Time(i/3), h, 0) // three to a timestamp
+		}
+		if e.Pending() != n {
+			t.Fatalf("%d events pending after queueing %d arrivals", e.Pending(), n)
+		}
+		e.Run()
+	}
+	batch() // warm the lane, the heap and the slot pool
+	allocs := testing.AllocsPerRun(20, batch)
+	if allocs != 0 {
+		t.Errorf("queueing and draining %d arrivals allocated %.1f objects, want 0", n, allocs)
+	}
+	if h.fired != 22*2*n || e.Pending() != 0 {
+		t.Errorf("fired %d events with %d pending, want %d with none", h.fired, e.Pending(), 22*2*n)
+	}
+}

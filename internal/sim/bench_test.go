@@ -102,3 +102,36 @@ func BenchmarkTokenQueue(b *testing.B) {
 		q.Get(sink)
 	}
 }
+
+// BenchmarkEngineArrivalLane measures an open-loop front end: 100,000
+// arrivals queued before the run and drained beside a small runtime heap
+// (each arrival schedules one event 3 µs later, one arrival per µs),
+// once through the arrival lane and once through AtCall, where every
+// arrival sits in the heap from set-up on. One op queues and drains the
+// whole batch; ops reuse one engine, so only the first grows its arrays.
+func BenchmarkEngineArrivalLane(b *testing.B) {
+	const arrivals = 100_000
+	for _, c := range []struct {
+		name  string
+		queue func(e *Engine, t Time, h Handler)
+	}{
+		{"lane", func(e *Engine, t Time, h Handler) { e.AtCallInOrder(t, h, 0) }},
+		{"AtCall", func(e *Engine, t Time, h Handler) { e.AtCall(t, h, 0) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			e := NewEngine()
+			h := &relayHandler{delay: 3 * Microsecond}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				base := e.Now()
+				for j := range arrivals {
+					c.queue(e, base+Time(j+1)*Microsecond, h)
+				}
+				e.Run()
+			}
+			b.StopTimer()
+			assertDrained(b, e, uint64(2*arrivals*b.N))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrivals*b.N), "ns/arrival")
+		})
+	}
+}

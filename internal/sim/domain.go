@@ -184,11 +184,12 @@ func (m *MultiEngine) Executed() uint64 {
 	return n
 }
 
-// Pending sums calendar populations over all domains (mailboxes excluded).
+// Pending sums calendar populations, arrival lanes included, over all
+// domains (mailboxes excluded).
 func (m *MultiEngine) Pending() int {
 	var n int
 	for _, d := range m.domains {
-		n += len(d.heap)
+		n += d.Pending()
 	}
 	return n
 }

@@ -38,6 +38,15 @@ type eventSlot struct {
 	arg uint64
 }
 
+// arrival is one entry of the arrival lane: the ordering keys and the
+// payload inline, since lane entries are read in order exactly once.
+type arrival struct {
+	at  Time
+	seq uint64
+	h   Handler
+	arg uint64
+}
+
 // Engine is a single-threaded discrete-event simulation kernel. All model
 // components attached to an Engine share its virtual clock; the engine
 // dispatches events in nondecreasing time order, FIFO among ties.
@@ -51,12 +60,22 @@ type eventSlot struct {
 // pointer, and event payloads live in pooled slots recycled through a free
 // list — steady-state scheduling and dispatch perform zero heap
 // allocations (see TestScheduleCallZeroAlloc).
+//
+// Beside the heap sits the arrival lane: a FIFO of events queued from
+// outside a run in nondecreasing time order (AtCallInOrder), such as a
+// cluster's open-loop query arrivals. Its entries draw seq from the same
+// counter as the heap's, so the lane is sorted by (at, seq) and every pop
+// takes the smaller of the lane head and the heap top: the dispatch order
+// is the one the heap alone would give, while the heap holds only the
+// events the run itself schedules.
 type Engine struct {
 	now      Time
 	seq      uint64
 	heap     []event
 	slots    []eventSlot
 	free     []int32
+	lane     []arrival // lane[laneHead:] are queued; reused once drained
+	laneHead int
 	executed uint64
 	running  bool
 	stats    *StatsRegistry
@@ -111,7 +130,7 @@ func (e *Engine) Executed() uint64 { return e.executed }
 func (e *Engine) ID() int { return int(e.id) }
 
 // Pending reports the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.heap) + len(e.lane) - e.laneHead }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past panics: it always indicates a model bug, and silently clamping would
@@ -144,6 +163,28 @@ func (e *Engine) AtCall(t Time, h Handler, arg uint64) {
 		panic("sim: scheduling nil handler")
 	}
 	e.push(t, h, arg)
+}
+
+// AtCallInOrder schedules h.Fire(e, arg) at absolute simulated time t, as
+// AtCall does and with the same dispatch order, for callers that queue
+// many events before a run in nondecreasing time order. Such an event
+// waits in the arrival lane, where it costs no heap sift; one scheduled
+// from inside a run, or earlier than the lane's last entry, goes to the
+// heap.
+func (e *Engine) AtCallInOrder(t Time, h Handler, arg uint64) {
+	n := len(e.lane)
+	if e.running || t < e.now || h == nil || (n > e.laneHead && t < e.lane[n-1].at) {
+		e.AtCall(t, h, arg) // which panics on a past time or a nil handler
+		return
+	}
+	if e.lane == nil {
+		// The same seed capacity as the calendar's, so a long set-up
+		// grows the lane through the same doublings as it once grew the
+		// heap.
+		e.lane = make([]arrival, 0, 1024)
+	}
+	e.lane = append(e.lane, arrival{at: t, seq: e.seq, h: h, arg: arg})
+	e.seq++
 }
 
 // ScheduleCall schedules h.Fire(e, arg) after delay from the current time.
@@ -246,9 +287,43 @@ func (e *Engine) dispatch(ev event) {
 	s := e.slots[ev.slot]
 	e.slots[ev.slot] = eventSlot{}
 	e.free = append(e.free, ev.slot)
-	e.now = ev.at
+	e.fire(ev.at, s.h, s.arg)
+}
+
+// fire advances the clock to at and runs one event.
+func (e *Engine) fire(at Time, h Handler, arg uint64) {
+	e.now = at
 	e.executed++
-	s.h.Fire(e, s.arg)
+	h.Fire(e, arg)
+}
+
+// runThrough dispatches, in (at, seq) order, every event at or before last.
+// While the arrival lane holds entries each step takes the earlier of its
+// head and the heap top; once it is empty the loop is the heap's alone,
+// and a run cannot refill it.
+func (e *Engine) runThrough(last Time) {
+	for e.laneHead < len(e.lane) {
+		a := &e.lane[e.laneHead]
+		if len(e.heap) > 0 && before(e.heap[0], event{at: a.at, seq: a.seq}) {
+			if e.heap[0].at > last {
+				return
+			}
+			e.dispatch(e.popMin())
+			continue
+		}
+		if a.at > last {
+			return
+		}
+		at, h, arg := a.at, a.h, a.arg
+		a.h = nil
+		if e.laneHead++; e.laneHead == len(e.lane) {
+			e.lane, e.laneHead = e.lane[:0], 0
+		}
+		e.fire(at, h, arg)
+	}
+	for len(e.heap) > 0 && e.heap[0].at <= last {
+		e.dispatch(e.popMin())
+	}
 }
 
 // Run dispatches events until the calendar drains. It panics on re-entrant
@@ -269,24 +344,23 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.heap) > 0 {
-		if e.heap[0].at > deadline {
-			break
-		}
-		e.dispatch(e.popMin())
-	}
+	e.runThrough(deadline)
 	if deadline != MaxTime && deadline > e.now {
 		e.now = deadline
 	}
 }
 
-// head reports the earliest calendar time, or MaxTime when the calendar
-// is empty.
+// head reports the earliest calendar time, the arrival lane included, or
+// MaxTime when both are empty.
 func (e *Engine) head() Time {
-	if len(e.heap) == 0 {
-		return MaxTime
+	t := MaxTime
+	if len(e.heap) > 0 {
+		t = e.heap[0].at
 	}
-	return e.heap[0].at
+	if e.laneHead < len(e.lane) {
+		t = min(t, e.lane[e.laneHead].at)
+	}
+	return t
 }
 
 // runBound dispatches every event strictly before bound — one domain's
@@ -302,7 +376,5 @@ func (e *Engine) runBound(bound Time) {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.heap) > 0 && e.heap[0].at < bound {
-		e.dispatch(e.popMin())
-	}
+	e.runThrough(bound - 1) // times are whole picoseconds
 }

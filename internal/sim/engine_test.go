@@ -134,6 +134,20 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 		e.At(5, func() {})
 	})
 	e.Run()
+	// Outside a run the arrival lane refuses what AtCall refuses.
+	for _, c := range []struct {
+		at Time
+		h  Handler
+	}{{5, &countHandler{}}, {20, nil}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AtCallInOrder(%v, %v) did not panic", c.at, c.h)
+				}
+			}()
+			e.AtCallInOrder(c.at, c.h, 0)
+		}()
+	}
 }
 
 func TestLinkSerialization(t *testing.T) {

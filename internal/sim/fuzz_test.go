@@ -237,3 +237,202 @@ func FuzzMultiEngine(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEventLane runs a schedule with many exact time ties twice, once
+// queueing its set-up events with AtCallInOrder and once with AtCall
+// alone, and requires the two runs to be indistinguishable: the same
+// dispatch log, and the same Executed() and Pending() after every step.
+// It does so on one Engine and again inside a two-domain MultiEngine,
+// where the barrier rounds must match too. The arrival lane promises the
+// heap's own (at, seq) order, so any tie the lane breaks differently — a
+// lane entry against a runtime event, an out-of-order submission, a lane
+// event at a round's bound — shows up as a diverging log.
+const (
+	laneMaxEvents = 32
+	laneUnit      = Nanosecond
+)
+
+// laneEvent is one event of a decoded schedule: a set-up event of some
+// batch, or a child that an earlier event schedules when it fires.
+type laneEvent struct {
+	batch  int  // the set-up batch; -1 for a child
+	dom    int  // domain 0 or 1 in the MultiEngine runs
+	at     Time // a set-up event's offset from its batch's base, or a child's delay
+	remote bool // a child that runs in the other domain, one lookahead later
+	kids   []int
+}
+
+// laneSchedule is a decoded FuzzEventLane input.
+type laneSchedule struct {
+	lookahead Time
+	// spans[j] is how far past its base the single-engine run of batch j
+	// runs before batch j+1 is queued; the last batch runs to completion.
+	spans  []Time
+	events []laneEvent
+}
+
+// decodeLane reads a schedule from fuzz bytes:
+//
+//	b[0]      lookahead = 1 + b[0]%4 units
+//	then p, k, v per event i, at most laneMaxEvents:
+//	  p  parent p%(i+1) - 1; -1 makes a set-up event
+//	  k  a set-up event opens a new batch when k is odd (the first one
+//	     always does), whose span is (k>>2)%8 units; it runs in domain
+//	     (k>>1)&1; an odd k makes a child remote
+//	  v  a set-up event fires v%8 units after its batch's base, a child
+//	     v%4 units after its parent (plus the lookahead when remote)
+func decodeLane(b []byte) laneSchedule {
+	s := laneSchedule{lookahead: laneUnit}
+	if len(b) > 0 {
+		s.lookahead += Time(b[0]%4) * laneUnit
+		b = b[1:]
+	}
+	for i := 0; len(b) >= 3 && i < laneMaxEvents; i, b = i+1, b[3:] {
+		p, k, v := b[0], b[1], b[2]
+		parent := int(p)%(i+1) - 1
+		var ev laneEvent
+		if parent < 0 {
+			if k&1 == 1 || len(s.spans) == 0 {
+				s.spans = append(s.spans, Time((k>>2)%8)*laneUnit)
+			}
+			ev = laneEvent{batch: len(s.spans) - 1, dom: int(k>>1) & 1, at: Time(v%8) * laneUnit}
+		} else {
+			ev = laneEvent{batch: -1, dom: s.events[parent].dom, at: Time(v%4) * laneUnit, remote: k&1 == 1}
+			if ev.remote {
+				ev.dom = 1 - ev.dom
+			}
+			s.events[parent].kids = append(s.events[parent].kids, i)
+		}
+		s.events = append(s.events, ev)
+	}
+	return s
+}
+
+// laneRun executes a schedule; lane selects AtCallInOrder for set-up
+// events and children (which must fall back inside a run), m is set for
+// the MultiEngine runs.
+type laneRun struct {
+	s     *laneSchedule
+	lane  bool
+	m     *MultiEngine
+	log   []graphDispatch // id is the event's index<<1 | its domain
+	snaps [][4]uint64     // Pending(), Executed(), Rounds(), Now() after each step
+}
+
+func (r *laneRun) schedule(eng *Engine, t Time, id int) {
+	if r.lane {
+		eng.AtCallInOrder(t, r, uint64(id))
+	} else {
+		eng.AtCall(t, r, uint64(id))
+	}
+}
+
+func (r *laneRun) Fire(eng *Engine, arg uint64) {
+	now := eng.Now()
+	r.log = append(r.log, graphDispatch{at: now, id: int(arg)<<1 | eng.ID()})
+	for _, k := range r.s.events[arg].kids {
+		kid := &r.s.events[k]
+		switch {
+		case !kid.remote:
+			r.schedule(eng, now+kid.at, k)
+		case r.m != nil:
+			eng.ExportAt(r.m.Domain(kid.dom), now+kid.at+r.s.lookahead, r, uint64(k))
+		default:
+			r.schedule(eng, now+kid.at+r.s.lookahead, k)
+		}
+	}
+}
+
+func (r *laneRun) OnBarrier(m *MultiEngine, _ []int, _ bool) {
+	r.snap(m.Pending(), m.Executed(), m.Rounds(), m.Now())
+}
+
+func (r *laneRun) snap(pending int, executed, rounds uint64, now Time) {
+	r.snaps = append(r.snaps, [4]uint64{uint64(pending), executed, rounds, uint64(now)})
+}
+
+// submit queues batch j's set-up events at base plus their offsets, in
+// schedule order; domain picks each event's engine.
+func (r *laneRun) submit(j int, base Time, domain func(int) *Engine) {
+	for i, ev := range r.s.events {
+		if ev.batch == j {
+			r.schedule(domain(ev.dom), base+ev.at, i)
+		}
+	}
+}
+
+// runSingle runs the schedule on one Engine: each batch but the last runs
+// for its span, the last to completion.
+func (s *laneSchedule) runSingle(lane bool) *laneRun {
+	e := NewEngine()
+	r := &laneRun{s: s, lane: lane}
+	for j, span := range s.spans {
+		base := e.Now()
+		r.submit(j, base, func(int) *Engine { return e })
+		r.snap(e.Pending(), e.Executed(), 0, e.Now())
+		if j < len(s.spans)-1 {
+			e.RunUntil(base + span)
+		} else {
+			e.Run()
+		}
+		r.snap(e.Pending(), e.Executed(), 0, e.Now())
+	}
+	return r
+}
+
+// runMulti runs the schedule on a two-domain MultiEngine, every batch to
+// completion, snapping the counters at every barrier.
+func (s *laneSchedule) runMulti(lane bool) *laneRun {
+	m := NewMultiEngine(2)
+	NewCrossLink(m.Domain(0), "x", 1e9, s.lookahead)
+	r := &laneRun{s: s, lane: lane, m: m}
+	m.SetBarrierObserver(r)
+	for j := range s.spans {
+		r.submit(j, m.Now(), m.Domain)
+		r.snap(m.Pending(), m.Executed(), m.Rounds(), m.Now())
+		m.Run()
+	}
+	return r
+}
+
+func FuzzEventLane(f *testing.F) {
+	// A lane event tied with a runtime event: set-up events at 0 and 2,
+	// and the first one's child at 2, which must run after the lane's.
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0, 0, 2})
+	// A lane event exactly at a round's bound: domain 1's set-up event at
+	// 0 sends domain 0 a child due at the lookahead, 1 unit, where domain
+	// 0's lane holds a set-up event; the bound excludes both from round 1.
+	f.Add([]byte{0, 0, 2, 0, 1, 1, 0, 0, 0, 1})
+	// The lane draining mid-round: lane events at 0, 1 and 2 and a child
+	// at 3 all fall inside the first round's 4-unit window.
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 1, 0, 0, 2, 1, 0, 3})
+	// A second batch after a run: the first batch (0 and 3) runs until 2,
+	// leaving its 3 in the lane; the second queues 3, in order behind it,
+	// and 2, out of order, which must go to the heap.
+	f.Add([]byte{0, 0, 9, 0, 0, 0, 3, 0, 1, 1, 0, 0, 0})
+	rng := rand.New(rand.NewSource(1))
+	for range 16 {
+		b := make([]byte, 1+3*rng.Intn(laneMaxEvents+1))
+		rng.Read(b)
+		f.Add(b)
+	}
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s := decodeLane(b)
+		for _, run := range []struct {
+			name string
+			run  func(bool) *laneRun
+		}{{"engine", s.runSingle}, {"multi", s.runMulti}} {
+			got, want := run.run(true), run.run(false)
+			if !slices.Equal(got.log, want.log) {
+				t.Errorf("%s dispatch log:\n lane  %v\n heap  %v", run.name, got.log, want.log)
+			}
+			if !slices.Equal(got.snaps, want.snaps) {
+				t.Errorf("%s pending, executed, rounds, now per step:\n lane  %v\n heap  %v", run.name, got.snaps, want.snaps)
+			}
+			if len(want.log) != len(s.events) {
+				t.Errorf("%s dispatched %d events, want %d", run.name, len(want.log), len(s.events))
+			}
+		}
+	})
+}
