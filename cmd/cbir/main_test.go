@@ -46,7 +46,7 @@ func TestDefaultRunPinned(t *testing.T) {
 	if code := cli(nil, &stdout, &stderr); code != 0 {
 		t.Fatalf("default run exited %d: %s", code, stderr.String())
 	}
-	const want = "2cd9e3e72e6836056f176e91e3a2aeae645da28b7dda83a97870d5d2bcf2026a"
+	const want = "a7ad6d23362b31e0ed1b6280707bc8bfd3337427bf6c52fb42af7315f2e23556"
 	if sum := sha256.Sum256(stdout.Bytes()); hex.EncodeToString(sum[:]) != want {
 		t.Errorf("default stdout sha256 %x, want %s:\n%s", sum, want, stdout.String())
 	}

@@ -83,9 +83,10 @@ func (c *Cluster) recordStraggler(q *query, shard int, now sim.Time) {
 	})
 }
 
-// tailThreshold is the nearest-rank q-quantile of the records' latencies
-// (the same convention as the qtrace sketch), so "the p999 tail" means
-// every record at or above it.
+// tailThreshold is the nearest-rank q-quantile of the records' latencies,
+// the ⌈q·n⌉-th smallest (clamped to [1, n]), so "the p999 tail" means
+// every record at or above it. The qtrace sketch ranks ⌊q·n⌋ instead: for
+// 96 records at p99 it targets the 95th latency, and this the 96th.
 func tailThreshold(recs []StragglerRecord, q float64) sim.Time {
 	lats := make([]sim.Time, len(recs))
 	for i, r := range recs {

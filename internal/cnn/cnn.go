@@ -1,9 +1,8 @@
-// Package cnn provides the convolutional-network machinery of the CBIR
-// feature-extraction stage: a layer-graph representation with exact
-// per-layer op/parameter/activation accounting (used by the timing and
-// energy models at the paper's full VGG16 scale), and a runnable forward
-// pass (used by the functional layer on reduced geometry so tests execute
-// real convolutions).
+// Package cnn describes the convolutional network of the CBIR
+// feature-extraction stage as a layer graph with exact per-layer
+// op/parameter/activation accounting. The timing and energy models charge
+// the stage from these counts at the paper's full VGG16 scale; no forward
+// pass runs.
 package cnn
 
 import (

@@ -1,12 +1,6 @@
 package cnn
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-
-	"repro/internal/kernels"
-)
+import "testing"
 
 func TestVGG16Shape(t *testing.T) {
 	s := VGG16()
@@ -85,113 +79,4 @@ func TestLayerKindStrings(t *testing.T) {
 	if LayerKind(9).String() == "" {
 		t.Error("unknown kind empty")
 	}
-}
-
-func TestMiniVGGForwardShape(t *testing.T) {
-	spec := MiniVGG(16, 24)
-	net, err := NewNetwork(spec, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, h, w := net.InputShape()
-	if c != 3 || h != 16 || w != 16 {
-		t.Fatalf("input shape %d/%d/%d", c, h, w)
-	}
-	img := kernels.NewTensor3(3, 16, 16)
-	rng := rand.New(rand.NewSource(1))
-	for i := range img.Data {
-		img.Data[i] = rng.Float32()
-	}
-	out, err := net.Forward(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 24 {
-		t.Errorf("output dim = %d, want 24", len(out))
-	}
-}
-
-func TestForwardDeterministic(t *testing.T) {
-	spec := MiniVGG(16, 8)
-	n1, _ := NewNetwork(spec, 7)
-	n2, _ := NewNetwork(spec, 7)
-	img := kernels.NewTensor3(3, 16, 16)
-	for i := range img.Data {
-		img.Data[i] = float32(i%13) / 13
-	}
-	a, _ := n1.Forward(img)
-	b, _ := n2.Forward(img)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same-seed networks diverge at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	n3, _ := NewNetwork(spec, 8)
-	c, _ := n3.Forward(img)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical outputs")
-	}
-}
-
-func TestForwardRejectsWrongShape(t *testing.T) {
-	net, _ := NewNetwork(MiniVGG(16, 8), 1)
-	if _, err := net.Forward(kernels.NewTensor3(3, 8, 8)); err == nil {
-		t.Error("wrong input shape accepted")
-	}
-}
-
-func TestNewNetworkRejectsBadSpec(t *testing.T) {
-	if _, err := NewNetwork(&Spec{Name: "empty"}, 1); err == nil {
-		t.Error("empty spec accepted")
-	}
-	bad := &Spec{Name: "fc-first", Layers: []LayerSpec{{Kind: FC, FCIn: 4, FCOut: 2}}}
-	if _, err := NewNetwork(bad, 1); err == nil {
-		t.Error("spec not starting with Conv accepted")
-	}
-}
-
-func TestFeatureExtractor(t *testing.T) {
-	net, _ := NewNetwork(MiniVGG(16, 32), 11)
-	fe := NewFeatureExtractor(net, 12, 13)
-	if fe.Dim() != 12 {
-		t.Fatalf("dim = %d", fe.Dim())
-	}
-	img := kernels.NewTensor3(3, 16, 16)
-	for i := range img.Data {
-		img.Data[i] = float32(i%7) / 7
-	}
-	feat, err := fe.Extract(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(feat) != 12 {
-		t.Fatalf("feature dim = %d", len(feat))
-	}
-	if n := kernels.SquaredNorm(feat); math.Abs(float64(n)-1) > 1e-5 {
-		t.Errorf("feature norm² = %v, want 1 (L2-normalised)", n)
-	}
-	// Distinct images produce distinct features.
-	img2 := kernels.NewTensor3(3, 16, 16)
-	for i := range img2.Data {
-		img2.Data[i] = float32((i+3)%11) / 11
-	}
-	feat2, _ := fe.Extract(img2)
-	if kernels.SquaredL2(feat, feat2) == 0 {
-		t.Error("distinct images mapped to identical features")
-	}
-}
-
-func TestMiniVGGPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MiniVGG(7) accepted")
-		}
-	}()
-	MiniVGG(7, 8)
 }

@@ -138,6 +138,19 @@ func (c *ClusterConfig) ReplicaNodes(s int) []int {
 	return out
 }
 
+// Upper bounds Validate enforces, so that every config it accepts can be
+// built on one host: cluster.New gives each node an event domain, derives
+// at most Shards × Nodes replica slots (65,536 at the bounds), and
+// preallocates one Zipf weight per content item and one slot per cache
+// entry. 256 nodes is eight times the largest deployment any workload or
+// sweep builds.
+const (
+	maxNodes        = 256
+	maxShards       = 256
+	maxContentItems = 1 << 20
+	maxCacheEntries = 1 << 20
+)
+
 // Validate checks cluster-level consistency — naming the offending entry,
 // so a bad hand-written shard map points at itself — and then validates
 // the per-node hardware.
@@ -145,8 +158,14 @@ func (c *ClusterConfig) Validate() error {
 	if c.Nodes < 1 {
 		return fmt.Errorf("cluster: nodes must be >= 1, got %d", c.Nodes)
 	}
+	if c.Nodes > maxNodes {
+		return fmt.Errorf("cluster: nodes must be <= %d, got %d", maxNodes, c.Nodes)
+	}
 	if c.Shards < 1 {
 		return fmt.Errorf("cluster: shards must be >= 1, got %d", c.Shards)
+	}
+	if c.Shards > maxShards {
+		return fmt.Errorf("cluster: shards must be <= %d, got %d", maxShards, c.Shards)
 	}
 	if c.ShardMap == nil {
 		if c.Replication < 1 {
@@ -205,8 +224,14 @@ func (c *ClusterConfig) Validate() error {
 	if c.ContentItems < 1 {
 		return fmt.Errorf("cluster: content_items must be >= 1, got %d", c.ContentItems)
 	}
+	if c.ContentItems > maxContentItems {
+		return fmt.Errorf("cluster: content_items must be <= %d, got %d", maxContentItems, c.ContentItems)
+	}
 	if c.CacheEntries < 0 {
 		return fmt.Errorf("cluster: cache_entries must be non-negative, got %d", c.CacheEntries)
+	}
+	if c.CacheEntries > maxCacheEntries {
+		return fmt.Errorf("cluster: cache_entries must be <= %d, got %d", maxCacheEntries, c.CacheEntries)
 	}
 	if c.CacheEntries > 0 && c.CacheTTLMS <= 0 {
 		return fmt.Errorf("cluster: cache_ttl_ms must be positive when the cache is enabled, got %v", c.CacheTTLMS)

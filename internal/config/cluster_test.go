@@ -108,6 +108,35 @@ func TestClusterValidateNamesBadEntry(t *testing.T) {
 	}
 }
 
+// TestClusterValidateUpperBounds: each bounded field validates at its
+// bound and is rejected, by name, one above it.
+func TestClusterValidateUpperBounds(t *testing.T) {
+	cases := []struct {
+		field string
+		max   int
+		set   func(*ClusterConfig, int)
+	}{
+		{"nodes", maxNodes, func(c *ClusterConfig, v int) { c.Nodes = v }},
+		{"shards", maxShards, func(c *ClusterConfig, v int) { c.Shards = v }},
+		{"content_items", maxContentItems, func(c *ClusterConfig, v int) { c.ContentItems = v }},
+		{"cache_entries", maxCacheEntries, func(c *ClusterConfig, v int) { c.CacheEntries = v }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			c := DefaultCluster()
+			tc.set(&c, tc.max)
+			if err := c.Validate(); err != nil {
+				t.Fatalf("%s = %d rejected: %v", tc.field, tc.max, err)
+			}
+			tc.set(&c, tc.max+1)
+			err := c.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.field+" must be <=") {
+				t.Fatalf("%s = %d: error %v, want one naming %s", tc.field, tc.max+1, err, tc.field)
+			}
+		})
+	}
+}
+
 func TestClusterValidateNodeConfig(t *testing.T) {
 	c := DefaultCluster()
 	c.Node.Memory.ChannelGBps = 0

@@ -122,33 +122,18 @@ func (s RunSpec) Run() (*RunResult, error) {
 
 	// The first batch's per-stage earliest-dispatch to latest-completion
 	// windows, for the figure reducers and the standby split.
-	type span struct{ lo, hi sim.Time }
-	spans := map[string]*span{}
-	for _, node := range first.Nodes {
-		st := node.Spec.Stage
-		sp, ok := spans[st]
-		if !ok {
-			spans[st] = &span{lo: node.DispatchedAt, hi: node.CompletedAt}
-			continue
-		}
-		if node.DispatchedAt < sp.lo {
-			sp.lo = node.DispatchedAt
-		}
-		if node.CompletedAt > sp.hi {
-			sp.hi = node.CompletedAt
-		}
-	}
+	windows := stageWindows(res.Jobs[:1], func(n *core.TaskNode) sim.Time { return n.CompletedAt })
 	var totalSpan sim.Time
-	for st, sp := range spans {
-		res.StageSpan[st] = sp.hi - sp.lo
-		totalSpan += sp.hi - sp.lo
+	for _, w := range windows {
+		res.StageSpan[w.Name] = w.End - w.Start
+		totalSpan += w.End - w.Start
 	}
 
 	// Split the standby charge across stages by the first batch's stage
 	// spans, so the Fig. 8 stacking has a home for it.
-	for st, sp := range res.StageSpan {
-		frac := float64(sp) / float64(totalSpan)
-		sys.Background(st, sim.Time(float64(res.Makespan)*frac))
+	for _, w := range windows {
+		frac := float64(w.End-w.Start) / float64(totalSpan)
+		sys.Background(w.Name, sim.Time(float64(res.Makespan)*frac))
 	}
 	return res, nil
 }

@@ -5,6 +5,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"repro/internal/accel"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -96,37 +98,31 @@ type RunResult struct {
 // job, first-seen stage order) plus a closing "run" window covering
 // first-submit to last-finish. Empty before the run completes.
 func (r *RunResult) PhaseWindows() []metrics.PhaseWindow {
-	type span struct{ lo, hi sim.Time }
-	byStage := map[string]*span{}
-	var order []string
-	for _, j := range r.Jobs {
-		for _, n := range j.Nodes {
-			st := n.Spec.Stage
-			sp, ok := byStage[st]
-			if !ok {
-				byStage[st] = &span{lo: n.DispatchedAt, hi: n.DetectedAt}
-				order = append(order, st)
-				continue
-			}
-			if n.DispatchedAt < sp.lo {
-				sp.lo = n.DispatchedAt
-			}
-			if n.DetectedAt > sp.hi {
-				sp.hi = n.DetectedAt
-			}
-		}
-	}
-	out := make([]metrics.PhaseWindow, 0, len(order)+1)
-	for _, st := range order {
-		sp := byStage[st]
-		out = append(out, metrics.PhaseWindow{Name: st, Start: sp.lo, End: sp.hi})
-	}
+	out := stageWindows(r.Jobs, func(n *core.TaskNode) sim.Time { return n.DetectedAt })
 	if len(r.Jobs) > 0 {
 		out = append(out, metrics.PhaseWindow{
 			Name:  "run",
 			Start: r.Jobs[0].SubmittedAt,
 			End:   r.Jobs[0].SubmittedAt + r.Makespan,
 		})
+	}
+	return out
+}
+
+// stageWindows reduces jobs to one window per pipeline stage, from the
+// stage's earliest dispatch to its latest end, in first-seen stage order.
+func stageWindows(jobs []*core.Job, end func(*core.TaskNode) sim.Time) []metrics.PhaseWindow {
+	var out []metrics.PhaseWindow
+	for _, j := range jobs {
+		for _, n := range j.Nodes {
+			i := slices.IndexFunc(out, func(w metrics.PhaseWindow) bool { return w.Name == n.Spec.Stage })
+			if i < 0 {
+				out = append(out, metrics.PhaseWindow{Name: n.Spec.Stage, Start: n.DispatchedAt, End: end(n)})
+				continue
+			}
+			out[i].Start = min(out[i].Start, n.DispatchedAt)
+			out[i].End = max(out[i].End, end(n))
+		}
 	}
 	return out
 }

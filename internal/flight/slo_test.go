@@ -16,8 +16,9 @@ import (
 var _ qtrace.Observer = (*SLOMonitor)(nil)
 
 // TestSLOWindowQuantileAccuracy: each window's sketched quantiles must
-// match the exact (nearest-rank, sorted) quantiles of the latencies that
-// landed in that window, within the sketch's relative-error bound.
+// match the exact nearest-rank (⌈q·n⌉-th smallest) quantiles of the
+// latencies that landed in that window, within the sketch's relative-error
+// bound, although the sketch itself ranks ⌊q·n⌋.
 func TestSLOWindowQuantileAccuracy(t *testing.T) {
 	width := sim.FromSeconds(1e-3)
 	m := NewSLOMonitor(width, 20*sim.Millisecond)

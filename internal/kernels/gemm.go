@@ -1,14 +1,13 @@
 // Package kernels provides the functional implementations of the compute
 // kernels the ReACH case study accelerates: dense matrix multiplication
-// (shortlist retrieval), 2-D convolution / ReLU / max-pooling / fully
-// connected layers (feature extraction), squared-Euclidean distance and
-// partial top-K selection (shortlist retrieval and rerank), and PCA
-// projection (feature compression).
+// (shortlist retrieval), squared-Euclidean distance and partial top-K
+// selection (shortlist retrieval and rerank), plus the convolution op count
+// the feature-extraction stage is charged from.
 //
-// These run on real data in the simulator's functional layer — retrieval
-// results and recall are computed, not faked — while the timing layer
-// charges the corresponding modelled op/byte counts to the accelerator
-// performance model.
+// The retrieval kernels run on real data in the simulator's functional
+// layer — retrieval results and recall are computed, not faked — while the
+// timing layer charges the corresponding modelled op/byte counts to the
+// accelerator performance model.
 package kernels
 
 import "fmt"
@@ -91,21 +90,4 @@ func GeMM(a, b *Matrix) *Matrix {
 // 2·m·k·n (one multiply + one add per MAC).
 func GeMMFLOPs(m, k, n int) float64 {
 	return 2 * float64(m) * float64(k) * float64(n)
-}
-
-// MatVec computes y = M × x.
-func MatVec(m *Matrix, x []float32) []float32 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("kernels: MatVec shape mismatch %dx%d × %d", m.Rows, m.Cols, len(x)))
-	}
-	y := make([]float32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var sum float32
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		y[i] = sum
-	}
-	return y
 }

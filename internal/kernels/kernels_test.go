@@ -82,27 +82,6 @@ func TestGeMMTransposeProperty(t *testing.T) {
 	}
 }
 
-func TestMatVecMatchesGeMM(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := NewMatrix(4, 6)
-	for i := range m.Data {
-		m.Data[i] = rng.Float32()
-	}
-	x := make([]float32, 6)
-	for i := range x {
-		x[i] = rng.Float32()
-	}
-	y := MatVec(m, x)
-	xm := NewMatrix(6, 1)
-	copy(xm.Data, x)
-	ym := GeMM(m, xm)
-	for i := range y {
-		if !almostEq(y[i], ym.At(i, 0), 1e-5) {
-			t.Fatalf("MatVec[%d] = %v, GeMM gives %v", i, y[i], ym.At(i, 0))
-		}
-	}
-}
-
 func TestGeMMFLOPs(t *testing.T) {
 	if got := GeMMFLOPs(16, 96, 1000); got != 2*16*96*1000 {
 		t.Errorf("GeMMFLOPs = %v", got)
@@ -289,108 +268,6 @@ func TestBruteForceKNNAndRecall(t *testing.T) {
 	}
 }
 
-func TestConv2DIdentityKernel(t *testing.T) {
-	in := NewTensor3(1, 4, 4)
-	for i := range in.Data {
-		in.Data[i] = float32(i)
-	}
-	p := NewConvParams(1, 1, 3)
-	p.Weights[4] = 1 // centre tap: identity
-	out := Conv2D(in, p)
-	for i := range in.Data {
-		if out.Data[i] != in.Data[i] {
-			t.Fatalf("identity conv changed data at %d: %v != %v", i, out.Data[i], in.Data[i])
-		}
-	}
-}
-
-func TestConv2DSumKernelInterior(t *testing.T) {
-	in := NewTensor3(1, 5, 5)
-	for i := range in.Data {
-		in.Data[i] = 1
-	}
-	p := NewConvParams(1, 1, 3)
-	for i := range p.Weights {
-		p.Weights[i] = 1
-	}
-	p.Bias[0] = 0.5
-	out := Conv2D(in, p)
-	// Interior: 9 ones + bias.
-	if got := out.At(0, 2, 2); got != 9.5 {
-		t.Errorf("interior = %v, want 9.5", got)
-	}
-	// Corner: 4 ones + bias (zero padding).
-	if got := out.At(0, 0, 0); got != 4.5 {
-		t.Errorf("corner = %v, want 4.5", got)
-	}
-}
-
-func TestConv2DMultiChannel(t *testing.T) {
-	in := NewTensor3(2, 3, 3)
-	for i := range in.Data {
-		in.Data[i] = 1
-	}
-	p := NewConvParams(3, 2, 1) // 1×1 conv: channel mixing only
-	for o := 0; o < 3; o++ {
-		for c := 0; c < 2; c++ {
-			p.Weights[o*2+c] = float32(o + 1)
-		}
-	}
-	out := Conv2D(in, p)
-	for o := 0; o < 3; o++ {
-		want := float32(2 * (o + 1))
-		if got := out.At(o, 1, 1); got != want {
-			t.Errorf("out ch %d = %v, want %v", o, got, want)
-		}
-	}
-}
-
-func TestReLU(t *testing.T) {
-	tns := NewTensor3(1, 1, 4)
-	copy(tns.Data, []float32{-1, 2, -3, 4})
-	ReLU(tns)
-	want := []float32{0, 2, 0, 4}
-	for i := range want {
-		if tns.Data[i] != want[i] {
-			t.Errorf("ReLU[%d] = %v, want %v", i, tns.Data[i], want[i])
-		}
-	}
-}
-
-func TestMaxPool2x2(t *testing.T) {
-	in := NewTensor3(1, 4, 4)
-	for i := range in.Data {
-		in.Data[i] = float32(i)
-	}
-	out := MaxPool2x2(in)
-	if out.H != 2 || out.W != 2 {
-		t.Fatalf("pooled shape = %dx%d, want 2x2", out.H, out.W)
-	}
-	// Window maxima of row-major 0..15.
-	want := []float32{5, 7, 13, 15}
-	for i := range want {
-		if out.Data[i] != want[i] {
-			t.Errorf("pool[%d] = %v, want %v", i, out.Data[i], want[i])
-		}
-	}
-}
-
-func TestFullyConnected(t *testing.T) {
-	w := FromRows([][]float32{{1, 2}, {3, 4}})
-	y := FullyConnected([]float32{1, 1}, w, []float32{10, 20})
-	if y[0] != 13 || y[1] != 27 {
-		t.Errorf("FC = %v, want [13 27]", y)
-	}
-}
-
-func TestPCAProject(t *testing.T) {
-	comp := FromRows([][]float32{{1, 0, 0}, {0, 0, 1}})
-	got := PCAProject([]float32{3, 9, 5}, []float32{1, 1, 1}, comp)
-	if got[0] != 2 || got[1] != 4 {
-		t.Errorf("PCA = %v, want [2 4]", got)
-	}
-}
-
 func TestL2Normalize(t *testing.T) {
 	v := L2Normalize([]float32{3, 4})
 	if !almostEq(v[0], 0.6, 1e-6) || !almostEq(v[1], 0.8, 1e-6) {
@@ -411,5 +288,48 @@ func TestConv2DMACs(t *testing.T) {
 	want := 224.0 * 224 * 3 * 64 * 9
 	if got != want {
 		t.Errorf("Conv2DMACs = %v, want %v", got, want)
+	}
+}
+
+func BenchmarkGeMM128(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := NewMatrix(128, 128)
+	c := NewMatrix(128, 128)
+	for i := range a.Data {
+		a.Data[i] = rng.Float32()
+		c.Data[i] = rng.Float32()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GeMM(a, c)
+	}
+}
+
+func BenchmarkTopK(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	dists := make([]float32, 4096)
+	for i := range dists {
+		dists[i] = rng.Float32()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel := NewTopK(10)
+		for id, d := range dists {
+			sel.Offer(id, d)
+		}
+		sel.Results()
+	}
+}
+
+func BenchmarkSquaredL2(b *testing.B) {
+	p := make([]float32, 96)
+	q := make([]float32, 96)
+	for i := range p {
+		p[i] = float32(i)
+		q[i] = float32(i) * 0.5
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SquaredL2(p, q)
 	}
 }

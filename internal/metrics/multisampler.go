@@ -38,8 +38,7 @@ import (
 // points fill preallocated chunks and the registry walk is cached, the
 // steady state is allocation-free (TestMultiSamplerZeroAllocSteadyState).
 type MultiSampler struct {
-	rounds chunked[uint64] // barrier round counter at each sample
-	doms   []*Series
+	doms []*Series
 	seriesSet
 }
 
@@ -58,9 +57,6 @@ func NewMultiSampler(me *sim.MultiEngine, interval sim.Time) *MultiSampler {
 	return s
 }
 
-// Round reports the barrier round counter at the i-th sample instant.
-func (s *MultiSampler) Round(i int) uint64 { return *s.rounds.at(i) }
-
 // OnBarrier implements sim.BarrierObserver: sample when the frontier has
 // advanced a full interval past the previous sample, and always on the
 // terminating barrier (unless the frontier has not moved since the last
@@ -77,7 +73,6 @@ func (s *MultiSampler) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool
 			return
 		}
 	}
-	s.rounds.append(m.Rounds())
 	for i, se := range s.doms {
 		d := m.Domain(i)
 		mb := 0

@@ -3,8 +3,9 @@
 // (paper Fig. 2). The model is a crossbar: every endpoint owns an ingress
 // and an egress port with configurable bandwidth, a transfer occupies the
 // source egress and destination ingress ports, and a fixed hop latency is
-// added per traversal. Command packets (GAM ↔ accelerators) are modelled as
-// small high-priority messages with their own latency.
+// added per traversal. Each port direction reports its bytes and transfers
+// to the engine's stats registry. GAM command and status packets are not
+// modelled here: the GAM charges its command latency itself.
 package noc
 
 import (
@@ -27,8 +28,6 @@ type Crossbar struct {
 	name       string
 	hopLatency sim.Time
 	ports      map[string]*Port
-	transfers  uint64
-	totalBytes uint64
 }
 
 // New creates an empty crossbar with the given per-traversal hop latency.
@@ -82,25 +81,5 @@ func (x *Crossbar) Transfer(src, dst *Port, n int64) sim.Time {
 	if in > done {
 		done = in
 	}
-	if n > 0 {
-		x.transfers++
-		x.totalBytes += uint64(n)
-	}
 	return done + x.hopLatency
 }
-
-// Command sends a small control packet (GAM command or status packet) from
-// src to dst; it does not consume measurable port bandwidth and completes
-// after the hop latency plus the given processing latency.
-func (x *Crossbar) Command(src, dst *Port, processing sim.Time) sim.Time {
-	if src == nil || dst == nil {
-		panic("noc: command with nil port")
-	}
-	return x.eng.Now() + x.hopLatency + processing
-}
-
-// TotalBytes reports payload moved through the crossbar.
-func (x *Crossbar) TotalBytes() uint64 { return x.totalBytes }
-
-// Transfers reports the number of nonempty transfers.
-func (x *Crossbar) Transfers() uint64 { return x.transfers }

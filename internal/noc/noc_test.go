@@ -47,6 +47,16 @@ func TestTransferContention(t *testing.T) {
 	}
 }
 
+// portStats reads one port direction's entry from the engine's registry.
+func portStats(t *testing.T, eng *sim.Engine, name string) sim.ResourceStats {
+	t.Helper()
+	r, ok := eng.Stats().Lookup(name)
+	if !ok {
+		t.Fatalf("%s not registered", name)
+	}
+	return r.ResourceStats()
+}
+
 func TestLoopbackAndCommands(t *testing.T) {
 	eng := sim.NewEngine()
 	x := New(eng, "noc", 5*sim.Nanosecond)
@@ -54,12 +64,10 @@ func TestLoopbackAndCommands(t *testing.T) {
 	if done := x.Transfer(a, a, 1<<20); done != 5*sim.Nanosecond {
 		t.Errorf("loopback done = %v, want hop latency only", done)
 	}
-	b := x.MustAddPort("b", 10e9)
-	if done := x.Command(a, b, 20*sim.Nanosecond); done != 25*sim.Nanosecond {
-		t.Errorf("command done = %v, want 25ns", done)
-	}
-	if x.TotalBytes() != 0 {
-		t.Errorf("commands/loopback counted as payload: %d bytes", x.TotalBytes())
+	for _, name := range []string{"noc.a.out", "noc.a.in"} {
+		if st := portStats(t, eng, name); st.Bytes != 0 || st.Ops != 0 {
+			t.Errorf("loopback counted on %s: %d bytes, %d transfers", name, st.Bytes, st.Ops)
+		}
 	}
 }
 
@@ -79,7 +87,10 @@ func TestAccounting(t *testing.T) {
 	b := x.MustAddPort("b", 1e9)
 	x.Transfer(a, b, 100)
 	x.Transfer(b, a, 50)
-	if x.TotalBytes() != 150 || x.Transfers() != 2 {
-		t.Errorf("bytes=%d transfers=%d, want 150/2", x.TotalBytes(), x.Transfers())
+	x.Transfer(a, b, 0) // an empty transfer moves no payload and counts no op
+	for name, want := range map[string]uint64{"noc.a.out": 100, "noc.b.out": 50} {
+		if st := portStats(t, eng, name); st.Bytes != want || st.Ops != 1 {
+			t.Errorf("%s: bytes=%d transfers=%d, want %d/1", name, st.Bytes, st.Ops, want)
+		}
 	}
 }

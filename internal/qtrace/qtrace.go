@@ -140,9 +140,6 @@ type Observer interface {
 
 // Options configures a Log.
 type Options struct {
-	// Alpha is the latency sketch's relative-error bound (<= 0 means
-	// DefaultAlpha, 1%).
-	Alpha float64
 	// DropTimelines makes the log latency-only, for long sweeps that read
 	// latencies alone: Add records nothing, so no query keeps a timeline
 	// or an attribution. Every query still keeps its Arrival and Done,
@@ -169,7 +166,7 @@ type Log struct {
 
 // NewLog returns an empty log.
 func NewLog(o Options) *Log {
-	return &Log{opt: o, sketch: NewSketch(o.Alpha)}
+	return &Log{opt: o, sketch: NewSketch(0)}
 }
 
 // Submitted opens query qid (the GAM's monotonically assigned QueryID)

@@ -7,9 +7,10 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultAlpha is the sketch's relative-error bound when Options.Alpha is
-// unset: 1% keeps p999 of a multi-second latency distribution within a few
-// milliseconds of truth while the whole sketch stays under 12 KiB.
+// DefaultAlpha is the sketch's relative-error bound when NewSketch is given
+// none, as every query log's and monitor's sketch is: 1% keeps p999 of a
+// multi-second latency distribution within a few milliseconds of truth
+// while the whole sketch stays under 12 KiB.
 const DefaultAlpha = 0.01
 
 // Sketch trackable range. Query latencies in this simulator span
@@ -27,14 +28,13 @@ const (
 // 2·min·γ^i/(1+γ).
 //
 // Error bound: for samples in [1 ns, 4000 s], Quantile(q) is within
-// relative error α of the exact nearest-rank q-quantile of the added
-// samples, plus the ±1 ps quantization of rounding the estimate to the
-// simulator's time grid (see TestSketchQuantileErrorBound). Samples ≤ 1 ns
-// report as
-// exactly their shared bucket's floor (0); samples > 4000 s saturate the
-// overflow bucket and quantiles that land there report the range maximum —
-// a lower bound, with no relative guarantee. Count, Sum, Min and Max stay
-// exact for every sample.
+// relative error α of the ⌊q·n⌋-th smallest added sample (the rank rule
+// of Quantile), plus the ±1 ps quantization of rounding the estimate to
+// the simulator's time grid (see TestSketchQuantileErrorBound). Samples
+// ≤ 1 ns report as exactly their shared bucket's floor (0); samples
+// > 4000 s saturate the overflow bucket and quantiles that land there
+// report the range maximum — a lower bound, with no relative guarantee.
+// Count, Sum, Min and Max stay exact for every sample.
 //
 // Add performs no heap allocations (the bucket array is sized at
 // construction), so a sketch can sit on the query-completion path of a
@@ -132,11 +132,13 @@ func (s *Sketch) Min() sim.Time { return s.min }
 // Max reports the exact largest sample (zero on empty).
 func (s *Sketch) Max() sim.Time { return s.max }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) under the nearest-rank
-// convention of sim.Histogram: the ⌈q·n⌉-th smallest sample (at least the
-// first). Empty sketches report zero; out-of-range q panics. The estimate
-// is within relative error Alpha of the exact ranked sample for samples in
-// the trackable range (see the type comment for the edges).
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) under the rank rule of
+// sim.Histogram.Quantile: the ⌊q·n⌋-th smallest sample, clamped to
+// [1, n], which is one rank below the nearest-rank method's ⌈q·n⌉-th
+// sample when q·n is a non-integer above 1. Empty sketches report zero;
+// out-of-range q panics. The estimate is within relative error Alpha of
+// the exact ranked sample for samples in the trackable range (see the type
+// comment for the edges).
 func (s *Sketch) Quantile(q float64) sim.Time {
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("qtrace: quantile %v out of [0,1]", q))

@@ -10,8 +10,8 @@ import (
 )
 
 // exactQuantile is the reference the sketch is tested against: the
-// nearest-rank quantile over a sorted copy (the same convention as
-// sim.Histogram: idx = int(q*n)-1 clamped to [0, n-1]).
+// ⌊q·n⌋-th smallest sample of a sorted copy, clamped to [1, n] (the rank
+// rule of sim.Histogram: idx = int(q*n)-1 clamped to [0, n-1]).
 func exactQuantile(samples []sim.Time, q float64) sim.Time {
 	sorted := append([]sim.Time(nil), samples...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
@@ -28,7 +28,7 @@ func exactQuantile(samples []sim.Time, q float64) sim.Time {
 // TestSketchQuantileErrorBound is the property test behind the documented
 // guarantee: across random workloads spanning the trackable range, every
 // queried quantile is within relative error Alpha of the exact
-// nearest-rank quantile.
+// floor-rank quantile.
 func TestSketchQuantileErrorBound(t *testing.T) {
 	quantiles := []float64{0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1}
 	for _, alpha := range []float64{0.01, 0.005} {

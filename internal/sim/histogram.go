@@ -32,9 +32,11 @@ func (h *Histogram) ensureSorted() {
 	}
 }
 
-// Quantile reports the q-quantile (0 ≤ q ≤ 1) using the nearest-rank
-// method. It panics on an empty histogram or out-of-range q, both of
-// which indicate harness bugs.
+// Quantile reports the q-quantile (0 ≤ q ≤ 1) as the ⌊q·n⌋-th smallest
+// sample, clamped to [1, n]: a floor rank, one below the nearest-rank
+// method's ⌈q·n⌉-th sample when q·n is a non-integer above 1. It panics on
+// an empty histogram or out-of-range q, both of which indicate harness
+// bugs.
 func (h *Histogram) Quantile(q float64) Time {
 	if len(h.samples) == 0 {
 		panic("sim: quantile of empty histogram")

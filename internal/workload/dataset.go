@@ -84,29 +84,3 @@ func (d *Dataset) Queries(batch int, spread float64, seed int64) *kernels.Matrix
 	}
 	return q
 }
-
-// Images generates a deterministic batch of synthetic query images for the
-// functional CNN path.
-func Images(batch, c, h, w int, seed int64) []*kernels.Tensor3 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]*kernels.Tensor3, batch)
-	for b := range out {
-		img := kernels.NewTensor3(c, h, w)
-		// Smooth blobs rather than white noise: gives the CNN spatial
-		// structure to respond to.
-		cx, cy := rng.Float64()*float64(w), rng.Float64()*float64(h)
-		for ch := 0; ch < c; ch++ {
-			amp := 0.5 + rng.Float64()
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					dx := (float64(x) - cx) / float64(w)
-					dy := (float64(y) - cy) / float64(h)
-					v := amp / (1 + 8*(dx*dx+dy*dy))
-					img.Set(ch, y, x, float32(v+rng.NormFloat64()*0.02))
-				}
-			}
-		}
-		out[b] = img
-	}
-	return out
-}

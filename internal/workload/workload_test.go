@@ -210,25 +210,3 @@ func TestQueriesNearDatabase(t *testing.T) {
 		}
 	}
 }
-
-func TestImagesDeterministicAndShaped(t *testing.T) {
-	a := Images(3, 3, 16, 16, 7)
-	b := Images(3, 3, 16, 16, 7)
-	if len(a) != 3 {
-		t.Fatalf("got %d images", len(a))
-	}
-	for i := range a {
-		if a[i].C != 3 || a[i].H != 16 || a[i].W != 16 {
-			t.Fatalf("image %d shape %dx%dx%d", i, a[i].C, a[i].H, a[i].W)
-		}
-		for j := range a[i].Data {
-			if a[i].Data[j] != b[i].Data[j] {
-				t.Fatal("same seed images differ")
-			}
-		}
-	}
-	// Images differ from one another.
-	if a[0].Data[0] == a[1].Data[0] && a[0].Data[100] == a[1].Data[100] {
-		t.Error("images in a batch look identical")
-	}
-}
