@@ -1,6 +1,7 @@
 # Development workflow for the ReACH reproduction.
 #
-#   make check       — everything CI runs: formatting, build, an arm64
+#   make check       — everything CI runs: formatting, build, a check that
+#                      reachsim links no network stack, an arm64
 #                      cross build and vet, vet (the root module and the
 #                      bench/ module), race tests (reachsim's end-to-end
 #                      TestCLI matrix included), the bench/ module's tests,
@@ -26,9 +27,9 @@
 
 GO ?= go
 
-.PHONY: check fmt-check build cross vet test race bench-test fuzz bench bench-smoke
+.PHONY: check fmt-check build no-net cross vet test race bench-test fuzz bench bench-smoke
 
-check: fmt-check build cross vet race bench-test fuzz bench-smoke
+check: fmt-check build no-net cross vet race bench-test fuzz bench-smoke
 
 # gofmt -l prints offending files; any output fails the target.
 fmt-check:
@@ -39,6 +40,15 @@ fmt-check:
 
 build:
 	$(GO) build ./...
+
+# Every reachsim start pays to initialise the packages it links, and the
+# benchmark times each start (setup_s). Its results are tables and files,
+# so the network and web stack stay out of its dependencies.
+no-net:
+	@bad="$$($(GO) list -deps ./cmd/reachsim | grep -Ex 'net|net/http|crypto/tls|expvar' || true)"; \
+	if [ -n "$$bad" ]; then \
+		echo "cmd/reachsim depends on:"; echo "$$bad"; exit 1; \
+	fi
 
 # The lane distance kernels and the bound relaxation (internal/kernels)
 # run SSE assembly on amd64 and plain Go on every other GOARCH; this keeps

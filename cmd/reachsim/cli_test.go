@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -23,8 +22,7 @@ import (
 )
 
 // cliRow is one reachsim command line and everything it must produce. In
-// args and stderr, DIR stands for the row's fresh artifact directory and
-// ADDR for the inspector's bound address.
+// args and stderr, DIR stands for the row's fresh artifact directory.
 type cliRow struct {
 	name string
 	args []string
@@ -107,10 +105,6 @@ var cliRows = []cliRow{
 	{
 		name: "cluster", args: []string{"-cluster"}, golden: "cluster_smoke.golden",
 		stderr: []string{"cluster run complete: 32 queries"},
-	},
-	{
-		name: "cluster-http", args: []string{"-cluster", "-http", "127.0.0.1:0"}, golden: "cluster_smoke.golden",
-		stderr: []string{"inspector listening on http://ADDR", "cluster run complete: 32 queries"},
 	},
 	{
 		// Every sink on the pinned run: the summary still leads with the
@@ -258,15 +252,6 @@ var cliRows = []cliRow{
 		},
 	},
 	{
-		name: "taillatency-http", args: []string{"-exp", "taillatency", "-http", "127.0.0.1:0", "-qtrace", "DIR/queries.csv"}, jobs: true,
-		stdout: taillatStdout,
-		files:  map[string]string{"queries.csv": taillatCSV, "queries_summary.csv": taillatSummary},
-		stderr: []string{
-			"inspector listening on http://ADDR",
-			"per-query traces for 8 runs written to DIR/queries.csv and DIR/queries_summary.csv",
-		},
-	},
-	{
 		// Profiles survive a failed run.
 		name: "profiles-on-failure", args: []string{"-cpuprofile", "DIR/cpu.pb", "-memprofile", "DIR/mem.pb", "-exp", "bogus"},
 		code: 1, once: true, stdout: emptySHA,
@@ -294,6 +279,12 @@ var cliRows = []cliRow{
 	{
 		name: "undefined-flag", args: []string{"-http-linger", "1s"}, code: 2, stdout: emptySHA,
 		stderr: []string{"flag provided but not defined: -http-linger"}, usage: true,
+	},
+	{
+		// Every number a live HTTP view could serve is in a run's tables
+		// and artifacts, and a run ends before a client could connect.
+		name: "http-flag-gone", args: []string{"-http", "127.0.0.1:0"}, code: 2, stdout: emptySHA,
+		stderr: []string{"flag provided but not defined: -http"}, usage: true,
 	},
 	{
 		// Every simulation runs config.Default(), so a system config file
@@ -336,9 +327,6 @@ func TestCLI(t *testing.T) {
 		})
 	}
 }
-
-// addrRE matches the inspector's ephemeral listen address.
-var addrRE = regexp.MustCompile(`127\.0\.0\.1:[0-9]+`)
 
 // run executes argv in a fresh directory, checks the row's pins and
 // returns the directory, stdout and the sha256 of stdout and of every
@@ -405,7 +393,7 @@ func (row cliRow) run(t *testing.T, argv []string) (string, []byte, map[string]s
 		}
 	}
 
-	text := addrRE.ReplaceAllString(strings.ReplaceAll(stderr.String(), dir, "DIR"), "ADDR")
+	text := strings.ReplaceAll(stderr.String(), dir, "DIR")
 	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
 	if text == "" {
 		lines = nil
@@ -657,7 +645,7 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{[]string{"cluster", "exp"}, "-exp"},
 		{[]string{"cluster", "stats"}, "-stats"},
 		{[]string{"cluster", "list"}, "-list"},
-		{[]string{"cluster", "csv", "http", "exp"}, "-exp"},
+		{[]string{"cluster", "csv", "exp"}, "-exp"},
 		{[]string{"cluster", "j"}, "-j"},
 		{[]string{"cluster", "qtrace"}, "-qtrace"},
 		{[]string{"cluster", "progress"}, "-progress"},
@@ -708,11 +696,10 @@ func TestValidateFlagMatrix(t *testing.T) {
 	accepted := [][]string{
 		{},
 		{"exp", "j", "csv", "metrics", "metrics-interval", "qtrace", "progress"},
-		{"exp", "http"},
 		{"pj"}, // deprecated no-op, still accepted
 		{"trace", "spans", "metrics-interval"},
 		{"cluster", "nodes", "route", "pj", "cache", "cache-ttl", "csv"},
-		{"cluster", "metrics", "metrics-interval", "spans", "trace", "slo", "slo-window", "http"},
+		{"cluster", "metrics", "metrics-interval", "spans", "trace", "slo", "slo-window"},
 		{"cluster", "flight"},
 		{"cluster", "flight", "flight-window", "detect", "arrival", "slo", "metrics", "trace"},
 		{"stats", "csv"},

@@ -16,7 +16,6 @@
 //	reachsim -cluster -metrics m.csv -trace t.json   # cluster time series + Chrome trace
 //	reachsim -cluster -slo 250     # tumbling SLO windows against a 250 ms objective
 //	reachsim -cluster -flight out -detect -arrival flash    # flight recorder: anomaly-triggered diagnostic bundle
-//	reachsim -exp all -http :8080  # live inspector while experiments run
 //	reachsim -list                 # list experiment ids
 package main
 
@@ -41,7 +40,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/flight"
-	"repro/internal/inspect"
 	"repro/internal/metrics"
 	"repro/internal/qtrace"
 	"repro/internal/report"
@@ -211,7 +209,6 @@ var flagModes = map[string][]string{
 	"metrics":          {"exp", "cluster", "trace"},
 	"metrics-interval": {"exp", "cluster", "trace"},
 	"spans":            {"cluster", "trace"},
-	"http":             {"exp", "cluster"},
 	"trace":            {"trace", "cluster"},
 	"stats":            {"stats"},
 	"list":             {"list"},
@@ -334,7 +331,6 @@ func cli(args []string, stdout, stderr io.Writer) (code int) {
 		metricsIv = fs.Duration("metrics-interval", 0, "simulated-time sampling period for -metrics (default 10µs)")
 		spans     = fs.Bool("spans", false, "with -trace or -cluster, record GAM decision spans into the Chrome trace")
 		qtraceF   = fs.String("qtrace", "", "trace every query and write per-query timelines here (interval CSV plus a *_summary.csv)")
-		httpAddr  = fs.String("http", "", "serve a live run inspector on this address (/progress JSON, expvar at /debug/vars, pprof at /debug/pprof); implies per-query tracing")
 	)
 	// The mode flags are read off the flag contract's given set.
 	fs.Bool("list", false, "list experiment ids and exit")
@@ -347,7 +343,7 @@ func cli(args []string, stdout, stderr io.Writer) (code int) {
 	fs.StringVar(&co.route, "route", "", "with -cluster, override the routing policy: hash, rr, p2c (default p2c)")
 	fs.IntVar(&co.cache, "cache", 0, "with -cluster, enable the front-end result cache with this many entries (0 = off, the default)")
 	fs.Float64Var(&co.cacheTTL, "cache-ttl", 0, "with -cluster -cache, override the cache TTL in milliseconds (0 = config default, 500)")
-	fs.Float64Var(&co.sloMs, "slo", 0, "with -cluster, latency objective in milliseconds: track tumbling sim-time windows of p50/p99/p999 and SLO burn, print the window table and serve it on -http (/progress, expvar)")
+	fs.Float64Var(&co.sloMs, "slo", 0, "with -cluster, latency objective in milliseconds: track tumbling sim-time windows of p50/p99/p999 and SLO burn, print the window table")
 	fs.Float64Var(&co.sloWindowMs, "slo-window", defaultSLOWindowMS, "with -cluster -slo, tumbling window width in milliseconds")
 	fs.StringVar(&co.flightDir, "flight", "", "with -cluster, run the always-on flight recorder and write a diagnostic bundle directory under this path (triggered by -detect, else an end-of-run dump)")
 	fs.Float64Var(&co.flightWinMs, "flight-window", defaultFlightWindowMS, "with -cluster -flight, retention window in simulated milliseconds")
@@ -411,19 +407,10 @@ func cli(args []string, stdout, stderr io.Writer) (code int) {
 	if *metricsF != "" || *spans || *metricsIv > 0 {
 		mo = &metrics.Options{Spans: *spans, Interval: sim.Time(metricsIv.Nanoseconds()) * sim.Nanosecond}
 	}
-	var insp *inspect.Server
-	if *httpAddr != "" {
-		insp = inspect.New()
-		if err := insp.Start(*httpAddr); err != nil {
-			return fail(err)
-		}
-		defer insp.Close()
-		fmt.Fprintf(stderr, "inspector listening on http://%s\n", insp.Addr())
-	}
 
 	switch mode {
 	case "cluster":
-		co.csv, co.metrics, co.metricsPath, co.tracePath, co.inspector = *csvOut, mo, *metricsF, *tracePath, insp
+		co.csv, co.metrics, co.metricsPath, co.tracePath = *csvOut, mo, *metricsF, *tracePath
 		err = runCluster(stdout, stderr, co)
 	case "stats":
 		err = writeStats(stdout, *csvOut)
@@ -436,14 +423,7 @@ func cli(args []string, stdout, stderr io.Writer) (code int) {
 		if *exp == "all" {
 			ids = tableIDs(true)
 		}
-		ra.csv, ra.metrics, ra.metricsPath, ra.inspector = *csvOut, mo, *metricsF, insp
-		if *qtraceF != "" || insp != nil {
-			ra.qtracePath = *qtraceF
-			ra.qtrace = &qtrace.Options{}
-			if insp != nil {
-				ra.qtrace.Observers = []qtrace.Observer{insp}
-			}
-		}
+		ra.csv, ra.metrics, ra.metricsPath, ra.qtracePath = *csvOut, mo, *metricsF, *qtraceF
 		err = runAll(stdout, stderr, ids, workload.DefaultModel(), ra)
 	}
 	if err != nil {
@@ -487,10 +467,6 @@ type clusterOptions struct {
 	cacheTTL float64
 	csv      bool
 
-	// inspector, when set, observes every query completion, the
-	// per-domain clocks and mailboxes, cache counters, SLO burn and
-	// anomaly state while the run executes, and the final registry.
-	inspector *inspect.Server
 	// metrics, when non-nil, attaches the barrier-driven cluster sampler
 	// (plus per-node GAM span logs when Spans is set) and enables straggler
 	// tracking, printing the per-merge attribution table after the summary.
@@ -537,10 +513,6 @@ func runCluster(w, stderr io.Writer, o clusterOptions) error {
 		ccfg.CacheTTLMS = o.cacheTTL
 	}
 	qo := qtrace.Options{}
-	insp := o.inspector
-	if insp != nil {
-		qo.Observers = append(qo.Observers, insp)
-	}
 	var slo *flight.SLOMonitor
 	if o.sloMs > 0 {
 		width := o.sloWindowMs
@@ -549,9 +521,6 @@ func runCluster(w, stderr io.Writer, o clusterOptions) error {
 		}
 		slo = flight.NewSLOMonitor(sim.FromSeconds(width/1e3), sim.FromSeconds(o.sloMs/1e3))
 		qo.Observers = append(qo.Observers, slo)
-		if insp != nil {
-			insp.ObserveSLO(slo)
-		}
 	}
 	var fr *flight.Recorder
 	if o.flightDir != "" {
@@ -599,34 +568,15 @@ func runCluster(w, stderr io.Writer, o clusterOptions) error {
 			}
 			barriers = append(barriers, fr)
 			cl.EnableStragglers()
-			if insp != nil {
-				insp.ObserveAnomalies(fr)
-			}
-		}
-		if insp != nil {
-			barriers = append(barriers, insp)
 		}
 		// The metrics sampler notifies first, so its series match a
 		// flight-off run.
 		cl.Multi().SetBarrierObserver(barriers...)
-		if insp != nil && cl.CacheEnabled() {
-			insp.ObserveCache(func() inspect.CacheCounters {
-				cs := cl.CacheStats()
-				return inspect.CacheCounters{
-					Hits: cs.Hits, Misses: cs.Misses, Expired: cs.Expired,
-					Coalesced: cs.Coalesced, Evictions: cs.Evictions,
-					Lookups: cs.Lookups, HitRate: cs.HitRate,
-				}
-			})
-		}
 	}
 	cl, t, err := experiments.ClusterRun(workload.DefaultModel(), ccfg,
 		queries, rate, arr, qo, observe)
 	if err != nil {
 		return err
-	}
-	if insp != nil {
-		insp.ObserveRun("cluster", cl.Engine().Stats())
 	}
 	if err := emit(t, w, o.csv); err != nil {
 		return err
@@ -721,14 +671,10 @@ type runAllOptions struct {
 	// a bottleneck-attribution table per sampled RunSpec run.
 	metrics     *metrics.Options
 	metricsPath string
-	// qtrace, when set, traces every query of every RunSpec-based run;
-	// qtracePath (optional) receives the per-query timelines as an
-	// interval CSV plus a *_summary.csv. The inspector, when set, rides
-	// qtrace.Options.Observers for live query counters and gets each
-	// finished run's resource utilization.
-	qtrace     *qtrace.Options
+	// qtracePath, when set, traces every query of every RunSpec-based run
+	// and receives the per-query timelines as an interval CSV plus a
+	// *_summary.csv.
 	qtracePath string
-	inspector  *inspect.Server
 }
 
 // sampledRun is one sampled simulation: its label, its time series and,
@@ -777,13 +723,10 @@ func runAll(w, stderr io.Writer, ids []string, m workload.Model, o runAllOptions
 						sampled[i] = append(sampled[i], sampledRun{id + "/" + run, series, phases})
 					}))
 			}
-			if o.qtrace != nil {
-				opts = append(opts, experiments.WithQTrace(*o.qtrace,
+			if o.qtracePath != "" {
+				opts = append(opts, experiments.WithQTrace(
 					func(run string, res *experiments.RunResult) {
 						traced[i] = append(traced[i], tracedRun{id + "/" + run, res.QLog})
-						if o.inspector != nil {
-							o.inspector.ObserveRun(id+"/"+run, res.Sys.Engine().Stats())
-						}
 					}))
 			}
 			return run(id, m, opts...)

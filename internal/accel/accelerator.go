@@ -13,8 +13,9 @@ import (
 
 // Accelerator is one accelerator instance at a ReACH compute level: an FPGA
 // fabric behind the level's data path. The level decides where a task's
-// streamed input comes from, the fixed per-task overhead and where its
-// output is written; everything else is the same at every level.
+// streamed input comes from and the fixed per-task overhead; everything
+// else is the same at every level. The GAM moves a task's output to its
+// consumers (core.System.Transfer).
 //
 //   - On chip (paper §II-A, Fig. 2): a large Virtex-class fabric on the NoC
 //     with a 100 GB/s port to the shared cache, virtual-memory support
@@ -132,16 +133,6 @@ func (a *Accelerator) Execute(t *Task) (sim.Time, error) {
 	done := max(supplyDone, now+t.Kernel.Duration(t.MACs, t.Bytes)+a.overhead(t))
 	a.fab.Occupy(done - now)
 	a.p.Meter.AddActive(t.Stage, t.Kernel.Power(a.level == NearStorage), done-now)
-
-	if t.OutputBytes > 0 {
-		if a.level == OnChip {
-			a.p.NoC.Transfer(a.port, a.p.llc, t.OutputBytes)
-			a.p.Meter.CacheTraffic(t.Stage, t.OutputBytes)
-		} else {
-			a.local.Stream(t.OutputBytes)
-			a.p.Meter.DRAMTraffic(t.Stage, t.OutputBytes)
-		}
-	}
 	return done, nil
 }
 

@@ -61,8 +61,8 @@ type Platform struct {
 	// bounds GAM's forced writebacks and its traffic is charged as cache
 	// energy, with no per-line state.
 	NoC *noc.Crossbar
-	// llc is the LLC's NoC port, which on-chip instances read from and
-	// write their output to.
+	// llc is the LLC's NoC port, which on-chip instances stream their
+	// input from.
 	llc *noc.Port
 	// HostMem is the aggregate host-DRAM bandwidth (the channels backing
 	// the CPU/on-chip DIMMs, cacheline-interleaved).

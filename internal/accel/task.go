@@ -67,9 +67,6 @@ type Task struct {
 	// RemoteFraction is, for near-memory tasks, the fraction of Bytes on
 	// sibling DIMMs (crossing the AIMbus). Zero for fully local data.
 	RemoteFraction float64
-	// OutputBytes is the result volume written back to the level-local
-	// medium (results to streams are moved separately by GAM).
-	OutputBytes int64
 }
 
 // Validate checks the task is self-consistent.
@@ -77,7 +74,7 @@ func (t *Task) Validate() error {
 	switch {
 	case t.Kernel == nil:
 		return fmt.Errorf("accel: task %s has no kernel", t.Name)
-	case t.MACs < 0 || t.Bytes < 0 || t.OutputBytes < 0:
+	case t.MACs < 0 || t.Bytes < 0:
 		return fmt.Errorf("accel: task %s has negative work", t.Name)
 	case t.RemoteFraction < 0 || t.RemoteFraction > 1:
 		return fmt.Errorf("accel: task %s remote fraction %v out of range", t.Name, t.RemoteFraction)

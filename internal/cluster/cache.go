@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"sync/atomic"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // This file is the cluster's front-end caching layer: a deterministic LRU
 // result cache with sim-time TTL freshness, keyed by content, plus the
@@ -19,10 +15,8 @@ import (
 // their waiter slices recycle through a free list, and a hit allocates
 // nothing beyond its qtrace interval.
 
-// feCache is the front-end result cache. Counters are atomics so the live
-// inspector can read them from the HTTP goroutine while the front-end
-// domain mutates the cache; structural state (slots, index, LRU list) is
-// touched only by the front-end domain.
+// feCache is the front-end result cache. Its counters and its structural
+// state (slots, index, LRU list) are touched only by the front-end domain.
 type feCache struct {
 	registered string
 	capacity   int
@@ -34,12 +28,12 @@ type feCache struct {
 	free       []int32
 	maxOcc     int
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	expired   atomic.Uint64
-	coalesced atomic.Uint64
-	evictions atomic.Uint64
-	ageSum    atomic.Int64 // sum of entry ages at hit time, in sim ticks
+	hits      uint64
+	misses    uint64
+	expired   uint64
+	coalesced uint64
+	evictions uint64
+	ageSum    sim.Time // sum of entry ages at hit time
 }
 
 // cacheSlot is one resident entry on the intrusive LRU list.
@@ -76,7 +70,7 @@ func newFECache(capacity int, ttl sim.Time) *feCache {
 func (c *feCache) lookup(content int, now sim.Time) (hit bool, age sim.Time) {
 	s, ok := c.index[content]
 	if !ok {
-		c.misses.Add(1)
+		c.misses++
 		return false, 0
 	}
 	age = now - c.slots[s].filledAt
@@ -84,13 +78,13 @@ func (c *feCache) lookup(content int, now sim.Time) (hit bool, age sim.Time) {
 		c.remove(s)
 		delete(c.index, content)
 		c.free = append(c.free, s)
-		c.expired.Add(1)
+		c.expired++
 		return false, 0
 	}
 	c.remove(s)
 	c.pushFront(s)
-	c.hits.Add(1)
-	c.ageSum.Add(int64(age))
+	c.hits++
+	c.ageSum += age
 	return true, age
 }
 
@@ -111,7 +105,7 @@ func (c *feCache) fill(content int, now sim.Time) {
 		s = c.tail
 		delete(c.index, c.slots[s].content)
 		c.remove(s)
-		c.evictions.Add(1)
+		c.evictions++
 	}
 	c.slots[s] = cacheSlot{content: content, filledAt: now}
 	c.pushFront(s)
@@ -169,21 +163,21 @@ func (c *feCache) ResourceStats() sim.ResourceStats {
 	return rs
 }
 
-// stats snapshots the counters (safe to call concurrently with the run).
+// stats snapshots the counters.
 func (c *feCache) stats() CacheStats {
 	st := CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Expired:   c.expired.Load(),
-		Coalesced: c.coalesced.Load(),
-		Evictions: c.evictions.Load(),
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Expired:   c.expired,
+		Coalesced: c.coalesced,
+		Evictions: c.evictions,
 	}
 	st.Lookups = st.Hits + st.Misses + st.Expired
 	if st.Lookups > 0 {
 		st.HitRate = float64(st.Hits) / float64(st.Lookups)
 	}
 	if st.Hits > 0 {
-		st.MeanServeAge = sim.Time(c.ageSum.Load() / int64(st.Hits))
+		st.MeanServeAge = c.ageSum / sim.Time(st.Hits)
 	}
 	return st
 }

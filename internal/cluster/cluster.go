@@ -197,8 +197,8 @@ func (c *Cluster) QLog() *qtrace.Log { return c.qlog }
 func (c *Cluster) CacheEnabled() bool { return c.cache != nil }
 
 // CacheStats snapshots the front-end cache and coalescing accounting
-// (zero value when the cache is disabled). The counters are atomics, so
-// live tooling may call this while the simulation runs.
+// (zero value when the cache is disabled). The flight recorder's cache
+// provider calls it from the front-end domain while the run executes.
 func (c *Cluster) CacheStats() CacheStats {
 	if c.cache == nil {
 		return CacheStats{}
@@ -450,7 +450,7 @@ func (c *Cluster) Fire(eng *sim.Engine, arg uint64) {
 		if c.co.attach(content, id) {
 			// A scatter for this content is already in flight: attach to
 			// it and share its gathered result at merge time.
-			c.cache.coalesced.Add(1)
+			c.cache.coalesced++
 			return
 		}
 		c.co.begin(content, id) // this query leads the scatter

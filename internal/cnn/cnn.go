@@ -1,8 +1,7 @@
 // Package cnn describes the convolutional network of the CBIR
-// feature-extraction stage as a layer graph with exact per-layer
-// op/parameter/activation accounting. The timing and energy models charge
-// the stage from these counts at the paper's full VGG16 scale; no forward
-// pass runs.
+// feature-extraction stage as a layer graph with exact per-layer op and
+// parameter accounting. The timing and energy models charge the stage
+// from these counts at the paper's full VGG16 scale; no forward pass runs.
 package cnn
 
 import (
@@ -68,20 +67,6 @@ func (l LayerSpec) Params() int64 {
 		return int64(l.OutC)*int64(l.InC)*int64(l.KernelSize)*int64(l.KernelSize) + int64(l.OutC)
 	case FC:
 		return int64(l.FCIn)*int64(l.FCOut) + int64(l.FCOut)
-	default:
-		return 0
-	}
-}
-
-// OutputElems reports the layer's output activation element count.
-func (l LayerSpec) OutputElems() int64 {
-	switch l.Kind {
-	case Conv:
-		return int64(l.OutC) * int64(l.InH) * int64(l.InW)
-	case Pool:
-		return int64(l.InC) * int64(l.InH/2) * int64(l.InW/2)
-	case FC:
-		return int64(l.FCOut)
 	default:
 		return 0
 	}
@@ -159,15 +144,4 @@ func (s *Spec) ParamBytes() int64 { return s.TotalParams() * 4 }
 // Table I cites 11.3 MB for the 552 MB model, a ~49× ratio [23].
 func (s *Spec) CompressedParamBytes() int64 {
 	return int64(float64(s.ParamBytes()) / 48.8)
-}
-
-// ActivationBytes reports the total activation traffic (one write + one
-// read per layer output, float32) per image — the quantity that determines
-// on-chip cache traffic during feature extraction.
-func (s *Spec) ActivationBytes() int64 {
-	var elems int64
-	for _, l := range s.Layers {
-		elems += l.OutputElems()
-	}
-	return elems * 4
 }

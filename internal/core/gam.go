@@ -434,8 +434,8 @@ func (g *GAM) dispatch(n *TaskNode, slot int) {
 func (g *GAM) execute(n *TaskNode) {
 	a := n.acc
 	// Configure the fabric (partial reconfiguration when a different
-	// kernel was resident; the delay follows fpga.Fabric's setting —
-	// zero by default, as in the paper's evaluation §VI-A).
+	// kernel was resident; it takes no simulated time, as in the paper's
+	// evaluation §VI-A, so its span and interval are zero-length).
 	fab := a.Fabric()
 	reconfigsBefore := fab.Reconfigs()
 	ready, err := fab.Load(n.Spec.Kernel)

@@ -174,8 +174,9 @@ func ClusterSweep(m workload.Model, cfg config.ClusterConfig, nodeCounts []int, 
 // ClusterRun executes one cluster deployment under the given seeded
 // arrival process and reduces it to a summary table — the CLI's -cluster
 // path and the CI cluster smoke. observe, when non-nil, receives the
-// assembled cluster before the simulation starts, so live tooling (the
-// inspector's per-domain progress view) can attach to the MultiEngine.
+// assembled cluster before the simulation starts, so the CLI's sinks (the
+// metrics sampler, GAM span logs, the flight recorder) can attach to it
+// and its MultiEngine.
 // Deterministic for fixed inputs: the table is byte-identical run to run,
 // which is what the smoke golden diffs.
 func ClusterRun(m workload.Model, cfg config.ClusterConfig, queries int, rate float64, arr ArrivalSpec, qopt qtrace.Options, observe func(*cluster.Cluster)) (*cluster.Cluster, *report.Table, error) {

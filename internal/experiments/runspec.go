@@ -171,7 +171,7 @@ type runOptions struct {
 	progress func(done, total int, name string)
 	metrics  *metrics.Options
 	observe  func(run string, series metrics.Source, phases []metrics.PhaseWindow)
-	qtrace   *qtrace.Options
+	qtrace   bool
 	qobserve func(run string, res *RunResult)
 }
 
@@ -215,9 +215,9 @@ func WithMetrics(mo metrics.Options, observe func(run string, series metrics.Sou
 // (deterministic regardless of worker count). observe may be nil when the
 // caller reads logs off the experiment's own result type. Experiments
 // whose unit of work is not a RunSpec ignore it.
-func WithQTrace(qo qtrace.Options, observe func(run string, res *RunResult)) Option {
+func WithQTrace(observe func(run string, res *RunResult)) Option {
 	return func(o *runOptions) {
-		o.qtrace = &qo
+		o.qtrace = true
 		o.qobserve = observe
 	}
 }
@@ -244,26 +244,15 @@ func (o runOptions) runnerOptions(name func(i int) string) runner.Options {
 // failing spec cancels the rest.
 func RunSpecs(specs []RunSpec, opts ...Option) ([]*RunResult, error) {
 	o := buildOptions(opts)
-	if o.metrics != nil || o.qtrace != nil {
+	if o.metrics != nil || o.qtrace {
 		// Copy before instrumenting: the caller's slice stays untouched.
 		instrumented := append([]RunSpec(nil), specs...)
 		for i := range instrumented {
 			if o.metrics != nil && instrumented[i].Metrics == nil {
 				instrumented[i].Metrics = o.metrics
 			}
-			if o.qtrace != nil {
-				switch {
-				case instrumented[i].QTrace == nil:
-					instrumented[i].QTrace = o.qtrace
-				case len(instrumented[i].QTrace.Observers) == 0 && len(o.qtrace.Observers) > 0:
-					// Observers are an execution knob, not part of the
-					// spec: specs carrying their own trace options (the
-					// tail-latency sweep) still feed the caller's live
-					// observers. Copy so the spec's Options stay untouched.
-					qo := *instrumented[i].QTrace
-					qo.Observers = o.qtrace.Observers
-					instrumented[i].QTrace = &qo
-				}
+			if o.qtrace && instrumented[i].QTrace == nil {
+				instrumented[i].QTrace = &qtrace.Options{}
 			}
 		}
 		specs = instrumented

@@ -15,8 +15,6 @@
 //
 // The package also holds the cluster's SLO monitor (SLOMonitor), whose
 // tumbling latency windows sit on the same ring, stamped by window index.
-// Its stats and the recorder's Status are the types the live inspector
-// serves.
 //
 // Determinism. Both recorder inputs are already serialised by the
 // engine's determinism machinery: query completions fire in the front-end
@@ -38,7 +36,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/qtrace"
 	"repro/internal/sim"
@@ -218,29 +215,12 @@ type Verdict struct {
 	CacheHits    uint64 `json:"cache_hits,omitempty"`
 }
 
-// Status is the recorder's live state, served by the inspector's
-// /anomalies endpoint, /progress block and expvars while the simulation
-// runs.
-type Status struct {
-	WindowMS        float64           `json:"window_ms"`
-	Detect          bool              `json:"detect"`
-	Completions     uint64            `json:"completions"`
-	Breaches        uint64            `json:"breaches"`
-	Retained        int               `json:"retained_queries"`
-	Detections      map[string]uint64 `json:"detections,omitempty"`
-	Frozen          bool              `json:"frozen"`
-	TriggerDetector string            `json:"trigger_detector,omitempty"`
-	TriggerMS       float64           `json:"trigger_ms,omitempty"`
-	TriggerReason   string            `json:"trigger_reason,omitempty"`
-}
-
 // Recorder is the flight recorder: a qtrace.Observer (append it to the
 // cluster's qtrace.Options.Observers) and a sim.BarrierObserver (pass it
-// to MultiEngine.SetBarrierObserver after the metrics sampler). Ring
-// state is only ever touched from the simulation's own serialisation
-// points — the front-end event domain and the coordinator barrier — which
-// never overlap; the scalar status fields scraped over HTTP are behind a
-// mutex.
+// to MultiEngine.SetBarrierObserver after the metrics sampler). It belongs
+// to one run: every call comes from that run's goroutine, which runs the
+// front-end event domain and the coordinator barrier alike, so nothing
+// takes a lock.
 type Recorder struct {
 	cfg Config
 	log *qtrace.Log
@@ -254,10 +234,8 @@ type Recorder struct {
 	obs     ring[obsEntry]
 	bars    ring[BarrierSample]
 
-	mu          sync.Mutex
 	completions uint64
 	breaches    uint64
-	retained    int
 	detections  map[string]uint64
 	frozen      bool
 	verdict     *Verdict
@@ -288,7 +266,7 @@ func (r *Recorder) AttachLog(l *qtrace.Log) { r.log = l }
 func (r *Recorder) SetLoadProvider(fn func(dst []int) []int) { r.loads = fn }
 
 // SetCacheProvider attaches the cumulative cache counter source (the
-// cluster's atomic cache counters: lookups and hits). Without one the
+// cluster's cache counters: lookups and hits). Without one the
 // cache-collapse detector is inert and verdicts omit cache state.
 func (r *Recorder) SetCacheProvider(fn func() (lookups, hits uint64)) { r.cacheFn = fn }
 
@@ -296,13 +274,9 @@ func (r *Recorder) SetCacheProvider(fn func() (lookups, hits uint64)) { r.cacheF
 // one detector observation into the ring, and — when armed — run the
 // detectors. The first trigger freezes every ring.
 func (r *Recorder) QueryDone(id int, at, latency sim.Time) {
-	r.mu.Lock()
 	if r.frozen {
-		r.mu.Unlock()
 		return
 	}
-	r.mu.Unlock()
-
 	r.retain(id, at)
 
 	e := obsEntry{breached: latency > r.cfg.Objective}
@@ -311,14 +285,10 @@ func (r *Recorder) QueryDone(id int, at, latency sim.Time) {
 	}
 	e.pt = r.observe(at, latency, e)
 	r.obs.push(at, e)
-
-	r.mu.Lock()
 	r.completions++
 	if e.breached {
 		r.breaches++
 	}
-	r.retained = len(r.queries.live())
-	r.mu.Unlock()
 
 	if !r.cfg.Detect {
 		return
@@ -472,12 +442,9 @@ func (r *Recorder) evaluate(pt ObsPoint) (name, reason string) {
 // trigger freezes the rings and records the verdict. Exactly one trigger
 // per run: every later completion and barrier sees frozen and returns.
 func (r *Recorder) trigger(name, reason string, at sim.Time, pt ObsPoint) {
-	v := r.buildVerdict(name, reason, at, &pt)
-	r.mu.Lock()
+	r.verdict = r.buildVerdict(name, reason, at, &pt)
 	r.detections[name]++
 	r.frozen = true
-	r.verdict = v
-	r.mu.Unlock()
 }
 
 // buildVerdict assembles the verdict from ring state (caller is on the
@@ -511,10 +478,7 @@ func (r *Recorder) buildVerdict(name, reason string, at sim.Time, pt *ObsPoint) 
 // whenever the frontier advanced Window/64 past the previous sample
 // (always on the terminating barrier), unless frozen.
 func (r *Recorder) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool) {
-	r.mu.Lock()
-	frozen := r.frozen
-	r.mu.Unlock()
-	if frozen {
+	if r.frozen {
 		return
 	}
 	now := m.Now()
@@ -546,11 +510,7 @@ func (r *Recorder) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool) {
 }
 
 // Frozen reports whether a detector fired.
-func (r *Recorder) Frozen() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.frozen
-}
+func (r *Recorder) Frozen() bool { return r.frozen }
 
 // Window reports the retained horizon the bundle covers: it ends at the
 // newest retained event (completion or barrier) and spans the configured
@@ -585,9 +545,7 @@ func (r *Recorder) BarrierWindow() []BarrierSample { return r.bars.values() }
 // an end-of-run verdict (Detector "") over the live ring. Call after the
 // run drains.
 func (r *Recorder) Verdict() Verdict {
-	r.mu.Lock()
 	v := r.verdict
-	r.mu.Unlock()
 	if v == nil {
 		var last *ObsPoint
 		if live := r.obs.live(); len(live) > 0 {
@@ -600,39 +558,10 @@ func (r *Recorder) Verdict() Verdict {
 	}
 	out := *v
 	out.Detections = make(map[string]uint64, len(r.detections))
-	r.mu.Lock()
 	for k, n := range r.detections {
 		out.Detections[k] = n
 	}
 	out.Completions = r.completions
 	out.Breaches = r.breaches
-	r.mu.Unlock()
 	return out
-}
-
-// Status snapshots the live scalar state for HTTP scrapes. Safe to call
-// while the simulation runs.
-func (r *Recorder) Status() Status {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := Status{
-		WindowMS:    r.cfg.Window.Milliseconds(),
-		Detect:      r.cfg.Detect,
-		Completions: r.completions,
-		Breaches:    r.breaches,
-		Retained:    r.retained,
-		Frozen:      r.frozen,
-	}
-	if len(r.detections) > 0 {
-		st.Detections = make(map[string]uint64, len(r.detections))
-		for k, n := range r.detections {
-			st.Detections[k] = n
-		}
-	}
-	if r.verdict != nil {
-		st.TriggerDetector = r.verdict.Detector
-		st.TriggerMS = r.verdict.TriggerMS
-		st.TriggerReason = r.verdict.Reason
-	}
-	return st
 }

@@ -55,22 +55,18 @@ func TestBurnDetectorFreezesOnce(t *testing.T) {
 		}
 		return ms(20) // sustained breach
 	})
-	st := r.Status()
-	if !st.Frozen || st.TriggerDetector != DetectorSLOBurn {
-		t.Fatalf("status = %+v, want frozen by %s", st, DetectorSLOBurn)
+	v := r.Verdict()
+	if !r.Frozen() || v.Detector != DetectorSLOBurn || v.TriggerMS == 0 {
+		t.Fatalf("frozen %v, verdict = %+v, want frozen by %s", r.Frozen(), v, DetectorSLOBurn)
 	}
-	if n := st.Detections[DetectorSLOBurn]; n != 1 {
-		t.Fatalf("detections = %v, want exactly one", st.Detections)
+	if n := v.Detections[DetectorSLOBurn]; n != 1 || len(v.Detections) != 1 {
+		t.Fatalf("detections = %v, want exactly one", v.Detections)
 	}
 	// LongWindow = 50 ms: the breach fraction over it crosses 50% once
 	// ~25 breached completions accumulated, i.e. well before the feed ends —
 	// the frozen counters must show fewer completions than were offered.
-	if st.Completions >= 80 {
-		t.Fatalf("freeze did not stop the counters: %d completions", st.Completions)
-	}
-	v := r.Verdict()
-	if v.Detector != DetectorSLOBurn || v.TriggerMS == 0 {
-		t.Fatalf("verdict = %+v", v)
+	if v.Completions >= 80 {
+		t.Fatalf("freeze did not stop the counters: %d completions", v.Completions)
 	}
 	if len(v.Series) == 0 || v.Observed == nil || !v.Observed.Breached {
 		t.Fatalf("verdict carries no triggering series: %+v", v)
@@ -102,8 +98,8 @@ func TestBurnNeedsBothWindows(t *testing.T) {
 		}
 		return ms(1)
 	})
-	if st := r.Status(); st.Frozen {
-		t.Fatalf("blip froze the recorder: %+v", st)
+	if r.Frozen() {
+		t.Fatalf("blip froze the recorder: %+v", r.Verdict())
 	}
 }
 
@@ -115,11 +111,10 @@ func TestQueueDivergenceDetector(t *testing.T) {
 	r := New(Config{Window: 100 * sim.Millisecond, Detect: true, Objective: ms(5)})
 	r.SetLoadProvider(func(dst []int) []int { return append(dst, hot...) })
 	feed(r, 4, func(int) sim.Time { return ms(1) })
-	st := r.Status()
-	if !st.Frozen || st.TriggerDetector != DetectorQueueSkew {
-		t.Fatalf("status = %+v, want %s", st, DetectorQueueSkew)
-	}
 	v := r.Verdict()
+	if !r.Frozen() || v.Detector != DetectorQueueSkew {
+		t.Fatalf("frozen %v, verdict = %+v, want %s", r.Frozen(), v, DetectorQueueSkew)
+	}
 	if v.Observed.QueueMax != 40 || v.Observed.QueueMedian != 2.5 || v.Observed.QueueRatio != 16 {
 		t.Fatalf("observed queue shape %+v", v.Observed)
 	}
@@ -130,14 +125,14 @@ func TestQueueDivergenceDetector(t *testing.T) {
 	flat := New(Config{Window: 100 * sim.Millisecond, Detect: true, Objective: ms(5)})
 	flat.SetLoadProvider(func(dst []int) []int { return append(dst, 40, 38, 41, 39) })
 	feed(flat, 4, func(int) sim.Time { return ms(1) })
-	if flat.Status().Frozen {
+	if flat.Frozen() {
 		t.Fatal("uniform deep queues are not divergence")
 	}
 
 	shallow := New(Config{Window: 100 * sim.Millisecond, Detect: true, Objective: ms(5)})
 	shallow.SetLoadProvider(func(dst []int) []int { return append(dst, 4, 0, 0, 0) })
 	feed(shallow, 4, func(int) sim.Time { return ms(1) })
-	if shallow.Status().Frozen {
+	if shallow.Frozen() {
 		t.Fatal("skew below the queue floor must not trigger")
 	}
 }
@@ -160,11 +155,10 @@ func TestCacheCollapseDetector(t *testing.T) {
 		l.Submitted(i, i, at)
 		l.Completed(i, at+ms(1))
 	}
-	st := r.Status()
-	if !st.Frozen || st.TriggerDetector != DetectorCacheDrop {
-		t.Fatalf("status = %+v, want %s", st, DetectorCacheDrop)
-	}
 	v := r.Verdict()
+	if !r.Frozen() || v.Detector != DetectorCacheDrop {
+		t.Fatalf("frozen %v, verdict = %+v, want %s", r.Frozen(), v, DetectorCacheDrop)
+	}
 	if v.Observed.HitShort >= v.Observed.HitLong || v.Observed.HitLong < 0.25 {
 		t.Fatalf("observed hit rates %v/%v not a collapse", v.Observed.HitShort, v.Observed.HitLong)
 	}
@@ -175,7 +169,7 @@ func TestCacheCollapseDetector(t *testing.T) {
 	// Same completion stream, no provider: hit rates report -1, no trigger.
 	inert := New(Config{Window: 100 * sim.Millisecond, Detect: true, Objective: ms(50)})
 	feed(inert, 80, func(int) sim.Time { return ms(1) })
-	if inert.Status().Frozen {
+	if inert.Frozen() {
 		t.Fatal("cache detector fired without a cache provider")
 	}
 	if pt := inert.Verdict().Observed; pt.HitShort != -1 || pt.HitLong != -1 {
@@ -189,17 +183,17 @@ func TestCacheCollapseDetector(t *testing.T) {
 func TestDisarmedRecorderOnlyRetains(t *testing.T) {
 	r := New(Config{Window: 10 * sim.Millisecond, Objective: ms(5)})
 	feed(r, 100, func(int) sim.Time { return ms(20) }) // every one breaches
-	st := r.Status()
-	if st.Frozen || len(st.Detections) != 0 {
-		t.Fatalf("disarmed recorder froze: %+v", st)
-	}
-	if st.Completions != 100 || st.Breaches != 100 {
-		t.Fatalf("counters = %d/%d, want 100/100", st.Completions, st.Breaches)
-	}
-	if st.Retained >= 100 || st.Retained == 0 {
-		t.Fatalf("retained %d of 100 with a 10 ms window", st.Retained)
-	}
 	v := r.Verdict()
+	if r.Frozen() || len(v.Detections) != 0 {
+		t.Fatalf("disarmed recorder froze: %+v", v)
+	}
+	if v.Completions != 100 || v.Breaches != 100 {
+		t.Fatalf("counters = %d/%d, want 100/100", v.Completions, v.Breaches)
+	}
+	retained := len(r.WindowQueries())
+	if retained >= 100 || retained == 0 {
+		t.Fatalf("retained %d of 100 with a 10 ms window", retained)
+	}
 	if v.Detector != "" || v.TriggerMS != 0 {
 		t.Fatalf("end-of-run verdict = %+v", v)
 	}
@@ -207,11 +201,8 @@ func TestDisarmedRecorderOnlyRetains(t *testing.T) {
 		t.Fatalf("end-of-run verdict lost its series: %+v", v)
 	}
 	// The observation ring slides with the retention window.
-	if int64(len(v.Series)) > int64(st.Retained)+1 {
-		t.Fatalf("series %d points vs %d retained queries", len(v.Series), st.Retained)
-	}
-	if n := len(r.WindowQueries()); n != st.Retained {
-		t.Fatalf("window holds %d queries, status retained %d", n, st.Retained)
+	if len(v.Series) > retained+1 {
+		t.Fatalf("series %d points vs %d retained queries", len(v.Series), retained)
 	}
 }
 
@@ -272,9 +263,7 @@ func TestBarrierRing(t *testing.T) {
 
 	// A frozen recorder never samples.
 	frozen := New(Config{Window: ms(64)})
-	frozen.mu.Lock()
 	frozen.frozen = true
-	frozen.mu.Unlock()
 	runEngine(frozen)
 	if n := len(frozen.BarrierWindow()); n != 0 {
 		t.Fatalf("frozen recorder sampled %d barriers", n)
@@ -340,8 +329,8 @@ func TestRecorderWindowSlides(t *testing.T) {
 	r, _ := feedTimelines(ms(10), 100)
 	// Newest completion at 101 ms; retained: Done >= 91 ms → qids 89..99.
 	qs := r.WindowQueries()
-	if len(qs) != 11 || r.Status().Retained != 11 {
-		t.Fatalf("retained %d queries (status %d), want 11", len(qs), r.Status().Retained)
+	if len(qs) != 11 {
+		t.Fatalf("retained %d queries, want 11", len(qs))
 	}
 	from, to := r.Window()
 	if to != ms(101) || from != ms(91) {
@@ -427,8 +416,8 @@ func TestRecorderWindowQueries(t *testing.T) {
 	}
 
 	qs := r.WindowQueries()
-	if len(qs) == 0 || len(qs) != r.Status().Retained {
-		t.Fatalf("%d queries in the window, status retained %d", len(qs), r.Status().Retained)
+	if len(qs) == 0 {
+		t.Fatal("no queries in the window")
 	}
 	in := map[int]bool{}
 	for i, q := range qs {

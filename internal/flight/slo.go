@@ -1,8 +1,6 @@
 package flight
 
 import (
-	"sync"
-
 	"repro/internal/qtrace"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -19,12 +17,9 @@ const maxSLOWindows = 1024
 // clock) folds into its window's latency sketch and, when it exceeds the
 // objective, the window's and the run's burn counters. Windowing by sim
 // time makes the output deterministic: the same run produces the same
-// window table at any -j.
-//
-// The monitor is mutex-protected — completions arrive on the simulation's
-// goroutine while HTTP scrapes read snapshots from the server's.
+// window table at any -j. A monitor belongs to one run and is called only
+// from that run's goroutine.
 type SLOMonitor struct {
-	mu        sync.Mutex
 	width     sim.Time
 	objective sim.Time
 	// windows holds the populated windows stamped with their index
@@ -60,8 +55,6 @@ func NewSLOMonitor(width, objective sim.Time) *SLOMonitor {
 func (m *SLOMonitor) QueryDone(_ int, at, latency sim.Time) {
 	idx := at / m.width
 	breached := latency > m.objective
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.queries++
 	if breached {
 		m.breaches++
@@ -82,34 +75,32 @@ func (m *SLOMonitor) QueryDone(_ int, at, latency sim.Time) {
 
 // SLOWindowStat is one window's summary in a snapshot.
 type SLOWindowStat struct {
-	StartMs  float64 `json:"start_ms"`
-	Queries  int     `json:"queries"`
-	P50Ms    float64 `json:"p50_ms"`
-	P99Ms    float64 `json:"p99_ms"`
-	P999Ms   float64 `json:"p999_ms"`
-	Breaches int     `json:"breaches"`
+	StartMs  float64
+	Queries  int
+	P50Ms    float64
+	P99Ms    float64
+	P999Ms   float64
+	Breaches int
 }
 
-// SLOStats is the monitor's snapshot shape (served under /progress and
-// expvar).
+// SLOStats is the monitor's snapshot: the cumulative burn and the
+// retained windows that Table renders.
 type SLOStats struct {
-	ObjectiveMs float64 `json:"objective_ms"`
-	WindowMs    float64 `json:"window_ms"`
-	Queries     uint64  `json:"queries"`
-	Breaches    uint64  `json:"breaches"`
-	BurnPct     float64 `json:"burn_pct"`
+	ObjectiveMs float64
+	WindowMs    float64
+	Queries     uint64
+	Breaches    uint64
+	BurnPct     float64
 	// WindowsEvicted counts populated windows silently aged out past the
 	// maxSLOWindows retention cap — when non-zero, the per-window rows
 	// below are a suffix of the run, not the whole story.
-	WindowsEvicted uint64          `json:"windows_evicted,omitempty"`
-	Windows        []SLOWindowStat `json:"windows,omitempty"`
+	WindowsEvicted uint64
+	Windows        []SLOWindowStat
 }
 
 // Stats snapshots the monitor: cumulative burn plus per-window quantiles
 // of the retained windows, oldest first (only populated windows exist).
 func (m *SLOMonitor) Stats() SLOStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	st := SLOStats{
 		ObjectiveMs:    m.objective.Milliseconds(),
 		WindowMs:       m.width.Milliseconds(),

@@ -117,9 +117,8 @@ func TestSLOBurnCounters(t *testing.T) {
 
 // TestSLOWindowEvictionAtCap crosses the maxSLOWindows retention cap: the
 // oldest windows age out, but no longer silently — the eviction counter
-// surfaces in Stats and the table gains a suffix warning (the inspector's
-// test of the same name checks the expvar). Cumulative burn counters must
-// be unaffected by eviction.
+// surfaces in Stats and the table gains a suffix warning. Cumulative burn
+// counters must be unaffected by eviction.
 func TestSLOWindowEvictionAtCap(t *testing.T) {
 	width := sim.Millisecond
 	m := NewSLOMonitor(width, 10*sim.Millisecond)

@@ -7,9 +7,11 @@ import (
 )
 
 // Fabric is one physical programmable-logic instance: the thing a kernel
-// template gets loaded onto. It tracks the loaded bitstream,
-// reconfiguration count/latency (today's devices swap partial bitstreams in
-// sub-millisecond, §VI-A), and busy accounting for the energy model.
+// template gets loaded onto. It tracks the loaded bitstream, the
+// reconfiguration count and busy accounting for the energy model. A
+// reconfiguration takes no simulated time: the paper's evaluation does not
+// account for the partial reprogramming delay, which today's devices keep
+// under a millisecond (§VI-A).
 type Fabric struct {
 	eng    *sim.Engine
 	name   string
@@ -17,11 +19,6 @@ type Fabric struct {
 
 	loaded    *Template
 	reconfigs uint64
-	// ReconfigLatency is the partial-reconfiguration delay applied when a
-	// different template is loaded. The paper's evaluation sets this to
-	// zero ("we do not account for the partial reprogramming delay"); it
-	// is kept configurable for the ablation benchmarks.
-	ReconfigLatency sim.Time
 
 	busy      sim.Time // accumulated kernel-active time
 	busyUntil sim.Time
@@ -62,7 +59,7 @@ func (f *Fabric) Load(t *Template) (sim.Time, error) {
 	}
 	f.loaded = t
 	f.reconfigs++
-	return now + f.ReconfigLatency, nil
+	return now, nil
 }
 
 // Reconfigs reports how many bitstream loads occurred.

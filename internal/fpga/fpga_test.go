@@ -188,6 +188,7 @@ func TestFabricLoadAndOccupy(t *testing.T) {
 	f := NewFabric(eng, "onchip0", VirtexVU9P)
 	r := NewRegistry()
 	cnn, _ := r.Lookup("CNN-VU9P")
+	knn, _ := r.Lookup("KNN-VU9P")
 	zcnn, _ := r.Lookup("CNN-ZCU9")
 
 	if _, err := f.Load(zcnn); err == nil {
@@ -200,10 +201,14 @@ func TestFabricLoadAndOccupy(t *testing.T) {
 	if f.Loaded() != cnn {
 		t.Error("Loaded() mismatch")
 	}
-	// Re-loading the same template is free and not counted.
+	// Re-loading the same template is free and not counted; loading a
+	// different one counts a second reconfiguration, which is ready at once.
 	f.Load(cnn)
 	if f.Reconfigs() != 1 {
 		t.Errorf("reconfigs = %d, want 1", f.Reconfigs())
+	}
+	if ready, err := f.Load(knn); err != nil || ready != 0 || f.Reconfigs() != 2 {
+		t.Errorf("second template: ready=%v err=%v reconfigs=%d, want 0, nil, 2", ready, err, f.Reconfigs())
 	}
 
 	end1 := f.Occupy(10 * sim.Microsecond)
@@ -219,23 +224,6 @@ func TestFabricLoadAndOccupy(t *testing.T) {
 	}
 	if f.Tasks() != 2 {
 		t.Errorf("tasks = %d, want 2", f.Tasks())
-	}
-}
-
-func TestFabricReconfigLatency(t *testing.T) {
-	eng := sim.NewEngine()
-	f := NewFabric(eng, "x", ZynqZCU9)
-	f.ReconfigLatency = sim.Millisecond
-	r := NewRegistry()
-	a, _ := r.Lookup("CNN-ZCU9")
-	b, _ := r.Lookup("KNN-ZCU9")
-	f.Load(a)
-	ready, _ := f.Load(b)
-	if ready != sim.Millisecond {
-		t.Errorf("reconfig ready at %v, want 1ms", ready)
-	}
-	if f.Reconfigs() != 2 {
-		t.Errorf("reconfigs = %d, want 2", f.Reconfigs())
 	}
 }
 

@@ -85,9 +85,3 @@ func GeMM(a, b *Matrix) *Matrix {
 	}
 	return c
 }
-
-// GeMMFLOPs reports the floating-point operations of C = A(m×k) × B(k×n):
-// 2·m·k·n (one multiply + one add per MAC).
-func GeMMFLOPs(m, k, n int) float64 {
-	return 2 * float64(m) * float64(k) * float64(n)
-}

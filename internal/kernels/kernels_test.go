@@ -82,12 +82,6 @@ func TestGeMMTransposeProperty(t *testing.T) {
 	}
 }
 
-func TestGeMMFLOPs(t *testing.T) {
-	if got := GeMMFLOPs(16, 96, 1000); got != 2*16*96*1000 {
-		t.Errorf("GeMMFLOPs = %v", got)
-	}
-}
-
 func TestSquaredL2(t *testing.T) {
 	p := []float32{1, 2, 3}
 	q := []float32{4, 6, 3}

@@ -57,7 +57,7 @@ func portStats(t *testing.T, eng *sim.Engine, name string) sim.ResourceStats {
 	return r.ResourceStats()
 }
 
-func TestLoopbackAndCommands(t *testing.T) {
+func TestLoopback(t *testing.T) {
 	eng := sim.NewEngine()
 	x := New(eng, "noc", 5*sim.Nanosecond)
 	a := x.MustAddPort("a", 10e9)

@@ -131,9 +131,9 @@ func (q *Query) Dominant() Attribution {
 
 // Observer sees every query completion as it happens, on the simulation
 // goroutine: the query's ID, its simulated completion instant and its
-// end-to-end latency. The live inspector, the windowed SLO monitor and the
-// flight recorder all hang off this one hook. Keep implementations cheap;
-// they run inside the event loop.
+// end-to-end latency. The windowed SLO monitor and the flight recorder
+// both hang off this one hook. Keep implementations cheap; they run inside
+// the event loop.
 type Observer interface {
 	QueryDone(id int, at, latency sim.Time)
 }

@@ -383,9 +383,10 @@ func TestTeeFansOut(t *testing.T) {
 	}
 }
 
-// TestTeeOrdering: with three observers — cmd's chain of inspector, SLO
-// monitor and flight recorder on one completion stream — each completion
-// notifies all of them in slice order before the next completion starts.
+// TestTeeOrdering: with three observers on one completion stream — a
+// cluster run chains the SLO monitor and the flight recorder this way —
+// each completion notifies all of them in slice order before the next
+// completion starts.
 func TestTeeOrdering(t *testing.T) {
 	var journal []string
 	a := &captureObserver{name: "a", journal: &journal}

@@ -94,8 +94,7 @@ type MultiEngine struct {
 // The callback runs on the coordinator goroutine while every domain is
 // quiescent, so the observer may read domain clocks, calendars and the
 // shared StatsRegistry without synchronization — this is the sampling
-// hook time-resolved cluster observability and the live inspector hang
-// off. mailboxes[i] is domain i's inbound mailbox depth observed at the
+// hook the metrics sampler and the flight recorder hang off. mailboxes[i] is domain i's inbound mailbox depth observed at the
 // barrier (before the drain emptied it). final is true for the
 // terminating callback of a Run invocation, when every calendar and
 // mailbox is empty.

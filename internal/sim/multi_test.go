@@ -153,7 +153,7 @@ func (cr *chainRelay) Fire(eng *Engine, arg uint64) {
 
 // TestMultiEngineProgress: after a run, the coordinator reports the
 // wired lookahead, the rounds it executed, and each domain's clock and
-// dispatch count — the view the live inspector copies at every barrier.
+// dispatch count — the view the flight recorder samples at barriers.
 func TestMultiEngineProgress(t *testing.T) {
 	m := NewMultiEngine(2)
 	a, b := m.Domain(0), m.Domain(1)
