@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkRecorderQueryDone is the enabled-path overhead gate: one
-// completion through an armed recorder in steady state — retention copy,
+// completion through an armed recorder in steady state — the retained ID,
 // window eviction, the observability point and all three detector
 // evaluations. The healthy stream below never triggers, so every
 // iteration pays the full always-on cost. Compare against the cluster's
@@ -19,8 +19,7 @@ func BenchmarkRecorderQueryDone(b *testing.B) {
 	r.SetLoadProvider(func(dst []int) []int {
 		return append(dst, 3, 2, 4, 3)
 	})
-	l := qtrace.NewLog(qtrace.Options{Observers: []qtrace.Observer{r}})
-	r.AttachLog(l)
+	l := qtrace.NewLog(qtrace.Options{Observer: r})
 	interval := 10 * sim.Millisecond
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -296,48 +296,36 @@ func TestLogIgnoresUnknownQueries(t *testing.T) {
 	}
 }
 
-// captureObserver records its completion callbacks, tagging each with its
-// name in a journal shared across observers so notification order is
-// observable.
+// captureObserver records its completion callbacks.
 type captureObserver struct {
-	name    string
-	journal *[]string
-	ids     []int
-	ats     []sim.Time
-	lats    []sim.Time
+	ids  []int
+	ats  []sim.Time
+	lats []sim.Time
 }
 
 func (c *captureObserver) QueryDone(id int, at, lat sim.Time) {
-	*c.journal = append(*c.journal, c.name)
 	c.ids = append(c.ids, id)
 	c.ats = append(c.ats, at)
 	c.lats = append(c.lats, lat)
 }
 
-// TestObserverSeesCompletions: every observer sees every completion with
-// its simulated instant and latency, notified in slice order.
+// TestObserverSeesCompletions: the observer sees every completion once,
+// in completion order, with its simulated instant and latency.
 func TestObserverSeesCompletions(t *testing.T) {
-	var journal []string
-	a := &captureObserver{name: "a", journal: &journal}
-	b := &captureObserver{name: "b", journal: &journal}
-	l := NewLog(Options{Observers: []Observer{a, b}})
+	obs := &captureObserver{}
+	l := NewLog(Options{Observer: obs})
 	l.Submitted(0, 0, ms(0))
 	l.Submitted(1, 1, ms(1))
 	l.Completed(1, ms(5))
 	l.Completed(0, ms(9))
-	if want := []string{"a", "b", "a", "b"}; !reflect.DeepEqual(journal, want) {
-		t.Fatalf("notification order = %v, want %v", journal, want)
+	if !reflect.DeepEqual(obs.ids, []int{1, 0}) {
+		t.Fatalf("observer ids = %v", obs.ids)
 	}
-	for _, obs := range []*captureObserver{a, b} {
-		if !reflect.DeepEqual(obs.ids, []int{1, 0}) {
-			t.Fatalf("observer %s ids = %v", obs.name, obs.ids)
-		}
-		if !reflect.DeepEqual(obs.ats, []sim.Time{ms(5), ms(9)}) {
-			t.Fatalf("observer %s instants = %v", obs.name, obs.ats)
-		}
-		if !reflect.DeepEqual(obs.lats, []sim.Time{ms(4), ms(9)}) {
-			t.Fatalf("observer %s latencies = %v", obs.name, obs.lats)
-		}
+	if !reflect.DeepEqual(obs.ats, []sim.Time{ms(5), ms(9)}) {
+		t.Fatalf("observer instants = %v", obs.ats)
+	}
+	if !reflect.DeepEqual(obs.lats, []sim.Time{ms(4), ms(9)}) {
+		t.Fatalf("observer latencies = %v", obs.lats)
 	}
 }
 
@@ -345,9 +333,8 @@ func TestObserverSeesCompletions(t *testing.T) {
 // completion instant, distinct from the latency, for a query that arrived
 // after time zero.
 func TestObserverAtSeesCompletionInstant(t *testing.T) {
-	var journal []string
-	obs := &captureObserver{name: "x", journal: &journal}
-	l := NewLog(Options{Observers: []Observer{obs}})
+	obs := &captureObserver{}
+	l := NewLog(Options{Observer: obs})
 	l.Submitted(0, 7, 100)
 	l.Completed(0, 350)
 	if len(obs.ids) != 1 || obs.ids[0] != 0 {
@@ -361,44 +348,14 @@ func TestObserverAtSeesCompletionInstant(t *testing.T) {
 	}
 }
 
-// TestTeeFansOut: the log fans one completion out to every listed
-// observer, and a log with an empty list completes queries with no hook.
-func TestTeeFansOut(t *testing.T) {
-	var journal []string
-	a := &captureObserver{name: "a", journal: &journal}
-	b := &captureObserver{name: "b", journal: &journal}
-	l := NewLog(Options{Observers: []Observer{a, b}})
+// TestLogWithoutObserver: a log with no observer completes queries with
+// no hook to call.
+func TestLogWithoutObserver(t *testing.T) {
+	l := NewLog(Options{})
 	l.Submitted(3, 1, 10)
 	l.Completed(3, 60)
-	for _, obs := range []*captureObserver{a, b} {
-		if len(obs.ids) != 1 || obs.ids[0] != 3 || obs.ats[0] != 60 {
-			t.Fatalf("fan-out missed observer %s: ids %v at %v", obs.name, obs.ids, obs.ats)
-		}
-	}
-	bare := NewLog(Options{Observers: []Observer{}})
-	bare.Submitted(3, 1, 10)
-	bare.Completed(3, 60)
-	if bare.CompletedCount() != 1 {
-		t.Fatalf("log without observers completed %d queries, want 1", bare.CompletedCount())
-	}
-}
-
-// TestTeeOrdering: with three observers on one completion stream — a
-// cluster run chains the SLO monitor and the flight recorder this way —
-// each completion notifies all of them in slice order before the next
-// completion starts.
-func TestTeeOrdering(t *testing.T) {
-	var journal []string
-	a := &captureObserver{name: "a", journal: &journal}
-	b := &captureObserver{name: "b", journal: &journal}
-	c := &captureObserver{name: "c", journal: &journal}
-	l := NewLog(Options{Observers: []Observer{a, b, c}})
-	l.Submitted(0, 0, 0)
-	l.Submitted(1, 1, 0)
-	l.Completed(0, 10)
-	l.Completed(1, 20)
-	if want := []string{"a", "b", "c", "a", "b", "c"}; !reflect.DeepEqual(journal, want) {
-		t.Fatalf("callback order = %v, want %v", journal, want)
+	if l.CompletedCount() != 1 || l.Query(3).Latency() != 50 {
+		t.Fatalf("log without an observer completed %d queries, latency %v", l.CompletedCount(), l.Query(3).Latency())
 	}
 }
 
