@@ -22,8 +22,11 @@
 #                      (the root package's tables, figures, ablations and
 #                      cluster scatter-gathers included, the kernels
 #                      package's lane distance kernels beside their
-#                      SquaredL2 loop, the GAM's deep-queue dispatch, and
-#                      the metrics CSV writer over moving and held series)
+#                      SquaredL2 loop, the GAM's deep-queue dispatch, the
+#                      metrics CSV writer over moving and held series, and
+#                      the flight recorder's overhead gates: one armed
+#                      completion and the pinned cluster run with the
+#                      recorder off, recording and detecting)
 
 GO ?= go
 
@@ -102,4 +105,4 @@ bench:
 
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/sim/ ./internal/cbir/ ./internal/trace/ ./internal/metrics/ \
-		./internal/cluster/ ./internal/kernels/ ./internal/core/
+		./internal/cluster/ ./internal/kernels/ ./internal/core/ ./internal/flight/ ./cmd/reachsim/

@@ -48,22 +48,22 @@ const emptySHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b8
 
 // Digests shared by rows that write the same bytes.
 const (
-	observedStdout = "bd5b59ad65e3981e28f046748e96d66ccaea43ecd0aa3b80eefb36f85d90bdc0"
+	observedStdout = "710a4a8e1c72d90ed882d783bf744e830a3a5c83dbd7d85ad7138d5851abc803"
 	observedCSV    = "6acfc6364143b09879ac6cf896fb27f8e491aaef27a80595cf9b457bb1596671"
-	observedTrace  = "2a206bcd0df0979ef8a2e5211add3dc25a94ff97e2cccb8d5446a3b85f225970"
+	observedTrace  = "a17948c3b913fb6ed34cfb639b5ceeb400f748843996fab60bb771a3cb04a638"
 	flashStdout    = "8697826d65f93bc488b291230ad7f4891928604542fb287ee8be924492f95337"
 	taillatStdout  = "21fc111b51fa0dae9bb51b110e4eab520bd67469839811521610aed2d8cf6af5"
-	taillatCSV     = "1e4840b9f85b2aae64c725ddc54a14cc559a4a5b3fd3318d98bb1819051fd04b"
-	taillatSummary = "386d743264f5e6903d715681c405873b1c4bd73263f27d9aa0b539e3a4bd2e82"
+	taillatCSV     = "614b95e8100bcfef9f253d8edd631d3b88d45b73bb42d7b982f86ae66dad23ee"
+	taillatSummary = "962f3e8fc8ec02a8dddee41c1647bf490ac5890092cd4712036eb26c9e56ce93"
 )
 
 // observedBundle is the one flight bundle of the cluster-observed run.
 func observedBundle(dir string) map[string]string {
 	b := dir + "/bundle-3680510us/"
 	return map[string]string{
-		b + "verdict.json":   "e80bc26b58be3fb6411346338dcd6ce3a69e2c39fcb3986bd72bc10a57fdf187",
+		b + "verdict.json":   "f2813ec634435ff4f4d61f563ca968b9c8e4258f62d9907efe7f30fe817cd6f9",
 		b + "trace.json":     "06b1a9424cc8a47009f38f36ce900991427aab1fa9465d8340357e26669714a1",
-		b + "stragglers.txt": "f5cd6083debb118f96f8fd2ba179e74457314707db21b8edb45181d4c5237109",
+		b + "stragglers.txt": "7d3dafb133d861c7588a36a82f83edcd830d0d3712b2458453c7087118915e23",
 		b + "domains.json":   "35dda06dc6519fcb8b8e76a8b380a91f093d383dc78e6323c8179f2dd64a4e10",
 		b + "state.json":     "bcae0cfe8bd86888e5cffaa6b5ab8d9a54306c64a8b1fd7335adf8176d45ad11",
 	}
@@ -112,10 +112,10 @@ var cliRows = []cliRow{
 		name: "cluster-sinks",
 		args: []string{"-cluster", "-metrics", "DIR/metrics.csv", "-spans", "-trace", "DIR/trace.json",
 			"-slo", "250", "-slo-window", "100"},
-		stdout: "aa4f139d344ec6ba39ebbcb713b11f142cfe6c5a6e36964c2f8bf15778b06355",
+		stdout: "61abca9713673fe9ae6532dabc6e7e7b397d9dbd2834b40f6e1b8dc39ff3531e",
 		files: map[string]string{
 			"metrics.csv": "6a1b69071dfd59acb8395d1758c0a1775cf42447689ad86af515e89ad4f2428e",
-			"trace.json":  "fbfa9d8452ddf6d93f0d3d84668bc59567aff312cf279b5d71956d6b617fd150",
+			"trace.json":  "64266962244dbe47586655d28ccf5d99f2169346388f4ac62cef722e3cf333f0",
 		},
 		stderr: []string{
 			"cluster metrics written to DIR/metrics.csv",
@@ -173,7 +173,7 @@ var cliRows = []cliRow{
 	},
 	{
 		name: "flash-metrics", args: slices.Concat(flashBase, []string{"-metrics", "DIR/m.csv", "-spans"}), once: true,
-		stdout: "f0b421f90ba99c22a9261c7aa3a53921bb6bc360f0bc7b1d86970f5e06a0aa62",
+		stdout: "cb8e8269a8725e92887c19f9bc393e1878818b65360b0a63c1070c721e95a928",
 		files:  map[string]string{"m.csv": observedCSV},
 		stderr: []string{"cluster metrics written to DIR/m.csv", "cluster run complete: 96 queries"},
 	},
@@ -189,12 +189,32 @@ var cliRows = []cliRow{
 		stderr: []string{"cluster run complete: 96 queries"},
 	},
 	{
+		// A window far narrower than the run: the table lists every one
+		// of the 96 populated windows, one per completed query.
+		name: "flash-slo-fine", args: slices.Concat(flashBase, []string{"-slo", "400", "-slo-window", "0.5"}), once: true,
+		stdout: "2b4759fd5541c98c58635aaec0dd31b8d76c05e6b3e942f24e16700407982743",
+		stderr: []string{"cluster run complete: 96 queries"},
+		check: func(t *testing.T, _ string, stdout []byte) {
+			_, table, _ := strings.Cut(string(stdout), "SLO windows")
+			n := 0
+			for _, line := range strings.Split(table, "\n") {
+				if f := strings.Fields(line); len(f) == 7 && f[1] == "1" {
+					n++
+				}
+			}
+			if n != 96 {
+				t.Errorf("SLO table lists %d one-query windows, want 96", n)
+			}
+			reportHas(t, stdout, "96 queries, 42 breaches")
+		},
+	},
+	{
 		name: "flash-flight", args: slices.Concat(flashBase, []string{"-flight", "DIR/flight", "-detect"}), once: true,
 		stdout: flashStdout,
 		files: map[string]string{
-			"flight/bundle-947328us/verdict.json":   "5aa8e70da736b11933009412a39b8c53f47c4f56104c56cb3fbe8c89636e4340",
+			"flight/bundle-947328us/verdict.json":   "e936e041b9f33964d449041edb7cf806f6329c725d10104e6a6e2083974be069",
 			"flight/bundle-947328us/trace.json":     "bb80f6bb8254fe8e4596be93ab345d69b0b47d5069d5ca18c4ea8dfc0eb56c9b",
-			"flight/bundle-947328us/stragglers.txt": "24925fca6774af79ad95608ec9d51ad872a2e320a9603599458f9140d4098871",
+			"flight/bundle-947328us/stragglers.txt": "b16b435428c0cbe9223cbfad3a6b8b806ed7f59c3fe7d848f20d720929a62908",
 			"flight/bundle-947328us/domains.json":   "b415f7a85b7e31d5f6b6e333f9a91d7e69018ed6e6de92452099686d3aa81fc4",
 			"flight/bundle-947328us/state.json":     "bcae0cfe8bd86888e5cffaa6b5ab8d9a54306c64a8b1fd7335adf8176d45ad11",
 		},
@@ -218,7 +238,7 @@ var cliRows = []cliRow{
 	{
 		name: "trace-spans", args: []string{"-trace", "DIR/trace.json", "-spans", "-metrics-interval", "500us"},
 		stdout: emptySHA,
-		files:  map[string]string{"trace.json": "6757f593cf9c7c6aff0b65429d11550ca400c621892ae875e97fa95e3be74e00"},
+		files:  map[string]string{"trace.json": "84222f72bdea6c105bb3c79239319467412560a055e12ef131950de2d23da7f3"},
 		stderr: []string{"trace written to DIR/trace.json (open in chrome://tracing or Perfetto)"},
 		check: func(t *testing.T, dir string, _ []byte) {
 			checkTrace(t, filepath.Join(dir, "trace.json"), traceWant{counters: true, spans: true})
@@ -229,7 +249,7 @@ var cliRows = []cliRow{
 		stdout: "b2c0b306de94c50442e50a4495a5dcfef208f3505fd23f9aaa2b337eea20294c",
 		files: map[string]string{
 			"metrics.csv": "94438f594767525f23e8a3078051a9214ad2dde7236ac39d9b846c527af34551",
-			"trace.json":  "6757f593cf9c7c6aff0b65429d11550ca400c621892ae875e97fa95e3be74e00",
+			"trace.json":  "84222f72bdea6c105bb3c79239319467412560a055e12ef131950de2d23da7f3",
 		},
 		stderr: []string{
 			"metrics for 1 runs written to DIR/metrics.csv",

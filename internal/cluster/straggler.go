@@ -83,24 +83,16 @@ func (c *Cluster) recordStraggler(q *query, shard int, now sim.Time) {
 	})
 }
 
-// tailThreshold is the nearest-rank q-quantile of the records' latencies,
-// the ⌈q·n⌉-th smallest (clamped to [1, n]), so "the p999 tail" means
-// every record at or above it. The qtrace sketch ranks ⌊q·n⌋ instead: for
-// 96 records at p99 it targets the 95th latency, and this the 96th.
+// tailThreshold is the q-quantile of the records' latencies under
+// sim.Histogram's rank rule, the ⌊q·n⌋-th smallest (clamped to [1, n]),
+// the rule the qtrace sketch's p99 and p999 use, so "the p999 tail" means
+// every record at or above the latency the run's p999 targets.
 func tailThreshold(recs []StragglerRecord, q float64) sim.Time {
-	lats := make([]sim.Time, len(recs))
-	for i, r := range recs {
-		lats[i] = r.Latency
+	h := sim.NewHistogram()
+	for _, r := range recs {
+		h.Add(r.Latency)
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	rank := int(float64(len(lats))*q+0.9999999) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(lats) {
-		rank = len(lats) - 1
-	}
-	return lats[rank]
+	return h.Quantile(q)
 }
 
 // legKey aggregates records by critical (shard, node).

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,9 +131,20 @@ func TestStragglerSkewedHashTailAcceptance(t *testing.T) {
 		t.Fatalf("got %d records", len(recs))
 	}
 
+	// The p999 tail starts where the run's p999 does: at the ⌊0.999·240⌋ =
+	// 239th smallest latency, the rank rule of sim.Histogram and the qtrace
+	// sketch, not the nearest-rank 240th.
+	thresh := tailThreshold(recs, 0.999)
+	lats := make([]sim.Time, len(recs))
+	for i, r := range recs {
+		lats[i] = r.Latency
+	}
+	slices.Sort(lats)
+	if thresh != lats[238] {
+		t.Fatalf("p999 threshold %v, want the 239th of 240 latencies %v", thresh, lats[238])
+	}
 	// Every p999-tail record must sit on its content's hot shard with
 	// queue as the dominant component.
-	thresh := tailThreshold(recs, 0.999)
 	tail := 0
 	for _, r := range recs {
 		if r.Latency < thresh {

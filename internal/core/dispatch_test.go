@@ -30,9 +30,9 @@ func TestDispatchTimelinesPinned(t *testing.T) {
 		want        string
 	}{
 		{"pipelined", false, false, "6a3959f66e846c6e"},
-		{"pipelined-spans", false, true, "55f83d8f1e68d0c5"},
+		{"pipelined-spans", false, true, "f40169cb439d1673"},
 		{"gated", true, false, "86ece6e702f7f200"},
-		{"gated-spans", true, true, "53a3da3a111c865f"},
+		{"gated-spans", true, true, "56fa871c45b71f1e"},
 	}
 	for _, c := range cases {
 		h := sha256.New()

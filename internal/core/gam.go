@@ -61,12 +61,12 @@ type GAM struct {
 	stats GAMStats
 
 	// spans, when non-nil, receives structured decision spans (dispatch
-	// causes, reconfigurations, poll gaps). Nil — the default — keeps
+	// causes, poll gaps). Nil — the default — keeps
 	// every hook down to a single pointer check.
 	spans *metrics.SpanLog
 
 	// qlog, when non-nil, receives per-query phase intervals (queue wait,
-	// execution, reconfiguration, poll gaps, inter-level transfers) keyed
+	// execution, poll gaps, inter-level transfers) keyed
 	// by the QueryID Submit assigns. Nil — the default — keeps every hook
 	// down to a single pointer check.
 	qlog *qtrace.Log
@@ -434,24 +434,11 @@ func (g *GAM) dispatch(n *TaskNode, slot int) {
 func (g *GAM) execute(n *TaskNode) {
 	a := n.acc
 	// Configure the fabric (partial reconfiguration when a different
-	// kernel was resident; it takes no simulated time, as in the paper's
-	// evaluation §VI-A, so its span and interval are zero-length).
-	fab := a.Fabric()
-	reconfigsBefore := fab.Reconfigs()
-	ready, err := fab.Load(n.Spec.Kernel)
-	if err != nil {
+	// kernel was resident). It takes no simulated time, as in the paper's
+	// evaluation §VI-A, so the fabric's reconfiguration count is all it
+	// leaves behind.
+	if err := a.Fabric().Load(n.Spec.Kernel); err != nil {
 		panic(fmt.Sprintf("core: kernel/device mismatch on %s: %v", a.Name(), err))
-	}
-	if g.tracing() && fab.Reconfigs() != reconfigsBefore {
-		if g.spans != nil {
-			g.spans.Add(metrics.Span{
-				Cat: metrics.CatReconfig, Name: n.Spec.Kernel.Name, Lane: a.Name(),
-				Cause: metrics.CauseReconfig, Start: g.sys.eng.Now(), End: ready,
-				Job: n.job.ID, V: int64(fab.Reconfigs()),
-			})
-		}
-		g.qtraceAdd(n.job, qtrace.PhaseReconfig, n.Spec.Stage, n.Level.String(),
-			n.Spec.Kernel.Name, g.sys.eng.Now(), ready)
 	}
 	done, err := a.Execute(&n.Spec)
 	if err != nil {

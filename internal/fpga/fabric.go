@@ -42,24 +42,23 @@ func (f *Fabric) Device() *Device { return f.device }
 // Loaded reports the currently configured template (nil when blank).
 func (f *Fabric) Loaded() *Template { return f.loaded }
 
-// Load configures template t, returning the time the fabric is ready.
-// Loading the already-resident template is free; loading a template
-// synthesised for a different part is an error.
-func (f *Fabric) Load(t *Template) (sim.Time, error) {
+// Load configures template t. The fabric is ready at once: loading the
+// resident template changes nothing, and loading another counts one
+// reconfiguration. Loading a template synthesised for a different part
+// is an error.
+func (f *Fabric) Load(t *Template) error {
 	if t == nil {
-		return 0, fmt.Errorf("fpga: %s: loading nil template", f.name)
+		return fmt.Errorf("fpga: %s: loading nil template", f.name)
 	}
 	if t.Device != f.device {
-		return 0, fmt.Errorf("fpga: %s: template %s is synthesised for %s, fabric is %s",
+		return fmt.Errorf("fpga: %s: template %s is synthesised for %s, fabric is %s",
 			f.name, t.Name, t.Device.Name, f.device.Name)
 	}
-	now := f.eng.Now()
-	if f.loaded == t {
-		return now, nil
+	if f.loaded != t {
+		f.loaded = t
+		f.reconfigs++
 	}
-	f.loaded = t
-	f.reconfigs++
-	return now, nil
+	return nil
 }
 
 // Reconfigs reports how many bitstream loads occurred.

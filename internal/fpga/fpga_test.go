@@ -191,24 +191,24 @@ func TestFabricLoadAndOccupy(t *testing.T) {
 	knn, _ := r.Lookup("KNN-VU9P")
 	zcnn, _ := r.Lookup("CNN-ZCU9")
 
-	if _, err := f.Load(zcnn); err == nil {
+	if err := f.Load(zcnn); err == nil {
 		t.Error("loading ZCU9 bitstream on VU9P fabric accepted")
 	}
-	ready, err := f.Load(cnn)
-	if err != nil || ready != 0 {
-		t.Fatalf("load: ready=%v err=%v", ready, err)
+	if err := f.Load(cnn); err != nil {
+		t.Fatalf("load: %v", err)
 	}
 	if f.Loaded() != cnn {
 		t.Error("Loaded() mismatch")
 	}
 	// Re-loading the same template is free and not counted; loading a
-	// different one counts a second reconfiguration, which is ready at once.
+	// different one counts a second reconfiguration, and neither takes
+	// simulated time or leaves the fabric busy.
 	f.Load(cnn)
 	if f.Reconfigs() != 1 {
 		t.Errorf("reconfigs = %d, want 1", f.Reconfigs())
 	}
-	if ready, err := f.Load(knn); err != nil || ready != 0 || f.Reconfigs() != 2 {
-		t.Errorf("second template: ready=%v err=%v reconfigs=%d, want 0, nil, 2", ready, err, f.Reconfigs())
+	if err := f.Load(knn); err != nil || f.Reconfigs() != 2 || !f.Idle() || eng.Now() != 0 {
+		t.Errorf("second template: err=%v reconfigs=%d idle=%v now=%v, want nil, 2, idle at 0", err, f.Reconfigs(), f.Idle(), eng.Now())
 	}
 
 	end1 := f.Occupy(10 * sim.Microsecond)

@@ -3,8 +3,8 @@
 // records *when* pressure built: a periodic Sampler scheduled on the sim
 // engine walks the registry every N sim-microseconds and records one
 // point per resource that has moved so far, and a SpanLog collects the
-// GAM's structured decision spans (dispatch causes, reconfigurations,
-// poll-detection gaps, stream-buffer stalls).
+// GAM's structured decision spans (dispatch causes, poll-detection gaps,
+// stream-buffer stalls).
 //
 // A Series is stored as change runs: a point is kept only where one of
 // its six values differs from the last kept point, with the sample its

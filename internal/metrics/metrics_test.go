@@ -231,7 +231,7 @@ func TestCSVWriterSortedAndWellFormed(t *testing.T) {
 
 func TestSpanLogNilSafe(t *testing.T) {
 	var l *SpanLog
-	l.Add(Span{Cat: CatReconfig})
+	l.Add(Span{Cat: CatPollGap})
 	if l.Len() != 0 || l.Spans() != nil {
 		t.Fatal("nil SpanLog not inert")
 	}

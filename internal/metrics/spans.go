@@ -8,9 +8,6 @@ const (
 	// CatDispatch is a dispatch decision: ready-instant to the command
 	// packet leaving the GAM, tagged with why the task waited.
 	CatDispatch = "gam.dispatch"
-	// CatReconfig is a partial reconfiguration on a fabric (a different
-	// kernel template was resident).
-	CatReconfig = "gam.reconfig"
 	// CatPollGap is the device-completion to GAM-detection gap of a polled
 	// (non-coherent) task.
 	CatPollGap = "gam.pollgap"
@@ -30,9 +27,6 @@ const (
 	// CauseJobGate: cross-job pipelining is disabled and an older job was
 	// still open.
 	CauseJobGate = "job-gate"
-	// CauseReconfig: a different kernel template was resident and the
-	// fabric was partially reconfigured.
-	CauseReconfig = "kernel-switch"
 	// CauseStatusPoll: completion was observed by status polling rather
 	// than a coherent flag.
 	CauseStatusPoll = "status-poll"
@@ -52,8 +46,7 @@ type Span struct {
 	// Job is the owning job ID (-1 when not job-scoped).
 	Job int
 	// V carries one category-specific detail: polls for CatPollGap, busy
-	// device count at decision time for CatDispatch, reconfiguration count
-	// for CatReconfig.
+	// device count at decision time for CatDispatch.
 	V int64
 }
 

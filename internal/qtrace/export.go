@@ -19,7 +19,6 @@ import (
 //   - "exec": accelerator execution; cluster shard legs use stage
 //     "Rerank", level "nearmem+nearstor" and detail "shardS@nodeR" for
 //     the whole scatter leg's device time.
-//   - "reconfig": partial-reconfiguration stall before execution.
 //   - "pollgap": device completion to GAM detection (polled tasks).
 //   - "xfer": inter-level DMA on one server, and on cluster runs the
 //     wire legs — image ingress ("client-nodeH", stage

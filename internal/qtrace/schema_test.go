@@ -46,7 +46,7 @@ func phaseConstants(t *testing.T) map[string]string {
 			}
 		}
 	}
-	if len(phases) < 6 {
+	if len(phases) < 5 {
 		t.Fatalf("parsed only %d Phase constants: %v", len(phases), phases)
 	}
 	return phases

@@ -33,8 +33,8 @@ func checkPin(t *testing.T, raw []byte, wantLen int, wantSHA string) {
 // groups, async query pairs, routed intervals, per-node counters and
 // spans.
 func TestClusterTracePinned(t *testing.T) {
-	checkPin(t, runClusterTrace(t), 289467,
-		"8e1392f7d92b38bd0a047a61379211fd05337bc51b9ec1c0a0e2715492df7739")
+	checkPin(t, runClusterTrace(t), 285788,
+		"cff9928db1378ecd6b1bd535c86e1b5c97290c053cdbd988559a8cc1258f695b")
 }
 
 // pipelineTrace renders a sampled, query-traced single-system pipeline
@@ -66,6 +66,6 @@ func pipelineTrace(t *testing.T) []byte {
 // TestPipelineTracePinned pins the single-system trace: job and detection
 // slices, resource counters, query lanes, counter lanes and GAM spans.
 func TestPipelineTracePinned(t *testing.T) {
-	checkPin(t, pipelineTrace(t), 43868,
-		"e1551b354f980d0e68e829d79a0fd73d2350338ba82050a203c81293b95a9c2d")
+	checkPin(t, pipelineTrace(t), 40774,
+		"2c003d11d6bd9001ee0a22195c1978a8442a6ce7d275f1f9a0ccb54bd73f923e")
 }

@@ -187,7 +187,7 @@ func (s *System) RegisterAccAt(template string, l Level, instance int) (*ACC, er
 	}
 	// Device-compatibility check via a trial load.
 	inst := s.sys.Accelerators(l.internal())[instance]
-	if _, err := inst.Fabric().Load(tpl); err != nil {
+	if err := inst.Fabric().Load(tpl); err != nil {
 		return nil, err
 	}
 	a := &ACC{
