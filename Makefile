@@ -23,8 +23,9 @@
 #                      cluster scatter-gathers included, the kernels
 #                      package's lane distance kernels beside their
 #                      SquaredL2 loop, the GAM's deep-queue dispatch, the
-#                      metrics CSV writer over moving and held series, and
-#                      the flight recorder's overhead gates: one armed
+#                      metrics CSV writer over moving and held series, the
+#                      query log's end-of-run quantile read, and the
+#                      flight recorder's overhead gates: one armed
 #                      completion and the pinned cluster run with the
 #                      recorder off, recording and detecting)
 
@@ -105,4 +106,4 @@ bench:
 
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/sim/ ./internal/cbir/ ./internal/trace/ ./internal/metrics/ \
-		./internal/cluster/ ./internal/kernels/ ./internal/core/ ./internal/flight/ ./cmd/reachsim/
+		./internal/cluster/ ./internal/kernels/ ./internal/core/ ./internal/qtrace/ ./internal/flight/ ./cmd/reachsim/

@@ -48,11 +48,11 @@ const emptySHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b8
 
 // Digests shared by rows that write the same bytes.
 const (
-	observedStdout = "710a4a8e1c72d90ed882d783bf744e830a3a5c83dbd7d85ad7138d5851abc803"
+	observedStdout = "8cd63bf18cb6ba28001610f01ff5b66050357ddeec1d335bbda13691cf2918e5"
 	observedCSV    = "6acfc6364143b09879ac6cf896fb27f8e491aaef27a80595cf9b457bb1596671"
 	observedTrace  = "a17948c3b913fb6ed34cfb639b5ceeb400f748843996fab60bb771a3cb04a638"
-	flashStdout    = "8697826d65f93bc488b291230ad7f4891928604542fb287ee8be924492f95337"
-	taillatStdout  = "21fc111b51fa0dae9bb51b110e4eab520bd67469839811521610aed2d8cf6af5"
+	flashStdout    = "5fd0c1db0f3d4d778b4ffcc8abee3beed74311c470d4954992e53934cfa744e2"
+	taillatStdout  = "85d6d906c0236d2456f52936c162eda8371c5ca06d3fa3946734393315e0c960"
 	taillatCSV     = "614b95e8100bcfef9f253d8edd631d3b88d45b73bb42d7b982f86ae66dad23ee"
 	taillatSummary = "962f3e8fc8ec02a8dddee41c1647bf490ac5890092cd4712036eb26c9e56ce93"
 )
@@ -112,7 +112,7 @@ var cliRows = []cliRow{
 		name: "cluster-sinks",
 		args: []string{"-cluster", "-metrics", "DIR/metrics.csv", "-spans", "-trace", "DIR/trace.json",
 			"-slo", "250", "-slo-window", "100"},
-		stdout: "61abca9713673fe9ae6532dabc6e7e7b397d9dbd2834b40f6e1b8dc39ff3531e",
+		stdout: "68f931c64d5b545be87185af89f442dd78dd015638fe45ac464a8d634443ccc4",
 		files: map[string]string{
 			"metrics.csv": "6a1b69071dfd59acb8395d1758c0a1775cf42447689ad86af515e89ad4f2428e",
 			"trace.json":  "64266962244dbe47586655d28ccf5d99f2169346388f4ac62cef722e3cf333f0",
@@ -173,7 +173,7 @@ var cliRows = []cliRow{
 	},
 	{
 		name: "flash-metrics", args: slices.Concat(flashBase, []string{"-metrics", "DIR/m.csv", "-spans"}), once: true,
-		stdout: "cb8e8269a8725e92887c19f9bc393e1878818b65360b0a63c1070c721e95a928",
+		stdout: "681538052755d88be245284aa2870953180099f7c6e49f63f89657d6c61109a1",
 		files:  map[string]string{"m.csv": observedCSV},
 		stderr: []string{"cluster metrics written to DIR/m.csv", "cluster run complete: 96 queries"},
 	},
@@ -185,14 +185,14 @@ var cliRows = []cliRow{
 	},
 	{
 		name: "flash-slo", args: slices.Concat(flashBase, []string{"-slo", "400"}), once: true,
-		stdout: "4986d505adb4b89df038f8b3e94b334051132bf8e9281dc19ba2462457ff4f2d",
+		stdout: "f21393fa49e9ed036bca306c53b11e8fb514f14f47e14f872c171355cc30c83d",
 		stderr: []string{"cluster run complete: 96 queries"},
 	},
 	{
 		// A window far narrower than the run: the table lists every one
 		// of the 96 populated windows, one per completed query.
 		name: "flash-slo-fine", args: slices.Concat(flashBase, []string{"-slo", "400", "-slo-window", "0.5"}), once: true,
-		stdout: "2b4759fd5541c98c58635aaec0dd31b8d76c05e6b3e942f24e16700407982743",
+		stdout: "5731b61c766d1c12cde500720f22b8891fed2c420816256b2e5fa4a17d9742a0",
 		stderr: []string{"cluster run complete: 96 queries"},
 		check: func(t *testing.T, _ string, stdout []byte) {
 			_, table, _ := strings.Cut(string(stdout), "SLO windows")

@@ -99,7 +99,7 @@ func TestClusterCachedQueryAllocBudget(t *testing.T) {
 // promise of the deprecated parallel_domains field: a cluster JSON that
 // still carries "parallel_domains": 2 loads and validates, and the run it
 // configures is identical to parallel_domains 1 — node snapshots, latency
-// sketch, barrier rounds and event count.
+// quantiles, barrier rounds and event count.
 func TestClusterLegacyDomainsFieldIgnored(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cluster.json")
 	legacy := config.DefaultCluster()
@@ -129,8 +129,8 @@ func TestClusterLegacyDomainsFieldIgnored(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sk := c.QLog().Sketch()
-		fmt.Fprintf(&b, "p50 %v p99 %v rounds %d events %d\n", sk.Quantile(0.5), sk.Quantile(0.99),
+		lat := c.QLog().Latencies()
+		fmt.Fprintf(&b, "p50 %v p99 %v rounds %d events %d\n", lat.Quantile(0.5), lat.Quantile(0.99),
 			c.Multi().Rounds(), c.Multi().Executed())
 		return b.String()
 	}

@@ -93,8 +93,8 @@ type Cluster struct {
 // New assembles a cluster per cfg: nodes node0..nodeN-1 with prefixed
 // registries on their own event domains, an ingress and an egress link per
 // node, the front-end domain with the router, and a query log configured
-// by qopt (pass qtrace.Options{} for defaults; the log always exists — the
-// latency sketch is the cluster's primary output).
+// by qopt (pass qtrace.Options{} for defaults; the log always exists — its
+// query latencies are the cluster's primary output).
 func New(cfg config.ClusterConfig, m workload.Model, qopt qtrace.Options) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

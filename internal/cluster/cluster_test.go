@@ -42,11 +42,11 @@ func TestClusterScatterGatherCompletes(t *testing.T) {
 	if c.Completed() != 8 {
 		t.Fatalf("completed %d of 8 queries", c.Completed())
 	}
-	sk := c.QLog().Sketch()
-	if sk.Count() != 8 {
-		t.Fatalf("sketch holds %d samples, want 8", sk.Count())
+	lat := c.QLog().Latencies()
+	if lat.Count() != 8 {
+		t.Fatalf("log holds %d latencies, want 8", lat.Count())
 	}
-	if sk.Quantile(0.99) < sk.Quantile(0.50) {
+	if lat.Quantile(0.99) < lat.Quantile(0.50) {
 		t.Fatal("p99 below p50")
 	}
 	// Work landed on more than one node.
@@ -63,7 +63,7 @@ func TestClusterScatterGatherCompletes(t *testing.T) {
 
 // TestClusterDeterministic pins the tentpole's determinism bar: two
 // identical runs produce byte-identical node snapshots and identical
-// latency sketches.
+// latency quantiles.
 func TestClusterDeterministic(t *testing.T) {
 	snap := func() (string, string) {
 		c := buildAndRun(t, config.DefaultCluster(), 12, sim.FromSeconds(5e-4))
@@ -73,9 +73,8 @@ func TestClusterDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sk := c.QLog().Sketch()
-		lat := sk.Quantile(0.5).String() + "/" + sk.Quantile(0.99).String()
-		return b.String(), lat
+		h := c.QLog().Latencies()
+		return b.String(), h.Quantile(0.5).String() + "/" + h.Quantile(0.99).String()
 	}
 	s1, l1 := snap()
 	s2, l2 := snap()
@@ -254,7 +253,7 @@ func TestLatencyOnlyLogRunsIdentically(t *testing.T) {
 			if intervals == 0 {
 				t.Fatal("the full log recorded no interval")
 			}
-			fs, ds := full.QLog().Sketch(), drop.QLog().Sketch()
+			fs, ds := full.QLog().Latencies(), drop.QLog().Latencies()
 			for _, q := range []float64{0.5, 0.99, 0.999} {
 				if fs.Quantile(q) != ds.Quantile(q) {
 					t.Errorf("p%g: full log %v, latency-only log %v", q*100, fs.Quantile(q), ds.Quantile(q))

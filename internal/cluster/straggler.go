@@ -85,8 +85,8 @@ func (c *Cluster) recordStraggler(q *query, shard int, now sim.Time) {
 
 // tailThreshold is the q-quantile of the records' latencies under
 // sim.Histogram's rank rule, the ⌊q·n⌋-th smallest (clamped to [1, n]),
-// the rule the qtrace sketch's p99 and p999 use, so "the p999 tail" means
-// every record at or above the latency the run's p999 targets.
+// the rule of the run's p99 and p999 (qtrace.Log.Latencies), so "the p999
+// tail" means every record at or above the run's p999.
 func tailThreshold(recs []StragglerRecord, q float64) sim.Time {
 	h := sim.NewHistogram()
 	for _, r := range recs {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -132,8 +133,8 @@ func TestStragglerSkewedHashTailAcceptance(t *testing.T) {
 	}
 
 	// The p999 tail starts where the run's p999 does: at the ⌊0.999·240⌋ =
-	// 239th smallest latency, the rank rule of sim.Histogram and the qtrace
-	// sketch, not the nearest-rank 240th.
+	// 239th smallest latency, the rank rule of sim.Histogram, not the
+	// nearest-rank 240th.
 	thresh := tailThreshold(recs, 0.999)
 	lats := make([]sim.Time, len(recs))
 	for i, r := range recs {
@@ -168,5 +169,32 @@ func TestStragglerSkewedHashTailAcceptance(t *testing.T) {
 	p999 := tbl.Notes[len(tbl.Notes)-1]
 	if !strings.Contains(p999, "dominant cause queue") {
 		t.Errorf("p999 footnote does not blame the queue: %q", p999)
+	}
+}
+
+// TestTailThresholdIsRunQuantile: the straggler notes' p99 and p999
+// thresholds are the run's own quantiles, the same query's latency, on
+// reachsim -cluster's deployment: the default 4 nodes with the cache off
+// and 32 Poisson arrivals at 20 q/s from seed 1.
+func TestTailThresholdIsRunQuantile(t *testing.T) {
+	c, err := New(config.DefaultCluster(), workload.DefaultModel(), qtrace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableStragglers()
+	rng := rand.New(rand.NewSource(1))
+	at := 0.0
+	for range 32 {
+		at += rng.ExpFloat64() / 20
+		c.SubmitAt(sim.FromSeconds(at))
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	lat := c.QLog().Latencies()
+	for _, q := range []float64{0.5, 0.99, 0.999} {
+		if got, want := tailThreshold(c.Stragglers(), q), lat.Quantile(q); got != want {
+			t.Errorf("q=%g: straggler threshold %v, run quantile %v", q, got, want)
+		}
 	}
 }

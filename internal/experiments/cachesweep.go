@@ -20,11 +20,10 @@ type CachePoint struct {
 	TTLMS      float64
 	Skew       float64
 	OfferedQPS float64
-	Completed  uint64
+	Completed  int
 
-	Mean sim.Time
-	P50  sim.Time
-	P99  sim.Time
+	P50 sim.Time
+	P99 sim.Time
 
 	// Cache is the run's cache accounting (zero when Entries == 0).
 	Cache cluster.CacheStats
@@ -137,16 +136,15 @@ func CacheSweep(m workload.Model, cfg config.ClusterConfig, entries []int, ttlsM
 		if err := cl.Run(); err != nil {
 			return nil, err
 		}
-		sk := cl.QLog().Sketch()
+		lat := cl.QLog().Latencies()
 		p := &CachePoint{
 			Entries:     cell.entries,
 			TTLMS:       cell.ttlMS,
 			Skew:        cell.skew,
 			OfferedQPS:  cell.rate,
-			Completed:   sk.Count(),
-			Mean:        sk.Mean(),
-			P50:         sk.Quantile(0.5),
-			P99:         sk.Quantile(0.99),
+			Completed:   lat.Count(),
+			P50:         lat.Quantile(0.5),
+			P99:         lat.Quantile(0.99),
 			Cache:       cl.CacheStats(),
 			PeakPending: cl.PeakPending(),
 			MeanBusyPct: cl.MeanBusyPct(),

@@ -20,9 +20,8 @@ type ClusterPoint struct {
 	Nodes      int
 	Policy     string
 	OfferedQPS float64
-	Completed  uint64
+	Completed  int
 
-	Mean sim.Time
 	P50  sim.Time
 	P99  sim.Time
 	P999 sim.Time
@@ -144,16 +143,15 @@ func ClusterSweep(m workload.Model, cfg config.ClusterConfig, nodeCounts []int, 
 		if err := cl.Run(); err != nil {
 			return nil, err
 		}
-		sk := cl.QLog().Sketch()
+		lat := cl.QLog().Latencies()
 		p := &ClusterPoint{
 			Nodes:      cell.nodes,
 			Policy:     cell.policy,
 			OfferedQPS: cell.rate,
-			Completed:  sk.Count(),
-			Mean:       sk.Mean(),
-			P50:        sk.Quantile(0.5),
-			P99:        sk.Quantile(0.99),
-			P999:       sk.Quantile(0.999),
+			Completed:  lat.Count(),
+			P50:        lat.Quantile(0.5),
+			P99:        lat.Quantile(0.99),
+			P999:       lat.Quantile(0.999),
 		}
 		for i := 0; i < cell.nodes; i++ {
 			p.NodeBusyPct = append(p.NodeBusyPct, cl.NodeBusyPct(i))
@@ -180,6 +178,9 @@ func ClusterSweep(m workload.Model, cfg config.ClusterConfig, nodeCounts []int, 
 // Deterministic for fixed inputs: the table is byte-identical run to run,
 // which is what the smoke golden diffs.
 func ClusterRun(m workload.Model, cfg config.ClusterConfig, queries int, rate float64, arr ArrivalSpec, qopt qtrace.Options, observe func(*cluster.Cluster)) (*cluster.Cluster, *report.Table, error) {
+	if queries <= 0 {
+		return nil, nil, fmt.Errorf("experiments: cluster run needs at least one query, got %d", queries)
+	}
 	cl, err := cluster.New(cfg, m, qopt)
 	if err != nil {
 		return nil, nil, err
@@ -194,16 +195,16 @@ func ClusterRun(m workload.Model, cfg config.ClusterConfig, queries int, rate fl
 	if err := cl.Run(); err != nil {
 		return nil, nil, err
 	}
-	sk := cl.QLog().Sketch()
+	lat := cl.QLog().Latencies()
 	t := &report.Table{
 		Title: fmt.Sprintf("Cluster scatter-gather — %d nodes, %d shards (x%d), %s routing, %.0f q/s",
 			cfg.Nodes, cfg.Shards, cfg.Replication, cfg.RoutePolicy, rate),
 		Columns: []string{"Metric", "Value"},
 	}
 	t.AddRow("queries completed", fmt.Sprintf("%d / %d", cl.Completed(), cl.Submitted()))
-	t.AddRow("p50 ms", report.F(sk.Quantile(0.5).Milliseconds(), 2))
-	t.AddRow("p99 ms", report.F(sk.Quantile(0.99).Milliseconds(), 2))
-	t.AddRow("p999 ms", report.F(sk.Quantile(0.999).Milliseconds(), 2))
+	t.AddRow("p50 ms", report.F(lat.Quantile(0.5).Milliseconds(), 2))
+	t.AddRow("p99 ms", report.F(lat.Quantile(0.99).Milliseconds(), 2))
+	t.AddRow("p999 ms", report.F(lat.Quantile(0.999).Milliseconds(), 2))
 	t.AddRow("mean node busy %", report.F(cl.MeanBusyPct(), 1))
 	for i := range cl.Nodes() {
 		t.AddRow(fmt.Sprintf("node%d busy %%", i), report.F(cl.NodeBusyPct(i), 1))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/qtrace"
 	"repro/internal/runner"
 	"repro/internal/workload"
 )
@@ -94,5 +95,15 @@ func TestClusterSweepTableRenders(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestClusterRunRejectsNoQueries: a run with no query has no latency to
+// take a quantile of, so it is an error rather than a table.
+func TestClusterRunRejectsNoQueries(t *testing.T) {
+	_, _, err := ClusterRun(workload.DefaultModel(), config.DefaultCluster(), 0, 20,
+		ArrivalSpec{Process: ArrivalPoisson, Seed: 1}, qtrace.Options{}, nil)
+	if err == nil {
+		t.Fatal("a zero-query cluster run was accepted")
 	}
 }

@@ -55,8 +55,9 @@ type RunSpec struct {
 	Metrics *metrics.Options
 
 	// QTrace, when non-nil, attaches a per-query trace log to the run: every
-	// job gets a recorded timeline of phase intervals and completed queries
-	// feed the tail-latency sketch. The log rides back on RunResult.QLog.
+	// job gets a recorded timeline of phase intervals, and the tail-latency
+	// quantiles are read off its completed queries. The log rides back on
+	// RunResult.QLog.
 	// Nil — the default — keeps the GAM's query hooks at a single nil check.
 	QTrace *qtrace.Options
 }

@@ -12,19 +12,16 @@ import (
 )
 
 // TailPoint is one offered-rate measurement of the tail-latency sweep:
-// sketch quantiles over every completed query plus an attribution summary
-// of the queries above the p99 estimate.
+// exact latency quantiles over every completed query plus an attribution
+// summary of the queries above p99.
 type TailPoint struct {
 	OfferedQPS float64
-	Completed  uint64
+	Completed  int
 
-	Mean sim.Time
-	P50  sim.Time
-	P95  sim.Time
-	P99  sim.Time
-	P999 sim.Time
+	P50 sim.Time
+	P99 sim.Time
 
-	// TailCount is how many queries finished above the p99 estimate.
+	// TailCount is how many queries finished above p99.
 	TailCount int
 	// TailQueueShare is the fraction of those whose dominant phase is
 	// queue wait — the signature of a saturated stage.
@@ -88,15 +85,12 @@ func tailLatencySpecs(m workload.Model, mp Mapping, n int, rates []float64, batc
 
 // tailPoint reduces one rate's run to its quantiles and tail attribution.
 func tailPoint(rate float64, run *RunResult) *TailPoint {
-	sk := run.QLog.Sketch()
+	lat := run.QLog.Latencies()
 	p := &TailPoint{
 		OfferedQPS: rate,
-		Completed:  sk.Count(),
-		Mean:       sk.Mean(),
-		P50:        sk.Quantile(0.5),
-		P95:        sk.Quantile(0.95),
-		P99:        sk.Quantile(0.99),
-		P999:       sk.Quantile(0.999),
+		Completed:  lat.Count(),
+		P50:        lat.Quantile(0.5),
+		P99:        lat.Quantile(0.99),
 	}
 	type key struct{ stage, level string }
 	modal := map[key]int{}

@@ -18,8 +18,8 @@ type sloWindow struct {
 
 // sloWindows groups the completed queries by the tumbling window of the
 // given width their simulated completion instant falls in, oldest first
-// (only populated windows exist), and sketches each window's latencies.
-// A breach is a latency strictly above objective.
+// (only populated windows exist), with each window's exact latency
+// quantiles. A breach is a latency strictly above objective.
 func sloWindows(queries []*qtrace.Query, width, objective sim.Time) []sloWindow {
 	if width <= 0 || objective <= 0 {
 		panic("flight: SLO window and objective must be positive")
@@ -35,15 +35,15 @@ func sloWindows(queries []*qtrace.Query, width, objective sim.Time) []sloWindow 
 	var out []sloWindow
 	for i, j := 0, 0; i < len(ds); i = j {
 		w := sloWindow{start: ds[i].idx * width}
-		sk := qtrace.NewSketch(0)
+		h := sim.NewHistogram()
 		for j = i; j < len(ds) && ds[j].idx == ds[i].idx; j++ {
-			sk.Add(ds[j].latency)
+			h.Add(ds[j].latency)
 			if ds[j].latency > objective {
 				w.breaches++
 			}
 		}
 		w.queries = j - i
-		w.p50, w.p99, w.p999 = sk.Quantile(0.5), sk.Quantile(0.99), sk.Quantile(0.999)
+		w.p50, w.p99, w.p999 = h.Quantile(0.5), h.Quantile(0.99), h.Quantile(0.999)
 		out = append(out, w)
 	}
 	return out

@@ -4,15 +4,15 @@
 // submitted job a QueryID and, when a Log is attached, records a timeline
 // of phase intervals for it — queue wait per stage (with the dispatch
 // cause tag), accelerator execution, poll-detection gaps, and
-// inter-level data movement. Completed queries
-// fold their end-to-end latency into an allocation-free log-bucketed
-// quantile sketch (p50/p95/p99/p999 with a documented relative-error
-// bound) and reduce their timeline to a critical-path attribution: the
-// phase whose merged intervals cover the largest share of the query's
-// lifetime ("query 1041: 62% shortlist queue wait at near-memory").
+// inter-level data movement. Completed queries reduce their timeline to a
+// critical-path attribution: the phase whose merged intervals cover the
+// largest share of the query's lifetime ("query 1041: 62% shortlist queue
+// wait at near-memory"). After the run, Latencies gathers the completed
+// queries' end-to-end latencies into a sim.Histogram, so every reported
+// p50/p99/p999 is one query's exact latency.
 // A log opened with Options.DropTimelines is the latency-only variant the
 // timed sweeps use: it records no interval and attributes nothing, and
-// keeps each query's bounds, the sketch and the observer.
+// keeps each query's bounds and the observer.
 //
 // The layer is zero-cost when disabled: nothing is attached and the model
 // hot paths pay a single nil check per hook (gated by
@@ -137,9 +137,8 @@ type Observer interface {
 type Options struct {
 	// DropTimelines makes the log latency-only, for long sweeps that read
 	// latencies alone: Add records nothing, so no query keeps a timeline
-	// or an attribution. Every query still keeps its Arrival and Done,
-	// completions still feed the latency sketch, and the observer is
-	// still notified.
+	// or an attribution. Every query still keeps its Arrival and Done, so
+	// Latencies still covers it, and the observer is still notified.
 	DropTimelines bool
 	// Observer, when set, is notified of every completion.
 	Observer Observer
@@ -150,9 +149,7 @@ type Options struct {
 // simulation goroutine.
 type Log struct {
 	opt     Options
-	sketch  *Sketch
 	queries []*Query
-	done    uint64
 
 	// keys and spans are attribute's scratch, reused across completions.
 	keys  []attKey
@@ -161,7 +158,7 @@ type Log struct {
 
 // NewLog returns an empty log.
 func NewLog(o Options) *Log {
-	return &Log{opt: o, sketch: NewSketch(0)}
+	return &Log{opt: o}
 }
 
 // Submitted opens query qid (the GAM's monotonically assigned QueryID)
@@ -185,9 +182,9 @@ func (l *Log) Add(qid int, iv Interval) {
 	l.queries[qid].Intervals = append(l.queries[qid].Intervals, iv)
 }
 
-// Completed closes query qid at simulated time at: records its latency in
-// the sketch, reduces its timeline to attributions (none under
-// DropTimelines, which records no timeline), and notifies the observer.
+// Completed closes query qid at simulated time at: reduces its timeline
+// to attributions (none under DropTimelines, which records no timeline)
+// and notifies the observer.
 func (l *Log) Completed(qid int, at sim.Time) {
 	if qid < 0 || qid >= len(l.queries) || l.queries[qid] == nil {
 		return
@@ -195,19 +192,28 @@ func (l *Log) Completed(qid int, at sim.Time) {
 	q := l.queries[qid]
 	q.Done = at
 	q.done = true
-	l.done++
-	l.sketch.Add(q.Latency())
 	q.Attribution = l.attribute(q)
 	if l.opt.Observer != nil {
 		l.opt.Observer.QueryDone(qid, at, q.Latency())
 	}
 }
 
-// CompletedCount reports how many queries finished.
-func (l *Log) CompletedCount() uint64 { return l.done }
+// Latencies collects the end-to-end latency of every completed query into
+// a fresh histogram, so its Quantile(q) is the ⌊q·n⌋-th smallest latency:
+// one query's exact latency.
+func (l *Log) Latencies() *sim.Histogram {
+	lat := make([]sim.Time, 0, len(l.queries))
+	for _, q := range l.queries {
+		if q != nil && q.done {
+			lat = append(lat, q.Latency())
+		}
+	}
+	return sim.HistogramOf(lat)
+}
 
-// Sketch exposes the end-to-end latency sketch over completed queries.
-func (l *Log) Sketch() *Sketch { return l.sketch }
+// Sketch is Latencies under its former name, kept because bench/cluster.go
+// calls it; nothing else may.
+func (l *Log) Sketch() *sim.Histogram { return l.Latencies() }
 
 // Queries returns every known query in QueryID order (entries the log
 // never saw submitted are skipped). The slice is freshly allocated; the

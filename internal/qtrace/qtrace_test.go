@@ -14,14 +14,14 @@ import (
 
 func ms(n int) sim.Time { return sim.Time(n) * sim.Millisecond }
 
-// TestLogLifecycle: submit → intervals → complete drives the sketch, the
-// completion count and the query table.
+// TestLogLifecycle: submit → intervals → complete drives the query table
+// and the latencies.
 func TestLogLifecycle(t *testing.T) {
 	l := NewLog(Options{})
 	l.Submitted(0, 7, ms(10))
 	l.Add(0, Interval{Phase: PhaseQueue, Stage: "SL", Level: "NearMem", Detail: "no-idle-instance", Start: ms(10), End: ms(14)})
 	l.Add(0, Interval{Phase: PhaseExec, Stage: "SL", Level: "NearMem", Detail: "nearmem0", Start: ms(14), End: ms(20)})
-	if l.CompletedCount() != 0 || l.Query(0).Completed() {
+	if l.Latencies().Count() != 0 || l.Query(0).Completed() {
 		t.Fatal("query completed prematurely")
 	}
 	l.Completed(0, ms(20))
@@ -29,8 +29,8 @@ func TestLogLifecycle(t *testing.T) {
 	if !q.Completed() || q.Latency() != ms(10) || q.Job != 7 {
 		t.Fatalf("query state wrong: done=%v lat=%v job=%d", q.Completed(), q.Latency(), q.Job)
 	}
-	if l.CompletedCount() != 1 || l.Sketch().Count() != 1 {
-		t.Fatalf("counters wrong: done=%d sketch=%d", l.CompletedCount(), l.Sketch().Count())
+	if lat := l.Latencies(); lat.Count() != 1 || lat.Quantile(0.5) != ms(10) {
+		t.Fatalf("latencies wrong: %d of them, p50 %v", lat.Count(), lat.Quantile(0.5))
 	}
 	dom := q.Dominant()
 	if dom.Phase != PhaseExec || dom.Stage != "SL" {
@@ -77,8 +77,8 @@ func TestAttributionClampsToWindow(t *testing.T) {
 }
 
 // TestDropTimelines: the latency-only log keeps no timeline and no
-// attribution, while the query's arrival and completion and the sketch
-// survive.
+// attribution, while the query's arrival and completion, and so its
+// latency, survive.
 func TestDropTimelines(t *testing.T) {
 	l := NewLog(Options{DropTimelines: true})
 	l.Submitted(0, 0, ms(1))
@@ -91,8 +91,8 @@ func TestDropTimelines(t *testing.T) {
 	if !q.Completed() || q.Arrival != ms(1) || q.Done != ms(4) || q.Latency() != ms(3) {
 		t.Fatalf("query bounds lost: arrival %v done %v latency %v", q.Arrival, q.Done, q.Latency())
 	}
-	if l.Sketch().Count() != 1 || l.Sketch().Max() != ms(3) {
-		t.Fatalf("sketch holds %d latencies, max %v; want one of 3ms", l.Sketch().Count(), l.Sketch().Max())
+	if lat := l.Latencies(); lat.Count() != 1 || lat.Max() != ms(3) {
+		t.Fatalf("log holds %d latencies, max %v; want one of 3ms", lat.Count(), lat.Max())
 	}
 }
 
@@ -174,7 +174,7 @@ func attributeRef(arr, done sim.Time, ivs []Interval) []Attribution {
 // TestDropTimelinesReuse interleaves many open queries with random
 // timelines: the log that keeps its timelines attributes every query as
 // the independent oracle does, and a DropTimelines log fed the same calls
-// reports the same latency for every query and the same sketch while
+// reports the same latency for every query and the same quantiles while
 // keeping no timeline or attribution.
 func TestDropTimelinesReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -224,9 +224,9 @@ func TestDropTimelinesReuse(t *testing.T) {
 			t.Fatalf("query %d: DropTimelines kept %d intervals and %d attributions", p.id, len(dq.Intervals), len(dq.Attribution))
 		}
 	}
-	ks, ds := keep.Sketch(), drop.Sketch()
+	ks, ds := keep.Latencies(), drop.Latencies()
 	if ks.Count() != queries || ds.Count() != ks.Count() || ds.Mean() != ks.Mean() || ds.Max() != ks.Max() {
-		t.Fatalf("sketches differ: DropTimelines %d queries mean %v max %v, full log %d mean %v max %v",
+		t.Fatalf("latencies differ: DropTimelines %d queries mean %v max %v, full log %d mean %v max %v",
 			ds.Count(), ds.Mean(), ds.Max(), ks.Count(), ks.Mean(), ks.Max())
 	}
 	for _, p := range []float64{0.5, 0.9, 0.99, 0.999} {
@@ -291,7 +291,7 @@ func TestLogIgnoresUnknownQueries(t *testing.T) {
 	l.Add(3, Interval{Phase: PhaseExec})
 	l.Completed(3, ms(1))
 	l.Add(-1, Interval{Phase: PhaseExec})
-	if l.CompletedCount() != 0 || len(l.Queries()) != 0 {
+	if l.Latencies().Count() != 0 || len(l.Queries()) != 0 {
 		t.Fatal("unknown query leaked into the log")
 	}
 }
@@ -354,8 +354,8 @@ func TestLogWithoutObserver(t *testing.T) {
 	l := NewLog(Options{})
 	l.Submitted(3, 1, 10)
 	l.Completed(3, 60)
-	if l.CompletedCount() != 1 || l.Query(3).Latency() != 50 {
-		t.Fatalf("log without an observer completed %d queries, latency %v", l.CompletedCount(), l.Query(3).Latency())
+	if n := l.Latencies().Count(); n != 1 || l.Query(3).Latency() != 50 {
+		t.Fatalf("log without an observer completed %d queries, latency %v", n, l.Query(3).Latency())
 	}
 }
 

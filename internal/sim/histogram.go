@@ -2,12 +2,12 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// Histogram collects simulated durations and answers quantile queries —
-// the latency-distribution utility behind the load-sweep experiment's
-// mean/p99 columns. It keeps every sample.
+// Histogram collects simulated durations and answers exact quantile
+// queries. It keeps every sample, and it is the simulator's one quantile
+// implementation: every printed latency percentile comes from one.
 type Histogram struct {
 	samples []Time
 	sorted  bool
@@ -15,6 +15,9 @@ type Histogram struct {
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
+
+// HistogramOf returns a histogram over samples, which it takes over.
+func HistogramOf(samples []Time) *Histogram { return &Histogram{samples: samples} }
 
 // Add records one sample.
 func (h *Histogram) Add(t Time) {
@@ -27,7 +30,7 @@ func (h *Histogram) Count() int { return len(h.samples) }
 
 func (h *Histogram) ensureSorted() {
 	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
+		slices.Sort(h.samples)
 		h.sorted = true
 	}
 }
@@ -67,15 +70,6 @@ func (h *Histogram) Mean() Time {
 	return Time(int64(sum) / int64(len(h.samples)))
 }
 
-// Min and Max report the extremes (zero on empty).
-func (h *Histogram) Min() Time {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.ensureSorted()
-	return h.samples[0]
-}
-
 // Max reports the largest sample (zero on empty).
 func (h *Histogram) Max() Time {
 	if len(h.samples) == 0 {
@@ -83,13 +77,4 @@ func (h *Histogram) Max() Time {
 	}
 	h.ensureSorted()
 	return h.samples[len(h.samples)-1]
-}
-
-// String summarises the distribution.
-func (h *Histogram) String() string {
-	if len(h.samples) == 0 {
-		return "histogram{empty}"
-	}
-	return fmt.Sprintf("histogram{n=%d min=%v mean=%v p50=%v p99=%v max=%v}",
-		h.Count(), h.Min(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max())
 }
