@@ -17,17 +17,9 @@
 #                      minimizing a new input for at most 1 s
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
 #   make bench       — root + sim benchmarks with allocation stats
-#   make bench-smoke — 1x pass over every benchmark, so benchmark code
-#                      compiles and runs without paying full benchtime
-#                      (the root package's tables, figures, ablations and
-#                      cluster scatter-gathers included, the kernels
-#                      package's lane distance kernels beside their
-#                      SquaredL2 loop, the GAM's deep-queue dispatch, the
-#                      metrics CSV writer over moving and held series, the
-#                      query log's end-of-run quantile read, and the
-#                      flight recorder's overhead gates: one armed
-#                      completion and the pinned cluster run with the
-#                      recorder off, recording and detecting)
+#   make bench-smoke — 1x pass over every benchmark of every package, so
+#                      benchmark code compiles and runs without paying
+#                      full benchtime
 
 GO ?= go
 
@@ -105,5 +97,4 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/
 
 bench-smoke:
-	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/sim/ ./internal/cbir/ ./internal/trace/ ./internal/metrics/ \
-		./internal/cluster/ ./internal/kernels/ ./internal/core/ ./internal/qtrace/ ./internal/flight/ ./cmd/reachsim/
+	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...

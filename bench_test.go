@@ -263,15 +263,11 @@ func BenchmarkClusterScatterGather(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nodes := experiments.DefaultClusterNodeCounts()
-		rates := experiments.DefaultClusterRates()
-		maxNodes, maxRate := nodes[len(nodes)-1], rates[len(rates)-1]
-		hash := res.Point(maxNodes, "hash", maxRate)
-		p2c := res.Point(maxNodes, "p2c", maxRate)
-		if hash == nil || p2c == nil || p2c.P99 <= 0 {
+		hash, _, r := res.Headline()
+		if hash == nil {
 			b.Fatal("sweep missing hash/p2c cells at peak")
 		}
-		ratio = float64(hash.P99) / float64(p2c.P99)
+		ratio = r
 	}
 	b.ReportMetric(ratio, "hash_over_p2c_p99_x")
 }
@@ -288,24 +284,11 @@ func BenchmarkClusterCachedScatterGather(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		skews := experiments.DefaultCacheSkews()
-		rates := experiments.DefaultCacheRates()
-		maxSkew, maxRate := skews[len(skews)-1], rates[len(rates)-1]
-		off := res.Point(0, 0, maxSkew, maxRate)
-		var best *experiments.CachePoint
-		for _, p := range res.Points {
-			if p.Entries == 0 || p.Skew != maxSkew || p.OfferedQPS != maxRate {
-				continue
-			}
-			if best == nil || p.P99 < best.P99 {
-				best = p
-			}
-		}
-		if off == nil || best == nil || best.P99 <= 0 {
+		_, best, r := res.Headline()
+		if best == nil {
 			b.Fatal("sweep missing off/cached cells at peak")
 		}
-		ratio = float64(off.P99) / float64(best.P99)
-		hitRate = best.Cache.HitRate
+		ratio, hitRate = r, best.Cache.HitRate
 	}
 	b.ReportMetric(ratio, "off_over_cached_p99_x")
 	b.ReportMetric(hitRate*100, "best_hit_rate_%")

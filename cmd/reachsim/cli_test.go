@@ -50,7 +50,7 @@ const emptySHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b8
 const (
 	observedStdout = "8cd63bf18cb6ba28001610f01ff5b66050357ddeec1d335bbda13691cf2918e5"
 	observedCSV    = "6acfc6364143b09879ac6cf896fb27f8e491aaef27a80595cf9b457bb1596671"
-	observedTrace  = "a17948c3b913fb6ed34cfb639b5ceeb400f748843996fab60bb771a3cb04a638"
+	observedTrace  = "8ac222e1649c74930d7204fc69c68fc16df5a13a52cd368497fc62c10768fc4f"
 	flashStdout    = "5fd0c1db0f3d4d778b4ffcc8abee3beed74311c470d4954992e53934cfa744e2"
 	taillatStdout  = "85d6d906c0236d2456f52936c162eda8371c5ca06d3fa3946734393315e0c960"
 	taillatCSV     = "614b95e8100bcfef9f253d8edd631d3b88d45b73bb42d7b982f86ae66dad23ee"
@@ -62,7 +62,7 @@ func observedBundle(dir string) map[string]string {
 	b := dir + "/bundle-3680510us/"
 	return map[string]string{
 		b + "verdict.json":   "f2813ec634435ff4f4d61f563ca968b9c8e4258f62d9907efe7f30fe817cd6f9",
-		b + "trace.json":     "06b1a9424cc8a47009f38f36ce900991427aab1fa9465d8340357e26669714a1",
+		b + "trace.json":     "ba6ebeafcb67f518767234acf163510402c039579388a12f4c69210b3896a48d",
 		b + "stragglers.txt": "7d3dafb133d861c7588a36a82f83edcd830d0d3712b2458453c7087118915e23",
 		b + "domains.json":   "35dda06dc6519fcb8b8e76a8b380a91f093d383dc78e6323c8179f2dd64a4e10",
 		b + "state.json":     "bcae0cfe8bd86888e5cffaa6b5ab8d9a54306c64a8b1fd7335adf8176d45ad11",
@@ -115,7 +115,7 @@ var cliRows = []cliRow{
 		stdout: "68f931c64d5b545be87185af89f442dd78dd015638fe45ac464a8d634443ccc4",
 		files: map[string]string{
 			"metrics.csv": "6a1b69071dfd59acb8395d1758c0a1775cf42447689ad86af515e89ad4f2428e",
-			"trace.json":  "64266962244dbe47586655d28ccf5d99f2169346388f4ac62cef722e3cf333f0",
+			"trace.json":  "703e435a00de6b31ac2714707692f3cec5597c5b6498f22b2c4274e63c2cceb3",
 		},
 		stderr: []string{
 			"cluster metrics written to DIR/metrics.csv",
@@ -180,7 +180,7 @@ var cliRows = []cliRow{
 	{
 		name: "flash-trace", args: slices.Concat(flashBase, []string{"-trace", "DIR/t.json"}), once: true,
 		stdout: flashStdout,
-		files:  map[string]string{"t.json": "16d4620322d468a574148c31e663bf75012579c7bee27c10d2ddf001b968661d"},
+		files:  map[string]string{"t.json": "d8a2684fb823eb82de0d5f6e2661b57bc0863fa65460a08eb5c39b9ddf58a156"},
 		stderr: []string{"trace written to DIR/t.json (open in chrome://tracing or Perfetto)", "cluster run complete: 96 queries"},
 	},
 	{
@@ -213,7 +213,7 @@ var cliRows = []cliRow{
 		stdout: flashStdout,
 		files: map[string]string{
 			"flight/bundle-947328us/verdict.json":   "e936e041b9f33964d449041edb7cf806f6329c725d10104e6a6e2083974be069",
-			"flight/bundle-947328us/trace.json":     "bb80f6bb8254fe8e4596be93ab345d69b0b47d5069d5ca18c4ea8dfc0eb56c9b",
+			"flight/bundle-947328us/trace.json":     "677e444e48a4f1189a6baabdecff121652cebc6b2903ff0557900b7ad09e20c4",
 			"flight/bundle-947328us/stragglers.txt": "b16b435428c0cbe9223cbfad3a6b8b806ed7f59c3fe7d848f20d720929a62908",
 			"flight/bundle-947328us/domains.json":   "b415f7a85b7e31d5f6b6e333f9a91d7e69018ed6e6de92452099686d3aa81fc4",
 			"flight/bundle-947328us/state.json":     "bcae0cfe8bd86888e5cffaa6b5ab8d9a54306c64a8b1fd7335adf8176d45ad11",
@@ -305,6 +305,12 @@ var cliRows = []cliRow{
 		// and artifacts, and a run ends before a client could connect.
 		name: "http-flag-gone", args: []string{"-http", "127.0.0.1:0"}, code: 2, stdout: emptySHA,
 		stderr: []string{"flag provided but not defined: -http"}, usage: true,
+	},
+	{
+		// -exp all finishes in under a second, so it has no per-run
+		// progress counter to print.
+		name: "progress-flag-gone", args: []string{"-exp", "all", "-progress"}, code: 2, stdout: emptySHA,
+		stderr: []string{"flag provided but not defined: -progress"}, usage: true,
 	},
 	{
 		// Every simulation runs config.Default(), so a system config file
@@ -668,7 +674,6 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{[]string{"cluster", "csv", "exp"}, "-exp"},
 		{[]string{"cluster", "j"}, "-j"},
 		{[]string{"cluster", "qtrace"}, "-qtrace"},
-		{[]string{"cluster", "progress"}, "-progress"},
 		{[]string{"nodes"}, "-nodes requires -cluster"},
 		{[]string{"route"}, "-route requires -cluster"},
 		{[]string{"cache"}, "-cache requires -cluster"},
@@ -701,7 +706,7 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{[]string{"stats", "qtrace=q.csv"}, "-qtrace does nothing with -stats"},
 		{[]string{"stats", "metrics=x.csv"}, "-metrics does nothing with -stats"},
 		{[]string{"list", "exp=bogus", "j=2"}, "does nothing with -list"},
-		{[]string{"trace=t.json", "exp=fig9", "j=3", "qtrace=q.csv", "progress"}, "does nothing with -trace"},
+		{[]string{"trace=t.json", "exp=fig9", "j=3", "qtrace=q.csv"}, "does nothing with -trace"},
 		{[]string{"trace=t.json", "metrics=m.csv", "csv"}, "-csv does nothing with -trace"},
 		{[]string{"exp=table1", "metrics-interval=1ms"}, "-metrics-interval requires -metrics"},
 		{[]string{"exp=table1", "spans"}, "-spans requires -cluster or -trace"},
@@ -715,7 +720,7 @@ func TestValidateFlagMatrix(t *testing.T) {
 	}
 	accepted := [][]string{
 		{},
-		{"exp", "j", "csv", "metrics", "metrics-interval", "qtrace", "progress"},
+		{"exp", "j", "csv", "metrics", "metrics-interval", "qtrace"},
 		{"pj"}, // deprecated no-op, still accepted
 		{"trace", "spans", "metrics-interval"},
 		{"cluster", "nodes", "route", "pj", "cache", "cache-ttl", "csv"},

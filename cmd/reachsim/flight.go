@@ -10,7 +10,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/flight"
 	"repro/internal/metrics"
-	"repro/internal/qtrace"
 	"repro/internal/trace"
 )
 
@@ -54,7 +53,7 @@ func writeFlightBundle(dir string, fr *flight.Recorder, cl *cluster.Cluster, nod
 
 	from, to := fr.Window()
 	wq := fr.WindowQueries(cl.QLog())
-	recs := windowStragglers(cl.Stragglers(), wq)
+	recs := cl.Stragglers(wq)
 
 	bv := bundleVerdict{
 		Verdict:       v,
@@ -128,23 +127,6 @@ func writeFlightBundle(dir string, fr *flight.Recorder, cl *cluster.Cluster, nod
 		return "", err
 	}
 	return path, nil
-}
-
-// windowStragglers restricts the run's straggler records to queries the
-// flight window retained — post-freeze merges and evicted queries drop
-// out, so the table describes exactly the bundle's trace.
-func windowStragglers(recs []cluster.StragglerRecord, wq []*qtrace.Query) []cluster.StragglerRecord {
-	in := make(map[int]bool, len(wq))
-	for _, q := range wq {
-		in[q.ID] = true
-	}
-	var out []cluster.StragglerRecord
-	for _, r := range recs {
-		if in[r.Query] {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // writeBundleJSON writes v as indented JSON with a trailing newline.

@@ -203,7 +203,6 @@ var flagModes = map[string][]string{
 	"pj":               allModes,
 	"exp":              {"exp"},
 	"j":                {"exp"},
-	"progress":         {"exp"},
 	"qtrace":           {"exp"},
 	"csv":              {"exp", "cluster", "stats"},
 	"metrics":          {"exp", "cluster", "trace"},
@@ -338,7 +337,6 @@ func cli(args []string, stdout, stderr io.Writer) (code int) {
 	fs.Bool("cluster", false, "run one sharded scatter-gather cluster deployment and print its summary table")
 	fs.Int("pj", 0, "deprecated and ignored: cluster event domains always run serially (still parsed so existing scripts work; negative values are rejected)")
 	fs.IntVar(&ra.jobs, "j", 0, "max simulations in flight across all experiments (0 = GOMAXPROCS)")
-	fs.BoolVar(&ra.progress, "progress", false, "print per-run progress counters to stderr as experiments execute")
 	fs.IntVar(&co.nodes, "nodes", 0, "with -cluster, override the node count (default 4)")
 	fs.StringVar(&co.route, "route", "", "with -cluster, override the routing policy: hash, rr, p2c (default p2c)")
 	fs.IntVar(&co.cache, "cache", 0, "with -cluster, enable the front-end result cache with this many entries (0 = off, the default)")
@@ -498,10 +496,7 @@ type clusterOptions struct {
 func runCluster(w, stderr io.Writer, o clusterOptions) error {
 	ccfg := config.DefaultCluster()
 	if o.nodes > 0 {
-		ccfg.Nodes = o.nodes
-		if ccfg.ShardMap == nil && ccfg.Replication > o.nodes {
-			ccfg.Replication = o.nodes
-		}
+		ccfg = ccfg.WithNodes(o.nodes)
 	}
 	if o.route != "" {
 		ccfg.RoutePolicy = o.route
@@ -546,7 +541,6 @@ func runCluster(w, stderr io.Writer, o clusterOptions) error {
 			if o.metrics.Spans {
 				rec.Spans = cl.AttachSpans()
 			}
-			cl.EnableStragglers()
 		}
 		if fr != nil {
 			fr.SetLoadProvider(cl.RouterStats().LoadsInto)
@@ -557,7 +551,6 @@ func runCluster(w, stderr io.Writer, o clusterOptions) error {
 				})
 			}
 			barriers = append(barriers, fr)
-			cl.EnableStragglers()
 		}
 		// The metrics sampler notifies first, so its series match a
 		// flight-off run.
@@ -572,7 +565,7 @@ func runCluster(w, stderr io.Writer, o clusterOptions) error {
 		return err
 	}
 	if o.metrics != nil {
-		if st := cluster.StragglerTable(cl.Stragglers()); st != nil {
+		if st := cluster.StragglerTable(cl.Stragglers(cl.QLog().Queries())); st != nil {
 			if err := emit(st, w, o.csv); err != nil {
 				return err
 			}
@@ -658,9 +651,8 @@ func writeFile(path string, write func(io.Writer) error) error {
 // runAllOptions are the execution/output knobs of runAll, beyond what to
 // run: concurrency, output format, observability.
 type runAllOptions struct {
-	jobs     int
-	csv      bool
-	progress bool
+	jobs int
+	csv  bool
 	// metrics/metricsPath, when set, sample every run and cluster-sweep
 	// cell and write the combined time series to metricsPath as CSV, plus
 	// a bottleneck-attribution table per sampled RunSpec run.
@@ -705,11 +697,6 @@ func runAll(w, stderr io.Writer, ids []string, m workload.Model, o runAllOptions
 	tables, err := runner.Map(context.Background(), runner.Options{Pool: runner.NewPool(len(ids))}, ids,
 		func(_ context.Context, i int, id string) (*report.Table, error) {
 			opts := []experiments.Option{experiments.WithPool(pool)}
-			if o.progress {
-				opts = append(opts, experiments.WithProgress(func(done, total int, name string) {
-					fmt.Fprintf(stderr, "[%s] %d/%d %s\n", id, done, total, name)
-				}))
-			}
 			// The observe callbacks run serially per experiment after its
 			// runs complete, so sampled[i] and traced[i] need no lock.
 			if o.metrics != nil {

@@ -50,6 +50,10 @@ type Cluster struct {
 	feIn   *sim.Link        // front-end gather ingress
 	router *Router
 	qlog   *qtrace.Log
+	// paths is set when the log keeps timelines: each job's domain then
+	// stores the job's critical path in its query at completion, and the
+	// front end logs it.
+	paths bool
 
 	allNodes    []int
 	replicaSets [][]int   // shard → candidate replica nodes, precomputed
@@ -78,12 +82,6 @@ type Cluster struct {
 	submitted int
 	completed int
 	qpool     []*query // recycled query objects (scatter/merge state)
-
-	// Straggler attribution (EnableStragglers): one record per merged
-	// scatter, written in the front-end domain at merge time. Off by
-	// default so the bare run stores nothing.
-	trackStragglers bool
-	stragglers      []StragglerRecord
 
 	// Node domains report build/submit failures here.
 	errMu sync.Mutex
@@ -114,6 +112,7 @@ func New(cfg config.ClusterConfig, m workload.Model, qopt qtrace.Options) (*Clus
 		model:  m,
 		router: NewRouter(policy, cfg.Nodes, cfg.RouteSeed),
 		qlog:   qtrace.NewLog(qopt),
+		paths:  !qopt.DropTimelines,
 		pools:  make([]jobPool, cfg.Nodes),
 		needed: cfg.Quorum,
 		netLat: sim.FromSeconds(cfg.NetLatencyUS * 1e-6),
@@ -228,17 +227,6 @@ func (c *Cluster) AttachSpans() []*metrics.SpanLog {
 	}
 	return logs
 }
-
-// EnableStragglers turns on per-merge straggler attribution: every
-// scattered query records which shard leg completed its merge and where
-// that leg's time went. Off by default — the bare run stores nothing.
-// Call before Run.
-func (c *Cluster) EnableStragglers() { c.trackStragglers = true }
-
-// Stragglers returns the per-query straggler records in merge order
-// (empty unless EnableStragglers was called). The slice is the
-// cluster's own; callers must not mutate it.
-func (c *Cluster) Stragglers() []StragglerRecord { return c.stragglers }
 
 // Completed reports how many queries have merged.
 func (c *Cluster) Completed() int { return c.completed }
@@ -355,6 +343,12 @@ const (
 	detCoalesce = "fe-coalesce"
 )
 
+// Interval level labels of the FE job and of a shard job.
+const (
+	levelFE    = "onchip"
+	levelShard = "nearmem+nearstor"
+)
+
 // query is one in-flight scatter-gather request; it is its own event
 // handler and its jobs' done handler, so the whole lifecycle schedules
 // without closures. Queries are pooled: the object and its per-shard
@@ -363,9 +357,10 @@ const (
 //
 // Domain ownership contract: the front end writes the routing fields at
 // arrival, before the query is exported to any node; each timing slot is
-// written by exactly one domain (imgEnd/feStart/feEnd by the home,
-// shardExecStart/End[s] by shard s's replica) and read by the front end
-// only after a barrier-ordered mailbox delivery from the writer.
+// written by exactly one domain (imgEnd/feEnd/fePath by the home,
+// shardExecStart/End[s] and shardPath[s] by shard s's replica) and read by
+// the front end only after a barrier-ordered mailbox delivery from the
+// writer.
 type query struct {
 	c       *Cluster
 	id      int
@@ -373,23 +368,17 @@ type query struct {
 	home    int
 	replica []int
 
-	arrival    sim.Time
-	imgEnd     sim.Time
-	feStart    sim.Time
-	feDispatch sim.Time // FE job's first task dispatch (feStart→feDispatch is queue wait)
-	feEnd      sim.Time
+	arrival sim.Time
+	imgEnd  sim.Time
+	feEnd   sim.Time
 
 	shardExecStart []sim.Time // shard job submitted on the replica
-	shardDispatch  []sim.Time // shard job's first task dispatch (queue wait ends)
 	shardExecEnd   []sim.Time
 
-	// Critical-path decomposition of shard s's replica job (scheduling
-	// queue wait, device time, intra-node DMA) written by the replica's
-	// domain at completion — see core.Job.CriticalPath. Only filled when
-	// straggler tracking is on.
-	shardQueue []sim.Time
-	shardExec  []sim.Time
-	shardXfer  []sim.Time
+	// The FE job's and each shard job's critical path (core.Job.CriticalPath),
+	// stored at completion only when the log keeps timelines.
+	fePath    []core.Segment
+	shardPath [][]core.Segment
 
 	responses int
 	merged    bool
@@ -409,11 +398,8 @@ func (c *Cluster) getQuery(id, content int) *query {
 			c:              c,
 			replica:        make([]int, c.cfg.Shards),
 			shardExecStart: make([]sim.Time, c.cfg.Shards),
-			shardDispatch:  make([]sim.Time, c.cfg.Shards),
 			shardExecEnd:   make([]sim.Time, c.cfg.Shards),
-			shardQueue:     make([]sim.Time, c.cfg.Shards),
-			shardExec:      make([]sim.Time, c.cfg.Shards),
-			shardXfer:      make([]sim.Time, c.cfg.Shards),
+			shardPath:      make([][]core.Segment, c.cfg.Shards),
 		}
 	}
 	q.id = id
@@ -492,7 +478,6 @@ func (q *query) Fire(eng *sim.Engine, arg uint64) {
 		eng.AtCall(q.imgEnd, q, qFeatures)
 
 	case qFeatures: // home node domain
-		q.feStart = now
 		j, err := c.pools[q.home].feJob(c.nodes[q.home], q.id*(c.cfg.Shards+1), c.model)
 		if err != nil {
 			c.fail(err)
@@ -528,18 +513,13 @@ func (q *query) Fire(eng *sim.Engine, arg uint64) {
 			Detail: c.detImg[q.home],
 			Start:  q.arrival, End: q.imgEnd,
 		})
-		if q.feDispatch > q.feStart {
+		for _, seg := range q.fePath {
 			c.qlog.Add(q.id, qtrace.Interval{
-				Phase: qtrace.PhaseQueue, Stage: workload.StageFE, Level: "onchip",
+				Phase: seg.Phase, Stage: workload.StageFE, Level: levelFE,
 				Detail: c.detExec[q.home],
-				Start:  q.feStart, End: q.feDispatch,
+				Start:  seg.Start, End: seg.End,
 			})
 		}
-		c.qlog.Add(q.id, qtrace.Interval{
-			Phase: qtrace.PhaseExec, Stage: workload.StageFE, Level: "onchip",
-			Detail: c.detExec[q.home],
-			Start:  q.feDispatch, End: q.feEnd,
-		})
 
 	case qRespIn: // front-end domain
 		respBytes := scaleBytes(c.model.ResultBytesPerBatch(), c.shardFrac(q.content, shard))
@@ -556,18 +536,13 @@ func (q *query) Fire(eng *sim.Engine, arg uint64) {
 				Start:  q.feEnd, End: q.shardExecStart[shard],
 			})
 		}
-		if q.shardDispatch[shard] > q.shardExecStart[shard] {
+		for _, seg := range q.shardPath[shard] {
 			c.qlog.Add(q.id, qtrace.Interval{
-				Phase: qtrace.PhaseQueue, Stage: workload.StageRR, Level: "nearmem+nearstor",
+				Phase: seg.Phase, Stage: workload.StageRR, Level: levelShard,
 				Detail: c.detShard[shard][node],
-				Start:  q.shardExecStart[shard], End: q.shardDispatch[shard],
+				Start:  seg.Start, End: seg.End,
 			})
 		}
-		c.qlog.Add(q.id, qtrace.Interval{
-			Phase: qtrace.PhaseExec, Stage: workload.StageRR, Level: "nearmem+nearstor",
-			Detail: c.detShard[shard][node],
-			Start:  q.shardDispatch[shard], End: q.shardExecEnd[shard],
-		})
 		c.qlog.Add(q.id, qtrace.Interval{
 			Phase: qtrace.PhaseXfer, Stage: workload.StageRR,
 			Detail: c.detResp[node],
@@ -577,9 +552,6 @@ func (q *query) Fire(eng *sim.Engine, arg uint64) {
 		if !q.merged && q.responses >= c.needed {
 			q.merged = true
 			c.completed++
-			if c.trackStragglers {
-				c.recordStraggler(q, shard, now)
-			}
 			c.qlog.Completed(q.id, now)
 			if c.cache != nil {
 				// The merged result fills the cache, and every query that
@@ -619,7 +591,9 @@ func (q *query) featDone(j *core.Job) {
 	c := q.c
 	home := c.dom[q.home]
 	now := home.Now()
-	q.feDispatch, _ = j.FirstDispatch()
+	if c.paths {
+		q.fePath = j.CriticalPath(q.fePath[:0])
+	}
 	c.pools[q.home].fe = append(c.pools[q.home].fe, j)
 	q.feEnd = now
 	home.ExportAt(c.fe, now+c.netLat, q, qFeatDone)
@@ -642,10 +616,9 @@ func (q *query) shardDone(shard int, j *core.Job) {
 	c := q.c
 	node := q.replica[shard]
 	d := c.dom[node]
-	q.shardDispatch[shard], _ = j.FirstDispatch()
 	q.shardExecEnd[shard] = d.Now()
-	if c.trackStragglers {
-		q.shardQueue[shard], q.shardExec[shard], q.shardXfer[shard] = j.CriticalPath()
+	if c.paths {
+		q.shardPath[shard] = j.CriticalPath(q.shardPath[shard][:0])
 	}
 	c.pools[node].shard = append(c.pools[node].shard, j)
 	respBytes := scaleBytes(c.model.ResultBytesPerBatch(), c.shardFrac(q.content, shard))

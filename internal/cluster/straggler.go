@@ -4,17 +4,19 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/qtrace"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Straggler attribution: every scatter-gather merge is completed by
 // exactly one shard response — the last of the quorum to arrive. That
 // leg is the query's critical shard, and its internal breakdown (queue
 // wait at the replica's GAM, device execution, wire time) says *why* the
-// query's tail looked the way it did. Records are written in the
-// front-end domain at merge time in merge order, so the report is a
-// pure function of the simulation.
+// query's tail looked the way it did. Records are read off the query log
+// after the run, so the report is a pure function of the simulation and
+// splits the leg exactly as the log's intervals do.
 
 // Straggler cause tags — where the critical leg's time dominated.
 const (
@@ -37,8 +39,9 @@ type StragglerRecord struct {
 	// completed the merge and the replica node that served it.
 	Shard int
 	Node  int
-	// Front is the home-node leg (arrival to feature fan-out) — context,
-	// not part of the critical shard leg.
+	// Front is the rest of the query's latency: the home-node leg
+	// (arrival to feature fan-out) — context, not part of the critical
+	// shard leg.
 	Front sim.Time
 	// Queue/Exec/Wire decompose the critical leg along the replica job's
 	// critical path (core.Job.CriticalPath): scheduling-queue wait, device
@@ -64,23 +67,59 @@ func (r StragglerRecord) Cause() string {
 	}
 }
 
-// recordStraggler captures the merging response's leg breakdown. Runs in
-// the front-end domain at merge time; every timing slot it reads was
-// written by the leg's own domain before the synchronizing delivery.
-func (c *Cluster) recordStraggler(q *query, shard int, now sim.Time) {
-	node := q.replica[shard]
-	c.stragglers = append(c.stragglers, StragglerRecord{
-		Query:   q.id,
-		Content: q.content,
-		Shard:   shard,
-		Node:    node,
-		Front:   q.feEnd - q.arrival,
-		Queue:   q.shardQueue[shard],
-		Exec:    q.shardExec[shard],
-		Wire: (q.shardExecStart[shard] - q.feEnd) + (now - q.shardExecEnd[shard]) +
-			q.shardXfer[shard],
-		Latency: now - q.arrival,
-	})
+// Stragglers reduces logged queries to straggler records, one per query
+// that merged scattered responses, in the order given: the whole run's
+// log (QLog().Queries()) or any slice of it, such as a flight window.
+// A latency-only log (qtrace.Options.DropTimelines) yields none.
+func (c *Cluster) Stragglers(queries []*qtrace.Query) []StragglerRecord {
+	legs := map[string]legKey{}
+	for s, labels := range c.detShard {
+		for node, l := range labels {
+			legs[l] = legKey{s, node}
+		}
+	}
+	var recs []StragglerRecord
+	for _, q := range queries {
+		if r, ok := c.straggler(q, legs); ok {
+			recs = append(recs, r)
+		}
+	}
+	return recs
+}
+
+// straggler reads one query's merging leg off its timeline. The front end
+// logs each shard leg when its response lands, as one run of intervals
+// (scatter, the replica job's critical path, gather), so the merging leg
+// is the run that ends in the quorum-th gather logged for the query.
+func (c *Cluster) straggler(q *qtrace.Query, legs map[string]legKey) (StragglerRecord, bool) {
+	r := StragglerRecord{Query: q.ID, Content: c.content(q.ID)}
+	gathers := 0
+	for _, iv := range q.Intervals {
+		if iv.Stage == workload.StageFE { // image ingress, FE job, cache serve
+			continue
+		}
+		switch iv.Phase {
+		case qtrace.PhaseQueue:
+			r.Queue += iv.Duration()
+		case qtrace.PhaseExec:
+			r.Exec += iv.Duration()
+		default: // scatter, in-job DMA, gather
+			r.Wire += iv.Duration()
+		}
+		switch {
+		case iv.Level == levelShard: // the replica job's path
+			k := legs[iv.Detail]
+			r.Shard, r.Node = k.shard, k.node
+		case iv.Stage == workload.StageRR: // the gather, which ends the leg
+			if gathers++; gathers == c.needed {
+				r.Latency = q.Latency()
+				r.Front = r.Latency - r.Queue - r.Exec - r.Wire
+				return r, true
+			}
+			r.Queue, r.Exec, r.Wire = 0, 0, 0
+		}
+	}
+	return StragglerRecord{}, false
 }
 
 // tailThreshold is the q-quantile of the records' latencies under

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -13,29 +14,12 @@ import (
 	"repro/internal/workload"
 )
 
-// buildAndRunStragglers is buildAndRun with straggler tracking on.
-func buildAndRunStragglers(t *testing.T, cfg config.ClusterConfig, n int, gap sim.Time) *Cluster {
-	t.Helper()
-	c, err := New(cfg, testModel(), qtrace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.EnableStragglers()
-	for i := 0; i < n; i++ {
-		c.SubmitAt(sim.Time(i) * gap)
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // TestStragglerRecordsCoverMerges: one record per scattered merge, and
 // each record's breakdown tiles the query's end-to-end latency exactly —
 // front leg + queue + exec + wire is the whole critical path.
 func TestStragglerRecordsCoverMerges(t *testing.T) {
-	c := buildAndRunStragglers(t, config.DefaultCluster(), 16, sim.FromSeconds(1e-3))
-	recs := c.Stragglers()
+	c := buildAndRun(t, config.DefaultCluster(), 16, sim.FromSeconds(1e-3))
+	recs := c.Stragglers(c.QLog().Queries())
 	if len(recs) != c.Completed() {
 		t.Fatalf("%d records for %d merges", len(recs), c.Completed())
 	}
@@ -61,26 +45,18 @@ func TestStragglerRecordsCoverMerges(t *testing.T) {
 	if len(tbl.Notes) != 3 {
 		t.Fatalf("want 3 footnotes, got %v", tbl.Notes)
 	}
-}
-
-// TestStragglerOffByDefault: without EnableStragglers the run stores
-// nothing — the attribution is strictly opt-in.
-func TestStragglerOffByDefault(t *testing.T) {
-	c := buildAndRun(t, config.DefaultCluster(), 8, sim.FromSeconds(1e-3))
-	if got := c.Stragglers(); got != nil {
-		t.Fatalf("untracked run recorded %d stragglers", len(got))
-	}
 	if StragglerTable(nil) != nil {
 		t.Fatal("StragglerTable(nil) should be nil")
 	}
 }
 
-// TestStragglerRecordsDeterministic: records are written at merge time in
-// the front-end domain, so the full record stream is identical on every
-// run of the same configuration.
+// TestStragglerRecordsDeterministic: records are read off the query log,
+// so the full record stream is identical on every run of the same
+// configuration.
 func TestStragglerRecordsDeterministic(t *testing.T) {
 	run := func() []StragglerRecord {
-		return buildAndRunStragglers(t, config.DefaultCluster(), 24, sim.FromSeconds(5e-4)).Stragglers()
+		c := buildAndRun(t, config.DefaultCluster(), 24, sim.FromSeconds(5e-4))
+		return c.Stragglers(c.QLog().Queries())
 	}
 	base := run()
 	if len(base) != 24 {
@@ -118,7 +94,6 @@ func TestStragglerSkewedHashTailAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableStragglers()
 	const queries = 240
 	gap := sim.FromSeconds(50e-3)
 	for i := 0; i < queries; i++ {
@@ -127,7 +102,7 @@ func TestStragglerSkewedHashTailAcceptance(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	recs := c.Stragglers()
+	recs := c.Stragglers(c.QLog().Queries())
 	if len(recs) != queries {
 		t.Fatalf("got %d records", len(recs))
 	}
@@ -172,16 +147,14 @@ func TestStragglerSkewedHashTailAcceptance(t *testing.T) {
 	}
 }
 
-// TestTailThresholdIsRunQuantile: the straggler notes' p99 and p999
-// thresholds are the run's own quantiles, the same query's latency, on
-// reachsim -cluster's deployment: the default 4 nodes with the cache off
-// and 32 Poisson arrivals at 20 q/s from seed 1.
-func TestTailThresholdIsRunQuantile(t *testing.T) {
+// runPinnedDeployment runs reachsim -cluster's deployment: the default 4
+// nodes with the cache off and 32 Poisson arrivals at 20 q/s from seed 1.
+func runPinnedDeployment(t *testing.T) *Cluster {
+	t.Helper()
 	c, err := New(config.DefaultCluster(), workload.DefaultModel(), qtrace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableStragglers()
 	rng := rand.New(rand.NewSource(1))
 	at := 0.0
 	for range 32 {
@@ -191,10 +164,52 @@ func TestTailThresholdIsRunQuantile(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// TestTailThresholdIsRunQuantile: the straggler notes' p99 and p999
+// thresholds are the run's own quantiles, the same query's latency, on
+// the pinned deployment.
+func TestTailThresholdIsRunQuantile(t *testing.T) {
+	c := runPinnedDeployment(t)
 	lat := c.QLog().Latencies()
 	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if got, want := tailThreshold(c.Stragglers(), q), lat.Quantile(q); got != want {
+		if got, want := tailThreshold(c.Stragglers(c.QLog().Queries()), q), lat.Quantile(q); got != want {
 			t.Errorf("q=%g: straggler threshold %v, run quantile %v", q, got, want)
+		}
+	}
+}
+
+// TestStragglerSplitIsLogged: the straggler table and the query log split
+// a shard leg's time one way. On the pinned deployment, every record's
+// merging leg (the shardS@nodeR intervals the log holds for its query)
+// has logged queue intervals summing to the record's Queue and exec
+// intervals summing to its Exec. Logging only the wait before a job's
+// first dispatch misses the queueing of every later task on the path:
+// there the two queue figures averaged 10.2 and 363.6 ms.
+func TestStragglerSplitIsLogged(t *testing.T) {
+	c := runPinnedDeployment(t)
+	recs := c.Stragglers(c.QLog().Queries())
+	if len(recs) != 32 {
+		t.Fatalf("%d records for 32 queries", len(recs))
+	}
+	for _, r := range recs {
+		leg := fmt.Sprintf("shard%d@node%d", r.Shard, r.Node)
+		var queue, exec sim.Time
+		for _, iv := range c.QLog().Query(r.Query).Intervals {
+			if iv.Detail != leg {
+				continue
+			}
+			switch iv.Phase {
+			case qtrace.PhaseQueue:
+				queue += iv.Duration()
+			case qtrace.PhaseExec:
+				exec += iv.Duration()
+			}
+		}
+		if queue != r.Queue || exec != r.Exec {
+			t.Errorf("query %d %s: logged queue %v exec %v, record queue %v exec %v",
+				r.Query, leg, queue, exec, r.Queue, r.Exec)
 		}
 	}
 }

@@ -117,6 +117,17 @@ func DefaultCluster() ClusterConfig {
 	}
 }
 
+// WithNodes returns the deployment at n nodes. Without an explicit shard
+// map, replication is clamped to n, since a shard cannot have more
+// replicas than there are nodes.
+func (c ClusterConfig) WithNodes(n int) ClusterConfig {
+	c.Nodes = n
+	if c.ShardMap == nil && c.Replication > n {
+		c.Replication = n
+	}
+	return c
+}
+
 // ReplicaNodes returns shard s's replica node indices under the explicit
 // map when set, or the derived (s+k) mod Nodes placement. Call Validate
 // first; ReplicaNodes assumes a consistent configuration.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/energy"
 	"repro/internal/fpga"
+	"repro/internal/qtrace"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -255,7 +256,11 @@ func TestGAMReleasesFinishedJobs(t *testing.T) {
 			if i == 0 {
 				continue
 			}
-			if first, _ := j.FirstDispatch(); first < submitted[i-1].FinishedAt {
+			first := j.Nodes[0].DispatchedAt
+			for _, n := range j.Nodes {
+				first = min(first, n.DispatchedAt)
+			}
+			if first < submitted[i-1].FinishedAt {
 				t.Errorf("job %d dispatched at %v, before job %d finished at %v",
 					j.ID, first, submitted[i-1].ID, submitted[i-1].FinishedAt)
 			}
@@ -294,11 +299,64 @@ func TestGateKeepsOrderUnderReuse(t *testing.T) {
 	if reused.SubmittedAt != firstFinish {
 		t.Fatalf("job resubmitted at %v, want its finish instant %v", reused.SubmittedAt, firstFinish)
 	}
-	wait, _ := waiting.FirstDispatch()
-	again, _ := reused.FirstDispatch()
+	// Both jobs have pipelineJob's graph; each dispatched first at its
+	// earliest node dispatch.
+	wait, again := waiting.Nodes[0].DispatchedAt, reused.Nodes[0].DispatchedAt
+	for i := range waiting.Nodes {
+		wait, again = min(wait, waiting.Nodes[i].DispatchedAt), min(again, reused.Nodes[i].DispatchedAt)
+	}
 	if again < waiting.FinishedAt || wait > again {
 		t.Errorf("resubmitted job dispatched at %v, ahead of the waiting job (dispatched %v, finished %v)",
 			again, wait, waiting.FinishedAt)
+	}
+}
+
+// TestCriticalPathTilesJob: a finished job's critical path is queue, exec
+// and xfer segments in time order, none empty, that tile
+// [SubmittedAt, FinishedAt]. Four jobs submitted at once to four on-chip
+// instances extract features together and then contend for the near-data
+// levels, so some job waits in a queue after its first task has run: the
+// wait a first-dispatch split would miss.
+func TestCriticalPathTilesJob(t *testing.T) {
+	s := newSystem(t, config.Default().WithInstances(4, 2, 2))
+	var jobs []*Job
+	for i := 0; i < 4; i++ {
+		j := pipelineJob(t, s, i)
+		if err := s.GAM().Submit(j); err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	if got := jobs[0].CriticalPath(nil); got != nil {
+		t.Fatalf("unfinished job has path %v", got)
+	}
+	s.Run()
+	lateWait := false
+	for _, j := range jobs {
+		path := j.CriticalPath(nil)
+		at := j.SubmittedAt
+		ran := false
+		for _, seg := range path {
+			if seg.Start != at || seg.End <= seg.Start {
+				t.Fatalf("job %d: segment %+v does not follow %v", j.ID, seg, at)
+			}
+			switch seg.Phase {
+			case qtrace.PhaseExec:
+				ran = true
+			case qtrace.PhaseQueue:
+				lateWait = lateWait || ran
+			case qtrace.PhaseXfer:
+			default:
+				t.Fatalf("job %d: segment phase %q", j.ID, seg.Phase)
+			}
+			at = seg.End
+		}
+		if at != j.FinishedAt {
+			t.Fatalf("job %d: path ends at %v, job finished at %v", j.ID, at, j.FinishedAt)
+		}
+	}
+	if !lateWait {
+		t.Error("no job queued after its first task ran")
 	}
 }
 

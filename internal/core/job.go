@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/accel"
+	"repro/internal/qtrace"
 	"repro/internal/sim"
 )
 
@@ -172,39 +174,27 @@ func (j *Job) Latency() sim.Time {
 	return j.FinishedAt - j.SubmittedAt
 }
 
-// FirstDispatch reports the earliest task dispatch of the job — the
-// instant it left the GAM's scheduling queues and first touched
-// hardware. The gap from SubmittedAt is pure queue wait, which is what
-// the cluster's straggler attribution charges to "queue". Returns
-// (0, false) while no task has been dispatched yet.
-func (j *Job) FirstDispatch() (sim.Time, bool) {
-	var first sim.Time
-	seen := false
-	for _, n := range j.Nodes {
-		if n.state != NodeRunning && n.state != NodeDone {
-			continue
-		}
-		if !seen || n.DispatchedAt < first {
-			first = n.DispatchedAt
-			seen = true
-		}
-	}
-	return first, seen
+// Segment is one slice of a job's critical path: Phase is
+// qtrace.PhaseQueue, PhaseExec or PhaseXfer, over [Start, End).
+type Segment struct {
+	Phase      string
+	Start, End sim.Time
 }
 
-// CriticalPath decomposes the finished job's latency along the chain of
-// task nodes that determined its finish time: starting from the
-// last-detected node and walking back through each node's last-finishing
-// dependency. Per chain node, ready-to-dispatch time is charged to queue
-// and dispatch-to-detection to exec; everything between segments
-// (dependency DMA, the terminal host collect) lands in xfer. The three
-// always tile the job exactly: queue+exec+xfer == Latency(). This is the
-// honest queue-wait metric for multi-task jobs — FirstDispatch misses
-// contention on every node after the first, which under saturation is
-// where almost all of the waiting happens. Zero-valued before completion.
-func (j *Job) CriticalPath() (queue, exec, xfer sim.Time) {
+// CriticalPath appends the finished job's critical path to dst as
+// time-ordered segments that tile [SubmittedAt, FinishedAt]. The path is
+// the chain of task nodes that determined the finish time: it starts at
+// the last-detected node and walks back through each node's last-detected
+// dependency, the one whose output delivery released it into the ready
+// queue. Per chain node, ready-to-dispatch time is queue and
+// dispatch-to-detection is exec; everything between them (the job's
+// input, dependency DMA, the terminal host collect) is xfer. Zero-length
+// segments are left out. Unlike the first dispatch alone, the path sees
+// the contention on every chain node, which under saturation is where
+// almost all of the waiting happens. Appends nothing before completion.
+func (j *Job) CriticalPath(dst []Segment) []Segment {
 	if !j.done {
-		return
+		return dst
 	}
 	var n *TaskNode
 	for _, c := range j.Nodes {
@@ -212,14 +202,13 @@ func (j *Job) CriticalPath() (queue, exec, xfer sim.Time) {
 			n = c
 		}
 	}
+	first := len(dst)
 	end := j.FinishedAt
 	for n != nil {
-		xfer += end - n.DetectedAt
-		queue += n.DispatchedAt - n.ReadyAt
-		exec += n.DetectedAt - n.DispatchedAt
+		dst = appendSegment(dst, qtrace.PhaseXfer, n.DetectedAt, end)
+		dst = appendSegment(dst, qtrace.PhaseExec, n.DispatchedAt, n.DetectedAt)
+		dst = appendSegment(dst, qtrace.PhaseQueue, n.ReadyAt, n.DispatchedAt)
 		end = n.ReadyAt
-		// The chain predecessor is the dependency detected last — the one
-		// whose output delivery released this node into the ready queue.
 		var pred *TaskNode
 		for _, c := range j.Nodes {
 			if c == n {
@@ -231,12 +220,20 @@ func (j *Job) CriticalPath() (queue, exec, xfer sim.Time) {
 				}
 			}
 		}
-		if pred == nil {
-			xfer += end - j.SubmittedAt
-		}
 		n = pred
 	}
-	return
+	dst = appendSegment(dst, qtrace.PhaseXfer, j.SubmittedAt, end)
+	slices.Reverse(dst[first:])
+	return dst
+}
+
+// appendSegment appends [start, end) as a phase segment unless it is
+// empty.
+func appendSegment(dst []Segment, phase string, start, end sim.Time) []Segment {
+	if end == start {
+		return dst
+	}
+	return append(dst, Segment{Phase: phase, Start: start, End: end})
 }
 
 // OnDone registers h to be called with arg when the job finishes.

@@ -45,9 +45,9 @@ func NewSystem(cfg config.SystemConfig) (*System, error) {
 }
 
 // NewNode builds one ReACH server as a composable node on an event
-// domain — either a standalone engine shared with other nodes (serial
-// cluster) or one domain of a sim.MultiEngine (parallel cluster; the
-// node's entire hardware platform then executes in that domain). Every
+// domain — a standalone engine, or one domain of a cluster's
+// sim.MultiEngine, whose domains run serially (the node's entire hardware
+// platform then executes in that domain). Every
 // resource the node constructs — memory ports, NoC links, SSD channels,
 // GAM stream buffers — registers under prefix (e.g. "node0."), so N nodes
 // coexist in one registry with disjoint hierarchical names. An empty

@@ -87,7 +87,6 @@ func bufferCell(m workload.Model, hit float64) (*BufferAblationCell, error) {
 func AblationNSBuffer(m workload.Model, opts ...Option) (*BufferAblationResult, error) {
 	ratios := bufferHitRatios()
 	cells, err := mapRuns(buildOptions(opts), ratios,
-		func(i int) string { return fmt.Sprintf("nsbuffer hit=%.2f", ratios[i]) },
 		func(hit float64) (*BufferAblationCell, error) { return bufferCell(m, hit) })
 	if err != nil {
 		return nil, err

@@ -54,6 +54,27 @@ func (r *CacheSweepResult) Point(entries int, ttlMS, skew, qps float64) *CachePo
 	return nil
 }
 
+// Headline is the sweep's headline comparison, the cache's tail relief at
+// its heaviest (skew, rate) corner: the cache-off cell there, the cached
+// cell with the lowest p99 there, and cache-off p99 over that p99. It
+// returns nils and 0 when either cell is missing or the cached p99 is 0.
+func (r *CacheSweepResult) Headline() (off, best *CachePoint, ratio float64) {
+	var maxSkew, maxRate float64
+	for _, p := range r.Points {
+		maxSkew, maxRate = max(maxSkew, p.Skew), max(maxRate, p.OfferedQPS)
+	}
+	for _, p := range r.Points {
+		if p.Entries > 0 && p.Skew == maxSkew && p.OfferedQPS == maxRate && (best == nil || p.P99 < best.P99) {
+			best = p
+		}
+	}
+	off = r.Point(0, 0, maxSkew, maxRate)
+	if off == nil || best == nil || best.P99 <= 0 {
+		return nil, nil, 0
+	}
+	return off, best, float64(off.P99) / float64(best.P99)
+}
+
 // Sweep defaults: a cache-off baseline against capacities below and near
 // the 64-content working set, one TTL short enough to expire under the
 // sweep's inter-arrival gaps and one effectively permanent, a moderate and
@@ -119,24 +140,16 @@ func CacheSweep(m workload.Model, cfg config.ClusterConfig, entries []int, ttlsM
 	}
 	arr := ArrivalSpec{Process: ArrivalPoisson, Seed: seed}
 	attach, report := o.sampleCells(len(cells), name)
-	points, err := mapRuns(o, cells, name, func(cell cacheCell) (*CachePoint, error) {
+	points, err := mapRuns(o, cells, func(cell cacheCell) (*CachePoint, error) {
 		ccfg := cfg
 		ccfg.CacheEntries = cell.entries
 		ccfg.CacheTTLMS = cell.ttlMS
 		ccfg.SkewExponent = cell.skew
-		cl, err := cluster.New(ccfg, m, qtrace.Options{DropTimelines: true})
+		cl, lat, err := runCell(m, ccfg, qtrace.Options{DropTimelines: true}, arr, cell.rate, queries, cell.stream,
+			func(cl *cluster.Cluster) { attach(int(cell.stream), cl) })
 		if err != nil {
 			return nil, err
 		}
-		attach(int(cell.stream), cl)
-		at := arr.schedule(cell.rate, queries, cell.stream)
-		for q := 0; q < queries; q++ {
-			cl.SubmitAt(at(q))
-		}
-		if err := cl.Run(); err != nil {
-			return nil, err
-		}
-		lat := cl.QLog().Latencies()
 		p := &CachePoint{
 			Entries:     cell.entries,
 			TTLMS:       cell.ttlMS,
@@ -191,30 +204,10 @@ func CacheSweepTable(res *CacheSweepResult) *report.Table {
 			report.F(p.Cache.MeanServeAge.Milliseconds(), 2),
 		)
 	}
-	// Headline: the cache's tail relief at the heaviest (skew, rate) corner.
-	var maxSkew, maxRate float64
-	for _, p := range res.Points {
-		if p.Skew > maxSkew {
-			maxSkew = p.Skew
-		}
-		if p.OfferedQPS > maxRate {
-			maxRate = p.OfferedQPS
-		}
-	}
-	off := res.Point(0, 0, maxSkew, maxRate)
-	var best *CachePoint
-	for _, p := range res.Points {
-		if p.Entries == 0 || p.Skew != maxSkew || p.OfferedQPS != maxRate {
-			continue
-		}
-		if best == nil || p.P99 < best.P99 {
-			best = p
-		}
-	}
-	if off != nil && best != nil && best.P99 > 0 {
+	if off, best, ratio := res.Headline(); off != nil {
 		t.AddNote("at skew %.1f, %.0f q/s: cache-off p99 %.1f ms vs %d entries/%.0f ms TTL p99 %.1f ms (%.2fx), hit rate %.0f%%",
-			maxSkew, maxRate, off.P99.Milliseconds(), best.Entries, best.TTLMS,
-			best.P99.Milliseconds(), float64(off.P99)/float64(best.P99), 100*best.Cache.HitRate)
+			best.Skew, best.OfferedQPS, off.P99.Milliseconds(), best.Entries, best.TTLMS,
+			best.P99.Milliseconds(), ratio, 100*best.Cache.HitRate)
 	}
 	return t
 }

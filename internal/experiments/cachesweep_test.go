@@ -60,28 +60,16 @@ func TestCacheSweepCacheBeatsOffAtPeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rates := DefaultCacheRates()
-	maxRate := rates[len(rates)-1]
-	skews := DefaultCacheSkews()
-	maxSkew := skews[len(skews)-1]
-	off := res.Point(0, 0, maxSkew, maxRate)
+	off, best, _ := res.Headline()
 	if off == nil {
-		t.Fatal("pinned sweep missing the cache-off baseline")
+		t.Fatal("pinned sweep missing the cache-off baseline or a cached cell at the peak corner")
 	}
-	var best *CachePoint
-	for _, p := range res.Points {
-		if p.Entries == 0 || p.Skew != maxSkew || p.OfferedQPS != maxRate {
-			continue
-		}
-		if best == nil || p.P99 < best.P99 {
-			best = p
-		}
-	}
-	if best == nil {
-		t.Fatal("pinned sweep has no cached cell at the peak corner")
+	rates, skews := DefaultCacheRates(), DefaultCacheSkews()
+	if off.Skew != skews[len(skews)-1] || off.OfferedQPS != rates[len(rates)-1] {
+		t.Fatalf("headline compares skew %.1f at %.0f q/s, not the peak corner", off.Skew, off.OfferedQPS)
 	}
 	t.Logf("skew %.1f at %.0f q/s: off p99 %.1f ms vs %d entries/%.0f ms TTL p99 %.1f ms, hit rate %.0f%%, mean serve age %.1f ms",
-		maxSkew, maxRate, off.P99.Milliseconds(), best.Entries, best.TTLMS,
+		off.Skew, off.OfferedQPS, off.P99.Milliseconds(), best.Entries, best.TTLMS,
 		best.P99.Milliseconds(), 100*best.Cache.HitRate, best.Cache.MeanServeAge.Milliseconds())
 	if best.P99 >= off.P99 {
 		t.Fatalf("cached p99 %v does not beat cache-off p99 %v at peak load", best.P99, off.P99)

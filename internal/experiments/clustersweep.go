@@ -54,6 +54,23 @@ func (r *ClusterSweepResult) Point(nodes int, policy string, qps float64) *Clust
 	return nil
 }
 
+// Headline is the sweep's headline comparison, the routing-policy gap at
+// the largest swept deployment and highest rate: the hash and p2c cells
+// there and hash p99 over p2c p99. It returns nils and 0 when either cell
+// is missing or p2c's p99 is 0.
+func (r *ClusterSweepResult) Headline() (hash, p2c *ClusterPoint, ratio float64) {
+	var maxNodes int
+	var maxRate float64
+	for _, p := range r.Points {
+		maxNodes, maxRate = max(maxNodes, p.Nodes), max(maxRate, p.OfferedQPS)
+	}
+	hash, p2c = r.Point(maxNodes, "hash", maxRate), r.Point(maxNodes, "p2c", maxRate)
+	if hash == nil || p2c == nil || p2c.P99 <= 0 {
+		return nil, nil, 0
+	}
+	return hash, p2c, float64(hash.P99) / float64(p2c.P99)
+}
+
 // Sweep defaults: scale-out factors, all three routing policies, rates
 // climbing into the region where the per-query hot shard queues (a 4-node
 // cluster's scatter-gather services a query in ~70 ms of critical path,
@@ -124,26 +141,14 @@ func ClusterSweep(m workload.Model, cfg config.ClusterConfig, nodeCounts []int, 
 	}
 	arr := ArrivalSpec{Process: ArrivalPoisson, Seed: seed}
 	attach, report := o.sampleCells(len(cells), name)
-	points, err := mapRuns(o, cells, name, func(cell clusterCell) (*ClusterPoint, error) {
-		ccfg := cfg
-		ccfg.Nodes = cell.nodes
+	points, err := mapRuns(o, cells, func(cell clusterCell) (*ClusterPoint, error) {
+		ccfg := cfg.WithNodes(cell.nodes)
 		ccfg.RoutePolicy = cell.policy
-		if ccfg.ShardMap == nil && ccfg.Replication > cell.nodes {
-			ccfg.Replication = cell.nodes
-		}
-		cl, err := cluster.New(ccfg, m, qtrace.Options{DropTimelines: true})
+		cl, lat, err := runCell(m, ccfg, qtrace.Options{DropTimelines: true}, arr, cell.rate, queries, cell.stream,
+			func(cl *cluster.Cluster) { attach(int(cell.stream), cl) })
 		if err != nil {
 			return nil, err
 		}
-		attach(int(cell.stream), cl)
-		at := arr.schedule(cell.rate, queries, cell.stream)
-		for q := 0; q < queries; q++ {
-			cl.SubmitAt(at(q))
-		}
-		if err := cl.Run(); err != nil {
-			return nil, err
-		}
-		lat := cl.QLog().Latencies()
 		p := &ClusterPoint{
 			Nodes:      cell.nodes,
 			Policy:     cell.policy,
@@ -169,6 +174,28 @@ func ClusterSweep(m workload.Model, cfg config.ClusterConfig, nodeCounts []int, 
 	return &ClusterSweepResult{Points: points}, nil
 }
 
+// runCell runs one cluster cell: it builds the deployment on a query log
+// configured by qopt, hands it to attach (when non-nil) before the run,
+// submits queries arrivals of arr at rate from the given stream, runs it
+// and returns the cluster with its completed queries' latencies.
+func runCell(m workload.Model, cfg config.ClusterConfig, qopt qtrace.Options, arr ArrivalSpec, rate float64, queries int, stream int64, attach func(*cluster.Cluster)) (*cluster.Cluster, *sim.Histogram, error) {
+	cl, err := cluster.New(cfg, m, qopt)
+	if err != nil {
+		return nil, nil, err
+	}
+	if attach != nil {
+		attach(cl)
+	}
+	at := arr.schedule(rate, queries, stream)
+	for q := 0; q < queries; q++ {
+		cl.SubmitAt(at(q))
+	}
+	if err := cl.Run(); err != nil {
+		return nil, nil, err
+	}
+	return cl, cl.QLog().Latencies(), nil
+}
+
 // ClusterRun executes one cluster deployment under the given seeded
 // arrival process and reduces it to a summary table — the CLI's -cluster
 // path and the CI cluster smoke. observe, when non-nil, receives the
@@ -181,21 +208,10 @@ func ClusterRun(m workload.Model, cfg config.ClusterConfig, queries int, rate fl
 	if queries <= 0 {
 		return nil, nil, fmt.Errorf("experiments: cluster run needs at least one query, got %d", queries)
 	}
-	cl, err := cluster.New(cfg, m, qopt)
+	cl, lat, err := runCell(m, cfg, qopt, arr, rate, queries, 0, observe)
 	if err != nil {
 		return nil, nil, err
 	}
-	if observe != nil {
-		observe(cl)
-	}
-	at := arr.schedule(rate, queries, 0)
-	for q := 0; q < queries; q++ {
-		cl.SubmitAt(at(q))
-	}
-	if err := cl.Run(); err != nil {
-		return nil, nil, err
-	}
-	lat := cl.QLog().Latencies()
 	t := &report.Table{
 		Title: fmt.Sprintf("Cluster scatter-gather — %d nodes, %d shards (x%d), %s routing, %.0f q/s",
 			cfg.Nodes, cfg.Shards, cfg.Replication, cfg.RoutePolicy, rate),
@@ -256,27 +272,9 @@ func ClusterSweepTable(res *ClusterSweepResult) *report.Table {
 			report.F(p.PeakQueueImbalance, 2),
 		)
 	}
-	// Headline: the policy gap at the most loaded 4-node point.
-	if n := len(res.Points); n > 0 {
-		rates := map[float64]bool{}
-		var maxRate float64
-		var maxNodes int
-		for _, p := range res.Points {
-			rates[p.OfferedQPS] = true
-			if p.OfferedQPS > maxRate {
-				maxRate = p.OfferedQPS
-			}
-			if p.Nodes > maxNodes {
-				maxNodes = p.Nodes
-			}
-		}
-		hash := res.Point(maxNodes, "hash", maxRate)
-		p2c := res.Point(maxNodes, "p2c", maxRate)
-		if hash != nil && p2c != nil && p2c.P99 > 0 {
-			t.AddNote("at %d nodes, %.0f q/s: hash p99 %.1f ms vs p2c p99 %.1f ms (%.2fx)",
-				maxNodes, maxRate, hash.P99.Milliseconds(), p2c.P99.Milliseconds(),
-				float64(hash.P99)/float64(p2c.P99))
-		}
+	if hash, p2c, ratio := res.Headline(); hash != nil {
+		t.AddNote("at %d nodes, %.0f q/s: hash p99 %.1f ms vs p2c p99 %.1f ms (%.2fx)",
+			hash.Nodes, hash.OfferedQPS, hash.P99.Milliseconds(), p2c.P99.Milliseconds(), ratio)
 	}
 	return t
 }

@@ -87,7 +87,6 @@ func Motivation(opts ...Option) (*MotivationResult, error) {
 		}},
 	}
 	rows, err := mapRuns(buildOptions(opts), builders,
-		func(i int) string { return builders[i].name },
 		func(b motivationBuilder) (MotivationRow, error) { return b.build() })
 	if err != nil {
 		return nil, err

@@ -51,7 +51,6 @@ func RecallSweep(m workload.Model, opts ...Option) (*RecallSweepResult, error) {
 	// The index and the ground truth are built once and only read by the
 	// probe evaluations, so the sweep points can run in parallel.
 	points, err := mapRuns(buildOptions(opts), probeCounts,
-		func(i int) string { return fmt.Sprintf("recall probes=%d", probeCounts[i]) },
 		func(probes int) (*RecallPoint, error) {
 			recall, err := truth.RecallAtK(ix, cbir.SearchParams{
 				Probes: probes, Candidates: 1 << 20, K: m.TopK,

@@ -22,7 +22,7 @@ import (
 // engine, so runs are independent and the results are byte-for-byte
 // identical whatever the pool size.
 type RunSpec struct {
-	// Name labels the run in progress reports and errors.
+	// Name labels the run in metrics and query-trace reports and errors.
 	Name string
 	// Model is the CBIR workload model; it is validated before the run.
 	Model workload.Model
@@ -169,7 +169,6 @@ func (s RunSpec) name() string {
 // entry point.
 type runOptions struct {
 	pool     *runner.Pool
-	progress func(done, total int, name string)
 	metrics  *metrics.Options
 	observe  func(run string, series metrics.Source, phases []metrics.PhaseWindow)
 	qtrace   bool
@@ -177,7 +176,7 @@ type runOptions struct {
 }
 
 // Option adjusts how an experiment executes its runs (not what it
-// simulates): concurrency pool, progress reporting, observability.
+// simulates): concurrency pool, observability.
 type Option func(*runOptions)
 
 // WithPool runs the experiment's simulations on the given concurrency
@@ -185,11 +184,6 @@ type Option func(*runOptions)
 // share one pool share its budget — how `reachsim -exp all -j N` bounds
 // the whole evaluation at N in-flight simulations.
 func WithPool(p *runner.Pool) Option { return func(o *runOptions) { o.pool = p } }
-
-// WithProgress reports each completed run. The callback is serialised.
-func WithProgress(fn func(done, total int, name string)) Option {
-	return func(o *runOptions) { o.progress = fn }
-}
 
 // WithMetrics samples every simulation of the experiment and, after all
 // of them complete, reports each one through observe in declaration order
@@ -231,15 +225,6 @@ func buildOptions(opts []Option) runOptions {
 	return o
 }
 
-func (o runOptions) runnerOptions(name func(i int) string) runner.Options {
-	ro := runner.Options{Pool: o.pool}
-	if o.progress != nil {
-		progress := o.progress
-		ro.Progress = func(e runner.Event) { progress(e.Done, e.Total, name(e.Index)) }
-	}
-	return ro
-}
-
 // RunSpecs executes the specs on the parallel runner and returns their
 // results in spec order, regardless of completion order. The first
 // failing spec cancels the rest.
@@ -258,7 +243,7 @@ func RunSpecs(specs []RunSpec, opts ...Option) ([]*RunResult, error) {
 		}
 		specs = instrumented
 	}
-	res, err := runner.Map(context.Background(), o.runnerOptions(func(i int) string { return specs[i].name() }), specs,
+	res, err := runner.Map(context.Background(), runner.Options{Pool: o.pool}, specs,
 		func(_ context.Context, _ int, s RunSpec) (*RunResult, error) { return s.Run() })
 	if err == nil && o.observe != nil {
 		for i, r := range res {
@@ -280,7 +265,7 @@ func RunSpecs(specs []RunSpec, opts ...Option) ([]*RunResult, error) {
 // mapRuns fans an arbitrary per-item function over the runner with the
 // experiment options — for the functional-layer experiments (recall,
 // motivation, buffer ablation) whose unit of work is not a RunSpec.
-func mapRuns[S, R any](o runOptions, items []S, name func(i int) string, fn func(item S) (R, error)) ([]R, error) {
-	return runner.Map(context.Background(), o.runnerOptions(name), items,
+func mapRuns[S, R any](o runOptions, items []S, fn func(item S) (R, error)) ([]R, error) {
+	return runner.Map(context.Background(), runner.Options{Pool: o.pool}, items,
 		func(_ context.Context, _ int, item S) (R, error) { return fn(item) })
 }

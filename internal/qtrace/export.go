@@ -13,18 +13,22 @@ import (
 // cluster alike (TestPhaseConstantsDocumented pins this list against the
 // constants):
 //
-//   - "queue": GAM scheduling-queue wait — and, on cluster runs, the
-//     front-end or shard job's submit-to-first-dispatch wait, with the
-//     detail naming the node-local lane ("nodeH", "shardS@nodeR").
-//   - "exec": accelerator execution; cluster shard legs use stage
-//     "Rerank", level "nearmem+nearstor" and detail "shardS@nodeR" for
-//     the whole scatter leg's device time.
+//   - "queue": GAM scheduling-queue wait.
+//   - "exec": accelerator execution.
 //   - "pollgap": device completion to GAM detection (polled tasks).
 //   - "xfer": inter-level DMA on one server, and on cluster runs the
 //     wire legs — image ingress ("client-nodeH", stage
 //     "FeatureExtraction"), scatter ("nodeH-nodeR", stage
 //     "ShortlistRetrieval") and response gather ("nodeR-fe", stage
 //     "Rerank").
+//
+// On cluster runs, the front-end and shard jobs log their critical paths
+// (core.Job.CriticalPath) as time-ordered queue, exec and xfer rows that
+// tile each job from submission to completion: the FE job's under stage
+// "FeatureExtraction", level "onchip" and detail "nodeH", a shard job's
+// under stage "Rerank", level "nearmem+nearstor" and detail
+// "shardS@nodeR". A queue row there is one task's wait on the path, and
+// an xfer row the job's own input, dependency DMA or host collect.
 //   - "cache-hit": a query served by the cluster front end without a
 //     scatter; detail "fe-cache" is a direct hit, "fe-coalesce" a query
 //     coalesced onto an in-flight scatter for the same content.

@@ -64,22 +64,11 @@ func (p *Pool) acquire(ctx context.Context) error {
 
 func (p *Pool) release() { <-p.slots }
 
-// Event reports one completed (or skipped) run to a progress callback.
-type Event struct {
-	Done  int // runs finished so far, this one included
-	Total int
-	Index int // the completed run's index in the input slice
-	Err   error
-}
-
 // Options configures one Map call.
 type Options struct {
 	// Pool bounds how many items run at once. Nil means a private
 	// NewPool(0): GOMAXPROCS slots.
 	Pool *Pool
-	// Progress, when non-nil, is called after every run completes. Calls
-	// are serialised; the callback must not invoke Map reentrantly.
-	Progress func(Event)
 }
 
 // Map executes fn over every item and returns the results in item order,
@@ -105,20 +94,11 @@ func Map[S, R any](ctx context.Context, opts Options, items []S, fn func(ctx con
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var mu sync.Mutex // guards done counter + Progress serialisation
-	done := 0
 	finish := func(i int, err error) {
 		errs[i] = err
 		if err != nil {
 			cancel()
 		}
-		if opts.Progress == nil {
-			return
-		}
-		mu.Lock()
-		done++
-		opts.Progress(Event{Done: done, Total: n, Index: i, Err: err})
-		mu.Unlock()
 	}
 
 	run := func(i int) {

@@ -165,31 +165,6 @@ func TestMapSharedPoolBoundsNestedConcurrency(t *testing.T) {
 	}
 }
 
-// Progress fires once per run with a consistent done counter.
-func TestMapProgress(t *testing.T) {
-	var events []Event
-	_, err := Map(context.Background(), Options{
-		Pool:     NewPool(4),
-		Progress: func(e Event) { events = append(events, e) },
-	}, []int{0, 1, 2, 3, 4}, func(_ context.Context, i, _ int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 5 {
-		t.Fatalf("%d progress events, want 5", len(events))
-	}
-	seen := map[int]bool{}
-	for k, e := range events {
-		if e.Done != k+1 || e.Total != 5 {
-			t.Errorf("event %d: done=%d/%d, want %d/5", k, e.Done, e.Total, k+1)
-		}
-		if seen[e.Index] {
-			t.Errorf("index %d reported twice", e.Index)
-		}
-		seen[e.Index] = true
-	}
-}
-
 func TestMapEmptyInput(t *testing.T) {
 	out, err := Map(context.Background(), Options{}, nil,
 		func(context.Context, int, int) (int, error) { return 0, nil })

@@ -33,8 +33,8 @@ func checkPin(t *testing.T, raw []byte, wantLen int, wantSHA string) {
 // groups, async query pairs, routed intervals, per-node counters and
 // spans.
 func TestClusterTracePinned(t *testing.T) {
-	checkPin(t, runClusterTrace(t), 285788,
-		"cff9928db1378ecd6b1bd535c86e1b5c97290c053cdbd988559a8cc1258f695b")
+	checkPin(t, runClusterTrace(t), 316847,
+		"c2a16738356ff52a7d5547218d7e61bb11a9df5ad0391db06b2aa6681b6e5d3a")
 }
 
 // pipelineTrace renders a sampled, query-traced single-system pipeline
